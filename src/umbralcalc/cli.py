@@ -12,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import BadParameterError, UmbralError
@@ -115,7 +114,7 @@ def resolve_operator(literal, seq: AdmissibleSequence, degree: int) -> OperatorM
         match = _BUILTIN_RE.match(literal.strip())
         if not match:
             raise BadParameterError(f"bad operator literal {literal!r}")
-        arg = Fraction(match.group("arg")) if match.group("arg") else None
+        arg = fr(match.group("arg")) if match.group("arg") else None
         return _builtin_operator(match.group("name"), arg, seq, degree)
     if isinstance(literal, list):
         return realize_delta_series(_series_from(literal, seq, degree).require_delta(), degree)

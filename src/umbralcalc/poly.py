@@ -11,20 +11,27 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BasisMismatchError, DegreeOverflowError
+from .errors import BadParameterError, BasisMismatchError, DegreeOverflowError
 
 ZERO_DEGREE = -1
 
 
 def fr(value) -> Fraction:
-    """Coerce ints, strings like '3/2', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/2', and Fractions to Fraction.
+
+    Anything else (floats, booleans, malformed or zero-denominator strings)
+    raises BadParameterError naming the value.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+    if isinstance(value, str):
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise BadParameterError(f"not an exact rational: {value!r}")
 
 
 class Polynomial:
@@ -186,7 +193,7 @@ def parse_polynomial(text: str) -> Polynomial:
         m = _TERM_RE.match(term) if term else None
         if not m or (m.group("num") is None and m.group("x") is None):
             raise ValueError(f"bad term {term!r} in polynomial text {text!r}")
-        coeff = Fraction(m.group("num")) if m.group("num") else Fraction(1)
+        coeff = fr(m.group("num")) if m.group("num") else Fraction(1)
         if m.group("sign"):
             coeff = -coeff
         if m.group("x") is None:

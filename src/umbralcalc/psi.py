@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BadModulusError,
@@ -141,29 +142,47 @@ class AdmissibleSequence:
             )
         return self.values[n]
 
+    @cached_property
+    def _factorials(self) -> tuple:
+        """Prefix products t[n] = n_psi!, n = 0..bound (built on first use)."""
+        t = [Fraction(1)]
+        for v in self.values[1:]:
+            t.append(t[-1] * v)
+        return tuple(t)
+
+    @cached_property
+    def _binomials(self) -> tuple:
+        """Triangle of n_psi! / (k_psi! (n-k)_psi!), 0 <= k <= n <= bound."""
+        t = self._factorials
+        return tuple(
+            tuple(t[n] / (t[k] * t[n - k]) for k in range(n + 1))
+            for n in range(self.bound + 1)
+        )
+
     def factorial(self, n: int) -> Fraction:
         if not 0 <= n <= self.bound:
             raise UndefinedIndexError(
                 f"{self.label}: factorial index {n} outside 0..{self.bound}"
             )
-        out = Fraction(1)
-        for i in range(1, n + 1):
-            out *= self.values[i]
-        return out
+        return self._factorials[n]
 
     def falling_factorial(self, n: int, k: int) -> Fraction:
         """Product n_psi (n-1)_psi ... (n-k+1)_psi."""
         if k < 0 or k > n:
             raise IndexOrderError(f"falling factorial needs 0 <= k <= n, got ({n}, {k})")
-        out = Fraction(1)
-        for i in range(n, n - k, -1):
-            out *= self.n_psi(i)
-        return out
+        if k == 0:  # the empty product needs no index in range
+            return Fraction(1)
+        self.n_psi(n)  # raises for a top factor beyond the bound
+        t = self._factorials
+        return t[n] / t[n - k]
 
     def binomial(self, n: int, k: int) -> Fraction:
         if k < 0 or k > n:
             raise IndexOrderError(f"binomial needs 0 <= k <= n, got ({n}, {k})")
-        return self.falling_factorial(n, k) / self.factorial(k)
+        if k == 0:
+            return Fraction(1)
+        self.n_psi(n)
+        return self._binomials[n][k]
 
     def exp_coefficients(self, truncation: int) -> list:
         """Coefficients 1/k_psi! of the exponential series, k = 0..truncation."""
@@ -206,19 +225,27 @@ class AdmissibleSequence:
 
     @staticmethod
     def from_descriptor(data: dict, bound: int) -> "AdmissibleSequence":
+        if not isinstance(data, dict):
+            raise BadParameterError(f"family descriptor must be an object, got {data!r}")
         family = data.get("family")
+
+        def need(key):
+            if key not in data:
+                raise BadParameterError(f"{family} family descriptor needs key {key!r}")
+            return data[key]
+
         if family == CLASSICAL:
             return AdmissibleSequence.classical(bound)
         if family == Q_DEFORMED:
-            return AdmissibleSequence.q_deformed(data["q"], bound)
+            return AdmissibleSequence.q_deformed(need("q"), bound)
         if family == FIBONACCI:
             return AdmissibleSequence.fibonacci(bound)
         if family == RECURRENCE:
-            return AdmissibleSequence.recurrence(data["alphas"], data["betas"], bound)
+            return AdmissibleSequence.recurrence(need("alphas"), need("betas"), bound)
         if family == R_SERIES:
-            return AdmissibleSequence.r_series(data["coefficients"], data["q"], bound)
+            return AdmissibleSequence.r_series(need("coefficients"), need("q"), bound)
         if family == HYPERBOLIC:
             return AdmissibleSequence.hyperbolic(bound)
         if family == CUSTOM:
-            return AdmissibleSequence.custom(data["values"], bound)
+            return AdmissibleSequence.custom(need("values"), bound)
         raise BadParameterError(f"unknown family {family!r}")

@@ -1,6 +1,9 @@
 """End-to-end runs of the command line front end through main()."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from umbralcalc import (
     AdmissibleSequence,
@@ -9,6 +12,9 @@ from umbralcalc import (
     sheffer_sequence,
 )
 from umbralcalc.cli import main
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -124,6 +130,11 @@ class TestVerify:
         assert code == 1
         assert "provided-table(probe) | classical | N=3 | fails" in out
         assert '"n": 3' in out
+
+    def test_default_report_matches_golden(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--format", "json", "--degree", "8"])
+        assert code == 0
+        assert out.encode() == (GOLDEN / "verify_default_n8.json").read_bytes()
 
     def test_unknown_suite_exits_two(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"suites": ["nope"]})
@@ -244,3 +255,44 @@ class TestGuards:
         code, _, err = run(capsys, ["expand", "--degree", "4", "--config", cfg])
         assert code == 2
         assert "BadParameterError" in err
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"operator": {"series": [0, 1.5]}}, "1.5"),
+            ({"operator": {"series": [0, "1/0"]}}, "'1/0'"),
+            ({"operator": {"series": [0, True]}}, "True"),
+            ({"operator": "jackson(1/0)"}, "'1/0'"),
+            ({"operator": {"columns": ["1", "1/0*x"]}}, "'1/0'"),
+        ],
+    )
+    def test_bad_rationals_exit_two(self, capsys, tmp_path, config, named):
+        cfg = write_config(tmp_path, config)
+        code, out, err = run(capsys, ["expand", "--degree", "3", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: BadParameterError: not an exact rational: {named}\n"
+
+    @pytest.mark.parametrize("bad", [1.5, "1/0", True])
+    def test_bad_rational_in_checked_table_exits_two(self, capsys, tmp_path, bad):
+        entry = {"family": {"family": "classical"}, "entries": [["1"], ["0", bad]]}
+        cfg = write_config(
+            tmp_path, {"suites": [], "families": [], "check_tables": [entry]}
+        )
+        code, _, err = run(capsys, ["verify", "--degree", "3", "--config", cfg])
+        assert code == 2
+        assert err == f"error: BadParameterError: not an exact rational: {bad!r}\n"
+
+    def test_family_without_its_parameter_names_the_key(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {"family": {"family": "q_deformed"}})
+        code, _, err = run(capsys, ["sequence", "--degree", "3", "--config", cfg])
+        assert code == 2
+        assert err == (
+            "error: BadParameterError: q_deformed family descriptor needs key 'q'\n"
+        )
+
+    def test_family_descriptor_must_be_an_object(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, {"families": ["classical"]})
+        code, _, err = run(capsys, ["verify", "--degree", "3", "--config", cfg])
+        assert code == 2
+        assert "BadParameterError" in err and "'classical'" in err

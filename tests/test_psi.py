@@ -41,6 +41,13 @@ def oracle_factorial(seq, n):
     return out
 
 
+def oracle_falling_factorial(seq, n, k):
+    out = Fraction(1)
+    for i in range(n, n - k, -1):
+        out *= seq.n_psi(i)
+    return out
+
+
 def oracle_binomial(seq, n, k):
     return oracle_factorial(seq, n) / (
         oracle_factorial(seq, k) * oracle_factorial(seq, n - k)
@@ -166,6 +173,34 @@ def test_index_guards():
         seq.binomial(3, -1)
 
 
+def test_index_guard_messages():
+    seq = AdmissibleSequence.classical(6)
+    cases = [
+        (lambda: seq.factorial(9), UndefinedIndexError, "classical: factorial index 9 outside 0..6"),
+        (lambda: seq.factorial(-1), UndefinedIndexError, "classical: factorial index -1 outside 0..6"),
+        (lambda: seq.binomial(8, 2), UndefinedIndexError, "classical: index 8 outside validated range 0..6"),
+        (lambda: seq.falling_factorial(7, 7), UndefinedIndexError, "classical: index 7 outside validated range 0..6"),
+        (lambda: seq.binomial(3, 4), IndexOrderError, "binomial needs 0 <= k <= n, got (3, 4)"),
+        (lambda: seq.binomial(-1, 0), IndexOrderError, "binomial needs 0 <= k <= n, got (-1, 0)"),
+        (lambda: seq.falling_factorial(3, -1), IndexOrderError, "falling factorial needs 0 <= k <= n, got (3, -1)"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+    # the empty product never needed an index in range
+    assert seq.binomial(8, 0) == 1 and seq.falling_factorial(8, 0) == 1
+
+
+def test_tables_keep_equality_and_hash():
+    a = AdmissibleSequence.q_deformed(Fraction(2, 3), 8)
+    b = AdmissibleSequence.q_deformed(Fraction(2, 3), 8)
+    assert a.binomial(8, 3) == oracle_binomial(b, 8, 3)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert {a: 1}[b] == 1
+
+
 def test_sector_guards():
     seq = AdmissibleSequence.classical(6)
     with pytest.raises(BadModulusError):
@@ -219,6 +254,30 @@ def test_binomial_symmetry_and_product(n, k):
         assert b == seq.binomial(n, n - k)
         assert b * seq.factorial(k) * seq.factorial(n - k) == seq.factorial(n)
         assert b == oracle_binomial(seq, n, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(lambda v: v != 0),
+        min_size=1,
+        max_size=16,
+    ),
+    q=st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(
+        lambda v: v not in (1, -1)
+    ),
+)
+def test_scalar_tables_match_product_loops(values, q):
+    bound = len(values)
+    for seq in (
+        AdmissibleSequence.custom(values, bound),
+        AdmissibleSequence.q_deformed(q, bound),
+    ):
+        for n in range(bound + 1):
+            assert seq.factorial(n) == oracle_factorial(seq, n)
+            for k in range(n + 1):
+                assert seq.falling_factorial(n, k) == oracle_falling_factorial(seq, n, k)
+                assert seq.binomial(n, k) == oracle_binomial(seq, n, k)
 
 
 def test_fibonomial_integrality():

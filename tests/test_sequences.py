@@ -1,23 +1,29 @@
 """Basic and Sheffer sequences: solves, closed forms, addition rules, GF."""
 
+from dataclasses import replace
 from fractions import Fraction
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from umbralcalc.errors import UndefinedIndexError
 from umbralcalc.operators import (
     forward_difference,
+    generalized_shift,
     psi_derivative,
     realize_delta_series,
 )
-from umbralcalc.poly import ONE, Polynomial, X
+from umbralcalc.poly import ONE, Polynomial, SequenceTable, X
 from umbralcalc.psi import AdmissibleSequence
 from umbralcalc.sequences import (
     appell_sequence,
     basic_sequence,
     basic_sequence_from_series,
+    CheckReport,
     closed_form_routes,
+    default_shift_samples,
     eigenfunction_series,
     generating_function_check,
     reconstruct_inverse_series,
@@ -196,3 +202,126 @@ def test_appell_sequence_lowers_with_derivative():
     op = psi_derivative(Q2, N)
     for n in range(1, N + 1):
         assert op.apply(appell[n]) == appell[n - 1].scale(Q2.n_psi(n))
+
+
+# -- addition rule: bivariate identity against the sampled loops ----------------
+
+
+def reference_binomial_type(table, seq, y_values=None):
+    """The addition rule evaluated at every sampled shift (the sampled loop)."""
+    ys = default_shift_samples(table.bound + 2) if y_values is None else y_values
+    for n in range(table.bound + 1):
+        p_n = table[n]
+        for y in ys:
+            lhs = generalized_shift(seq, p_n, y)
+            rhs = Polynomial()
+            for k in range(n + 1):
+                rhs = rhs + table[k].scale(seq.binomial(n, k) * table[n - k](y))
+            if lhs != rhs:
+                return CheckReport(
+                    False,
+                    "addition rule fails",
+                    {"n": n, "y": str(y), "lhs": lhs.to_text(), "rhs": rhs.to_text()},
+                )
+    return CheckReport(True, "addition rule holds at all sampled shifts")
+
+
+def reference_sheffer_binomial(sheffer, y_values=None):
+    """The mixed addition rule evaluated at every sampled shift."""
+    table, basic, seq = sheffer.table, sheffer.basic.table, sheffer.seq
+    ys = default_shift_samples(table.bound + 2) if y_values is None else y_values
+    for n in range(table.bound + 1):
+        for y in ys:
+            lhs = generalized_shift(seq, table[n], y)
+            rhs = Polynomial()
+            for k in range(n + 1):
+                rhs = rhs + table[k].scale(seq.binomial(n, k) * basic[n - k](y))
+            if lhs != rhs:
+                return CheckReport(
+                    False,
+                    "mixed addition rule fails",
+                    {"n": n, "y": str(y), "lhs": lhs.to_text(), "rhs": rhs.to_text()},
+                )
+    return CheckReport(True, "mixed addition rule holds at all sampled shifts")
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero_rationals = small_rationals.filter(lambda v: v != 0)
+
+
+@st.composite
+def addition_cases(draw):
+    """A family, a basic or Sheffer table on it, an optional single-coefficient
+    perturbation, and a sample list (None, or possibly too short to separate)."""
+    degree = draw(st.integers(2, 5))
+    bound = degree + draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        seq = AdmissibleSequence.custom(
+            draw(st.lists(nonzero_rationals, min_size=bound, max_size=bound)), bound
+        )
+    else:
+        q = draw(small_rationals.filter(lambda v: v not in (1, -1)))
+        seq = AdmissibleSequence.q_deformed(q, bound)
+    tail = draw(st.lists(small_rationals, max_size=degree - 1))
+    q_series = DeltaSeries.from_list(seq, [0, draw(nonzero_rationals)] + tail, degree)
+    sheffer = None
+    if draw(st.booleans()):
+        s_tail = draw(st.lists(small_rationals, max_size=degree))
+        s_series = DeltaSeries.from_list(seq, [draw(nonzero_rationals)] + s_tail, degree)
+        sheffer = sheffer_sequence(q_series, s_series, degree)
+        table = sheffer.table
+    else:
+        table = basic_sequence_from_series(q_series, degree).table
+    if draw(st.booleans()):
+        entry = draw(st.integers(1, degree))
+        index = draw(st.integers(0, entry - 1))
+        entries = list(table.entries)
+        entries[entry] = entries[entry] + Polynomial.monomial(index, draw(nonzero_rationals))
+        table = SequenceTable(tuple(entries))
+    if sheffer is not None:
+        sheffer = replace(sheffer, table=table)
+    y_values = draw(
+        st.none()
+        | st.lists(st.integers(-3, 3) | small_rationals, max_size=degree + 2)
+    )
+    return seq, table, sheffer, y_values
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=addition_cases())
+def test_addition_rule_matches_sampled_reference(case):
+    seq, table, sheffer, y_values = case
+    if sheffer is None:
+        got = verify_binomial_type(table, seq, y_values)
+        want = reference_binomial_type(table, seq, y_values)
+    else:
+        got = verify_sheffer_binomial(sheffer, y_values)
+        want = reference_sheffer_binomial(sheffer, y_values)
+    assert got == want
+
+
+def test_addition_rule_short_samples_fall_through():
+    # y = 0 cannot separate a perturbation of a term with x-degree below the
+    # top: both sides reduce to p_n there, so the sampled rule passes.
+    basic = basic_sequence(forward_difference(N), CLASSICAL)
+    entries = list(basic.table.entries)
+    entries[3] = entries[3] + X
+    table = SequenceTable(tuple(entries))
+    for y_values in ([0], [0, 0], None):
+        got = verify_binomial_type(table, CLASSICAL, y_values)
+        assert got == reference_binomial_type(table, CLASSICAL, y_values)
+    assert verify_binomial_type(table, CLASSICAL, [0]).passed
+    assert not verify_binomial_type(table, CLASSICAL).passed
+
+
+def test_addition_rule_short_family_raises_like_sampled_loop():
+    values = [1, 2, Fraction(1, 3), -1, 5, 2]
+    long = AdmissibleSequence.custom(values, 6)
+    short = AdmissibleSequence.custom(values[:3], 3)
+    table = basic_sequence_from_series(DeltaSeries.from_list(long, [0, 1, 1], 6), 6).table
+    messages = []
+    for check in (verify_binomial_type, reference_binomial_type):
+        with pytest.raises(UndefinedIndexError) as info:
+            check(table, short)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == "custom: index 4 outside validated range 0..3"
