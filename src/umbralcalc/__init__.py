@@ -48,6 +48,7 @@ from .operators import (
     psi_derivative,
     realize_delta_series,
     realize_psi_form,
+    umbral_operator,
     xhat_psi,
     zero_operator,
 )
@@ -73,7 +74,6 @@ from .spectral import (
     orthogonality_report,
     qhat_operator,
     spectral_operator,
-    umbral_operator,
     verify_conjugation_transport,
 )
 from .harness import (

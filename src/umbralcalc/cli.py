@@ -72,6 +72,14 @@ def _load_config(path) -> dict:
     return data
 
 
+def _list_of(config: dict, key: str, default: list, kind: type, what: str) -> list:
+    """config[key] (or the default), required to be a list of `kind` items."""
+    value = config.get(key, default)
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise BadParameterError(f"config key {key!r} must be a list of {what}")
+    return value
+
+
 def _family(config: dict, degree: int) -> AdmissibleSequence:
     descriptor = config.get("family", {"family": "classical"})
     return AdmissibleSequence.from_descriptor(descriptor, degree + 1)
@@ -180,13 +188,21 @@ def cmd_sequence(args, config: dict) -> int:
 
 def cmd_verify(args, config: dict) -> int:
     degree = args.degree
-    descriptors = config.get("families", list(DEFAULT_FAMILY_DESCRIPTORS))
+    default = list(DEFAULT_FAMILY_DESCRIPTORS)
+    descriptors = _list_of(config, "families", default, object, "family descriptors")
+    suites = _list_of(config, "suites", list(SUITES), str, "suite names")
+    tables = _list_of(config, "check_tables", [], dict, "objects")
+    for entry in tables:
+        rows = entry.get("entries")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise BadParameterError(
+                "check_tables key 'entries' must be a list of coefficient lists"
+            )
     families = [AdmissibleSequence.from_descriptor(d, degree + 1) for d in descriptors]
-    suites = config.get("suites", list(SUITES))
     reports = run_suites(suites, families, degree, args.seed)
 
     # optional externally supplied tables, checked against the addition rule
-    for entry in config.get("check_tables", []):
+    for entry in tables:
         table = SequenceTable.from_json(entry["entries"])
         seq = AdmissibleSequence.from_descriptor(entry["family"], table.bound + 1)
         label = entry.get("label", "table")

@@ -37,6 +37,7 @@ from .operators import (
     psi_derivative,
     realize_delta_series,
     realize_psi_form,
+    umbral_operator,
     xhat_psi,
     zero_operator,
 )
@@ -187,13 +188,6 @@ def _random_triangular_operator(rng, bound: int) -> OperatorMatrix:
     return OperatorMatrix(tuple(cols))
 
 
-def _powers(op: OperatorMatrix, count: int) -> list:
-    out = [identity_operator(op.bound)]
-    for _ in range(count):
-        out.append(op.compose(out[-1]))
-    return out
-
-
 def _q_of(seq) -> Fraction:
     for key, value in seq.params:
         if key == "q":
@@ -206,8 +200,6 @@ def _reparameterization_certificate(seq, q_series, table, bound: int) -> bool:
     q_series only in the top coefficient: the lowering operator induced by
     the table must detect as a consistent graded series over the same
     family weights, realize back to itself, and match q_series below the top."""
-    from .spectral import umbral_operator
-
     monomials = SequenceTable(tuple(Polynomial.monomial(i) for i in range(bound + 1)))
     induced = (
         umbral_operator(monomials, table)
@@ -244,8 +236,8 @@ def suite_weyl(families, degree, rng):
     """Reordering rules for powers of the lowering/raising pair."""
     reports = []
     for seq in families:
-        d_pow = _powers(psi_derivative(seq, degree), degree)
-        r_pow = _powers(xhat_psi(seq, degree), degree)
+        d_pow = psi_derivative(seq, degree).powers(degree)
+        r_pow = xhat_psi(seq, degree).powers(degree)
         # cache r^a d^b since every right side is a sum of these
         mixed = {}
 
@@ -327,16 +319,14 @@ def suite_leibnitz(families, degree, rng):
     reports.append(_exact("leibnitz", "divided-difference-product-rule", SHARED, degree, ok, witness))
 
     # family-free alternating series for the divided difference
-    d_cl = psi_derivative(classical, degree)
+    d_powers = psi_derivative(classical, degree).powers(degree)
     acc = zero_operator(degree)
-    d_power = identity_operator(degree)
     for n in range(1, degree + 1):
-        d_power = d_cl.compose(d_power)
         front = multiplication_operator(
             Polynomial.monomial(n - 1, Fraction((-1) ** (n + 1), math.factorial(n))),
             degree,
         )
-        acc = acc.add(front.compose(d_power))
+        acc = acc.add(front.compose(d_powers[n]))
     reports.append(
         _exact(
             "leibnitz",

@@ -15,9 +15,9 @@ from .errors import (
     BadParameterError,
     BasisMismatchError,
     DegreeOverflowError,
-    EigenSeriesError,
     NotDegreeLoweringError,
     SingularOperatorError,
+    WrongFamilyError,
 )
 from .poly import (
     ONE,
@@ -96,13 +96,17 @@ class OperatorMatrix:
         c = fr(c)
         return OperatorMatrix(tuple(col.scale(c) for col in self.columns))
 
-    def power(self, n: int) -> "OperatorMatrix":
-        if n < 0:
+    def powers(self, count: int) -> list:
+        """The ladder [I, M, ..., M^count]."""
+        if count < 0:
             raise BadParameterError("negative operator power")
-        out = identity_operator(self.bound)
-        for _ in range(n):
-            out = self.compose(out)
+        out = [identity_operator(self.bound)]
+        for _ in range(count):
+            out.append(self.compose(out[-1]))
         return out
+
+    def power(self, n: int) -> "OperatorMatrix":
+        return self.powers(n)[-1]
 
     @property
     def grading(self) -> str:
@@ -125,19 +129,12 @@ class OperatorMatrix:
             d = j
         return d
 
-    def equal_on(self, other: "OperatorMatrix", window: int) -> bool:
-        return self.agreement_window(other) >= window
-
     def to_json(self) -> list:
         return [col.to_json_list() for col in self.columns]
 
     @staticmethod
     def from_json(data) -> "OperatorMatrix":
         return OperatorMatrix(tuple(polynomial_from_json(col) for col in data))
-
-    @staticmethod
-    def from_columns(columns) -> "OperatorMatrix":
-        return OperatorMatrix(tuple(columns))
 
 
 def identity_operator(bound: int) -> OperatorMatrix:
@@ -244,11 +241,6 @@ def nhat_diagonal(seq: AdmissibleSequence, bound: int) -> OperatorMatrix:
     )
 
 
-def evaluation_at_zero(bound: int) -> OperatorMatrix:
-    cols = [ONE] + [Polynomial() for _ in range(bound)]
-    return OperatorMatrix(tuple(cols))
-
-
 def generalized_shift(seq: AdmissibleSequence, p: Polynomial, y) -> Polynomial:
     """Shift-like smearing of p by y, graded by the family binomials."""
     y = fr(y)
@@ -325,6 +317,28 @@ def pincherle_derivative(t: OperatorMatrix, raiser: OperatorMatrix) -> OperatorM
     return commutator(t, raiser)
 
 
+# -- change of basis ----------------------------------------------------------
+
+
+def umbral_operator(source: SequenceTable, images) -> OperatorMatrix:
+    """The linear map sending source entry n to images[n].
+
+    `images` holds bound + 1 polynomials, such as the entries of another
+    table; a truncated top image is the zero polynomial.
+    """
+    if len(images) != len(source):
+        raise WrongFamilyError(f"{len(images)} images for a table of {len(source)} entries")
+    cols = []
+    for j in range(source.bound + 1):
+        coords = coordinates_in_table(source, Polynomial.monomial(j))
+        image = Polynomial()
+        for i, c in enumerate(coords):
+            if c != 0:
+                image = image + images[i].scale(c)
+        cols.append(image)
+    return OperatorMatrix(tuple(cols))
+
+
 # -- dual raising operator --------------------------------------------------
 
 
@@ -349,17 +363,11 @@ def dual_operator(
     basic sequence of the operator.
     """
     verify_basic_for(q_op, table, seq)
-    bound = q_op.bound
-    cols = []
-    for j in range(bound + 1):
-        coords = coordinates_in_table(table, Polynomial.monomial(j))
-        image = Polynomial()
-        for i in range(bound):
-            if coords[i] != 0:
-                factor = Fraction(i + 1) / seq.n_psi(i + 1)
-                image = image + table[i + 1].scale(coords[i] * factor)
-        cols.append(image)
-    return OperatorMatrix(tuple(cols))
+    images = [
+        table[i + 1].scale(Fraction(i + 1) / seq.n_psi(i + 1))
+        for i in range(table.bound)
+    ]
+    return umbral_operator(table, images + [Polynomial()])
 
 
 # -- psi-form detection ------------------------------------------------------
@@ -435,17 +443,14 @@ class ExpansionResult:
 
 def _raiser_ladder(raiser: OperatorMatrix):
     """Powers of the raiser and the triangular basis raiser^i(1)."""
-    bound = raiser.bound
-    powers = [identity_operator(bound)]
-    for _ in range(bound):
-        powers.append(raiser.compose(powers[-1]))
+    powers = raiser.powers(raiser.bound)
     ladder = [p.apply(ONE) for p in powers]
     for i, entry in enumerate(ladder):
         if entry.degree != i:
             raise SingularOperatorError(
                 f"raiser power {i} applied to 1 has degree {entry.degree}, not {i}"
             )
-    return powers, ladder
+    return powers, SequenceTable(tuple(ladder))
 
 
 def expand_in_dual_pair(
@@ -456,22 +461,12 @@ def expand_in_dual_pair(
     if q_op.bound != bound or raiser.bound != bound:
         raise BadParameterError("operator bounds differ")
     r_powers, ladder = _raiser_ladder(raiser)
-    q_powers = [identity_operator(bound)]
-    for _ in range(bound):
-        q_powers.append(q_op.compose(q_powers[-1]))
+    q_powers = q_op.powers(bound)
 
     acc = zero_operator(bound)
     coefficients = []
     for j in range(bound + 1):
-        rho = t.column(j) - acc.column(j)
-        # expand rho in the triangular ladder {raiser^i 1}
-        u = [Fraction(0)] * (bound + 1)
-        residue = rho
-        for i in range(bound, -1, -1):
-            c = residue.coefficient(i)
-            if c != 0:
-                u[i] = c / ladder[i].coefficient(i)
-                residue = residue - ladder[i].scale(u[i])
+        u = coordinates_in_table(ladder, t.column(j) - acc.column(j))
         pivot = q_powers[j].apply(Polynomial.monomial(j)).constant_term
         q_j = Polynomial([ui / pivot for ui in u])
         coefficients.append(q_j)
@@ -496,23 +491,10 @@ def eigen_series(q_op: OperatorMatrix, truncation: int) -> list:
     require_lowers_by_one(q_op)
     if truncation > q_op.bound:
         raise DegreeOverflowError("eigenseries truncation beyond operator bound")
+    lowered = SequenceTable(q_op.columns[1:])  # column n has degree n - 1
     phis = [ONE]
-    for n in range(1, truncation + 1):
-        target = phis[-1]
-        coeffs = [Fraction(0)] * (n + 1)
-        residue = target
-        for i in range(n, 0, -1):
-            pivot_poly = q_op.column(i)
-            pivot = pivot_poly.coefficient(i - 1)
-            if pivot == 0:
-                raise EigenSeriesError(f"zero pivot at degree {i}")
-            c = residue.coefficient(i - 1)
-            coeffs[i] = c / pivot
-            if c != 0:
-                residue = residue - pivot_poly.scale(coeffs[i])
-        if not residue.is_zero():
-            raise EigenSeriesError("ladder solve left a residue")
-        phis.append(Polynomial(coeffs))
+    for _ in range(truncation):
+        phis.append(Polynomial([0] + coordinates_in_table(lowered, phis[-1])))
     return phis
 
 

@@ -16,6 +16,7 @@ from .operators import (
     OperatorMatrix,
     eigen_series,
     generalized_shift,
+    operator_polynomial,
     realize_delta_series,
     require_lowers_by_one,
     xhat_psi,
@@ -74,23 +75,11 @@ def basic_sequence(
     bound = q_op.bound if bound is None else bound
     if bound > q_op.bound:
         raise BadParameterError("bound exceeds operator bound")
+    lowered = SequenceTable(q_op.columns[1:])  # column n has degree n - 1
     entries = [ONE]
     for n in range(1, bound + 1):
         target = entries[-1].scale(seq.n_psi(n))
-        coeffs = [Fraction(0)] * (n + 1)
-        residue = target
-        for i in range(n, 0, -1):
-            col = q_op.column(i)
-            pivot = col.coefficient(i - 1)
-            if pivot == 0:
-                raise SingularOperatorError(f"zero subdiagonal pivot at degree {i}")
-            c = residue.coefficient(i - 1)
-            if c != 0:
-                coeffs[i] = c / pivot
-                residue = residue - col.scale(coeffs[i])
-        if not residue.is_zero():
-            raise SingularOperatorError("graded solve left a residue")
-        entries.append(Polynomial(coeffs))
+        entries.append(Polynomial([0] + coordinates_in_table(lowered, target)))
     return BasicSequence(seq, q_op, SequenceTable(tuple(entries)))
 
 
@@ -415,17 +404,8 @@ def verify_expansion_constants(
     seq = sheffer.seq
     bound = sheffer.bound
     q_op = sheffer.q_op
-    a_coeffs = series_pad(list(a_coeffs), bound)
     # A = sum a_j Q^j as a matrix, then its action in Sheffer coordinates
-    from .operators import identity_operator, zero_operator
-
-    a_of_q = zero_operator(bound)
-    power = identity_operator(bound)
-    for k, c in enumerate(a_coeffs):
-        if c != 0:
-            a_of_q = a_of_q.add(power.scale(c))
-        if k < bound:
-            power = q_op.compose(power)
+    a_of_q = operator_polynomial(Polynomial(series_pad(list(a_coeffs), bound)), q_op)
     rows = []
     for n in range(bound + 1):
         image = a_of_q.apply(sheffer.table[n])

@@ -26,6 +26,7 @@ from .operators import (
     operator_polynomial,
     operator_polynomial_applied,
     realize_delta_series,
+    umbral_operator,
     xhat_psi,
     zero_operator,
 )
@@ -33,24 +34,6 @@ from .poly import ONE, Polynomial, SequenceTable, coordinates_in_table
 from .psi import AdmissibleSequence, Q_DEFORMED
 from .sequences import BasicSequence, ShefferSequence
 from .series import DeltaSeries
-
-
-# -- umbral transport ---------------------------------------------------------
-
-
-def umbral_operator(source: SequenceTable, target: SequenceTable) -> OperatorMatrix:
-    """The linear map sending source entry n to target entry n."""
-    if source.bound != target.bound:
-        raise WrongFamilyError("tables have different bounds")
-    cols = []
-    for j in range(source.bound + 1):
-        coords = coordinates_in_table(source, Polynomial.monomial(j))
-        image = Polynomial()
-        for i, c in enumerate(coords):
-            if c != 0:
-                image = image + target[i].scale(c)
-        cols.append(image)
-    return OperatorMatrix(tuple(cols))
 
 
 # -- inner product ------------------------------------------------------------
@@ -144,15 +127,7 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
     table = sheffer.table
     q_op = sheffer.q_op
 
-    cols = []
-    for j in range(bound + 1):
-        coords = coordinates_in_table(table, Polynomial.monomial(j))
-        image = Polynomial()
-        for n, c in enumerate(coords):
-            if c != 0 and n > 0:
-                image = image + table[n].scale(c * n)
-        cols.append(image)
-    definitional = OperatorMatrix(tuple(cols))
+    definitional = umbral_operator(table, [p.scale(n) for n, p in enumerate(table)])
 
     basic = sheffer.basic
     raiser = dual_operator(q_op, basic.table, seq)
@@ -167,10 +142,9 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
     u_values = []
     reading_a = zero_operator(bound)
     reading_b = zero_operator(bound)
-    q_power = identity_operator(bound)
+    q_powers = q_op.powers(bound)
     term_polys_a, term_polys_b = [Polynomial()], [Polynomial()]
     for k in range(1, bound + 1):
-        q_power = q_op.compose(q_power)
         u_k = -log_prime_op.apply(xhat_psi_inverse(seq, basic.table[k])).constant_term
         u_values.append(u_k)
         slope = basic.table[k].derivative().constant_term
@@ -181,10 +155,10 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
         term_polys_a.append(poly_a)
         term_polys_b.append(poly_b)
         reading_a = reading_a.add(
-            multiplication_operator(poly_a, bound).compose(q_power)
+            multiplication_operator(poly_a, bound).compose(q_powers[k])
         )
         reading_b = reading_b.add(
-            multiplication_operator(poly_b, bound).compose(q_power)
+            multiplication_operator(poly_b, bound).compose(q_powers[k])
         )
 
     expansion = expand_in_dual_pair(definitional, q_op, multiplication_x(bound))
@@ -233,32 +207,15 @@ def qhat_operator(
     basic: BasicSequence, seq: AdmissibleSequence, literal_one: bool = False
 ) -> OperatorMatrix:
     """Diagonal deformation operator in the basic basis."""
-    bound = basic.bound
-    values = qhat_eigenvalues(seq, bound, literal_one)
-    cols = []
-    for j in range(bound + 1):
-        coords = coordinates_in_table(basic.table, Polynomial.monomial(j))
-        image = Polynomial()
-        for i, c in enumerate(coords):
-            if c != 0:
-                image = image + basic.table[i].scale(c * values[i])
-        cols.append(image)
-    return OperatorMatrix(tuple(cols))
+    values = qhat_eigenvalues(seq, basic.bound, literal_one)
+    return umbral_operator(basic.table, [p.scale(v) for p, v in zip(basic.table, values)])
 
 
 def shift_raiser(basic: BasicSequence, seq: AdmissibleSequence) -> OperatorMatrix:
     """Unscaled basic shift p_n -> (1/1_psi) p_{n+1}, top entry truncated."""
-    bound = basic.bound
     scale = 1 / seq.n_psi(1)
-    cols = []
-    for j in range(bound + 1):
-        coords = coordinates_in_table(basic.table, Polynomial.monomial(j))
-        image = Polynomial()
-        for i in range(bound):
-            if coords[i] != 0:
-                image = image + basic.table[i + 1].scale(coords[i] * scale)
-        cols.append(image)
-    return OperatorMatrix(tuple(cols))
+    images = [p.scale(scale) for p in basic.table.entries[1:]]
+    return umbral_operator(basic.table, images + [Polynomial()])
 
 
 def q_mutator(a: OperatorMatrix, b: OperatorMatrix, qhat: OperatorMatrix) -> OperatorMatrix:
@@ -405,15 +362,15 @@ def number_operator_steps_report(
     f_of_r = operator_polynomial(f, raiser)
     lhs = raiser.power(n).compose(q_op.power(n)).compose(f_of_r)
 
-    plain = identity_operator(bound)
-    graded = identity_operator(bound)
-    for i in range(n):
-        plain = plain.compose(number.subtract(identity_operator(bound).scale(i)))
-        graded = graded.compose(
-            number.subtract(identity_operator(bound).scale(seq.n_psi(i)))
-        )
-    rhs_plain = plain.compose(f_of_r)
-    rhs_graded = graded.compose(f_of_r)
+    def falling(shifts):
+        """prod_i (number - shift_i), as a polynomial in the number operator."""
+        product = ONE
+        for c in shifts:
+            product = product * Polynomial([-c, 1])
+        return operator_polynomial(product, number)
+
+    rhs_plain = falling(range(n)).compose(f_of_r)
+    rhs_graded = falling(seq.n_psi(i) for i in range(n)).compose(f_of_r)
 
     required = bound - max(f.degree, 0) - n
     plain_window = lhs.agreement_window(rhs_plain)
@@ -448,9 +405,7 @@ def appell_raising_telescope_report(
     bound = basic.bound
 
     a_ops = [operator_polynomial(appell_table[m], q_op) for m in range(n + 1)]
-    r_powers = [identity_operator(bound)]
-    for _ in range(n + 1):
-        r_powers.append(raiser.compose(r_powers[-1]))
+    r_powers = raiser.powers(n + 1)
 
     total = zero_operator(bound)
     for m in range(n + 1):

@@ -296,3 +296,31 @@ class TestGuards:
         code, _, err = run(capsys, ["verify", "--degree", "3", "--config", cfg])
         assert code == 2
         assert "BadParameterError" in err and "'classical'" in err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"suites": "ghw"}, "config key 'suites' must be a list of suite names"),
+            ({"suites": [1]}, "config key 'suites' must be a list of suite names"),
+            ({"families": 5}, "config key 'families' must be a list of family descriptors"),
+            ({"check_tables": 5}, "config key 'check_tables' must be a list of objects"),
+            ({"check_tables": ["x"]}, "config key 'check_tables' must be a list of objects"),
+            (
+                {"check_tables": [{"family": {"family": "classical"}, "entries": 5}]},
+                "check_tables key 'entries' must be a list of coefficient lists",
+            ),
+            (
+                {"check_tables": [{"family": {"family": "classical"}, "entries": [5]}]},
+                "check_tables key 'entries' must be a list of coefficient lists",
+            ),
+            (
+                {"check_tables": [{"family": {"family": "classical"}}]},
+                "check_tables key 'entries' must be a list of coefficient lists",
+            ),
+        ],
+    )
+    def test_malformed_verify_config_names_the_key(self, capsys, tmp_path, config, message):
+        cfg = write_config(tmp_path, config)
+        code, _, err = run(capsys, ["verify", "--degree", "3", "--config", cfg])
+        assert code == 2
+        assert err == f"error: BadParameterError: {message}\n"

@@ -3,6 +3,7 @@ the exit-status policy, and a handful of frozen verdicts."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from umbralcalc import (
     run_suites,
     summarize,
 )
+import conftest
 
 BOUND = 9
 DEG = 8
@@ -159,3 +161,13 @@ class TestRendering:
             assert {"suite", "identity_id", "family", "N", "status", "asserted"} <= set(
                 rec
             )
+
+
+def test_six_family_roster_report_matches_golden():
+    """The full report at N = 8 over the six-family roster, including the
+    seeded custom family with negative and fractional weights, serialised
+    as `umbralcalc verify --format json` writes it."""
+    payload = render_json(run_all(conftest.family_roster(9), 8, conftest.SEED), 8, conftest.SEED)
+    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    golden = Path(__file__).parent / "golden" / "roster_n8.json"
+    assert body.encode() == golden.read_bytes()

@@ -4,15 +4,28 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from umbralcalc.errors import ConstantTermError, WrongFamilyError
+from umbralcalc.errors import (
+    BadParameterError,
+    ConstantTermError,
+    EigenSeriesError,
+    SingularOperatorError,
+    WrongFamilyError,
+)
 from umbralcalc.operators import (
+    OperatorMatrix,
+    dual_operator,
+    eigen_series,
+    expand_in_dual_pair,
     identity_operator,
+    multiplication_x,
     psi_derivative,
     realize_delta_series,
     xhat_psi,
+    zero_operator,
 )
-from umbralcalc.poly import ONE, Polynomial, SequenceTable, X
+from umbralcalc.poly import ONE, Polynomial, SequenceTable, X, coordinates_in_table
 from umbralcalc.psi import AdmissibleSequence
 from umbralcalc.sequences import (
     appell_sequence,
@@ -30,6 +43,7 @@ from umbralcalc.spectral import (
     mutator_identity_report,
     orthogonality_report,
     qhat_eigenvalues,
+    qhat_operator,
     qplane_commutation,
     qplane_substitution_report,
     shift_raiser,
@@ -69,6 +83,11 @@ def test_umbral_operator_maps_tables():
         assert u.apply(src.table[n]) == Polynomial.monomial(n)
     u_inv = umbral_operator(monomials, src.table)
     assert u.compose(u_inv).columns == identity_operator(N).columns
+    # any list of bound + 1 images works; a short one is rejected
+    doubled = [p.scale(2) for p in src.table]
+    assert umbral_operator(src.table, doubled).columns == identity_operator(N).scale(2).columns
+    with pytest.raises(WrongFamilyError):
+        umbral_operator(src.table, doubled[:-1])
 
 
 # -- inner product ------------------------------------------------------------
@@ -304,3 +323,227 @@ def test_transport_pincherle_window(families, degree):
             l_series = DeltaSeries.from_list(seq, coeffs, degree)
             report = transport_pincherle_report(seq, l_series, degree)
             assert report["window"] >= degree - 1, (seq.label, coeffs, report)
+
+
+# -- consolidated kernels against the loops they replaced ------------------------
+#
+# The references below are the hand-written triangular solves and
+# column-by-column basis changes that each builder used to carry, kept
+# verbatim; the library now routes all of them through `coordinates_in_table`,
+# `umbral_operator` and `OperatorMatrix.powers`.
+
+
+def reference_basic_entries(q_op, seq, bound):
+    entries = [ONE]
+    for n in range(1, bound + 1):
+        target = entries[-1].scale(seq.n_psi(n))
+        coeffs = [Fraction(0)] * (n + 1)
+        residue = target
+        for i in range(n, 0, -1):
+            col = q_op.column(i)
+            pivot = col.coefficient(i - 1)
+            if pivot == 0:
+                raise SingularOperatorError(f"zero subdiagonal pivot at degree {i}")
+            c = residue.coefficient(i - 1)
+            if c != 0:
+                coeffs[i] = c / pivot
+                residue = residue - col.scale(coeffs[i])
+        if not residue.is_zero():
+            raise SingularOperatorError("graded solve left a residue")
+        entries.append(Polynomial(coeffs))
+    return entries
+
+
+def reference_eigen_series(q_op, truncation):
+    phis = [ONE]
+    for n in range(1, truncation + 1):
+        target = phis[-1]
+        coeffs = [Fraction(0)] * (n + 1)
+        residue = target
+        for i in range(n, 0, -1):
+            pivot_poly = q_op.column(i)
+            pivot = pivot_poly.coefficient(i - 1)
+            if pivot == 0:
+                raise EigenSeriesError(f"zero pivot at degree {i}")
+            c = residue.coefficient(i - 1)
+            coeffs[i] = c / pivot
+            if c != 0:
+                residue = residue - pivot_poly.scale(coeffs[i])
+        if not residue.is_zero():
+            raise EigenSeriesError("ladder solve left a residue")
+        phis.append(Polynomial(coeffs))
+    return phis
+
+
+def reference_expansion(t, q_op, raiser):
+    """(coefficients, reassembled columns) of T = sum q_n(raiser) Q^n."""
+    bound = t.bound
+    r_powers = [identity_operator(bound)]
+    for _ in range(bound):
+        r_powers.append(raiser.compose(r_powers[-1]))
+    ladder = [p.apply(ONE) for p in r_powers]
+    q_powers = [identity_operator(bound)]
+    for _ in range(bound):
+        q_powers.append(q_op.compose(q_powers[-1]))
+
+    acc = zero_operator(bound)
+    coefficients = []
+    for j in range(bound + 1):
+        rho = t.column(j) - acc.column(j)
+        # expand rho in the triangular ladder {raiser^i 1}
+        u = [Fraction(0)] * (bound + 1)
+        residue = rho
+        for i in range(bound, -1, -1):
+            c = residue.coefficient(i)
+            if c != 0:
+                u[i] = c / ladder[i].coefficient(i)
+                residue = residue - ladder[i].scale(u[i])
+        pivot = q_powers[j].apply(Polynomial.monomial(j)).constant_term
+        q_j = Polynomial([ui / pivot for ui in u])
+        coefficients.append(q_j)
+        if not q_j.is_zero():
+            step = zero_operator(bound)
+            for i, c in enumerate(q_j.coeffs):
+                if c != 0:
+                    step = step.add(r_powers[i].scale(c))
+            acc = acc.add(step.compose(q_powers[j]))
+    return tuple(coefficients), acc.columns
+
+
+def reference_umbral_operator(source, target):
+    cols = []
+    for j in range(source.bound + 1):
+        coords = coordinates_in_table(source, Polynomial.monomial(j))
+        image = Polynomial()
+        for i, c in enumerate(coords):
+            if c != 0:
+                image = image + target[i].scale(c)
+        cols.append(image)
+    return cols
+
+
+def reference_definitional(table, bound):
+    cols = []
+    for j in range(bound + 1):
+        coords = coordinates_in_table(table, Polynomial.monomial(j))
+        image = Polynomial()
+        for n, c in enumerate(coords):
+            if c != 0 and n > 0:
+                image = image + table[n].scale(c * n)
+        cols.append(image)
+    return cols
+
+
+def reference_dual_operator(q_op, table, seq):
+    bound = q_op.bound
+    cols = []
+    for j in range(bound + 1):
+        coords = coordinates_in_table(table, Polynomial.monomial(j))
+        image = Polynomial()
+        for i in range(bound):
+            if coords[i] != 0:
+                factor = Fraction(i + 1) / seq.n_psi(i + 1)
+                image = image + table[i + 1].scale(coords[i] * factor)
+        cols.append(image)
+    return cols
+
+
+def reference_qhat_operator(basic, seq, literal_one):
+    bound = basic.bound
+    values = qhat_eigenvalues(seq, bound, literal_one)
+    cols = []
+    for j in range(bound + 1):
+        coords = coordinates_in_table(basic.table, Polynomial.monomial(j))
+        image = Polynomial()
+        for i, c in enumerate(coords):
+            if c != 0:
+                image = image + basic.table[i].scale(c * values[i])
+        cols.append(image)
+    return cols
+
+
+def reference_shift_raiser(basic, seq):
+    bound = basic.bound
+    scale = 1 / seq.n_psi(1)
+    cols = []
+    for j in range(bound + 1):
+        coords = coordinates_in_table(basic.table, Polynomial.monomial(j))
+        image = Polynomial()
+        for i in range(bound):
+            if coords[i] != 0:
+                image = image + basic.table[i + 1].scale(coords[i] * scale)
+        cols.append(image)
+    return cols
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero_rationals = small_rationals.filter(lambda v: v != 0)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A custom family, a delta series and an invertible series on it, and
+    an arbitrary operator to expand, all at a small degree."""
+    degree = draw(st.integers(2, 5))
+    bound = degree + 1  # one spare weight for the deformation eigenvalues
+    seq = AdmissibleSequence.custom(
+        draw(st.lists(nonzero_rationals, min_size=bound, max_size=bound)), bound
+    )
+    q_tail = draw(st.lists(small_rationals, max_size=degree - 1))
+    q_series = DeltaSeries.from_list(seq, [0, draw(nonzero_rationals)] + q_tail, degree)
+    s_tail = draw(st.lists(small_rationals, max_size=degree))
+    s_series = DeltaSeries.from_list(seq, [draw(nonzero_rationals)] + s_tail, degree)
+    columns = draw(
+        st.lists(
+            st.lists(small_rationals, max_size=degree + 1),
+            min_size=degree + 1,
+            max_size=degree + 1,
+        )
+    )
+    t = OperatorMatrix(tuple(Polynomial(c) for c in columns))
+    return seq, sheffer_sequence(q_series, s_series, degree), t
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=kernel_cases(), truncation=st.integers(0, 5), count=st.integers(0, 6))
+def test_consolidated_kernels_match_replaced_loops(case, truncation, count):
+    seq, sheffer, t = case
+    basic = sheffer.basic
+    q_op, bound = basic.q_op, basic.bound
+
+    assert basic_sequence(q_op, seq).table.entries == tuple(
+        reference_basic_entries(q_op, seq, bound)
+    )
+    truncation = min(truncation, bound)
+    assert eigen_series(q_op, truncation) == reference_eigen_series(q_op, truncation)
+
+    dual = dual_operator(q_op, basic.table, seq)
+    assert list(dual.columns) == reference_dual_operator(q_op, basic.table, seq)
+    for raiser in (multiplication_x(bound), xhat_psi(seq, bound), dual):
+        got = expand_in_dual_pair(t, q_op, raiser)
+        assert (got.coefficients, got.reassembled.columns) == reference_expansion(
+            t, q_op, raiser
+        )
+
+    monomials = SequenceTable(tuple(Polynomial.monomial(i) for i in range(bound + 1)))
+    for source, target in ((basic.table, sheffer.table), (sheffer.table, monomials)):
+        assert list(umbral_operator(source, target).columns) == reference_umbral_operator(
+            source, target
+        )
+    assert list(spectral_operator(sheffer).definitional.columns) == reference_definitional(
+        sheffer.table, bound
+    )
+    for literal_one in (False, True):
+        assert list(qhat_operator(basic, seq, literal_one).columns) == (
+            reference_qhat_operator(basic, seq, literal_one)
+        )
+    assert list(shift_raiser(basic, seq).columns) == reference_shift_raiser(basic, seq)
+
+    for m in (q_op, dual, t):
+        ladder = m.powers(count)
+        assert len(ladder) == count + 1
+        for i, power in enumerate(ladder):
+            assert power == m.power(i)
+        with pytest.raises(BadParameterError):
+            m.powers(-1)
+
