@@ -17,10 +17,8 @@ from pathlib import Path
 from .errors import BadParameterError, UmbralError
 from .harness import (
     DEFAULT_SEED,
-    FAILS,
-    HOLDS,
-    IdentityReport,
     SUITES,
+    Records,
     exit_status,
     render_json,
     render_text,
@@ -198,28 +196,21 @@ def cmd_verify(args, config: dict) -> int:
             raise BadParameterError(
                 "check_tables key 'entries' must be a list of coefficient lists"
             )
+        if "family" not in entry:
+            raise BadParameterError("check_tables entry needs key 'family'")
     families = [AdmissibleSequence.from_descriptor(d, degree + 1) for d in descriptors]
     reports = run_suites(suites, families, degree, args.seed)
 
     # optional externally supplied tables, checked against the addition rule
+    provided = Records("binomial", degree)
     for entry in tables:
         table = SequenceTable.from_json(entry["entries"])
         seq = AdmissibleSequence.from_descriptor(entry["family"], table.bound + 1)
         label = entry.get("label", "table")
         check = verify_binomial_type(table, seq)
-        reports.append(
-            IdentityReport(
-                "binomial",
-                f"provided-table({label})",
-                seq.label,
-                table.bound,
-                None,
-                HOLDS if check.passed else FAILS,
-                True,
-                check.witness,
-            )
-        )
-    reports = sorted(reports, key=lambda r: (r.suite, r.family, r.identity_id))
+        ident = f"provided-table({label})"
+        provided.exact(ident, seq.label, check.passed, check.witness, degree=table.bound)
+    reports = sorted(reports + provided, key=lambda r: (r.suite, r.family, r.identity_id))
     _emit(args, render_text(reports), render_json(reports, degree, args.seed))
     return exit_status(reports)
 

@@ -1,11 +1,11 @@
 """Cross-family identity harness: one uniform record per verified identity.
 
 Each suite checks a group of operator identities over a family roster and
-emits IdentityReport records. A record is either asserted (its failure fails
-the run) or informational (a printed form whose validity depends on the
-family; the record stores what actually holds, and never changes the exit
-status). Windowed identities pass when the two sides agree at least up to
-the stated truncation window.
+writes its IdentityReport records through a `Records` recorder. A record is
+either asserted (its failure fails the run) or informational (a printed form
+whose validity depends on the family; the record stores what actually holds,
+and never changes the exit status). Windowed identities pass when the two
+sides agree at least up to the stated truncation window.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .spectral import (
     mutator_identity_report,
     number_operator_steps_report,
     orthogonality_report,
+    qhat_operator,
     qplane_commutation,
     qplane_substitution_report,
     sandwich_power_report,
@@ -131,24 +132,44 @@ def _jsonable(value):
     return value
 
 
-def _exact(suite, ident, family, degree, ok, witness=None, asserted=True):
-    return IdentityReport(
-        suite,
-        ident,
-        family,
-        degree,
-        None,
-        HOLDS if ok else FAILS,
-        asserted,
-        None if ok else (witness or {}),
-    )
+class Records(list):
+    """The records of one suite at one degree bound.
 
+    `exact` and `windowed` are the only place a verdict becomes a status, a
+    window and a witness: a record that holds carries no witness, and a
+    failed record always carries one.
+    """
 
-def _windowed(suite, ident, family, degree, found, required, asserted=True):
-    if found >= required:
-        return IdentityReport(suite, ident, family, degree, required, WINDOWED, asserted)
-    witness = {"found_window": found, "required_window": required}
-    return IdentityReport(suite, ident, family, degree, found, FAILS, asserted, witness)
+    def __init__(self, suite: str, degree: int):
+        super().__init__()
+        self.suite = suite
+        self.degree = degree
+
+    def _add(self, ident, family, window, status, asserted, witness, degree=None):
+        degree = self.degree if degree is None else degree
+        self.append(
+            IdentityReport(self.suite, ident, family, degree, window, status, asserted, witness)
+        )
+
+    def exact(self, ident, family, ok, witness=None, asserted=True, window=None, degree=None):
+        """`holds`, or `holds_up_to_window` at `window` when one is given; a
+        failure has no window and the witness `witness or {}`. `degree`
+        overrides the suite's bound for a record checked at another bound."""
+        if ok:
+            status = HOLDS if window is None else WINDOWED
+            self._add(ident, family, window, status, asserted, None, degree)
+        else:
+            self._add(ident, family, None, FAILS, asserted, witness or {}, degree)
+
+    def windowed(self, ident, family, found, required, witness=None):
+        """`holds_up_to_window` at `required` when the two sides agree up to
+        it (`found >= required`); otherwise `fails` at `found`, with the
+        witness `witness or {"found_window": found, "required_window": required}`."""
+        if found >= required:
+            self._add(ident, family, required, WINDOWED, True, None)
+        else:
+            witness = witness or {"found_window": found, "required_window": required}
+            self._add(ident, family, found, FAILS, True, witness)
 
 
 # -- seeded sampling helpers ---------------------------------------------------
@@ -221,20 +242,16 @@ def _reparameterization_certificate(seq, q_series, table, bound: int) -> bool:
 # -- suites --------------------------------------------------------------------
 
 
-def suite_ghw(families, degree, rng):
+def suite_ghw(families, degree, rng, out):
     """The lowering/raising pair has identity commutator below the edge."""
-    reports = []
     ident = identity_operator(degree)
     for seq in families:
         got = commutator(psi_derivative(seq, degree), xhat_psi(seq, degree))
-        w = got.agreement_window(ident)
-        reports.append(_windowed("ghw", "commutator-identity", seq.label, degree, w, degree - 1))
-    return reports
+        out.windowed("commutator-identity", seq.label, got.agreement_window(ident), degree - 1)
 
 
-def suite_weyl(families, degree, rng):
+def suite_weyl(families, degree, rng, out):
     """Reordering rules for powers of the lowering/raising pair."""
-    reports = []
     for seq in families:
         d_pow = psi_derivative(seq, degree).powers(degree)
         r_pow = xhat_psi(seq, degree).powers(degree)
@@ -257,16 +274,7 @@ def suite_weyl(families, degree, rng):
                     c = Fraction(math.comb(n, k) * math.comb(m, k) * math.factorial(k))
                     rhs = rhs.add(rd(m - k, n - k).scale(c))
                 w = lhs.agreement_window(rhs)
-                reports.append(
-                    _windowed(
-                        "weyl",
-                        f"power-reorder(n={n},m={m})",
-                        seq.label,
-                        degree,
-                        w,
-                        degree - max(n, m),
-                    )
-                )
+                out.windowed(f"power-reorder(n={n},m={m})", seq.label, w, degree - max(n, m))
         # two-parameter exponential exchange, checked order by order: the
         # (i, j) coefficient of exp(t d) exp(a r) = exp(at) exp(a r) exp(t d)
         bad = None
@@ -291,15 +299,11 @@ def suite_weyl(families, degree, rng):
                     break
             if bad:
                 break
-        reports.append(
-            _exact("weyl", "exponential-exchange-orders", seq.label, degree, bad is None, bad)
-        )
-    return reports
+        out.exact("exponential-exchange-orders", seq.label, bad is None, bad)
 
 
-def suite_leibnitz(families, degree, rng):
+def suite_leibnitz(families, degree, rng, out):
     """Product rules and the scale-factor factorizations of the lowerings."""
-    reports = []
     classical = AdmissibleSequence.classical(degree + 1)
     d0 = divided_difference(degree)
 
@@ -316,7 +320,7 @@ def suite_leibnitz(families, degree, rng):
         if lhs != rhs:
             ok, witness = False, {"f": f, "g": g}
             break
-    reports.append(_exact("leibnitz", "divided-difference-product-rule", SHARED, degree, ok, witness))
+    out.exact("divided-difference-product-rule", SHARED, ok, witness)
 
     # family-free alternating series for the divided difference
     d_powers = psi_derivative(classical, degree).powers(degree)
@@ -327,21 +331,13 @@ def suite_leibnitz(families, degree, rng):
             degree,
         )
         acc = acc.add(front.compose(d_powers[n]))
-    reports.append(
-        _exact(
-            "leibnitz",
-            "divided-difference-derivative-series",
-            SHARED,
-            degree,
-            acc.columns == d0.columns,
-        )
-    )
+    out.exact("divided-difference-derivative-series", SHARED, acc.columns == d0.columns)
 
     for seq in families:
         # every lowering factors through the diagonal weight operator
         d = psi_derivative(seq, degree)
         ok = d.columns == nhat_diagonal(seq, degree).compose(d0).columns
-        reports.append(_exact("leibnitz", "lowering-factors-through-weights", seq.label, degree, ok))
+        out.exact("lowering-factors-through-weights", seq.label, ok)
 
         if seq.family == Q_DEFORMED:
             q = _q_of(seq)
@@ -355,13 +351,13 @@ def suite_leibnitz(families, degree, rng):
                 if lhs != rhs:
                     ok, witness = False, {"f": f, "g": g}
                     break
-            reports.append(_exact("leibnitz", "q-product-rule", seq.label, degree, ok, witness))
+            out.exact("q-product-rule", seq.label, ok, witness)
 
             # the q lowering is a dilation polynomial times the divided difference
             shape = Polynomial([1 / (1 - q), -1 / (1 - q)])
             diag = operator_polynomial(shape, dilation(q, degree).scale(q))
             ok = diag.compose(d0).columns == jackson_operator(q, degree).columns
-            reports.append(_exact("leibnitz", "q-scale-factor", seq.label, degree, ok))
+            out.exact("q-scale-factor", seq.label, ok)
 
     # same factorization for a weight family read off a series shape
     shape_coeffs = [Fraction(2), Fraction(-2)]
@@ -369,14 +365,12 @@ def suite_leibnitz(families, degree, rng):
     seq_r = AdmissibleSequence.r_series(shape_coeffs, q_r, degree + 1)
     diag = operator_polynomial(Polynomial(shape_coeffs), dilation(q_r, degree).scale(q_r))
     ok = diag.compose(d0).columns == psi_derivative(seq_r, degree).columns
-    reports.append(_exact("leibnitz", "series-scale-factor", seq_r.label, degree, ok))
-    return reports
+    out.exact("series-scale-factor", seq_r.label, ok)
 
 
-def suite_binomial(families, degree, rng):
+def suite_binomial(families, degree, rng, out):
     """Addition rule of basic tables, its rejection of perturbed tables, and
     the scalar addition laws of the graded exponential."""
-    reports = []
     perturb_degree = min(degree, 8)
     perturb_shifts = default_shift_samples(10)
     for seq in families:
@@ -392,16 +386,7 @@ def suite_binomial(families, degree, rng):
         ]
         for label, table in tables:
             check = verify_binomial_type(table, seq)
-            reports.append(
-                _exact(
-                    "binomial",
-                    f"addition-rule({label})",
-                    seq.label,
-                    degree,
-                    check.passed,
-                    check.witness,
-                )
-            )
+            out.exact(f"addition-rule({label})", seq.label, check.passed, check.witness)
 
         # Every single-coefficient perturbation must be rejected, except the
         # top entry's linear coefficient: that one lands on the basic table
@@ -433,16 +418,7 @@ def suite_binomial(families, degree, rng):
                     break
             if bad:
                 break
-        reports.append(
-            _exact(
-                "binomial",
-                "perturbation-rejection",
-                seq.label,
-                perturb_degree,
-                bad is None,
-                bad,
-            )
-        )
+        out.exact("perturbation-rejection", seq.label, bad is None, bad, degree=perturb_degree)
 
         # bigraded addition law of the exponential coefficients
         bad = None
@@ -455,9 +431,7 @@ def suite_binomial(families, degree, rng):
                     break
             if bad:
                 break
-        reports.append(
-            _exact("binomial", "exponential-addition-bigraded", seq.label, degree, bad is None, bad)
-        )
+        out.exact("exponential-addition-bigraded", seq.label, bad is None, bad)
 
         # index-congruence sectors partition the truncated exponential
         for m in (2, 3):
@@ -465,9 +439,7 @@ def suite_binomial(families, degree, rng):
             for j in range(m):
                 total = total + seq.hyperbolic_component(j, m, 1, degree)
             ok = total == seq.exp_polynomial(1, degree)
-            reports.append(
-                _exact("binomial", f"exponential-sector-partition(m={m})", seq.label, degree, ok)
-            )
+            out.exact(f"exponential-sector-partition(m={m})", seq.label, ok)
 
         # informational: alternating binomial sums need not vanish at even
         # order for every family, although the printed claim says they do
@@ -477,16 +449,8 @@ def suite_binomial(families, degree, rng):
             if v != 0:
                 witness = {"order": m, "value": v}
                 break
-        reports.append(
-            _exact(
-                "binomial",
-                "alternating-even-sums-vanish",
-                seq.label,
-                degree,
-                witness is None,
-                witness,
-                asserted=False,
-            )
+        out.exact(
+            "alternating-even-sums-vanish", seq.label, witness is None, witness, asserted=False
         )
 
     # binomial integrality of the growth family
@@ -500,13 +464,11 @@ def suite_binomial(families, degree, rng):
                 break
         if bad:
             break
-    reports.append(_exact("binomial", "growth-family-integrality", fib.label, 16, bad is None, bad))
-    return reports
+    out.exact("growth-family-integrality", fib.label, bad is None, bad, degree=16)
 
 
-def suite_routes(families, degree, rng):
+def suite_routes(families, degree, rng, out):
     """Closed-form constructions agree with the triangular solve."""
-    reports = []
     for seq in families:
         labeled = [
             ("derivative", DeltaSeries.from_list(seq, [0, 1], degree)),
@@ -517,16 +479,11 @@ def suite_routes(families, degree, rng):
         for label, q_series in labeled:
             direct = basic_sequence_from_series(q_series, degree).table
             for route_name, table in closed_form_routes(q_series, degree).items():
-                ok = table.entries == direct.entries
-                reports.append(
-                    _exact("routes", f"{route_name}({label})", seq.label, degree, ok)
-                )
-    return reports
+                out.exact(f"{route_name}({label})", seq.label, table.entries == direct.entries)
 
 
-def suite_detect(families, degree, rng):
+def suite_detect(families, degree, rng, out):
     """Lowering operators are read back as graded series, exactly."""
-    reports = []
     for seq in families:
         for label, unit in (("unit-slope", True), ("scaled", False)):
             series = _random_delta_series(seq, rng, degree, unit_slope=unit)
@@ -539,16 +496,7 @@ def suite_detect(families, degree, rng):
                     and result.candidate == seq.values[1 : degree + 1]
                     and result.series.coeffs == series.coeffs[: degree + 1]
                 )
-            reports.append(
-                _exact(
-                    "detect",
-                    f"round-trip({label})",
-                    seq.label,
-                    degree,
-                    ok,
-                    None if ok else {"violation": result.violation},
-                )
-            )
+            out.exact(f"round-trip({label})", seq.label, ok, {"violation": result.violation})
 
     classical = AdmissibleSequence.classical(degree + 1)
     d = psi_derivative(classical, degree)
@@ -560,7 +508,7 @@ def suite_detect(families, degree, rng):
         and result.candidate == tuple(Fraction(n * n) for n in range(1, degree + 1))
         and realize_psi_form(result, degree).columns == sandwich.columns
     )
-    reports.append(_exact("detect", "squared-weights-operator", SHARED, degree, ok))
+    out.exact("squared-weights-operator", SHARED, ok)
 
     split = sandwich.scale(Fraction(1, 2)).subtract(d.power(3).scale(Fraction(1, 3)))
     result = detect_psi_form(split)
@@ -571,28 +519,15 @@ def suite_detect(families, degree, rng):
         result.consistent != expect_break
         and result.candidate == tuple(Fraction(n * n, 2) for n in range(1, degree + 1))
     )
-    reports.append(
-        _exact(
-            "detect",
-            "split-operator-candidate",
-            SHARED,
-            degree,
-            ok,
-            None if ok else {"violation": result.violation},
-        )
-    )
-    # informational record of where the graded pattern first breaks
-    reports.append(
-        IdentityReport(
-            "detect",
-            "split-operator-consistency",
-            SHARED,
-            degree,
-            None,
-            FAILS if not result.consistent else HOLDS,
-            False,
-            {"violation": _jsonable(result.violation)} if result.violation else None,
-        )
+    out.exact("split-operator-candidate", SHARED, ok, {"violation": result.violation})
+    # informational record of where the graded pattern first breaks; the
+    # violation is None exactly when the pattern is consistent
+    out.exact(
+        "split-operator-consistency",
+        SHARED,
+        result.consistent,
+        {"violation": _jsonable(result.violation)},
+        asserted=False,
     )
 
     doubled = sandwich.scale(4).subtract(d.scale(2))
@@ -603,15 +538,13 @@ def suite_detect(families, degree, rng):
         == tuple(Fraction(2 * n * (2 * n - 1)) for n in range(1, degree + 1))
         and realize_psi_form(result, degree).columns == doubled.columns
     )
-    reports.append(_exact("detect", "doubled-index-operator", SHARED, degree, ok))
-    return reports
+    out.exact("doubled-index-operator", SHARED, ok)
 
 
-def suite_sheffer(families, degree, rng):
+def suite_sheffer(families, degree, rng, out):
     """Lowered-by-one tables with invertible prefactors: definition,
     reconstruction, mixed addition rule, generating function, and the
     constant-coefficient expansion conventions."""
-    reports = []
     z_order = min(8, degree)
     for seq in families:
         pairs = [
@@ -634,45 +567,25 @@ def suite_sheffer(families, degree, rng):
                 ("mixed-addition", verify_sheffer_binomial(sheffer)),
                 ("generating-function", generating_function_check(sheffer, z_order)),
             ):
-                reports.append(
-                    _exact(
-                        "sheffer",
-                        f"{check_name}({label})",
-                        seq.label,
-                        degree,
-                        check.passed,
-                        check.witness,
-                    )
-                )
+                out.exact(f"{check_name}({label})", seq.label, check.passed, check.witness)
             constants = verify_expansion_constants(sheffer, [1, 1, Fraction(1, 2), Fraction(1, 3)])
-            reports.append(
-                _exact(
-                    "sheffer",
-                    f"expansion-constants-graded({label})",
-                    seq.label,
-                    degree,
-                    constants["psi_binomial_holds"],
-                    {"witness": constants["psi_witness"]},
-                )
+            out.exact(
+                f"expansion-constants-graded({label})",
+                seq.label,
+                constants["psi_binomial_holds"],
+                {"witness": constants["psi_witness"]},
             )
-            reports.append(
-                _exact(
-                    "sheffer",
-                    f"expansion-constants-plain({label})",
-                    seq.label,
-                    degree,
-                    constants["plain_binomial_holds"],
-                    None,
-                    asserted=False,
-                )
+            out.exact(
+                f"expansion-constants-plain({label})",
+                seq.label,
+                constants["plain_binomial_holds"],
+                asserted=False,
             )
-    return reports
 
 
-def suite_expansion(families, degree, rng):
+def suite_expansion(families, degree, rng, out):
     """Every operator expands uniquely over powers of a lowering operator
     with coefficients in either raiser, and reassembles exactly."""
-    reports = []
     for seq in families:
         d = psi_derivative(seq, degree)
         raisers = (
@@ -688,9 +601,7 @@ def suite_expansion(families, degree, rng):
                 if result.reassembled.columns != t.columns:
                     ok, witness = False, {"instance": i}
                     break
-            reports.append(
-                _exact("expansion", f"reassembly({mode})", seq.label, degree, ok, witness)
-            )
+            out.exact(f"reassembly({mode})", seq.label, ok, witness)
 
         samples = [
             ("series", realize_delta_series(DeltaSeries.from_list(seq, [0, 1, 1], degree), degree)),
@@ -699,22 +610,12 @@ def suite_expansion(families, degree, rng):
         truncation = min(8, degree)
         for label, t in samples:
             result = indicator(t, d, truncation)
-            reports.append(
-                _exact(
-                    "expansion",
-                    f"indicator-conjugation({label})",
-                    seq.label,
-                    degree,
-                    result.routes_agree,
-                )
-            )
-    return reports
+            out.exact(f"indicator-conjugation({label})", seq.label, result.routes_agree)
 
 
-def suite_orthogonality(families, degree, rng):
+def suite_orthogonality(families, degree, rng, out):
     """The pairing attached to (Q, S) is diagonal with graded factorial
     weights; positive families give positive squared norms."""
-    reports = []
     for seq in families:
         sheffer = sheffer_sequence(
             DeltaSeries.from_list(seq, [0, 1, 1], degree),
@@ -722,35 +623,15 @@ def suite_orthogonality(families, degree, rng):
             degree,
         )
         report = orthogonality_report(sheffer, kmax=degree)
-        reports.append(
-            _exact(
-                "orthogonality",
-                "diagonal-pairing",
-                seq.label,
-                degree,
-                report["passed"],
-                report.get("witness"),
-            )
-        )
+        out.exact("diagonal-pairing", seq.label, report["passed"], report.get("witness"))
         if all(seq.n_psi(n) > 0 for n in range(1, degree + 1)):
             gram = gram_positivity_report(sheffer, rng, samples=4)
-            reports.append(
-                _exact(
-                    "orthogonality",
-                    "gram-positivity",
-                    seq.label,
-                    degree,
-                    gram["passed"] is True,
-                    gram.get("witness"),
-                )
-            )
-    return reports
+            out.exact("gram-positivity", seq.label, gram["passed"] is True, gram.get("witness"))
 
 
-def suite_spectral(families, degree, rng):
+def suite_spectral(families, degree, rng, out):
     """Index operators diagonal on a Sheffer table: the definitional and
     conjugation routes agree; the printed coefficient formula is recorded."""
-    reports = []
     eigen_max = min(10, degree)
     for seq in families:
         pairs = [
@@ -778,104 +659,47 @@ def suite_spectral(families, degree, rng):
                 if result.definitional.apply(sheffer.table[n]) != sheffer.table[n].scale(n):
                     bad = {"n": n}
                     break
-            reports.append(
-                _exact("spectral", f"eigen-relation({label})", seq.label, degree, bad is None, bad)
-            )
-            reports.append(
-                _exact(
-                    "spectral",
-                    f"conjugation-route({label})",
-                    seq.label,
-                    degree,
-                    result.composition_agrees,
-                )
-            )
+            out.exact(f"eigen-relation({label})", seq.label, bad is None, bad)
+            out.exact(f"conjugation-route({label})", seq.label, result.composition_agrees)
             disagree = [k for k, t in enumerate(result.term_agreement) if not t["reading_a"]]
-            reports.append(
-                _exact(
-                    "spectral",
-                    f"printed-coefficient-formula({label})",
-                    seq.label,
-                    degree,
-                    not disagree,
-                    {"first_disagreeing_order": disagree[0]} if disagree else None,
-                    asserted=False,
-                )
+            out.exact(
+                f"printed-coefficient-formula({label})",
+                seq.label,
+                not disagree,
+                {"first_disagreeing_order": disagree[0]} if disagree else None,
+                asserted=False,
             )
-    return reports
 
 
-def suite_integration(families, degree, rng):
+def suite_integration(families, degree, rng, out):
     """Monomial-diagonal right inverses pair with their lowerings."""
-    reports = []
     for seq in families:
         op = IntegralOperator.psi_integral(seq, degree)
         report = verify_right_inverse(op, psi_derivative(seq, degree))
-        reports.append(
-            _exact(
-                "integration",
-                "graded-right-inverse",
-                seq.label,
-                degree,
-                report["passed"],
-                report.get("witness"),
-            )
-        )
+        out.exact("graded-right-inverse", seq.label, report["passed"], report.get("witness"))
         if seq.family == Q_DEFORMED:
             q = _q_of(seq)
             q_int = IntegralOperator.q_integral(q, degree)
             report = verify_right_inverse(q_int, jackson_operator(q, degree))
-            reports.append(
-                _exact(
-                    "integration",
-                    "q-right-inverse",
-                    seq.label,
-                    degree,
-                    report["passed"],
-                    report.get("witness"),
-                )
-            )
-            reports.append(
-                _exact(
-                    "integration",
-                    "q-matches-graded-integral",
-                    seq.label,
-                    degree,
-                    q_int.weights == op.weights,
-                )
-            )
+            out.exact("q-right-inverse", seq.label, report["passed"], report.get("witness"))
+            out.exact("q-matches-graded-integral", seq.label, q_int.weights == op.weights)
 
     shape_coeffs = [Fraction(2), Fraction(-2)]
     q_r = Fraction(1, 3)
     seq_r = AdmissibleSequence.r_series(shape_coeffs, q_r, degree + 1)
     r_int = IntegralOperator.r_integral(shape_coeffs, q_r, degree)
     report = verify_right_inverse(r_int, r_int.partner)
-    reports.append(
-        _exact(
-            "integration",
-            "series-right-inverse",
-            seq_r.label,
-            degree,
-            report["passed"],
-            report.get("witness"),
-        )
+    out.exact("series-right-inverse", seq_r.label, report["passed"], report.get("witness"))
+    out.exact(
+        "series-partner-is-lowering",
+        seq_r.label,
+        r_int.partner.columns == psi_derivative(seq_r, degree).columns,
     )
-    reports.append(
-        _exact(
-            "integration",
-            "series-partner-is-lowering",
-            seq_r.label,
-            degree,
-            r_int.partner.columns == psi_derivative(seq_r, degree).columns,
-        )
-    )
-    return reports
 
 
-def suite_star(families, degree, rng):
+def suite_star(families, degree, rng, out):
     """Substitution products of the raising operator and the weighted
     exponential family they generate."""
-    reports = []
     pow_max = min(3, degree // 2)
     m_max = min(4, degree - 2)
     for seq in families:
@@ -895,16 +719,17 @@ def suite_star(families, degree, rng):
                     break
             if bad:
                 break
-        reports.append(_exact("star", "power-products", seq.label, degree, bad is None, bad))
+        out.exact("power-products", seq.label, bad is None, bad)
 
         bad = None
         for n in range(1, degree + 1):
             if d.apply(star_power(ctx, n)) != star_power(ctx, n - 1).scale(n):
                 bad = {"n": n}
                 break
-        reports.append(_exact("star", "lowering-steps-powers", seq.label, degree, bad is None, bad))
+        out.exact("lowering-steps-powers", seq.label, bad is None, bad)
 
         ok = True
+        witness = None
         for _ in range(3):
             f = _random_polynomial(rng, min(3, degree - 1))
             g = _random_polynomial(rng, min(4, degree))
@@ -913,19 +738,9 @@ def suite_star(families, degree, rng):
                 ctx, f, d.apply(g)
             )
             if lhs.truncate(degree - 1) != rhs.truncate(degree - 1):
-                ok = False
+                ok, witness = False, {"f": f, "g": g}
                 break
-        reports.append(
-            IdentityReport(
-                "star",
-                "product-rule",
-                seq.label,
-                degree,
-                degree - 1 if ok else None,
-                WINDOWED if ok else FAILS,
-                True,
-            )
-        )
+        out.exact("product-rule", seq.label, ok, witness, window=degree - 1)
 
         bad = None
         for alpha, beta in ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(-1)), (Fraction(2), Fraction(1, 2))):
@@ -934,9 +749,7 @@ def suite_star(families, degree, rng):
             if got != seq.exp_polynomial(alpha + beta, degree):
                 bad = {"alpha": alpha, "beta": beta}
                 break
-        reports.append(
-            _exact("star", "exponential-splitting", seq.label, degree, bad is None, bad)
-        )
+        out.exact("exponential-splitting", seq.label, bad is None, bad)
 
         ok = True
         for _ in range(3):
@@ -948,48 +761,27 @@ def suite_star(families, degree, rng):
             if lhs != rhs:
                 ok = False
                 break
-        reports.append(_exact("star", "operator-product-vs-star", seq.label, degree, ok))
+        out.exact("operator-product-vs-star", seq.label, ok)
 
         # commutation with a raiser power lowers it by one step
         for n in range(1, min(4, degree) + 1):
             got = commutator(d, raiser.power(n))
             expected = raiser.power(n - 1).scale(n)
             w = got.agreement_window(expected)
-            reports.append(
-                _windowed(
-                    "star", f"raiser-power-lowering(n={n})", seq.label, degree, w, degree - n
-                )
-            )
+            out.windowed(f"raiser-power-lowering(n={n})", seq.label, w, degree - n)
 
         # informational: replacing the substituted entry by the literal
         # polynomial only survives for unit-ratio weight families
         f = Polynomial([1] * (min(3, degree) + 1))
         f_tilde = operator_polynomial(f, raiser).apply(ONE)
         literal_ok = d.apply(f_tilde) == d.apply(f)
-        reports.append(
-            _exact(
-                "star",
-                "literal-substitution-lowering",
-                seq.label,
-                degree,
-                literal_ok,
-                None,
-                asserted=False,
-            )
-        )
+        out.exact("literal-substitution-lowering", seq.label, literal_ok, asserted=False)
 
         for lam in (Fraction(1), Fraction(1, 2)):
             ps = poisson_psi_polynomials(ctx, lam, m_max)
             alt = poisson_raising_route(ctx, lam, m_max)
-            reports.append(
-                _exact(
-                    "star",
-                    f"weighted-family-routes(lam={lam})",
-                    seq.label,
-                    degree,
-                    all(p == a for p, a in zip(ps, alt)),
-                )
-            )
+            ok = all(p == a for p, a in zip(ps, alt))
+            out.exact(f"weighted-family-routes(lam={lam})", seq.label, ok)
             bad = None
             residual0 = d.apply(ps[0]) + ps[0].scale(lam)
             if residual0.truncate(degree - 1) != Polynomial():
@@ -1002,69 +794,39 @@ def suite_star(families, degree, rng):
                     if lhs.truncate(window) != rhs.truncate(window):
                         bad = {"m": m}
                         break
-            reports.append(
-                IdentityReport(
-                    "star",
-                    f"weighted-family-system(lam={lam})",
-                    seq.label,
-                    degree,
-                    degree - m_max - 1 if bad is None else None,
-                    WINDOWED if bad is None else FAILS,
-                    True,
-                    bad,
-                )
+            out.exact(
+                f"weighted-family-system(lam={lam})",
+                seq.label,
+                bad is None,
+                bad,
+                window=degree - m_max - 1,
             )
-    return reports
 
 
-def suite_qplane(families, degree, rng):
+def suite_qplane(families, degree, rng, out):
     """Exchange rule of multiplication and dilation, and the substitution
     form of the shift for deformation families."""
-    reports = []
     ys = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
           Fraction(-2), Fraction(3), Fraction(1, 3), Fraction(-1, 2), Fraction(5)]
     for seq in families:
         if seq.family != Q_DEFORMED:
             continue
         q = _q_of(seq)
-        report = qplane_commutation(q, degree)
-        reports.append(
-            _exact("qplane", "exchange-rule", seq.label, degree, report["passed"])
-        )
+        out.exact("exchange-rule", seq.label, qplane_commutation(q, degree)["passed"])
         basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
         report = qplane_substitution_report(seq, basic.table, ys, partner_table=basic.table)
-        reports.append(
-            _exact(
-                "qplane",
-                "shift-substitution-basic",
-                seq.label,
-                degree,
-                report["passed"],
-                report.get("witness"),
-            )
-        )
+        out.exact("shift-substitution-basic", seq.label, report["passed"], report.get("witness"))
         sheffer = sheffer_sequence(
             DeltaSeries.from_list(seq, [0, 1], degree),
             DeltaSeries.from_list(seq, [1, 1], degree),
             degree,
         )
         report = qplane_substitution_report(seq, sheffer.table, ys, partner_table=basic.table)
-        reports.append(
-            _exact(
-                "qplane",
-                "shift-substitution-sheffer",
-                seq.label,
-                degree,
-                report["passed"],
-                report.get("witness"),
-            )
-        )
-    return reports
+        out.exact("shift-substitution-sheffer", seq.label, report["passed"], report.get("witness"))
 
 
-def suite_mutator(families, degree, rng):
+def suite_mutator(families, degree, rng, out):
     """Deformed bracket of a lowering operator with its shift raiser."""
-    reports = []
     for seq in families:
         tables = [
             ("monomial", basic_sequence(psi_derivative(seq, degree), seq, degree)),
@@ -1077,133 +839,71 @@ def suite_mutator(families, degree, rng):
         ]
         for label, basic in tables:
             report = mutator_identity_report(basic, seq)
-            reports.append(
-                IdentityReport(
-                    "mutator",
-                    f"bracket-identity({label})",
-                    seq.label,
-                    degree,
-                    report["window"] if report["passed"] else None,
-                    WINDOWED if report["passed"] else FAILS,
-                    True,
-                    report.get("witness"),
-                )
+            out.exact(
+                f"bracket-identity({label})",
+                seq.label,
+                report["passed"],
+                report.get("witness"),
+                window=report["window"],
             )
 
         basic = tables[0][1]
         literal = mutator_identity_report(basic, seq, literal_one=True)
-        reports.append(
-            _exact(
-                "mutator",
-                "literal-unit-weights",
-                seq.label,
-                degree,
-                literal["passed"],
-                literal.get("witness"),
-                asserted=False,
-            )
+        out.exact(
+            "literal-unit-weights",
+            seq.label,
+            literal["passed"],
+            literal.get("witness"),
+            asserted=False,
         )
         dual = mutator_identity_report(basic, seq, raiser_mode="dual")
-        reports.append(
-            _exact(
-                "mutator",
-                "dual-raiser-variant",
-                seq.label,
-                degree,
-                dual["passed"],
-                dual.get("witness"),
-                asserted=False,
-            )
+        out.exact(
+            "dual-raiser-variant", seq.label, dual["passed"], dual.get("witness"), asserted=False
         )
         if seq.family == Q_DEFORMED:
-            from .spectral import qhat_operator
-
             q = _q_of(seq)
             same = qhat_operator(basic, seq).columns == dilation(q, degree).columns
-            reports.append(
-                _exact(
-                    "mutator",
-                    "deformation-is-dilation",
-                    seq.label,
-                    degree,
-                    same,
-                    None,
-                    asserted=False,
-                )
-            )
-    return reports
+            out.exact("deformation-is-dilation", seq.label, same, asserted=False)
 
 
-def suite_factorization(families, degree, rng):
+def suite_factorization(families, degree, rng, out):
     """Power factorizations of sandwiched lowering/raising words."""
-    reports = []
     fs = [Polynomial([1, 1]), Polynomial([0, 0, 1]), Polynomial([2, 0, Fraction(1, 2)])]
     for seq in families:
         basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
         for n in (1, 2, 3):
             report = sandwich_power_report(basic, seq, n)
-            reports.append(
-                _exact(
-                    "factorization",
-                    f"sandwich-powers(n={n})",
-                    seq.label,
-                    degree,
-                    report["passed"],
-                    None if report["passed"] else report,
-                )
-            )
+            out.exact(f"sandwich-powers(n={n})", seq.label, report["passed"], report)
             graded_all = True
             for i, f in enumerate(fs):
                 report = number_operator_steps_report(basic, seq, n, f)
-                ok = report["plain_window"] >= report["required_window"]
-                reports.append(
-                    IdentityReport(
-                        "factorization",
-                        f"number-steps(n={n},f={i})",
-                        seq.label,
-                        degree,
-                        report["required_window"] if ok else report["plain_window"],
-                        WINDOWED if ok else FAILS,
-                        True,
-                        None if ok else {"report": report},
-                    )
+                out.windowed(
+                    f"number-steps(n={n},f={i})",
+                    seq.label,
+                    report["plain_window"],
+                    report["required_window"],
+                    {"report": report},
                 )
                 graded_all = graded_all and report["graded_matches"]
-            reports.append(
-                _exact(
-                    "factorization",
-                    f"number-steps-graded(n={n})",
-                    seq.label,
-                    degree,
-                    graded_all,
-                    None,
-                    asserted=False,
-                )
-            )
+            out.exact(f"number-steps-graded(n={n})", seq.label, graded_all, asserted=False)
 
         appell = appell_sequence(DeltaSeries.from_list(seq, [1, 1, Fraction(1, 2)], degree), degree)
         report = appell_raising_telescope_report(basic, seq, appell.table, 2)
-        reports.append(
-            _exact(
-                "factorization",
-                "appell-telescope-printed",
-                seq.label,
-                degree,
-                report["as_printed_holds"],
-                {
-                    "step_holds": report["step_holds"],
-                    "derivative_ladder_holds": report["derivative_ladder_holds"],
-                },
-                asserted=False,
-            )
+        out.exact(
+            "appell-telescope-printed",
+            seq.label,
+            report["as_printed_holds"],
+            {
+                "step_holds": report["step_holds"],
+                "derivative_ladder_holds": report["derivative_ladder_holds"],
+            },
+            asserted=False,
         )
-    return reports
 
 
-def suite_transport(families, degree, rng):
+def suite_transport(families, degree, rng, out):
     """Conjugation between basic bases and the commutator law of the
     transport to monomials."""
-    reports = []
     for seq in families:
         report = verify_conjugation_transport(
             seq,
@@ -1214,16 +914,8 @@ def suite_transport(families, degree, rng):
             sheffer_s=DeltaSeries.from_list(seq, [1, 1], degree),
         )
         ok = report["passed"] and report["conjugate_is_target_operator"]
-        reports.append(
-            _exact(
-                "transport",
-                "basis-conjugation",
-                seq.label,
-                degree,
-                ok,
-                None if ok else {k: v for k, v in report.items() if k != "passed"},
-            )
-        )
+        witness = {k: v for k, v in report.items() if k != "passed"}
+        out.exact("basis-conjugation", seq.label, ok, witness)
         for label, coeffs in (
             ("derivative", [0, 1]),
             ("composite", [0, 1, 1]),
@@ -1231,17 +923,9 @@ def suite_transport(families, degree, rng):
         ):
             l_series = DeltaSeries.from_list(seq, coeffs, degree)
             report = transport_pincherle_report(seq, l_series, degree)
-            reports.append(
-                _windowed(
-                    "transport",
-                    f"monomial-map-commutator({label})",
-                    seq.label,
-                    degree,
-                    report["window"],
-                    degree - 1,
-                )
+            out.windowed(
+                f"monomial-map-commutator({label})", seq.label, report["window"], degree - 1
             )
-    return reports
 
 
 SUITES = {
@@ -1283,8 +967,9 @@ def run_suites(names, families, degree: int, seed: int = DEFAULT_SEED) -> list:
     for name in SUITES:
         if name not in names:
             continue
-        rng = random.Random(f"{seed}:{name}")
-        reports.extend(SUITES[name](families, degree, rng))
+        out = Records(name, degree)
+        SUITES[name](families, degree, random.Random(f"{seed}:{name}"), out)
+        reports.extend(out)
     return sorted(reports, key=lambda r: (r.suite, r.family, r.identity_id))
 
 

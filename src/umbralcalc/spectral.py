@@ -331,14 +331,17 @@ def sandwich_power_report(basic: BasicSequence, seq: AdmissibleSequence, n: int)
     raiser = dual_operator(q_op, basic.table, seq)
     bound = basic.bound
 
+    q_n = q_op.power(n)
+    r_n = raiser.power(n)
+
     t1 = q_op.compose(raiser).compose(q_op)
     lhs1 = t1.power(n)
-    rhs1 = q_op.power(n).compose(raiser.power(n)).compose(q_op.power(n))
+    rhs1 = q_n.compose(r_n).compose(q_n)
     first_exact = lhs1.columns == rhs1.columns
 
     t2 = raiser.compose(q_op).compose(raiser)
     lhs2 = t2.power(n)
-    rhs2 = raiser.power(n).compose(q_op.power(n)).compose(raiser.power(n))
+    rhs2 = r_n.compose(q_n).compose(r_n)
     window = lhs2.agreement_window(rhs2)
 
     return {

@@ -317,6 +317,10 @@ class TestGuards:
                 {"check_tables": [{"family": {"family": "classical"}}]},
                 "check_tables key 'entries' must be a list of coefficient lists",
             ),
+            (
+                {"check_tables": [{"entries": [["1"]]}]},
+                "check_tables entry needs key 'family'",
+            ),
         ],
     )
     def test_malformed_verify_config_names_the_key(self, capsys, tmp_path, config, message):

@@ -1,9 +1,11 @@
 """Checks for the identity-suite runner: record shapes, determinism,
 the exit-status policy, and a handful of frozen verdicts."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +13,7 @@ from umbralcalc import (
     AdmissibleSequence,
     BadParameterError,
     IdentityReport,
+    Polynomial,
     SUITES,
     exit_status,
     render_json,
@@ -19,6 +22,7 @@ from umbralcalc import (
     run_suites,
     summarize,
 )
+from umbralcalc.harness import FAILS, HOLDS, SHARED, WINDOWED, Records, _jsonable
 import conftest
 
 BOUND = 9
@@ -163,11 +167,248 @@ class TestRendering:
             )
 
 
+def roster_report_and_golden(degree):
+    roster = conftest.family_roster(degree + 1)
+    payload = render_json(run_all(roster, degree, conftest.SEED), degree, conftest.SEED)
+    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    golden = Path(__file__).parent / "golden" / f"roster_n{degree}.json"
+    return body.encode(), golden.read_bytes()
+
+
 def test_six_family_roster_report_matches_golden():
     """The full report at N = 8 over the six-family roster, including the
     seeded custom family with negative and fractional weights, serialised
     as `umbralcalc verify --format json` writes it."""
-    payload = render_json(run_all(conftest.family_roster(9), 8, conftest.SEED), 8, conftest.SEED)
-    body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    golden = Path(__file__).parent / "golden" / "roster_n8.json"
-    assert body.encode() == golden.read_bytes()
+    body, golden = roster_report_and_golden(8)
+    assert body == golden
+
+
+def test_six_family_roster_report_matches_golden_at_twelve():
+    """At N = 12 the perturbation check runs at min(N, 8) = 8, below the
+    suite's bound; at N = 8 the two bounds coincide and a golden cannot tell
+    them apart."""
+    body, golden = roster_report_and_golden(12)
+    assert body == golden
+
+
+
+# -- record policy -------------------------------------------------------------
+#
+# References: the record rules as the suites wrote them before `Records`: the
+# two helpers and the six hand-built records, copied verbatim, with the names
+# they read bound from `ok`. No golden reaches an asserted failure, so these
+# are the only check on the failure paths.
+
+
+def _exact(suite, ident, family, degree, ok, witness=None, asserted=True):
+    return IdentityReport(
+        suite,
+        ident,
+        family,
+        degree,
+        None,
+        HOLDS if ok else FAILS,
+        asserted,
+        None if ok else (witness or {}),
+    )
+
+
+def _windowed(suite, ident, family, degree, found, required, asserted=True):
+    if found >= required:
+        return IdentityReport(suite, ident, family, degree, required, WINDOWED, asserted)
+    witness = {"found_window": found, "required_window": required}
+    return IdentityReport(suite, ident, family, degree, found, FAILS, asserted, witness)
+
+
+SEQ = AdmissibleSequence.q_deformed(2, BOUND)
+F, G = Polynomial([1, 2]), Polynomial([0, Fraction(1, 3)])
+
+
+def _detect_result(ok):
+    violation = None if ok else (3, 2, Fraction(9, 2), Fraction(4))
+    return SimpleNamespace(consistent=ok, violation=violation)
+
+
+def _mutator_report(ok):
+    if ok:
+        return {"passed": True, "window": DEG - 1}
+    return {"passed": False, "witness": {"n": 2, "got": "x"}, "window": DEG - 1}
+
+
+def _steps_report(ok):
+    return {"plain_window": 7 if ok else 5, "required_window": 6, "graded_matches": ok}
+
+
+def _check(ok):
+    witness = None if ok else {"n": 3, "y": "1", "lhs": "x", "rhs": "2*x"}
+    return SimpleNamespace(passed=ok, witness=witness)
+
+
+def ref_split_consistency(ok):
+    degree, result = DEG, _detect_result(ok)
+    return IdentityReport(
+        "detect",
+        "split-operator-consistency",
+        SHARED,
+        degree,
+        None,
+        FAILS if not result.consistent else HOLDS,
+        False,
+        {"violation": _jsonable(result.violation)} if result.violation else None,
+    )
+
+
+def ref_product_rule(ok):
+    seq, degree = SEQ, DEG
+    return IdentityReport(
+        "star",
+        "product-rule",
+        seq.label,
+        degree,
+        degree - 1 if ok else None,
+        WINDOWED if ok else FAILS,
+        True,
+    )
+
+
+def ref_weighted_family_system(ok):
+    seq, degree, lam, m_max = SEQ, DEG, Fraction(1, 2), 4
+    bad = None if ok else {"m": 2}
+    return IdentityReport(
+        "star",
+        f"weighted-family-system(lam={lam})",
+        seq.label,
+        degree,
+        degree - m_max - 1 if bad is None else None,
+        WINDOWED if bad is None else FAILS,
+        True,
+        bad,
+    )
+
+
+def ref_bracket_identity(ok):
+    seq, degree, label, report = SEQ, DEG, "monomial", _mutator_report(ok)
+    return IdentityReport(
+        "mutator",
+        f"bracket-identity({label})",
+        seq.label,
+        degree,
+        report["window"] if report["passed"] else None,
+        WINDOWED if report["passed"] else FAILS,
+        True,
+        report.get("witness"),
+    )
+
+
+def ref_number_steps(ok):
+    seq, degree, n, i, report = SEQ, DEG, 2, 1, _steps_report(ok)
+    ok = report["plain_window"] >= report["required_window"]
+    return IdentityReport(
+        "factorization",
+        f"number-steps(n={n},f={i})",
+        seq.label,
+        degree,
+        report["required_window"] if ok else report["plain_window"],
+        WINDOWED if ok else FAILS,
+        True,
+        None if ok else {"report": report},
+    )
+
+
+def ref_provided_table(ok):
+    seq, label, check, table = SEQ, "mine", _check(ok), SimpleNamespace(bound=5)
+    return IdentityReport(
+        "binomial",
+        f"provided-table({label})",
+        seq.label,
+        table.bound,
+        None,
+        HOLDS if check.passed else FAILS,
+        True,
+        check.witness,
+    )
+
+
+def recorded(suite, method, *args, **kwargs):
+    out = Records(suite, DEG)
+    getattr(out, method)(*args, **kwargs)
+    return out
+
+
+def new_split_consistency(ok):
+    result = _detect_result(ok)
+    witness = {"violation": _jsonable(result.violation)}
+    ident = "split-operator-consistency"
+    return recorded("detect", "exact", ident, SHARED, result.consistent, witness, asserted=False)
+
+
+def new_product_rule(ok):
+    witness = None if ok else {"f": F, "g": G}
+    return recorded("star", "exact", "product-rule", SEQ.label, ok, witness, window=DEG - 1)
+
+
+def new_weighted_family_system(ok):
+    bad, ident = None if ok else {"m": 2}, "weighted-family-system(lam=1/2)"
+    return recorded("star", "exact", ident, SEQ.label, bad is None, bad, window=DEG - 4 - 1)
+
+
+def new_bracket_identity(ok):
+    report, ident = _mutator_report(ok), "bracket-identity(monomial)"
+    args = (ident, SEQ.label, report["passed"], report.get("witness"))
+    return recorded("mutator", "exact", *args, window=report["window"])
+
+
+def new_number_steps(ok):
+    report = _steps_report(ok)
+    args = (report["plain_window"], report["required_window"], {"report": report})
+    return recorded("factorization", "windowed", "number-steps(n=2,f=1)", SEQ.label, *args)
+
+
+def new_provided_table(ok):
+    check = _check(ok)
+    args = ("provided-table(mine)", SEQ.label, check.passed, check.witness)
+    return recorded("binomial", "exact", *args, degree=5)
+
+
+RECORD_SHAPES = {
+    "exact": (
+        lambda ok: _exact("binomial", "rule", SEQ.label, DEG, ok, {"n": 1}),
+        lambda ok: recorded("binomial", "exact", "rule", SEQ.label, ok, {"n": 1}),
+    ),
+    "exact-without-witness": (
+        lambda ok: _exact("routes", "rule", SHARED, DEG, ok),
+        lambda ok: recorded("routes", "exact", "rule", SHARED, ok),
+    ),
+    "exact-informational": (
+        lambda ok: _exact("star", "rule", SEQ.label, DEG, ok, None, asserted=False),
+        lambda ok: recorded("star", "exact", "rule", SEQ.label, ok, asserted=False),
+    ),
+    "exact-other-bound": (
+        lambda ok: _exact("binomial", "rule", SEQ.label, 16, ok, {"n": 1}),
+        lambda ok: recorded("binomial", "exact", "rule", SEQ.label, ok, {"n": 1}, degree=16),
+    ),
+    "windowed": (
+        lambda ok: _windowed("ghw", "rule", SEQ.label, DEG, 7 if ok else 3, 7),
+        lambda ok: recorded("ghw", "windowed", "rule", SEQ.label, 7 if ok else 3, 7),
+    ),
+    "split-operator-consistency": (ref_split_consistency, new_split_consistency),
+    "product-rule": (ref_product_rule, new_product_rule),
+    "weighted-family-system": (ref_weighted_family_system, new_weighted_family_system),
+    "bracket-identity": (ref_bracket_identity, new_bracket_identity),
+    "number-steps": (ref_number_steps, new_number_steps),
+    "provided-table": (ref_provided_table, new_provided_table),
+}
+
+
+@pytest.mark.parametrize("ok", [True, False])
+@pytest.mark.parametrize("shape", list(RECORD_SHAPES))
+def test_recorder_matches_the_record_rules_it_replaced(shape, ok):
+    reference, record = RECORD_SHAPES[shape]
+    expected = reference(ok)
+    if shape == "product-rule" and not ok:
+        # the one intended change: a failed product rule names its samples
+        assert expected.witness is None
+        expected = dataclasses.replace(expected, witness={"f": F, "g": G})
+    assert record(ok) == [expected]
+    # a record that holds carries no witness; a failed one always does
+    assert (expected.witness is None) == ok
