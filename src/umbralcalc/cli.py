@@ -57,6 +57,9 @@ DEFAULT_FAMILY_DESCRIPTORS = (
     {"family": "hyperbolic"},
 )
 
+# Cost guard: exact work grows steeply with the working degree.
+MAX_DEGREE = 64
+
 _BUILTIN_RE = re.compile(r"^(?P<name>[a-zA-Z_]+)(?:\((?P<arg>[^)]+)\))?$")
 
 
@@ -445,6 +448,8 @@ def main(argv=None) -> int:
     try:
         if args.degree < 2:
             raise BadParameterError("degree bound must be at least 2")
+        if args.degree > MAX_DEGREE:
+            raise BadParameterError(f"--degree {args.degree} exceeds the limit {MAX_DEGREE}")
         config = _load_config(args.config)
         status = COMMANDS[args.command](args, config)
     except UmbralError as exc:

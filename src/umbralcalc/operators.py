@@ -20,9 +20,12 @@ from .errors import (
     WrongFamilyError,
 )
 from .poly import (
+    _ZERO,
     ONE,
     Polynomial,
     SequenceTable,
+    _accumulate,
+    _combine,
     coordinates_in_table,
     fr,
     polynomial_from_json,
@@ -66,11 +69,7 @@ class OperatorMatrix:
             raise DegreeOverflowError(
                 f"input degree {p.degree} exceeds operator bound {self.bound}"
             )
-        out = Polynomial()
-        for j, c in enumerate(p.coeffs):
-            if c != 0:
-                out = out + self.columns[j].scale(c)
-        return out
+        return _combine(p.coeffs, self.columns)
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Matrix of self applied after other."""
@@ -331,11 +330,7 @@ def umbral_operator(source: SequenceTable, images) -> OperatorMatrix:
     cols = []
     for j in range(source.bound + 1):
         coords = coordinates_in_table(source, Polynomial.monomial(j))
-        image = Polynomial()
-        for i, c in enumerate(coords):
-            if c != 0:
-                image = image + images[i].scale(c)
-        cols.append(image)
+        cols.append(_combine(coords, images))
     return OperatorMatrix(tuple(cols))
 
 
@@ -463,20 +458,28 @@ def expand_in_dual_pair(
     r_powers, ladder = _raiser_ladder(raiser)
     q_powers = q_op.powers(bound)
 
-    acc = zero_operator(bound)
+    # r_columns[m][i] is column m of raiser^i
+    r_columns = list(zip(*(r.columns for r in r_powers)))
+    # acc[k] is column k of the running reassembly. Q^j x^k is zero for
+    # k < j, so step j adds q_j(raiser) Q^j x^k to the columns k >= j only.
+    acc = [[_ZERO] * (bound + 1) for _ in range(bound + 1)]
     coefficients = []
     for j in range(bound + 1):
-        u = coordinates_in_table(ladder, t.column(j) - acc.column(j))
-        pivot = q_powers[j].apply(Polynomial.monomial(j)).constant_term
-        q_j = Polynomial([ui / pivot for ui in u])
+        so_far = Polynomial._trusted(list(acc[j]))
+        u = coordinates_in_table(ladder, t.column(j) - so_far)
+        pivot = q_powers[j].column(j).constant_term
+        q_j = Polynomial._trusted([ui / pivot if ui else ui for ui in u])
         coefficients.append(q_j)
-        if not q_j.is_zero():
-            step = zero_operator(bound)
-            for i, c in enumerate(q_j.coeffs):
-                if c != 0:
-                    step = step.add(r_powers[i].scale(c))
-            acc = acc.add(step.compose(q_powers[j]))
-    return ExpansionResult(tuple(coefficients), acc)
+        if q_j.is_zero():
+            continue
+        # column m of q_j(raiser); Q^j x^k has degree k - j <= bound - j
+        step = [_combine(q_j.coeffs, r_columns[m]).coeffs for m in range(bound - j + 1)]
+        for k in range(j, bound + 1):
+            for m, v in enumerate(q_powers[j].columns[k].coeffs):
+                if v:
+                    _accumulate(acc[k], v, step[m])
+    reassembled = OperatorMatrix(tuple(Polynomial._trusted(col) for col in acc))
+    return ExpansionResult(tuple(coefficients), reassembled)
 
 
 # -- eigenseries and indicator ------------------------------------------------

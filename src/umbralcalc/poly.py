@@ -2,7 +2,9 @@
 
 Coefficients are `fractions.Fraction`, stored low degree first with trailing
 zeros trimmed, so the zero polynomial has an empty coefficient tuple and
-degree -1 (the sentinel used throughout the package).
+degree -1 (the sentinel used throughout the package). Arithmetic skips zero
+coefficients: the package's operators are mostly weighted shifts, so most
+entries it touches are zero.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 from .errors import BadParameterError, BasisMismatchError, DegreeOverflowError
 
 ZERO_DEGREE = -1
+_ZERO = Fraction(0)
 
 
 def fr(value) -> Fraction:
@@ -45,6 +48,18 @@ class Polynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _trusted(cls, cs: list) -> "Polynomial":
+        """Wrap a list of Fractions, trimming its trailing zeros in place.
+
+        No coercion: callers pass values produced by Fraction arithmetic.
+        """
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
@@ -75,34 +90,44 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            if c:
+                o = out[i]
+                out[i] = o + c if o else c
+        return Polynomial._trusted(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._trusted([-c if c else c for c in self.coeffs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def scale(self, c) -> "Polynomial":
         c = fr(c)
-        return Polynomial([c * a for a in self.coeffs])
+        if not c:
+            return ZERO
+        return Polynomial._trusted([c * a if a else a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             if self.is_zero() or other.is_zero():
                 return ZERO
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
-                if a == 0:
+                if not a:
                     continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+                for j, b in enumerate(other.coeffs, i):
+                    if b:
+                        o = out[j]
+                        out[j] = o + a * b if o else a * b
+            return Polynomial._trusted(out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -176,6 +201,26 @@ class Polynomial:
 ZERO = Polynomial()
 ONE = Polynomial([1])
 X = Polynomial([0, 1])
+
+
+def _accumulate(out: list, c: Fraction, coeffs) -> None:
+    """out += c * coeffs in place, skipping zero entries; out is long enough."""
+    for i, a in enumerate(coeffs):
+        if a:
+            o = out[i]
+            out[i] = o + c * a if o else c * a
+
+
+def _combine(coeffs, polys) -> Polynomial:
+    """sum_i coeffs[i] * polys[i], skipping zero coefficients and entries."""
+    out = []
+    for c, p in zip(coeffs, polys):
+        if c and p.coeffs:
+            if len(out) < len(p.coeffs):
+                out += [_ZERO] * (len(p.coeffs) - len(out))
+            _accumulate(out, c, p.coeffs)
+    return Polynomial._trusted(out)
+
 
 _TERM_RE = re.compile(
     r"^(?P<sign>-)?(?P<num>\d+(?:/\d+)?)?(?:\*?(?P<x>x)(?:\^(?P<exp>\d+))?)?$"
@@ -266,14 +311,14 @@ def coordinates_in_table(table: SequenceTable, p: Polynomial) -> list:
         raise DegreeOverflowError(
             f"degree {p.degree} exceeds table bound {table.bound}"
         )
-    coords = [Fraction(0)] * (table.bound + 1)
-    residue = p
-    for n in range(table.bound, -1, -1):
-        c = residue.coefficient(n)
-        if c != 0:
-            entry = table[n]
-            coords[n] = c / entry.coefficient(n)
-            residue = residue - entry.scale(coords[n])
-    if not residue.is_zero():
+    coords = [_ZERO] * (table.bound + 1)
+    residue = list(p.coeffs)
+    for n in range(p.degree, -1, -1):
+        c = residue[n]
+        if c:
+            entry = table[n].coeffs
+            coords[n] = c / entry[n]
+            _accumulate(residue, -coords[n], entry)
+    if any(residue):
         raise AssertionError("triangular reduction left a residue")
     return coords

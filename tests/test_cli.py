@@ -11,7 +11,7 @@ from umbralcalc import (
     SequenceTable,
     sheffer_sequence,
 )
-from umbralcalc.cli import main
+from umbralcalc.cli import COMMANDS, MAX_DEGREE, main
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -244,6 +244,17 @@ class TestGuards:
         code, _, err = run(capsys, ["sequence", "--degree", "1"])
         assert code == 2
         assert "BadParameterError" in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_degree_above_the_limit_exits_two(self, capsys, command):
+        # the missing config shows the guard runs before anything is loaded
+        argv = [command, "--degree", str(MAX_DEGREE + 1), "--config", "/does/not/exist.json"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: BadParameterError: --degree {MAX_DEGREE + 1} exceeds the limit {MAX_DEGREE}\n"
+        )
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, ["sequence", "--config", "/does/not/exist.json"])
