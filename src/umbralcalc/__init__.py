@@ -30,6 +30,7 @@ from .psi import AdmissibleSequence
 from .series import DeltaSeries
 from .operators import (
     OperatorMatrix,
+    apply_delta_series,
     commutator,
     detect_psi_form,
     dilation,

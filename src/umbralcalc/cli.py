@@ -379,10 +379,12 @@ def cmd_star(args, config: dict) -> int:
 def cmd_spectral(args, config: dict) -> int:
     degree = args.degree
     seq = _family(config, degree)
+    kmax = config.get("kmax", degree)
+    if not isinstance(kmax, int) or isinstance(kmax, bool):
+        raise BadParameterError(f"config key 'kmax' must be an integer, got {kmax!r}")
     q_series = _series_from(config.get("series", [0, 1]), seq, degree)
     s_series = _series_from(config.get("prefactor", [1, 1]), seq, degree)
     sheffer = sheffer_sequence(q_series, s_series, degree)
-    kmax = int(config.get("kmax", degree))
     orth = orthogonality_report(sheffer, kmax=kmax)
     result = spectral_operator(sheffer)
     eigen_ok = all(

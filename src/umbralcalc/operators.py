@@ -264,18 +264,28 @@ def generalized_shift_operator(seq: AdmissibleSequence, y, bound: int) -> Operat
     return OperatorMatrix(tuple(cols))
 
 
+def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
+    """sum_k c_k Q^k p with Q the family lowering operator, no matrix built.
+
+    Q^k x^j = (j)_k,psi x^(j-k) = (j_psi! / (j-k)_psi!) x^(j-k), so on the
+    coordinates of p in the divided powers x^j / j_psi! the series acts as a
+    plain convolution: one product per pair of nonzero entries.
+    """
+    factorial = s.base.factorial
+    scaled = [a * factorial(j) if a else a for j, a in enumerate(p.coeffs)]
+    out = [_ZERO] * len(scaled)
+    for k, c in enumerate(s.coeffs[: len(scaled)]):
+        if c:
+            _accumulate(out, c, scaled[k:])
+    return Polynomial._trusted([v / factorial(i) if v else v for i, v in enumerate(out)])
+
+
 def realize_delta_series(s: DeltaSeries, bound: int) -> OperatorMatrix:
-    """Matrix of sum_k c_k Q^k with Q the family lowering operator."""
-    seq = s.base
-    cols = []
-    for j in range(bound + 1):
-        coeffs = [Fraction(0)] * (j + 1)
-        for k in range(min(s.order, j) + 1):
-            c = s.coefficient(k)
-            if c != 0:
-                coeffs[j - k] += c * seq.falling_factorial(j, k)
-        cols.append(Polynomial(coeffs))
-    return OperatorMatrix(tuple(cols))
+    """Matrix of sum_k c_k Q^k, for a series that is composed or reused;
+    a single use is `apply_delta_series`."""
+    return OperatorMatrix(
+        tuple(apply_delta_series(s, Polynomial.monomial(j)) for j in range(bound + 1))
+    )
 
 
 def multiplication_operator(p: Polynomial, bound: int) -> OperatorMatrix:

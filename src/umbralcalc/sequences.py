@@ -14,6 +14,7 @@ from fractions import Fraction
 from .errors import BadParameterError, SingularOperatorError
 from .operators import (
     OperatorMatrix,
+    apply_delta_series,
     eigen_series,
     generalized_shift,
     operator_polynomial,
@@ -26,7 +27,6 @@ from .psi import AdmissibleSequence
 from .series import (
     DeltaSeries,
     series_compose,
-    series_derivative,
     series_inverse,
     series_mul,
     series_pad,
@@ -101,24 +101,19 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
     """
     q_series.require_delta()
     seq = q_series.base
-    order = q_series.order
-    s_coeffs = list(q_series.shift_down().coeffs)  # s(t), invertible
-    s_inv = series_inverse(s_coeffs, order)
+    s_inv = q_series.shift_down().multiplicative_inverse()
     qprime = q_series.formal_derivative()
-    qprime_inv = series_inverse(qprime.coeffs, order)
 
     raiser = xhat_psi(seq, bound)
-
-    def realize(coeffs):
-        return realize_delta_series(DeltaSeries.from_list(seq, coeffs, order), bound)
-
-    qprime_op = realize(qprime.coeffs)
-    qprime_inv_op = realize(qprime_inv)
+    # q'(Q) and q'(Q)^{-1} act on every entry, so they are built once as
+    # matrices; each power of s^{-1} acts on two monomials and stays a series
+    qprime_op = realize_delta_series(qprime, bound)
+    qprime_inv_op = realize_delta_series(qprime.multiplicative_inverse(), bound)
 
     # s^{-k} series, k = 0..bound+1
-    s_inv_powers = [series_pad([1], order)]
+    s_inv_powers = [s_inv.power(0)]
     for _ in range(bound + 1):
-        s_inv_powers.append(series_mul(s_inv_powers[-1], s_inv, order))
+        s_inv_powers.append(s_inv_powers[-1].multiply(s_inv))
 
     prefactor, corrected, raising, iterative = [ONE], [ONE], [ONE], [ONE]
     for n in range(1, bound + 1):
@@ -126,16 +121,16 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
         xnm1 = Polynomial.monomial(n - 1)
         weight = seq.n_psi(n) / Fraction(n)
 
-        route1 = qprime_op.apply(realize(s_inv_powers[n + 1]).apply(xn))
+        route1 = qprime_op.apply(apply_delta_series(s_inv_powers[n + 1], xn))
         prefactor.append(route1)
 
         s_inv_n = s_inv_powers[n]
-        route2 = realize(s_inv_n).apply(xn) - realize(
-            series_derivative(s_inv_n, order)
-        ).apply(xnm1).scale(weight)
+        route2 = apply_delta_series(s_inv_n, xn) - apply_delta_series(
+            s_inv_n.formal_derivative(), xnm1
+        ).scale(weight)
         corrected.append(route2)
 
-        route3 = raiser.apply(realize(s_inv_n).apply(xnm1)).scale(weight)
+        route3 = raiser.apply(apply_delta_series(s_inv_n, xnm1)).scale(weight)
         raising.append(route3)
 
         route4 = raiser.apply(qprime_inv_op.apply(iterative[-1])).scale(weight)
@@ -168,8 +163,8 @@ def sheffer_sequence(
     q_series.require_delta()
     s_series.require_invertible()
     basic = basic_sequence_from_series(q_series, bound)
-    s_inv_op = realize_delta_series(s_series.multiplicative_inverse(), bound)
-    entries = tuple(s_inv_op.apply(p) for p in basic.table)
+    s_inv = s_series.multiplicative_inverse()
+    entries = tuple(apply_delta_series(s_inv, p) for p in basic.table)
     return ShefferSequence(
         q_series.base, basic, q_series, s_series, SequenceTable(entries)
     )
@@ -438,12 +433,9 @@ def verify_expansion_constants(
 
 def sheffer_product_shift(sheffer: ShefferSequence, extra_s: DeltaSeries) -> ShefferSequence:
     """Move along the Sheffer orbit: divide the table by an invertible series."""
-    extra_inv = extra_s.multiplicative_inverse()
-    op = realize_delta_series(
-        DeltaSeries.from_list(sheffer.seq, extra_inv.coeffs, extra_inv.order),
-        sheffer.bound,
-    )
-    entries = tuple(op.apply(p) for p in sheffer.table)
+    # read the inverse in the table's own family
+    extra_inv = DeltaSeries(sheffer.seq, extra_s.multiplicative_inverse().coeffs)
+    entries = tuple(apply_delta_series(extra_inv, p) for p in sheffer.table)
     return ShefferSequence(
         sheffer.seq,
         sheffer.basic,

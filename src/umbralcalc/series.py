@@ -22,16 +22,6 @@ def series_pad(coeffs, order: int) -> list:
     return out
 
 
-def series_add(a, b, order: int) -> list:
-    a, b = series_pad(a, order), series_pad(b, order)
-    return [x + y for x, y in zip(a, b)]
-
-
-def series_scale(a, c, order: int) -> list:
-    c = fr(c)
-    return [c * x for x in series_pad(a, order)]
-
-
 def series_mul(a, b, order: int) -> list:
     a, b = series_pad(a, order), series_pad(b, order)
     out = [Fraction(0)] * (order + 1)
@@ -184,12 +174,6 @@ class DeltaSeries:
     def _wrap(self, coeffs) -> "DeltaSeries":
         return DeltaSeries(self.base, tuple(series_pad(coeffs, self.order)))
 
-    def add(self, other: "DeltaSeries") -> "DeltaSeries":
-        return self._wrap(series_add(self.coeffs, other.coeffs, self.order))
-
-    def scale(self, c) -> "DeltaSeries":
-        return self._wrap(series_scale(self.coeffs, c, self.order))
-
     def multiply(self, other: "DeltaSeries") -> "DeltaSeries":
         return self._wrap(series_mul(self.coeffs, other.coeffs, self.order))
 
@@ -213,9 +197,6 @@ class DeltaSeries:
     def formal_log_reduced(self) -> "DeltaSeries":
         """log(s / c_0); the dropped log c_0 is irrelevant to commutators."""
         return self._wrap(series_log_reduced(self.coeffs, self.order))
-
-    def formal_exp_reduced(self) -> "DeltaSeries":
-        return self._wrap(series_exp_reduced(self.coeffs, self.order))
 
     def shift_down(self) -> "DeltaSeries":
         """Divide a delta series by t (drop the c_0 = 0 term)."""

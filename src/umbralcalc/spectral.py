@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import BadParameterError, ConstantTermError, WrongFamilyError
 from .operators import (
     OperatorMatrix,
+    apply_delta_series,
     commutator,
     dilation,
     dual_operator,
@@ -39,27 +40,35 @@ from .series import DeltaSeries
 # -- inner product ------------------------------------------------------------
 
 
+def _pairing_row(sheffer: ShefferSequence, g: Polynomial, count: int) -> list:
+    """Constant terms of Q^n S g, n = 0..count-1: the pairing of g with
+    Sheffer entry n, so <f, g> weights them by the coordinates of f."""
+    vec = apply_delta_series(sheffer.s_series, g)
+    row = [vec.constant_term]
+    for _ in range(count - 1):
+        vec = sheffer.q_op.apply(vec)
+        row.append(vec.constant_term)
+    return row
+
+
 def inner_product(sheffer: ShefferSequence, f: Polynomial, g: Polynomial) -> Fraction:
     """Pairing: expand f over the Sheffer table, apply the matching powers of
     the lowering operator to S g, read the constant term."""
     coords = coordinates_in_table(sheffer.table, f)
-    s_op = realize_delta_series(sheffer.s_series, sheffer.bound)
-    vec = s_op.apply(g)
-    total = Fraction(0)
-    for n, c in enumerate(coords):
-        if c != 0:
-            total += c * vec.constant_term
-        vec = sheffer.q_op.apply(vec) if n < sheffer.bound else vec
-    return total
+    row = _pairing_row(sheffer, g, sheffer.bound + 1)
+    return sum((c * value for c, value in zip(coords, row) if c), Fraction(0))
 
 
 def orthogonality_report(sheffer: ShefferSequence, kmax: int | None = None) -> dict:
     kmax = sheffer.bound if kmax is None else kmax
-    seq = sheffer.seq
+    if not 0 <= kmax <= sheffer.bound:
+        raise BadParameterError(f"kmax must lie in 0..{sheffer.bound}, got {kmax}")
+    # entry k has coordinates e_k in its own table, so <s_k, s_n> = rows[n][k]
+    rows = [_pairing_row(sheffer, sheffer[n], kmax + 1) for n in range(kmax + 1)]
     for k in range(kmax + 1):
         for n in range(kmax + 1):
-            value = inner_product(sheffer, sheffer[k], sheffer[n])
-            expected = seq.factorial(n) if n == k else Fraction(0)
+            value = rows[n][k]
+            expected = sheffer.seq.factorial(n) if n == k else Fraction(0)
             if value != expected:
                 return {
                     "passed": False,
@@ -138,14 +147,13 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
 
     # printed recipe: sum_k (u_k + nu_k(x)) / (k-1)_psi! Q^k
     log_prime = sheffer.s_series.formal_log_reduced().formal_derivative()
-    log_prime_op = realize_delta_series(log_prime, bound)
     u_values = []
     reading_a = zero_operator(bound)
     reading_b = zero_operator(bound)
     q_powers = q_op.powers(bound)
     term_polys_a, term_polys_b = [Polynomial()], [Polynomial()]
     for k in range(1, bound + 1):
-        u_k = -log_prime_op.apply(xhat_psi_inverse(seq, basic.table[k])).constant_term
+        u_k = -apply_delta_series(log_prime, xhat_psi_inverse(seq, basic.table[k])).constant_term
         u_values.append(u_k)
         slope = basic.table[k].derivative().constant_term
         nu_a = Polynomial([0, slope / seq.n_psi(1)])  # x times slope over 1_psi

@@ -238,6 +238,31 @@ class TestStarAndSpectral:
         assert lines[3] == "conjugation-route: agrees"
         assert lines[4] == "printed-formula: diverges at order 2 (finding)"
 
+    @pytest.mark.parametrize("kmax", [0, 4])
+    def test_spectral_kmax_bounds_are_inclusive(self, capsys, tmp_path, kmax):
+        cfg = write_config(tmp_path, {"kmax": kmax})
+        code, out, _ = run(capsys, ["spectral", "--degree", "4", "--config", cfg])
+        assert code == 0
+        assert f"orthogonality: ok (kmax={kmax})" in out
+
+    @pytest.mark.parametrize(
+        "kmax",
+        [
+            pytest.param(20, id="above-the-degree"),
+            pytest.param([1], id="list"),
+            pytest.param(-5, id="negative"),
+            pytest.param(2.7, id="float"),
+            pytest.param(True, id="bool"),
+            pytest.param("3", id="string"),
+        ],
+    )
+    def test_spectral_bad_kmax_exits_two_naming_the_key(self, capsys, tmp_path, kmax):
+        cfg = write_config(tmp_path, {"kmax": kmax})
+        code, out, err = run(capsys, ["spectral", "--degree", "4", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: BadParameterError:") and "kmax" in err
+
 
 class TestGuards:
     def test_degree_too_small(self, capsys):

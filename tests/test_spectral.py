@@ -113,6 +113,13 @@ def test_orthogonality_all_families(families, degree):
         assert report["passed"], (seq.label, report)
 
 
+@pytest.mark.parametrize("kmax", [-1, N + 1])
+def test_orthogonality_kmax_outside_the_table_is_rejected(kmax):
+    sheffer = identity_sheffer(CLASSICAL, [1, 1])
+    with pytest.raises(BadParameterError, match="kmax"):
+        orthogonality_report(sheffer, kmax=kmax)
+
+
 def test_gram_positivity():
     rng = random.Random(7)
     for seq in (CLASSICAL, Q2, QHALF, FIB, HYP):
