@@ -38,7 +38,7 @@ from .operators import (
     realize_delta_series,
     xhat_psi,
 )
-from .poly import Polynomial, SequenceTable, fr, parse_polynomial
+from .poly import SequenceTable, fr, parse_polynomial
 from .psi import AdmissibleSequence
 from .sequences import (
     basic_sequence_from_series,
@@ -66,37 +66,83 @@ _BUILTIN_RE = re.compile(r"^(?P<name>[a-zA-Z_]+)(?:\((?P<arg>[^)]+)\))?$")
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    # bad UTF-8 or JSON, an integer past Python's digit limit, or deep nesting
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise BadParameterError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise BadParameterError("config must be a JSON object")
     return data
 
 
-def _list_of(config: dict, key: str, default: list, kind: type, what: str) -> list:
-    """config[key] (or the default), required to be a list of `kind` items."""
-    value = config.get(key, default)
-    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
-        raise BadParameterError(f"config key {key!r} must be a list of {what}")
+# -- config readers: every value a command takes from a config object is read
+# and checked here, so bad input has one error path naming its key ----------
+
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _get(obj: dict, key: str, kind, default, where: str = "config", parse=None):
+    """obj[key], which must be of `kind` (a type or a tuple of types; a bool
+    never counts), run through `parse`. An absent key gives the default
+    (parsed unless None), or an error when the default is _REQUIRED."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise BadParameterError(f"{where} needs key {key!r}")
+        value = default
+    else:
+        value = obj[key]
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            what = " or ".join(_KIND_NAMES[k] for k in kinds)
+            raise BadParameterError(f"{where} key {key!r} must be {what}")
+    return value if parse is None or value is None else parse(value)
+
+
+def _int(obj: dict, key: str, default, lo: int, hi: int, where: str = "config"):
+    value = _get(obj, key, int, default, where)
+    if key in obj and not lo <= value <= hi:
+        raise BadParameterError(f"{where} key {key!r} must be an integer in {lo}..{hi}")
     return value
 
 
-def _family(config: dict, degree: int) -> AdmissibleSequence:
-    descriptor = config.get("family", {"family": "classical"})
+def _rational(obj: dict, key: str, default, where: str = "config"):
+    return _get(obj, key, (int, str), default, where, fr)
+
+
+def _rationals(obj: dict, key: str, default, where: str = "config"):
+    return _get(obj, key, list, default, where, lambda v: [fr(c) for c in v])
+
+
+def _polynomial(obj: dict, key: str, default, where: str = "config"):
+    return _get(obj, key, str, default, where, parse_polynomial)
+
+
+def _operator(obj: dict, key: str, default, seq: AdmissibleSequence, degree: int):
+    return resolve_operator(_get(obj, key, (str, list, dict), default), seq, degree)
+
+
+def _list_of(obj: dict, key: str, default, kind: type, what: str, where: str = "config") -> list:
+    """obj[key] (or the default), required to be a list of `kind` items."""
+    value = obj.get(key, default)
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise BadParameterError(f"{where} key {key!r} must be a list of {what}")
+    return value
+
+
+def _family(obj: dict, degree: int, where: str = "config") -> AdmissibleSequence:
+    descriptor = _get(obj, "family", dict, {"family": "classical"}, where)
     return AdmissibleSequence.from_descriptor(descriptor, degree + 1)
 
 
-def _series_from(coeffs, seq: AdmissibleSequence, degree: int) -> DeltaSeries:
-    return DeltaSeries.from_list(seq, [fr(c) for c in coeffs], degree)
-
-
 def _builtin_operator(name: str, arg, seq: AdmissibleSequence, degree: int) -> OperatorMatrix:
+    if name in ("jackson", "dilation"):
+        if arg is None:
+            raise BadParameterError(f"{name}(q) needs its argument q")
+        return jackson_operator(arg, degree) if name == "jackson" else dilation(arg, degree)
     if name == "psi_derivative":
         return psi_derivative(seq, degree)
-    if name == "jackson":
-        if arg is None:
-            raise BadParameterError("jackson(q) needs its deformation value")
-        return jackson_operator(arg, degree)
     if name == "divided_difference":
         return divided_difference(degree)
     if name == "forward_difference":
@@ -106,10 +152,6 @@ def _builtin_operator(name: str, arg, seq: AdmissibleSequence, degree: int) -> O
         return d.compose(multiplication_x(degree)).compose(d)
     if name == "hyperbolic_Q":
         return psi_derivative(AdmissibleSequence.hyperbolic(degree), degree)
-    if name == "dilation":
-        if arg is None:
-            raise BadParameterError("dilation(q) needs its scale value")
-        return dilation(arg, degree)
     if name == "multiplication_x":
         return multiplication_x(degree)
     raise BadParameterError(f"unknown builtin operator {name!r}")
@@ -126,23 +168,16 @@ def resolve_operator(literal, seq: AdmissibleSequence, degree: int) -> OperatorM
         arg = fr(match.group("arg")) if match.group("arg") else None
         return _builtin_operator(match.group("name"), arg, seq, degree)
     if isinstance(literal, list):
-        return realize_delta_series(_series_from(literal, seq, degree).require_delta(), degree)
+        literal = {"series": literal}
     if isinstance(literal, dict):
-        if "columns" in literal:
-            cols = [parse_polynomial(text) for text in literal["columns"]]
-            return OperatorMatrix(tuple(cols))
-        if "series" in literal:
-            base = seq
-            if "family" in literal:
-                base = AdmissibleSequence.from_descriptor(literal["family"], degree + 1)
-            return realize_delta_series(
-                _series_from(literal["series"], base, degree).require_delta(), degree
-            )
-        if "builtin" in literal:
-            arg = literal.get("q", literal.get("arg"))
-            return _builtin_operator(
-                literal["builtin"], fr(arg) if arg is not None else None, seq, degree
-            )
+        columns = _list_of(literal, "columns", [], str, "polynomial strings", "operator")
+        if columns:
+            return OperatorMatrix(tuple(parse_polynomial(text) for text in columns))
+        coeffs = _rationals(literal, "series", None, "operator")
+        if coeffs is not None:
+            base = _family(literal, degree, "operator") if "family" in literal else seq
+            series = DeltaSeries.from_list(base, coeffs, degree)
+            return realize_delta_series(series.require_delta(), degree)
     raise BadParameterError(f"bad operator literal {literal!r}")
 
 
@@ -163,14 +198,15 @@ def _emit(args, text: str, payload: dict) -> None:
 def cmd_sequence(args, config: dict) -> int:
     degree = args.degree
     seq = _family(config, degree)
-    q_coeffs = config.get("series", [0, 1])
-    q_series = _series_from(q_coeffs, seq, degree)
-    s_coeffs = config.get("prefactor")
+    q_coeffs = _rationals(config, "series", [0, 1])
+    s_coeffs = _rationals(config, "prefactor", None)
+    q_series = DeltaSeries.from_list(seq, q_coeffs, degree)
     if s_coeffs is None:
         table = basic_sequence_from_series(q_series, degree).table
         kind = "basic"
     else:
-        table = sheffer_sequence(q_series, _series_from(s_coeffs, seq, degree), degree).table
+        s_series = DeltaSeries.from_list(seq, s_coeffs, degree)
+        table = sheffer_sequence(q_series, s_series, degree).table
         kind = "prefactored"
     lines = [f"family: {seq.label}", f"kind: {kind}", f"N: {degree}"]
     for n, p in enumerate(table):
@@ -179,8 +215,8 @@ def cmd_sequence(args, config: dict) -> int:
         "family": seq.descriptor(),
         "kind": kind,
         "N": degree,
-        "operator": [str(fr(c)) for c in q_coeffs],
-        "prefactor": [str(fr(c)) for c in s_coeffs] if s_coeffs is not None else None,
+        "operator": [str(c) for c in q_coeffs],
+        "prefactor": [str(c) for c in s_coeffs] if s_coeffs is not None else None,
         "table": table.to_json(),
     }
     _emit(args, "\n".join(lines), payload)
@@ -192,24 +228,22 @@ def cmd_verify(args, config: dict) -> int:
     default = list(DEFAULT_FAMILY_DESCRIPTORS)
     descriptors = _list_of(config, "families", default, object, "family descriptors")
     suites = _list_of(config, "suites", list(SUITES), str, "suite names")
-    tables = _list_of(config, "check_tables", [], dict, "objects")
-    for entry in tables:
-        rows = entry.get("entries")
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise BadParameterError(
-                "check_tables key 'entries' must be a list of coefficient lists"
-            )
-        if "family" not in entry:
-            raise BadParameterError("check_tables entry needs key 'family'")
+    tables = [
+        (
+            _get(entry, "label", str, "table", "check_tables"),
+            _list_of(entry, "entries", None, list, "coefficient lists", "check_tables"),
+            _get(entry, "family", dict, _REQUIRED, "check_tables entry"),
+        )
+        for entry in _list_of(config, "check_tables", [], dict, "objects")
+    ]
     families = [AdmissibleSequence.from_descriptor(d, degree + 1) for d in descriptors]
     reports = run_suites(suites, families, degree, args.seed)
 
     # optional externally supplied tables, checked against the addition rule
     provided = Records("binomial", degree)
-    for entry in tables:
-        table = SequenceTable.from_json(entry["entries"])
-        seq = AdmissibleSequence.from_descriptor(entry["family"], table.bound + 1)
-        label = entry.get("label", "table")
+    for label, entries, descriptor in tables:
+        table = SequenceTable.from_json(entries)
+        seq = AdmissibleSequence.from_descriptor(descriptor, table.bound + 1)
         check = verify_binomial_type(table, seq)
         ident = f"provided-table({label})"
         provided.exact(ident, seq.label, check.passed, check.witness, degree=table.bound)
@@ -221,19 +255,13 @@ def cmd_verify(args, config: dict) -> int:
 def cmd_expand(args, config: dict) -> int:
     degree = args.degree
     seq = _family(config, degree)
-    if "operator" not in config:
-        raise BadParameterError("expand needs an 'operator' literal in the config")
-    target = resolve_operator(config["operator"], seq, degree)
+    target = _operator(config, "operator", _REQUIRED, seq, degree)
     if target.bound != degree:
         raise BadParameterError(
             f"operator bound {target.bound} does not match degree {degree}"
         )
-    lowering = (
-        resolve_operator(config["lowering"], seq, degree)
-        if "lowering" in config
-        else psi_derivative(seq, degree)
-    )
-    mode = config.get("raiser", "graded")
+    lowering = _operator(config, "lowering", "psi_derivative", seq, degree)
+    mode = _get(config, "raiser", str, "graded")
     if mode == "graded":
         raiser = xhat_psi(seq, degree)
     elif mode == "multiplication":
@@ -261,9 +289,7 @@ def cmd_expand(args, config: dict) -> int:
 def cmd_detect(args, config: dict) -> int:
     degree = args.degree
     seq = _family(config, degree)
-    if "operator" not in config:
-        raise BadParameterError("detect needs an 'operator' literal in the config")
-    op = resolve_operator(config["operator"], seq, degree)
+    op = _operator(config, "operator", _REQUIRED, seq, degree)
     result = detect_psi_form(op)
     if result.consistent:
         lines = [
@@ -291,24 +317,19 @@ def cmd_detect(args, config: dict) -> int:
 def cmd_integrate(args, config: dict) -> int:
     degree = args.degree
     seq = _family(config, degree)
-    kind = config.get("kind", "psi")
+    kind = _get(config, "kind", str, "psi")
     if kind == "psi":
         op = IntegralOperator.psi_integral(seq, degree)
-        partner = psi_derivative(seq, degree)
     elif kind == "q":
-        q = fr(config["q"]) if "q" in config else None
-        if q is None:
-            raise BadParameterError("q integral needs a 'q' value")
-        op = IntegralOperator.q_integral(q, degree)
-        partner = jackson_operator(q, degree)
+        op = IntegralOperator.q_integral(_rational(config, "q", _REQUIRED), degree)
     elif kind == "r":
-        op = IntegralOperator.r_integral(config["coefficients"], fr(config["q"]), degree)
-        partner = op.partner
+        coeffs = _rationals(config, "coefficients", _REQUIRED)
+        op = IntegralOperator.r_integral(coeffs, _rational(config, "q", _REQUIRED), degree)
     else:
         raise BadParameterError(f"unknown integral kind {kind!r}")
-    p = parse_polynomial(config.get("polynomial", "x"))
+    p = _polynomial(config, "polynomial", "x")
     integral = op.integrate(p)
-    pairing = verify_right_inverse(op, partner)
+    pairing = verify_right_inverse(op, op.partner)
     lines = [
         f"kind: {kind}",
         f"input: {p.to_text()}",
@@ -331,29 +352,30 @@ def cmd_integrate(args, config: dict) -> int:
 
 def cmd_star(args, config: dict) -> int:
     degree = args.degree
+    if not any(key in config for key in ("power", "left", "right", "poisson")):
+        raise BadParameterError(
+            "star needs one of 'power', 'left'/'right', or 'poisson' in the config"
+        )
     seq = _family(config, degree)
     ctx = StarContext.create(seq, degree)
     lines = [f"family: {seq.label}"]
     payload = {"family": seq.descriptor(), "N": degree}
     status = 0
-    handled = False
-    if "power" in config:
-        n = int(config["power"])
+    n = _int(config, "power", None, 0, degree)
+    if n is not None:
         p = star_power(ctx, n)
         lines.append(f"x^({n}*) = {p.to_text()}")
         payload["power"] = {"n": n, "value": p.to_json_list()}
-        handled = True
     if "left" in config or "right" in config:
-        left = parse_polynomial(config["left"])
-        right = parse_polynomial(config["right"])
+        left = _polynomial(config, "left", _REQUIRED)
+        right = _polynomial(config, "right", _REQUIRED)
         product = star_product(ctx, left, right)
         lines.append(f"product = {product.to_text()}")
         payload["product"] = product.to_json_list()
-        handled = True
-    if "poisson" in config:
-        block = config["poisson"]
-        lam = fr(block.get("lam", 1))
-        m_max = int(block.get("m_max", 4))
+    block = _get(config, "poisson", dict, None)
+    if block is not None:
+        lam = _rational(block, "lam", 1, "poisson")
+        m_max = _int(block, "m_max", 4, 0, degree, "poisson")
         family = poisson_psi_polynomials(ctx, lam, m_max)
         routes = poisson_raising_route(ctx, lam, m_max)
         agree = all(p == a for p, a in zip(family, routes))
@@ -367,11 +389,6 @@ def cmd_star(args, config: dict) -> int:
         }
         if not agree:
             status = 1
-        handled = True
-    if not handled:
-        raise BadParameterError(
-            "star needs one of 'power', 'left'/'right', or 'poisson' in the config"
-        )
     _emit(args, "\n".join(lines), payload)
     return status
 
@@ -379,11 +396,9 @@ def cmd_star(args, config: dict) -> int:
 def cmd_spectral(args, config: dict) -> int:
     degree = args.degree
     seq = _family(config, degree)
-    kmax = config.get("kmax", degree)
-    if not isinstance(kmax, int) or isinstance(kmax, bool):
-        raise BadParameterError(f"config key 'kmax' must be an integer, got {kmax!r}")
-    q_series = _series_from(config.get("series", [0, 1]), seq, degree)
-    s_series = _series_from(config.get("prefactor", [1, 1]), seq, degree)
+    kmax = _int(config, "kmax", degree, 0, degree)
+    q_series = DeltaSeries.from_list(seq, _rationals(config, "series", [0, 1]), degree)
+    s_series = DeltaSeries.from_list(seq, _rationals(config, "prefactor", [1, 1]), degree)
     sheffer = sheffer_sequence(q_series, s_series, degree)
     orth = orthogonality_report(sheffer, kmax=kmax)
     result = spectral_operator(sheffer)
@@ -454,10 +469,7 @@ def main(argv=None) -> int:
             raise BadParameterError(f"--degree {args.degree} exceeds the limit {MAX_DEGREE}")
         config = _load_config(args.config)
         status = COMMANDS[args.command](args, config)
-    except UmbralError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (UmbralError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
     return status

@@ -66,7 +66,7 @@ class Polynomial:
     @staticmethod
     def monomial(n: int, c=1) -> "Polynomial":
         if n < 0:
-            raise ValueError("monomial degree must be nonnegative")
+            raise BadParameterError("monomial degree must be nonnegative")
         return Polynomial([0] * n + [c])
 
     @property
@@ -135,7 +135,7 @@ class Polynomial:
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
-            raise ValueError("negative polynomial power")
+            raise BadParameterError("negative polynomial power")
         result = ONE
         for _ in range(n):
             result = result * self
@@ -222,8 +222,9 @@ def _combine(coeffs, polys) -> Polynomial:
     return Polynomial._trusted(out)
 
 
+# at most four exponent digits, so the dense coefficient list below stays small
 _TERM_RE = re.compile(
-    r"^(?P<sign>-)?(?P<num>\d+(?:/\d+)?)?(?:\*?(?P<x>x)(?:\^(?P<exp>\d+))?)?$"
+    r"^(?P<sign>-)?(?P<num>\d+(?:/\d+)?)?(?:\*?(?P<x>x)(?:\^(?P<exp>\d{1,4}))?)?$"
 )
 
 
@@ -231,13 +232,13 @@ def parse_polynomial(text: str) -> Polynomial:
     """Parse 'c0 + c1*x + c2*x^2' style text (also accepts '-', bare 'x')."""
     compact = text.replace(" ", "")
     if not compact:
-        raise ValueError("empty polynomial text")
+        raise BadParameterError("empty polynomial text")
     compact = compact.replace("-", "+-").replace("++", "+").lstrip("+")
     coeffs: dict[int, Fraction] = {}
     for term in compact.split("+"):
         m = _TERM_RE.match(term) if term else None
         if not m or (m.group("num") is None and m.group("x") is None):
-            raise ValueError(f"bad term {term!r} in polynomial text {text!r}")
+            raise BadParameterError(f"bad term {term!r} in polynomial text {text!r}")
         coeff = fr(m.group("num")) if m.group("num") else Fraction(1)
         if m.group("sign"):
             coeff = -coeff

@@ -229,9 +229,11 @@ class AdmissibleSequence:
             raise BadParameterError(f"family descriptor must be an object, got {data!r}")
         family = data.get("family")
 
-        def need(key):
+        def need(key, listed=False):
             if key not in data:
                 raise BadParameterError(f"{family} family descriptor needs key {key!r}")
+            if listed and not isinstance(data[key], list):
+                raise BadParameterError(f"{family} family descriptor key {key!r} must be a list")
             return data[key]
 
         if family == CLASSICAL:
@@ -241,11 +243,11 @@ class AdmissibleSequence:
         if family == FIBONACCI:
             return AdmissibleSequence.fibonacci(bound)
         if family == RECURRENCE:
-            return AdmissibleSequence.recurrence(need("alphas"), need("betas"), bound)
+            return AdmissibleSequence.recurrence(need("alphas", True), need("betas", True), bound)
         if family == R_SERIES:
-            return AdmissibleSequence.r_series(need("coefficients"), need("q"), bound)
+            return AdmissibleSequence.r_series(need("coefficients", True), need("q"), bound)
         if family == HYPERBOLIC:
             return AdmissibleSequence.hyperbolic(bound)
         if family == CUSTOM:
-            return AdmissibleSequence.custom(need("values"), bound)
+            return AdmissibleSequence.custom(need("values", True), bound)
         raise BadParameterError(f"unknown family {family!r}")

@@ -101,6 +101,8 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
     """
     q_series.require_delta()
     seq = q_series.base
+    # read q at the bound: inverses and powers need every order up to it
+    q_series = DeltaSeries.from_list(seq, q_series.coeffs, bound)
     s_inv = q_series.shift_down().multiplicative_inverse()
     qprime = q_series.formal_derivative()
 
@@ -162,6 +164,9 @@ def sheffer_sequence(
 ) -> ShefferSequence:
     q_series.require_delta()
     s_series.require_invertible()
+    # read both at the bound: the inverse of a shorter S is truncated below it
+    q_series = DeltaSeries.from_list(q_series.base, q_series.coeffs, bound)
+    s_series = DeltaSeries.from_list(s_series.base, s_series.coeffs, bound)
     basic = basic_sequence_from_series(q_series, bound)
     s_inv = s_series.multiplicative_inverse()
     entries = tuple(apply_delta_series(s_inv, p) for p in basic.table)
@@ -433,8 +438,9 @@ def verify_expansion_constants(
 
 def sheffer_product_shift(sheffer: ShefferSequence, extra_s: DeltaSeries) -> ShefferSequence:
     """Move along the Sheffer orbit: divide the table by an invertible series."""
-    # read the inverse in the table's own family
-    extra_inv = DeltaSeries(sheffer.seq, extra_s.multiplicative_inverse().coeffs)
+    # read the series in the table's own family and at its bound
+    extra_s = DeltaSeries.from_list(sheffer.seq, extra_s.coeffs, sheffer.bound)
+    extra_inv = extra_s.multiplicative_inverse()
     entries = tuple(apply_delta_series(extra_inv, p) for p in sheffer.table)
     return ShefferSequence(
         sheffer.seq,

@@ -22,7 +22,6 @@ from .operators import (
     expand_in_dual_pair,
     generalized_shift,
     identity_operator,
-    multiplication_operator,
     multiplication_x,
     operator_polynomial,
     operator_polynomial_applied,
@@ -111,21 +110,17 @@ def xhat_psi_inverse(seq: AdmissibleSequence, p: Polynomial) -> Polynomial:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Definitional eigen-operator plus the printed closed-form assemblies.
+    """Definitional eigen-operator plus checks of the printed assemblies.
 
-    `definitional` has eigenvalue n on Sheffer entry n by construction.
-    `composition` is S^{-1} xhat_Q Q S, exact, and must match. The two
-    `formula_*` matrices assemble the printed coefficient recipe under both
-    readings of its ambiguous term; `term_agreement` records, order by order,
-    whether the printed terms match the expansion of the definitional
-    operator over Q in multiplication form.
+    `definitional` has eigenvalue n on Sheffer entry n by construction, and
+    `composition_agrees` says whether S^{-1} xhat_Q Q S matches it exactly.
+    `term_agreement` records, order by order, whether the printed coefficient
+    recipe, under both readings of its ambiguous term, matches the expansion
+    of the definitional operator over Q in multiplication form.
     """
 
     definitional: OperatorMatrix
-    composition: OperatorMatrix
     composition_agrees: bool
-    formula_reading_a: OperatorMatrix
-    formula_reading_b: OperatorMatrix
     u_values: tuple
     term_agreement: tuple
 
@@ -148,9 +143,6 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
     # printed recipe: sum_k (u_k + nu_k(x)) / (k-1)_psi! Q^k
     log_prime = sheffer.s_series.formal_log_reduced().formal_derivative()
     u_values = []
-    reading_a = zero_operator(bound)
-    reading_b = zero_operator(bound)
-    q_powers = q_op.powers(bound)
     term_polys_a, term_polys_b = [Polynomial()], [Polynomial()]
     for k in range(1, bound + 1):
         u_k = -apply_delta_series(log_prime, xhat_psi_inverse(seq, basic.table[k])).constant_term
@@ -162,12 +154,6 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
         poly_b = Polynomial([u_k * weight])
         term_polys_a.append(poly_a)
         term_polys_b.append(poly_b)
-        reading_a = reading_a.add(
-            multiplication_operator(poly_a, bound).compose(q_powers[k])
-        )
-        reading_b = reading_b.add(
-            multiplication_operator(poly_b, bound).compose(q_powers[k])
-        )
 
     expansion = expand_in_dual_pair(definitional, q_op, multiplication_x(bound))
     agreement = []
@@ -180,15 +166,7 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
             }
         )
 
-    return SpectralResult(
-        definitional,
-        composition,
-        composition_agrees,
-        reading_a,
-        reading_b,
-        tuple(u_values),
-        tuple(agreement),
-    )
+    return SpectralResult(definitional, composition_agrees, tuple(u_values), tuple(agreement))
 
 
 # -- deformed commutation suite -------------------------------------------------

@@ -1,9 +1,13 @@
 """End-to-end runs of the command line front end through main()."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from umbralcalc import (
     AdmissibleSequence,
@@ -364,3 +368,156 @@ class TestGuards:
         code, _, err = run(capsys, ["verify", "--degree", "3", "--config", cfg])
         assert code == 2
         assert err == f"error: BadParameterError: {message}\n"
+
+
+class TestConfigReaders:
+    """Every config value is read through one typed reader, so bad input
+    exits 2 with one error line naming its key, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            pytest.param("sequence", {"series": 1}, "series", id="sequence-series-int"),
+            pytest.param("sequence", {"series": None}, "series", id="sequence-series-null"),
+            pytest.param("sequence", {"prefactor": 5}, "prefactor", id="sequence-prefactor-int"),
+            pytest.param(
+                "sequence",
+                {"family": {"family": "custom", "values": 3}},
+                "values",
+                id="sequence-custom-values-int",
+            ),
+            pytest.param(
+                "verify",
+                {"suites": [], "families": [{"family": "custom", "values": 3}]},
+                "values",
+                id="verify-custom-values-int",
+            ),
+            pytest.param("star", {"power": [2]}, "power", id="star-power-list"),
+            pytest.param("star", {"poisson": 3}, "poisson", id="star-poisson-int"),
+            pytest.param("star", {"left": 3, "right": "x"}, "left", id="star-left-int"),
+            pytest.param(
+                "integrate",
+                {"kind": "r", "coefficients": 7, "q": 2},
+                "coefficients",
+                id="integrate-coefficients-int",
+            ),
+            pytest.param(
+                "integrate", {"polynomial": None}, "polynomial", id="integrate-polynomial-null"
+            ),
+            pytest.param(
+                "expand", {"operator": {"columns": 3}}, "columns", id="expand-columns-int"
+            ),
+            pytest.param("expand", {"operator": {"series": 3}}, "series", id="expand-series-int"),
+            pytest.param("star", {"power": 2.7}, "power", id="star-power-float"),
+            pytest.param("star", {"power": True}, "power", id="star-power-bool"),
+            pytest.param("star", {"poisson": {"m_max": 1.7}}, "m_max", id="poisson-m_max-float"),
+            pytest.param("star", {"poisson": {"m_max": True}}, "m_max", id="poisson-m_max-bool"),
+            pytest.param(
+                "verify",
+                {
+                    "suites": [],
+                    "families": [],
+                    "check_tables": [
+                        {"label": [1], "family": {"family": "classical"}, "entries": [["1"]]}
+                    ],
+                },
+                "label",
+                id="check_tables-label-list",
+            ),
+            pytest.param("star", {"left": "x"}, "right", id="star-left-without-right"),
+            pytest.param(
+                "integrate", {"kind": "r", "q": 2}, "coefficients", id="integrate-r-no-coefficients"
+            ),
+            pytest.param("star", {"power": -1}, "power", id="star-power-negative"),
+        ],
+    )
+    def test_bad_value_exits_two_naming_the_key(self, capsys, tmp_path, command, config, key):
+        cfg = write_config(tmp_path, config)
+        code, out, err = run(capsys, [command, "--degree", "3", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: BadParameterError: ") and err.count("\n") == 1
+        assert repr(key) in err
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"{", b"\xff\xfe{}", b"", b'{"power": ' + b"1" * 5000 + b"}", b"[" * 100_000],
+        ids=["truncated", "not-utf8", "empty", "integer-past-digit-limit", "deep-nesting"],
+    )
+    def test_unparsable_config_exits_two(self, capsys, tmp_path, body):
+        path = tmp_path / "config.json"
+        path.write_bytes(body)
+        code, out, err = run(capsys, ["sequence", "--degree", "3", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: BadParameterError: config is not valid JSON")
+
+
+# keys each command reads at the top level, and the keys of the objects
+# nested in them (family descriptors, operator literals, poisson blocks,
+# check_tables entries)
+COMMAND_KEYS = {
+    "sequence": ["family", "series", "prefactor"],
+    "verify": ["families", "suites", "check_tables"],
+    "expand": ["family", "operator", "lowering", "raiser"],
+    "detect": ["family", "operator"],
+    "integrate": ["family", "kind", "q", "coefficients", "polynomial"],
+    "star": ["family", "power", "left", "right", "poisson"],
+    "spectral": ["family", "kmax", "series", "prefactor"],
+}
+NESTED_KEYS = [
+    "family", "q", "values", "alphas", "betas", "coefficients", "columns",
+    "series", "lam", "m_max", "label", "entries",
+]
+# strings that mean something to some reader, so the search gets past the
+# type checks into the values they guard
+WORDS = [
+    "classical", "q_deformed", "fibonacci", "recurrence", "r_series",
+    "hyperbolic", "custom", "psi", "q", "r", "graded", "multiplication",
+    "DxD", "jackson(2)", "dilation", "psi_derivative", "ghw", "routes",
+    "x", "1+x^2", "2x", "1/2", "2", "-1", "1/0", "",
+]
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.sampled_from(WORDS)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(NESTED_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def command_configs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
+    keys = COMMAND_KEYS[command]
+    config = draw(st.dictionaries(st.sampled_from(keys), json_values, max_size=len(keys)))
+    if command == "verify":
+        # an absent 'suites' runs every suite; that default is covered above
+        config.setdefault("suites", [])
+    return command, config
+
+
+def test_fuzz_covers_every_command():
+    assert sorted(COMMAND_KEYS) == sorted(COMMANDS)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=command_configs())
+def test_no_config_escapes_the_exit_code_contract(case):
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--degree", "3", "--config", str(cfg), "--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1 and text.endswith("\n")

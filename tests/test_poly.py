@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbralcalc.errors import BasisMismatchError, DegreeOverflowError
+from umbralcalc.errors import BadParameterError, BasisMismatchError, DegreeOverflowError
 from umbralcalc.poly import (
     ONE,
     X,
@@ -83,6 +83,15 @@ def test_text_round_trip():
     assert parse_polynomial("x^2 - 3*x") == Polynomial([0, -3, 1])
     assert parse_polynomial("-x") == Polynomial([0, -1])
     assert parse_polynomial("0") == ZERO
+
+
+@pytest.mark.parametrize(
+    "text", ["", " ", "x^^2", "2y", "x^10000", "x^" + "1" * 5000], ids=repr
+)
+def test_bad_polynomial_text_is_a_bad_parameter(text):
+    # a five-digit exponent is refused before a dense list that long is built
+    with pytest.raises(BadParameterError):
+        parse_polynomial(text)
 
 
 def test_json_round_trip():

@@ -37,6 +37,7 @@ from umbralcalc.sequences import (
     verify_sheffer_definition,
 )
 from umbralcalc.series import DeltaSeries
+from umbralcalc.spectral import orthogonality_report
 
 N = 8
 CLASSICAL = AdmissibleSequence.classical(N + 1)
@@ -194,6 +195,27 @@ def test_sheffer_orbit():
     direct = sheffer_sequence(q, s1.multiply(s2), N)
     assert moved.table.entries == direct.table.entries
     assert verify_sheffer_definition(moved).passed
+
+
+def test_routes_read_a_short_series_at_the_bound():
+    # t + t^2 given at order 2 must give the same routes as at order 4
+    classical = AdmissibleSequence.classical(4)
+    q = DeltaSeries.from_list(classical, [0, 1, 1], 2)
+    solved = basic_sequence_from_series(q, 4).table
+    for name, table in closed_form_routes(q, 4).items():
+        assert table.entries == solved.entries, name
+
+
+def test_sheffer_reads_a_short_prefactor_at_the_bound():
+    # S = 1 + t at order 1: S^-1 = 1 - t + t^2 - ..., so s_2 = x^2 - 2x + 2
+    classical = AdmissibleSequence.classical(4)
+    q = DeltaSeries.from_list(classical, [0, 1], 1)
+    s = DeltaSeries.from_list(classical, [1, 1], 1)
+    sheffer = sheffer_sequence(q, s, 4)
+    assert sheffer[2] == Polynomial([2, -2, 1])
+    assert orthogonality_report(sheffer)["passed"]
+    basic = sheffer_sequence(q, DeltaSeries.from_list(classical, [1], 0), 4)
+    assert sheffer_product_shift(basic, s).table.entries == sheffer.table.entries
 
 
 def test_appell_sequence_lowers_with_derivative():
