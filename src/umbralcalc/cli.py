@@ -137,24 +137,29 @@ def _family(obj: dict, degree: int, where: str = "config") -> AdmissibleSequence
 
 
 def _builtin_operator(name: str, arg, seq: AdmissibleSequence, degree: int) -> OperatorMatrix:
+    """Builtin `name`; `arg` is the text of its argument, or None."""
     if name in ("jackson", "dilation"):
         if arg is None:
             raise BadParameterError(f"{name}(q) needs its argument q")
         return jackson_operator(arg, degree) if name == "jackson" else dilation(arg, degree)
-    if name == "psi_derivative":
-        return psi_derivative(seq, degree)
-    if name == "divided_difference":
-        return divided_difference(degree)
-    if name == "forward_difference":
-        return forward_difference(degree)
-    if name == "DxD":
+
+    def dxd():
         d = psi_derivative(AdmissibleSequence.classical(degree), degree)
         return d.compose(multiplication_x(degree)).compose(d)
-    if name == "hyperbolic_Q":
-        return psi_derivative(AdmissibleSequence.hyperbolic(degree), degree)
-    if name == "multiplication_x":
-        return multiplication_x(degree)
-    raise BadParameterError(f"unknown builtin operator {name!r}")
+
+    builtins = {
+        "psi_derivative": lambda: psi_derivative(seq, degree),
+        "divided_difference": lambda: divided_difference(degree),
+        "forward_difference": lambda: forward_difference(degree),
+        "DxD": dxd,
+        "hyperbolic_Q": lambda: psi_derivative(AdmissibleSequence.hyperbolic(degree), degree),
+        "multiplication_x": lambda: multiplication_x(degree),
+    }
+    if name not in builtins:
+        raise BadParameterError(f"unknown builtin operator {name!r}")
+    if arg is not None:
+        raise BadParameterError(f"builtin operator {name!r} takes no argument")
+    return builtins[name]()
 
 
 def resolve_operator(literal, seq: AdmissibleSequence, degree: int) -> OperatorMatrix:
@@ -165,8 +170,7 @@ def resolve_operator(literal, seq: AdmissibleSequence, degree: int) -> OperatorM
         match = _BUILTIN_RE.match(literal.strip())
         if not match:
             raise BadParameterError(f"bad operator literal {literal!r}")
-        arg = fr(match.group("arg")) if match.group("arg") else None
-        return _builtin_operator(match.group("name"), arg, seq, degree)
+        return _builtin_operator(match.group("name"), match.group("arg"), seq, degree)
     if isinstance(literal, list):
         literal = {"series": literal}
     if isinstance(literal, dict):
@@ -236,6 +240,8 @@ def cmd_verify(args, config: dict) -> int:
         )
         for entry in _list_of(config, "check_tables", [], dict, "objects")
     ]
+    if any(not entries for _, entries, _ in tables):
+        raise BadParameterError("check_tables key 'entries' must list at least one entry")
     families = [AdmissibleSequence.from_descriptor(d, degree + 1) for d in descriptors]
     reports = run_suites(suites, families, degree, args.seed)
 

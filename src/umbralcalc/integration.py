@@ -15,7 +15,7 @@ from .errors import (
     DegreeOverflowError,
     MismatchedPairError,
 )
-from .operators import OperatorMatrix, jackson_operator, psi_derivative
+from .operators import OperatorMatrix, jackson_operator, psi_derivative, weighted_shift
 from .poly import Polynomial, fr
 from .psi import AdmissibleSequence
 
@@ -70,10 +70,7 @@ class IntegralOperator:
                 )
             weights.append(w)
         # the matching difference operator scales x^n -> w(n) x^{n-1}
-        cols = [Polynomial()]
-        for n in range(1, bound + 1):
-            cols.append(Polynomial.monomial(n - 1, weights[n - 1]))
-        partner = OperatorMatrix(tuple(cols))
+        partner = weighted_shift(-1, bound, lambda n: weights[n - 1])
         return IntegralOperator(
             R_INTEGRAL, bound, tuple(weights), partner, f"r_series(q={q})"
         )
@@ -89,11 +86,7 @@ class IntegralOperator:
         return Polynomial(coeffs)
 
     def as_matrix(self) -> OperatorMatrix:
-        cols = []
-        for j in range(self.bound):
-            cols.append(Polynomial.monomial(j + 1, 1 / self.weights[j]))
-        cols.append(Polynomial())  # top column lost to truncation
-        return OperatorMatrix(tuple(cols))
+        return weighted_shift(1, self.bound, lambda j: 1 / self.weights[j])
 
 
 def verify_right_inverse(

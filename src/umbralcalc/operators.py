@@ -136,8 +136,26 @@ class OperatorMatrix:
         return OperatorMatrix(tuple(polynomial_from_json(col) for col in data))
 
 
+def from_action(action, bound: int) -> OperatorMatrix:
+    """The matrix whose column j is action(x^j): a linear map on degrees
+    0..bound is fixed by its images of the monomials."""
+    return OperatorMatrix(tuple(action(Polynomial.monomial(j)) for j in range(bound + 1)))
+
+
+def weighted_shift(step: int, bound: int, weight) -> OperatorMatrix:
+    """x^j -> weight(j) x^(j + step). `weight` is asked only for the columns
+    whose image stays within degrees 0..bound, so a family just long enough
+    for those columns is never read past its end; the others are zero."""
+
+    def action(p: Polynomial) -> Polynomial:
+        j = p.degree
+        return Polynomial.monomial(j + step, weight(j)) if 0 <= j + step <= bound else Polynomial()
+
+    return from_action(action, bound)
+
+
 def identity_operator(bound: int) -> OperatorMatrix:
-    return OperatorMatrix(tuple(Polynomial.monomial(j) for j in range(bound + 1)))
+    return from_action(lambda p: p, bound)
 
 
 def zero_operator(bound: int) -> OperatorMatrix:
@@ -161,34 +179,22 @@ def require_lowers_by_one(op: OperatorMatrix) -> OperatorMatrix:
 
 def psi_derivative(seq: AdmissibleSequence, bound: int) -> OperatorMatrix:
     """Lowering operator graded by the family: x^n -> n_psi x^{n-1}."""
-    cols = [Polynomial()]
-    for j in range(1, bound + 1):
-        cols.append(Polynomial.monomial(j - 1, seq.n_psi(j)))
-    return OperatorMatrix(tuple(cols))
+    return weighted_shift(-1, bound, seq.n_psi)
 
 
 def xhat_psi(seq: AdmissibleSequence, bound: int) -> OperatorMatrix:
     """Dual raising operator: x^n -> ((n+1)/(n+1)_psi) x^{n+1}, top truncated."""
-    cols = []
-    for j in range(bound):
-        cols.append(Polynomial.monomial(j + 1, Fraction(j + 1) / seq.n_psi(j + 1)))
-    cols.append(Polynomial())
-    return OperatorMatrix(tuple(cols))
+    return weighted_shift(1, bound, lambda j: Fraction(j + 1) / seq.n_psi(j + 1))
 
 
 def multiplication_x(bound: int) -> OperatorMatrix:
     """Multiplication by x with the top column truncated away."""
-    cols = [Polynomial.monomial(j + 1) for j in range(bound)]
-    cols.append(Polynomial())
-    return OperatorMatrix(tuple(cols))
+    return weighted_shift(1, bound, lambda j: 1)
 
 
 def dilation(q, bound: int) -> OperatorMatrix:
     """Scale substitution p(x) -> p(q x)."""
-    q = fr(q)
-    return OperatorMatrix(
-        tuple(Polynomial.monomial(j, q**j) for j in range(bound + 1))
-    )
+    return from_action(lambda p: p.dilate(q), bound)
 
 
 def jackson_derivative(p: Polynomial, q) -> Polynomial:
@@ -203,13 +209,7 @@ def jackson_derivative(p: Polynomial, q) -> Polynomial:
 
 
 def jackson_operator(q, bound: int) -> OperatorMatrix:
-    q = fr(q)
-    if q == 1:
-        raise BadParameterError("jackson derivative undefined at q = 1")
-    cols = [Polynomial()]
-    for j in range(1, bound + 1):
-        cols.append(Polynomial.monomial(j - 1, (1 - q**j) / (1 - q)))
-    return OperatorMatrix(tuple(cols))
+    return from_action(lambda p: jackson_derivative(p, q), bound)
 
 
 def divided_difference_apply(p: Polynomial) -> Polynomial:
@@ -218,26 +218,18 @@ def divided_difference_apply(p: Polynomial) -> Polynomial:
 
 
 def divided_difference(bound: int) -> OperatorMatrix:
-    cols = [Polynomial()]
-    for j in range(1, bound + 1):
-        cols.append(Polynomial.monomial(j - 1))
-    return OperatorMatrix(tuple(cols))
+    return from_action(divided_difference_apply, bound)
 
 
 def forward_difference(bound: int) -> OperatorMatrix:
     """p(x) -> p(x+1) - p(x)."""
     shifted = Polynomial([1, 1])
-    cols = []
-    for j in range(bound + 1):
-        cols.append(shifted**j - Polynomial.monomial(j))
-    return OperatorMatrix(tuple(cols))
+    return from_action(lambda p: p.compose(shifted) - p, bound)
 
 
 def nhat_diagonal(seq: AdmissibleSequence, bound: int) -> OperatorMatrix:
     """Diagonal x^m -> (m+1)_psi x^m (needs the family valid to bound+1)."""
-    return OperatorMatrix(
-        tuple(Polynomial.monomial(j, seq.n_psi(j + 1)) for j in range(bound + 1))
-    )
+    return weighted_shift(0, bound, lambda j: seq.n_psi(j + 1))
 
 
 def generalized_shift(seq: AdmissibleSequence, p: Polynomial, y) -> Polynomial:
@@ -254,14 +246,7 @@ def generalized_shift(seq: AdmissibleSequence, p: Polynomial, y) -> Polynomial:
 
 
 def generalized_shift_operator(seq: AdmissibleSequence, y, bound: int) -> OperatorMatrix:
-    y = fr(y)
-    cols = []
-    for j in range(bound + 1):
-        coeffs = [Fraction(0)] * (j + 1)
-        for k in range(j + 1):
-            coeffs[j - k] = seq.binomial(j, k) * y**k
-        cols.append(Polynomial(coeffs))
-    return OperatorMatrix(tuple(cols))
+    return from_action(lambda p: generalized_shift(seq, p, y), bound)
 
 
 def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
@@ -283,29 +268,17 @@ def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
 def realize_delta_series(s: DeltaSeries, bound: int) -> OperatorMatrix:
     """Matrix of sum_k c_k Q^k, for a series that is composed or reused;
     a single use is `apply_delta_series`."""
-    return OperatorMatrix(
-        tuple(apply_delta_series(s, Polynomial.monomial(j)) for j in range(bound + 1))
-    )
+    return from_action(lambda p: apply_delta_series(s, p), bound)
 
 
 def multiplication_operator(p: Polynomial, bound: int) -> OperatorMatrix:
     """Multiplication by a fixed polynomial, overflow truncated away."""
-    cols = []
-    for j in range(bound + 1):
-        cols.append((p * Polynomial.monomial(j)).truncate(bound))
-    return OperatorMatrix(tuple(cols))
+    return from_action(lambda v: (p * v).truncate(bound), bound)
 
 
 def operator_polynomial(p: Polynomial, m: OperatorMatrix) -> OperatorMatrix:
     """Matrix of p(M) = sum_k p_k M^k."""
-    out = zero_operator(m.bound)
-    power = identity_operator(m.bound)
-    for k, c in enumerate(p.coeffs):
-        if c != 0:
-            out = out.add(power.scale(c))
-        if k < p.degree:
-            power = m.compose(power)
-    return out
+    return from_action(lambda v: operator_polynomial_applied(p, m, v), m.bound)
 
 
 def operator_polynomial_applied(p: Polynomial, m: OperatorMatrix, start: Polynomial) -> Polynomial:
@@ -337,11 +310,7 @@ def umbral_operator(source: SequenceTable, images) -> OperatorMatrix:
     """
     if len(images) != len(source):
         raise WrongFamilyError(f"{len(images)} images for a table of {len(source)} entries")
-    cols = []
-    for j in range(source.bound + 1):
-        coords = coordinates_in_table(source, Polynomial.monomial(j))
-        cols.append(_combine(coords, images))
-    return OperatorMatrix(tuple(cols))
+    return from_action(lambda p: _combine(coordinates_in_table(source, p), images), source.bound)
 
 
 # -- dual raising operator --------------------------------------------------

@@ -67,7 +67,7 @@ class Polynomial:
     def monomial(n: int, c=1) -> "Polynomial":
         if n < 0:
             raise BadParameterError("monomial degree must be nonnegative")
-        return Polynomial([0] * n + [c])
+        return Polynomial._trusted([_ZERO] * n + [fr(c)])
 
     @property
     def degree(self) -> int:

@@ -20,19 +20,18 @@ from .operators import (
     dilation,
     dual_operator,
     expand_in_dual_pair,
+    from_action,
     generalized_shift,
-    identity_operator,
     multiplication_x,
     operator_polynomial,
     operator_polynomial_applied,
-    realize_delta_series,
     umbral_operator,
     xhat_psi,
     zero_operator,
 )
 from .poly import ONE, Polynomial, SequenceTable, coordinates_in_table
 from .psi import AdmissibleSequence, Q_DEFORMED
-from .sequences import BasicSequence, ShefferSequence
+from .sequences import BasicSequence, ShefferSequence, _addition_rule
 from .series import DeltaSeries
 
 
@@ -135,10 +134,14 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
 
     basic = sheffer.basic
     raiser = dual_operator(q_op, basic.table, seq)
-    s_op = realize_delta_series(sheffer.s_series, bound)
-    s_inv_op = realize_delta_series(sheffer.s_series.multiplicative_inverse(), bound)
-    composition = s_inv_op.compose(raiser).compose(q_op).compose(s_op)
-    composition_agrees = composition.columns == definitional.columns
+    s_inv = sheffer.s_series.multiplicative_inverse()
+
+    def conjugated(p: Polynomial) -> Polynomial:
+        """S^-1 xhat Q S p, with S and S^-1 applied as series."""
+        lowered = q_op.apply(apply_delta_series(sheffer.s_series, p))
+        return apply_delta_series(s_inv, raiser.apply(lowered))
+
+    composition_agrees = from_action(conjugated, bound).columns == definitional.columns
 
     # printed recipe: sum_k (u_k + nu_k(x)) / (k-1)_psi! Q^k
     log_prime = sheffer.s_series.formal_log_reduced().formal_derivative()
@@ -267,8 +270,8 @@ def qplane_substitution_report(
     seq: AdmissibleSequence, table: SequenceTable, y_values, partner_table=None
 ) -> dict:
     """Shift by y equals substitution of (x-multiplication + y dilation)
-    into the entry, applied to 1; with a partner table the graded sum form
-    is included."""
+    into the entry, applied to 1; with a partner table the graded sum form,
+    the mixed addition rule over that table, is included."""
     if seq.family != Q_DEFORMED:
         raise WrongFamilyError("identification requires a q-deformed family")
     q = None
@@ -293,17 +296,12 @@ def qplane_substitution_report(
                         "substituted": substituted.to_text(),
                     },
                 }
-            if partner_table is not None:
-                total = Polynomial()
-                for k in range(n + 1):
-                    total = total + table[k].scale(
-                        seq.binomial(n, k) * partner_table[n - k](y)
-                    )
-                if total != shifted:
-                    return {
-                        "passed": False,
-                        "witness": {"n": n, "y": str(y), "sum_form": total.to_text()},
-                    }
+    if partner_table is not None:
+        report = _addition_rule(
+            table, partner_table, seq, y_values, "sum form fails", "sum form holds"
+        )
+        if not report.passed:
+            return {"passed": False, "witness": report.witness}
     return {"passed": True, "count": (table.bound + 1) * len(list(y_values))}
 
 
@@ -512,9 +510,7 @@ def transport_pincherle_report(
     u = umbral_operator(basic.table, monomials)
     raiser = xhat_psi(seq, bound)
     lhs = commutator(u, raiser)
-    l_prime_op = realize_delta_series(l_series.formal_derivative(), bound)
-    rhs = raiser.compose(u).compose(
-        l_prime_op.subtract(identity_operator(bound))
-    )
+    l_prime = l_series.formal_derivative()
+    rhs = from_action(lambda p: raiser.apply(u.apply(apply_delta_series(l_prime, p) - p)), bound)
     window = lhs.agreement_window(rhs)
     return {"window": window, "passed": window >= bound - 1}

@@ -15,6 +15,7 @@ from umbralcalc import (
     SequenceTable,
     sheffer_sequence,
 )
+from umbralcalc import cli
 from umbralcalc.cli import COMMANDS, MAX_DEGREE, main
 
 
@@ -194,6 +195,23 @@ class TestExpand:
         assert "q_1 = 1" in out
         assert "reassembles: yes" in out
 
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("DxD(2)", "builtin operator 'DxD' takes no argument"),
+            ("multiplication_x(1/2)", "builtin operator 'multiplication_x' takes no argument"),
+            ("psi_derivative(abc)", "builtin operator 'psi_derivative' takes no argument"),
+            ("nope(2)", "unknown builtin operator 'nope'"),
+            ("nope", "unknown builtin operator 'nope'"),
+        ],
+    )
+    def test_argument_to_a_builtin_without_one_exits_two(self, capsys, tmp_path, literal, message):
+        cfg = write_config(tmp_path, {"operator": literal})
+        code, out, err = run(capsys, ["expand", "--degree", "3", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: BadParameterError: {message}\n"
+
 
 class TestIntegrate:
     def test_graded_antiderivative(self, capsys, tmp_path):
@@ -368,6 +386,19 @@ class TestGuards:
         code, _, err = run(capsys, ["verify", "--degree", "3", "--config", cfg])
         assert code == 2
         assert err == f"error: BadParameterError: {message}\n"
+
+    def test_empty_check_table_is_rejected_before_any_suite_runs(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "run_suites", lambda *args: pytest.fail("a suite ran"))
+        entry = {"family": {"family": "classical"}, "entries": []}
+        cfg = write_config(tmp_path, {"check_tables": [entry]})
+        code, out, err = run(capsys, ["verify", "--degree", "3", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: BadParameterError: check_tables key 'entries' must list at least one entry\n"
+        )
 
 
 class TestConfigReaders:

@@ -14,9 +14,14 @@ is the column-by-column realisation that every series went through before
 `old_inner_product` and `old_orthogonality_report` are the routes and the
 pairing as they were, each realising its series through it.
 
-Last, an oracle that shares no code path with the series action: the
+Then an oracle that shares no code path with the series action: the
 diagonal map D: x^n -> (n_psi!/n!) x^n carries d/dx to the graded derivative
-Q, so every series f(Q) is D^-1 f(d/dx) D.
+Q, so every series f(Q) is D^-1 f(d/dx) D, and x to the dual raiser xhat_psi.
+
+Last, every operator matrix is now built from its action on the monomials:
+the `old_*` builders of the last section are the column loops and dense
+matrix chains that did it before, and the new builders must return the same
+columns, or raise the same exception with the same message.
 """
 
 import dataclasses
@@ -25,22 +30,54 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from umbralcalc.errors import BadParameterError, UmbralError
+from umbralcalc.integration import IntegralOperator
 from umbralcalc.operators import (
     OperatorMatrix,
     apply_delta_series,
+    commutator,
+    dilation,
+    divided_difference,
+    dual_operator,
     expand_in_dual_pair,
+    forward_difference,
+    generalized_shift_operator,
     identity_operator,
+    jackson_operator,
+    multiplication_operator,
     multiplication_x,
+    nhat_diagonal,
+    operator_polynomial,
     psi_derivative,
     realize_delta_series,
+    umbral_operator,
     xhat_psi,
     zero_operator,
 )
-from umbralcalc.poly import ONE, ZERO, Polynomial, SequenceTable, coordinates_in_table, fr
+from umbralcalc.poly import (
+    ONE,
+    ZERO,
+    Polynomial,
+    SequenceTable,
+    _combine,
+    coordinates_in_table,
+    fr,
+)
 from umbralcalc.psi import AdmissibleSequence
-from umbralcalc.sequences import closed_form_routes, sheffer_product_shift, sheffer_sequence
+from umbralcalc.sequences import (
+    basic_sequence_from_series,
+    closed_form_routes,
+    sheffer_product_shift,
+    sheffer_sequence,
+)
 from umbralcalc.series import DeltaSeries, series_derivative, series_inverse, series_mul, series_pad
-from umbralcalc.spectral import inner_product, orthogonality_report, spectral_operator, xhat_psi_inverse
+from umbralcalc.spectral import (
+    inner_product,
+    orthogonality_report,
+    spectral_operator,
+    transport_pincherle_report,
+    xhat_psi_inverse,
+)
 
 
 def old_add(self, other):
@@ -409,9 +446,276 @@ def test_series_action_is_conjugate_to_the_classical_one(case):
     weights = [seq.factorial(n) / math.factorial(n) for n in range(degree + 1)]
     d = OperatorMatrix(tuple(Polynomial.monomial(n, w) for n, w in enumerate(weights)))
     d_inv = OperatorMatrix(tuple(Polynomial.monomial(n, 1 / w) for n, w in enumerate(weights)))
-    derivative = psi_derivative(classical, degree)
-    assert d_inv.compose(derivative).compose(d).columns == psi_derivative(seq, degree).columns
+    # d/dx and multiplication by x (top column truncated), built by hand
+    derivative = OperatorMatrix(
+        (ZERO,) + tuple(Polynomial.monomial(n - 1, n) for n in range(1, degree + 1))
+    )
+    x = OperatorMatrix(tuple(Polynomial.monomial(n + 1) for n in range(degree)) + (ZERO,))
+    same_columns(d_inv.compose(derivative).compose(d), psi_derivative(seq, degree))
+    same_columns(d_inv.compose(x).compose(d), xhat_psi(seq, degree))
     for series in (q, s, s.multiplicative_inverse()):
         on_classical = realize_delta_series(DeltaSeries(classical, series.coeffs), degree)
         want = d_inv.compose(on_classical).compose(d)
         same_columns(realize_delta_series(series, degree), want)
+
+
+# -- operator matrices built from their action -----------------------------------
+#
+# Every operator matrix is now `from_action` of its action on the monomials,
+# and the weighted shifts go through `weighted_shift`. The `old_*` builders
+# below are the column loops and matrix chains they replaced, verbatim.
+# `realize_delta_series` is left out: `old_realize_delta_series` above
+# already checks it column by column.
+
+
+def old_psi_derivative(seq, bound):
+    cols = [Polynomial()]
+    for j in range(1, bound + 1):
+        cols.append(Polynomial.monomial(j - 1, seq.n_psi(j)))
+    return OperatorMatrix(tuple(cols))
+
+
+def old_xhat_psi(seq, bound):
+    cols = []
+    for j in range(bound):
+        cols.append(Polynomial.monomial(j + 1, Fraction(j + 1) / seq.n_psi(j + 1)))
+    cols.append(Polynomial())
+    return OperatorMatrix(tuple(cols))
+
+
+def old_multiplication_x(bound):
+    cols = [Polynomial.monomial(j + 1) for j in range(bound)]
+    cols.append(Polynomial())
+    return OperatorMatrix(tuple(cols))
+
+
+def old_dilation(q, bound):
+    q = fr(q)
+    return OperatorMatrix(
+        tuple(Polynomial.monomial(j, q**j) for j in range(bound + 1))
+    )
+
+
+def old_jackson_operator(q, bound):
+    q = fr(q)
+    if q == 1:
+        raise BadParameterError("jackson derivative undefined at q = 1")
+    cols = [Polynomial()]
+    for j in range(1, bound + 1):
+        cols.append(Polynomial.monomial(j - 1, (1 - q**j) / (1 - q)))
+    return OperatorMatrix(tuple(cols))
+
+
+def old_divided_difference(bound):
+    cols = [Polynomial()]
+    for j in range(1, bound + 1):
+        cols.append(Polynomial.monomial(j - 1))
+    return OperatorMatrix(tuple(cols))
+
+
+def old_forward_difference(bound):
+    shifted = Polynomial([1, 1])
+    cols = []
+    for j in range(bound + 1):
+        cols.append(shifted**j - Polynomial.monomial(j))
+    return OperatorMatrix(tuple(cols))
+
+
+def old_nhat_diagonal(seq, bound):
+    return OperatorMatrix(
+        tuple(Polynomial.monomial(j, seq.n_psi(j + 1)) for j in range(bound + 1))
+    )
+
+
+def old_generalized_shift_operator(seq, y, bound):
+    y = fr(y)
+    cols = []
+    for j in range(bound + 1):
+        coeffs = [Fraction(0)] * (j + 1)
+        for k in range(j + 1):
+            coeffs[j - k] = seq.binomial(j, k) * y**k
+        cols.append(Polynomial(coeffs))
+    return OperatorMatrix(tuple(cols))
+
+
+def old_multiplication_operator(p, bound):
+    cols = []
+    for j in range(bound + 1):
+        cols.append((p * Polynomial.monomial(j)).truncate(bound))
+    return OperatorMatrix(tuple(cols))
+
+
+def old_operator_polynomial(p, m):
+    out = zero_operator(m.bound)
+    power = old_identity_operator(m.bound)
+    for k, c in enumerate(p.coeffs):
+        if c != 0:
+            out = out.add(power.scale(c))
+        if k < p.degree:
+            power = m.compose(power)
+    return out
+
+
+def old_identity_operator(bound):
+    return OperatorMatrix(tuple(Polynomial.monomial(j) for j in range(bound + 1)))
+
+
+def old_umbral_operator(source, images):
+    cols = []
+    for j in range(source.bound + 1):
+        coords = coordinates_in_table(source, Polynomial.monomial(j))
+        cols.append(_combine(coords, images))
+    return OperatorMatrix(tuple(cols))
+
+
+def old_integral_as_matrix(op):
+    cols = []
+    for j in range(op.bound):
+        cols.append(Polynomial.monomial(j + 1, 1 / op.weights[j]))
+    cols.append(Polynomial())  # top column lost to truncation
+    return OperatorMatrix(tuple(cols))
+
+
+def old_r_integral_partner(weights, bound):
+    cols = [Polynomial()]
+    for n in range(1, bound + 1):
+        cols.append(Polynomial.monomial(n - 1, weights[n - 1]))
+    return OperatorMatrix(tuple(cols))
+
+
+def old_spectral_composition(sheffer):
+    """S^-1 xhat_Q Q S as dense compositions of realised series."""
+    raiser = dual_operator(sheffer.q_op, sheffer.basic.table, sheffer.seq)
+    s_op = old_realize_delta_series(sheffer.s_series, sheffer.bound)
+    s_inv_op = old_realize_delta_series(sheffer.s_series.multiplicative_inverse(), sheffer.bound)
+    return s_inv_op.compose(raiser).compose(sheffer.q_op).compose(s_op)
+
+
+def old_transport_rhs(seq, l_series, bound):
+    """xhat U (l'(Q) - id), with l'(Q) realised and the identity subtracted."""
+    basic = basic_sequence_from_series(l_series, bound)
+    monomials = SequenceTable(tuple(Polynomial.monomial(i) for i in range(bound + 1)))
+    u = old_umbral_operator(basic.table, monomials)
+    raiser = old_xhat_psi(seq, bound)
+    l_prime_op = old_realize_delta_series(l_series.formal_derivative(), bound)
+    return u, raiser, raiser.compose(u).compose(
+        l_prime_op.subtract(old_identity_operator(bound))
+    )
+
+
+def outcome(build, *args):
+    """("columns", the columns `build(*args)` returns) or ("raises", the
+    exception type, its message)."""
+    try:
+        return "columns", build(*args).columns
+    except UmbralError as exc:
+        return "raises", type(exc), str(exc)
+
+
+def same_outcome(new, old):
+    """Equal columns made of Fractions, or the same exception and message."""
+    assert new[0] == old[0], (new, old)
+    if old[0] == "raises":
+        assert new == old
+    else:
+        for got, want in zip(new[1], old[1], strict=True):
+            same(got, want)
+
+
+# a q that is malformed, 1 (the Jackson pole), 0, -1 or a plain rational
+q_values = st.one_of(
+    st.sampled_from(["abc", "1/0", 1.5, True, 1, 0, -1]),
+    nonzero_rationals,
+    nonzero_rationals.map(str),
+)
+
+
+@st.composite
+def action_cases(draw):
+    """A bound; a custom family on it, one short of it or one past it (a
+    family exactly `bound` long has no (bound + 1)_psi); a q; a shift y;
+    polynomials, among them the zero and constant ones; an operator; and a
+    triangular table with images."""
+    bound = draw(st.integers(1, 10))
+    family_bound = draw(st.integers(max(bound - 1, 1), bound + 1))
+    seq = AdmissibleSequence.custom(
+        draw(st.lists(nonzero_rationals, min_size=family_bound, max_size=family_bound)),
+        family_bound,
+    )
+    polys = st.one_of(
+        st.just(ZERO),
+        nonzero_rationals.map(lambda c: Polynomial([c])),
+        st.lists(mixed_rationals, max_size=5).map(Polynomial),
+    )
+    m = OperatorMatrix(tuple(draw(sparse_polynomials(bound)) for _ in range(bound + 1)))
+    # entry n: column n of m below degree n, plus a nonzero x^n term
+    leads = draw(st.lists(nonzero_rationals, min_size=bound + 1, max_size=bound + 1))
+    entries = [
+        m.column(n).truncate(n - 1) + Polynomial.monomial(n, lead) for n, lead in enumerate(leads)
+    ]
+    images = [draw(sparse_polynomials(bound)) for _ in range(bound + 1)]
+    return (
+        bound, seq, draw(q_values), draw(mixed_rationals), draw(polys), draw(polys), m,
+        SequenceTable(tuple(entries)), images,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=action_cases())
+def test_operators_from_their_action_match_old_column_loops(case):
+    bound, seq, q, y, p, f, m, source, images = case
+    pairs = [
+        (psi_derivative, old_psi_derivative, (seq, bound)),
+        (xhat_psi, old_xhat_psi, (seq, bound)),
+        (nhat_diagonal, old_nhat_diagonal, (seq, bound)),
+        (generalized_shift_operator, old_generalized_shift_operator, (seq, y, bound)),
+        (multiplication_x, old_multiplication_x, (bound,)),
+        (dilation, old_dilation, (q, bound)),
+        (jackson_operator, old_jackson_operator, (q, bound)),
+        (divided_difference, old_divided_difference, (bound,)),
+        (forward_difference, old_forward_difference, (bound,)),
+        (identity_operator, old_identity_operator, (bound,)),
+        (multiplication_operator, old_multiplication_operator, (p, bound)),
+        (operator_polynomial, old_operator_polynomial, (p, m)),
+        (operator_polynomial, old_operator_polynomial, (f, old_psi_derivative(seq, seq.bound))),
+        (umbral_operator, old_umbral_operator, (source, images)),
+    ]
+    for new, old, args in pairs:
+        same_outcome(outcome(new, *args), outcome(old, *args))
+
+    integrals = [lambda: IntegralOperator.psi_integral(seq, bound)]
+    integrals.append(lambda: IntegralOperator.q_integral(q, bound))
+    integrals.append(lambda: IntegralOperator.r_integral(p.coeffs or [1], y, bound))
+    for build in integrals:
+        try:
+            op = build()
+        except UmbralError:
+            continue
+        same_columns(op.as_matrix(), old_integral_as_matrix(op))
+        if op.kind == "r_integral":
+            same_columns(op.partner, old_r_integral_partner(op.weights, bound))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=series_cases(), other=series_cases())
+def test_series_chains_applied_match_old_dense_compositions(case, other):
+    seq, degree, q, s, _, _, _, m = case
+    sheffer = sheffer_sequence(q, s, degree)
+    # S perturbed after the table was built, so the composition disagrees
+    coeffs = list(s.coeffs)
+    coeffs[m] += 1
+    broken = dataclasses.replace(sheffer, s_series=DeltaSeries(seq, coeffs))
+    for pairing in (sheffer, broken):
+        result = spectral_operator(pairing)
+        want = old_spectral_composition(pairing).columns == result.definitional.columns
+        assert result.composition_agrees == want
+    assert spectral_operator(sheffer).composition_agrees
+
+    # the transport report on its own family and on an unrelated one
+    for family in (seq, other[0]):
+        bound = min(degree, family.bound)
+        l_series = DeltaSeries.from_list(seq, q.coeffs, bound)
+        u, raiser, rhs = old_transport_rhs(family, l_series, bound)
+        window = commutator(u, raiser).agreement_window(rhs)
+        want = {"window": window, "passed": window >= bound - 1}
+        assert transport_pincherle_report(family, l_series, bound) == want
