@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import BadParameterError, UmbralError
+from .errors import BadParameterError, BasisMismatchError, UmbralError
 from .harness import (
     DEFAULT_SEED,
     SUITES,
@@ -232,24 +232,27 @@ def cmd_verify(args, config: dict) -> int:
     default = list(DEFAULT_FAMILY_DESCRIPTORS)
     descriptors = _list_of(config, "families", default, object, "family descriptors")
     suites = _list_of(config, "suites", list(SUITES), str, "suite names")
-    tables = [
-        (
-            _get(entry, "label", str, "table", "check_tables"),
-            _list_of(entry, "entries", None, list, "coefficient lists", "check_tables"),
-            _get(entry, "family", dict, _REQUIRED, "check_tables entry"),
-        )
-        for entry in _list_of(config, "check_tables", [], dict, "objects")
-    ]
-    if any(not entries for _, entries, _ in tables):
-        raise BadParameterError("check_tables key 'entries' must list at least one entry")
+    # each table and its family are built before any suite runs, so a bad
+    # table is reported at once
+    checked = []
+    for entry in _list_of(config, "check_tables", [], dict, "objects"):
+        label = _get(entry, "label", str, "table", "check_tables")
+        entries = _list_of(entry, "entries", None, list, "coefficient lists", "check_tables")
+        descriptor = _get(entry, "family", dict, _REQUIRED, "check_tables entry")
+        if not entries:
+            raise BadParameterError("check_tables key 'entries' must list at least one entry")
+        try:
+            table = SequenceTable.from_json(entries)
+        except BasisMismatchError as exc:
+            raise BadParameterError(f"check_tables key 'entries': {exc}") from None
+        seq = AdmissibleSequence.from_descriptor(descriptor, table.bound + 1)
+        checked.append((label, table, seq))
     families = [AdmissibleSequence.from_descriptor(d, degree + 1) for d in descriptors]
     reports = run_suites(suites, families, degree, args.seed)
 
     # optional externally supplied tables, checked against the addition rule
     provided = Records("binomial", degree)
-    for label, entries, descriptor in tables:
-        table = SequenceTable.from_json(entries)
-        seq = AdmissibleSequence.from_descriptor(descriptor, table.bound + 1)
+    for label, table, seq in checked:
         check = verify_binomial_type(table, seq)
         ident = f"provided-table({label})"
         provided.exact(ident, seq.label, check.passed, check.witness, degree=table.bound)

@@ -34,6 +34,7 @@ from .operators import (
     multiplication_x,
     nhat_diagonal,
     operator_polynomial,
+    operator_polynomial_applied,
     psi_derivative,
     realize_delta_series,
     realize_psi_form,
@@ -64,6 +65,7 @@ from .spectral import (
     mutator_identity_report,
     number_operator_steps_report,
     orthogonality_report,
+    q_parameter,
     qhat_operator,
     qplane_commutation,
     qplane_substitution_report,
@@ -137,7 +139,8 @@ class Records(list):
 
     `exact` and `windowed` are the only place a verdict becomes a status, a
     window and a witness: a record that holds carries no witness, and a
-    failed record always carries one.
+    failed record always carries one. `first_failure` is `exact` fed by a
+    search for the first counterexample.
     """
 
     def __init__(self, suite: str, degree: int):
@@ -171,6 +174,13 @@ class Records(list):
             witness = witness or {"found_window": found, "required_window": required}
             self._add(ident, family, found, FAILS, True, witness)
 
+    def first_failure(self, ident, family, failures, asserted=True, window=None, degree=None):
+        """`exact` on the first witness the lazy iterable `failures` yields,
+        `holds` if it yields none. Nothing past the first witness is drawn,
+        so a search stops, and samples no further, at its first failure."""
+        witness = next(iter(failures), None)
+        self.exact(ident, family, witness is None, witness, asserted, window, degree)
+
 
 # -- seeded sampling helpers ---------------------------------------------------
 
@@ -202,18 +212,21 @@ def _random_invertible_series(seq, rng, order: int) -> DeltaSeries:
     return DeltaSeries.from_list(seq, coeffs, order)
 
 
+def _pair_failures(rng, count, deg_f, deg_g, holds):
+    """Witnesses {"f", "g"} of the sampled pairs on which `holds(f, g)` is
+    false; each pair is drawn only once the previous one has held."""
+    for _ in range(count):
+        f = _random_polynomial(rng, deg_f)
+        g = _random_polynomial(rng, deg_g)
+        if not holds(f, g):
+            yield {"f": f, "g": g}
+
+
 def _random_triangular_operator(rng, bound: int) -> OperatorMatrix:
     cols = []
     for j in range(bound + 1):
         cols.append(Polynomial([Fraction(rng.randint(-3, 3)) for _ in range(j + 1)]))
     return OperatorMatrix(tuple(cols))
-
-
-def _q_of(seq) -> Fraction:
-    for key, value in seq.params:
-        if key == "q":
-            return Fraction(value)
-    raise BadParameterError(f"{seq.label} carries no deformation parameter")
 
 
 def _reparameterization_certificate(seq, q_series, table, bound: int) -> bool:
@@ -277,29 +290,27 @@ def suite_weyl(families, degree, rng, out):
                 out.windowed(f"power-reorder(n={n},m={m})", seq.label, w, degree - max(n, m))
         # two-parameter exponential exchange, checked order by order: the
         # (i, j) coefficient of exp(t d) exp(a r) = exp(at) exp(a r) exp(t d)
-        bad = None
-        for i in range(degree + 1):  # raising power
-            for j in range(degree + 1 - i):  # lowering power
-                if i == 0 and j == 0:
-                    continue
-                lhs = d_pow[j].compose(r_pow[i]).scale(
-                    Fraction(1, math.factorial(j) * math.factorial(i))
-                )
-                rhs = zero_operator(degree)
-                for k in range(min(i, j) + 1):
-                    c = Fraction(
-                        1,
-                        math.factorial(k) * math.factorial(i - k) * math.factorial(j - k),
+        def exchange_failures():
+            for i in range(degree + 1):  # raising power
+                for j in range(degree + 1 - i):  # lowering power
+                    if i == 0 and j == 0:
+                        continue
+                    lhs = d_pow[j].compose(r_pow[i]).scale(
+                        Fraction(1, math.factorial(j) * math.factorial(i))
                     )
-                    rhs = rhs.add(rd(i - k, j - k).scale(c))
-                w = lhs.agreement_window(rhs)
-                if w < degree - i:
-                    bad = {"raise_power": i, "lower_power": j, "found_window": w,
-                           "required_window": degree - i}
-                    break
-            if bad:
-                break
-        out.exact("exponential-exchange-orders", seq.label, bad is None, bad)
+                    rhs = zero_operator(degree)
+                    for k in range(min(i, j) + 1):
+                        c = Fraction(
+                            1,
+                            math.factorial(k) * math.factorial(i - k) * math.factorial(j - k),
+                        )
+                        rhs = rhs.add(rd(i - k, j - k).scale(c))
+                    w = lhs.agreement_window(rhs)
+                    if w < degree - i:
+                        yield {"raise_power": i, "lower_power": j, "found_window": w,
+                               "required_window": degree - i}
+
+        out.first_failure("exponential-exchange-orders", seq.label, exchange_failures())
 
 
 def suite_leibnitz(families, degree, rng, out):
@@ -308,19 +319,13 @@ def suite_leibnitz(families, degree, rng, out):
     d0 = divided_difference(degree)
 
     # family-free product rule of the divided difference
-    ok = True
-    witness = None
-    for _ in range(5):
-        f = _random_polynomial(rng, degree // 2)
-        g = _random_polynomial(rng, degree - degree // 2)
-        lhs = divided_difference_apply(f * g)
-        rhs = divided_difference_apply(f) * g + divided_difference_apply(g).scale(
-            f.constant_term
-        )
-        if lhs != rhs:
-            ok, witness = False, {"f": f, "g": g}
-            break
-    out.exact("divided-difference-product-rule", SHARED, ok, witness)
+    def dd_product_rule(f, g):
+        rhs = divided_difference_apply(f) * g + divided_difference_apply(g).scale(f.constant_term)
+        return divided_difference_apply(f * g) == rhs
+
+    half = degree // 2
+    failures = _pair_failures(rng, 5, half, degree - half, dd_product_rule)
+    out.first_failure("divided-difference-product-rule", SHARED, failures)
 
     # family-free alternating series for the divided difference
     d_powers = psi_derivative(classical, degree).powers(degree)
@@ -340,18 +345,14 @@ def suite_leibnitz(families, degree, rng, out):
         out.exact("lowering-factors-through-weights", seq.label, ok)
 
         if seq.family == Q_DEFORMED:
-            q = _q_of(seq)
-            ok = True
-            witness = None
-            for _ in range(5):
-                f = _random_polynomial(rng, degree // 2)
-                g = _random_polynomial(rng, degree - degree // 2)
-                lhs = jackson_derivative(f * g, q)
+            q = q_parameter(seq)
+
+            def q_product_rule(f, g):
                 rhs = jackson_derivative(f, q) * g + f.dilate(q) * jackson_derivative(g, q)
-                if lhs != rhs:
-                    ok, witness = False, {"f": f, "g": g}
-                    break
-            out.exact("q-product-rule", seq.label, ok, witness)
+                return jackson_derivative(f * g, q) == rhs
+
+            failures = _pair_failures(rng, 5, half, degree - half, q_product_rule)
+            out.first_failure("q-product-rule", seq.label, failures)
 
             # the q lowering is a dilation polynomial times the divided difference
             shape = Polynomial([1 / (1 - q), -1 / (1 - q)])
@@ -395,43 +396,37 @@ def suite_binomial(families, degree, rng, out):
         # certificate instead of a rejection.
         small_series = DeltaSeries.from_list(seq, [0, 1, 1], perturb_degree)
         small = basic_sequence_from_series(small_series, perturb_degree).table
-        bad = None
-        for n in range(perturb_degree + 1):
-            for j in range(n + 1):
-                coeffs = list(small[n].coeffs)
-                coeffs[j] += 1
-                if j == n and coeffs[j] == 0:
+
+        def perturbation_failures():
+            for n in range(perturb_degree + 1):
+                for j in range(n + 1):
+                    coeffs = list(small[n].coeffs)
                     coeffs[j] += 1
-                entries = list(small)
-                entries[n] = Polynomial(coeffs)
-                ptable = SequenceTable(tuple(entries))
-                check = verify_binomial_type(ptable, seq, perturb_shifts)
-                if n == perturb_degree and j == 1:
-                    ok = check.passed and _reparameterization_certificate(
-                        seq, small_series, ptable, perturb_degree
-                    )
-                    if not ok:
-                        bad = {"entry": n, "coefficient": j, "expected": "reparameterization"}
-                elif check.passed:
-                    bad = {"entry": n, "coefficient": j, "expected": "rejection"}
-                if bad:
-                    break
-            if bad:
-                break
-        out.exact("perturbation-rejection", seq.label, bad is None, bad, degree=perturb_degree)
+                    if j == n and coeffs[j] == 0:
+                        coeffs[j] += 1
+                    entries = list(small)
+                    entries[n] = Polynomial(coeffs)
+                    ptable = SequenceTable(tuple(entries))
+                    check = verify_binomial_type(ptable, seq, perturb_shifts)
+                    if n == perturb_degree and j == 1:
+                        ok = check.passed and _reparameterization_certificate(
+                            seq, small_series, ptable, perturb_degree
+                        )
+                        if not ok:
+                            yield {"entry": n, "coefficient": j, "expected": "reparameterization"}
+                    elif check.passed:
+                        yield {"entry": n, "coefficient": j, "expected": "rejection"}
+
+        out.first_failure(
+            "perturbation-rejection", seq.label, perturbation_failures(), degree=perturb_degree
+        )
 
         # bigraded addition law of the exponential coefficients
-        bad = None
-        for a in range(degree + 1):
-            for b in range(degree + 1 - a):
-                lhs = seq.binomial(a + b, b) / seq.factorial(a + b)
-                rhs = 1 / (seq.factorial(a) * seq.factorial(b))
-                if lhs != rhs:
-                    bad = {"a": a, "b": b, "lhs": lhs, "rhs": rhs}
-                    break
-            if bad:
-                break
-        out.exact("exponential-addition-bigraded", seq.label, bad is None, bad)
+        failures = ({"a": a, "b": b, "lhs": lhs, "rhs": rhs}
+                    for a in range(degree + 1) for b in range(degree + 1 - a)
+                    if (lhs := seq.binomial(a + b, b) / seq.factorial(a + b))
+                    != (rhs := 1 / (seq.factorial(a) * seq.factorial(b))))
+        out.first_failure("exponential-addition-bigraded", seq.label, failures)
 
         # index-congruence sectors partition the truncated exponential
         for m in (2, 3):
@@ -443,28 +438,15 @@ def suite_binomial(families, degree, rng, out):
 
         # informational: alternating binomial sums need not vanish at even
         # order for every family, although the printed claim says they do
-        witness = None
-        for m in range(2, degree + 1, 2):
-            v = sum(((-1) ** k) * seq.binomial(m, k) for k in range(m + 1))
-            if v != 0:
-                witness = {"order": m, "value": v}
-                break
-        out.exact(
-            "alternating-even-sums-vanish", seq.label, witness is None, witness, asserted=False
-        )
+        failures = ({"order": m, "value": v} for m in range(2, degree + 1, 2)
+                    if (v := sum(((-1) ** k) * seq.binomial(m, k) for k in range(m + 1))) != 0)
+        out.first_failure("alternating-even-sums-vanish", seq.label, failures, asserted=False)
 
     # binomial integrality of the growth family
     fib = AdmissibleSequence.fibonacci(16)
-    bad = None
-    for n in range(17):
-        for k in range(n + 1):
-            value = fib.binomial(n, k)
-            if value.denominator != 1:
-                bad = {"n": n, "k": k, "value": value}
-                break
-        if bad:
-            break
-    out.exact("growth-family-integrality", fib.label, bad is None, bad, degree=16)
+    failures = ({"n": n, "k": k, "value": value} for n in range(17) for k in range(n + 1)
+                if (value := fib.binomial(n, k)).denominator != 1)
+    out.first_failure("growth-family-integrality", fib.label, failures, degree=16)
 
 
 def suite_routes(families, degree, rng, out):
@@ -593,15 +575,10 @@ def suite_expansion(families, degree, rng, out):
             ("multiplication", multiplication_x(degree)),
         )
         for mode, raiser in raisers:
-            ok = True
-            witness = None
-            for i in range(5):
-                t = _random_triangular_operator(rng, degree)
-                result = expand_in_dual_pair(t, d, raiser)
-                if result.reassembled.columns != t.columns:
-                    ok, witness = False, {"instance": i}
-                    break
-            out.exact(f"reassembly({mode})", seq.label, ok, witness)
+            samples = (_random_triangular_operator(rng, degree) for _ in range(5))
+            failures = ({"instance": i} for i, t in enumerate(samples)
+                        if expand_in_dual_pair(t, d, raiser).reassembled.columns != t.columns)
+            out.first_failure(f"reassembly({mode})", seq.label, failures)
 
         samples = [
             ("series", realize_delta_series(DeltaSeries.from_list(seq, [0, 1, 1], degree), degree)),
@@ -654,12 +631,9 @@ def suite_spectral(families, degree, rng, out):
         for label, q_series, s_series in pairs:
             sheffer = sheffer_sequence(q_series, s_series, degree)
             result = spectral_operator(sheffer)
-            bad = None
-            for n in range(eigen_max + 1):
-                if result.definitional.apply(sheffer.table[n]) != sheffer.table[n].scale(n):
-                    bad = {"n": n}
-                    break
-            out.exact(f"eigen-relation({label})", seq.label, bad is None, bad)
+            failures = ({"n": n} for n in range(eigen_max + 1)
+                        if result.definitional.apply(sheffer.table[n]) != sheffer.table[n].scale(n))
+            out.first_failure(f"eigen-relation({label})", seq.label, failures)
             out.exact(f"conjugation-route({label})", seq.label, result.composition_agrees)
             disagree = [k for k, t in enumerate(result.term_agreement) if not t["reading_a"]]
             out.exact(
@@ -678,7 +652,7 @@ def suite_integration(families, degree, rng, out):
         report = verify_right_inverse(op, psi_derivative(seq, degree))
         out.exact("graded-right-inverse", seq.label, report["passed"], report.get("witness"))
         if seq.family == Q_DEFORMED:
-            q = _q_of(seq)
+            q = q_parameter(seq)
             q_int = IntegralOperator.q_integral(q, degree)
             report = verify_right_inverse(q_int, jackson_operator(q, degree))
             out.exact("q-right-inverse", seq.label, report["passed"], report.get("witness"))
@@ -707,73 +681,54 @@ def suite_star(families, degree, rng, out):
         d = ctx.lowering
         raiser = ctx.raiser
 
-        bad = None
-        for n in range(pow_max + 1):
-            for k in range(pow_max + 1):
-                got = star_product(ctx, star_power(ctx, n), star_power(ctx, k))
-                expected = star_power(ctx, n + k).scale(
-                    Fraction(math.factorial(n)) / seq.factorial(n)
-                )
-                if got != expected:
-                    bad = {"n": n, "k": k}
-                    break
-            if bad:
-                break
-        out.exact("power-products", seq.label, bad is None, bad)
+        failures = ({"n": n, "k": k} for n in range(pow_max + 1) for k in range(pow_max + 1)
+                    if star_product(ctx, star_power(ctx, n), star_power(ctx, k))
+                    != star_power(ctx, n + k).scale(Fraction(math.factorial(n)) / seq.factorial(n)))
+        out.first_failure("power-products", seq.label, failures)
 
-        bad = None
-        for n in range(1, degree + 1):
-            if d.apply(star_power(ctx, n)) != star_power(ctx, n - 1).scale(n):
-                bad = {"n": n}
-                break
-        out.exact("lowering-steps-powers", seq.label, bad is None, bad)
+        failures = ({"n": n} for n in range(1, degree + 1)
+                    if d.apply(star_power(ctx, n)) != star_power(ctx, n - 1).scale(n))
+        out.first_failure("lowering-steps-powers", seq.label, failures)
 
-        ok = True
-        witness = None
-        for _ in range(3):
-            f = _random_polynomial(rng, min(3, degree - 1))
-            g = _random_polynomial(rng, min(4, degree))
+        def product_rule(f, g):
             lhs = d.apply(star_product_truncated(ctx, f, g))
             rhs = star_product_truncated(ctx, f.derivative(), g) + star_product_truncated(
                 ctx, f, d.apply(g)
             )
-            if lhs.truncate(degree - 1) != rhs.truncate(degree - 1):
-                ok, witness = False, {"f": f, "g": g}
-                break
-        out.exact("product-rule", seq.label, ok, witness, window=degree - 1)
+            return lhs.truncate(degree - 1) == rhs.truncate(degree - 1)
 
-        bad = None
-        for alpha, beta in ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(-1)), (Fraction(2), Fraction(1, 2))):
+        failures = _pair_failures(rng, 3, min(3, degree - 1), min(4, degree), product_rule)
+        out.first_failure("product-rule", seq.label, failures, window=degree - 1)
+
+        def splits(alpha, beta):
             plain = Polynomial([alpha**k / math.factorial(k) for k in range(degree + 1)])
             got = star_product_truncated(ctx, plain, seq.exp_polynomial(beta, degree))
-            if got != seq.exp_polynomial(alpha + beta, degree):
-                bad = {"alpha": alpha, "beta": beta}
-                break
-        out.exact("exponential-splitting", seq.label, bad is None, bad)
+            return got == seq.exp_polynomial(alpha + beta, degree)
 
-        ok = True
-        for _ in range(3):
-            f = _random_polynomial(rng, pow_max)
-            g = _random_polynomial(rng, pow_max)
-            g_tilde = operator_polynomial(g, raiser).apply(ONE)
-            lhs = operator_polynomial(f, raiser).apply(g_tilde)
-            rhs = star_product(ctx, f, g_tilde)
-            if lhs != rhs:
-                ok = False
-                break
-        out.exact("operator-product-vs-star", seq.label, ok)
+        pairs = ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(-1)),
+                 (Fraction(2), Fraction(1, 2)))
+        failures = ({"alpha": a, "beta": b} for a, b in pairs if not splits(a, b))
+        out.first_failure("exponential-splitting", seq.label, failures)
+
+        def substitution_is_star(f, g):
+            g_tilde = operator_polynomial_applied(g, raiser, ONE)
+            return operator_polynomial_applied(f, raiser, g_tilde) == star_product(ctx, f, g_tilde)
+
+        failures = _pair_failures(rng, 3, pow_max, pow_max, substitution_is_star)
+        out.first_failure("operator-product-vs-star", seq.label, failures)
 
         # commutation with a raiser power lowers it by one step
+        raiser_powers = raiser.powers(min(4, degree))
         for n in range(1, min(4, degree) + 1):
-            got = commutator(d, raiser.power(n))
-            expected = raiser.power(n - 1).scale(n)
+            got = commutator(d, raiser_powers[n])
+            expected = raiser_powers[n - 1].scale(n)
             w = got.agreement_window(expected)
             out.windowed(f"raiser-power-lowering(n={n})", seq.label, w, degree - n)
 
         # informational: replacing the substituted entry by the literal
         # polynomial only survives for unit-ratio weight families
         f = Polynomial([1] * (min(3, degree) + 1))
-        f_tilde = operator_polynomial(f, raiser).apply(ONE)
+        f_tilde = operator_polynomial_applied(f, raiser, ONE)
         literal_ok = d.apply(f_tilde) == d.apply(f)
         out.exact("literal-substitution-lowering", seq.label, literal_ok, asserted=False)
 
@@ -782,25 +737,12 @@ def suite_star(families, degree, rng, out):
             alt = poisson_raising_route(ctx, lam, m_max)
             ok = all(p == a for p, a in zip(ps, alt))
             out.exact(f"weighted-family-routes(lam={lam})", seq.label, ok)
-            bad = None
-            residual0 = d.apply(ps[0]) + ps[0].scale(lam)
-            if residual0.truncate(degree - 1) != Polynomial():
-                bad = {"m": 0}
-            else:
-                for m in range(1, m_max + 1):
-                    window = degree - m - 1
-                    lhs = d.apply(ps[m]) + ps[m].scale(lam)
-                    rhs = ps[m - 1].scale(lam)
-                    if lhs.truncate(window) != rhs.truncate(window):
-                        bad = {"m": m}
-                        break
-            out.exact(
-                f"weighted-family-system(lam={lam})",
-                seq.label,
-                bad is None,
-                bad,
-                window=degree - m_max - 1,
-            )
+            # d p_m + lam p_m = lam p_(m-1) up to degree N - m - 1, with p_(-1) = 0
+            failures = ({"m": m} for m in range(m_max + 1)
+                        if (d.apply(ps[m]) + ps[m].scale(lam)).truncate(degree - m - 1)
+                        != (ps[m - 1].scale(lam) if m else Polynomial()).truncate(degree - m - 1))
+            ident = f"weighted-family-system(lam={lam})"
+            out.first_failure(ident, seq.label, failures, window=degree - m_max - 1)
 
 
 def suite_qplane(families, degree, rng, out):
@@ -811,7 +753,7 @@ def suite_qplane(families, degree, rng, out):
     for seq in families:
         if seq.family != Q_DEFORMED:
             continue
-        q = _q_of(seq)
+        q = q_parameter(seq)
         out.exact("exchange-rule", seq.label, qplane_commutation(q, degree)["passed"])
         basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
         report = qplane_substitution_report(seq, basic.table, ys, partner_table=basic.table)
@@ -838,7 +780,7 @@ def suite_mutator(families, degree, rng, out):
             ),
         ]
         for label, basic in tables:
-            report = mutator_identity_report(basic, seq)
+            report = mutator_identity_report(basic)
             out.exact(
                 f"bracket-identity({label})",
                 seq.label,
@@ -848,7 +790,7 @@ def suite_mutator(families, degree, rng, out):
             )
 
         basic = tables[0][1]
-        literal = mutator_identity_report(basic, seq, literal_one=True)
+        literal = mutator_identity_report(basic, literal_one=True)
         out.exact(
             "literal-unit-weights",
             seq.label,
@@ -856,13 +798,13 @@ def suite_mutator(families, degree, rng, out):
             literal.get("witness"),
             asserted=False,
         )
-        dual = mutator_identity_report(basic, seq, raiser_mode="dual")
+        dual = mutator_identity_report(basic, raiser_mode="dual")
         out.exact(
             "dual-raiser-variant", seq.label, dual["passed"], dual.get("witness"), asserted=False
         )
         if seq.family == Q_DEFORMED:
-            q = _q_of(seq)
-            same = qhat_operator(basic, seq).columns == dilation(q, degree).columns
+            q = q_parameter(seq)
+            same = qhat_operator(basic).columns == dilation(q, degree).columns
             out.exact("deformation-is-dilation", seq.label, same, asserted=False)
 
 
@@ -872,11 +814,11 @@ def suite_factorization(families, degree, rng, out):
     for seq in families:
         basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
         for n in (1, 2, 3):
-            report = sandwich_power_report(basic, seq, n)
+            report = sandwich_power_report(basic, n)
             out.exact(f"sandwich-powers(n={n})", seq.label, report["passed"], report)
             graded_all = True
             for i, f in enumerate(fs):
-                report = number_operator_steps_report(basic, seq, n, f)
+                report = number_operator_steps_report(basic, n, f)
                 out.windowed(
                     f"number-steps(n={n},f={i})",
                     seq.label,
@@ -888,7 +830,7 @@ def suite_factorization(families, degree, rng, out):
             out.exact(f"number-steps-graded(n={n})", seq.label, graded_all, asserted=False)
 
         appell = appell_sequence(DeltaSeries.from_list(seq, [1, 1, Fraction(1, 2)], degree), degree)
-        report = appell_raising_telescope_report(basic, seq, appell.table, 2)
+        report = appell_raising_telescope_report(basic, appell.table, 2)
         out.exact(
             "appell-telescope-printed",
             seq.label,
@@ -906,7 +848,6 @@ def suite_transport(families, degree, rng, out):
     transport to monomials."""
     for seq in families:
         report = verify_conjugation_transport(
-            seq,
             DeltaSeries.from_list(seq, [0, 1, 1], degree),
             DeltaSeries.from_list(seq, [0, 1, 0, Fraction(-1, 3)], degree),
             [1, 1, Fraction(1, 2)],
@@ -922,7 +863,7 @@ def suite_transport(families, degree, rng, out):
             ("cubic", [0, 1, 0, Fraction(1, 3)]),
         ):
             l_series = DeltaSeries.from_list(seq, coeffs, degree)
-            report = transport_pincherle_report(seq, l_series, degree)
+            report = transport_pincherle_report(l_series, degree)
             out.windowed(
                 f"monomial-map-commutator({label})", seq.label, report["window"], degree - 1
             )

@@ -8,13 +8,16 @@ truth here; the closed-form routes are checked against it, never trusted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BadParameterError, SingularOperatorError
 from .operators import (
     OperatorMatrix,
     apply_delta_series,
+    dual_operator,
     eigen_series,
     generalized_shift,
     operator_polynomial,
@@ -42,6 +45,13 @@ class BasicSequence:
     @property
     def bound(self) -> int:
         return self.table.bound
+
+    @cached_property
+    def raiser(self) -> OperatorMatrix:
+        """Dual raiser p_n -> ((n+1)/(n+1)_psi) p_(n+1), built and checked
+        against the table on first use; raises BasisMismatchError if the
+        table is not basic for `q_op`."""
+        return dual_operator(self.q_op, self.table, self.seq)
 
     def __getitem__(self, n: int) -> Polynomial:
         return self.table[n]
@@ -419,8 +429,6 @@ def verify_expansion_constants(
                 if rows[n][n - j] != expected:
                     return False, constants, (n, j)
         return True, constants, None
-
-    import math
 
     psi_ok, psi_constants, psi_witness = convention_holds(seq.binomial)
     plain_ok, plain_constants, plain_witness = convention_holds(

@@ -18,7 +18,6 @@ from .operators import (
     apply_delta_series,
     commutator,
     dilation,
-    dual_operator,
     expand_in_dual_pair,
     from_action,
     generalized_shift,
@@ -31,7 +30,13 @@ from .operators import (
 )
 from .poly import ONE, Polynomial, SequenceTable, coordinates_in_table
 from .psi import AdmissibleSequence, Q_DEFORMED
-from .sequences import BasicSequence, ShefferSequence, _addition_rule
+from .sequences import (
+    BasicSequence,
+    ShefferSequence,
+    _addition_rule,
+    basic_sequence_from_series,
+    sheffer_sequence,
+)
 from .series import DeltaSeries
 
 
@@ -133,7 +138,7 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
     definitional = umbral_operator(table, [p.scale(n) for n, p in enumerate(table)])
 
     basic = sheffer.basic
-    raiser = dual_operator(q_op, basic.table, seq)
+    raiser = basic.raiser
     s_inv = sheffer.s_series.multiplicative_inverse()
 
     def conjugated(p: Polynomial) -> Polynomial:
@@ -192,17 +197,15 @@ def qhat_eigenvalues(
     return values
 
 
-def qhat_operator(
-    basic: BasicSequence, seq: AdmissibleSequence, literal_one: bool = False
-) -> OperatorMatrix:
+def qhat_operator(basic: BasicSequence, literal_one: bool = False) -> OperatorMatrix:
     """Diagonal deformation operator in the basic basis."""
-    values = qhat_eigenvalues(seq, basic.bound, literal_one)
+    values = qhat_eigenvalues(basic.seq, basic.bound, literal_one)
     return umbral_operator(basic.table, [p.scale(v) for p, v in zip(basic.table, values)])
 
 
-def shift_raiser(basic: BasicSequence, seq: AdmissibleSequence) -> OperatorMatrix:
+def shift_raiser(basic: BasicSequence) -> OperatorMatrix:
     """Unscaled basic shift p_n -> (1/1_psi) p_{n+1}, top entry truncated."""
-    scale = 1 / seq.n_psi(1)
+    scale = 1 / basic.seq.n_psi(1)
     images = [p.scale(scale) for p in basic.table.entries[1:]]
     return umbral_operator(basic.table, images + [Polynomial()])
 
@@ -213,10 +216,7 @@ def q_mutator(a: OperatorMatrix, b: OperatorMatrix, qhat: OperatorMatrix) -> Ope
 
 
 def mutator_identity_report(
-    basic: BasicSequence,
-    seq: AdmissibleSequence,
-    raiser_mode: str = "shift",
-    literal_one: bool = False,
+    basic: BasicSequence, raiser_mode: str = "shift", literal_one: bool = False
 ) -> dict:
     """[Q, R]_qhat = id on the basic entries below the truncation edge.
 
@@ -225,11 +225,11 @@ def mutator_identity_report(
     evaluated too so their failures can be recorded as findings.
     """
     bound = basic.bound
-    qhat = qhat_operator(basic, seq, literal_one)
+    qhat = qhat_operator(basic, literal_one)
     if raiser_mode == "shift":
-        raiser = shift_raiser(basic, seq)
+        raiser = shift_raiser(basic)
     elif raiser_mode == "dual":
-        raiser = dual_operator(basic.q_op, basic.table, seq)
+        raiser = basic.raiser
     else:
         raise BadParameterError(f"unknown raiser mode {raiser_mode!r}")
     bracket = q_mutator(basic.q_op, raiser, qhat)
@@ -254,6 +254,14 @@ def mutator_identity_report(
 # -- q-plane identification ------------------------------------------------------
 
 
+def q_parameter(seq: AdmissibleSequence) -> Fraction:
+    """The deformation parameter q a family was built with."""
+    for key, value in seq.params:
+        if key == "q":
+            return Fraction(value)
+    raise BadParameterError(f"{seq.label} carries no deformation parameter")
+
+
 def qplane_commutation(q, bound: int) -> dict:
     """x-multiplication and dilation satisfy the exchange rule exactly."""
     a = multiplication_x(bound)
@@ -274,10 +282,7 @@ def qplane_substitution_report(
     the mixed addition rule over that table, is included."""
     if seq.family != Q_DEFORMED:
         raise WrongFamilyError("identification requires a q-deformed family")
-    q = None
-    for key, value in seq.params:
-        if key == "q":
-            q = Fraction(value)
+    q = q_parameter(seq)
     bound = table.bound
     a = multiplication_x(bound)
     for y in y_values:
@@ -308,11 +313,11 @@ def qplane_substitution_report(
 # -- factorization identities ------------------------------------------------------
 
 
-def sandwich_power_report(basic: BasicSequence, seq: AdmissibleSequence, n: int) -> dict:
+def sandwich_power_report(basic: BasicSequence, n: int) -> dict:
     """Sandwich powers: (Q R Q)^n = Q^n R^n Q^n (full), and
     (R Q R)^n = R^n Q^n R^n below the raising window."""
     q_op = basic.q_op
-    raiser = dual_operator(q_op, basic.table, seq)
+    raiser = basic.raiser
     bound = basic.bound
 
     q_n = q_op.power(n)
@@ -336,13 +341,12 @@ def sandwich_power_report(basic: BasicSequence, seq: AdmissibleSequence, n: int)
     }
 
 
-def number_operator_steps_report(
-    basic: BasicSequence, seq: AdmissibleSequence, n: int, f: Polynomial
-) -> dict:
+def number_operator_steps_report(basic: BasicSequence, n: int, f: Polynomial) -> dict:
     """R^n Q^n followed by f(R) equals the plain falling product of the
     number operator followed by f(R); the graded-step variant is reported."""
+    seq = basic.seq
     q_op = basic.q_op
-    raiser = dual_operator(q_op, basic.table, seq)
+    raiser = basic.raiser
     bound = basic.bound
     number = raiser.compose(q_op)
 
@@ -372,10 +376,7 @@ def number_operator_steps_report(
 
 
 def appell_raising_telescope_report(
-    basic: BasicSequence,
-    seq: AdmissibleSequence,
-    appell_table: SequenceTable,
-    n: int,
+    basic: BasicSequence, appell_table: SequenceTable, n: int
 ) -> dict:
     """Appell-weighted raising display with a free index; both readings
     evaluated, neither asserted.
@@ -387,8 +388,9 @@ def appell_raising_telescope_report(
     equivalent to the plain-derivative ladder a_n' = n_psi a_{n-1} on the
     Appell entries. Both hold when the family weights are the plain integers.
     """
+    seq = basic.seq
     q_op = basic.q_op
-    raiser = dual_operator(q_op, basic.table, seq)
+    raiser = basic.raiser
     bound = basic.bound
 
     a_ops = [operator_polynomial(appell_table[m], q_op) for m in range(n + 1)]
@@ -430,7 +432,6 @@ def appell_raising_telescope_report(
 
 
 def verify_conjugation_transport(
-    seq: AdmissibleSequence,
     source_series: DeltaSeries,
     target_series: DeltaSeries,
     s_coeffs,
@@ -438,8 +439,7 @@ def verify_conjugation_transport(
     sheffer_s: DeltaSeries | None = None,
 ) -> dict:
     """Transport between two basic bases inside one shift-invariant algebra."""
-    from .sequences import basic_sequence_from_series, sheffer_sequence
-
+    seq = source_series.base
     source = basic_sequence_from_series(source_series, bound)
     target = basic_sequence_from_series(target_series, bound)
     t = umbral_operator(source.table, target.table)
@@ -496,19 +496,15 @@ def verify_conjugation_transport(
     }
 
 
-def transport_pincherle_report(
-    seq: AdmissibleSequence, l_series: DeltaSeries, bound: int
-) -> dict:
+def transport_pincherle_report(l_series: DeltaSeries, bound: int) -> dict:
     """The transport from the basic table of l(Q) back to monomials obeys
     U' = [U, xhat] = xhat U (l'(Q) - id) below the raising edge."""
-    from .sequences import basic_sequence_from_series
-
     basic = basic_sequence_from_series(l_series, bound)
     monomials = SequenceTable(
         tuple(Polynomial.monomial(i) for i in range(bound + 1))
     )
     u = umbral_operator(basic.table, monomials)
-    raiser = xhat_psi(seq, bound)
+    raiser = xhat_psi(l_series.base, bound)
     lhs = commutator(u, raiser)
     l_prime = l_series.formal_derivative()
     rhs = from_action(lambda p: raiser.apply(u.apply(apply_delta_series(l_prime, p) - p)), bound)

@@ -429,7 +429,7 @@ def test_criterion_12_deformed_bracket_calculus(families, degree):
     ok = True
     for seq in families:
         basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
-        report = mutator_identity_report(basic, seq)
+        report = mutator_identity_report(basic)
         ok = ok and report["passed"] and report["window"] >= degree - 1
 
         if seq.family == Q_DEFORMED:
@@ -448,9 +448,9 @@ def test_criterion_12_deformed_bracket_calculus(families, degree):
             )["passed"]
 
         for n in (1, 2, 3):
-            ok = ok and sandwich_power_report(basic, seq, n)["passed"]
+            ok = ok and sandwich_power_report(basic, n)["passed"]
             for f in fs:
-                report = number_operator_steps_report(basic, seq, n, f)
+                report = number_operator_steps_report(basic, n, f)
                 ok = ok and report["plain_window"] >= report["required_window"]
 
         # findings: the printed telescoped raising step and the even-order
@@ -460,7 +460,7 @@ def test_criterion_12_deformed_bracket_calculus(families, degree):
         appell = appell_sequence(
             DeltaSeries.from_list(seq, [1, 1, Fraction(1, 2)], degree), degree
         )
-        report = appell_raising_telescope_report(basic, seq, appell.table, 2)
+        report = appell_raising_telescope_report(basic, appell.table, 2)
         _finding(
             12,
             f"{seq.label}: telescoped raising step as printed: "

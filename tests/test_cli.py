@@ -400,6 +400,20 @@ class TestGuards:
             "error: BadParameterError: check_tables key 'entries' must list at least one entry\n"
         )
 
+    def test_wrong_degree_check_table_row_is_rejected_before_any_suite_runs(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "run_suites", lambda *args: pytest.fail("a suite ran"))
+        entry = {"family": {"family": "classical"}, "entries": [["0"], ["0", "1"]]}
+        cfg = write_config(tmp_path, {"suites": [], "families": [], "check_tables": [entry]})
+        code, out, err = run(capsys, ["verify", "--degree", "3", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: BadParameterError: check_tables key 'entries': "
+            "table entry 0 has degree -1, expected 0\n"
+        )
+
 
 class TestConfigReaders:
     """Every config value is read through one typed reader, so bad input

@@ -3,6 +3,7 @@ the exit-status policy, and a handful of frozen verdicts."""
 
 import dataclasses
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,7 +23,16 @@ from umbralcalc import (
     run_suites,
     summarize,
 )
-from umbralcalc.harness import FAILS, HOLDS, SHARED, WINDOWED, Records, _jsonable
+from umbralcalc.harness import (
+    FAILS,
+    HOLDS,
+    SHARED,
+    WINDOWED,
+    Records,
+    _jsonable,
+    _pair_failures,
+    _random_polynomial,
+)
 import conftest
 
 BOUND = 9
@@ -343,13 +353,13 @@ def new_split_consistency(ok):
 
 
 def new_product_rule(ok):
-    witness = None if ok else {"f": F, "g": G}
-    return recorded("star", "exact", "product-rule", SEQ.label, ok, witness, window=DEG - 1)
+    failures = [] if ok else [{"f": F, "g": G}]
+    return recorded("star", "first_failure", "product-rule", SEQ.label, failures, window=DEG - 1)
 
 
 def new_weighted_family_system(ok):
-    bad, ident = None if ok else {"m": 2}, "weighted-family-system(lam=1/2)"
-    return recorded("star", "exact", ident, SEQ.label, bad is None, bad, window=DEG - 4 - 1)
+    failures, ident = [] if ok else [{"m": 2}], "weighted-family-system(lam=1/2)"
+    return recorded("star", "first_failure", ident, SEQ.label, failures, window=DEG - 4 - 1)
 
 
 def new_bracket_identity(ok):
@@ -412,3 +422,45 @@ def test_recorder_matches_the_record_rules_it_replaced(shape, ok):
     assert record(ok) == [expected]
     # a record that holds carries no witness; a failed one always does
     assert (expected.witness is None) == ok
+
+
+# -- first-failure search --------------------------------------------------------
+
+
+class TestFirstFailure:
+    def test_empty_stream_holds(self):
+        out = recorded("star", "first_failure", "rule", SEQ.label, iter(()), window=DEG - 1)
+        assert out == [IdentityReport("star", "rule", SEQ.label, DEG, DEG - 1, WINDOWED, True)]
+
+    def test_empty_first_witness_fails(self):
+        args = ("rule", SEQ.label, [{}, {"n": 1}])
+        out = recorded("binomial", "first_failure", *args, asserted=False, degree=16)
+        assert out == [IdentityReport("binomial", "rule", SEQ.label, 16, None, FAILS, False, {})]
+
+    def test_stream_is_not_advanced_past_its_first_witness(self):
+        pulled = []
+
+        def failures():
+            for i in range(6):
+                pulled.append(i)
+                if i % 2:
+                    yield {"i": i}
+
+        out = recorded("weyl", "first_failure", "rule", SEQ.label, failures())
+        assert pulled == [0, 1]
+        assert out == [IdentityReport("weyl", "rule", SEQ.label, DEG, None, FAILS, True, {"i": 1})]
+
+    def test_pairs_are_drawn_only_until_the_first_failure(self):
+        rng, twin = random.Random(7), random.Random(7)
+        seen = []
+
+        def holds(f, g):
+            seen.append((f, g))
+            return len(seen) < 2
+
+        failures = _pair_failures(rng, 5, 2, 3, holds)
+        out = recorded("leibnitz", "first_failure", "rule", SHARED, failures)
+        drawn = [(_random_polynomial(twin, 2), _random_polynomial(twin, 3)) for _ in range(2)]
+        assert seen == drawn
+        assert rng.getstate() == twin.getstate()
+        assert out[0].witness == {"f": drawn[1][0], "g": drawn[1][1]}
