@@ -176,7 +176,7 @@ def resolve_operator(literal, seq: AdmissibleSequence, degree: int) -> OperatorM
     if isinstance(literal, dict):
         columns = _list_of(literal, "columns", [], str, "polynomial strings", "operator")
         if columns:
-            return OperatorMatrix(tuple(parse_polynomial(text) for text in columns))
+            return OperatorMatrix(tuple([parse_polynomial(text) for text in columns]))
         coeffs = _rationals(literal, "series", None, "operator")
         if coeffs is not None:
             base = _family(literal, degree, "operator") if "family" in literal else seq

@@ -234,7 +234,7 @@ def _reparameterization_certificate(seq, q_series, table, bound: int) -> bool:
     q_series only in the top coefficient: the lowering operator induced by
     the table must detect as a consistent graded series over the same
     family weights, realize back to itself, and match q_series below the top."""
-    monomials = SequenceTable(tuple(Polynomial.monomial(i) for i in range(bound + 1)))
+    monomials = SequenceTable(tuple([Polynomial.monomial(i) for i in range(bound + 1)]))
     induced = (
         umbral_operator(monomials, table)
         .compose(psi_derivative(seq, bound))
@@ -487,7 +487,7 @@ def suite_detect(families, degree, rng, out):
     result = detect_psi_form(sandwich)
     ok = (
         result.consistent
-        and result.candidate == tuple(Fraction(n * n) for n in range(1, degree + 1))
+        and result.candidate == tuple([Fraction(n * n) for n in range(1, degree + 1)])
         and realize_psi_form(result, degree).columns == sandwich.columns
     )
     out.exact("squared-weights-operator", SHARED, ok)
@@ -499,7 +499,7 @@ def suite_detect(families, degree, rng, out):
     expect_break = degree >= 4
     ok = (
         result.consistent != expect_break
-        and result.candidate == tuple(Fraction(n * n, 2) for n in range(1, degree + 1))
+        and result.candidate == tuple([Fraction(n * n, 2) for n in range(1, degree + 1)])
     )
     out.exact("split-operator-candidate", SHARED, ok, {"violation": result.violation})
     # informational record of where the graded pattern first breaks; the
@@ -517,7 +517,7 @@ def suite_detect(families, degree, rng, out):
     ok = (
         result.consistent
         and result.candidate
-        == tuple(Fraction(2 * n * (2 * n - 1)) for n in range(1, degree + 1))
+        == tuple([Fraction(2 * n * (2 * n - 1)) for n in range(1, degree + 1)])
         and realize_psi_form(result, degree).columns == doubled.columns
     )
     out.exact("doubled-index-operator", SHARED, ok)

@@ -36,7 +36,7 @@ class IntegralOperator:
 
     @staticmethod
     def psi_integral(seq: AdmissibleSequence, bound: int) -> "IntegralOperator":
-        weights = tuple(seq.n_psi(n) for n in range(1, bound + 1))
+        weights = tuple([seq.n_psi(n) for n in range(1, bound + 1)])
         return IntegralOperator(
             PSI_INTEGRAL, bound, weights, psi_derivative(seq, bound), seq.label
         )

@@ -20,12 +20,13 @@ from .errors import (
     WrongFamilyError,
 )
 from .poly import (
-    _ZERO,
     ONE,
+    ZERO,
     Polynomial,
     SequenceTable,
-    _accumulate,
     _combine,
+    _diagonal,
+    _shift_down,
     coordinates_in_table,
     fr,
     polynomial_from_json,
@@ -69,31 +70,31 @@ class OperatorMatrix:
             raise DegreeOverflowError(
                 f"input degree {p.degree} exceeds operator bound {self.bound}"
             )
-        return _combine(p.coeffs, self.columns)
+        return _combine(p, self.columns)
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Matrix of self applied after other."""
         if other.bound != self.bound:
             raise BadParameterError("operator bounds differ")
-        return OperatorMatrix(tuple(self.apply(col) for col in other.columns))
+        return OperatorMatrix(tuple([self.apply(col) for col in other.columns]))
 
     def add(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if other.bound != self.bound:
             raise BadParameterError("operator bounds differ")
         return OperatorMatrix(
-            tuple(a + b for a, b in zip(self.columns, other.columns))
+            tuple([a + b for a, b in zip(self.columns, other.columns)])
         )
 
     def subtract(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if other.bound != self.bound:
             raise BadParameterError("operator bounds differ")
         return OperatorMatrix(
-            tuple(a - b for a, b in zip(self.columns, other.columns))
+            tuple([a - b for a, b in zip(self.columns, other.columns)])
         )
 
     def scale(self, c) -> "OperatorMatrix":
         c = fr(c)
-        return OperatorMatrix(tuple(col.scale(c) for col in self.columns))
+        return OperatorMatrix(tuple([col.scale(c) for col in self.columns]))
 
     def powers(self, count: int) -> list:
         """The ladder [I, M, ..., M^count]."""
@@ -133,13 +134,13 @@ class OperatorMatrix:
 
     @staticmethod
     def from_json(data) -> "OperatorMatrix":
-        return OperatorMatrix(tuple(polynomial_from_json(col) for col in data))
+        return OperatorMatrix(tuple([polynomial_from_json(col) for col in data]))
 
 
 def from_action(action, bound: int) -> OperatorMatrix:
     """The matrix whose column j is action(x^j): a linear map on degrees
     0..bound is fixed by its images of the monomials."""
-    return OperatorMatrix(tuple(action(Polynomial.monomial(j)) for j in range(bound + 1)))
+    return OperatorMatrix(tuple([action(Polynomial.monomial(j)) for j in range(bound + 1)]))
 
 
 def weighted_shift(step: int, bound: int, weight) -> OperatorMatrix:
@@ -159,7 +160,7 @@ def identity_operator(bound: int) -> OperatorMatrix:
 
 
 def zero_operator(bound: int) -> OperatorMatrix:
-    return OperatorMatrix(tuple(Polynomial() for _ in range(bound + 1)))
+    return OperatorMatrix(tuple([Polynomial() for _ in range(bound + 1)]))
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -214,7 +215,7 @@ def jackson_operator(q, bound: int) -> OperatorMatrix:
 
 def divided_difference_apply(p: Polynomial) -> Polynomial:
     """(p(x) - p(0)) / x."""
-    return Polynomial(p.coeffs[1:])
+    return _shift_down(p, 1)
 
 
 def divided_difference(bound: int) -> OperatorMatrix:
@@ -257,12 +258,12 @@ def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
     plain convolution: one product per pair of nonzero entries.
     """
     factorial = s.base.factorial
-    scaled = [a * factorial(j) if a else a for j, a in enumerate(p.coeffs)]
-    out = [_ZERO] * len(scaled)
-    for k, c in enumerate(s.coeffs[: len(scaled)]):
-        if c:
-            _accumulate(out, c, scaled[k:])
-    return Polynomial._trusted([v / factorial(i) if v else v for i, v in enumerate(out)])
+    scaled = _diagonal(p, [factorial(j) if a else 0 for j, a in enumerate(p.nums)])
+    # sum_k c_k Q^k on the coordinates: coordinate j moves to j - k
+    series = Polynomial(s.coeffs[: len(scaled.nums)])
+    shifts = [_shift_down(scaled, k) if c else ZERO for k, c in enumerate(series.nums)]
+    out = _combine(series, shifts)
+    return _diagonal(out, [1 / factorial(i) if v else 0 for i, v in enumerate(out.nums)])
 
 
 def realize_delta_series(s: DeltaSeries, bound: int) -> OperatorMatrix:
@@ -310,7 +311,9 @@ def umbral_operator(source: SequenceTable, images) -> OperatorMatrix:
     """
     if len(images) != len(source):
         raise WrongFamilyError(f"{len(images)} images for a table of {len(source)} entries")
-    return from_action(lambda p: _combine(coordinates_in_table(source, p), images), source.bound)
+    return from_action(
+        lambda p: _combine(Polynomial(coordinates_in_table(source, p)), images), source.bound
+    )
 
 
 # -- dual raising operator --------------------------------------------------
@@ -373,7 +376,7 @@ def detect_psi_form(q_op: OperatorMatrix) -> PsiFormResult:
         col = q_op.column(n)
         for k in range(1, n + 1):
             b[(n, k)] = col.coefficient(n - k)
-    candidate = tuple(b[(n, 1)] for n in range(1, bound + 1))
+    candidate = tuple([b[(n, 1)] for n in range(1, bound + 1)])
     scale = candidate[0]
     for n in range(1, bound + 1):
         if b[(n, 1)] == 0:
@@ -441,24 +444,20 @@ def expand_in_dual_pair(
     r_columns = list(zip(*(r.columns for r in r_powers)))
     # acc[k] is column k of the running reassembly. Q^j x^k is zero for
     # k < j, so step j adds q_j(raiser) Q^j x^k to the columns k >= j only.
-    acc = [[_ZERO] * (bound + 1) for _ in range(bound + 1)]
+    acc = [ZERO] * (bound + 1)
     coefficients = []
     for j in range(bound + 1):
-        so_far = Polynomial._trusted(list(acc[j]))
-        u = coordinates_in_table(ladder, t.column(j) - so_far)
+        u = coordinates_in_table(ladder, t.column(j) - acc[j])
         pivot = q_powers[j].column(j).constant_term
-        q_j = Polynomial._trusted([ui / pivot if ui else ui for ui in u])
+        q_j = Polynomial(u).scale(1 / pivot)
         coefficients.append(q_j)
         if q_j.is_zero():
             continue
         # column m of q_j(raiser); Q^j x^k has degree k - j <= bound - j
-        step = [_combine(q_j.coeffs, r_columns[m]).coeffs for m in range(bound - j + 1)]
+        step = [_combine(q_j, r_columns[m]) for m in range(bound - j + 1)]
         for k in range(j, bound + 1):
-            for m, v in enumerate(q_powers[j].columns[k].coeffs):
-                if v:
-                    _accumulate(acc[k], v, step[m])
-    reassembled = OperatorMatrix(tuple(Polynomial._trusted(col) for col in acc))
-    return ExpansionResult(tuple(coefficients), reassembled)
+            acc[k] = _combine(q_powers[j].columns[k], step, acc[k])
+    return ExpansionResult(tuple(coefficients), OperatorMatrix(tuple(acc)))
 
 
 # -- eigenseries and indicator ------------------------------------------------

@@ -1,10 +1,20 @@
 """Dense exact-rational polynomials and degree-indexed tables.
 
-Coefficients are `fractions.Fraction`, stored low degree first with trailing
-zeros trimmed, so the zero polynomial has an empty coefficient tuple and
-degree -1 (the sentinel used throughout the package). Arithmetic skips zero
-coefficients: the package's operators are mostly weighted shifts, so most
-entries it touches are zero.
+A polynomial is stored as integer numerators `nums`, low degree first, over
+one shared denominator `den`, in one canonical form: `den > 0`, `den` and
+the numerators have no common factor, and there is no trailing zero
+numerator. So the zero polynomial is `((), 1)` with degree -1 (the sentinel
+used throughout the package), and equal polynomials have equal `(nums, den)`.
+Arithmetic runs on the integers and divides out one gcd per result, not one
+per coefficient operation; `coeffs`, the coefficients as canonical Fractions,
+is built on first use. Loops skip zero numerators: the package's operators
+are mostly weighted shifts, so most entries they touch are zero.
+
+The package builds tuples from lists, `tuple([...])`, never from generators:
+CPython sizes a tuple built from a generator at 10 and then resizes it, so
+when it is freed it goes to the free list of another size, and those free
+lists fill until a full garbage collection, which integer arithmetic, making
+few tracked objects, rarely triggers.
 """
 
 from __future__ import annotations
@@ -12,10 +22,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import BadParameterError, BasisMismatchError, DegreeOverflowError
 
-ZERO_DEGREE = -1
 _ZERO = Fraction(0)
 
 
@@ -38,44 +48,50 @@ def fr(value) -> Fraction:
 
 
 class Polynomial:
-    """Immutable polynomial with exact rational coefficients."""
+    """Immutable polynomial with exact rational coefficients, held as the
+    integer numerators `nums` over the denominator `den`."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
         cs = [fr(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def _trusted(cls, cs: list) -> "Polynomial":
-        """Wrap a list of Fractions, trimming its trailing zeros in place.
-
-        No coercion: callers pass values produced by Fraction arithmetic.
-        """
         while cs and not cs[-1]:
             cs.pop()
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(cs))
-        return p
+        # canonical Fractions over the lcm of their denominators share no
+        # factor with it, so no gcd is needed
+        den = lcm(*[c.denominator for c in cs])
+        nums = tuple([c.numerator * (den // c.denominator) for c in cs])
+        _init(self, nums, den, tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as canonical Fractions, low degree first."""
+        cs = self._coeffs
+        if cs is None:
+            den = self.den
+            cs = tuple([Fraction(a, den) for a in self.nums])
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
 
     @staticmethod
     def monomial(n: int, c=1) -> "Polynomial":
         if n < 0:
             raise BadParameterError("monomial degree must be nonnegative")
-        return Polynomial._trusted([_ZERO] * n + [fr(c)])
+        c = fr(c)
+        if not c:
+            return ZERO
+        return _new((0,) * n + (c.numerator,), c.denominator)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else ZERO_DEGREE
+        return len(self.nums) - 1
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
 
     @property
@@ -83,28 +99,31 @@ class Polynomial:
         return self.coefficient(0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         if not b:
             return self
         if not a:
             return other
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        ma, mb = db // g, da // g  # da * ma == db * mb == lcm(da, db)
+        den = da * ma
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            if c:
-                o = out[i]
-                out[i] = o + c if o else c
-        return Polynomial._trusted(out)
+            a, b, ma, mb = b, a, mb, ma
+        out = [v * ma for v in a] if ma != 1 else list(a)
+        for i, v in enumerate(b):
+            if v:
+                out[i] += v * mb
+        return _canonical(out, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted([-c if c else c for c in self.coeffs])
+        return _new(tuple([-v for v in self.nums]), self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -113,21 +132,21 @@ class Polynomial:
         c = fr(c)
         if not c:
             return ZERO
-        return Polynomial._trusted([c * a if a else a for a in self.coeffs])
+        cn = c.numerator
+        return _canonical([v * cn for v in self.nums], self.den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
+            a, b = self.nums, other.nums
+            if not a or not b:
                 return ZERO
-            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs, i):
-                    if b:
-                        o = out[j]
-                        out[j] = o + a * b if o else a * b
-            return Polynomial._trusted(out)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        if y:
+                            out[j] += x * y
+            return _canonical(out, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -143,22 +162,23 @@ class Polynomial:
 
     def __call__(self, value) -> Fraction:
         value = fr(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        if not self.nums:
+            return Fraction(0)
+        # Horner on sum_i nums[i] p^i q^(degree - i), over den q^degree
+        p, q = value.numerator, value.denominator
+        acc, power = 0, 1
+        for v in reversed(self.nums):
+            acc = acc * p + v * power
+            power *= q
+        return Fraction(acc, self.den * (power // q))
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _canonical([i * v for i, v in enumerate(self.nums)][1:], self.den)
 
     def dilate(self, q) -> "Polynomial":
         """Return p(q*x)."""
         q = fr(q)
-        out, power = [], Fraction(1)
-        for c in self.coeffs:
-            out.append(c * power)
-            power *= q
-        return Polynomial(out)
+        return _diagonal(self, [q**j for j in range(len(self.nums))])
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         acc = ZERO
@@ -168,13 +188,19 @@ class Polynomial:
 
     def truncate(self, bound: int) -> "Polynomial":
         """Drop all terms of degree above `bound`."""
-        return Polynomial(self.coeffs[: bound + 1])
+        if bound + 1 >= len(self.nums):
+            return self
+        return _canonical(list(self.nums[: bound + 1]), self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, Polynomial)
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()!r})"
@@ -198,28 +224,73 @@ class Polynomial:
         return [str(c) for c in self.coeffs]
 
 
+def _init(p: Polynomial, nums: tuple, den: int, coeffs) -> None:
+    object.__setattr__(p, "nums", nums)
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "_coeffs", coeffs)
+
+
+def _new(nums: tuple, den: int) -> Polynomial:
+    """The polynomial with these numerators and denominator, which are
+    already in canonical form."""
+    p = object.__new__(Polynomial)
+    _init(p, nums, den, None)
+    return p
+
+
+def _canonical(nums: list, den: int) -> Polynomial:
+    """sum_i nums[i] x^i / den, for a den > 0, in canonical form: trailing
+    zeros trimmed (in place) and the content divided out."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return ZERO
+    g = gcd(den, *nums)
+    if g != 1:
+        den //= g
+        nums = [v // g for v in nums]
+    return _new(tuple(nums), den)
+
+
 ZERO = Polynomial()
 ONE = Polynomial([1])
 X = Polynomial([0, 1])
 
 
-def _accumulate(out: list, c: Fraction, coeffs) -> None:
-    """out += c * coeffs in place, skipping zero entries; out is long enough."""
-    for i, a in enumerate(coeffs):
-        if a:
-            o = out[i]
-            out[i] = o + c * a if o else c * a
+def _combine(weights: Polynomial, polys, start: Polynomial = ZERO) -> Polynomial:
+    """start + sum_i weights[i] * polys[i]: each polynomial with a nonzero
+    weight is brought to the lcm of their denominators and its numerators
+    accumulated, skipping zeros."""
+    terms = [(w, p) for w, p in zip(weights.nums, polys) if w and p.nums]
+    if start.nums:
+        terms.append((weights.den, start))
+    if not terms:
+        return ZERO
+    if len(terms) == 1:
+        w, p = terms[0]
+        return _canonical([w * a for a in p.nums], p.den * weights.den)
+    den = lcm(*[p.den for _, p in terms])
+    out = [0] * max([len(p.nums) for _, p in terms])
+    for w, p in terms:
+        w *= den // p.den
+        for i, a in enumerate(p.nums):
+            if a:
+                out[i] += w * a
+    return _canonical(out, den * weights.den)
 
 
-def _combine(coeffs, polys) -> Polynomial:
-    """sum_i coeffs[i] * polys[i], skipping zero coefficients and entries."""
-    out = []
-    for c, p in zip(coeffs, polys):
-        if c and p.coeffs:
-            if len(out) < len(p.coeffs):
-                out += [_ZERO] * (len(p.coeffs) - len(out))
-            _accumulate(out, c, p.coeffs)
-    return Polynomial._trusted(out)
+def _diagonal(p: Polynomial, weights) -> Polynomial:
+    """sum_i weights[i] p_i x^i; `weights[i]` is a Fraction or an int and is
+    read only where p_i is nonzero."""
+    pairs = list(zip(p.nums, weights))
+    den = lcm(*[w.denominator for a, w in pairs if a])
+    out = [a * w.numerator * (den // w.denominator) if a else 0 for a, w in pairs]
+    return _canonical(out, p.den * den)
+
+
+def _shift_down(p: Polynomial, k: int) -> Polynomial:
+    """(p - its terms below degree k) / x^k."""
+    return _canonical(list(p.nums[k:]), p.den)
 
 
 # at most four exponent digits, so the dense coefficient list below stays small
@@ -300,26 +371,40 @@ class SequenceTable:
 
     @staticmethod
     def from_json(data) -> "SequenceTable":
-        return SequenceTable(tuple(polynomial_from_json(row) for row in data))
+        return SequenceTable(tuple([polynomial_from_json(row) for row in data]))
 
 
 def coordinates_in_table(table: SequenceTable, p: Polynomial) -> list:
     """Coordinates of p in the degree-graded basis given by `table`.
 
-    Solved top degree down; exact because entry n has degree exactly n.
+    Solved top degree down, exact because entry n has degree exactly n. The
+    residue stays integers over one denominator, fraction-free (Bareiss):
+    removing entry n with leading numerator `lead` is r <- r*lead - c*entry,
+    after which the content is divided out. Only degrees below n are kept.
     """
     if p.degree > table.bound:
         raise DegreeOverflowError(
             f"degree {p.degree} exceeds table bound {table.bound}"
         )
     coords = [_ZERO] * (table.bound + 1)
-    residue = list(p.coeffs)
+    residue, den = list(p.nums), p.den
     for n in range(p.degree, -1, -1):
-        c = residue[n]
-        if c:
-            entry = table[n].coeffs
-            coords[n] = c / entry[n]
-            _accumulate(residue, -coords[n], entry)
-    if any(residue):
-        raise AssertionError("triangular reduction left a residue")
+        c = residue.pop()
+        if not c:
+            continue
+        entry = table[n]
+        lead = entry.nums[n]
+        if lead < 0:  # keeps den positive; r*lead - c*entry only changes sign
+            lead, c = -lead, -c
+        coords[n] = Fraction(c * entry.den, den * lead)
+        if lead != 1:
+            residue = [r * lead for r in residue]
+        for i, e in enumerate(entry.nums[:n]):
+            if e:
+                residue[i] -= c * e
+        den *= lead
+        g = gcd(den, *residue)
+        if g != 1:
+            den //= g
+            residue = [r // g for r in residue]
     return coords

@@ -58,7 +58,7 @@ class AdmissibleSequence:
 
     @staticmethod
     def classical(bound: int) -> "AdmissibleSequence":
-        values = tuple(Fraction(n) for n in range(bound + 1))
+        values = tuple([Fraction(n) for n in range(bound + 1)])
         return AdmissibleSequence(CLASSICAL, "classical", bound, values)
 
     @staticmethod
@@ -66,7 +66,7 @@ class AdmissibleSequence:
         q = fr(q)
         if q == 1:
             raise DegenerateFamilyError("q = 1 -- use the classical family")
-        values = tuple((1 - q**n) / (1 - q) for n in range(bound + 1))
+        values = tuple([(1 - q**n) / (1 - q) for n in range(bound + 1)])
         return AdmissibleSequence(
             Q_DEFORMED, f"q_deformed(q={q})", bound, values, (("q", str(q)),)
         )
@@ -80,21 +80,21 @@ class AdmissibleSequence:
 
     @staticmethod
     def recurrence(alphas, betas, bound: int) -> "AdmissibleSequence":
-        alphas = tuple(fr(a) for a in alphas)
-        betas = tuple(fr(b) for b in betas)
+        alphas = tuple([fr(a) for a in alphas])
+        betas = tuple([fr(b) for b in betas])
         if len(alphas) != len(betas) or not alphas:
             raise BadParameterError("alphas and betas must have equal length >= 1")
         if sum(betas) != 0:
             raise BadParameterError("recurrence weights must sum to zero")
         if sum(b * a for a, b in zip(alphas, betas)) != 1:
             raise BadParameterError("weighted roots must sum to one")
-        values = tuple(
+        values = tuple([
             sum((b * a**n for a, b in zip(alphas, betas)), Fraction(0))
             for n in range(bound + 1)
-        )
+        ])
         params = (
-            ("alphas", tuple(str(a) for a in alphas)),
-            ("betas", tuple(str(b) for b in betas)),
+            ("alphas", tuple([str(a) for a in alphas])),
+            ("betas", tuple([str(b) for b in betas])),
         )
         return AdmissibleSequence(
             RECURRENCE, f"recurrence(r={len(alphas)})", bound, values, params
@@ -102,20 +102,20 @@ class AdmissibleSequence:
 
     @staticmethod
     def r_series(coefficients, q, bound: int) -> "AdmissibleSequence":
-        coeffs = tuple(fr(c) for c in coefficients)
+        coeffs = tuple([fr(c) for c in coefficients])
         q = fr(q)
         shape = Polynomial(coeffs)
-        values = tuple(shape(q**n) for n in range(bound + 1))
+        values = tuple([shape(q**n) for n in range(bound + 1)])
         if values[0] != 0:
             raise BadParameterError("series map must send 1 to 0 (zero constant sum)")
-        params = (("coefficients", tuple(str(c) for c in coeffs)), ("q", str(q)))
+        params = (("coefficients", tuple([str(c) for c in coeffs])), ("q", str(q)))
         return AdmissibleSequence(
             R_SERIES, f"r_series(q={q})", bound, values, params
         )
 
     @staticmethod
     def hyperbolic(bound: int) -> "AdmissibleSequence":
-        values = tuple(Fraction(2 * n * (2 * n - 1)) for n in range(bound + 1))
+        values = tuple([Fraction(2 * n * (2 * n - 1)) for n in range(bound + 1)])
         return AdmissibleSequence(HYPERBOLIC, "hyperbolic", bound, values)
 
     @staticmethod
@@ -130,7 +130,7 @@ class AdmissibleSequence:
             label,
             bound,
             tuple([Fraction(0)] + vals[:bound]),
-            (("values", tuple(str(v) for v in vals[:bound])),),
+            (("values", tuple([str(v) for v in vals[:bound]])),),
         )
 
     # -- scalar combinatorics ---------------------------------------------
@@ -154,10 +154,10 @@ class AdmissibleSequence:
     def _binomials(self) -> tuple:
         """Triangle of n_psi! / (k_psi! (n-k)_psi!), 0 <= k <= n <= bound."""
         t = self._factorials
-        return tuple(
-            tuple(t[n] / (t[k] * t[n - k]) for k in range(n + 1))
+        return tuple([
+            tuple([t[n] / (t[k] * t[n - k]) for k in range(n + 1)])
             for n in range(self.bound + 1)
-        )
+        ])
 
     def factorial(self, n: int) -> Fraction:
         if not 0 <= n <= self.bound:

@@ -179,7 +179,7 @@ def sheffer_sequence(
     s_series = DeltaSeries.from_list(s_series.base, s_series.coeffs, bound)
     basic = basic_sequence_from_series(q_series, bound)
     s_inv = s_series.multiplicative_inverse()
-    entries = tuple(apply_delta_series(s_inv, p) for p in basic.table)
+    entries = tuple([apply_delta_series(s_inv, p) for p in basic.table])
     return ShefferSequence(
         q_series.base, basic, q_series, s_series, SequenceTable(entries)
     )
@@ -273,22 +273,37 @@ def _addition_coefficients_agree(
     first, in the order of `generalized_shift`, so a family too short for the
     table raises the same UndefinedIndexError the sampled shift would.
     """
+    # each side is integers over one denominator: the lcm of its
+    # binom_psi * den_t * den_u denominators
+    t_n = table[n]
+    lhs_terms = [
+        (j, a, [seq.binomial(j, k) for k in range(j + 1)])
+        for j, a in enumerate(t_n.nums)
+        if a
+    ]
+    lhs_den = math.lcm(*[b.denominator for _, _, bs in lhs_terms for b in bs])
     lhs = [[0] * (n + 1 - i) for i in range(n + 1)]
-    for j, c in enumerate(table[n].coeffs):
-        if c:
-            for k in range(j + 1):
-                lhs[j - k][k] = seq.binomial(j, k) * c
+    for j, a, bs in lhs_terms:
+        for k, b in enumerate(bs):
+            lhs[j - k][k] = a * b.numerator * (lhs_den // b.denominator)
+    lhs_den *= t_n.den
+
+    rhs_terms = [(seq.binomial(n, m), table[m], partner[n - m]) for m in range(n + 1)]
+    rhs_den = math.lcm(*[b.denominator * t.den * u.den for b, t, u in rhs_terms])
     rhs = [[0] * (n + 1 - i) for i in range(n + 1)]
-    for m in range(n + 1):
-        b = seq.binomial(n, m)
-        u_coeffs = partner[n - m].coeffs
-        for i, a in enumerate(table[m].coeffs):
+    for b, t, u in rhs_terms:
+        w = b.numerator * (rhs_den // (b.denominator * t.den * u.den))
+        for i, a in enumerate(t.nums):
             if a:
-                w = b * a
-                row = rhs[i]
-                for k, c in enumerate(u_coeffs):
-                    row[k] += w * c
-    return lhs == rhs
+                wa, row = w * a, rhs[i]
+                for k, c in enumerate(u.nums):
+                    if c:
+                        row[k] += wa * c
+    return all(
+        left * rhs_den == right * lhs_den
+        for lrow, rrow in zip(lhs, rhs)
+        for left, right in zip(lrow, rrow)
+    )
 
 
 def _addition_rule(
@@ -402,7 +417,7 @@ class EigenSeriesResult:
 def eigenfunction_series(q_op: OperatorMatrix, truncation: int) -> EigenSeriesResult:
     phis = eigen_series(q_op, truncation)
     if all(p.degree == n and all(c == 0 for c in p.coeffs[:-1]) for n, p in enumerate(phis)):
-        return EigenSeriesResult(tuple(phis), tuple(p.coefficient(p.degree) for p in phis))
+        return EigenSeriesResult(tuple(phis), tuple([p.coefficient(p.degree) for p in phis]))
     return EigenSeriesResult(tuple(phis), None)
 
 
@@ -449,7 +464,7 @@ def sheffer_product_shift(sheffer: ShefferSequence, extra_s: DeltaSeries) -> She
     # read the series in the table's own family and at its bound
     extra_s = DeltaSeries.from_list(sheffer.seq, extra_s.coeffs, sheffer.bound)
     extra_inv = extra_s.multiplicative_inverse()
-    entries = tuple(apply_delta_series(extra_inv, p) for p in sheffer.table)
+    entries = tuple([apply_delta_series(extra_inv, p) for p in sheffer.table])
     return ShefferSequence(
         sheffer.seq,
         sheffer.basic,

@@ -139,7 +139,7 @@ class DeltaSeries:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(fr(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple([fr(c) for c in self.coeffs]))
 
     @staticmethod
     def from_list(base: AdmissibleSequence, coeffs, order: int | None = None) -> "DeltaSeries":

@@ -438,8 +438,17 @@ def verify_conjugation_transport(
     bound: int,
     sheffer_s: DeltaSeries | None = None,
 ) -> dict:
-    """Transport between two basic bases inside one shift-invariant algebra."""
+    """Transport between two basic bases inside one shift-invariant algebra.
+
+    Every series must be over the family of `source_series`; raises
+    WrongFamilyError otherwise."""
     seq = source_series.base
+    for name, series in (("target_series", target_series), ("sheffer_s", sheffer_s)):
+        if series is not None and series.base != seq:
+            raise WrongFamilyError(
+                f"{name} is over another family ({series.base.label}) than "
+                f"source_series ({seq.label})"
+            )
     source = basic_sequence_from_series(source_series, bound)
     target = basic_sequence_from_series(target_series, bound)
     t = umbral_operator(source.table, target.table)
@@ -501,7 +510,7 @@ def transport_pincherle_report(l_series: DeltaSeries, bound: int) -> dict:
     U' = [U, xhat] = xhat U (l'(Q) - id) below the raising edge."""
     basic = basic_sequence_from_series(l_series, bound)
     monomials = SequenceTable(
-        tuple(Polynomial.monomial(i) for i in range(bound + 1))
+        tuple([Polynomial.monomial(i) for i in range(bound + 1)])
     )
     u = umbral_operator(basic.table, monomials)
     raiser = xhat_psi(l_series.base, bound)

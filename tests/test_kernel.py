@@ -18,10 +18,15 @@ Then an oracle that shares no code path with the series action: the
 diagonal map D: x^n -> (n_psi!/n!) x^n carries d/dx to the graded derivative
 Q, so every series f(Q) is D^-1 f(d/dx) D, and x to the dual raiser xhat_psi.
 
-Last, every operator matrix is now built from its action on the monomials:
-the `old_*` builders of the last section are the column loops and dense
-matrix chains that did it before, and the new builders must return the same
+Then every operator matrix is built from its action on the monomials: the
+`old_*` builders of that section are the column loops and dense matrix
+chains that did it before, and the new builders must return the same
 columns, or raise the same exception with the same message.
+
+Last, a polynomial is integer numerators over one denominator and the kernel
+runs on the integers: the `old_*` functions of the last section are the
+Fraction-list kernel it replaced. Every polynomial a test compares must be in
+the canonical form, with coefficients that are canonical `Fraction`s.
 """
 
 import dataclasses
@@ -30,7 +35,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from umbralcalc.errors import BadParameterError, UmbralError
+from umbralcalc.errors import BadParameterError, DegreeOverflowError, UmbralError
 from umbralcalc.integration import IntegralOperator
 from umbralcalc.operators import (
     OperatorMatrix,
@@ -50,21 +55,25 @@ from umbralcalc.operators import (
     operator_polynomial,
     psi_derivative,
     realize_delta_series,
+    require_lowers_by_one,
     umbral_operator,
     xhat_psi,
     zero_operator,
 )
 from umbralcalc.poly import (
     ONE,
+    X,
     ZERO,
     Polynomial,
     SequenceTable,
     _combine,
     coordinates_in_table,
     fr,
+    parse_polynomial,
 )
 from umbralcalc.psi import AdmissibleSequence
 from umbralcalc.sequences import (
+    _addition_coefficients_agree,
     basic_sequence_from_series,
     closed_form_routes,
     sheffer_product_shift,
@@ -171,10 +180,23 @@ def old_expand(t, q_op, raiser):
     return tuple(coefficients), acc.columns
 
 
+def canonical(p):
+    """Integer numerators over a positive denominator with no common factor
+    and no trailing zero, and coefficients that are those canonical
+    Fractions."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int for v in p.nums)
+    assert not p.nums or p.nums[-1] != 0
+    assert math.gcd(p.den, *p.nums) == 1
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs == tuple(Fraction(v, p.den) for v in p.nums)
+
+
 def same(got, want):
-    """Equal coefficient tuples, every coefficient a Fraction."""
+    """Equal coefficient tuples, every coefficient a Fraction, and the
+    result in canonical form."""
     assert got.coeffs == want.coeffs
-    assert all(type(c) is Fraction for c in got.coeffs)
+    canonical(got)
 
 
 nonzero_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
@@ -563,8 +585,8 @@ def old_identity_operator(bound):
 def old_umbral_operator(source, images):
     cols = []
     for j in range(source.bound + 1):
-        coords = coordinates_in_table(source, Polynomial.monomial(j))
-        cols.append(_combine(coords, images))
+        coords = old_coordinates_in_table(source, Polynomial.monomial(j))
+        cols.append(old_combine(coords, images))
     return OperatorMatrix(tuple(cols))
 
 
@@ -717,3 +739,261 @@ def test_series_chains_applied_match_old_dense_compositions(case):
     window = commutator(u, raiser).agreement_window(rhs)
     want = {"window": window, "passed": window >= degree - 1}
     assert transport_pincherle_report(l_series, degree) == want
+
+
+# -- integer numerators over one denominator -------------------------------------
+#
+# The `old_*` functions below are the Fraction-list kernel that the integer
+# one replaced: `_accumulate`, `_combine`, `coordinates_in_table`, the column
+# accumulation of `expand_in_dual_pair` and the addition check, verbatim
+# except that `Polynomial._trusted` became the coercing constructor and the
+# old operations call each other. Families include q-deformed ones with
+# q = 3/2 and q = -2/3 up to degree 16, so that denominators grow.
+
+
+def old_accumulate(out, c, coeffs):
+    """out += c * coeffs in place, skipping zero entries; out is long enough."""
+    for i, a in enumerate(coeffs):
+        if a:
+            o = out[i]
+            out[i] = o + c * a if o else c * a
+
+
+def old_combine(coeffs, polys):
+    """sum_i coeffs[i] * polys[i], skipping zero coefficients and entries."""
+    out = []
+    for c, p in zip(coeffs, polys):
+        if c and p.coeffs:
+            if len(out) < len(p.coeffs):
+                out += [Fraction(0)] * (len(p.coeffs) - len(out))
+            old_accumulate(out, c, p.coeffs)
+    return Polynomial(out)
+
+
+def old_coordinates_in_table(table, p):
+    if p.degree > table.bound:
+        raise DegreeOverflowError(
+            f"degree {p.degree} exceeds table bound {table.bound}"
+        )
+    coords = [Fraction(0)] * (table.bound + 1)
+    residue = list(p.coeffs)
+    for n in range(p.degree, -1, -1):
+        c = residue[n]
+        if c:
+            entry = table[n].coeffs
+            coords[n] = c / entry[n]
+            old_accumulate(residue, -coords[n], entry)
+    if any(residue):
+        raise AssertionError("triangular reduction left a residue")
+    return coords
+
+
+def old_powers(m, count):
+    out = [old_identity_operator(m.bound)]
+    for _ in range(count):
+        out.append(old_compose(m, out[-1]))
+    return out
+
+
+def old_accumulated_expand(t, q_op, raiser):
+    """(coefficients, reassembled columns), accumulated column by column."""
+    require_lowers_by_one(q_op)
+    bound = t.bound
+    r_powers = old_powers(raiser, bound)
+    ladder = SequenceTable(tuple(old_apply(p, ONE) for p in r_powers))
+    q_powers = old_powers(q_op, bound)
+
+    # r_columns[m][i] is column m of raiser^i
+    r_columns = list(zip(*(r.columns for r in r_powers)))
+    # acc[k] is column k of the running reassembly. Q^j x^k is zero for
+    # k < j, so step j adds q_j(raiser) Q^j x^k to the columns k >= j only.
+    acc = [[Fraction(0)] * (bound + 1) for _ in range(bound + 1)]
+    coefficients = []
+    for j in range(bound + 1):
+        so_far = Polynomial(list(acc[j]))
+        u = old_coordinates_in_table(ladder, old_sub(t.column(j), so_far))
+        pivot = q_powers[j].column(j).constant_term
+        q_j = Polynomial([ui / pivot if ui else ui for ui in u])
+        coefficients.append(q_j)
+        if q_j.is_zero():
+            continue
+        # column m of q_j(raiser); Q^j x^k has degree k - j <= bound - j
+        step = [old_combine(q_j.coeffs, r_columns[m]).coeffs for m in range(bound - j + 1)]
+        for k in range(j, bound + 1):
+            for m, v in enumerate(q_powers[j].columns[k].coeffs):
+                if v:
+                    old_accumulate(acc[k], v, step[m])
+    return tuple(coefficients), tuple(Polynomial(col) for col in acc)
+
+
+def old_addition_coefficients_agree(table, partner, seq, n):
+    lhs = [[0] * (n + 1 - i) for i in range(n + 1)]
+    for j, c in enumerate(table[n].coeffs):
+        if c:
+            for k in range(j + 1):
+                lhs[j - k][k] = seq.binomial(j, k) * c
+    rhs = [[0] * (n + 1 - i) for i in range(n + 1)]
+    for m in range(n + 1):
+        b = seq.binomial(n, m)
+        u_coeffs = partner[n - m].coeffs
+        for i, a in enumerate(table[m].coeffs):
+            if a:
+                w = b * a
+                row = rhs[i]
+                for k, c in enumerate(u_coeffs):
+                    row[k] += w * c
+    return lhs == rhs
+
+
+def old_evaluate(p, value):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * value + c
+    return acc
+
+
+def result_or_error(call, *args):
+    """("value", what `call(*args)` returns) or ("raises", type, message)."""
+    try:
+        return "value", call(*args)
+    except UmbralError as exc:
+        return "raises", type(exc), str(exc)
+
+
+FAMILY_QS = (None, Fraction(3, 2), Fraction(-2, 3))
+
+
+@st.composite
+def numerator_cases(draw, max_degree=16):
+    """A custom or q-deformed family (q = 3/2 or -2/3) on a bound up to
+    `max_degree` + 1; polynomials of degree up to the degree, sparse or dense,
+    some with coefficients divided by the family factorials so that
+    denominators grow; a delta series; and a triangular table of the
+    series' basic sequence, with one entry perturbed below its lead or not."""
+    degree = draw(st.integers(2, max_degree))
+    bound = degree + 1
+    q = draw(st.sampled_from(FAMILY_QS))
+    if q is None:
+        values = draw(st.lists(nonzero_rationals, min_size=bound, max_size=bound))
+        seq = AdmissibleSequence.custom(values, bound)
+    else:
+        seq = AdmissibleSequence.q_deformed(q, bound)
+
+    def polynomial():
+        entries = draw(st.sampled_from([sparse_rationals, mixed_rationals]))
+        cs = draw(st.lists(entries, max_size=degree + 1))
+        if draw(st.booleans()):
+            cs = [c / seq.factorial(j) for j, c in enumerate(cs)]
+        return cs
+
+    tail = draw(st.lists(mixed_rationals, max_size=degree - 1))
+    series = DeltaSeries.from_list(seq, [0, draw(nonzero_rationals)] + tail, degree)
+    table = basic_sequence_from_series(series, degree).table
+    entries = list(table.entries)
+    n = draw(st.integers(1, degree))
+    if draw(st.booleans()):
+        below = Polynomial.monomial(draw(st.integers(0, n - 1)), draw(nonzero_rationals))
+        entries[n] = entries[n] + below
+    return seq, degree, [polynomial() for _ in range(4)], series, SequenceTable(tuple(entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=numerator_cases(), c=nonzero_rationals, y=mixed_rationals)
+def test_numerator_arithmetic_matches_fraction_kernel(case, c, y):
+    seq, degree, lists, _, table = case
+    p, q, f, g = (Polynomial(cs) for cs in lists)
+    for v in (p, q, f, g):
+        canonical(v)
+        assert v.coeffs == Polynomial(list(v.coeffs)).coeffs
+    same(p + q, old_add(p, q))
+    same(-p, old_neg(p))
+    same(p - q, old_sub(p, q))
+    same(p - p, ZERO)
+    same(p.scale(c), old_scale(p, c))
+    same(p.scale(c).scale(1 / c), p)
+    same(p * q, old_mul(p, q))
+    same(p.derivative(), Polynomial([i * a for i, a in enumerate(p.coeffs)][1:]))
+    for k in range(-1, degree + 1):
+        same(p.truncate(k), Polynomial(p.coeffs[: k + 1]))
+    assert p(y) == old_evaluate(p, y) and type(p(y)) is Fraction
+    # weights and polynomials with unrelated denominators
+    weights = list(f.coeffs)
+    polys = [p, q, g, table[degree], p - q, ZERO, table[1]]
+    same(_combine(f, polys), old_combine(weights, polys))
+    same(_combine(f, list(table)), old_combine(weights, list(table)))
+
+    # one polynomial built three ways: from its list, by arithmetic and by
+    # parsing its text; equal, with equal hashes and numerators
+    built = Polynomial(lists[0])
+    summed = ZERO
+    for j, a in enumerate(lists[0]):
+        summed = summed + Polynomial.monomial(j, a)
+    # (x p)' - x p' = p
+    ruled = (X * built).derivative() - X * built.derivative()
+    text = " + ".join(f"{a}*x^{j}" for j, a in enumerate(lists[0]) if a) or "0"
+    parsed = parse_polynomial(text)
+    for other in (summed, ruled, parsed):
+        canonical(other)
+        assert other == built and hash(other) == hash(built)
+        assert (other.nums, other.den) == (built.nums, built.den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=numerator_cases())
+def test_fraction_free_solve_matches_fraction_kernel(case):
+    seq, degree, lists, series, table = case
+    for cs in lists + [list(table[degree].coeffs)]:
+        p = Polynomial(cs)
+        got = coordinates_in_table(table, p)
+        assert got == old_coordinates_in_table(table, p)
+        assert all(type(c) is Fraction for c in got)
+        same(apply_delta_series(series, p), old_apply(old_realize_delta_series(series, degree), p))
+    # entries with negative and fractional leads
+    scaled = SequenceTable(
+        tuple(e.scale(Fraction(-2, 3) if n % 2 else Fraction(5, 7)) for n, e in enumerate(table))
+    )
+    p = Polynomial(lists[1])
+    assert coordinates_in_table(scaled, p) == old_coordinates_in_table(scaled, p)
+    too_high = Polynomial.monomial(degree + 1, 1)
+    assert result_or_error(coordinates_in_table, table, too_high) == result_or_error(
+        old_coordinates_in_table, table, too_high
+    )
+    images = [Polynomial(cs) for cs in lists] * degree
+    images = images[: degree + 1]
+    same_columns(umbral_operator(table, images), old_umbral_operator(table, images))
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=numerator_cases(), dense=st.booleans(), data=st.data())
+def test_expansion_accumulation_matches_fraction_kernel(case, dense, data):
+    seq, degree, _, series, _ = case
+    # a lower-triangular T: column j has degree at most j
+    entries = mixed_rationals if dense else sparse_rationals
+    t = OperatorMatrix(
+        tuple(Polynomial(data.draw(st.lists(entries, max_size=j + 1))) for j in range(degree + 1))
+    )
+    q_op = realize_delta_series(series, degree) if dense else psi_derivative(seq, degree)
+    for raiser in (xhat_psi(seq, degree), multiplication_x(degree)):
+        got = expand_in_dual_pair(t, q_op, raiser)
+        coefficients, columns = old_accumulated_expand(t, q_op, raiser)
+        for new, old in zip(got.coefficients + got.reassembled.columns,
+                            coefficients + columns, strict=True):
+            same(new, old)
+        assert got.reassembled.columns == t.columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=numerator_cases(), short=st.integers(0, 3))
+def test_addition_check_matches_fraction_kernel(case, short):
+    seq, degree, _, series, table = case
+    basic = basic_sequence_from_series(series, degree).table
+    prefactor = DeltaSeries.from_list(seq, [1, 1], degree)
+    sheffer_table = sheffer_sequence(series, prefactor, degree).table
+    # a family `short` entries shorter than the table needs
+    short = min(short, degree - 1)
+    family = AdmissibleSequence.custom(seq.values[1:], degree - short) if short else seq
+    for t, partner in ((table, table), (sheffer_table, basic), (basic, basic)):
+        for n in range(degree + 1):
+            got = result_or_error(_addition_coefficients_agree, t, partner, family, n)
+            want = result_or_error(old_addition_coefficients_agree, t, partner, family, n)
+            assert got == want

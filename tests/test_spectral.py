@@ -330,6 +330,27 @@ def test_conjugation_transport(families, degree):
         assert report["sheffer_image_is_sheffer"], seq.label
 
 
+def test_conjugation_transport_rejects_a_series_from_another_family():
+    # used to return passed: False instead of naming the foreign family
+    degree = 6
+    q2 = AdmissibleSequence.q_deformed(2, degree + 1)
+    classical = AdmissibleSequence.classical(degree + 1)
+    source = DeltaSeries.from_list(q2, [0, 1, 1], degree)
+    foreign_target = DeltaSeries.from_list(classical, [0, 1, 0, Fraction(-1, 3)], degree)
+    target = DeltaSeries.from_list(q2, [0, 1, 0, Fraction(-1, 3)], degree)
+    s_coeffs = [1, 1, Fraction(1, 2)]
+    foreign = r"is over another family \(classical\) than source_series \(q_deformed\(q=2\)\)"
+    with pytest.raises(WrongFamilyError, match="target_series " + foreign):
+        verify_conjugation_transport(source, foreign_target, s_coeffs, degree)
+    foreign_s = DeltaSeries.from_list(classical, [1, 1], degree)
+    with pytest.raises(WrongFamilyError, match="sheffer_s " + foreign):
+        verify_conjugation_transport(source, target, s_coeffs, degree, sheffer_s=foreign_s)
+    # the same family rebuilt from its descriptor is the same family
+    rebuilt = DeltaSeries.from_list(AdmissibleSequence.q_deformed(2, degree + 1), [1, 1], degree)
+    report = verify_conjugation_transport(source, target, s_coeffs, degree, sheffer_s=rebuilt)
+    assert report["passed"]
+
+
 def test_transport_pincherle_window(families, degree):
     for seq in families:
         for coeffs in ([0, 1], [0, 1, 1], [0, 1, Fraction(-1, 2), Fraction(1, 6)]):
