@@ -234,16 +234,13 @@ def nhat_diagonal(seq: AdmissibleSequence, bound: int) -> OperatorMatrix:
 
 
 def generalized_shift(seq: AdmissibleSequence, p: Polynomial, y) -> Polynomial:
-    """Shift-like smearing of p by y, graded by the family binomials."""
+    """E^y p = exp_psi(yQ) p = sum_j p_j sum_k binom_psi(j,k) y^k x^(j-k),
+    since binom_psi(j,k) y^k x^(j-k) = (y^k / k_psi!) Q^k x^j."""
     y = fr(y)
-    out = Polynomial()
-    for j, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        # index i of row holds the x^i coefficient (k = j - i in the sum)
-        row = [c * seq.binomial(j, k) * y**k for k in range(j, -1, -1)]
-        out = out + Polynomial(row)
-    return out
+    if p:
+        seq.n_psi(p.degree)  # a family too short for p raises UndefinedIndexError
+    exp_y = seq.exp_polynomial(y, p.degree)
+    return apply_delta_series(DeltaSeries.from_list(seq, exp_y.coeffs, p.degree), p)
 
 
 def generalized_shift_operator(seq: AdmissibleSequence, y, bound: int) -> OperatorMatrix:
@@ -260,7 +257,7 @@ def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
     factorial = s.base.factorial
     scaled = _diagonal(p, [factorial(j) if a else 0 for j, a in enumerate(p.nums)])
     # sum_k c_k Q^k on the coordinates: coordinate j moves to j - k
-    series = Polynomial(s.coeffs[: len(scaled.nums)])
+    series = s.polynomial.truncate(len(scaled.nums) - 1)
     shifts = [_shift_down(scaled, k) if c else ZERO for k, c in enumerate(series.nums)]
     out = _combine(series, shifts)
     return _diagonal(out, [1 / factorial(i) if v else 0 for i, v in enumerate(out.nums)])

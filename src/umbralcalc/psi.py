@@ -184,12 +184,6 @@ class AdmissibleSequence:
         self.n_psi(n)
         return self._binomials[n][k]
 
-    def exp_coefficients(self, truncation: int) -> list:
-        """Coefficients 1/k_psi! of the exponential series, k = 0..truncation."""
-        if truncation < 0:
-            raise BadParameterError("truncation must be nonnegative")
-        return [1 / self.factorial(k) for k in range(truncation + 1)]
-
     def exp_polynomial(self, x_coefficient, truncation: int) -> Polynomial:
         """Truncated exponential sum_k (a^k / k_psi!) x^k."""
         a = fr(x_coefficient)

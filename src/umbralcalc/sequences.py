@@ -27,13 +27,7 @@ from .operators import (
 )
 from .poly import ONE, Polynomial, SequenceTable, coordinates_in_table
 from .psi import AdmissibleSequence
-from .series import (
-    DeltaSeries,
-    series_compose,
-    series_inverse,
-    series_mul,
-    series_pad,
-)
+from .series import DeltaSeries
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,7 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
     qprime_inv_op = realize_delta_series(qprime.multiplicative_inverse(), bound)
 
     # s^{-k} series, k = 0..bound+1
-    s_inv_powers = [s_inv.power(0)]
+    s_inv_powers = [DeltaSeries.from_list(seq, [1], bound)]
     for _ in range(bound + 1):
         s_inv_powers.append(s_inv_powers[-1].multiply(s_inv))
 
@@ -240,10 +234,7 @@ def reconstruct_inverse_series(sheffer: ShefferSequence) -> DeltaSeries:
         sheffer.table[k].constant_term / seq.factorial(k)
         for k in range(sheffer.bound + 1)
     ]
-    composed = series_compose(
-        series_pad(outer, order), sheffer.q_series.coeffs, order
-    )
-    return DeltaSeries.from_list(seq, composed, order)
+    return DeltaSeries.from_list(seq, outer, order).compose(sheffer.q_series)
 
 
 def verify_inverse_reconstruction(sheffer: ShefferSequence) -> CheckReport:
@@ -269,9 +260,8 @@ def _addition_coefficients_agree(
 
     Row i, column k holds the coefficient of x^i y^k: binom_psi(i+k, k)
     [x^(i+k)] t_n on the left, sum_m binom_psi(n,m) [x^i] t_m [y^k] u_(n-m)
-    on the right, with t the table and u its partner. The left side is built
-    first, in the order of `generalized_shift`, so a family too short for the
-    table raises the same UndefinedIndexError the sampled shift would.
+    on the right, with t the table and u its partner. A family too short for
+    the table raises UndefinedIndexError, as the sampled shift would.
     """
     # each side is integers over one denominator: the lcm of its
     # binom_psi * den_t * den_u denominators
@@ -375,22 +365,20 @@ def generating_function_check(sheffer: ShefferSequence, z_order: int) -> CheckRe
     if z_order > sheffer.bound:
         raise BadParameterError("z order beyond the table bound")
     g = sheffer.q_series.compositional_inverse()  # q^{-1}(z)
-    order = g.order
     # prefactor series A(z) = 1 / s(q^{-1}(z))
-    s_at_g = series_compose(sheffer.s_series.coeffs, g.coeffs, order)
-    prefactor = series_inverse(s_at_g, order)
+    prefactor = sheffer.s_series.compose(g).multiplicative_inverse()
     # graded exponential factor: B_j(x) = sum_m x^m [g^m]_j / m_psi!
-    g_powers = [series_pad([1], order)]
+    g_powers = [DeltaSeries.from_list(seq, [1], g.order)]
     for _ in range(z_order):
-        g_powers.append(series_mul(g_powers[-1], g.coeffs, order))
+        g_powers.append(g_powers[-1].multiply(g))
     for j in range(z_order + 1):
         rhs = Polynomial()
         for i in range(j + 1):
             # prefactor_i times the degree part of order j - i
             part = Polynomial(
-                [g_powers[m][j - i] / seq.factorial(m) for m in range(j - i + 1)]
+                [g_powers[m].coefficient(j - i) / seq.factorial(m) for m in range(j - i + 1)]
             )
-            rhs = rhs + part.scale(prefactor[i])
+            rhs = rhs + part.scale(prefactor.coefficient(i))
         lhs = sheffer.table[j].scale(1 / seq.factorial(j))
         if lhs != rhs:
             return CheckReport(
@@ -430,7 +418,7 @@ def verify_expansion_constants(
     bound = sheffer.bound
     q_op = sheffer.q_op
     # A = sum a_j Q^j as a matrix, then its action in Sheffer coordinates
-    a_of_q = operator_polynomial(Polynomial(series_pad(list(a_coeffs), bound)), q_op)
+    a_of_q = operator_polynomial(Polynomial(list(a_coeffs)[: bound + 1]), q_op)
     rows = []
     for n in range(bound + 1):
         image = a_of_q.apply(sheffer.table[n])

@@ -1,133 +1,31 @@
 """Truncated formal power series with exact rational coefficients.
 
-The list kernels below work on plain coefficient lists c[0..order] (low order
-first, always padded to full length). DeltaSeries wraps a coefficient list
+A DeltaSeries is one `Polynomial` in t, truncated at an explicit `order`,
 together with the generalized-integer family whose lowering operator the
-series is read in; realization as an operator matrix lives in `operators`.
+series is read in. Every operation is written once on the integer kernel of
+`poly`: the product is a polynomial product truncated at the order, the
+multiplicative inverse is Newton's iteration b <- b (2 - a b), which doubles
+the number of correct terms per step (Brent and Kung, J. ACM 1978),
+composition is Horner's rule, the compositional inverse is Lagrange's
+g_k = [t^(k-1)] (t / a(t))^k / k, and the formal derivative is the
+polynomial one. `coeffs` is the zero-padded view c_0..c_order. Realization
+as an operator lives in `operators`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotDeltaError, NotInvertibleError
-from .poly import fr
+from .poly import ONE, ZERO, Polynomial, _shift_down
 from .psi import AdmissibleSequence
 
-
-def series_pad(coeffs, order: int) -> list:
-    out = [fr(c) for c in coeffs[: order + 1]]
-    out += [Fraction(0)] * (order + 1 - len(out))
-    return out
+_TWO = Polynomial([2])
 
 
-def series_mul(a, b, order: int) -> list:
-    a, b = series_pad(a, order), series_pad(b, order)
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j in range(order + 1 - i):
-            if b[j]:
-                out[i + j] += x * b[j]
-    return out
-
-
-def series_power(a, n: int, order: int) -> list:
-    out = series_pad([1], order)
-    for _ in range(n):
-        out = series_mul(out, a, order)
-    return out
-
-
-def series_inverse(a, order: int) -> list:
-    """Multiplicative inverse; requires a[0] != 0."""
-    a = series_pad(a, order)
-    if a[0] == 0:
-        raise NotInvertibleError("series has zero constant term")
-    out = [Fraction(0)] * (order + 1)
-    out[0] = 1 / a[0]
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += a[i] * out[k - i]
-        out[k] = -acc / a[0]
-    return out
-
-
-def series_compose(outer, inner, order: int) -> list:
-    """outer(inner(t)); requires inner[0] == 0 for a well defined truncation."""
-    inner = series_pad(inner, order)
-    if inner[0] != 0:
-        raise NotDeltaError("inner series must have zero constant term")
-    out = [Fraction(0)] * (order + 1)
-    power = series_pad([1], order)
-    for k, c in enumerate(series_pad(outer, order)):
-        if c != 0:
-            for i in range(order + 1):
-                if power[i]:
-                    out[i] += c * power[i]
-        if k < order:
-            power = series_mul(power, inner, order)
-    return out
-
-
-def series_derivative(a, order: int) -> list:
-    a = series_pad(a, order)
-    return series_pad([i * a[i] for i in range(1, order + 1)], order)
-
-
-def series_compositional_inverse(a, order: int) -> list:
-    """Series g with a(g(t)) = t + O(t^{order+1}); needs a delta shape."""
-    a = series_pad(a, order)
-    if a[0] != 0 or len(a) < 2 or a[1] == 0:
-        raise NotDeltaError("compositional inverse needs c0 = 0 and c1 != 0")
-    g = [Fraction(0)] * (order + 1)
-    if order >= 1:
-        g[1] = 1 / a[1]
-    for k in range(2, order + 1):
-        # coefficient of t^k in a(g) with g[k] unknown is a[1]*g[k] + known
-        partial = series_compose(a, g, k)
-        g[k] = -partial[k] / a[1]
-    return g
-
-
-def series_log_reduced(a, order: int) -> list:
-    """log(a / a[0]) as a zero-constant series; requires a[0] != 0."""
-    a = series_pad(a, order)
-    if a[0] == 0:
-        raise NotInvertibleError("logarithm needs a nonzero constant term")
-    rest = [Fraction(0)] + [c / a[0] for c in a[1:]]
-    out = [Fraction(0)] * (order + 1)
-    power = series_pad([1], order)
-    for k in range(1, order + 1):
-        power = series_mul(power, rest, order)
-        sign = Fraction(1 if k % 2 == 1 else -1, k)
-        for i in range(order + 1):
-            if power[i]:
-                out[i] += sign * power[i]
-    return out
-
-
-def series_exp_reduced(a, order: int) -> list:
-    """exp(a) for a zero-constant series a."""
-    a = series_pad(a, order)
-    if a[0] != 0:
-        raise NotDeltaError("exponential defined here for zero constant term only")
-    out = series_pad([1], order)
-    power = series_pad([1], order)
-    factorial = 1
-    for k in range(1, order + 1):
-        power = series_mul(power, a, order)
-        factorial *= k
-        for i in range(order + 1):
-            if power[i]:
-                out[i] += power[i] / factorial
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DeltaSeries:
     """Coefficients c_0..c_order of a series read in a lowering operator.
 
@@ -136,30 +34,35 @@ class DeltaSeries:
     """
 
     base: AdmissibleSequence
-    coeffs: tuple
+    polynomial: Polynomial  # no term above t^order
+    order: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple([fr(c) for c in self.coeffs]))
+    def __init__(self, base: AdmissibleSequence, coeffs):
+        coeffs = list(coeffs)
+        _init(self, base, Polynomial(coeffs), len(coeffs) - 1)
 
     @staticmethod
     def from_list(base: AdmissibleSequence, coeffs, order: int | None = None) -> "DeltaSeries":
         order = base.bound if order is None else order
-        return DeltaSeries(base, tuple(series_pad(coeffs, order)))
+        return _new(base, Polynomial(coeffs[: order + 1]), order)
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    @cached_property
+    def coeffs(self) -> tuple:
+        """c_0..c_order as Fractions, zero-padded to the order."""
+        cs = self.polynomial.coeffs
+        return cs + (Fraction(0),) * (self.order + 1 - len(cs))
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
+        return self.polynomial.coefficient(k)
 
     @property
     def is_delta(self) -> bool:
-        return self.coeffs[0] == 0 and self.order >= 1 and self.coeffs[1] != 0
+        nums = self.polynomial.nums
+        return len(nums) > 1 and not nums[0] and nums[1] != 0
 
     @property
     def is_invertible(self) -> bool:
-        return self.coeffs[0] != 0
+        return self.polynomial.constant_term != 0
 
     def require_delta(self) -> "DeltaSeries":
         if not self.is_delta:
@@ -171,35 +74,64 @@ class DeltaSeries:
             raise NotInvertibleError("series needs c0 != 0")
         return self
 
-    def _wrap(self, coeffs) -> "DeltaSeries":
-        return DeltaSeries(self.base, tuple(series_pad(coeffs, self.order)))
+    def _wrap(self, p: Polynomial) -> "DeltaSeries":
+        return _new(self.base, p.truncate(self.order), self.order)
 
     def multiply(self, other: "DeltaSeries") -> "DeltaSeries":
-        return self._wrap(series_mul(self.coeffs, other.coeffs, self.order))
-
-    def power(self, n: int) -> "DeltaSeries":
-        return self._wrap(series_power(self.coeffs, n, self.order))
+        return self._wrap(self.polynomial * other.polynomial)
 
     def multiplicative_inverse(self) -> "DeltaSeries":
         self.require_invertible()
-        return self._wrap(series_inverse(self.coeffs, self.order))
+        a = self.polynomial
+        inverse, known = Polynomial([1 / a.constant_term]), 1  # terms below t^known
+        while known <= self.order:
+            top = min(2 * known, self.order + 1) - 1
+            product = (a.truncate(top) * inverse).truncate(top)
+            inverse = (inverse * (_TWO - product)).truncate(top)
+            known = top + 1
+        return self._wrap(inverse)
 
     def compose(self, inner: "DeltaSeries") -> "DeltaSeries":
-        return self._wrap(series_compose(self.coeffs, inner.coeffs, self.order))
+        """self(inner(t)); needs inner to have a zero constant term, so the
+        truncation is well defined."""
+        g = inner.polynomial.truncate(self.order)
+        if g.constant_term != 0:
+            raise NotDeltaError("inner series must have zero constant term")
+        out = self.polynomial
+        acc = ZERO
+        for v in reversed(out.nums):
+            acc = (acc * g).truncate(self.order) + Polynomial([v])
+        return self._wrap(acc.scale(Fraction(1, out.den)))
 
     def compositional_inverse(self) -> "DeltaSeries":
+        """g with self(g(t)) = t + O(t^(order+1)), by Lagrange inversion."""
         self.require_delta()
-        return self._wrap(series_compositional_inverse(self.coeffs, self.order))
+        top = self.order - 1
+        h = self.shift_down().multiplicative_inverse().polynomial  # t / a(t)
+        g, power = [Fraction(0)], ONE
+        for k in range(1, self.order + 1):
+            power = (power * h).truncate(top)
+            g.append(power.coefficient(k - 1) / k)
+        return self._wrap(Polynomial(g))
 
     def formal_derivative(self) -> "DeltaSeries":
-        return self._wrap(series_derivative(self.coeffs, self.order))
-
-    def formal_log_reduced(self) -> "DeltaSeries":
-        """log(s / c_0); the dropped log c_0 is irrelevant to commutators."""
-        return self._wrap(series_log_reduced(self.coeffs, self.order))
+        return self._wrap(self.polynomial.derivative())
 
     def shift_down(self) -> "DeltaSeries":
         """Divide a delta series by t (drop the c_0 = 0 term)."""
-        if self.coeffs[0] != 0:
+        if self.polynomial.constant_term != 0:
             raise NotDeltaError("shift_down needs a zero constant term")
-        return self._wrap(list(self.coeffs[1:]))
+        return self._wrap(_shift_down(self.polynomial, 1))
+
+
+def _init(s: DeltaSeries, base: AdmissibleSequence, p: Polynomial, order: int) -> None:
+    object.__setattr__(s, "base", base)
+    object.__setattr__(s, "polynomial", p)
+    object.__setattr__(s, "order", order)
+
+
+def _new(base: AdmissibleSequence, p: Polynomial, order: int) -> DeltaSeries:
+    """The series with this polynomial, which has no term above t^order."""
+    s = object.__new__(DeltaSeries)
+    _init(s, base, p, order)
+    return s

@@ -149,7 +149,9 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
     composition_agrees = from_action(conjugated, bound).columns == definitional.columns
 
     # printed recipe: sum_k (u_k + nu_k(x)) / (k-1)_psi! Q^k
-    log_prime = sheffer.s_series.formal_log_reduced().formal_derivative()
+    # (log s)' = s'/s; its t^order term would need the unknown next
+    # coefficient of s, but it acts only on polynomials of degree below that
+    log_prime = sheffer.s_series.formal_derivative().multiply(s_inv)
     u_values = []
     term_polys_a, term_polys_b = [Polynomial()], [Polynomial()]
     for k in range(1, bound + 1):

@@ -8,11 +8,16 @@ They build every result through the public `Polynomial` constructor, which
 coerces and trims, so they are an independent route to the same values.
 The new kernel must give equal coefficient tuples made only of `Fraction`s.
 
+A truncated series is one `Polynomial`, and each `DeltaSeries` operation
+must give the coefficients of the Fraction-list kernel it replaced, kept
+below as the `old_series_*` functions.
+
 The same holds for series in the lowering operator: `old_realize_delta_series`
 is the column-by-column realisation that every series went through before
 `apply_delta_series` applied them directly, and `old_closed_form_routes`,
 `old_inner_product` and `old_orthogonality_report` are the routes and the
-pairing as they were, each realising its series through it.
+pairing as they were, each realising its series through it and reading
+every series operation from the `old_series_*` kernels.
 
 Then an oracle that shares no code path with the series action: the
 diagonal map D: x^n -> (n_psi!/n!) x^n carries d/dx to the graded derivative
@@ -35,7 +40,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from umbralcalc.errors import BadParameterError, DegreeOverflowError, UmbralError
+from umbralcalc.errors import (
+    BadParameterError,
+    DegreeOverflowError,
+    NotDeltaError,
+    NotInvertibleError,
+    UmbralError,
+)
 from umbralcalc.integration import IntegralOperator
 from umbralcalc.operators import (
     OperatorMatrix,
@@ -79,7 +90,7 @@ from umbralcalc.sequences import (
     sheffer_product_shift,
     sheffer_sequence,
 )
-from umbralcalc.series import DeltaSeries, series_derivative, series_inverse, series_mul, series_pad
+from umbralcalc.series import DeltaSeries
 from umbralcalc.spectral import (
     inner_product,
     orthogonality_report,
@@ -271,6 +282,151 @@ def test_operator_kernels_match_old_kernel(case):
             assert got.reassembled.columns == t.columns
 
 
+# -- truncated series -------------------------------------------------------------
+#
+# The `old_series_*` functions are the Fraction-list kernels that a series ran
+# on before it became one truncated `Polynomial`, verbatim except for their
+# names and type annotations: coefficient lists c[0..order], low order first,
+# padded to full length.
+
+
+def old_series_pad(coeffs, order):
+    out = [fr(c) for c in coeffs[: order + 1]]
+    out += [Fraction(0)] * (order + 1 - len(out))
+    return out
+
+
+def old_series_mul(a, b, order):
+    a, b = old_series_pad(a, order), old_series_pad(b, order)
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j in range(order + 1 - i):
+            if b[j]:
+                out[i + j] += x * b[j]
+    return out
+
+
+def old_series_inverse(a, order):
+    """Multiplicative inverse; requires a[0] != 0."""
+    a = old_series_pad(a, order)
+    if a[0] == 0:
+        raise NotInvertibleError("series has zero constant term")
+    out = [Fraction(0)] * (order + 1)
+    out[0] = 1 / a[0]
+    for k in range(1, order + 1):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            acc += a[i] * out[k - i]
+        out[k] = -acc / a[0]
+    return out
+
+
+def old_series_compose(outer, inner, order):
+    """outer(inner(t)); requires inner[0] == 0 for a well defined truncation."""
+    inner = old_series_pad(inner, order)
+    if inner[0] != 0:
+        raise NotDeltaError("inner series must have zero constant term")
+    out = [Fraction(0)] * (order + 1)
+    power = old_series_pad([1], order)
+    for k, c in enumerate(old_series_pad(outer, order)):
+        if c != 0:
+            for i in range(order + 1):
+                if power[i]:
+                    out[i] += c * power[i]
+        if k < order:
+            power = old_series_mul(power, inner, order)
+    return out
+
+
+def old_series_derivative(a, order):
+    a = old_series_pad(a, order)
+    return old_series_pad([i * a[i] for i in range(1, order + 1)], order)
+
+
+def old_series_compositional_inverse(a, order):
+    """Series g with a(g(t)) = t + O(t^{order+1}); needs a delta shape."""
+    a = old_series_pad(a, order)
+    if a[0] != 0 or len(a) < 2 or a[1] == 0:
+        raise NotDeltaError("compositional inverse needs c0 = 0 and c1 != 0")
+    g = [Fraction(0)] * (order + 1)
+    if order >= 1:
+        g[1] = 1 / a[1]
+    for k in range(2, order + 1):
+        # coefficient of t^k in a(g) with g[k] unknown is a[1]*g[k] + known
+        partial = old_series_compose(a, g, k)
+        g[k] = -partial[k] / a[1]
+    return g
+
+
+def old_series_log_reduced(a, order):
+    """log(a / a[0]) as a zero-constant series; requires a[0] != 0."""
+    a = old_series_pad(a, order)
+    if a[0] == 0:
+        raise NotInvertibleError("logarithm needs a nonzero constant term")
+    rest = [Fraction(0)] + [c / a[0] for c in a[1:]]
+    out = [Fraction(0)] * (order + 1)
+    power = old_series_pad([1], order)
+    for k in range(1, order + 1):
+        power = old_series_mul(power, rest, order)
+        sign = Fraction(1 if k % 2 == 1 else -1, k)
+        for i in range(order + 1):
+            if power[i]:
+                out[i] += sign * power[i]
+    return out
+
+
+def same_series(got, want):
+    """A series whose coefficients are the list `want`, made of Fractions,
+    held as a canonical polynomial with no term above its order."""
+    assert got.coeffs == tuple(want)
+    assert all(type(c) is Fraction for c in got.coeffs)
+    canonical(got.polynomial)
+    assert got.polynomial.degree <= got.order == len(want) - 1
+
+
+SERIES_BASE = AdmissibleSequence.classical(16)
+
+
+@st.composite
+def kernel_series(draw):
+    """An order from 1 to 16 and three coefficient lists of at most that
+    order, sparse or dense: an invertible one, a delta one and a free one."""
+    order = draw(st.integers(1, 16))
+    entries = draw(st.sampled_from([sparse_rationals, mixed_rationals]))
+
+    def coeffs(head):
+        return head + draw(st.lists(entries, max_size=order + 1 - len(head)))
+
+    return order, coeffs([draw(nonzero_rationals)]), coeffs([0, draw(nonzero_rationals)]), coeffs([])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=kernel_series())
+def test_series_operations_match_list_kernels(case):
+    order, unit, delta, free = case
+    a, g, f = (DeltaSeries.from_list(SERIES_BASE, cs, order) for cs in (unit, delta, free))
+    for series, cs in ((a, unit), (g, delta), (f, free)):
+        same_series(series, old_series_pad(cs, order))
+        same_series(f.multiply(series), old_series_mul(free, cs, order))
+        same_series(series.formal_derivative(), old_series_derivative(cs, order))
+        same_series(series.compose(g), old_series_compose(cs, delta, order))
+    # a factor of a lower order is read as zero above it
+    same_series(f.multiply(DeltaSeries(SERIES_BASE, delta)), old_series_mul(free, delta, order))
+    same_series(a.multiplicative_inverse(), old_series_inverse(unit, order))
+    inverse = g.compositional_inverse()
+    same_series(inverse, old_series_compositional_inverse(delta, order))
+    # (log a)' = a'/a below the top term, which the truncation leaves unknown
+    log_prime = old_series_derivative(old_series_log_reduced(unit, order), order)
+    got = a.formal_derivative().multiply(a.multiplicative_inverse())
+    assert got.coeffs[:order] == tuple(log_prime[:order])
+    # the compositional inverse is two-sided, checked by composition alone
+    t = DeltaSeries.from_list(SERIES_BASE, [0, 1], order)
+    assert g.compose(inverse) == t
+    assert inverse.compose(g) == t
+
+
 # -- series in the lowering operator -------------------------------------------
 
 
@@ -292,23 +448,23 @@ def old_closed_form_routes(q_series, bound):
     q_series.require_delta()
     seq = q_series.base
     order = q_series.order
-    s_coeffs = list(q_series.shift_down().coeffs)  # s(t), invertible
-    s_inv = series_inverse(s_coeffs, order)
-    qprime = q_series.formal_derivative()
-    qprime_inv = series_inverse(qprime.coeffs, order)
+    s_coeffs = list(q_series.coeffs[1:])  # s(t), invertible
+    s_inv = old_series_inverse(s_coeffs, order)
+    qprime = old_series_derivative(q_series.coeffs, order)
+    qprime_inv = old_series_inverse(qprime, order)
 
     raiser = xhat_psi(seq, bound)
 
     def realize(coeffs):
         return old_realize_delta_series(DeltaSeries.from_list(seq, coeffs, order), bound)
 
-    qprime_op = realize(qprime.coeffs)
+    qprime_op = realize(qprime)
     qprime_inv_op = realize(qprime_inv)
 
     # s^{-k} series, k = 0..bound+1
-    s_inv_powers = [series_pad([1], order)]
+    s_inv_powers = [old_series_pad([1], order)]
     for _ in range(bound + 1):
-        s_inv_powers.append(series_mul(s_inv_powers[-1], s_inv, order))
+        s_inv_powers.append(old_series_mul(s_inv_powers[-1], s_inv, order))
 
     prefactor, corrected, raising, iterative = [ONE], [ONE], [ONE], [ONE]
     for n in range(1, bound + 1):
@@ -321,7 +477,7 @@ def old_closed_form_routes(q_series, bound):
 
         s_inv_n = s_inv_powers[n]
         route2 = realize(s_inv_n).apply(xn) - realize(
-            series_derivative(s_inv_n, order)
+            old_series_derivative(s_inv_n, order)
         ).apply(xnm1).scale(weight)
         corrected.append(route2)
 
@@ -422,15 +578,15 @@ def test_sheffer_tables_and_pairings_match_old_realisation(case):
     seq, degree, q, s, f, g, kmax, m = case
     sheffer = sheffer_sequence(q, s, degree)
     # the reference reads S at the degree, where the old realisation is exact
-    s_at_degree = DeltaSeries.from_list(seq, s.coeffs, degree)
-    s_inv_op = old_realize_delta_series(s_at_degree.multiplicative_inverse(), degree)
+    s_inv = old_series_inverse(s.coeffs, degree)
+    s_inv_op = old_realize_delta_series(DeltaSeries(seq, s_inv), degree)
     moved = sheffer_product_shift(sheffer, s)
     for n in range(degree + 1):
         same(sheffer[n], s_inv_op.apply(sheffer.basic[n]))
         same(moved[n], s_inv_op.apply(sheffer[n]))
 
-    log_prime = s_at_degree.formal_log_reduced().formal_derivative()
-    log_prime_op = old_realize_delta_series(log_prime, degree)
+    log_prime = old_series_derivative(old_series_log_reduced(s.coeffs, degree), degree)
+    log_prime_op = old_realize_delta_series(DeltaSeries(seq, log_prime), degree)
     u_values = spectral_operator(sheffer).u_values
     for k, u_k in enumerate(u_values, 1):
         lowered = xhat_psi_inverse(seq, sheffer.basic[k])

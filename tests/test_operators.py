@@ -8,6 +8,7 @@ from umbralcalc.errors import (
     BadParameterError,
     BasisMismatchError,
     NotDegreeLoweringError,
+    UndefinedIndexError,
 )
 from umbralcalc.operators import (
     OperatorMatrix,
@@ -117,6 +118,13 @@ def test_generalized_shift_example():
     # classical shift is the plain translation
     cl = generalized_shift(CLASSICAL, X**3, 2)
     assert cl == Polynomial([8, 12, 6, 1])
+
+
+def test_generalized_shift_needs_the_family_to_the_degree():
+    short = AdmissibleSequence.q_deformed(2, 3)
+    assert generalized_shift(short, X**3 + X, 1) == generalized_shift(Q2, X**3 + X, 1)
+    with pytest.raises(UndefinedIndexError, match="index 5 outside"):
+        generalized_shift(short, X**5 + X**2, 1)
 
 
 def test_shift_commutes_with_series(families):

@@ -62,7 +62,7 @@ def test_classical_values():
     assert seq.n_psi(5) == 5
     assert seq.factorial(4) == 24
     assert seq.binomial(4, 2) == 6
-    assert seq.exp_coefficients(3) == [1, 1, Fraction(1, 2), Fraction(1, 6)]
+    assert seq.exp_polynomial(1, 3).coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6))
 
 
 def test_q2_values():
@@ -70,7 +70,7 @@ def test_q2_values():
     assert seq.n_psi(4) == 15 == oracle_q_integer(Fraction(2), 4)
     assert seq.factorial(3) == 21 == 1 * 3 * 7
     assert seq.binomial(4, 2) == 35
-    assert seq.exp_coefficients(3) == [1, 1, Fraction(1, 3), Fraction(1, 21)]
+    assert seq.exp_polynomial(1, 3).coeffs == (1, 1, Fraction(1, 3), Fraction(1, 21))
 
 
 def test_q_half_values():
@@ -85,13 +85,13 @@ def test_fibonacci_values():
     assert seq.n_psi(5) == 5
     assert seq.factorial(5) == 30
     assert seq.binomial(5, 2) == 15
-    assert seq.exp_coefficients(4) == [
+    assert seq.exp_polynomial(1, 4).coeffs == (
         1,
         1,
         1,
         Fraction(1, 2),
         Fraction(1, 6),
-    ]
+    )
     for n in range(9):
         assert seq.n_psi(n) == oracle_fibonacci(n)
 
@@ -290,6 +290,6 @@ def test_fibonomial_integrality():
 
 def test_exp_coefficients_match_factorials(families):
     for seq in families:
-        coeffs = seq.exp_coefficients(8)
+        coeffs = seq.exp_polynomial(1, 8).coeffs
         for k, c in enumerate(coeffs):
             assert c == 1 / oracle_factorial(seq, k)

@@ -1,4 +1,4 @@
-"""Truncated power series kernels and the delta-series wrapper."""
+"""Truncated power series on the integer polynomial kernel."""
 
 from fractions import Fraction
 
@@ -6,15 +6,7 @@ import pytest
 
 from umbralcalc.errors import NotDeltaError, NotInvertibleError
 from umbralcalc.psi import AdmissibleSequence
-from umbralcalc.series import (
-    DeltaSeries,
-    series_compose,
-    series_compositional_inverse,
-    series_exp_reduced,
-    series_inverse,
-    series_log_reduced,
-    series_mul,
-)
+from umbralcalc.series import DeltaSeries
 
 SEQ = AdmissibleSequence.classical(8)
 
@@ -23,43 +15,40 @@ def s(coeffs, order=8):
     return DeltaSeries.from_list(SEQ, coeffs, order)
 
 
+def t_at(order):
+    return s([0, 1], order)
+
+
 def test_geometric_inverse():
-    inv = series_inverse([1, -1], 6)
-    assert inv == [Fraction(1)] * 7  # 1/(1-t) = sum t^k
+    inv = s([1, -1], 6).multiplicative_inverse()
+    assert inv.coeffs == (Fraction(1),) * 7  # 1/(1-t) = sum t^k
 
 
 def test_compositional_inverse_frozen():
     # oracle: g with g + g^2 = t, solved order by order by hand
-    g = series_compositional_inverse([0, 1, 1], 4)
-    assert g == [0, 1, -1, 2, -5]
+    g = s([0, 1, 1], 4).compositional_inverse()
+    assert g.coeffs == (0, 1, -1, 2, -5)
     # and the defining property, checked independently via composition
-    assert series_compose([0, 1, 1], g, 4) == [0, 1, 0, 0, 0]
+    assert s([0, 1, 1], 4).compose(g) == t_at(4)
 
 
 def test_compositional_inverse_two_sided():
-    a = [0, 1, Fraction(1, 2), Fraction(-1, 3), 0, 2]
-    g = series_compositional_inverse(a, 8)
-    t = [Fraction(0), Fraction(1)] + [Fraction(0)] * 7
-    assert series_compose(a, g, 8) == t
-    assert series_compose(g, a, 8) == t
+    a = s([0, 1, Fraction(1, 2), Fraction(-1, 3), 0, 2])
+    g = a.compositional_inverse()
+    assert a.compose(g) == t_at(8)
+    assert g.compose(a) == t_at(8)
 
 
 def test_mul_inverse_round_trip():
-    a = [Fraction(2), 1, Fraction(1, 3), 0, -1]
-    inv = series_inverse(a, 7)
-    one = [Fraction(1)] + [Fraction(0)] * 7
-    assert series_mul(a, inv, 7) == one
+    a = s([Fraction(2), 1, Fraction(1, 3), 0, -1], 7)
+    assert a.multiply(a.multiplicative_inverse()) == s([1], 7)
 
 
-def test_log_exp_round_trip():
-    a = [1, 1, Fraction(1, 2), Fraction(-2, 3)]
-    log = series_log_reduced(a, 7)
-    assert log[0] == 0
-    back = series_exp_reduced(log, 7)
-    # a had constant term 1 so exp(log a) must reproduce it
-    from umbralcalc.series import series_pad
-
-    assert back == series_pad(a, 7)
+def test_log_derivative_frozen():
+    # s = 1/(1-t): (log s)' = s'/s = 1/(1-t), every coefficient 1
+    geometric = s([1, -1]).multiplicative_inverse()
+    log_prime = geometric.formal_derivative().multiply(s([1, -1]))
+    assert log_prime.coeffs[:8] == (Fraction(1),) * 8
 
 
 def test_delta_flags_and_guards():
@@ -70,8 +59,10 @@ def test_delta_flags_and_guards():
         s([0, 0, 1]).compositional_inverse()
     with pytest.raises(NotInvertibleError):
         s([0, 1]).multiplicative_inverse()
-    with pytest.raises(NotInvertibleError):
-        s([0, 1]).formal_log_reduced()
+    with pytest.raises(NotDeltaError):
+        s([1, 1]).compose(s([1, 1]))
+    with pytest.raises(NotDeltaError):
+        s([1, 1]).shift_down()
 
 
 def test_formal_derivative():

@@ -1,5 +1,6 @@
 """Inner product, eigen operator routes, transports, deformed brackets."""
 
+import dataclasses
 from fractions import Fraction
 import random
 
@@ -11,6 +12,7 @@ from umbralcalc.errors import (
     BasisMismatchError,
     ConstantTermError,
     EigenSeriesError,
+    NotInvertibleError,
     SingularOperatorError,
     UmbralError,
     WrongFamilyError,
@@ -177,6 +179,14 @@ def test_spectral_formula_classical_anchor():
     # u_k = (-1)^k (k-1)!
     assert result.u_values[:3] == (Fraction(-1), Fraction(1), Fraction(-2))
     assert all(entry["reading_a"] for entry in result.term_agreement)
+
+
+def test_spectral_recipe_needs_an_invertible_prefactor():
+    # the printed recipe reads (log s)' = s'/s, which needs s(0) != 0
+    sheffer = identity_sheffer(CLASSICAL, [1, 1])
+    broken = dataclasses.replace(sheffer, s_series=DeltaSeries.from_list(CLASSICAL, [0, 1], N))
+    with pytest.raises(NotInvertibleError):
+        spectral_operator(broken)
 
 
 def test_spectral_formula_disagrees_for_deformed():
