@@ -203,10 +203,7 @@ def jackson_derivative(p: Polynomial, q) -> Polynomial:
     q = fr(q)
     if q == 1:
         raise BadParameterError("jackson derivative undefined at q = 1")
-    out = []
-    for j in range(p.degree):
-        out.append(p.coefficient(j + 1) * (1 - q ** (j + 1)) / (1 - q))
-    return Polynomial(out)
+    return _shift_down(p - p.dilate(q), 1).scale(1 / (1 - q))
 
 
 def jackson_operator(q, bound: int) -> OperatorMatrix:

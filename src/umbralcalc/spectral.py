@@ -20,7 +20,6 @@ from .operators import (
     dilation,
     expand_in_dual_pair,
     from_action,
-    generalized_shift,
     multiplication_x,
     operator_polynomial,
     operator_polynomial_applied,
@@ -289,9 +288,10 @@ def qplane_substitution_report(
     a = multiplication_x(bound)
     for y in y_values:
         m = a.add(dilation(q, bound).scale(y))
+        shift = DeltaSeries.from_list(seq, seq.exp_polynomial(y, bound).coeffs, bound)
         for n in range(bound + 1):
             p_n = table[n]
-            shifted = generalized_shift(seq, p_n, y)
+            shifted = apply_delta_series(shift, p_n)
             substituted = operator_polynomial_applied(p_n, m, ONE)
             if shifted != substituted:
                 return {

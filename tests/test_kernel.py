@@ -28,18 +28,26 @@ Then every operator matrix is built from its action on the monomials: the
 chains that did it before, and the new builders must return the same
 columns, or raise the same exception with the same message.
 
-Last, a polynomial is integer numerators over one denominator and the kernel
-runs on the integers: the `old_*` functions of the last section are the
+Then a polynomial is integer numerators over one denominator and the kernel
+runs on the integers: the `old_*` functions of that section are the
 Fraction-list kernel it replaced. Every polynomial a test compares must be in
 the canonical form, with coefficients that are canonical `Fraction`s.
+
+Last, the normal orderings of the (Q, xhat) pair are read in the pair's
+rescaled basis: `old_suite_weyl` and `old_raiser_power_lowering` are the
+matrix-product routes they replaced, and every family's `weyl` records must
+also be the classical family's.
 """
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from umbralcalc import harness
 from umbralcalc.errors import (
     BadParameterError,
     DegreeOverflowError,
@@ -1153,3 +1161,140 @@ def test_addition_check_matches_fraction_kernel(case, short):
             got = result_or_error(_addition_coefficients_agree, t, partner, family, n)
             want = result_or_error(old_addition_coefficients_agree, t, partner, family, n)
             assert got == want
+
+
+# -- normal ordering in the rescaled basis -----------------------------------------
+#
+# `old_suite_weyl` and `old_raiser_power_lowering` are the matrix-product
+# routes that `suite_weyl` and the `raiser-power-lowering` records of
+# `suite_star` ran before both read their reorderings through
+# `harness._normal_order`, verbatim except that the weyl copy reads its pair
+# through the `harness` module, so a raiser patched there reaches both routes.
+
+
+def old_suite_weyl(families, degree, rng, out):
+    """Reordering rules for powers of the lowering/raising pair."""
+    for seq in families:
+        d_pow = harness.psi_derivative(seq, degree).powers(degree)
+        r_pow = harness.xhat_psi(seq, degree).powers(degree)
+        # cache r^a d^b since every right side is a sum of these
+        mixed = {}
+
+        def rd(a, b):
+            if (a, b) not in mixed:
+                mixed[(a, b)] = r_pow[a].compose(d_pow[b])
+            return mixed[(a, b)]
+
+        nm_max = min(4, degree)
+        for n in range(nm_max + 1):
+            for m in range(nm_max + 1):
+                if n == 0 and m == 0:
+                    continue
+                lhs = d_pow[n].compose(r_pow[m])
+                rhs = zero_operator(degree)
+                for k in range(min(n, m) + 1):
+                    c = Fraction(math.comb(n, k) * math.comb(m, k) * math.factorial(k))
+                    rhs = rhs.add(rd(m - k, n - k).scale(c))
+                w = lhs.agreement_window(rhs)
+                out.windowed(f"power-reorder(n={n},m={m})", seq.label, w, degree - max(n, m))
+        # two-parameter exponential exchange, checked order by order: the
+        # (i, j) coefficient of exp(t d) exp(a r) = exp(at) exp(a r) exp(t d)
+        def exchange_failures():
+            for i in range(degree + 1):  # raising power
+                for j in range(degree + 1 - i):  # lowering power
+                    if i == 0 and j == 0:
+                        continue
+                    lhs = d_pow[j].compose(r_pow[i]).scale(
+                        Fraction(1, math.factorial(j) * math.factorial(i))
+                    )
+                    rhs = zero_operator(degree)
+                    for k in range(min(i, j) + 1):
+                        c = Fraction(
+                            1,
+                            math.factorial(k) * math.factorial(i - k) * math.factorial(j - k),
+                        )
+                        rhs = rhs.add(rd(i - k, j - k).scale(c))
+                    w = lhs.agreement_window(rhs)
+                    if w < degree - i:
+                        yield {"raise_power": i, "lower_power": j, "found_window": w,
+                               "required_window": degree - i}
+
+        out.first_failure("exponential-exchange-orders", seq.label, exchange_failures())
+
+
+def old_raiser_power_lowering(seq, degree, d, raiser, out):
+    # commutation with a raiser power lowers it by one step
+    raiser_powers = raiser.powers(min(4, degree))
+    for n in range(1, min(4, degree) + 1):
+        got = commutator(d, raiser_powers[n])
+        expected = raiser_powers[n - 1].scale(n)
+        w = got.agreement_window(expected)
+        out.windowed(f"raiser-power-lowering(n={n})", seq.label, w, degree - n)
+
+
+def weyl_records(suite, seq, degree):
+    out = harness.Records("weyl", degree)
+    suite([seq], degree, None, out)
+    return list(out)
+
+
+@st.composite
+def pair_cases(draw):
+    """A custom or q-deformed family on degree N + 1, N from 2 to 12; an
+    index of the raiser below N; and a rational, 0 among them, to multiply
+    that raiser weight by."""
+    degree = draw(st.integers(2, 12))
+    bound = degree + 1
+    if draw(st.booleans()):
+        values = draw(st.lists(nonzero_rationals, min_size=bound, max_size=bound))
+        seq = AdmissibleSequence.custom(values, bound)
+    else:
+        seq = AdmissibleSequence.q_deformed(
+            draw(nonzero_rationals.filter(lambda q: q not in (1, -1))), bound
+        )
+    return seq, degree, draw(st.integers(0, degree - 1)), draw(mixed_rationals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=pair_cases())
+def test_normal_order_windows_match_matrix_products(case):
+    seq, degree, index, factor = case
+    raiser = xhat_psi(seq, degree)
+    columns = list(raiser.columns)
+    columns[index] = columns[index].scale(factor)
+    mutated = OperatorMatrix(tuple(columns))
+    for r in (raiser, mutated):
+        with mock.patch.object(harness, "xhat_psi", lambda seq, bound: r):
+            assert weyl_records(harness.suite_weyl, seq, degree) == weyl_records(
+                old_suite_weyl, seq, degree
+            )
+        # the star loop's windows, from the same helper
+        d = psi_derivative(seq, degree)
+        window = harness._normal_order(d, r)
+        want = harness.Records("star", degree)
+        old_raiser_power_lowering(seq, degree, d, r, want)
+        got = harness.Records("star", degree)
+        for n in range(1, min(4, degree) + 1):
+            w = window(1, n, degree - n)
+            got.windowed(f"raiser-power-lowering(n={n})", seq.label, w, degree - n)
+        assert got == want
+    # and the star suite's own records (a mutated raiser breaks its star powers)
+    out = harness.Records("star", degree)
+    harness.suite_star([seq], degree, random.Random(0), out)
+    got = [x for x in out if x.identity_id.startswith("raiser-power-lowering")]
+    want = harness.Records("star", degree)
+    old_raiser_power_lowering(seq, degree, psi_derivative(seq, degree), raiser, want)
+    assert got == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=pair_cases())
+def test_weyl_windows_are_the_classical_windows(case):
+    """In the divided powers x^j / j_psi!, Q steps down and xhat steps up by
+    (j + 1) for every family, so each family's `weyl` records are the
+    classical family's up to the label."""
+    seq, degree, _, _ = case
+    classical = AdmissibleSequence.classical(seq.bound)
+    relabel = [dataclasses.replace(x, family=seq.label) for x in weyl_records(
+        harness.suite_weyl, classical, degree)]
+    assert weyl_records(harness.suite_weyl, seq, degree) == relabel
