@@ -682,7 +682,8 @@ def suite_star(families, degree, rng, out):
         out.first_failure("power-products", seq.label, failures)
 
         failures = ({"n": n} for n in range(1, degree + 1)
-                    if d.apply(star_power(ctx, n)) != star_power(ctx, n - 1).scale(n))
+                    if d.apply(star_power(ctx, n)) != star_power(ctx, n - 1).scale(n)
+                    or raiser.apply(star_power(ctx, n - 1)) != star_power(ctx, n))
         out.first_failure("lowering-steps-powers", seq.label, failures)
 
         def product_rule(f, g):

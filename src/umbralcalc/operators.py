@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .errors import (
     BadParameterError,
@@ -25,6 +27,7 @@ from .poly import (
     Polynomial,
     SequenceTable,
     _combine,
+    _combine_raised,
     _diagonal,
     _shift_down,
     coordinates_in_table,
@@ -424,13 +427,63 @@ def _raiser_ladder(raiser: OperatorMatrix):
     return powers, SequenceTable(tuple(ladder))
 
 
+def _shift_weights(op: OperatorMatrix, step: int):
+    """[w_0, ..., w_N] when every column j of `op` is w_j x^(j + step) or
+    zero, else None."""
+    weights = []
+    for j, col in enumerate(op.columns):
+        if col.nums and (col.degree != j + step or any(col.nums[:-1])):
+            return None
+        weights.append(col.coefficient(j + step))
+    return weights
+
+
+def _expand_over_shifts(t: OperatorMatrix, u: list, r: list) -> ExpansionResult:
+    """Q x^j = u_j x^(j-1), raiser x^j = r_j x^(j+1): with U_n = u_1 ... u_n,
+    R_n = r_0 ... r_(n-1), S_n = U_n R_n, D: x^n -> x^n / R_n makes the raiser
+    multiplication by x, so T^_c = D(T x^c) / U_c = sum_d x^d q_(c-d) / S_d and
+    q(y) = T^(y) / E(xy), E(z) = sum_d z^d / S_d: one division per column."""
+    bound = t.bound
+    lead = list(accumulate(r[:bound], mul, initial=Fraction(1)))  # R_n
+    scale = list(accumulate(u[1:], mul, initial=Fraction(1)))  # U_n
+    if 0 in lead:  # raiser^i 1 = 0, as the ladder would find
+        i = lead.index(0)
+        raise SingularOperatorError(f"raiser power {i} applied to 1 has degree -1, not {i}")
+    inverse_lead = [1 / v for v in lead]
+    e_series = Polynomial([1 / (a * b) for a, b in zip(lead, scale)])  # the 1 / S_d
+    coefficients = []
+    for c in range(bound + 1):
+        t_hat = _diagonal(t.column(c), inverse_lead).scale(1 / scale[c])
+        lower = _combine_raised(e_series, [ZERO] + coefficients[::-1], bound)
+        coefficients.append(t_hat - lower)
+    return ExpansionResult(tuple(coefficients), _reassemble_over_shifts(coefficients, u, r))
+
+
+def _reassemble_over_shifts(coefficients: list, u: list, r: list) -> OperatorMatrix:
+    """sum_n q_n(raiser) Q^n from the coefficients and weights alone, with no
+    residual or weight of the solve: Q^n x^c = (U_c / U_(c-n)) x^(c-n) and raiser^i x^m =
+    (R_(m+i) / R_m) x^(m+i), zero past the bound (r_N = 0), so column c is
+    U_c diag(R) sum_m x^m q_(c-m) / (U_m R_m), cut at the bound."""
+    bound = len(coefficients) - 1
+    r_prod = list(accumulate(r[:bound], mul, initial=Fraction(1)))
+    u_prod = list(accumulate(u[1:], mul, initial=Fraction(1)))
+    weights = Polynomial([1 / (a * b) for a, b in zip(u_prod, r_prod)])
+    return OperatorMatrix(tuple(
+        _diagonal(_combine_raised(weights, coefficients[c::-1], bound), r_prod).scale(u_prod[c])
+        for c in range(bound + 1)))
+
+
 def expand_in_dual_pair(
     t: OperatorMatrix, q_op: OperatorMatrix, raiser: OperatorMatrix
 ) -> ExpansionResult:
+    """Over two weighted shifts a series division; else the raiser ladder."""
     require_lowers_by_one(q_op)
     bound = t.bound
     if q_op.bound != bound or raiser.bound != bound:
         raise BadParameterError("operator bounds differ")
+    u, r = _shift_weights(q_op, -1), _shift_weights(raiser, 1)
+    if u is not None and r is not None:
+        return _expand_over_shifts(t, u, r)
     r_powers, ladder = _raiser_ladder(raiser)
     q_powers = q_op.powers(bound)
 

@@ -279,6 +279,20 @@ def _combine(weights: Polynomial, polys, start: Polynomial = ZERO) -> Polynomial
     return _canonical(out, den * weights.den)
 
 
+def _combine_raised(weights: Polynomial, polys, bound: int) -> Polynomial:
+    """sum_d weights[d] x^d polys[d] with the terms above degree `bound`
+    dropped, accumulated on integer numerators over one lcm as in `_combine`."""
+    terms = [(d, w, p) for d, (w, p) in enumerate(zip(weights.nums, polys))
+             if w and p.nums and d <= bound]
+    den = lcm(*[p.den for _, _, p in terms])
+    out = [0] * (bound + 1)
+    for d, w, p in terms:
+        w *= den // p.den
+        for i, a in enumerate(p.nums[: bound + 1 - d], d):
+            out[i] += w * a
+    return _canonical(out, den * weights.den)
+
+
 def _diagonal(p: Polynomial, weights) -> Polynomial:
     """sum_i weights[i] p_i x^i; `weights[i]` is a Fraction or an int and is
     read only where p_i is nonzero."""

@@ -33,10 +33,15 @@ runs on the integers: the `old_*` functions of that section are the
 Fraction-list kernel it replaced. Every polynomial a test compares must be in
 the canonical form, with coefficients that are canonical `Fraction`s.
 
-Last, the normal orderings of the (Q, xhat) pair are read in the pair's
+Then the normal orderings of the (Q, xhat) pair are read in the pair's
 rescaled basis: `old_suite_weyl` and `old_raiser_power_lowering` are the
 matrix-product routes they replaced, and every family's `weyl` records must
 also be the classical family's.
+
+Last, an expansion over two weighted shifts is one series division per
+column in their rescaled basis: it must give what `old_expand` gives on
+random shift pairs and near-shifts, or the ladder's error, and for the
+family pair (Q, xhat) the closed form q(y) = T^(y) exp(-xy).
 """
 
 import dataclasses
@@ -47,12 +52,13 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from umbralcalc import harness
+from umbralcalc import harness, operators
 from umbralcalc.errors import (
     BadParameterError,
     DegreeOverflowError,
     NotDeltaError,
     NotInvertibleError,
+    SingularOperatorError,
     UmbralError,
 )
 from umbralcalc.integration import IntegralOperator
@@ -76,6 +82,7 @@ from umbralcalc.operators import (
     realize_delta_series,
     require_lowers_by_one,
     umbral_operator,
+    weighted_shift,
     xhat_psi,
     zero_operator,
 )
@@ -1298,3 +1305,95 @@ def test_weyl_windows_are_the_classical_windows(case):
     relabel = [dataclasses.replace(x, family=seq.label) for x in weyl_records(
         harness.suite_weyl, classical, degree)]
     assert weyl_records(harness.suite_weyl, seq, degree) == relabel
+
+
+# -- expansion over a pair of weighted shifts ------------------------------------
+
+
+def old_expansion_outcome(t, q_op, raiser):
+    """("expands", coefficients, reassembled columns) from `old_expand`, or
+    ("raises", type, message) from the checks the library runs before it:
+    the grading of Q, the bounds and the raiser ladder, as `_raiser_ladder`
+    has it."""
+    try:
+        require_lowers_by_one(q_op)
+        if q_op.bound != t.bound or raiser.bound != t.bound:
+            raise BadParameterError("operator bounds differ")
+        for i, power in enumerate(old_powers(raiser, t.bound)):
+            entry = old_apply(power, ONE)
+            if entry.degree != i:
+                raise SingularOperatorError(
+                    f"raiser power {i} applied to 1 has degree {entry.degree}, not {i}"
+                )
+    except UmbralError as exc:
+        return "raises", type(exc), str(exc)
+    return ("expands",) + old_expand(t, q_op, raiser)
+
+
+def expansion_outcome(t, q_op, raiser):
+    try:
+        got = expand_in_dual_pair(t, q_op, raiser)
+    except UmbralError as exc:
+        return "raises", type(exc), str(exc)
+    return "expands", got.coefficients, got.reassembled.columns
+
+
+@st.composite
+def shift_pair_cases(draw):
+    """N from 0 to 12; rational weights u_1..u_N of a lowering shift and
+    r_0..r_(N-1) of a raising one, sometimes with a raiser weight set to 0;
+    sometimes one extra entry in a column of either (a near-shift, which
+    takes the matrix route); and an operator to expand."""
+    bound = draw(st.integers(0, 12))
+    u = draw(st.lists(nonzero_rationals, min_size=bound + 1, max_size=bound + 1))
+    r = draw(st.lists(nonzero_rationals, min_size=bound, max_size=bound))
+    if bound and draw(st.integers(0, 3)) == 0:
+        r[draw(st.integers(0, bound - 1))] = Fraction(0)
+    ops = [weighted_shift(-1, bound, lambda j: u[j - 1]), weighted_shift(1, bound, lambda j: r[j])]
+    near = draw(st.integers(0, 3))
+    if near < 2:
+        columns = list(ops[near].columns)
+        j = draw(st.integers(0, bound))
+        columns[j] += Polynomial.monomial(draw(st.integers(0, bound)), draw(nonzero_rationals))
+        ops[near] = OperatorMatrix(tuple(columns))
+    entries = draw(st.sampled_from([sparse_rationals, mixed_rationals]))
+    t = OperatorMatrix(
+        tuple(Polynomial(draw(st.lists(entries, max_size=bound + 1))) for _ in range(bound + 1))
+    )
+    return bound, u, t, ops[0], ops[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=shift_pair_cases())
+def test_expansion_over_shifts_matches_the_matrix_route(case):
+    bound, u, t, q_op, raiser = case
+    new, old = expansion_outcome(t, q_op, raiser), old_expansion_outcome(t, q_op, raiser)
+    assert new[0] == old[0], (new, old)
+    if old[0] == "raises":
+        assert new == old
+        return
+    for got, want in zip(new[1] + new[2], old[1] + old[2], strict=True):
+        same(got, want)
+
+    # the family pair: S_d = d!, so q_c = sum_d (-1)^d x^d T^_(c-d) / d! with
+    # T^_c = D(T x^c) / c_psi!, D: x^n -> (n_psi! / n!) x^n
+    seq = AdmissibleSequence.custom(u, bound + 1)
+    q_op, raiser = psi_derivative(seq, bound), xhat_psi(seq, bound)
+    got = expand_in_dual_pair(t, q_op, raiser)
+    t_hat = [
+        Polynomial([a * seq.factorial(n) / math.factorial(n) / seq.factorial(c)
+                    for n, a in enumerate(t.column(c).coeffs)])
+        for c in range(bound + 1)
+    ]
+    for c in range(bound + 1):
+        want = ZERO
+        for d in range(c + 1):
+            want += (X**d * t_hat[c - d]).scale(Fraction((-1) ** d, math.factorial(d)))
+        same(got.coefficient(c), want.truncate(bound))
+    assert got.reassembled.columns == t.columns
+
+    # the reassembly reads the coefficients alone: one changed moves a column
+    changed = list(got.coefficients)
+    changed[-1] += ONE
+    weights = operators._shift_weights(q_op, -1), operators._shift_weights(raiser, 1)
+    assert operators._reassemble_over_shifts(changed, *weights).columns != t.columns

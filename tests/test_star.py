@@ -3,10 +3,14 @@
 from fractions import Fraction
 import math
 import random
+from unittest import mock
 
 import pytest
 
+from umbralcalc import star
 from umbralcalc.errors import DegreeOverflowError
+from umbralcalc.harness import exit_status, run_suites
+from umbralcalc.operators import OperatorMatrix
 from umbralcalc.poly import ONE, Polynomial, X
 from umbralcalc.psi import AdmissibleSequence
 from umbralcalc.star import (
@@ -108,3 +112,19 @@ def test_poisson_lowering_system(families):
             lhs = ctx.lowering.apply(ps[m]) + ps[m].scale(lam)
             rhs = ps[m - 1].scale(lam)
             assert lhs.truncate(window) == rhs.truncate(window), (seq.label, m)
+
+
+def test_a_broken_raiser_fails_the_star_suite_without_a_traceback(families):
+    # a raiser whose column 2 is doubled: star powers no longer follow from it
+    real = star.xhat_psi
+
+    def doubled(seq, bound):
+        columns = list(real(seq, bound).columns)
+        columns[2] = columns[2].scale(2)
+        return OperatorMatrix(tuple(columns))
+
+    with mock.patch.object(star, "xhat_psi", doubled):
+        records = run_suites(["star"], families, 8)
+    assert exit_status(records) == 1
+    failing = [r for r in records if r.status == "fails"]
+    assert any(r.identity_id == "lowering-steps-powers" for r in failing)
