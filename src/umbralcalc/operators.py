@@ -26,6 +26,7 @@ from .poly import (
     ZERO,
     Polynomial,
     SequenceTable,
+    _canonical,
     _combine,
     _combine_raised,
     _diagonal,
@@ -251,16 +252,23 @@ def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
     """sum_k c_k Q^k p with Q the family lowering operator, no matrix built.
 
     Q^k x^j = (j)_k,psi x^(j-k) = (j_psi! / (j-k)_psi!) x^(j-k), so on the
-    coordinates of p in the divided powers x^j / j_psi! the series acts as a
-    plain convolution: one product per pair of nonzero entries.
+    coordinates a_j of p in the divided powers x^j / j_psi! the series acts
+    as one integer convolution out_i = sum_k c_k a_(i+k) over den(c) den(a):
+    one product per pair of nonzero entries.
     """
-    factorial = s.base.factorial
-    scaled = _diagonal(p, [factorial(j) if a else 0 for j, a in enumerate(p.nums)])
-    # sum_k c_k Q^k on the coordinates: coordinate j moves to j - k
-    series = s.polynomial.truncate(len(scaled.nums) - 1)
-    shifts = [_shift_down(scaled, k) if c else ZERO for k, c in enumerate(series.nums)]
-    out = _combine(series, shifts)
-    return _diagonal(out, [1 / factorial(i) if v else 0 for i, v in enumerate(out.nums)])
+    seq = s.base
+    if p.degree > seq.bound:  # the first nonzero coefficient past the family raises
+        seq.factorial(next(j for j in range(seq.bound + 1, len(p.nums)) if p.nums[j]))
+    scaled = _diagonal(p, seq._factorials)
+    a = scaled.nums
+    out = [0] * len(a)
+    for k, c in enumerate(s.polynomial.nums[: len(a)]):
+        if c:
+            for i, v in enumerate(a[k:]):
+                if v:
+                    out[i] += c * v
+    out = _canonical(out, scaled.den * s.polynomial.den)
+    return _diagonal(out, seq._inverse_factorials)
 
 
 def realize_delta_series(s: DeltaSeries, bound: int) -> OperatorMatrix:

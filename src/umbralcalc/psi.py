@@ -151,6 +151,11 @@ class AdmissibleSequence:
         return tuple(t)
 
     @cached_property
+    def _inverse_factorials(self) -> tuple:
+        """t[n] = 1 / n_psi!, n = 0..bound (built on first use)."""
+        return tuple([1 / f for f in self._factorials])
+
+    @cached_property
     def _binomials(self) -> tuple:
         """Triangle of n_psi! / (k_psi! (n-k)_psi!), 0 <= k <= n <= bound."""
         t = self._factorials

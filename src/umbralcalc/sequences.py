@@ -25,7 +25,7 @@ from .operators import (
     require_lowers_by_one,
     xhat_psi,
 )
-from .poly import ONE, Polynomial, SequenceTable, coordinates_in_table
+from .poly import ONE, Polynomial, SequenceTable, _diagonal, coordinates_in_table
 from .psi import AdmissibleSequence
 from .series import DeltaSeries
 
@@ -253,47 +253,29 @@ def verify_inverse_reconstruction(sheffer: ShefferSequence) -> CheckReport:
     return CheckReport(True, "constant-term reconstruction matches S^{-1}")
 
 
-def _addition_coefficients_agree(
-    table: SequenceTable, partner: SequenceTable, seq: AdmissibleSequence, n: int
-) -> bool:
+def _addition_cells_agree(t: list, u: list, n: int) -> bool:
     """Whether the degree-n addition rule holds as an identity in x and y.
 
-    Row i, column k holds the coefficient of x^i y^k: binom_psi(i+k, k)
-    [x^(i+k)] t_n on the left, sum_m binom_psi(n,m) [x^i] t_m [y^k] u_(n-m)
-    on the right, with t the table and u its partner. A family too short for
-    the table raises UndefinedIndexError, as the sampled shift would.
+    t[m] and u[m] are table and partner entry m divided by m_psi! and read
+    in the divided powers e_j = x^j / j_psi!. Row i, column k holds the
+    coefficient of e_i(x) e_k(y): t[n][i+k] on the left and
+    sum_m t[m][i] u[n-m][k] on the right, each side integers over one
+    denominator, compared cross-multiplied.
     """
-    # each side is integers over one denominator: the lcm of its
-    # binom_psi * den_t * den_u denominators
-    t_n = table[n]
-    lhs_terms = [
-        (j, a, [seq.binomial(j, k) for k in range(j + 1)])
-        for j, a in enumerate(t_n.nums)
-        if a
-    ]
-    lhs_den = math.lcm(*[b.denominator for _, _, bs in lhs_terms for b in bs])
-    lhs = [[0] * (n + 1 - i) for i in range(n + 1)]
-    for j, a, bs in lhs_terms:
-        for k, b in enumerate(bs):
-            lhs[j - k][k] = a * b.numerator * (lhs_den // b.denominator)
-    lhs_den *= t_n.den
-
-    rhs_terms = [(seq.binomial(n, m), table[m], partner[n - m]) for m in range(n + 1)]
-    rhs_den = math.lcm(*[b.denominator * t.den * u.den for b, t, u in rhs_terms])
+    terms = [(t[m], u[n - m]) for m in range(n + 1)]
+    den = math.lcm(*[a.den * b.den for a, b in terms])
+    lhs_den = t[n].den
     rhs = [[0] * (n + 1 - i) for i in range(n + 1)]
-    for b, t, u in rhs_terms:
-        w = b.numerator * (rhs_den // (b.denominator * t.den * u.den))
-        for i, a in enumerate(t.nums):
-            if a:
-                wa, row = w * a, rhs[i]
-                for k, c in enumerate(u.nums):
-                    if c:
-                        row[k] += wa * c
-    return all(
-        left * rhs_den == right * lhs_den
-        for lrow, rrow in zip(lhs, rhs)
-        for left, right in zip(lrow, rrow)
-    )
+    for a, b in terms:
+        w = den // (a.den * b.den) * lhs_den
+        for i, x in enumerate(a.nums):
+            if x:
+                wx, row = w * x, rhs[i]
+                for k, y in enumerate(b.nums):
+                    if y:
+                        row[k] += wx * y
+    lhs = [v * den for v in t[n].nums]
+    return all(row == lhs[i:] for i, row in enumerate(rhs))
 
 
 def _addition_rule(
@@ -307,14 +289,27 @@ def _addition_rule(
     """E^y t_n = sum_k binom_psi(n,k) t_k(x) u_(n-k)(y) for every n.
 
     The verdict is the exact bivariate identity: both sides have degree at
-    most n in y, so equal coefficients make every sample agree. Only a degree
+    most n in y, so equal coefficients make every sample agree. It is read on
+    divided powers: the coefficient of x^i y^k, times the nonzero
+    i_psi! k_psi! / n_psi!, is the coefficient of e_i(x) e_k(y) with
+    e_j = x^j / j_psi!, so cell (i, k) holds exactly when the convolution of
+    `_addition_cells_agree` does, and no binom_psi is formed. Each entry is
+    converted once, when the degree loop first reaches it. Only a degree
     whose coefficients differ is evaluated at the sampled shifts, to report
     the first (n, y) witness; if no sample separates the sides (fewer than
     n + 1 samples), the check moves on as the sampled rule would.
     """
     ys = default_shift_samples(table.bound + 2) if y_values is None else y_values
+
+    def divided(p: Polynomial, n: int) -> Polynomial:
+        return _diagonal(p, seq._factorials).scale(seq._inverse_factorials[n])
+
+    t, u = [], []
     for n in range(table.bound + 1):
-        if _addition_coefficients_agree(table, partner, seq, n):
+        seq.n_psi(n)  # a family too short for the table raises here
+        t.append(divided(table[n], n))
+        u.append(t[n] if partner is table else divided(partner[n], n))
+        if _addition_cells_agree(t, u, n):
             continue
         for y in ys:
             lhs = generalized_shift(seq, table[n], y)

@@ -33,6 +33,13 @@ runs on the integers: the `old_*` functions of that section are the
 Fraction-list kernel it replaced. Every polynomial a test compares must be in
 the canonical form, with coefficients that are canonical `Fraction`s.
 
+Then the addition rule and the series action read their operands in the
+divided powers x^j / j_psi!: the check must give the verdicts of the
+Fraction kernel cell for cell and the reports of the binom_psi-weighted rule
+it replaced, and the action what one shifted polynomial per series term
+gave. Closed-form classical tables, the lower factorials and the Abel
+polynomials, carried over by D, must be the solved basic tables.
+
 Then the normal orderings of the (Q, xhat) pair are read in the pair's
 rescaled basis: `old_suite_weyl` and `old_raiser_power_lowering` are the
 matrix-product routes they replaced, and every family's `weyl` records must
@@ -52,7 +59,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from umbralcalc import harness, operators
+from umbralcalc import harness, operators, sequences
 from umbralcalc.errors import (
     BadParameterError,
     DegreeOverflowError,
@@ -71,6 +78,7 @@ from umbralcalc.operators import (
     dual_operator,
     expand_in_dual_pair,
     forward_difference,
+    generalized_shift,
     generalized_shift_operator,
     identity_operator,
     jackson_operator,
@@ -93,17 +101,23 @@ from umbralcalc.poly import (
     Polynomial,
     SequenceTable,
     _combine,
+    _diagonal,
+    _shift_down,
     coordinates_in_table,
     fr,
     parse_polynomial,
 )
 from umbralcalc.psi import AdmissibleSequence
 from umbralcalc.sequences import (
-    _addition_coefficients_agree,
+    CheckReport,
+    _addition_cells_agree,
     basic_sequence_from_series,
     closed_form_routes,
+    default_shift_samples,
     sheffer_product_shift,
     sheffer_sequence,
+    verify_binomial_type,
+    verify_sheffer_binomial,
 )
 from umbralcalc.series import DeltaSeries
 from umbralcalc.spectral import (
@@ -1034,6 +1048,15 @@ def result_or_error(call, *args):
 FAMILY_QS = (None, Fraction(3, 2), Fraction(-2, 3))
 
 
+def draw_family(draw, bound):
+    """A custom family or a q-deformed one (q = 3/2 or -2/3) on `bound`."""
+    q = draw(st.sampled_from(FAMILY_QS))
+    if q is None:
+        values = draw(st.lists(nonzero_rationals, min_size=bound, max_size=bound))
+        return AdmissibleSequence.custom(values, bound)
+    return AdmissibleSequence.q_deformed(q, bound)
+
+
 @st.composite
 def numerator_cases(draw, max_degree=16):
     """A custom or q-deformed family (q = 3/2 or -2/3) on a bound up to
@@ -1043,12 +1066,7 @@ def numerator_cases(draw, max_degree=16):
     series' basic sequence, with one entry perturbed below its lead or not."""
     degree = draw(st.integers(2, max_degree))
     bound = degree + 1
-    q = draw(st.sampled_from(FAMILY_QS))
-    if q is None:
-        values = draw(st.lists(nonzero_rationals, min_size=bound, max_size=bound))
-        seq = AdmissibleSequence.custom(values, bound)
-    else:
-        seq = AdmissibleSequence.q_deformed(q, bound)
+    seq = draw_family(draw, bound)
 
     def polynomial():
         entries = draw(st.sampled_from([sparse_rationals, mixed_rationals]))
@@ -1153,21 +1171,223 @@ def test_expansion_accumulation_matches_fraction_kernel(case, dense, data):
         assert got.reassembled.columns == t.columns
 
 
+# -- the addition rule and the series action on divided powers --------------------
+#
+# Both kernels now read their operands in the divided powers e_j = x^j / j_psi!.
+# `old_integer_coefficients_agree` and `old_addition_rule` are the addition
+# check as it compared both sides of each cell (with its binom_psi weights) as
+# integers over one denominator, and `old_apply_delta_series` is the series
+# action as one `_shift_down` polynomial per series term combined by
+# `_combine`, all verbatim except for their names.
+
+
+def old_integer_coefficients_agree(table, partner, seq, n):
+    # each side is integers over one denominator: the lcm of its
+    # binom_psi * den_t * den_u denominators
+    t_n = table[n]
+    lhs_terms = [
+        (j, a, [seq.binomial(j, k) for k in range(j + 1)])
+        for j, a in enumerate(t_n.nums)
+        if a
+    ]
+    lhs_den = math.lcm(*[b.denominator for _, _, bs in lhs_terms for b in bs])
+    lhs = [[0] * (n + 1 - i) for i in range(n + 1)]
+    for j, a, bs in lhs_terms:
+        for k, b in enumerate(bs):
+            lhs[j - k][k] = a * b.numerator * (lhs_den // b.denominator)
+    lhs_den *= t_n.den
+
+    rhs_terms = [(seq.binomial(n, m), table[m], partner[n - m]) for m in range(n + 1)]
+    rhs_den = math.lcm(*[b.denominator * t.den * u.den for b, t, u in rhs_terms])
+    rhs = [[0] * (n + 1 - i) for i in range(n + 1)]
+    for b, t, u in rhs_terms:
+        w = b.numerator * (rhs_den // (b.denominator * t.den * u.den))
+        for i, a in enumerate(t.nums):
+            if a:
+                wa, row = w * a, rhs[i]
+                for k, c in enumerate(u.nums):
+                    if c:
+                        row[k] += wa * c
+    return all(
+        left * rhs_den == right * lhs_den
+        for lrow, rrow in zip(lhs, rhs)
+        for left, right in zip(lrow, rrow)
+    )
+
+
+def old_addition_rule(table, partner, seq, y_values, failure, success):
+    ys = default_shift_samples(table.bound + 2) if y_values is None else y_values
+    for n in range(table.bound + 1):
+        if old_integer_coefficients_agree(table, partner, seq, n):
+            continue
+        for y in ys:
+            lhs = generalized_shift(seq, table[n], y)
+            rhs = Polynomial()
+            for k in range(n + 1):
+                rhs = rhs + table[k].scale(seq.binomial(n, k) * partner[n - k](y))
+            if lhs != rhs:
+                return CheckReport(
+                    False,
+                    failure,
+                    {"n": n, "y": str(y), "lhs": lhs.to_text(), "rhs": rhs.to_text()},
+                )
+    return CheckReport(True, success)
+
+
+def old_apply_delta_series(s, p):
+    factorial = s.base.factorial
+    scaled = _diagonal(p, [factorial(j) if a else 0 for j, a in enumerate(p.nums)])
+    # sum_k c_k Q^k on the coordinates: coordinate j moves to j - k
+    series = s.polynomial.truncate(len(scaled.nums) - 1)
+    shifts = [_shift_down(scaled, k) if c else ZERO for k, c in enumerate(series.nums)]
+    out = _combine(series, shifts)
+    return _diagonal(out, [1 / factorial(i) if v else 0 for i, v in enumerate(out.nums)])
+
+
+def divided_entries(table, seq):
+    """Entry m over m_psi! in the divided powers, from its Fractions."""
+    return [
+        Polynomial([c * seq.factorial(j) / seq.factorial(m) for j, c in enumerate(entry.coeffs)])
+        for m, entry in enumerate(table)
+    ]
+
+
 @settings(max_examples=40, deadline=None)
-@given(case=numerator_cases(), short=st.integers(0, 3))
-def test_addition_check_matches_fraction_kernel(case, short):
+@given(
+    case=numerator_cases(),
+    short=st.integers(0, 3),
+    ys=st.none() | st.lists(st.integers(-2, 2), max_size=3),
+)
+def test_addition_check_matches_fraction_kernel(case, short, ys):
     seq, degree, _, series, table = case
     basic = basic_sequence_from_series(series, degree).table
     prefactor = DeltaSeries.from_list(seq, [1, 1], degree)
-    sheffer_table = sheffer_sequence(series, prefactor, degree).table
+    sheffer = sheffer_sequence(series, prefactor, degree)
+    # the Sheffer table with the basic table's perturbation, if any
+    moved = SequenceTable(tuple(s + (t - b) for s, t, b in zip(sheffer.table, table, basic)))
     # a family `short` entries shorter than the table needs
     short = min(short, degree - 1)
     family = AdmissibleSequence.custom(seq.values[1:], degree - short) if short else seq
-    for t, partner in ((table, table), (sheffer_table, basic), (basic, basic)):
-        for n in range(degree + 1):
-            got = result_or_error(_addition_coefficients_agree, t, partner, family, n)
-            want = result_or_error(old_addition_coefficients_agree, t, partner, family, n)
-            assert got == want
+    pairs = ((table, table), (basic, basic), (sheffer.table, basic), (moved, basic),
+             (sheffer.table, table))
+    for t, partner in pairs:
+        t_div, u_div = divided_entries(t, seq), divided_entries(partner, seq)
+        for n in range(min(family.bound, degree) + 1):
+            assert _addition_cells_agree(t_div, u_div, n) == old_addition_coefficients_agree(
+                t, partner, family, n
+            )
+        # whole reports, or the same error and message on the short family,
+        # with the sampled shifts evaluated at the same degrees
+        sampled = []
+
+        def shift(on, p, y):
+            sampled.append(p.degree)
+            return generalized_shift(on, p, y)
+
+        if t is partner:
+            with mock.patch.object(sequences, "generalized_shift", shift):
+                got = result_or_error(verify_binomial_type, t, family, ys)
+            want = result_or_error(
+                old_addition_rule, t, t, family, ys,
+                "addition rule fails", "addition rule holds at all sampled shifts",
+            )
+        else:
+            mixed = dataclasses.replace(
+                sheffer, seq=family, table=t,
+                basic=dataclasses.replace(sheffer.basic, seq=family, table=partner),
+            )
+            with mock.patch.object(sequences, "generalized_shift", shift):
+                got = result_or_error(verify_sheffer_binomial, mixed, ys)
+            want = result_or_error(
+                old_addition_rule, t, partner, family, ys,
+                "mixed addition rule fails", "mixed addition rule holds at all sampled shifts",
+            )
+        assert got == want
+        if got[0] == "raises":
+            last = family.bound
+        else:
+            last = t.bound if got[1].passed else got[1].witness["n"]
+        assert sorted(set(sampled)) == [
+            n for n in range(last + 1)
+            if not old_integer_coefficients_agree(t, partner, family, n)
+        ]
+
+
+@st.composite
+def divided_power_action_cases(draw):
+    """A custom or q-deformed family on a bound up to 12; a series of an
+    order from 0 to past the bound, sparse or dense; and a polynomial with
+    zero gaps, of a degree that may pass the bound."""
+    bound = draw(st.integers(1, 12))
+    seq = draw_family(draw, bound)
+    entries = draw(st.sampled_from([sparse_rationals, mixed_rationals]))
+    order = draw(st.integers(0, bound + 3))
+    series = DeltaSeries.from_list(seq, draw(st.lists(entries, max_size=order + 1)), order)
+    p = Polynomial(draw(st.lists(sparse_rationals, max_size=bound + 4)))
+    return series, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=divided_power_action_cases())
+def test_series_action_matches_shifted_combination(case):
+    series, p = case
+    got = result_or_error(apply_delta_series, series, p)
+    want = result_or_error(old_apply_delta_series, series, p)
+    assert got == want
+    if got[0] == "value":
+        same(got[1], want[1])
+
+
+def lower_factorial(n):
+    """(x)_n = x (x - 1) ... (x - n + 1), the basic table of e^t - 1."""
+    out = ONE
+    for i in range(n):
+        out = out * Polynomial([-i, 1])
+    return out
+
+
+def abel(a, n):
+    """x (x - a n)^(n-1), the basic table of t e^(a t)."""
+    return ONE if n == 0 else X * Polynomial([-a * n, 1]) ** (n - 1)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A custom or q-deformed family on a bound up to 10, and one entry and
+    index to perturb: the constant term, or a coefficient from x^2 up, since
+    adding c x to a table's top entry keeps it of binomial type."""
+    degree = draw(st.integers(2, 9))
+    bound = degree + 1
+    seq = draw_family(draw, bound)
+    n = draw(st.integers(1, degree))
+    index = draw(st.sampled_from([0] + list(range(2, n))))
+    return seq, degree, draw(nonzero_rationals), n, index, draw(nonzero_rationals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=oracle_cases())
+def test_closed_form_tables_are_the_solved_tables(case):
+    """p_n = (n_psi!/n!) D^-1 c_n with D: x^j -> (j_psi!/j!) x^j carries a
+    classical basic table c_n of q(d/dx) to the basic table of q(Q); the
+    lower factorials and the Abel polynomials need no solve."""
+    seq, degree, a, n, index, delta = case
+    exp_minus_one = [0] + [Fraction(1, math.factorial(k)) for k in range(1, degree + 1)]
+    t_exp_at = [0] + [a ** (k - 1) / math.factorial(k - 1) for k in range(1, degree + 1)]
+    for coeffs, classical in ((exp_minus_one, lower_factorial), (t_exp_at, lambda m: abel(a, m))):
+        mapped = SequenceTable(tuple(
+            Polynomial([
+                c * seq.factorial(m) / math.factorial(m) * math.factorial(j) / seq.factorial(j)
+                for j, c in enumerate(classical(m).coeffs)
+            ])
+            for m in range(degree + 1)
+        ))
+        solved = basic_sequence_from_series(DeltaSeries.from_list(seq, coeffs, degree), degree)
+        assert mapped.entries == solved.table.entries
+        assert verify_binomial_type(mapped, seq).passed
+        entries = list(mapped.entries)
+        entries[n] = entries[n] + Polynomial.monomial(index, delta)
+        report = verify_binomial_type(SequenceTable(tuple(entries)), seq)
+        assert not report.passed and report.witness["n"] == n
 
 
 # -- normal ordering in the rescaled basis -----------------------------------------
