@@ -1307,9 +1307,10 @@ def test_addition_check_matches_fraction_kernel(case, short, ys):
             last = family.bound
         else:
             last = t.bound if got[1].passed else got[1].witness["n"]
+        # an empty sample list evaluates no shift at any degree
         assert sorted(set(sampled)) == [
             n for n in range(last + 1)
-            if not old_integer_coefficients_agree(t, partner, family, n)
+            if ys != [] and not old_integer_coefficients_agree(t, partner, family, n)
         ]
 
 
