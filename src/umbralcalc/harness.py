@@ -445,7 +445,7 @@ def suite_binomial(families, degree, rng, out):
 
 
 def suite_routes(families, degree, rng, out):
-    """Closed-form constructions agree with the triangular solve."""
+    """Closed-form constructions agree with the solved basic table."""
     for seq in families:
         labeled = [
             ("derivative", DeltaSeries.from_list(seq, [0, 1], degree)),

@@ -156,13 +156,9 @@ class AdmissibleSequence:
         return tuple([1 / f for f in self._factorials])
 
     @cached_property
-    def _binomials(self) -> tuple:
-        """Triangle of n_psi! / (k_psi! (n-k)_psi!), 0 <= k <= n <= bound."""
-        t = self._factorials
-        return tuple([
-            tuple([t[n] / (t[k] * t[n - k]) for k in range(n + 1)])
-            for n in range(self.bound + 1)
-        ])
+    def _binomials(self) -> dict:
+        """Rows n -> (n_psi! / (k_psi! (n-k)_psi!), k = 0..n), built on first use."""
+        return {}
 
     def factorial(self, n: int) -> Fraction:
         if not 0 <= n <= self.bound:
@@ -187,7 +183,11 @@ class AdmissibleSequence:
         if k == 0:
             return Fraction(1)
         self.n_psi(n)
-        return self._binomials[n][k]
+        row = self._binomials.get(n)
+        if row is None:
+            t = self._factorials
+            row = self._binomials[n] = tuple([t[n] / (t[j] * t[n - j]) for j in range(n + 1)])
+        return row[k]
 
     def exp_polynomial(self, x_coefficient, truncation: int) -> Polynomial:
         """Truncated exponential sum_k (a^k / k_psi!) x^k."""

@@ -2,8 +2,9 @@
 
 A basic sequence {p_n} of a lowering operator Q satisfies p_0 = 1,
 p_n(0) = 0 and Q p_n = n_psi p_{n-1}. A Sheffer companion relative to an
-invertible series S is s_n = S^{-1} p_n. The triangular solve is the ground
-truth here; the closed-form routes are checked against it, never trusted.
+invertible series S is s_n = S^{-1} p_n. The solve is the ground truth here
+(triangular for a matrix, the divided-power recurrence for a series in Q);
+the closed-form routes are checked against it, never trusted.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .operators import (
     require_lowers_by_one,
     xhat_psi,
 )
-from .poly import ONE, Polynomial, SequenceTable, _diagonal, coordinates_in_table
+from .poly import ONE, Polynomial, SequenceTable, _canonical, _diagonal, coordinates_in_table
 from .psi import AdmissibleSequence
 from .series import DeltaSeries
 
@@ -33,12 +34,18 @@ from .series import DeltaSeries
 @dataclass(frozen=True)
 class BasicSequence:
     seq: AdmissibleSequence
-    q_op: OperatorMatrix
+    lowering: OperatorMatrix | DeltaSeries  # a series in Q, or its matrix
     table: SequenceTable
 
     @property
     def bound(self) -> int:
         return self.table.bound
+
+    @cached_property
+    def q_op(self) -> OperatorMatrix:
+        """The lowering operator as a matrix; a series is realised on first use."""
+        q = self.lowering
+        return realize_delta_series(q, self.bound) if isinstance(q, DeltaSeries) else q
 
     @cached_property
     def raiser(self) -> OperatorMatrix:
@@ -88,9 +95,32 @@ def basic_sequence(
 
 
 def basic_sequence_from_series(q_series: DeltaSeries, bound: int) -> BasicSequence:
+    """Basic table of q(Q), q read at the bound, on the divided powers
+    e_j = x^j / j_psi!, where Q e_j = e_(j-1): with sigma = (q/t)^-1, the
+    rule q(Q) p_n = n_psi p_(n-1) is Q p_n = n_psi sigma(Q) p_(n-1), so the
+    coordinates P_n of p_n in the e_j are P_n[0] = 0 and
+    P_n[j+1] = n_psi sum_k sigma_k P_(n-1)[j+k], one integer convolution per
+    entry; then p_n[j] = P_n[j] / j_psi! (Roman, 1984, ch. 2)."""
     q_series.require_delta()
-    op = realize_delta_series(q_series, bound)
-    return basic_sequence(op, q_series.base, bound)
+    if bound < 0:
+        raise BadParameterError("degree bound must be nonnegative")
+    seq = q_series.base
+    seq.factorial(min(bound, seq.bound + 1))  # a family too short for the bound raises
+    entries, p = [ONE], ONE
+    if bound:
+        sigma = DeltaSeries.from_list(seq, q_series.coeffs[1:], bound - 1)
+        sigma = sigma.multiplicative_inverse().polynomial
+    for n in range(1, bound + 1):
+        out = [0] * (n + 1)
+        for k, c in enumerate(sigma.nums[:n]):
+            if c:
+                for j, v in enumerate(p.nums[k:], 1):
+                    if v:
+                        out[j] += c * v
+        w = seq.n_psi(n)
+        p = _canonical([w.numerator * a for a in out], sigma.den * p.den * w.denominator)
+        entries.append(_diagonal(p, seq._inverse_factorials))
+    return BasicSequence(seq, q_series, SequenceTable(tuple(entries)))
 
 
 def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
@@ -159,8 +189,7 @@ def rodrigues_sequence(q_series: DeltaSeries, bound: int) -> BasicSequence:
             raise SingularOperatorError(
                 f"closed-form route {name} disagrees with the iterative route"
             )
-    op = realize_delta_series(q_series, bound)
-    return BasicSequence(q_series.base, op, table)
+    return BasicSequence(q_series.base, q_series, table)
 
 
 def sheffer_sequence(
@@ -278,6 +307,29 @@ def _addition_cells_agree(t: list, u: list, n: int) -> bool:
     return all(row == lhs[i:] for i, row in enumerate(rhs))
 
 
+def _addition_chain_agrees(t: list, u: list, n: int) -> bool:
+    """Whether cells (0, 0) and (i, 1), i < n, of `_addition_cells_agree` hold.
+
+    With A_j(z) = sum_m t[m][j] z^m and B_k(z) likewise for u, cell (i, k)
+    is [z^n] A_(i+k) = [z^n] A_i B_k. If every lower degree holds, all
+    degree-n cells hold exactly when these do for t against u and for u
+    against itself: B_0 is idempotent with a nonzero constant, so B_0 = 1,
+    B_k = B_1^k and A_(i+k) = A_i B_1^k; and all cells give B_k = A_0^-1 A_k.
+    """
+    terms = [(t[m], u[n - m]) for m in range(n + 1)]
+    den = math.lcm(*[a.den * b.den for a, b in terms])
+    rhs = [0] * (n + 1)  # cell (0, 0), then cell (i, 1) at index i + 1
+    for a, b in terms:
+        w = den // (a.den * b.den) * t[n].den
+        rhs[0] += w * a.nums[0] * b.nums[0]
+        if len(b.nums) > 1 and b.nums[1]:
+            w *= b.nums[1]
+            for i, x in enumerate(a.nums, 1):
+                if x:
+                    rhs[i] += w * x
+    return rhs == [v * den for v in t[n].nums]
+
+
 def _addition_rule(
     table: SequenceTable,
     partner: SequenceTable,
@@ -294,23 +346,29 @@ def _addition_rule(
     i_psi! k_psi! / n_psi!, is the coefficient of e_i(x) e_k(y) with
     e_j = x^j / j_psi!, so cell (i, k) holds exactly when the convolution of
     `_addition_cells_agree` does, and no binom_psi is formed. Each entry is
-    converted once, when the degree loop first reaches it. Only a degree
-    whose coefficients differ is evaluated at the sampled shifts, to report
-    the first (n, y) witness; if no sample separates the sides (fewer than
-    n + 1 samples), the check moves on as the sampled rule would.
+    converted once, when the degree loop first reaches it. While every lower
+    degree holds, a degree is decided by its chain cells, O(n^2) products
+    in place of O(n^3). Only a degree whose coefficients differ is evaluated
+    at the sampled shifts, to report the first (n, y) witness; if no sample
+    separates the sides (fewer than n + 1 samples), the check moves on as
+    the sampled rule would, and later degrees check all their cells.
     """
-    ys = default_shift_samples(table.bound + 2) if y_values is None else y_values
+    ys = default_shift_samples(table.bound + 2) if y_values is None else list(y_values)
 
     def divided(p: Polynomial, n: int) -> Polynomial:
         return _diagonal(p, seq._factorials).scale(seq._inverse_factorials[n])
 
     t, u = [], []
+    chained = True  # every degree below n holds
     for n in range(table.bound + 1):
         seq.n_psi(n)  # a family too short for the table raises here
         t.append(divided(table[n], n))
         u.append(t[n] if partner is table else divided(partner[n], n))
-        if _addition_cells_agree(t, u, n):
+        if chained and _addition_chain_agrees(t, u, n) and (
+            partner is table or _addition_chain_agrees(u, u, n)
+        ) or not chained and _addition_cells_agree(t, u, n):
             continue
+        chained = False
         for y in ys:
             lhs = generalized_shift(seq, table[n], y)
             rhs = Polynomial()

@@ -286,6 +286,7 @@ def qplane_substitution_report(
     q = q_parameter(seq)
     bound = table.bound
     a = multiplication_x(bound)
+    y_values = list(y_values)  # read three times below
     for y in y_values:
         m = a.add(dilation(q, bound).scale(y))
         shift = DeltaSeries.from_list(seq, seq.exp_polynomial(y, bound).coeffs, bound)
@@ -309,7 +310,7 @@ def qplane_substitution_report(
         )
         if not report.passed:
             return {"passed": False, "witness": report.witness}
-    return {"passed": True, "count": (table.bound + 1) * len(list(y_values))}
+    return {"passed": True, "count": (table.bound + 1) * len(y_values)}
 
 
 # -- factorization identities ------------------------------------------------------

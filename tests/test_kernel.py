@@ -37,18 +37,25 @@ Then the addition rule and the series action read their operands in the
 divided powers x^j / j_psi!: the check must give the verdicts of the
 Fraction kernel cell for cell and the reports of the binom_psi-weighted rule
 it replaced, and the action what one shifted polynomial per series term
-gave. Closed-form classical tables, the lower factorials and the Abel
-polynomials, carried over by D, must be the solved basic tables.
+gave. Closed-form classical tables, the lower factorials, the Abel
+polynomials and the Laguerre table, carried over by D, must be the solved
+basic tables.
 
 Then the normal orderings of the (Q, xhat) pair are read in the pair's
 rescaled basis: `old_suite_weyl` and `old_raiser_power_lowering` are the
 matrix-product routes they replaced, and every family's `weyl` records must
 also be the classical family's.
 
-Last, an expansion over two weighted shifts is one series division per
+Then an expansion over two weighted shifts is one series division per
 column in their rescaled basis: it must give what `old_expand` gives on
 random shift pairs and near-shifts, or the ladder's error, and for the
 family pair (Q, xhat) the closed form q(y) = T^(y) exp(-xy).
+
+Last, a basic table of a series is solved on the divided powers and the
+addition rule is decided on its chain cells while every lower degree holds:
+`old_basic_sequence_from_series` (realise the series, then the triangular
+solve) and `old_divided_addition_rule` (every cell of every degree) are the
+routes they replaced, verbatim except for their names.
 """
 
 import dataclasses
@@ -111,6 +118,7 @@ from umbralcalc.psi import AdmissibleSequence
 from umbralcalc.sequences import (
     CheckReport,
     _addition_cells_agree,
+    basic_sequence,
     basic_sequence_from_series,
     closed_form_routes,
     default_shift_samples,
@@ -1352,6 +1360,16 @@ def abel(a, n):
     return ONE if n == 0 else X * Polynomial([-a * n, 1]) ** (n - 1)
 
 
+def laguerre(n):
+    """sum_(k=1..n) (n!/k!) C(n-1, k-1) (-x)^k, the basic table of t/(t-1)."""
+    if n == 0:
+        return ONE
+    return Polynomial([0] + [
+        Fraction(math.factorial(n), math.factorial(k)) * math.comb(n - 1, k - 1) * (-1) ** k
+        for k in range(1, n + 1)
+    ])
+
+
 @st.composite
 def oracle_cases(draw):
     """A custom or q-deformed family on a bound up to 10, and one entry and
@@ -1370,11 +1388,17 @@ def oracle_cases(draw):
 def test_closed_form_tables_are_the_solved_tables(case):
     """p_n = (n_psi!/n!) D^-1 c_n with D: x^j -> (j_psi!/j!) x^j carries a
     classical basic table c_n of q(d/dx) to the basic table of q(Q); the
-    lower factorials and the Abel polynomials need no solve."""
+    lower factorials, the Abel polynomials and the Laguerre table need no
+    solve."""
     seq, degree, a, n, index, delta = case
     exp_minus_one = [0] + [Fraction(1, math.factorial(k)) for k in range(1, degree + 1)]
     t_exp_at = [0] + [a ** (k - 1) / math.factorial(k - 1) for k in range(1, degree + 1)]
-    for coeffs, classical in ((exp_minus_one, lower_factorial), (t_exp_at, lambda m: abel(a, m))):
+    t_over_t_minus_one = [0] + [-1] * degree
+    for coeffs, classical in (
+        (exp_minus_one, lower_factorial),
+        (t_exp_at, lambda m: abel(a, m)),
+        (t_over_t_minus_one, laguerre),
+    ):
         mapped = SequenceTable(tuple(
             Polynomial([
                 c * seq.factorial(m) / math.factorial(m) * math.factorial(j) / seq.factorial(j)
@@ -1618,3 +1642,150 @@ def test_expansion_over_shifts_matches_the_matrix_route(case):
     changed[-1] += ONE
     weights = operators._shift_weights(q_op, -1), operators._shift_weights(raiser, 1)
     assert operators._reassemble_over_shifts(changed, *weights).columns != t.columns
+
+
+# -- basic tables on divided powers, the addition rule on chain cells ---------------
+
+
+def old_basic_sequence_from_series(q_series, bound):
+    q_series.require_delta()
+    op = realize_delta_series(q_series, bound)
+    return basic_sequence(op, q_series.base, bound)
+
+
+def old_divided_addition_rule(table, partner, seq, y_values, failure, success):
+    ys = default_shift_samples(table.bound + 2) if y_values is None else y_values
+
+    def divided(p: Polynomial, n: int) -> Polynomial:
+        return _diagonal(p, seq._factorials).scale(seq._inverse_factorials[n])
+
+    t, u = [], []
+    for n in range(table.bound + 1):
+        seq.n_psi(n)  # a family too short for the table raises here
+        t.append(divided(table[n], n))
+        u.append(t[n] if partner is table else divided(partner[n], n))
+        if _addition_cells_agree(t, u, n):
+            continue
+        for y in ys:
+            lhs = generalized_shift(seq, table[n], y)
+            rhs = Polynomial()
+            for k in range(n + 1):
+                rhs = rhs + table[k].scale(seq.binomial(n, k) * partner[n - k](y))
+            if lhs != rhs:
+                return CheckReport(
+                    False,
+                    failure,
+                    {"n": n, "y": str(y), "lhs": lhs.to_text(), "rhs": rhs.to_text()},
+                )
+    return CheckReport(True, success)
+
+
+@st.composite
+def solve_cases(draw):
+    """A custom, q-deformed or classical family on a bound up to 9; a series
+    of an order from 1 to the family bound, delta or not (c1 may be 0); and
+    a solve bound from 0 to two past the family."""
+    family_bound = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        seq = draw_family(draw, family_bound)
+    else:
+        seq = AdmissibleSequence.classical(family_bound)
+    order = draw(st.integers(1, family_bound))
+    tail = draw(st.lists(mixed_rationals, max_size=order - 1))
+    series = DeltaSeries.from_list(seq, [0, draw(mixed_rationals)] + tail, order)
+    return series, draw(st.integers(0, family_bound + 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=solve_cases())
+def test_series_solve_matches_the_triangular_solve(case):
+    series, bound = case
+    with mock.patch.object(sequences, "realize_delta_series", side_effect=AssertionError), \
+            mock.patch.object(sequences, "coordinates_in_table", side_effect=AssertionError):
+        got = result_or_error(basic_sequence_from_series, series, bound)
+    want = result_or_error(old_basic_sequence_from_series, series, bound)
+    if want[0] == "raises":
+        assert got == want
+        return
+    assert got[0] == "value"
+    for p, q in zip(got[1].table, want[1].table, strict=True):
+        same(p, q)
+    # the operator is realised on first read, as the old route built it
+    assert got[1].q_op.columns == realize_delta_series(series, bound).columns
+    assert got[1].raiser.columns == want[1].raiser.columns
+
+
+@st.composite
+def chain_cases(draw):
+    """A custom or q-deformed family on a bound up to 10, possibly shorter
+    than the tables; the basic and a Sheffer table of a random delta series,
+    each also with up to two entries perturbed below their lead (entry 0
+    included); and shift samples: the defaults, none, y = 0 alone (which
+    cannot separate a normal partner) or a short list."""
+    degree = draw(st.integers(1, 9))
+    seq = draw_family(draw, degree + 1)
+    tail = draw(st.lists(mixed_rationals, max_size=degree - 1))
+    series = DeltaSeries.from_list(seq, [0, draw(nonzero_rationals)] + tail, degree)
+    prefactor = [1] + draw(st.lists(mixed_rationals, max_size=3))
+    sheffer = sheffer_sequence(series, DeltaSeries.from_list(seq, prefactor, degree), degree)
+
+    def perturbed(table):
+        entries = list(table.entries)
+        for _ in range(draw(st.integers(1, 2))):
+            n = draw(st.integers(0, degree))
+            moved = entries[n] + Polynomial.monomial(draw(st.integers(0, max(n - 1, 0))),
+                                                     draw(nonzero_rationals))
+            if moved.degree == n:
+                entries[n] = moved
+        return SequenceTable(tuple(entries))
+
+    basic, shef = sheffer.basic.table, sheffer.table
+    pairs = [(basic, basic), (perturbed(basic), None), (shef, basic),
+             (perturbed(shef), basic), (shef, perturbed(basic))]
+    ys = draw(st.sampled_from([None, [], [0]]) | st.lists(st.integers(-2, 2), max_size=3))
+    short = min(draw(st.integers(0, 2)), degree - 1)
+    family = AdmissibleSequence.custom(seq.values[1:], degree + 1 - short) if short else seq
+    return family, pairs, ys
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=chain_cases())
+def test_addition_chain_matches_every_cell(case):
+    """Whole reports, or the error and message, of the rule as it was, with
+    the shifts sampled at the same degrees: so every degree gets the verdict
+    of all its cells, also after a degree that failed unseparated."""
+    family, pairs, ys = case
+    for table, partner in pairs:
+        runs = []
+        for rule in (sequences._addition_rule, old_divided_addition_rule):
+            sampled = []
+
+            def shift(on, p, y):
+                sampled.append(p.degree)
+                return operators.generalized_shift(on, p, y)
+
+            with mock.patch.object(sequences, "generalized_shift", shift), \
+                    mock.patch.dict(globals(), generalized_shift=shift):
+                report = result_or_error(
+                    rule, table, table if partner is None else partner, family, ys, "fails", "holds"
+                )
+            runs.append((report, sampled))
+        assert runs[0] == runs[1]
+
+
+def test_an_unseparated_failure_hands_later_degrees_to_every_cell():
+    # x^3 + x^2 over the monomials: y = 0 separates no degree, so every
+    # degree whose cells differ is sampled; from degree 5 on only cells
+    # (i, k) with k >= 2 differ, which the chain cells alone would miss
+    entries = [Polynomial.monomial(n) for n in range(8)]
+    entries[3] = entries[3] + Polynomial.monomial(2)
+    sampled = []
+
+    def shift(on, p, y):
+        sampled.append(p.degree)
+        return operators.generalized_shift(on, p, y)
+
+    with mock.patch.object(sequences, "generalized_shift", shift):
+        table, seq = SequenceTable(tuple(entries)), AdmissibleSequence.classical(7)
+        report = verify_binomial_type(table, seq, [0])
+    assert report.passed and sampled == [3, 4, 5, 6, 7]

@@ -347,3 +347,16 @@ def test_addition_rule_short_family_raises_like_sampled_loop():
             check(table, short)
         messages.append(str(info.value))
     assert messages[0] == messages[1] == "custom: index 4 outside validated range 0..3"
+
+
+def test_addition_rule_reads_a_shift_iterator_once():
+    # y = 0 cannot separate degree 2 (x^2 - x), so the samples are read again
+    # at degree 5, where they must still be there
+    entries = [Polynomial.monomial(n) for n in range(6)]
+    entries[2] = entries[2] - X
+    entries[5] = entries[5] - ONE
+    table = SequenceTable(tuple(entries))
+    seq = AdmissibleSequence.classical(6)
+    want = verify_binomial_type(table, seq, [Fraction(0)])
+    assert not want.passed and want.witness["n"] == 5
+    assert verify_binomial_type(table, seq, iter([Fraction(0)])) == want

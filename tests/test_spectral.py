@@ -275,6 +275,21 @@ def test_qplane_identification_basic_and_sheffer():
         assert mixed["passed"], mixed
 
 
+def test_qplane_reads_a_shift_iterator_once():
+    seq = AdmissibleSequence.q_deformed(2, 6)
+    basic = basic_sequence(psi_derivative(seq, 6), seq, 6)
+    ys = [Fraction(0), Fraction(1), Fraction(2)]
+    report = qplane_substitution_report(seq, basic.table, iter(ys), partner_table=basic.table)
+    assert report == {"passed": True, "count": 21}
+    # a table that only the sum form rejects must be rejected from an iterator too
+    entries = list(basic.table.entries)
+    entries[3] = entries[3] + Polynomial.monomial(1, 1)
+    moved = SequenceTable(tuple(entries))
+    want = qplane_substitution_report(seq, moved, ys, partner_table=basic.table)
+    assert not want["passed"] and "lhs" in want["witness"]
+    assert qplane_substitution_report(seq, moved, iter(ys), partner_table=basic.table) == want
+
+
 def test_qplane_rejects_other_families():
     basic = basic_sequence(psi_derivative(CLASSICAL, N), CLASSICAL, N)
     with pytest.raises(WrongFamilyError):
