@@ -104,13 +104,20 @@ class OperatorMatrix:
         """The ladder [I, M, ..., M^count]."""
         if count < 0:
             raise BadParameterError("negative operator power")
-        out = [identity_operator(self.bound)]
-        for _ in range(count):
+        out = [identity_operator(self.bound), self]
+        for _ in range(count - 1):
             out.append(self.compose(out[-1]))
-        return out
+        return out[: count + 1]
 
     def power(self, n: int) -> "OperatorMatrix":
         return self.powers(n)[-1]
+
+    def orbit(self, v: Polynomial, count: int) -> list:
+        """The vectors [v, M v, ..., M^count v], one apply each."""
+        out = [v]
+        for _ in range(count):
+            out.append(self.apply(out[-1]))
+        return out
 
     @property
     def grading(self) -> str:
@@ -289,14 +296,7 @@ def operator_polynomial(p: Polynomial, m: OperatorMatrix) -> OperatorMatrix:
 
 def operator_polynomial_applied(p: Polynomial, m: OperatorMatrix, start: Polynomial) -> Polynomial:
     """p(M) applied to `start` without building the matrix."""
-    out = Polynomial()
-    vec = start
-    for k, c in enumerate(p.coeffs):
-        if c != 0:
-            out = out + vec.scale(c)
-        if k < p.degree:
-            vec = m.apply(vec)
-    return out
+    return _combine(p, m.orbit(start, max(p.degree, 0)))
 
 
 def pincherle_derivative(t: OperatorMatrix, raiser: OperatorMatrix) -> OperatorMatrix:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import BadParameterError, ConstantTermError, WrongFamilyError
 from .operators import (
@@ -22,12 +23,11 @@ from .operators import (
     from_action,
     multiplication_x,
     operator_polynomial,
-    operator_polynomial_applied,
     umbral_operator,
     xhat_psi,
     zero_operator,
 )
-from .poly import ONE, Polynomial, SequenceTable, coordinates_in_table
+from .poly import ONE, Polynomial, SequenceTable, _combine, _diagonal, _shift_down, coordinates_in_table
 from .psi import AdmissibleSequence, Q_DEFORMED
 from .sequences import (
     BasicSequence,
@@ -45,12 +45,8 @@ from .series import DeltaSeries
 def _pairing_row(sheffer: ShefferSequence, g: Polynomial, count: int) -> list:
     """Constant terms of Q^n S g, n = 0..count-1: the pairing of g with
     Sheffer entry n, so <f, g> weights them by the coordinates of f."""
-    vec = apply_delta_series(sheffer.s_series, g)
-    row = [vec.constant_term]
-    for _ in range(count - 1):
-        vec = sheffer.q_op.apply(vec)
-        row.append(vec.constant_term)
-    return row
+    orbit = sheffer.q_op.orbit(apply_delta_series(sheffer.s_series, g), count - 1)
+    return [vec.constant_term for vec in orbit]
 
 
 def inner_product(sheffer: ShefferSequence, f: Polynomial, g: Polynomial) -> Fraction:
@@ -102,10 +98,8 @@ def xhat_psi_inverse(seq: AdmissibleSequence, p: Polynomial) -> Polynomial:
     """Undo the dual raising; defined only on zero-constant-term input."""
     if p.constant_term != 0:
         raise ConstantTermError("inverse raising needs a zero constant term")
-    out = [Fraction(0)] * max(p.degree, 0)
-    for j in range(1, p.degree + 1):
-        out[j - 1] = p.coefficient(j) * seq.n_psi(j) / Fraction(j)
-    return Polynomial(out)
+    weights = [0] + [seq.n_psi(j) / j for j in range(1, len(p.nums))]
+    return _shift_down(_diagonal(p, weights), 1)
 
 
 # -- spectral operator ---------------------------------------------------------
@@ -151,18 +145,19 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
     # (log s)' = s'/s; its t^order term would need the unknown next
     # coefficient of s, but it acts only on polynomials of degree below that
     log_prime = sheffer.s_series.formal_derivative().multiply(s_inv)
+    # the constant term of log_prime(Q) p is sum_j c_j p_j j_psi!
+    weights = _diagonal(log_prime.polynomial, seq._factorials)
     u_values = []
     term_polys_a, term_polys_b = [Polynomial()], [Polynomial()]
     for k in range(1, bound + 1):
-        u_k = -apply_delta_series(log_prime, xhat_psi_inverse(seq, basic.table[k])).constant_term
+        lowered = xhat_psi_inverse(seq, basic.table[k])
+        u_k = -Fraction(sum(map(mul, weights.nums, lowered.nums)), weights.den * lowered.den)
         u_values.append(u_k)
         slope = basic.table[k].derivative().constant_term
         nu_a = Polynomial([0, slope / seq.n_psi(1)])  # x times slope over 1_psi
         weight = 1 / seq.factorial(k - 1)
-        poly_a = (Polynomial([u_k]) + nu_a).scale(weight)
-        poly_b = Polynomial([u_k * weight])
-        term_polys_a.append(poly_a)
-        term_polys_b.append(poly_b)
+        term_polys_a.append((Polynomial([u_k]) + nu_a).scale(weight))
+        term_polys_b.append(Polynomial([u_k * weight]))
 
     expansion = expand_in_dual_pair(definitional, q_op, multiplication_x(bound))
     agreement = []
@@ -286,14 +281,16 @@ def qplane_substitution_report(
     q = q_parameter(seq)
     bound = table.bound
     a = multiplication_x(bound)
+    d = dilation(q, bound)
     y_values = list(y_values)  # read three times below
     for y in y_values:
-        m = a.add(dilation(q, bound).scale(y))
+        m = a.add(d.scale(y))
+        ladder = m.orbit(ONE, bound)  # m^k 1, k = 0..bound, shared by every entry
         shift = DeltaSeries.from_list(seq, seq.exp_polynomial(y, bound).coeffs, bound)
         for n in range(bound + 1):
             p_n = table[n]
             shifted = apply_delta_series(shift, p_n)
-            substituted = operator_polynomial_applied(p_n, m, ONE)
+            substituted = _combine(p_n, ladder)
             if shifted != substituted:
                 return {
                     "passed": False,
@@ -316,45 +313,44 @@ def qplane_substitution_report(
 # -- factorization identities ------------------------------------------------------
 
 
-def sandwich_power_report(basic: BasicSequence, n: int) -> dict:
-    """Sandwich powers: (Q R Q)^n = Q^n R^n Q^n (full), and
-    (R Q R)^n = R^n Q^n R^n below the raising window."""
+def sandwich_power_report(basic: BasicSequence, ns) -> list:
+    """Sandwich powers, one report per n in `ns`: (Q R Q)^n = Q^n R^n Q^n
+    (full), and (R Q R)^n = R^n Q^n R^n below the raising window. The four
+    ladders are built once, up to the largest n."""
     q_op = basic.q_op
     raiser = basic.raiser
     bound = basic.bound
+    ns = list(ns)
+    if min(ns, default=0) < 0:
+        raise BadParameterError("negative operator power")
+    top = max(ns, default=0)
+    q_pows = q_op.powers(top)
+    r_pows = raiser.powers(top)
+    t1_pows = q_op.compose(raiser).compose(q_op).powers(top)
+    t2_pows = raiser.compose(q_op).compose(raiser).powers(top)
 
-    q_n = q_op.power(n)
-    r_n = raiser.power(n)
-
-    t1 = q_op.compose(raiser).compose(q_op)
-    lhs1 = t1.power(n)
-    rhs1 = q_n.compose(r_n).compose(q_n)
-    first_exact = lhs1.columns == rhs1.columns
-
-    t2 = raiser.compose(q_op).compose(raiser)
-    lhs2 = t2.power(n)
-    rhs2 = r_n.compose(q_n).compose(r_n)
-    window = lhs2.agreement_window(rhs2)
-
-    return {
-        "first_identity_exact": first_exact,
-        "second_identity_window": window,
-        "required_window": bound - n,
-        "passed": first_exact and window >= bound - n,
-    }
+    reports = []
+    for n in ns:
+        q_n, r_n = q_pows[n], r_pows[n]
+        first_exact = t1_pows[n].columns == q_n.compose(r_n).compose(q_n).columns
+        window = t2_pows[n].agreement_window(r_n.compose(q_n).compose(r_n))
+        reports.append({
+            "first_identity_exact": first_exact,
+            "second_identity_window": window,
+            "required_window": bound - n,
+            "passed": first_exact and window >= bound - n,
+        })
+    return reports
 
 
-def number_operator_steps_report(basic: BasicSequence, n: int, f: Polynomial) -> dict:
+def number_operator_steps_report(basic: BasicSequence, n: int, fs) -> list:
     """R^n Q^n followed by f(R) equals the plain falling product of the
-    number operator followed by f(R); the graded-step variant is reported."""
-    seq = basic.seq
+    number operator followed by f(R); the graded-step variant is reported.
+    One report per f in `fs`; the operators before f(R) are built once."""
     q_op = basic.q_op
     raiser = basic.raiser
-    bound = basic.bound
     number = raiser.compose(q_op)
-
-    f_of_r = operator_polynomial(f, raiser)
-    lhs = raiser.power(n).compose(q_op.power(n)).compose(f_of_r)
+    steps = raiser.power(n).compose(q_op.power(n))
 
     def falling(shifts):
         """prod_i (number - shift_i), as a polynomial in the number operator."""
@@ -363,19 +359,24 @@ def number_operator_steps_report(basic: BasicSequence, n: int, f: Polynomial) ->
             product = product * Polynomial([-c, 1])
         return operator_polynomial(product, number)
 
-    rhs_plain = falling(range(n)).compose(f_of_r)
-    rhs_graded = falling(seq.n_psi(i) for i in range(n)).compose(f_of_r)
+    plain = falling(range(n))
+    graded = falling(basic.seq.n_psi(i) for i in range(n))
 
-    required = bound - max(f.degree, 0) - n
-    plain_window = lhs.agreement_window(rhs_plain)
-    graded_window = lhs.agreement_window(rhs_graded)
-    return {
-        "plain_window": plain_window,
-        "graded_window": graded_window,
-        "required_window": required,
-        "passed": plain_window >= required,
-        "graded_matches": graded_window >= required,
-    }
+    reports = []
+    for f in fs:
+        f_of_r = operator_polynomial(f, raiser)
+        lhs = steps.compose(f_of_r)
+        required = basic.bound - max(f.degree, 0) - n
+        plain_window = lhs.agreement_window(plain.compose(f_of_r))
+        graded_window = lhs.agreement_window(graded.compose(f_of_r))
+        reports.append({
+            "plain_window": plain_window,
+            "graded_window": graded_window,
+            "required_window": required,
+            "passed": plain_window >= required,
+            "graded_matches": graded_window >= required,
+        })
+    return reports
 
 
 def appell_raising_telescope_report(

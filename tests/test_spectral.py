@@ -21,6 +21,7 @@ from umbralcalc.operators import (
     OperatorMatrix,
     apply_delta_series,
     commutator,
+    dilation,
     dual_operator,
     eigen_series,
     expand_in_dual_pair,
@@ -28,15 +29,17 @@ from umbralcalc.operators import (
     identity_operator,
     multiplication_x,
     operator_polynomial,
+    operator_polynomial_applied,
     psi_derivative,
     realize_delta_series,
     xhat_psi,
     zero_operator,
 )
 from umbralcalc.poly import ONE, Polynomial, SequenceTable, X, coordinates_in_table
-from umbralcalc.psi import AdmissibleSequence
+from umbralcalc.psi import AdmissibleSequence, Q_DEFORMED
 from umbralcalc.sequences import (
     BasicSequence,
+    _addition_rule,
     appell_sequence,
     basic_sequence,
     basic_sequence_from_series,
@@ -52,6 +55,7 @@ from umbralcalc.spectral import (
     mutator_identity_report,
     orthogonality_report,
     q_mutator,
+    q_parameter,
     qhat_eigenvalues,
     qhat_operator,
     qplane_commutation,
@@ -300,12 +304,20 @@ def test_qplane_rejects_other_families():
 
 
 def test_sandwich_powers(families, degree):
+    ns = (1, 2, 3)
     for seq in families:
         basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
-        for n in (1, 2, 3):
-            report = sandwich_power_report(basic, n)
+        reports = sandwich_power_report(basic, ns)
+        assert len(reports) == len(ns)
+        for n, report in zip(ns, reports):
             assert report["first_identity_exact"], (seq.label, n)
             assert report["second_identity_window"] >= degree - n, (seq.label, n)
+            assert report == old_sandwich_power_report(basic, seq, n), (seq.label, n)
+    # any order, read once from an iterator; a negative power is refused
+    assert sandwich_power_report(basic, iter((3, 1))) == [reports[2], reports[0]]
+    assert sandwich_power_report(basic, []) == []
+    with pytest.raises(BadParameterError):
+        sandwich_power_report(basic, (2, -1))
 
 
 def test_number_operator_steps_plain_vs_graded():
@@ -313,17 +325,19 @@ def test_number_operator_steps_plain_vs_graded():
     for seq in (CLASSICAL, Q2, FIB):
         basic = basic_sequence(psi_derivative(seq, N), seq, N)
         for n in (1, 2, 3):
-            for f in fs:
-                report = number_operator_steps_report(basic, n, f)
+            reports = number_operator_steps_report(basic, n, iter(fs))
+            assert len(reports) == len(fs)
+            for f, report in zip(fs, reports):
                 assert report["passed"], (seq.label, n, f.to_text())
+                assert report == old_number_operator_steps_report(basic, seq, n, f)
     # graded steps only collapse to the plain ones classically; for the
     # q-family the first divergent step weight is 2_psi, so probe n = 3
     basic_c = basic_sequence(psi_derivative(CLASSICAL, N), CLASSICAL, N)
-    assert number_operator_steps_report(basic_c, 3, X)["graded_matches"]
+    assert number_operator_steps_report(basic_c, 3, [X])[0]["graded_matches"]
     basic_q = basic_sequence(psi_derivative(Q2, N), Q2, N)
-    assert not number_operator_steps_report(basic_q, 3, X)["graded_matches"]
+    assert not number_operator_steps_report(basic_q, 3, [X])[0]["graded_matches"]
     basic_h = basic_sequence(psi_derivative(HYP, N), HYP, N)
-    assert not number_operator_steps_report(basic_h, 2, X)["graded_matches"]
+    assert not number_operator_steps_report(basic_h, 2, [X])[0]["graded_matches"]
 
 
 def test_appell_weighted_display_classical_vs_deformed():
@@ -607,6 +621,21 @@ def test_consolidated_kernels_match_replaced_loops(case, truncation, count):
             m.powers(-1)
 
 
+def old_powers(m, count):
+    """The identity-first ladder: M^0 = I, then M^k = M M^(k-1)."""
+    out = [identity_operator(m.bound)]
+    for _ in range(count):
+        out.append(m.compose(out[-1]))
+    return out
+
+
+def test_powers_match_the_identity_first_ladder():
+    basic = basic_sequence_from_series(DeltaSeries.from_list(Q2, [0, 1, 1], N), N)
+    for m in (basic.q_op, basic.raiser, dilation(Fraction(1, 2), N), multiplication_x(N)):
+        for count in range(N + 1):
+            assert m.powers(count) == old_powers(m, count), count
+
+
 
 # -- checks read their family from what they check --------------------------------
 #
@@ -837,28 +866,40 @@ def check_outcome(check, *args):
     return "value", value.columns if isinstance(value, OperatorMatrix) else value
 
 
+def old_reports(old, items, *args):
+    """The old per-item reports old(*args, item), one for each item."""
+    return [old(*args, item) for item in items]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     case=kernel_cases(),
     n=st.integers(0, 3),
-    f=st.lists(small_rationals, max_size=3).map(Polynomial),
+    ns=st.lists(st.integers(0, 3), max_size=4),
+    fs=st.lists(st.lists(small_rationals, max_size=3).map(Polynomial), max_size=3),
     s_coeffs=st.lists(small_rationals, min_size=1, max_size=3),
 )
-def test_resigned_checks_match_old_ones_given_the_tables_own_family(case, n, f, s_coeffs):
+def test_resigned_checks_match_old_ones_given_the_tables_own_family(case, n, ns, fs, s_coeffs):
     seq, sheffer, _ = case
     degree = sheffer.bound
     n = min(n, degree)
+    ns = [min(k, degree) for k in ns]
     appell = appell_sequence(sheffer.s_series, degree).table
     # the basic tables of psi_derivative and of a random delta series
     for basic in (basic_sequence(psi_derivative(seq, degree), seq, degree), sheffer.basic):
         pairs = [
             (shift_raiser, (basic,), old_shift_raiser, (basic, seq)),
-            (sandwich_power_report, (basic, n), old_sandwich_power_report, (basic, seq, n)),
+            (
+                sandwich_power_report,
+                (basic, iter(ns)),
+                old_reports,
+                (old_sandwich_power_report, ns, basic, seq),
+            ),
             (
                 number_operator_steps_report,
-                (basic, n, f),
-                old_number_operator_steps_report,
-                (basic, seq, n, f),
+                (basic, n, iter(fs)),
+                old_reports,
+                (old_number_operator_steps_report, fs, basic, seq, n),
             ),
             (
                 appell_raising_telescope_report,
@@ -888,6 +929,96 @@ def test_resigned_checks_match_old_ones_given_the_tables_own_family(case, n, f, 
     for l_series in (source, target):
         new = check_outcome(transport_pincherle_report, l_series, degree)
         assert new == check_outcome(old_transport_pincherle_report, seq, l_series, degree)
+
+
+def old_operator_polynomial_applied(p, m, start):
+    """p(M) applied to `start` without building the matrix."""
+    out = Polynomial()
+    vec = start
+    for k, c in enumerate(p.coeffs):
+        if c != 0:
+            out = out + vec.scale(c)
+        if k < p.degree:
+            vec = m.apply(vec)
+    return out
+
+
+def old_qplane_substitution_report(seq, table, y_values, partner_table=None):
+    """The per-entry route: p_n(m) 1 by n applications of m for every entry."""
+    if seq.family != Q_DEFORMED:
+        raise WrongFamilyError("identification requires a q-deformed family")
+    q = q_parameter(seq)
+    bound = table.bound
+    a = multiplication_x(bound)
+    y_values = list(y_values)  # read three times below
+    for y in y_values:
+        m = a.add(dilation(q, bound).scale(y))
+        shift = DeltaSeries.from_list(seq, seq.exp_polynomial(y, bound).coeffs, bound)
+        for n in range(bound + 1):
+            p_n = table[n]
+            shifted = apply_delta_series(shift, p_n)
+            substituted = old_operator_polynomial_applied(p_n, m, ONE)
+            if shifted != substituted:
+                return {
+                    "passed": False,
+                    "witness": {
+                        "n": n,
+                        "y": str(y),
+                        "shifted": shifted.to_text(),
+                        "substituted": substituted.to_text(),
+                    },
+                }
+    if partner_table is not None:
+        report = _addition_rule(
+            table, partner_table, seq, y_values, "sum form fails", "sum form holds"
+        )
+        if not report.passed:
+            return {"passed": False, "witness": report.witness}
+    return {"passed": True, "count": (table.bound + 1) * len(y_values)}
+
+
+@st.composite
+def qplane_cases(draw):
+    """A q-deformed family; its monomial basic table, the basic and Sheffer
+    tables of random series, and one of them perturbed below the top of an entry;
+    shifts y; and a start vector for the operator-polynomial action."""
+    degree = draw(st.integers(1, 5))
+    q = draw(small_rationals.filter(lambda v: abs(v) != 1))
+    seq = AdmissibleSequence.q_deformed(q, degree)
+    q_tail = draw(st.lists(small_rationals, max_size=degree - 1))
+    q_series = DeltaSeries.from_list(seq, [0, draw(nonzero_rationals)] + q_tail, degree)
+    s_tail = draw(st.lists(small_rationals, max_size=degree))
+    s_series = DeltaSeries.from_list(seq, [draw(nonzero_rationals)] + s_tail, degree)
+    sheffer = sheffer_sequence(q_series, s_series, degree)
+    monomial = basic_sequence(psi_derivative(seq, degree), seq, degree).table
+    tables = [monomial, sheffer.basic.table, sheffer.table]
+    entries = list(draw(st.sampled_from(tables)).entries)
+    n = draw(st.integers(1, degree))
+    bump = Polynomial.monomial(draw(st.integers(0, n - 1)), draw(nonzero_rationals))
+    entries[n] = entries[n] + bump
+    tables.append(SequenceTable(tuple(entries)))
+    ys = draw(st.lists(small_rationals, max_size=4))
+    start = Polynomial(draw(st.lists(small_rationals, max_size=degree + 1)))
+    return seq, tables, draw(st.sampled_from(tables[:2])), ys, start
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=qplane_cases())
+def test_qplane_ladder_matches_the_per_entry_route(case):
+    seq, tables, partner, ys, start = case
+    bound = tables[0].bound
+    for table in tables:
+        for partner_table in (None, partner):
+            want = old_qplane_substitution_report(seq, table, ys, partner_table)
+            got = qplane_substitution_report(seq, table, ys, partner_table)
+            assert got == want
+            assert qplane_substitution_report(seq, table, iter(ys), partner_table) == want
+    # the action p(m) v that other callers share, on a random start
+    for y in ys:
+        m = multiplication_x(bound).add(dilation(q_parameter(seq), bound).scale(y))
+        for p in tables[-1]:
+            new = check_outcome(operator_polynomial_applied, p, m, start)
+            assert new == check_outcome(old_operator_polynomial_applied, p, m, start)
 
 
 def test_basic_table_builds_its_dual_raiser_once():
