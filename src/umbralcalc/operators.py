@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from math import gcd, lcm
 
 from .errors import (
     BadParameterError,
@@ -28,8 +27,9 @@ from .poly import (
     SequenceTable,
     _canonical,
     _combine,
-    _combine_raised,
     _diagonal,
+    _new,
+    _raised_sum,
     _shift_down,
     coordinates_in_table,
     fr,
@@ -446,24 +446,43 @@ def _shift_weights(op: OperatorMatrix, step: int):
     return weights
 
 
+def _running_products(*factors, inverse: bool = False) -> list:
+    """(n, d), d > 0, for 1 and each running product of the lists `factors`
+    taken entry by entry, or its reciprocal, kept reduced on integers."""
+    n, d, pairs = 1, 1, [(1, 1)]
+    for values in zip(*factors):
+        for v in values:  # two small gcds keep n / d reduced, as in Fraction
+            g, h = gcd(n, v.denominator), gcd(v.numerator, d)
+            n, d = (n // g) * (v.numerator // h), (d // h) * (v.denominator // g)
+        pairs.append(((d, n) if n > 0 else (-d, -n)) if inverse else (n, d))
+    return pairs
+
+
+def _over_one_lcm(pairs: list) -> Polynomial:
+    """Nonzero reduced fractions n / d as integers over the lcm of the d."""
+    den = lcm(*[d for _, d in pairs])
+    return _new(tuple([n * (den // d) for n, d in pairs]), den)
+
+
 def _expand_over_shifts(t: OperatorMatrix, u: list, r: list) -> ExpansionResult:
     """Q x^j = u_j x^(j-1), raiser x^j = r_j x^(j+1): with U_n = u_1 ... u_n,
     R_n = r_0 ... r_(n-1), S_n = U_n R_n, D: x^n -> x^n / R_n makes the raiser
     multiplication by x, so T^_c = D(T x^c) / U_c = sum_d x^d q_(c-d) / S_d and
-    q(y) = T^(y) / E(xy), E(z) = sum_d z^d / S_d: one division per column."""
+    q(y) = T^(y) / E(xy), E(z) = sum_d z^d / S_d: one division per column.
+    Column c, T^_c less the raised sum over d >= 1, is one pass on integers."""
     bound = t.bound
-    lead = list(accumulate(r[:bound], mul, initial=Fraction(1)))  # R_n
-    scale = list(accumulate(u[1:], mul, initial=Fraction(1)))  # U_n
-    if 0 in lead:  # raiser^i 1 = 0, as the ladder would find
-        i = lead.index(0)
+    rs, us = r[:bound], u[1 : bound + 1]
+    if 0 in rs:  # raiser^i 1 = 0, as the ladder would find
+        i = rs.index(0) + 1
         raise SingularOperatorError(f"raiser power {i} applied to 1 has degree -1, not {i}")
-    inverse_lead = [1 / v for v in lead]
-    e_series = Polynomial([1 / (a * b) for a, b in zip(lead, scale)])  # the 1 / S_d
+    inverse_lead = _over_one_lcm(_running_products(rs, inverse=True))
+    minus_e = -_over_one_lcm(_running_products(rs, us, inverse=True))
     coefficients = []
-    for c in range(bound + 1):
-        t_hat = _diagonal(t.column(c), inverse_lead).scale(1 / scale[c])
-        lower = _combine_raised(e_series, [ZERO] + coefficients[::-1], bound)
-        coefficients.append(t_hat - lower)
+    for col, (a, b) in zip(t.columns, _running_products(us, inverse=True)):
+        start = [v * w * a for v, w in zip(col.nums, inverse_lead.nums)]  # T^_c
+        polys = [ZERO] + coefficients[::-1]  # q_(c-d) for d >= 1
+        out, den = _raised_sum(minus_e, polys, bound, start, col.den * inverse_lead.den * b)
+        coefficients.append(_canonical(out, den))
     return ExpansionResult(tuple(coefficients), _reassemble_over_shifts(coefficients, u, r))
 
 
@@ -471,14 +490,16 @@ def _reassemble_over_shifts(coefficients: list, u: list, r: list) -> OperatorMat
     """sum_n q_n(raiser) Q^n from the coefficients and weights alone, with no
     residual or weight of the solve: Q^n x^c = (U_c / U_(c-n)) x^(c-n) and raiser^i x^m =
     (R_(m+i) / R_m) x^(m+i), zero past the bound (r_N = 0), so column c is
-    U_c diag(R) sum_m x^m q_(c-m) / (U_m R_m), cut at the bound."""
+    U_c diag(R) sum_m x^m q_(c-m) / (U_m R_m) cut at the bound: one raised sum."""
     bound = len(coefficients) - 1
-    r_prod = list(accumulate(r[:bound], mul, initial=Fraction(1)))
-    u_prod = list(accumulate(u[1:], mul, initial=Fraction(1)))
-    weights = Polynomial([1 / (a * b) for a, b in zip(u_prod, r_prod)])
-    return OperatorMatrix(tuple(
-        _diagonal(_combine_raised(weights, coefficients[c::-1], bound), r_prod).scale(u_prod[c])
-        for c in range(bound + 1)))
+    lead = _over_one_lcm(_running_products(r[:bound]))
+    weights = _over_one_lcm(_running_products(r, u[1:], inverse=True))
+    columns = []
+    for c, (a, b) in enumerate(_running_products(u[1:])):
+        out, den = _raised_sum(weights, coefficients[c::-1], bound)
+        out = [v * w * a for v, w in zip(out, lead.nums)]
+        columns.append(_canonical(out, den * lead.den * b))
+    return OperatorMatrix(tuple(columns))
 
 
 def expand_in_dual_pair(

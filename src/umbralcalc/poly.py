@@ -221,7 +221,10 @@ class Polynomial:
         return " + ".join(terms)
 
     def to_json_list(self) -> list:
-        return [str(c) for c in self.coeffs]
+        """The coefficients as `str(Fraction)` writes them, one gcd each."""
+        den = self.den
+        return [str(a // g) if (g := gcd(a, den)) == den else f"{a // g}/{den // g}"
+                for a in self.nums]
 
 
 def _init(p: Polynomial, nums: tuple, den: int, coeffs) -> None:
@@ -279,18 +282,22 @@ def _combine(weights: Polynomial, polys, start: Polynomial = ZERO) -> Polynomial
     return _canonical(out, den * weights.den)
 
 
-def _combine_raised(weights: Polynomial, polys, bound: int) -> Polynomial:
-    """sum_d weights[d] x^d polys[d] with the terms above degree `bound`
-    dropped, accumulated on integer numerators over one lcm as in `_combine`."""
+def _raised_sum(weights: Polynomial, polys, bound: int, start=(), start_den: int = 1):
+    """`out`, bound + 1 integers, and `den` > 0 with sum_i out[i] x^i / den =
+    start / start_den + sum_d weights[d] x^d polys[d] cut at degree `bound`,
+    summed over one lcm as in `_combine` and not yet in canonical form."""
     terms = [(d, w, p) for d, (w, p) in enumerate(zip(weights.nums, polys))
              if w and p.nums and d <= bound]
-    den = lcm(*[p.den for _, _, p in terms])
+    common = lcm(*[p.den for _, _, p in terms])
     out = [0] * (bound + 1)
     for d, w, p in terms:
-        w *= den // p.den
+        w *= common // p.den
         for i, a in enumerate(p.nums[: bound + 1 - d], d):
             out[i] += w * a
-    return _canonical(out, den * weights.den)
+    den = lcm(common * weights.den, start_den)
+    k, m = den // (common * weights.den), den // start_den
+    start = list(start) + [0] * (bound + 1 - len(start))
+    return [v * k + a * m for v, a in zip(out, start)], den
 
 
 def _diagonal(p: Polynomial, weights) -> Polynomial:

@@ -275,7 +275,9 @@ def qplane_substitution_report(
 ) -> dict:
     """Shift by y equals substitution of (x-multiplication + y dilation)
     into the entry, applied to 1; with a partner table the graded sum form,
-    the mixed addition rule over that table, is included."""
+    the mixed addition rule over that table, is included. Both sides of the
+    substitution are linear in the entry and agree on each x^n by the
+    exchange rule, so the report asserts that rule plus the addition rule."""
     if seq.family != Q_DEFORMED:
         raise WrongFamilyError("identification requires a q-deformed family")
     q = q_parameter(seq)

@@ -49,7 +49,11 @@ also be the classical family's.
 Then an expansion over two weighted shifts is one series division per
 column in their rescaled basis: it must give what `old_expand` gives on
 random shift pairs and near-shifts, or the ladder's error, and for the
-family pair (Q, xhat) the closed form q(y) = T^(y) exp(-xy).
+family pairs the closed forms q(y) = T^(y) exp(-xy) with xhat and
+q(y) = T^(y) / exp_psi(xy) with x, which read no raised sum. Solved and
+reassembled on integer numerators, it must also give what
+`old_expand_over_shifts`, the division on Fractions it replaced, gives on
+family pairs up to N = 24, or raise the same error.
 
 Last, a basic table of a series is solved on the divided powers and the
 addition rule is decided on its chain cells while every lower degree holds:
@@ -62,6 +66,8 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -77,6 +83,7 @@ from umbralcalc.errors import (
 )
 from umbralcalc.integration import IntegralOperator
 from umbralcalc.operators import (
+    ExpansionResult,
     OperatorMatrix,
     apply_delta_series,
     commutator,
@@ -107,6 +114,7 @@ from umbralcalc.poly import (
     ZERO,
     Polynomial,
     SequenceTable,
+    _canonical,
     _combine,
     _diagonal,
     _shift_down,
@@ -1555,6 +1563,67 @@ def test_weyl_windows_are_the_classical_windows(case):
 # -- expansion over a pair of weighted shifts ------------------------------------
 
 
+def old_combine_raised(weights: Polynomial, polys, bound: int) -> Polynomial:
+    """sum_d weights[d] x^d polys[d] with the terms above degree `bound`
+    dropped, accumulated on integer numerators over one lcm as in `_combine`."""
+    terms = [(d, w, p) for d, (w, p) in enumerate(zip(weights.nums, polys))
+             if w and p.nums and d <= bound]
+    den = math.lcm(*[p.den for _, _, p in terms])
+    out = [0] * (bound + 1)
+    for d, w, p in terms:
+        w *= den // p.den
+        for i, a in enumerate(p.nums[: bound + 1 - d], d):
+            out[i] += w * a
+    return _canonical(out, den * weights.den)
+
+
+def old_expand_over_shifts(t: OperatorMatrix, u: list, r: list) -> ExpansionResult:
+    """Q x^j = u_j x^(j-1), raiser x^j = r_j x^(j+1): with U_n = u_1 ... u_n,
+    R_n = r_0 ... r_(n-1), S_n = U_n R_n, D: x^n -> x^n / R_n makes the raiser
+    multiplication by x, so T^_c = D(T x^c) / U_c = sum_d x^d q_(c-d) / S_d and
+    q(y) = T^(y) / E(xy), E(z) = sum_d z^d / S_d: one division per column."""
+    bound = t.bound
+    lead = list(accumulate(r[:bound], mul, initial=Fraction(1)))  # R_n
+    scale = list(accumulate(u[1:], mul, initial=Fraction(1)))  # U_n
+    if 0 in lead:  # raiser^i 1 = 0, as the ladder would find
+        i = lead.index(0)
+        raise SingularOperatorError(f"raiser power {i} applied to 1 has degree -1, not {i}")
+    inverse_lead = [1 / v for v in lead]
+    e_series = Polynomial([1 / (a * b) for a, b in zip(lead, scale)])  # the 1 / S_d
+    coefficients = []
+    for c in range(bound + 1):
+        t_hat = _diagonal(t.column(c), inverse_lead).scale(1 / scale[c])
+        lower = old_combine_raised(e_series, [ZERO] + coefficients[::-1], bound)
+        coefficients.append(t_hat - lower)
+    return ExpansionResult(tuple(coefficients), old_reassemble_over_shifts(coefficients, u, r))
+
+
+def old_reassemble_over_shifts(coefficients: list, u: list, r: list) -> OperatorMatrix:
+    """sum_n q_n(raiser) Q^n from the coefficients and weights alone, with no
+    residual or weight of the solve: Q^n x^c = (U_c / U_(c-n)) x^(c-n) and raiser^i x^m =
+    (R_(m+i) / R_m) x^(m+i), zero past the bound (r_N = 0), so column c is
+    U_c diag(R) sum_m x^m q_(c-m) / (U_m R_m), cut at the bound."""
+    bound = len(coefficients) - 1
+    r_prod = list(accumulate(r[:bound], mul, initial=Fraction(1)))
+    u_prod = list(accumulate(u[1:], mul, initial=Fraction(1)))
+    weights = Polynomial([1 / (a * b) for a, b in zip(u_prod, r_prod)])
+    return OperatorMatrix(tuple(
+        _diagonal(old_combine_raised(weights, coefficients[c::-1], bound), r_prod).scale(u_prod[c])
+        for c in range(bound + 1)))
+
+
+def old_shift_outcome(t, q_op, raiser):
+    """`expansion_outcome` from `old_expand_over_shifts`, for a pair of
+    weighted shifts with a lowering `q_op`."""
+    try:
+        got = old_expand_over_shifts(
+            t, operators._shift_weights(q_op, -1), operators._shift_weights(raiser, 1)
+        )
+    except UmbralError as exc:
+        return "raises", type(exc), str(exc)
+    return "expands", got.coefficients, got.reassembled.columns
+
+
 def old_expansion_outcome(t, q_op, raiser):
     """("expands", coefficients, reassembled columns) from `old_expand`, or
     ("raises", type, message) from the checks the library runs before it:
@@ -1608,9 +1677,60 @@ def shift_pair_cases(draw):
     return bound, u, t, ops[0], ops[1]
 
 
+@st.composite
+def family_pair_cases(draw):
+    """N from 0 to 24; a custom family or a q-deformed one (q drawn, not
+    +-1); its Q with xhat_psi, multiplication by x or random raiser
+    weights, of which one in three pairs has a weight set to 0; and an
+    operator to expand, sparse or dense. The lists, up to 625 entries for
+    the operator, come from one seeded generator, which draws them much
+    faster than hypothesis would one by one."""
+    bound = draw(st.integers(0, 24))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+
+    def rational(density=1.0):
+        if rnd.random() >= density:
+            return Fraction(0)
+        return Fraction(rnd.choice([-3, -2, -1, 1, 2, 3]), rnd.randint(1, 4))
+
+    q = draw(st.one_of(st.none(), nonzero_rationals.filter(lambda v: abs(v) != 1)))
+    if q is None:
+        seq = AdmissibleSequence.custom([rational() for _ in range(bound + 1)], bound + 1)
+    else:
+        seq = AdmissibleSequence.q_deformed(q, bound + 1)
+    kind = draw(st.sampled_from(["graded", "multiplication", "random"]))
+    if kind == "graded":
+        raiser = xhat_psi(seq, bound)
+    elif kind == "multiplication":
+        raiser = multiplication_x(bound)
+    else:
+        r = [rational() for _ in range(bound)]
+        raiser = weighted_shift(1, bound, lambda j: r[j])
+    if bound and draw(st.integers(0, 2)) == 2:
+        columns = list(raiser.columns)
+        columns[draw(st.integers(0, bound - 1))] = ZERO
+        raiser = OperatorMatrix(tuple(columns))
+    density = rnd.choice([0.25, 1.0])
+    t = OperatorMatrix(tuple(
+        Polynomial([rational(density) for _ in range(rnd.randint(0, bound + 1))])
+        for _ in range(bound + 1)
+    ))
+    return t, psi_derivative(seq, bound), raiser
+
+
 @settings(max_examples=100, deadline=None)
-@given(case=shift_pair_cases())
-def test_expansion_over_shifts_matches_the_matrix_route(case):
+@given(case=shift_pair_cases(), family_case=family_pair_cases())
+def test_expansion_over_shifts_matches_the_matrix_route(case, family_case):
+    # on family pairs up to N = 24 and their zero raiser weights, the
+    # division on Fractions and Polynomials that the integer one replaced
+    new, old = expansion_outcome(*family_case), old_shift_outcome(*family_case)
+    assert new[0] == old[0], (new, old)
+    if old[0] == "raises":
+        assert new == old
+    else:
+        for got, want in zip(new[1] + new[2], old[1] + old[2], strict=True):
+            same(got, want)
+
     bound, u, t, q_op, raiser = case
     new, old = expansion_outcome(t, q_op, raiser), old_expansion_outcome(t, q_op, raiser)
     assert new[0] == old[0], (new, old)
@@ -1642,6 +1762,18 @@ def test_expansion_over_shifts_matches_the_matrix_route(case):
     changed[-1] += ONE
     weights = operators._shift_weights(q_op, -1), operators._shift_weights(raiser, 1)
     assert operators._reassemble_over_shifts(changed, *weights).columns != t.columns
+
+    # multiplication by x: R_n = 1 and S_d = d_psi!, so E = exp_psi and
+    # q(y) = T^(y) F(xy) with F = 1 / exp_psi and T^_c = T x^c / c_psi!
+    got = expand_in_dual_pair(t, q_op, multiplication_x(bound))
+    exp_psi = [1 / seq.factorial(d) for d in range(bound + 1)]
+    f = DeltaSeries.from_list(seq, exp_psi, bound).multiplicative_inverse()
+    for c in range(bound + 1):
+        want = ZERO
+        for d in range(c + 1):
+            want += (X**d * t.column(c - d)).scale(f.coefficient(d) / seq.factorial(c - d))
+        same(got.coefficient(c), want.truncate(bound))
+    assert got.reassembled.columns == t.columns
 
 
 # -- basic tables on divided powers, the addition rule on chain cells ---------------

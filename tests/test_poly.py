@@ -99,6 +99,28 @@ def test_json_round_trip():
     assert polynomial_from_json(p.to_json_list()) == p
 
 
+# integers, zeros (so zero interior coefficients), signed fractions, and
+# numerators and denominators far past a machine word
+json_coefficients = st.one_of(
+    st.integers(-(10**30), 10**30).map(Fraction),
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+@settings(max_examples=300)
+@given(cs=st.lists(json_coefficients, max_size=8), other=polys)
+def test_json_list_is_str_of_each_fraction(cs, other):
+    p = Polynomial(cs)
+    # products and scalings hold no Fractions until `coeffs` is read
+    for q in (p, p * other, p.scale(Fraction(-7, 3)), p - other):
+        assert q.to_json_list() == [str(c) for c in q.coeffs]
+    assert Polynomial([Fraction(-3, 2), 0, 4, 0, Fraction(5, -7), -6]).to_json_list() == [
+        "-3/2", "0", "4", "0", "-5/7", "-6"
+    ]
+
+
 def test_table_validation_and_round_trip():
     table = SequenceTable((ONE, X, X * X))
     assert table.bound == 2
