@@ -36,6 +36,7 @@ from .operators import (
     multiplication_x,
     psi_derivative,
     realize_delta_series,
+    weighted_shift,
     xhat_psi,
 )
 from .poly import SequenceTable, fr, parse_polynomial
@@ -143,15 +144,11 @@ def _builtin_operator(name: str, arg, seq: AdmissibleSequence, degree: int) -> O
             raise BadParameterError(f"{name}(q) needs its argument q")
         return jackson_operator(arg, degree) if name == "jackson" else dilation(arg, degree)
 
-    def dxd():
-        d = psi_derivative(AdmissibleSequence.classical(degree), degree)
-        return d.compose(multiplication_x(degree)).compose(d)
-
     builtins = {
         "psi_derivative": lambda: psi_derivative(seq, degree),
         "divided_difference": lambda: divided_difference(degree),
         "forward_difference": lambda: forward_difference(degree),
-        "DxD": dxd,
+        "DxD": lambda: weighted_shift(-1, degree, lambda j: j * j),  # D x D x^j = j^2 x^(j-1)
         "hyperbolic_Q": lambda: psi_derivative(AdmissibleSequence.hyperbolic(degree), degree),
         "multiplication_x": lambda: multiplication_x(degree),
     }

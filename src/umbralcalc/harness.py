@@ -262,7 +262,7 @@ def _normal_order(d: OperatorMatrix, r: OperatorMatrix):
     diagonal change of basis keeps every window, and column j of each side is
     one multiple of e_(j+m-n): a sum of products of the s_j, over den^m here."""
     bound = d.bound
-    s = [r.column(j).coefficient(j + 1) * d.column(j + 1).coefficient(j) for j in range(bound)]
+    s = [v * u for v, u in zip(r.weights, d.weights[1:])]
     den = math.lcm(*[v.denominator for v in s])
     # s_N = 0 as r x^N is truncated away; the zeros past it pad every run
     ints = [v.numerator * (den // v.denominator) for v in s] + [0] * (bound + 1)

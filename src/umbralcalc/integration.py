@@ -7,7 +7,7 @@ of the contract and verified, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BadParameterError,
@@ -80,12 +80,11 @@ class IntegralOperator:
             raise DegreeOverflowError(
                 f"input degree {p.degree} leaves no room below bound {self.bound}"
             )
-        coeffs = [Fraction(0)]
-        for j, c in enumerate(p.coeffs):
-            coeffs.append(c / self.weights[j])
-        return Polynomial(coeffs)
+        return self.shift.apply(p)
 
-    def as_matrix(self) -> OperatorMatrix:
+    @cached_property
+    def shift(self) -> OperatorMatrix:
+        """The weighted shift x^n -> x^{n+1} / w(n+1), top column truncated."""
         return weighted_shift(1, self.bound, lambda j: 1 / self.weights[j])
 
 

@@ -3,7 +3,8 @@
 An operator is stored as its matrix in the monomial basis: column j is the
 image of x^j, itself a polynomial of degree at most the bound N. Operators
 that genuinely raise degree lose their top column to truncation; validity
-windows downstream account for that.
+windows downstream account for that. A `WeightedShift` x^j -> w_j x^(j + s)
+keeps its step s and weights w_j as built; operators compare by columns.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
 from .poly import (
     ONE,
     ZERO,
+    _ZERO,
     Polynomial,
     SequenceTable,
     _canonical,
@@ -33,7 +35,6 @@ from .poly import (
     _shift_down,
     coordinates_in_table,
     fr,
-    polynomial_from_json,
 )
 from .psi import AdmissibleSequence
 from .series import DeltaSeries
@@ -65,6 +66,12 @@ class OperatorMatrix:
     @property
     def bound(self) -> int:
         return len(self.columns) - 1
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, OperatorMatrix) and self.columns == other.columns
+
+    def __hash__(self) -> int:
+        return hash(self.columns)
 
     def column(self, j: int) -> Polynomial:
         return self.columns[j]
@@ -145,7 +152,7 @@ class OperatorMatrix:
 
     @staticmethod
     def from_json(data) -> "OperatorMatrix":
-        return OperatorMatrix(tuple([polynomial_from_json(col) for col in data]))
+        return OperatorMatrix(tuple([Polynomial(col) for col in data]))
 
 
 def from_action(action, bound: int) -> OperatorMatrix:
@@ -154,16 +161,22 @@ def from_action(action, bound: int) -> OperatorMatrix:
     return OperatorMatrix(tuple([action(Polynomial.monomial(j)) for j in range(bound + 1)]))
 
 
-def weighted_shift(step: int, bound: int, weight) -> OperatorMatrix:
+@dataclass(frozen=True, eq=False)
+class WeightedShift(OperatorMatrix):
+    """x^j -> weights[j] x^(j + step); weights[j] is 0 where the image would
+    leave degrees 0..bound."""
+
+    step: int
+    weights: tuple
+
+
+def weighted_shift(step: int, bound: int, weight) -> WeightedShift:
     """x^j -> weight(j) x^(j + step). `weight` is asked only for the columns
     whose image stays within degrees 0..bound, so a family just long enough
     for those columns is never read past its end; the others are zero."""
-
-    def action(p: Polynomial) -> Polynomial:
-        j = p.degree
-        return Polynomial.monomial(j + step, weight(j)) if 0 <= j + step <= bound else Polynomial()
-
-    return from_action(action, bound)
+    weights = tuple([fr(weight(j)) if 0 <= j + step <= bound else _ZERO for j in range(bound + 1)])
+    columns = [Polynomial.monomial(j + step, w) if w else ZERO for j, w in enumerate(weights)]
+    return WeightedShift(tuple(columns), step, weights)
 
 
 def identity_operator(bound: int) -> OperatorMatrix:
@@ -217,8 +230,12 @@ def jackson_derivative(p: Polynomial, q) -> Polynomial:
     return _shift_down(p - p.dilate(q), 1).scale(1 / (1 - q))
 
 
-def jackson_operator(q, bound: int) -> OperatorMatrix:
-    return from_action(lambda p: jackson_derivative(p, q), bound)
+def jackson_operator(q, bound: int) -> WeightedShift:
+    """x^j -> [j]_q x^(j-1), [j]_q = (1 - q^j) / (1 - q)."""
+    q = fr(q)
+    if q == 1:
+        raise BadParameterError("jackson derivative undefined at q = 1")
+    return weighted_shift(-1, bound, lambda j: (1 - q**j) / (1 - q))
 
 
 def divided_difference_apply(p: Polynomial) -> Polynomial:
@@ -226,8 +243,8 @@ def divided_difference_apply(p: Polynomial) -> Polynomial:
     return _shift_down(p, 1)
 
 
-def divided_difference(bound: int) -> OperatorMatrix:
-    return from_action(divided_difference_apply, bound)
+def divided_difference(bound: int) -> WeightedShift:
+    return weighted_shift(-1, bound, lambda j: 1)
 
 
 def forward_difference(bound: int) -> OperatorMatrix:
@@ -280,7 +297,10 @@ def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
 
 def realize_delta_series(s: DeltaSeries, bound: int) -> OperatorMatrix:
     """Matrix of sum_k c_k Q^k, for a series that is composed or reused;
-    a single use is `apply_delta_series`."""
+    a single use is `apply_delta_series`. Within the family, c Q is the
+    weighted shift x^j -> c j_psi x^(j-1)."""
+    if s.polynomial.degree == 1 and not s.coefficient(0) and bound <= s.base.bound:
+        return weighted_shift(-1, bound, lambda j: s.coefficient(1) * s.base.n_psi(j))
     return from_action(lambda p: apply_delta_series(s, p), bound)
 
 
@@ -435,17 +455,6 @@ def _raiser_ladder(raiser: OperatorMatrix):
     return powers, SequenceTable(tuple(ladder))
 
 
-def _shift_weights(op: OperatorMatrix, step: int):
-    """[w_0, ..., w_N] when every column j of `op` is w_j x^(j + step) or
-    zero, else None."""
-    weights = []
-    for j, col in enumerate(op.columns):
-        if col.nums and (col.degree != j + step or any(col.nums[:-1])):
-            return None
-        weights.append(col.coefficient(j + step))
-    return weights
-
-
 def _running_products(*factors, inverse: bool = False) -> list:
     """(n, d), d > 0, for 1 and each running product of the lists `factors`
     taken entry by entry, or its reciprocal, kept reduced on integers."""
@@ -505,14 +514,13 @@ def _reassemble_over_shifts(coefficients: list, u: list, r: list) -> OperatorMat
 def expand_in_dual_pair(
     t: OperatorMatrix, q_op: OperatorMatrix, raiser: OperatorMatrix
 ) -> ExpansionResult:
-    """Over two weighted shifts a series division; else the raiser ladder."""
+    """Over weighted shifts, the raiser stepping up, a series division; else the raiser ladder."""
     require_lowers_by_one(q_op)
     bound = t.bound
     if q_op.bound != bound or raiser.bound != bound:
         raise BadParameterError("operator bounds differ")
-    u, r = _shift_weights(q_op, -1), _shift_weights(raiser, 1)
-    if u is not None and r is not None:
-        return _expand_over_shifts(t, u, r)
+    if isinstance(q_op, WeightedShift) and isinstance(raiser, WeightedShift) and raiser.step == 1:
+        return _expand_over_shifts(t, q_op.weights, raiser.weights)
     r_powers, ladder = _raiser_ladder(raiser)
     q_powers = q_op.powers(bound)
 

@@ -345,10 +345,6 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(out)
 
 
-def polynomial_from_json(data) -> Polynomial:
-    return Polynomial([fr(c) for c in data])
-
-
 def multiply_capped(a: Polynomial, b: Polynomial, cap: int) -> Polynomial:
     """Multiply, raising if the true product degree exceeds `cap`."""
     product = a * b
@@ -392,7 +388,7 @@ class SequenceTable:
 
     @staticmethod
     def from_json(data) -> "SequenceTable":
-        return SequenceTable(tuple([polynomial_from_json(row) for row in data]))
+        return SequenceTable(tuple([Polynomial(row) for row in data]))
 
 
 def coordinates_in_table(table: SequenceTable, p: Polynomial) -> list:

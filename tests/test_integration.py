@@ -69,7 +69,7 @@ def test_mismatched_pair_raises():
 def test_matrix_form_composes_to_identity_window():
     op = IntegralOperator.q_integral(2, N)
     d = jackson_operator(2, N)
-    composed = d.compose(op.as_matrix())
+    composed = d.compose(op.shift)
     from umbralcalc.operators import identity_operator
 
     assert composed.agreement_window(identity_operator(N)) >= N - 1

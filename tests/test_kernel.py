@@ -72,7 +72,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from umbralcalc import harness, operators, sequences
+from umbralcalc import cli, harness, operators, sequences
 from umbralcalc.errors import (
     BadParameterError,
     DegreeOverflowError,
@@ -80,11 +80,13 @@ from umbralcalc.errors import (
     NotInvertibleError,
     SingularOperatorError,
     UmbralError,
+    UndefinedIndexError,
 )
 from umbralcalc.integration import IntegralOperator
 from umbralcalc.operators import (
     ExpansionResult,
     OperatorMatrix,
+    WeightedShift,
     apply_delta_series,
     commutator,
     dilation,
@@ -92,6 +94,7 @@ from umbralcalc.operators import (
     dual_operator,
     expand_in_dual_pair,
     forward_difference,
+    from_action,
     generalized_shift,
     generalized_shift_operator,
     identity_operator,
@@ -688,7 +691,9 @@ def test_series_action_is_conjugate_to_the_classical_one(case):
 # and the weighted shifts go through `weighted_shift`. The `old_*` builders
 # below are the column loops and matrix chains they replaced, verbatim.
 # `realize_delta_series` is left out: `old_realize_delta_series` above
-# already checks it column by column.
+# already checks it column by column. Its one-term series c Q, the divided
+# difference and the Jackson derivative are weighted shifts now; their old
+# route is `from_action` of the action.
 
 
 def old_psi_derivative(seq, bound):
@@ -826,6 +831,22 @@ def old_transport_rhs(seq, l_series, bound):
     )
 
 
+def old_realize_one_term(s, bound):
+    return from_action(lambda p: apply_delta_series(s, p), bound)
+
+
+def same_shift(op):
+    """`op` is a `WeightedShift` whose step and weights give its columns, and
+    it compares and hashes as the plain matrix of those columns."""
+    assert isinstance(op, WeightedShift)
+    for j, (col, w) in enumerate(zip(op.columns, op.weights, strict=True)):
+        assert type(w) is Fraction
+        assert col == (Polynomial.monomial(j + op.step, w) if w else ZERO), (j, w)
+    plain = OperatorMatrix(op.columns)
+    assert op == plain and plain == op and hash(op) == hash(plain)
+    assert op != OperatorMatrix(op.columns[:-1] + (op.columns[-1] + ONE,))
+
+
 def outcome(build, *args):
     """("columns", the columns `build(*args)` returns) or ("raises", the
     exception type, its message)."""
@@ -902,9 +923,17 @@ def test_operators_from_their_action_match_old_column_loops(case):
         (operator_polynomial, old_operator_polynomial, (p, m)),
         (operator_polynomial, old_operator_polynomial, (f, old_psi_derivative(seq, seq.bound))),
         (umbral_operator, old_umbral_operator, (source, images)),
+        (realize_delta_series, old_realize_one_term, (DeltaSeries(seq, [0, y]), bound)),
     ]
     for new, old, args in pairs:
         same_outcome(outcome(new, *args), outcome(old, *args))
+    shifts = {psi_derivative, xhat_psi, nhat_diagonal, multiplication_x, jackson_operator,
+              divided_difference}
+    for new, _, args in pairs:
+        if new in shifts and outcome(new, *args)[0] == "columns":
+            same_shift(new(*args))
+    if y and bound <= seq.bound:  # c Q within the family
+        same_shift(realize_delta_series(DeltaSeries(seq, [0, y]), bound))
 
     integrals = [lambda: IntegralOperator.psi_integral(seq, bound)]
     integrals.append(lambda: IntegralOperator.q_integral(q, bound))
@@ -914,9 +943,26 @@ def test_operators_from_their_action_match_old_column_loops(case):
             op = build()
         except UmbralError:
             continue
-        same_columns(op.as_matrix(), old_integral_as_matrix(op))
+        same_columns(op.shift, old_integral_as_matrix(op))
+        same_shift(op.shift)
+        same_shift(op.partner)
         if op.kind == "r_integral":
             same_columns(op.partner, old_r_integral_partner(op.weights, bound))
+
+
+def test_shift_builders_keep_their_errors():
+    for q in (1, "1", Fraction(2, 2)):
+        same_outcome(outcome(jackson_operator, q, 4), outcome(old_jackson_operator, q, 4))
+    assert outcome(jackson_operator, 1, 4)[1:] == (
+        BadParameterError, "jackson derivative undefined at q = 1")
+    # a family one short of the bound: column bound of c Q is past its end
+    seq = AdmissibleSequence.q_deformed(2, 4)
+    for c in (1, Fraction(-2, 3)):
+        args = DeltaSeries(seq, [0, c]), 5
+        got = outcome(realize_delta_series, *args)
+        assert got[:2] == ("raises", UndefinedIndexError)
+        assert got == outcome(old_realize_one_term, *args)
+        same_shift(realize_delta_series(*args[:1], 4))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1520,9 +1566,7 @@ def pair_cases(draw):
 def test_normal_order_windows_match_matrix_products(case):
     seq, degree, index, factor = case
     raiser = xhat_psi(seq, degree)
-    columns = list(raiser.columns)
-    columns[index] = columns[index].scale(factor)
-    mutated = OperatorMatrix(tuple(columns))
+    mutated = weighted_shift(1, degree, lambda j: raiser.weights[j] * (factor if j == index else 1))
     for r in (raiser, mutated):
         with mock.patch.object(harness, "xhat_psi", lambda seq, bound: r):
             assert weyl_records(harness.suite_weyl, seq, degree) == weyl_records(
@@ -1616,9 +1660,7 @@ def old_shift_outcome(t, q_op, raiser):
     """`expansion_outcome` from `old_expand_over_shifts`, for a pair of
     weighted shifts with a lowering `q_op`."""
     try:
-        got = old_expand_over_shifts(
-            t, operators._shift_weights(q_op, -1), operators._shift_weights(raiser, 1)
-        )
+        got = old_expand_over_shifts(t, q_op.weights, raiser.weights)
     except UmbralError as exc:
         return "raises", type(exc), str(exc)
     return "expands", got.coefficients, got.reassembled.columns
@@ -1707,9 +1749,9 @@ def family_pair_cases(draw):
         r = [rational() for _ in range(bound)]
         raiser = weighted_shift(1, bound, lambda j: r[j])
     if bound and draw(st.integers(0, 2)) == 2:
-        columns = list(raiser.columns)
-        columns[draw(st.integers(0, bound - 1))] = ZERO
-        raiser = OperatorMatrix(tuple(columns))
+        zeroed = draw(st.integers(0, bound - 1))
+        weights = raiser.weights
+        raiser = weighted_shift(1, bound, lambda j: 0 if j == zeroed else weights[j])
     density = rnd.choice([0.25, 1.0])
     t = OperatorMatrix(tuple(
         Polynomial([rational(density) for _ in range(rnd.randint(0, bound + 1))])
@@ -1732,7 +1774,13 @@ def test_expansion_over_shifts_matches_the_matrix_route(case, family_case):
             same(got, want)
 
     bound, u, t, q_op, raiser = case
-    new, old = expansion_outcome(t, q_op, raiser), old_expansion_outcome(t, q_op, raiser)
+    # two weighted shifts never reach the raiser ladder, a near-shift (a
+    # plain matrix) never the shift division
+    shifts = isinstance(q_op, WeightedShift) and isinstance(raiser, WeightedShift)
+    route = "_raiser_ladder" if shifts else "_expand_over_shifts"
+    with mock.patch.object(operators, route, side_effect=AssertionError(route)):
+        new = expansion_outcome(t, q_op, raiser)
+    old = old_expansion_outcome(t, q_op, raiser)
     assert new[0] == old[0], (new, old)
     if old[0] == "raises":
         assert new == old
@@ -1760,7 +1808,7 @@ def test_expansion_over_shifts_matches_the_matrix_route(case, family_case):
     # the reassembly reads the coefficients alone: one changed moves a column
     changed = list(got.coefficients)
     changed[-1] += ONE
-    weights = operators._shift_weights(q_op, -1), operators._shift_weights(raiser, 1)
+    weights = q_op.weights, raiser.weights
     assert operators._reassemble_over_shifts(changed, *weights).columns != t.columns
 
     # multiplication by x: R_n = 1 and S_d = d_psi!, so E = exp_psi and
@@ -1774,6 +1822,49 @@ def test_expansion_over_shifts_matches_the_matrix_route(case, family_case):
             want += (X**d * t.column(c - d)).scale(f.coefficient(d) / seq.factorial(c - d))
         same(got.coefficient(c), want.truncate(bound))
     assert got.reassembled.columns == t.columns
+
+
+def test_shift_built_lowerings_expand_without_the_raiser_ladder():
+    # the lowering operators that the harness, the bench and the CLI builtins
+    # build, each with both raisers
+    bound = 8
+    seq = AdmissibleSequence.q_deformed(Fraction(-3, 2), bound + 1)
+    rnd = random.Random(5)
+    t = OperatorMatrix(tuple(
+        Polynomial([Fraction(rnd.randint(-3, 3), rnd.randint(1, 4)) for _ in range(j + 2)])
+        .truncate(bound) for j in range(bound + 1)
+    ))
+    lowerings = [
+        psi_derivative(seq, bound),
+        divided_difference(bound),
+        jackson_operator(Fraction(1, 2), bound),
+        jackson_operator(-2, bound),
+        cli.resolve_operator("hyperbolic_Q", seq, bound),
+        cli.resolve_operator("DxD", seq, bound),
+        realize_delta_series(DeltaSeries(seq, [0, Fraction(-2, 3)]), bound),
+        cli.resolve_operator([0, 3], seq, bound),
+    ]
+    raisers = [xhat_psi(seq, bound), multiplication_x(bound)]
+    with mock.patch.object(operators, "_raiser_ladder", side_effect=AssertionError("ladder")):
+        for q_op in lowerings:
+            for raiser in raisers:
+                assert expand_in_dual_pair(t, q_op, raiser).reassembled == t
+
+    # a `columns` literal shaped like a shift is a plain matrix: the matrix
+    # route, with the same coefficients
+    literal = cli.resolve_operator(
+        {"columns": [c.to_text() for c in lowerings[0].columns]}, seq, bound)
+    want = expand_in_dual_pair(t, lowerings[0], raisers[0])
+    with mock.patch.object(operators, "_expand_over_shifts", side_effect=AssertionError("shift")):
+        got = expand_in_dual_pair(t, literal, raisers[0])
+    assert got.coefficients == want.coefficients and got.reassembled == t
+
+    # a shift that does not step up is no raiser: the ladder rejects it at once
+    for raiser in (nhat_diagonal(seq, bound), weighted_shift(2, bound, lambda j: 1),
+                   lowerings[0]):
+        got = expansion_outcome(t, lowerings[0], raiser)
+        assert got[:2] == ("raises", SingularOperatorError)
+        assert got[2].startswith("raiser power 1 applied to 1 has degree "), got
 
 
 # -- basic tables on divided powers, the addition rule on chain cells ---------------

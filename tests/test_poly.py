@@ -15,7 +15,6 @@ from umbralcalc.poly import (
     coordinates_in_table,
     multiply_capped,
     parse_polynomial,
-    polynomial_from_json,
 )
 
 rationals = st.fractions(
@@ -96,7 +95,7 @@ def test_bad_polynomial_text_is_a_bad_parameter(text):
 
 def test_json_round_trip():
     p = Polynomial([Fraction(1, 3), 0, -2])
-    assert polynomial_from_json(p.to_json_list()) == p
+    assert Polynomial(p.to_json_list()) == p
 
 
 # integers, zeros (so zero interior coefficients), signed fractions, and
