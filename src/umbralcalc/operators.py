@@ -29,6 +29,7 @@ from .poly import (
     SequenceTable,
     _canonical,
     _combine,
+    _convolve,
     _diagonal,
     _new,
     _raised_sum,
@@ -284,14 +285,7 @@ def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
     if p.degree > seq.bound:  # the first nonzero coefficient past the family raises
         seq.factorial(next(j for j in range(seq.bound + 1, len(p.nums)) if p.nums[j]))
     scaled = _diagonal(p, seq._factorials)
-    a = scaled.nums
-    out = [0] * len(a)
-    for k, c in enumerate(s.polynomial.nums[: len(a)]):
-        if c:
-            for i, v in enumerate(a[k:]):
-                if v:
-                    out[i] += c * v
-    out = _canonical(out, scaled.den * s.polynomial.den)
+    out = _canonical(_convolve(s.polynomial.nums, scaled.nums), scaled.den * s.polynomial.den)
     return _diagonal(out, seq._inverse_factorials)
 
 

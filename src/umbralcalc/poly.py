@@ -20,7 +20,7 @@ few tracked objects, rarely triggers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -54,7 +54,13 @@ class Polynomial:
     __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs=()):
-        cs = [fr(c) for c in coeffs]
+        cs = list(coeffs)
+        if all(type(c) is int for c in cs):  # bools and int subclasses go through fr
+            while cs and not cs[-1]:
+                cs.pop()
+            _init(self, tuple(cs), 1, None)  # integers over 1 are canonical
+            return
+        cs = [fr(c) for c in cs]
         while cs and not cs[-1]:
             cs.pop()
         # canonical Fractions over the lcm of their denominators share no
@@ -309,6 +315,19 @@ def _diagonal(p: Polynomial, weights) -> Polynomial:
     return _canonical(out, p.den * den)
 
 
+def _convolve(c: tuple, a: tuple) -> list:
+    """out_i = sum_k c_k a_(i+k), i < len(a), on integers, skipping zeros: a
+    series with numerators `c` in an operator Q with Q e_j = e_(j-1), acting
+    on the numerators `a` of the e_j-coordinates of a polynomial."""
+    out = [0] * len(a)
+    for k, ck in enumerate(c[: len(a)]):
+        if ck:
+            for i, v in enumerate(a[k:]):
+                if v:
+                    out[i] += ck * v
+    return out
+
+
 def _shift_down(p: Polynomial, k: int) -> Polynomial:
     """(p - its terms below degree k) / x^k."""
     return _canonical(list(p.nums[k:]), p.den)
@@ -357,9 +376,19 @@ def multiply_capped(a: Polynomial, b: Polynomial, cap: int) -> Polynomial:
 
 @dataclass(frozen=True)
 class SequenceTable:
-    """Degree-graded table: entry n is a polynomial of degree exactly n."""
+    """Degree-graded table: entry n is a polynomial of degree exactly n.
+
+    `divided` is None, or the pair (family, rows) when the table was built
+    from its rows: row n is entry n over n_psi! read in the divided powers
+    e_j = x^j / j_psi! of that family object. The basic and Sheffer tables of
+    a series carry it; the addition rule reads the rows when it is asked
+    about that same family object and converts the entries otherwise.
+    Equality, hashing and JSON see the entries alone, and a table made by
+    the constructor or `dataclasses.replace` carries no rows.
+    """
 
     entries: tuple
+    divided: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         entries = tuple(self.entries)

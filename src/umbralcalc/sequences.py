@@ -26,7 +26,7 @@ from .operators import (
     require_lowers_by_one,
     xhat_psi,
 )
-from .poly import ONE, Polynomial, SequenceTable, _canonical, _diagonal, coordinates_in_table
+from .poly import ONE, Polynomial, SequenceTable, _canonical, _convolve, _diagonal, coordinates_in_table
 from .psi import AdmissibleSequence
 from .series import DeltaSeries
 
@@ -97,30 +97,34 @@ def basic_sequence(
 def basic_sequence_from_series(q_series: DeltaSeries, bound: int) -> BasicSequence:
     """Basic table of q(Q), q read at the bound, on the divided powers
     e_j = x^j / j_psi!, where Q e_j = e_(j-1): with sigma = (q/t)^-1, the
-    rule q(Q) p_n = n_psi p_(n-1) is Q p_n = n_psi sigma(Q) p_(n-1), so the
-    coordinates P_n of p_n in the e_j are P_n[0] = 0 and
-    P_n[j+1] = n_psi sum_k sigma_k P_(n-1)[j+k], one integer convolution per
-    entry; then p_n[j] = P_n[j] / j_psi! (Roman, 1984, ch. 2)."""
+    rule q(Q) p_n = n_psi p_(n-1) is Q T_n = sigma(Q) T_(n-1) for the rows
+    T_n, the coordinates of p_n / n_psi! in the e_j, so T_n[0] = 0 and
+    T_n[j+1] = sum_k sigma_k T_(n-1)[j+k], one integer convolution per
+    entry; then p_n[j] = n_psi! T_n[j] / j_psi! (Roman, 1984, ch. 2). The
+    table keeps the rows."""
     q_series.require_delta()
     if bound < 0:
         raise BadParameterError("degree bound must be nonnegative")
     seq = q_series.base
     seq.factorial(min(bound, seq.bound + 1))  # a family too short for the bound raises
-    entries, p = [ONE], ONE
+    rows = [ONE]
     if bound:
         sigma = DeltaSeries.from_list(seq, q_series.coeffs[1:], bound - 1)
         sigma = sigma.multiplicative_inverse().polynomial
-    for n in range(1, bound + 1):
-        out = [0] * (n + 1)
-        for k, c in enumerate(sigma.nums[:n]):
-            if c:
-                for j, v in enumerate(p.nums[k:], 1):
-                    if v:
-                        out[j] += c * v
-        w = seq.n_psi(n)
-        p = _canonical([w.numerator * a for a in out], sigma.den * p.den * w.denominator)
-        entries.append(_diagonal(p, seq._inverse_factorials))
-    return BasicSequence(seq, q_series, SequenceTable(tuple(entries)))
+        for _ in range(bound):
+            t = rows[-1]
+            rows.append(_canonical([0] + _convolve(sigma.nums, t.nums), sigma.den * t.den))
+    return BasicSequence(seq, q_series, _table_of_rows(seq, rows))
+
+
+def _table_of_rows(seq: AdmissibleSequence, rows: list) -> SequenceTable:
+    """The table with entries p_n[j] = n_psi! T_n[j] / j_psi!, T_n = rows[n],
+    keeping the rows and the family that read them."""
+    entries = [_diagonal(t, seq._inverse_factorials).scale(f)
+               for t, f in zip(rows, seq._factorials)]
+    table = SequenceTable(tuple(entries))
+    object.__setattr__(table, "divided", (seq, tuple(rows)))
+    return table
 
 
 def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
@@ -201,11 +205,17 @@ def sheffer_sequence(
     q_series = DeltaSeries.from_list(q_series.base, q_series.coeffs, bound)
     s_series = DeltaSeries.from_list(s_series.base, s_series.coeffs, bound)
     basic = basic_sequence_from_series(q_series, bound)
+    seq = q_series.base
     s_inv = s_series.multiplicative_inverse()
-    entries = tuple([apply_delta_series(s_inv, p) for p in basic.table])
-    return ShefferSequence(
-        q_series.base, basic, q_series, s_series, SequenceTable(entries)
-    )
+    if s_inv.base == seq:
+        # the rows U_n = S^-1(Q) T_n: one convolution each, as on any e_j-coordinates
+        c = s_inv.polynomial
+        rows = [_canonical(_convolve(c.nums, t.nums), c.den * t.den)
+                for t in basic.table.divided[1]]
+        table = _table_of_rows(seq, rows)
+    else:  # S^-1 in the lowering operator of its own family, as it was read
+        table = SequenceTable(tuple([apply_delta_series(s_inv, p) for p in basic.table]))
+    return ShefferSequence(seq, basic, q_series, s_series, table)
 
 
 def appell_sequence(s_series: DeltaSeries, bound: int) -> ShefferSequence:
@@ -345,25 +355,33 @@ def _addition_rule(
     divided powers: the coefficient of x^i y^k, times the nonzero
     i_psi! k_psi! / n_psi!, is the coefficient of e_i(x) e_k(y) with
     e_j = x^j / j_psi!, so cell (i, k) holds exactly when the convolution of
-    `_addition_cells_agree` does, and no binom_psi is formed. Each entry is
-    converted once, when the degree loop first reaches it. While every lower
-    degree holds, a degree is decided by its chain cells, O(n^2) products
-    in place of O(n^3). Only a degree whose coefficients differ is evaluated
-    at the sampled shifts, to report the first (n, y) witness; if no sample
-    separates the sides (fewer than n + 1 samples), the check moves on as
-    the sampled rule would, and later degrees check all their cells.
+    `_addition_cells_agree` does, and no binom_psi is formed. A table built
+    from its rows (the basic and Sheffer tables of a series) gives its kept
+    rows when `seq` is the very family object that built them; any other
+    table or family has each entry converted once, when the degree loop
+    first reaches it. While every lower degree holds, a degree is decided
+    by its chain cells, O(n^2) products in place of O(n^3). Only a degree
+    whose coefficients differ is evaluated at the sampled shifts, to report
+    the first (n, y) witness; if no sample separates the sides (fewer than
+    n + 1 samples), the check moves on as the sampled rule would, and later
+    degrees check all their cells.
     """
     ys = default_shift_samples(table.bound + 2) if y_values is None else list(y_values)
 
-    def divided(p: Polynomial, n: int) -> Polynomial:
-        return _diagonal(p, seq._factorials).scale(seq._inverse_factorials[n])
+    def rows(tab: SequenceTable):
+        """n -> entry n over n_psi! in the e_j of `seq`."""
+        if tab.divided is not None and tab.divided[0] is seq:
+            return tab.divided[1].__getitem__
+        return lambda n: _diagonal(tab[n], seq._factorials).scale(seq._inverse_factorials[n])
 
+    row_t = rows(table)
+    row_u = row_t if partner is table else rows(partner)
     t, u = [], []
     chained = True  # every degree below n holds
     for n in range(table.bound + 1):
         seq.n_psi(n)  # a family too short for the table raises here
-        t.append(divided(table[n], n))
-        u.append(t[n] if partner is table else divided(partner[n], n))
+        t.append(row_t(n))
+        u.append(t[n] if partner is table else row_u(n))
         if chained and _addition_chain_agrees(t, u, n) and (
             partner is table or _addition_chain_agrees(u, u, n)
         ) or not chained and _addition_cells_agree(t, u, n):

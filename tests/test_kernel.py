@@ -60,6 +60,14 @@ addition rule is decided on its chain cells while every lower degree holds:
 `old_basic_sequence_from_series` (realise the series, then the triangular
 solve) and `old_divided_addition_rule` (every cell of every degree) are the
 routes they replaced, verbatim except for their names.
+
+Then the basic and Sheffer tables of a series keep the divided-power rows
+they are built from, and the addition rule reads them for the family object
+that built them: `old_row_basic_sequence_from_series`,
+`old_row_sheffer_sequence` and `old_converting_addition_rule` are the
+routes that converted every entry instead, and the rows must be the
+entries converted. The constructor takes a list of plain ints as it is:
+it must give what the Fraction route gave, or the same error.
 """
 
 import dataclasses
@@ -2012,3 +2020,229 @@ def test_an_unseparated_failure_hands_later_degrees_to_every_cell():
         table, seq = SequenceTable(tuple(entries)), AdmissibleSequence.classical(7)
         report = verify_binomial_type(table, seq, [0])
     assert report.passed and sampled == [3, 4, 5, 6, 7]
+
+
+# -- basic and Sheffer tables keep their divided-power rows --------------------------
+#
+# `old_row_basic_sequence_from_series`, `old_row_sheffer_sequence` and
+# `old_converting_addition_rule` are the series solve, the Sheffer table and
+# the addition rule before the tables kept their rows, verbatim except for
+# their names and that they call each other and `old_apply_delta_series`:
+# every entry was converted to the divided powers by the rule itself.
+
+
+def old_row_basic_sequence_from_series(q_series: DeltaSeries, bound: int):
+    q_series.require_delta()
+    if bound < 0:
+        raise BadParameterError("degree bound must be nonnegative")
+    seq = q_series.base
+    seq.factorial(min(bound, seq.bound + 1))  # a family too short for the bound raises
+    entries, p = [ONE], ONE
+    if bound:
+        sigma = DeltaSeries.from_list(seq, q_series.coeffs[1:], bound - 1)
+        sigma = sigma.multiplicative_inverse().polynomial
+    for n in range(1, bound + 1):
+        out = [0] * (n + 1)
+        for k, c in enumerate(sigma.nums[:n]):
+            if c:
+                for j, v in enumerate(p.nums[k:], 1):
+                    if v:
+                        out[j] += c * v
+        w = seq.n_psi(n)
+        p = _canonical([w.numerator * a for a in out], sigma.den * p.den * w.denominator)
+        entries.append(_diagonal(p, seq._inverse_factorials))
+    return sequences.BasicSequence(seq, q_series, SequenceTable(tuple(entries)))
+
+
+def old_row_sheffer_sequence(q_series, s_series, bound):
+    q_series.require_delta()
+    s_series.require_invertible()
+    # read both at the bound: the inverse of a shorter S is truncated below it
+    q_series = DeltaSeries.from_list(q_series.base, q_series.coeffs, bound)
+    s_series = DeltaSeries.from_list(s_series.base, s_series.coeffs, bound)
+    basic = old_row_basic_sequence_from_series(q_series, bound)
+    s_inv = s_series.multiplicative_inverse()
+    entries = tuple([old_apply_delta_series(s_inv, p) for p in basic.table])
+    return sequences.ShefferSequence(
+        q_series.base, basic, q_series, s_series, SequenceTable(entries)
+    )
+
+
+def old_converting_addition_rule(table, partner, seq, y_values, failure, success):
+    ys = default_shift_samples(table.bound + 2) if y_values is None else list(y_values)
+
+    def divided(p: Polynomial, n: int) -> Polynomial:
+        return _diagonal(p, seq._factorials).scale(seq._inverse_factorials[n])
+
+    t, u = [], []
+    chained = True  # every degree below n holds
+    for n in range(table.bound + 1):
+        seq.n_psi(n)  # a family too short for the table raises here
+        t.append(divided(table[n], n))
+        u.append(t[n] if partner is table else divided(partner[n], n))
+        if chained and sequences._addition_chain_agrees(t, u, n) and (
+            partner is table or sequences._addition_chain_agrees(u, u, n)
+        ) or not chained and _addition_cells_agree(t, u, n):
+            continue
+        chained = False
+        for y in ys:
+            lhs = generalized_shift(seq, table[n], y)
+            rhs = Polynomial()
+            for k in range(n + 1):
+                rhs = rhs + table[k].scale(seq.binomial(n, k) * partner[n - k](y))
+            if lhs != rhs:
+                return CheckReport(
+                    False,
+                    failure,
+                    {"n": n, "y": str(y), "lhs": lhs.to_text(), "rhs": rhs.to_text()},
+                )
+    return CheckReport(True, success)
+
+
+def old_rule(table, partner, seq, ys):
+    return result_or_error(old_converting_addition_rule, table, partner, seq, ys,
+                           "addition rule fails", "addition rule holds at all sampled shifts")
+
+
+def new_rule(table, partner, seq, ys):
+    return result_or_error(sequences._addition_rule, table, partner, seq, ys,
+                           "addition rule fails", "addition rule holds at all sampled shifts")
+
+
+def converted_entries():
+    """A list of the entries `_addition_rule` converts to the divided
+    powers, and the patch that records them."""
+    calls = []
+
+    def counted(p, weights):
+        calls.append(p)
+        return _diagonal(p, weights)
+
+    return calls, mock.patch.object(sequences, "_diagonal", counted)
+
+
+@st.composite
+def row_table_cases(draw):
+    """A custom or q-deformed family on a bound up to 25; a delta series with
+    any nonzero c1 and an invertible prefactor, over that family object, an
+    equal one built separately, or another family; a degree up to 24; and
+    shift samples: the defaults or a short list."""
+    degree = draw(st.integers(1, 24))
+    bound = degree + draw(st.integers(0, 1))
+    seq = draw_family(draw, bound)
+    tail = draw(st.lists(mixed_rationals, max_size=degree - 1))
+    q_series = DeltaSeries.from_list(seq, [0, draw(nonzero_rationals)] + tail, degree)
+    s_family = draw(st.sampled_from([seq, dataclasses.replace(seq), draw_family(draw, bound)]))
+    prefactor = [draw(nonzero_rationals)] + draw(st.lists(mixed_rationals, max_size=3))
+    s_series = DeltaSeries.from_list(s_family, prefactor, degree)
+    other = draw_family(draw, bound)
+    ys = draw(st.none() | st.lists(st.integers(-2, 2), max_size=3))
+    return seq, q_series, s_series, degree, other, ys
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=row_table_cases())
+def test_row_built_tables_match_the_converting_route(case):
+    seq, q_series, s_series, degree, other, ys = case
+    basic = basic_sequence_from_series(q_series, degree)
+    sheffer = sheffer_sequence(q_series, s_series, degree)
+    old_basic = old_row_basic_sequence_from_series(q_series, degree)
+    old_sheffer = old_row_sheffer_sequence(q_series, s_series, degree)
+    assert old_sheffer.basic.table == old_basic.table
+    for new, old in ((basic.table, old_basic.table), (sheffer.basic.table, old_basic.table),
+                     (sheffer.table, old_sheffer.table)):
+        for p, q in zip(new, old, strict=True):
+            same(p, q)
+
+    # the rule on the kept rows gives the converting rule's reports, witnesses
+    # included, for the basic table, the Sheffer table against it, and the
+    # same tables with their rows dropped
+    pairs = [(basic.table, basic.table), (sheffer.table, sheffer.basic.table),
+             (sheffer.basic.table, sheffer.basic.table)]
+    for table, partner in pairs:
+        plain = SequenceTable(table.entries)
+        want = old_rule(plain, plain if partner is table else SequenceTable(partner.entries),
+                        seq, ys)
+        assert new_rule(table, partner, seq, ys) == want
+    assert verify_binomial_type(basic.table, seq, ys) == verify_binomial_type(
+        SequenceTable(basic.table.entries), seq, ys)
+    assert verify_sheffer_binomial(sheffer, ys) == result_or_error(
+        old_converting_addition_rule, old_sheffer.table, old_sheffer.basic.table, seq, ys,
+        "mixed addition rule fails", "mixed addition rule holds at all sampled shifts")[1]
+
+    # asked about an equal family built separately, or another family, the
+    # rule converts every entry it reads, and agrees with the converting rule
+    twin = dataclasses.replace(seq)
+    assert twin == seq and twin is not seq
+    for family in (twin, other):
+        for table, partner in pairs:
+            calls, patch = converted_entries()
+            with patch:
+                got = new_rule(table, partner, family, ys)
+            assert got == old_rule(table, partner, family, ys)
+            if family is twin:
+                assert got == new_rule(table, partner, seq, ys)
+            if got[0] == "value":
+                last = table.bound if got[1].passed else got[1].witness["n"]
+                assert len(calls) == (last + 1) * (1 if partner is table else 2)
+    # and on the family that built them it converts only a table without rows
+    for table, partner in pairs:
+        calls, patch = converted_entries()
+        with patch:
+            new_rule(table, partner, seq, ys)
+        assert all(p in table.entries and table.divided is None for p in calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=row_table_cases())
+def test_kept_rows_are_the_entries_converted(case):
+    """Row n is entry n over n_psi! read in the divided powers of the family
+    object that built the table; a Sheffer table whose S was read in
+    another family keeps none."""
+    seq, q_series, s_series, degree, _, _ = case
+    sheffer = sheffer_sequence(q_series, s_series, degree)
+    kept = [basic_sequence_from_series(q_series, degree).table, sheffer.basic.table]
+    if s_series.base == seq:
+        kept.append(sheffer.table)
+    else:
+        assert sheffer.table.divided is None
+    for table in kept:
+        family, rows = table.divided
+        assert family is seq
+        assert list(rows) == divided_entries(table, seq)
+        for row in rows:
+            canonical(row)
+        # a table made from entries, also by replacing them, carries no rows
+        assert dataclasses.replace(table, entries=table.entries).divided is None
+        assert SequenceTable(table.entries).divided is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(st.integers(-5, 5), max_size=6) | st.lists(
+    st.integers(-5, 5) | st.booleans() | nonzero_rationals | nonzero_rationals.map(str)
+    | st.sampled_from(["x", "1/0", " 2/3 ", "-4", 1.5, None]),
+    max_size=6,
+))
+def test_polynomial_constructor_matches_the_fraction_route(coeffs):
+    def old_polynomial(coeffs):
+        cs = [fr(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        # canonical Fractions over the lcm of their denominators share no
+        # factor with it, so no gcd is needed
+        den = math.lcm(*[c.denominator for c in cs])
+        nums = tuple([c.numerator * (den // c.denominator) for c in cs])
+        p = object.__new__(Polynomial)
+        for name, value in (("nums", nums), ("den", den), ("_coeffs", tuple(cs))):
+            object.__setattr__(p, name, value)
+        return p
+
+    want = result_or_error(old_polynomial, coeffs)
+    for given_as in (list(coeffs), tuple(coeffs), iter(coeffs), (c for c in coeffs)):
+        got = result_or_error(Polynomial, given_as)
+        if want[0] == "raises":
+            assert got == want
+            continue
+        assert got[0] == "value"
+        same(got[1], want[1])
+        assert (got[1].nums, got[1].den) == (want[1].nums, want[1].den)
