@@ -62,7 +62,7 @@ class BasicSequence:
 class ShefferSequence:
     seq: AdmissibleSequence
     basic: BasicSequence
-    q_series: DeltaSeries | None
+    q_series: DeltaSeries
     s_series: DeltaSeries
     table: SequenceTable
 
@@ -145,10 +145,7 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
     qprime = q_series.formal_derivative()
 
     raiser = xhat_psi(seq, bound)
-    # q'(Q) and q'(Q)^{-1} act on every entry, so they are built once as
-    # matrices; each power of s^{-1} acts on two monomials and stays a series
-    qprime_op = realize_delta_series(qprime, bound)
-    qprime_inv_op = realize_delta_series(qprime.multiplicative_inverse(), bound)
+    qprime_inv = qprime.multiplicative_inverse()
 
     # s^{-k} series, k = 0..bound+1
     s_inv_powers = [DeltaSeries.from_list(seq, [1], bound)]
@@ -161,7 +158,7 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
         xnm1 = Polynomial.monomial(n - 1)
         weight = seq.n_psi(n) / Fraction(n)
 
-        route1 = qprime_op.apply(apply_delta_series(s_inv_powers[n + 1], xn))
+        route1 = apply_delta_series(qprime, apply_delta_series(s_inv_powers[n + 1], xn))
         prefactor.append(route1)
 
         s_inv_n = s_inv_powers[n]
@@ -173,7 +170,7 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
         route3 = raiser.apply(apply_delta_series(s_inv_n, xnm1)).scale(weight)
         raising.append(route3)
 
-        route4 = raiser.apply(qprime_inv_op.apply(iterative[-1])).scale(weight)
+        route4 = raiser.apply(apply_delta_series(qprime_inv, iterative[-1])).scale(weight)
         iterative.append(route4)
 
     return {
@@ -265,8 +262,6 @@ def verify_sheffer_definition(sheffer: ShefferSequence) -> CheckReport:
 
 def reconstruct_inverse_series(sheffer: ShefferSequence) -> DeltaSeries:
     """Rebuild S^{-1} from constant terms: sum_k (s_k(0)/k_psi!) q(t)^k."""
-    if sheffer.q_series is None:
-        raise BadParameterError("reconstruction needs the series form of Q")
     seq = sheffer.seq
     order = sheffer.q_series.order
     outer = [
@@ -430,8 +425,6 @@ def verify_sheffer_binomial(sheffer: ShefferSequence, y_values=None) -> CheckRep
 def generating_function_check(sheffer: ShefferSequence, z_order: int) -> CheckReport:
     """Compare s_j(x)/j_psi! with the product of the reciprocal prefactor and
     the graded exponential, both composed with the inverse of q(t)."""
-    if sheffer.q_series is None:
-        raise BadParameterError("generating function needs the series form of Q")
     seq = sheffer.seq
     if z_order > sheffer.bound:
         raise BadParameterError("z order beyond the table bound")
@@ -480,9 +473,7 @@ def eigenfunction_series(q_op: OperatorMatrix, truncation: int) -> EigenSeriesRe
     return EigenSeriesResult(tuple(phis), None)
 
 
-def verify_expansion_constants(
-    sheffer: ShefferSequence, a_coeffs, sample_orders=None
-) -> dict:
+def verify_expansion_constants(sheffer: ShefferSequence, a_coeffs) -> dict:
     """Expand A = sum a_j Q^j against the Sheffer table under both binomial
     conventions; returns which convention admits constants."""
     seq = sheffer.seq

@@ -7,8 +7,10 @@ import random
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from umbralcalc import (
     AdmissibleSequence,
@@ -23,6 +25,7 @@ from umbralcalc import (
     run_suites,
     summarize,
 )
+from umbralcalc import sequences
 from umbralcalc.harness import (
     FAILS,
     HOLDS,
@@ -32,7 +35,12 @@ from umbralcalc.harness import (
     _jsonable,
     _pair_failures,
     _random_polynomial,
+    _reparameterization_certificate,
 )
+from umbralcalc.operators import detect_psi_form, psi_derivative, realize_psi_form, umbral_operator
+from umbralcalc.poly import SequenceTable
+from umbralcalc.sequences import basic_sequence_from_series
+from umbralcalc.series import DeltaSeries
 import conftest
 
 BOUND = 9
@@ -364,8 +372,7 @@ def new_weighted_family_system(ok):
 
 def new_bracket_identity(ok):
     report, ident = _mutator_report(ok), "bracket-identity(monomial)"
-    args = (ident, SEQ.label, report["passed"], report.get("witness"))
-    return recorded("mutator", "exact", *args, window=report["window"])
+    return recorded("mutator", "report", ident, SEQ.label, report, window=report["window"])
 
 
 def new_number_steps(ok):
@@ -396,6 +403,12 @@ RECORD_SHAPES = {
     "exact-other-bound": (
         lambda ok: _exact("binomial", "rule", SEQ.label, 16, ok, {"n": 1}),
         lambda ok: recorded("binomial", "exact", "rule", SEQ.label, ok, {"n": 1}, degree=16),
+    ),
+    "report-informational": (
+        lambda ok: _exact("mutator", "rule", SEQ.label, DEG, ok,
+                          _mutator_report(ok).get("witness"), asserted=False),
+        lambda ok: recorded("mutator", "report", "rule", SEQ.label, _mutator_report(ok),
+                            asserted=False),
     ),
     "windowed": (
         lambda ok: _windowed("ghw", "rule", SEQ.label, DEG, 7 if ok else 3, 7),
@@ -464,3 +477,104 @@ class TestFirstFailure:
         assert seen == drawn
         assert rng.getstate() == twin.getstate()
         assert out[0].witness == {"f": drawn[1][0], "g": drawn[1][1]}
+
+
+# -- wrong basic tables ----------------------------------------------------------
+
+
+def doubled_second_coefficients(seq, rows, table_of_rows=sequences._table_of_rows):
+    """`_table_of_rows` with 1/2_psi! doubled in the conversion: coefficient 2
+    of every entry doubles, and the table keeps its rows."""
+    table = table_of_rows(seq, rows)
+    wrong = SequenceTable(tuple([p + Polynomial.monomial(2, p.coefficient(2)) for p in table]))
+    object.__setattr__(wrong, "divided", table.divided)
+    return wrong
+
+
+def test_wrong_basic_tables_fail_the_spectral_suite_instead_of_raising():
+    """A basic table that misses its lowering recurrence has no dual raiser;
+    the suite records the conjugation route as failed (exit status 1, not
+    the 2 of bad input) and goes on to the next pair."""
+    with mock.patch.object(sequences, "_table_of_rows", doubled_second_coefficients):
+        reports = run_suites(["spectral"], conftest.family_roster(9), 8)
+    assert exit_status(reports) == 1
+    failed = [r for r in reports if r.failed and r.asserted]
+    assert failed and all(r.identity_id.startswith("conjugation-route(") for r in failed)
+    assert all("lowering recurrence fails" in r.witness["error"] for r in failed)
+
+
+# -- reparameterization certificate ----------------------------------------------
+
+
+def old_reparameterization_certificate(seq, q_series, table, bound: int) -> bool:
+    """The certificate as it was, through two basis changes (verbatim)."""
+    monomials = SequenceTable(tuple([Polynomial.monomial(i) for i in range(bound + 1)]))
+    induced = (
+        umbral_operator(monomials, table)
+        .compose(psi_derivative(seq, bound))
+        .compose(umbral_operator(table, monomials))
+    )
+    result = detect_psi_form(induced)
+    if not result.consistent:
+        return False
+    if result.candidate != seq.values[1 : bound + 1]:
+        return False
+    if realize_psi_form(result, bound).columns != induced.columns:
+        return False
+    got = result.series.coeffs
+    want = q_series.coeffs
+    return got[:bound] == want[:bound] and got[bound] != want[bound]
+
+
+def perturbed_tables(table):
+    """((n, j), table) for every single-coefficient perturbation that
+    `suite_binomial` checks, the top entry's linear cell (N, 1) among them."""
+    for n in range(table.bound + 1):
+        for j in range(n + 1):
+            coeffs = list(table[n].coeffs)
+            coeffs[j] += 1
+            if j == n and coeffs[j] == 0:
+                coeffs[j] += 1
+            entries = list(table)
+            entries[n] = Polynomial(coeffs)
+            yield (n, j), SequenceTable(tuple(entries))
+
+
+nonzero_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+    lambda v: v != 0
+)
+
+
+@st.composite
+def certificate_cases(draw):
+    """A custom or q-deformed family, a degree N from 2 to 10 and a delta
+    series read at N, of unit slope or not."""
+    degree = draw(st.integers(2, 10))
+    bound = degree + 1
+    if draw(st.booleans()):
+        values = draw(st.lists(nonzero_rationals, min_size=bound, max_size=bound))
+        seq = AdmissibleSequence.custom(values, bound)
+    else:
+        q = draw(st.sampled_from([Fraction(2), Fraction(1, 2), Fraction(-3, 2), Fraction(3, 5)]))
+        seq = AdmissibleSequence.q_deformed(q, bound)
+    slope = draw(st.one_of(st.just(Fraction(1)), nonzero_rationals))
+    tail = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                         max_size=degree - 1))
+    return seq, degree, DeltaSeries.from_list(seq, [0, slope] + tail, degree)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=certificate_cases())
+def test_reparameterization_certificate_matches_two_basis_changes(case):
+    """One basis change (entry n to n_psi times entry n - 1) certifies the
+    same tables as the two through monomials: the basic tables of a random
+    and of the composite series, and every perturbation of either."""
+    seq, degree, series = case
+    composite = DeltaSeries.from_list(seq, [0, 1, 1], degree)
+    for q_series in (series, composite):
+        table = basic_sequence_from_series(q_series, degree).table
+        for cell, t in [(None, table), *perturbed_tables(table)]:
+            got = _reparameterization_certificate(seq, q_series, t, degree)
+            assert got == old_reparameterization_certificate(seq, q_series, t, degree), cell
+            if q_series is composite and cell == (degree, 1):
+                assert got  # the cell suite_binomial asks a certificate of
