@@ -145,7 +145,10 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
     qprime = q_series.formal_derivative()
 
     raiser = xhat_psi(seq, bound)
-    qprime_inv = qprime.multiplicative_inverse()
+    # q'(Q) and q'(Q)^{-1} act on every entry, so they are built once as
+    # matrices; each power of s^{-1} acts on two monomials and stays a series
+    qprime_op = realize_delta_series(qprime, bound)
+    qprime_inv_op = realize_delta_series(qprime.multiplicative_inverse(), bound)
 
     # s^{-k} series, k = 0..bound+1
     s_inv_powers = [DeltaSeries.from_list(seq, [1], bound)]
@@ -158,7 +161,7 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
         xnm1 = Polynomial.monomial(n - 1)
         weight = seq.n_psi(n) / Fraction(n)
 
-        route1 = apply_delta_series(qprime, apply_delta_series(s_inv_powers[n + 1], xn))
+        route1 = qprime_op.apply(apply_delta_series(s_inv_powers[n + 1], xn))
         prefactor.append(route1)
 
         s_inv_n = s_inv_powers[n]
@@ -170,7 +173,7 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
         route3 = raiser.apply(apply_delta_series(s_inv_n, xnm1)).scale(weight)
         raising.append(route3)
 
-        route4 = raiser.apply(apply_delta_series(qprime_inv, iterative[-1])).scale(weight)
+        route4 = raiser.apply(qprime_inv_op.apply(iterative[-1])).scale(weight)
         iterative.append(route4)
 
     return {
