@@ -14,7 +14,6 @@ from .errors import (
     ConstantTermError,
     DegenerateFamilyError,
     DegreeOverflowError,
-    EigenSeriesError,
     IndexOrderError,
     MismatchedPairError,
     NotDegreeLoweringError,
@@ -61,7 +60,6 @@ from .sequences import (
     basic_sequence_from_series,
     closed_form_routes,
     generating_function_check,
-    rodrigues_sequence,
     sheffer_sequence,
     verify_binomial_type,
     verify_inverse_reconstruction,

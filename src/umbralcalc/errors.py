@@ -62,9 +62,5 @@ class WrongFamilyError(UmbralError):
     """An operation is only defined for a specific coefficient family."""
 
 
-class EigenSeriesError(UmbralError):
-    """Eigenseries construction failed (operator not suitable)."""
-
-
 class ConstantTermError(UmbralError):
     """Inverse raising requested on input with nonzero constant term."""

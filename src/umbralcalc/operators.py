@@ -269,10 +269,6 @@ def generalized_shift(seq: AdmissibleSequence, p: Polynomial, y) -> Polynomial:
     return apply_delta_series(DeltaSeries.from_list(seq, exp_y.coeffs, p.degree), p)
 
 
-def generalized_shift_operator(seq: AdmissibleSequence, y, bound: int) -> OperatorMatrix:
-    return from_action(lambda p: generalized_shift(seq, p, y), bound)
-
-
 def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
     """sum_k c_k Q^k p with Q the family lowering operator, no matrix built.
 
@@ -311,12 +307,6 @@ def operator_polynomial(p: Polynomial, m: OperatorMatrix) -> OperatorMatrix:
 def operator_polynomial_applied(p: Polynomial, m: OperatorMatrix, start: Polynomial) -> Polynomial:
     """p(M) applied to `start` without building the matrix."""
     return _combine(p, m.orbit(start, max(p.degree, 0)))
-
-
-def pincherle_derivative(t: OperatorMatrix, raiser: OperatorMatrix) -> OperatorMatrix:
-    """Commutator [T, raiser]; for series in the lowering operator this is
-    the formal derivative of the series."""
-    return commutator(t, raiser)
 
 
 # -- change of basis ----------------------------------------------------------
@@ -417,10 +407,10 @@ def detect_psi_form(q_op: OperatorMatrix) -> PsiFormResult:
     return PsiFormResult(candidate, scale, True, None, seq, series)
 
 
-def realize_psi_form(result: PsiFormResult, bound: int | None = None) -> OperatorMatrix:
+def realize_psi_form(result: PsiFormResult, bound: int) -> OperatorMatrix:
     if result.series is None:
         raise BadParameterError("detection produced no reconstruction data")
-    return realize_delta_series(result.series, bound if bound is not None else result.seq.bound)
+    return realize_delta_series(result.series, bound)
 
 
 # -- expansion in a dual pair -------------------------------------------------

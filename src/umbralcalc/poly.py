@@ -364,16 +364,6 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(out)
 
 
-def multiply_capped(a: Polynomial, b: Polynomial, cap: int) -> Polynomial:
-    """Multiply, raising if the true product degree exceeds `cap`."""
-    product = a * b
-    if product.degree > cap:
-        raise DegreeOverflowError(
-            f"product degree {product.degree} exceeds bound {cap}"
-        )
-    return product
-
-
 @dataclass(frozen=True)
 class SequenceTable:
     """Degree-graded table: entry n is a polynomial of degree exactly n.

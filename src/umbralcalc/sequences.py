@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BadParameterError, SingularOperatorError
+from .errors import BadParameterError
 from .operators import (
     OperatorMatrix,
     apply_delta_series,
@@ -23,7 +23,6 @@ from .operators import (
     generalized_shift,
     operator_polynomial,
     realize_delta_series,
-    require_lowers_by_one,
     xhat_psi,
 )
 from .poly import ONE, Polynomial, SequenceTable, _canonical, _convolve, _diagonal, coordinates_in_table
@@ -81,16 +80,12 @@ class ShefferSequence:
 def basic_sequence(
     q_op: OperatorMatrix, seq: AdmissibleSequence, bound: int | None = None
 ) -> BasicSequence:
-    """Solve the graded recurrence degree by degree (unique, exact)."""
-    require_lowers_by_one(q_op)
+    """p_n = n_psi! phi_n on the graded ladder Q phi_n = phi_(n-1) of
+    `eigen_series` (unique, exact)."""
     bound = q_op.bound if bound is None else bound
     if bound > q_op.bound:
         raise BadParameterError("bound exceeds operator bound")
-    lowered = SequenceTable(q_op.columns[1:])  # column n has degree n - 1
-    entries = [ONE]
-    for n in range(1, bound + 1):
-        target = entries[-1].scale(seq.n_psi(n))
-        entries.append(Polynomial([0] + coordinates_in_table(lowered, target)))
+    entries = [phi.scale(seq.factorial(n)) for n, phi in enumerate(eigen_series(q_op, bound))]
     return BasicSequence(seq, q_op, SequenceTable(tuple(entries)))
 
 
@@ -182,18 +177,6 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
         "raising": SequenceTable(tuple(raising)),
         "iterative": SequenceTable(tuple(iterative)),
     }
-
-
-def rodrigues_sequence(q_series: DeltaSeries, bound: int) -> BasicSequence:
-    """Basic sequence by iterated raising, cross-checked against all routes."""
-    routes = closed_form_routes(q_series, bound)
-    table = routes["iterative"]
-    for name, other in routes.items():
-        if other.entries != table.entries:
-            raise SingularOperatorError(
-                f"closed-form route {name} disagrees with the iterative route"
-            )
-    return BasicSequence(q_series.base, q_series, table)
 
 
 def sheffer_sequence(
@@ -456,26 +439,6 @@ def generating_function_check(sheffer: ShefferSequence, z_order: int) -> CheckRe
     return CheckReport(True, f"generating function matches to order {z_order}")
 
 
-@dataclass(frozen=True)
-class EigenSeriesResult:
-    """Normalized eigen-ladder of a lowering operator.
-
-    `table[n]` multiplies the n-th power of the eigenvalue; when every entry
-    is a monomial the operator is the lowering operator of the family read
-    off the diagonal and `exp_coefficients` holds the monomial coefficients.
-    """
-
-    table: tuple
-    exp_coefficients: tuple | None
-
-
-def eigenfunction_series(q_op: OperatorMatrix, truncation: int) -> EigenSeriesResult:
-    phis = eigen_series(q_op, truncation)
-    if all(p.degree == n and all(c == 0 for c in p.coeffs[:-1]) for n, p in enumerate(phis)):
-        return EigenSeriesResult(tuple(phis), tuple([p.coefficient(p.degree) for p in phis]))
-    return EigenSeriesResult(tuple(phis), None)
-
-
 def verify_expansion_constants(sheffer: ShefferSequence, a_coeffs) -> dict:
     """Expand A = sum a_j Q^j against the Sheffer table under both binomial
     conventions; returns which convention admits constants."""
@@ -511,17 +474,3 @@ def verify_expansion_constants(sheffer: ShefferSequence, a_coeffs) -> dict:
         "plain_witness": plain_witness,
     }
 
-
-def sheffer_product_shift(sheffer: ShefferSequence, extra_s: DeltaSeries) -> ShefferSequence:
-    """Move along the Sheffer orbit: divide the table by an invertible series."""
-    # read the series in the table's own family and at its bound
-    extra_s = DeltaSeries.from_list(sheffer.seq, extra_s.coeffs, sheffer.bound)
-    extra_inv = extra_s.multiplicative_inverse()
-    entries = tuple([apply_delta_series(extra_inv, p) for p in sheffer.table])
-    return ShefferSequence(
-        sheffer.seq,
-        sheffer.basic,
-        sheffer.q_series,
-        sheffer.s_series.multiply(extra_s),
-        SequenceTable(entries),
-    )

@@ -20,14 +20,13 @@ from umbralcalc.operators import (
     eigen_series,
     expand_in_dual_pair,
     forward_difference,
+    from_action,
     generalized_shift,
-    generalized_shift_operator,
     identity_operator,
     indicator,
     jackson_derivative,
     jackson_operator,
     multiplication_x,
-    pincherle_derivative,
     psi_derivative,
     realize_delta_series,
     realize_psi_form,
@@ -48,6 +47,11 @@ def classical_derivative_matrix(bound):
     for j in range(1, bound + 1):
         cols.append(Polynomial.monomial(j - 1, j))
     return OperatorMatrix(tuple(cols))
+
+
+def shift_matrix(seq, y, bound):
+    """Matrix of the generalized shift E^y."""
+    return from_action(lambda p: generalized_shift(seq, p, y), bound)
 
 
 def test_psi_derivative_gradings():
@@ -113,7 +117,7 @@ def test_ghw_commutator_window(families, degree):
 def test_generalized_shift_example():
     got = generalized_shift(Q2, X**2, 1)
     assert got == Polynomial([1, 3, 1])
-    matrix = generalized_shift_operator(Q2, 1, N)
+    matrix = shift_matrix(Q2, 1, N)
     assert matrix.column(2) == Polynomial([1, 3, 1])
     # classical shift is the plain translation
     cl = generalized_shift(CLASSICAL, X**3, 2)
@@ -132,7 +136,7 @@ def test_shift_commutes_with_series(families):
         bound = 8
         s = DeltaSeries.from_list(seq, [0, 1, Fraction(1, 2), -1], bound)
         t = realize_delta_series(s, bound)
-        shift = generalized_shift_operator(seq, Fraction(3, 2), bound)
+        shift = shift_matrix(seq, Fraction(3, 2), bound)
         assert t.compose(shift).columns == shift.compose(t).columns, seq.label
 
 
@@ -144,12 +148,13 @@ def test_realize_delta_series_basics():
 
 
 def test_pincherle_of_series_is_formal_derivative(families):
+    # the psi-Pincherle derivative T' = [T, xhat_psi] of a series is its formal derivative
     for seq in families:
         bound = 8
         coeffs = [0, 1, Fraction(2, 3), 0, -2]
         s = DeltaSeries.from_list(seq, coeffs, bound)
         t = realize_delta_series(s, bound)
-        derived = pincherle_derivative(t, xhat_psi(seq, bound))
+        derived = commutator(t, xhat_psi(seq, bound))
         expected = realize_delta_series(s.formal_derivative(), bound)
         window = derived.agreement_window(expected)
         assert window >= bound - 1, seq.label
@@ -158,7 +163,7 @@ def test_pincherle_of_series_is_formal_derivative(families):
 def test_pincherle_square_example():
     seq = CLASSICAL
     d = psi_derivative(seq, N)
-    derived = pincherle_derivative(d.compose(d), xhat_psi(seq, N))
+    derived = commutator(d.compose(d), xhat_psi(seq, N))
     expected = d.scale(2)
     assert derived.agreement_window(expected) >= N - 1
 
@@ -274,7 +279,7 @@ def test_expand_reassembles_in_dual_mode():
     q = psi_derivative(seq, N)
     monomials = SequenceTable(tuple(Polynomial.monomial(n) for n in range(N + 1)))
     raiser = dual_operator(q, monomials, seq)
-    t = generalized_shift_operator(seq, Fraction(1, 2), N)
+    t = shift_matrix(seq, Fraction(1, 2), N)
     result = expand_in_dual_pair(t, q, raiser)
     assert result.reassembled.columns == t.columns
 
@@ -316,5 +321,5 @@ def test_dilation_and_gradings():
 
 
 def test_matrix_json_round_trip():
-    m = generalized_shift_operator(Q2, Fraction(1, 3), 4)
+    m = shift_matrix(Q2, Fraction(1, 3), 4)
     assert OperatorMatrix.from_json(m.to_json()).columns == m.columns

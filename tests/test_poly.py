@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbralcalc.errors import BadParameterError, BasisMismatchError, DegreeOverflowError
+from umbralcalc.errors import BadParameterError, BasisMismatchError
 from umbralcalc.poly import (
     ONE,
     X,
@@ -13,7 +13,6 @@ from umbralcalc.poly import (
     Polynomial,
     SequenceTable,
     coordinates_in_table,
-    multiply_capped,
     parse_polynomial,
 )
 
@@ -46,12 +45,6 @@ def test_compose():
     p = Polynomial([0, 0, 1])  # x^2
     q = Polynomial([1, 1])  # x + 1
     assert p.compose(q) == Polynomial([1, 2, 1])
-
-
-def test_multiply_capped_overflow():
-    with pytest.raises(DegreeOverflowError):
-        multiply_capped(X**3, X**3, 5)
-    assert multiply_capped(X**2, X**3, 5) == X**5
 
 
 @settings(max_examples=80, deadline=None)

@@ -8,10 +8,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umbralcalc.errors import UndefinedIndexError
+from umbralcalc.errors import (
+    BadParameterError,
+    DegreeOverflowError,
+    NotDegreeLoweringError,
+    UndefinedIndexError,
+)
 from umbralcalc.operators import (
+    apply_delta_series,
+    eigen_series,
     forward_difference,
     generalized_shift,
+    multiplication_x,
     psi_derivative,
     realize_delta_series,
 )
@@ -24,11 +32,8 @@ from umbralcalc.sequences import (
     CheckReport,
     closed_form_routes,
     default_shift_samples,
-    eigenfunction_series,
     generating_function_check,
     reconstruct_inverse_series,
-    rodrigues_sequence,
-    sheffer_product_shift,
     sheffer_sequence,
     verify_binomial_type,
     verify_inverse_reconstruction,
@@ -69,6 +74,19 @@ def test_basic_of_derivative_is_monomials():
         assert basic[n] == Polynomial.monomial(n)
 
 
+def test_graded_ladder_keeps_its_error_types():
+    # one fault at a time: each guard of basic_sequence and eigen_series
+    q_op = psi_derivative(CLASSICAL, 4)
+    with pytest.raises(NotDegreeLoweringError, match="grading is raises_by_one"):
+        basic_sequence(multiplication_x(4), CLASSICAL)
+    with pytest.raises(BadParameterError, match="bound exceeds operator bound"):
+        basic_sequence(q_op, CLASSICAL, 5)
+    with pytest.raises(UndefinedIndexError, match="index 3 outside"):
+        basic_sequence(q_op, AdmissibleSequence.classical(2))
+    with pytest.raises(DegreeOverflowError, match="truncation beyond operator bound"):
+        eigen_series(q_op, 5)
+
+
 def test_hermite_like_cross_check():
     # Q = D - D^2: independent construction from the exponential formula
     # p_n = sum over compositions, done here by direct recurrence on
@@ -94,12 +112,6 @@ def test_closed_form_routes_match_solve():
             solved = basic_sequence_from_series(q, N).table
             for name, table in routes.items():
                 assert table.entries == solved.entries, (seq.label, coeffs, name)
-
-
-def test_rodrigues_sequence_runs_and_checks():
-    q = DeltaSeries.from_list(Q2, [0, 1, 1], N)
-    got = rodrigues_sequence(q, N)
-    assert got.table.entries == basic_sequence_from_series(q, N).table.entries
 
 
 def test_classical_sheffer_shifted_monomials():
@@ -150,18 +162,12 @@ def test_reconstruction_matches_series():
 
 
 def test_eigenfunction_series_forward_difference():
-    result = eigenfunction_series(forward_difference(N), 5)
-    assert result.exp_coefficients is None
+    # the Delta ladder of eigen_series is the falling factorials over n!
+    phis = eigen_series(forward_difference(N), 5)
     for n in range(6):
-        assert result.table[n] == falling_factorial_poly(n).scale(
+        assert phis[n] == falling_factorial_poly(n).scale(
             Fraction(1, math.factorial(n))
         )
-
-
-def test_eigenfunction_series_monomial_case():
-    result = eigenfunction_series(psi_derivative(Q2, N), 5)
-    assert result.exp_coefficients is not None
-    assert list(result.exp_coefficients) == [1 / Q2.factorial(n) for n in range(6)]
 
 
 def test_expansion_constants_conventions():
@@ -187,14 +193,15 @@ def test_expansion_constants_classical_agreement():
 
 
 def test_sheffer_orbit():
+    # the Sheffer orbit: s_n for S1 S2 is S2^-1 applied to s_n for S1
     q = DeltaSeries.from_list(Q2, [0, 1, 1], N)
     s1 = DeltaSeries.from_list(Q2, [1, 2], N)
     s2 = DeltaSeries.from_list(Q2, [1, 0, -1], N)
     sheffer = sheffer_sequence(q, s1, N)
-    moved = sheffer_product_shift(sheffer, s2)
+    moved = [apply_delta_series(s2.multiplicative_inverse(), p) for p in sheffer.table]
     direct = sheffer_sequence(q, s1.multiply(s2), N)
-    assert moved.table.entries == direct.table.entries
-    assert verify_sheffer_definition(moved).passed
+    assert tuple(moved) == direct.table.entries
+    assert verify_sheffer_definition(direct).passed
 
 
 def test_routes_read_a_short_series_at_the_bound():
@@ -215,7 +222,8 @@ def test_sheffer_reads_a_short_prefactor_at_the_bound():
     assert sheffer[2] == Polynomial([2, -2, 1])
     assert orthogonality_report(sheffer)["passed"]
     basic = sheffer_sequence(q, DeltaSeries.from_list(classical, [1], 0), 4)
-    assert sheffer_product_shift(basic, s).table.entries == sheffer.table.entries
+    s_inv = DeltaSeries.from_list(classical, s.coeffs, 4).multiplicative_inverse()
+    assert tuple([apply_delta_series(s_inv, p) for p in basic.table]) == sheffer.table.entries
 
 
 def test_appell_sequence_lowers_with_derivative():

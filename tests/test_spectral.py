@@ -11,7 +11,6 @@ from umbralcalc.errors import (
     BadParameterError,
     BasisMismatchError,
     ConstantTermError,
-    EigenSeriesError,
     NotInvertibleError,
     SingularOperatorError,
     UmbralError,
@@ -437,13 +436,13 @@ def reference_eigen_series(q_op, truncation):
             pivot_poly = q_op.column(i)
             pivot = pivot_poly.coefficient(i - 1)
             if pivot == 0:
-                raise EigenSeriesError(f"zero pivot at degree {i}")
+                raise SingularOperatorError(f"zero pivot at degree {i}")
             c = residue.coefficient(i - 1)
             coeffs[i] = c / pivot
             if c != 0:
                 residue = residue - pivot_poly.scale(coeffs[i])
         if not residue.is_zero():
-            raise EigenSeriesError("ladder solve left a residue")
+            raise SingularOperatorError("ladder solve left a residue")
         phis.append(Polynomial(coeffs))
     return phis
 
