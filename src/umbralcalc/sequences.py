@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BadParameterError
+from .errors import BadParameterError, WrongFamilyError
 from .operators import (
     OperatorMatrix,
     apply_delta_series,
@@ -77,12 +77,9 @@ class ShefferSequence:
         return self.table[n]
 
 
-def basic_sequence(
-    q_op: OperatorMatrix, seq: AdmissibleSequence, bound: int | None = None
-) -> BasicSequence:
+def basic_sequence(q_op: OperatorMatrix, seq: AdmissibleSequence, bound: int) -> BasicSequence:
     """p_n = n_psi! phi_n on the graded ladder Q phi_n = phi_(n-1) of
     `eigen_series` (unique, exact)."""
-    bound = q_op.bound if bound is None else bound
     if bound > q_op.bound:
         raise BadParameterError("bound exceeds operator bound")
     entries = [phi.scale(seq.factorial(n)) for n, phi in enumerate(eigen_series(q_op, bound))]
@@ -182,23 +179,21 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
 def sheffer_sequence(
     q_series: DeltaSeries, s_series: DeltaSeries, bound: int
 ) -> ShefferSequence:
+    """s_n = S(Q)^-1 p_n over the basic table p_n of q(Q), with S over the
+    family of q (WrongFamilyError otherwise)."""
     q_series.require_delta()
     s_series.require_invertible()
+    seq = q_series.base
+    if s_series.base != seq:
+        raise WrongFamilyError(f"s_series is over {s_series.base.label}, q_series over {seq.label}")
     # read both at the bound: the inverse of a shorter S is truncated below it
-    q_series = DeltaSeries.from_list(q_series.base, q_series.coeffs, bound)
+    q_series = DeltaSeries.from_list(seq, q_series.coeffs, bound)
     s_series = DeltaSeries.from_list(s_series.base, s_series.coeffs, bound)
     basic = basic_sequence_from_series(q_series, bound)
-    seq = q_series.base
-    s_inv = s_series.multiplicative_inverse()
-    if s_inv.base == seq:
-        # the rows U_n = S^-1(Q) T_n: one convolution each, as on any e_j-coordinates
-        c = s_inv.polynomial
-        rows = [_canonical(_convolve(c.nums, t.nums), c.den * t.den)
-                for t in basic.table.divided[1]]
-        table = _table_of_rows(seq, rows)
-    else:  # S^-1 in the lowering operator of its own family, as it was read
-        table = SequenceTable(tuple([apply_delta_series(s_inv, p) for p in basic.table]))
-    return ShefferSequence(seq, basic, q_series, s_series, table)
+    # the rows U_n = S^-1(Q) T_n: one convolution each, as on any e_j-coordinates
+    c = s_series.multiplicative_inverse().polynomial
+    rows = [_canonical(_convolve(c.nums, t.nums), c.den * t.den) for t in basic.table.divided[1]]
+    return ShefferSequence(seq, basic, q_series, s_series, _table_of_rows(seq, rows))
 
 
 def appell_sequence(s_series: DeltaSeries, bound: int) -> ShefferSequence:

@@ -435,17 +435,14 @@ def test_criterion_12_deformed_bracket_calculus(families, degree):
         if seq.family == Q_DEFORMED:
             q = dict(seq.params)["q"]
             ok = ok and qplane_commutation(q, degree)["passed"]
-            ok = ok and qplane_substitution_report(
-                seq, basic.table, ys, partner_table=basic.table
-            )["passed"]
+            ok = ok and qplane_substitution_report(seq, degree, ys)["passed"]
+            ok = ok and verify_binomial_type(basic.table, seq, ys).passed
             sheffer = sheffer_sequence(
                 DeltaSeries.from_list(seq, [0, 1], degree),
                 DeltaSeries.from_list(seq, [1, 1], degree),
                 degree,
             )
-            ok = ok and qplane_substitution_report(
-                seq, sheffer.table, ys, partner_table=basic.table
-            )["passed"]
+            ok = ok and verify_sheffer_binomial(sheffer, ys).passed
 
         ok = ok and all(report["passed"] for report in sandwich_power_report(basic, (1, 2, 3)))
         for n in (1, 2, 3):

@@ -493,14 +493,14 @@ def doubled_second_coefficients(seq, rows, table_of_rows=sequences._table_of_row
 
 def test_wrong_basic_tables_fail_the_spectral_suite_instead_of_raising():
     """A basic table that misses its lowering recurrence has no dual raiser;
-    the suite records the conjugation route as failed (exit status 1, not
-    the 2 of bad input) and goes on to the next pair."""
+    the suite stops at the fault and records it as one failed asserted
+    `kernel-fault` record (exit status 1, not the 2 of bad input)."""
     with mock.patch.object(sequences, "_table_of_rows", doubled_second_coefficients):
         reports = run_suites(["spectral"], conftest.family_roster(9), 8)
     assert exit_status(reports) == 1
     failed = [r for r in reports if r.failed and r.asserted]
-    assert failed and all(r.identity_id.startswith("conjugation-route(") for r in failed)
-    assert all("lowering recurrence fails" in r.witness["error"] for r in failed)
+    assert [(r.identity_id, r.family) for r in failed] == [("kernel-fault", SHARED)]
+    assert failed[0].witness["error"].startswith("BasisMismatchError: lowering recurrence fails")
 
 
 # -- reparameterization certificate ----------------------------------------------

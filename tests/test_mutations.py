@@ -1,0 +1,206 @@
+"""Mutation census of the identity harness.
+
+Each catalogue entry breaks one kernel function, one at a time, with
+`unittest.mock.patch` in every module that imported it (no file is edited).
+Under every mutation `run_all` must return, not raise, and fail the run;
+every asserted identity of the unmutated run must be failed by some
+mutation, or be listed in `UNFLIPPED` with the reason none of these faults
+reaches it.
+"""
+
+import json
+import sys
+from contextlib import ExitStack
+from functools import cache
+from unittest import mock
+
+import pytest
+
+import conftest
+from umbralcalc import cli, operators, poly, sequences, spectral
+from umbralcalc.harness import exit_status, run_all
+from umbralcalc.operators import OperatorMatrix, weighted_shift
+from umbralcalc.poly import Polynomial, SequenceTable
+
+DEGREE = 8
+
+
+def doubled_second_coefficient(table_of_rows):
+    """1/2_psi! doubled in the conversion: coefficient 2 of every entry
+    doubles, and the table keeps its rows."""
+
+    def wrong(seq, rows):
+        table = table_of_rows(seq, rows)
+        out = SequenceTable(tuple([p + Polynomial.monomial(2, p.coefficient(2)) for p in table]))
+        object.__setattr__(out, "divided", table.divided)
+        return out
+
+    return wrong
+
+
+def wrong_coordinate(coordinates_in_table):
+    """Coordinate 1 one too large for every polynomial of degree 2 or more."""
+
+    def wrong(table, p):
+        coords = coordinates_in_table(table, p)
+        if p.degree >= 2:
+            coords[1] += 1
+        return coords
+
+    return wrong
+
+
+def scaled_column(dual_operator):
+    """Column 1 of the dual raiser doubled."""
+
+    def wrong(q_op, table, seq):
+        columns = list(dual_operator(q_op, table, seq).columns)
+        columns[1] = columns[1].scale(2)
+        return OperatorMatrix(tuple(columns))
+
+    return wrong
+
+
+def zeroed_weight(xhat_psi):
+    """The weight of x -> x^2 in the dual raising operator set to 0."""
+
+    def wrong(seq, bound):
+        weights = xhat_psi(seq, bound).weights
+        return weighted_shift(1, bound, lambda j: 0 if j == 1 else weights[j])
+
+    return wrong
+
+
+def wrong_top_term(apply_delta_series):
+    """The top coefficient of every image of degree 4 or more one too large."""
+
+    def wrong(s, p):
+        out = apply_delta_series(s, p)
+        return out + Polynomial.monomial(out.degree) if out.degree >= 4 else out
+
+    return wrong
+
+
+def mixed_row_terms(convolve):
+    """In the row recurrences of basic and Sheffer tables, term 2 of every
+    convolution also added to term 1."""
+
+    def wrong(c, a):
+        out = convolve(c, a)
+        if len(out) > 2:
+            out[1] += out[2]
+        return out
+
+    return wrong
+
+
+def doubled_lowering_weight(psi_derivative):
+    """The weight of x^4 -> x^3 in the family lowering operator doubled."""
+
+    def wrong(seq, bound):
+        weights = psi_derivative(seq, bound).weights
+        return weighted_shift(-1, bound, lambda j: 2 * weights[j] if j == 4 else weights[j])
+
+    return wrong
+
+
+def squared_dilation(dilation):
+    """p(x) -> p(q^2 x) in place of p(q x)."""
+    return lambda q, bound: dilation(q * q, bound)
+
+
+# label: (module, kernel name, wrapper of the original, modules patched or
+# None for every umbralcalc module that imported the name)
+MUTATIONS = {
+    "doubled-inverse-factorial": (sequences, "_table_of_rows", doubled_second_coefficient, None),
+    "wrong-coordinate": (poly, "coordinates_in_table", wrong_coordinate, None),
+    "scaled-dual-column": (operators, "dual_operator", scaled_column, None),
+    "zeroed-xhat-weight": (operators, "xhat_psi", zeroed_weight, None),
+    "wrong-delta-series-top": (operators, "apply_delta_series", wrong_top_term, None),
+    "squared-dilation": (spectral, "dilation", squared_dilation, (spectral,)),
+    "mixed-row-terms": (sequences, "_convolve", mixed_row_terms, (sequences,)),
+    "doubled-lowering-weight": (operators, "psi_derivative", doubled_lowering_weight, None),
+}
+
+_FAMILY_ONLY = "reads only the family's factorials and exponential, which no entry mutates"
+_ANY_PAIR = "the mutated lowering/raiser pairs satisfy it too; under wrong-coordinate the suite faults first"
+_OWN_OPERATORS = "built from integral, Jackson or divided-difference operators, which no entry mutates"
+
+# suite/identity: why no catalogue mutation fails it
+UNFLIPPED = {
+    "binomial/exponential-addition-bigraded": _FAMILY_ONLY,
+    "binomial/exponential-sector-partition(m=2)": _FAMILY_ONLY,
+    "binomial/exponential-sector-partition(m=3)": _FAMILY_ONLY,
+    "binomial/growth-family-integrality": _FAMILY_ONLY,
+    "expansion/reassembly(graded-raiser)": "an expansion over any pair reassembles; "
+    "only a fault in the expansion itself can fail it",
+    "expansion/reassembly(multiplication)": "as reassembly(graded-raiser)",
+    "factorization/number-steps(n=1,f=0)": _ANY_PAIR,
+    "factorization/number-steps(n=1,f=1)": _ANY_PAIR,
+    "factorization/number-steps(n=1,f=2)": _ANY_PAIR,
+    "factorization/sandwich-powers(n=1)": _ANY_PAIR,
+    "factorization/sandwich-powers(n=2)": _ANY_PAIR,
+    "factorization/sandwich-powers(n=3)": _ANY_PAIR,
+    "integration/q-matches-graded-integral": _OWN_OPERATORS,
+    "integration/q-right-inverse": _OWN_OPERATORS,
+    "integration/series-right-inverse": _OWN_OPERATORS,
+    "leibnitz/divided-difference-product-rule": _OWN_OPERATORS,
+    "leibnitz/q-product-rule": _OWN_OPERATORS,
+    "leibnitz/q-scale-factor": _OWN_OPERATORS,
+    "star/operator-product-vs-star": "both sides are built from the same raiser, "
+    "so a wrong raiser weight moves them together",
+}
+UNFLIPPED.update({  # d^n alone or r^m alone is its own normal order, for any pair
+    f"weyl/power-reorder(n={n},m={m})": "a power of one operator is its own normal order"
+    for n in range(5) for m in range(5) if (n or m) and not (n and m)
+})
+
+
+def mutated(label) -> ExitStack:
+    module, name, make, targets = MUTATIONS[label]
+    original = getattr(module, name)
+    if targets is None:
+        targets = [m for key, m in sorted(sys.modules.items())
+                   if key.split(".")[0] == "umbralcalc" and getattr(m, name, None) is original]
+    stack = ExitStack()
+    for target in targets:
+        stack.enter_context(mock.patch.object(target, name, make(original)))
+    return stack
+
+
+@cache
+def census(label=None) -> tuple:
+    """The records of `run_all` on the standard roster, under one mutation
+    or none."""
+    with mutated(label) if label else ExitStack():
+        return tuple(run_all(conftest.family_roster(DEGREE + 1), DEGREE))
+
+
+def asserted_failures(reports) -> set:
+    return {f"{r.suite}/{r.identity_id}" for r in reports if r.asserted and r.failed}
+
+
+@pytest.mark.parametrize("label", sorted(MUTATIONS))
+def test_each_mutation_fails_the_run_and_raises_nothing(label):
+    reports = census(label)
+    assert exit_status(reports) == 1
+    assert asserted_failures(reports)
+
+
+def test_every_asserted_identity_is_failed_by_some_mutation():
+    clean = census()
+    assert exit_status(clean) == 0
+    identities = {f"{r.suite}/{r.identity_id}" for r in clean if r.asserted}
+    flipped = set().union(*(asserted_failures(census(label)) for label in MUTATIONS))
+    assert sorted(identities - flipped - set(UNFLIPPED)) == []
+    assert sorted(set(UNFLIPPED) & flipped) == []
+    assert set(UNFLIPPED) <= identities
+
+
+def test_verify_exits_1_under_a_wrong_coordinate(capsys):
+    with mutated("wrong-coordinate"):
+        status = cli.main(["verify", "--degree", str(DEGREE), "--format", "json"])
+    assert status == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    faults = {r["suite"] for r in reports if r["identity_id"] == "kernel-fault"}
+    assert faults == {"factorization", "mutator"}

@@ -63,13 +63,13 @@ def exp_series(seq, order):
 
 
 def test_basic_of_forward_difference_is_falling_factorials():
-    basic = basic_sequence(forward_difference(N), CLASSICAL)
+    basic = basic_sequence(forward_difference(N), CLASSICAL, N)
     for n in range(N + 1):
         assert basic[n] == falling_factorial_poly(n)
 
 
 def test_basic_of_derivative_is_monomials():
-    basic = basic_sequence(psi_derivative(Q2, N), Q2)
+    basic = basic_sequence(psi_derivative(Q2, N), Q2, N)
     for n in range(N + 1):
         assert basic[n] == Polynomial.monomial(n)
 
@@ -78,11 +78,11 @@ def test_graded_ladder_keeps_its_error_types():
     # one fault at a time: each guard of basic_sequence and eigen_series
     q_op = psi_derivative(CLASSICAL, 4)
     with pytest.raises(NotDegreeLoweringError, match="grading is raises_by_one"):
-        basic_sequence(multiplication_x(4), CLASSICAL)
+        basic_sequence(multiplication_x(4), CLASSICAL, 4)
     with pytest.raises(BadParameterError, match="bound exceeds operator bound"):
         basic_sequence(q_op, CLASSICAL, 5)
     with pytest.raises(UndefinedIndexError, match="index 3 outside"):
-        basic_sequence(q_op, AdmissibleSequence.classical(2))
+        basic_sequence(q_op, AdmissibleSequence.classical(2), 4)
     with pytest.raises(DegreeOverflowError, match="truncation beyond operator bound"):
         eigen_series(q_op, 5)
 
@@ -141,7 +141,7 @@ def test_generating_function_deformed():
 
 
 def test_binomial_type_fails_for_perturbation():
-    basic = basic_sequence(forward_difference(N), CLASSICAL)
+    basic = basic_sequence(forward_difference(N), CLASSICAL, N)
     entries = list(basic.table.entries)
     entries[3] = entries[3] + X  # single-coefficient perturbation
     from umbralcalc.poly import SequenceTable
@@ -333,7 +333,7 @@ def test_addition_rule_matches_sampled_reference(case):
 def test_addition_rule_short_samples_fall_through():
     # y = 0 cannot separate a perturbation of a term with x-degree below the
     # top: both sides reduce to p_n there, so the sampled rule passes.
-    basic = basic_sequence(forward_difference(N), CLASSICAL)
+    basic = basic_sequence(forward_difference(N), CLASSICAL, N)
     entries = list(basic.table.entries)
     entries[3] = entries[3] + X
     table = SequenceTable(tuple(entries))

@@ -3,6 +3,7 @@
 import dataclasses
 from fractions import Fraction
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,8 +44,11 @@ from umbralcalc.sequences import (
     basic_sequence,
     basic_sequence_from_series,
     sheffer_sequence,
+    verify_binomial_type,
+    verify_sheffer_binomial,
 )
 from umbralcalc.series import DeltaSeries
+from umbralcalc import spectral
 from umbralcalc.spectral import (
     appell_raising_telescope_report,
     sandwich_power_report,
@@ -266,37 +270,28 @@ def test_qplane_commutation_exact():
 def test_qplane_identification_basic_and_sheffer():
     ys = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
     for seq in (Q2, QHALF):
+        report = qplane_substitution_report(seq, N, ys)
+        assert report == {"passed": True, "count": (N + 1) * len(ys)}
         basic = basic_sequence(psi_derivative(seq, N), seq, N)
-        report = qplane_substitution_report(
-            seq, basic.table, ys, partner_table=basic.table
-        )
-        assert report["passed"], report
+        assert verify_binomial_type(basic.table, seq, ys).passed
         sheffer = identity_sheffer(seq, [1, 1])
-        mixed = qplane_substitution_report(
-            seq, sheffer.table, ys, partner_table=basic.table
-        )
-        assert mixed["passed"], mixed
+        assert verify_sheffer_binomial(sheffer, ys).passed
 
 
 def test_qplane_reads_a_shift_iterator_once():
     seq = AdmissibleSequence.q_deformed(2, 6)
-    basic = basic_sequence(psi_derivative(seq, 6), seq, 6)
     ys = [Fraction(0), Fraction(1), Fraction(2)]
-    report = qplane_substitution_report(seq, basic.table, iter(ys), partner_table=basic.table)
-    assert report == {"passed": True, "count": 21}
-    # a table that only the sum form rejects must be rejected from an iterator too
-    entries = list(basic.table.entries)
-    entries[3] = entries[3] + Polynomial.monomial(1, 1)
-    moved = SequenceTable(tuple(entries))
-    want = qplane_substitution_report(seq, moved, ys, partner_table=basic.table)
-    assert not want["passed"] and "lhs" in want["witness"]
-    assert qplane_substitution_report(seq, moved, iter(ys), partner_table=basic.table) == want
+    assert qplane_substitution_report(seq, 6, iter(ys)) == {"passed": True, "count": 21}
+    # a wrong dilation fails on the monomials, from an iterator as from a list
+    with mock.patch.object(spectral, "dilation", lambda q, bound: dilation(q * q, bound)):
+        want = qplane_substitution_report(seq, 6, ys)
+        assert want["passed"] is False and want["witness"]["n"] == 2
+        assert qplane_substitution_report(seq, 6, iter(ys)) == want
 
 
 def test_qplane_rejects_other_families():
-    basic = basic_sequence(psi_derivative(CLASSICAL, N), CLASSICAL, N)
     with pytest.raises(WrongFamilyError):
-        qplane_substitution_report(CLASSICAL, basic.table, [Fraction(1)])
+        qplane_substitution_report(CLASSICAL, N, [Fraction(1)])
 
 
 # -- factorization identities -----------------------------------------------------
@@ -583,7 +578,7 @@ def test_consolidated_kernels_match_replaced_loops(case, truncation, count):
     basic = sheffer.basic
     q_op, bound = basic.q_op, basic.bound
 
-    assert basic_sequence(q_op, seq).table.entries == tuple(
+    assert basic_sequence(q_op, seq, bound).table.entries == tuple(
         reference_basic_entries(q_op, seq, bound)
     )
     truncation = min(truncation, bound)
@@ -1001,6 +996,16 @@ def qplane_cases(draw):
     return seq, tables, draw(st.sampled_from(tables[:2])), ys, start
 
 
+def new_qplane_route(seq, table, ys, partner_table):
+    """The substitution on the monomials, then the sum form of the table."""
+    report = qplane_substitution_report(seq, table.bound, ys)
+    if report["passed"] and partner_table is not None:
+        sums = _addition_rule(table, partner_table, seq, ys, "sum form fails", "sum form holds")
+        if not sums.passed:
+            return {"passed": False, "witness": sums.witness}
+    return report
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=qplane_cases())
 def test_qplane_ladder_matches_the_per_entry_route(case):
@@ -1009,9 +1014,9 @@ def test_qplane_ladder_matches_the_per_entry_route(case):
     for table in tables:
         for partner_table in (None, partner):
             want = old_qplane_substitution_report(seq, table, ys, partner_table)
-            got = qplane_substitution_report(seq, table, ys, partner_table)
-            assert got == want
-            assert qplane_substitution_report(seq, table, iter(ys), partner_table) == want
+            assert new_qplane_route(seq, table, ys, partner_table) == want
+    assert qplane_substitution_report(seq, bound, iter(ys)) == qplane_substitution_report(
+        seq, bound, ys)
     # the action p(m) v that other callers share, on a random start
     for y in ys:
         m = multiplication_x(bound).add(dilation(q_parameter(seq), bound).scale(y))
