@@ -55,6 +55,7 @@ from .operators import (
 from .sequences import (
     BasicSequence,
     ShefferSequence,
+    addition_rule_failure,
     appell_sequence,
     basic_sequence,
     basic_sequence_from_series,

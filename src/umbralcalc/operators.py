@@ -4,7 +4,8 @@ An operator is stored as its matrix in the monomial basis: column j is the
 image of x^j, itself a polynomial of degree at most the bound N. Operators
 that genuinely raise degree lose their top column to truncation; validity
 windows downstream account for that. A `WeightedShift` x^j -> w_j x^(j + s)
-keeps its step s and weights w_j as built; operators compare by columns.
+keeps its step s and weights w_j as built, and a `SeriesOperator` its series
+in the family lowering operator; operators compare by columns.
 """
 
 from __future__ import annotations
@@ -285,13 +286,23 @@ def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
     return _diagonal(out, seq._inverse_factorials)
 
 
+@dataclass(frozen=True, eq=False)
+class SeriesOperator(OperatorMatrix):
+    """sum_k c_k Q^k, Q the lowering operator of the family of `series`,
+    which is read at the bound."""
+
+    series: DeltaSeries
+
+
 def realize_delta_series(s: DeltaSeries, bound: int) -> OperatorMatrix:
     """Matrix of sum_k c_k Q^k, for a series that is composed or reused;
     a single use is `apply_delta_series`. Within the family, c Q is the
-    weighted shift x^j -> c j_psi x^(j-1)."""
+    weighted shift x^j -> c j_psi x^(j-1); any other series is a
+    `SeriesOperator` that keeps it."""
     if s.polynomial.degree == 1 and not s.coefficient(0) and bound <= s.base.bound:
         return weighted_shift(-1, bound, lambda j: s.coefficient(1) * s.base.n_psi(j))
-    return from_action(lambda p: apply_delta_series(s, p), bound)
+    columns = from_action(lambda p: apply_delta_series(s, p), bound).columns
+    return SeriesOperator(columns, DeltaSeries.from_list(s.base, s.coeffs, bound))
 
 
 def multiplication_operator(p: Polynomial, bound: int) -> OperatorMatrix:
@@ -457,12 +468,18 @@ def _over_one_lcm(pairs: list) -> Polynomial:
     return _new(tuple([n * (den // d) for n, d in pairs]), den)
 
 
-def _expand_over_shifts(t: OperatorMatrix, u: list, r: list) -> ExpansionResult:
+def _expand_over_shifts(t: OperatorMatrix, u: list, r: list, series=None) -> ExpansionResult:
     """Q x^j = u_j x^(j-1), raiser x^j = r_j x^(j+1): with U_n = u_1 ... u_n,
     R_n = r_0 ... r_(n-1), S_n = U_n R_n, D: x^n -> x^n / R_n makes the raiser
     multiplication by x, so T^_c = D(T x^c) / U_c = sum_d x^d q_(c-d) / S_d and
     q(y) = T^(y) / E(xy), E(z) = sum_d z^d / S_d: one division per column.
-    Column c, T^_c less the raised sum over d >= 1, is one pass on integers."""
+    Column c, T^_c less the raised sum over d >= 1, is one pass on integers.
+
+    Given a delta `series` q over the Q of these u_j, the expansion is over
+    q(Q) instead. With g = q^<-1>, Q = g(q(Q)) (Rota, Kahaner and Odlyzko,
+    1973), so sum_k a_k(raiser) Q^k = sum_m c_m(raiser) q(Q)^m with
+    c = `_recompose`(a, g); the reassembly maps c back through the powers of
+    q, reading the published c alone."""
     bound = t.bound
     rs, us = r[:bound], u[1 : bound + 1]
     if 0 in rs:  # raiser^i 1 = 0, as the ladder would find
@@ -476,7 +493,25 @@ def _expand_over_shifts(t: OperatorMatrix, u: list, r: list) -> ExpansionResult:
         polys = [ZERO] + coefficients[::-1]  # q_(c-d) for d >= 1
         out, den = _raised_sum(minus_e, polys, bound, start, col.den * inverse_lead.den * b)
         coefficients.append(_canonical(out, den))
-    return ExpansionResult(tuple(coefficients), _reassemble_over_shifts(coefficients, u, r))
+    if series is None:
+        return ExpansionResult(tuple(coefficients), _reassemble_over_shifts(coefficients, u, r))
+    coefficients = _recompose(coefficients, series.compositional_inverse())
+    back = _recompose(coefficients, series)
+    return ExpansionResult(tuple(coefficients), _reassemble_over_shifts(back, u, r))
+
+
+def _recompose(coefficients: list, s: DeltaSeries) -> list:
+    """c_m = sum_(k<=m) [t^m] s^k a_k, m = 0..N, for a_k = coefficients[k]:
+    sum_k a_k X^k = sum_m c_m Y^m when X = s(Y). The weights of each c_m,
+    column m of the powers of s, are integers over one lcm."""
+    powers = [p.polynomial for p in s.powers(len(coefficients) - 1)]
+    out = []
+    for m in range(len(coefficients)):
+        column = powers[: m + 1]
+        den = lcm(*[p.den for p in column])
+        weights = [p.nums[m] * (den // p.den) if m < len(p.nums) else 0 for p in column]
+        out.append(_combine(_canonical(weights, den), coefficients))
+    return out
 
 
 def _reassemble_over_shifts(coefficients: list, u: list, r: list) -> OperatorMatrix:
@@ -498,13 +533,19 @@ def _reassemble_over_shifts(coefficients: list, u: list, r: list) -> OperatorMat
 def expand_in_dual_pair(
     t: OperatorMatrix, q_op: OperatorMatrix, raiser: OperatorMatrix
 ) -> ExpansionResult:
-    """Over weighted shifts, the raiser stepping up, a series division; else the raiser ladder."""
+    """With a weighted-shift raiser stepping up, a series division over a
+    weighted-shift Q, recomposed for a series in the family Q; else the
+    raiser ladder."""
     require_lowers_by_one(q_op)
     bound = t.bound
     if q_op.bound != bound or raiser.bound != bound:
         raise BadParameterError("operator bounds differ")
-    if isinstance(q_op, WeightedShift) and isinstance(raiser, WeightedShift) and raiser.step == 1:
-        return _expand_over_shifts(t, q_op.weights, raiser.weights)
+    if isinstance(raiser, WeightedShift) and raiser.step == 1:
+        if isinstance(q_op, WeightedShift):
+            return _expand_over_shifts(t, q_op.weights, raiser.weights)
+        if isinstance(q_op, SeriesOperator) and bound:  # q read at bound 0 is 0, no delta series
+            q = q_op.series
+            return _expand_over_shifts(t, psi_derivative(q.base, bound).weights, raiser.weights, q)
     r_powers, ladder = _raiser_ladder(raiser)
     q_powers = q_op.powers(bound)
 

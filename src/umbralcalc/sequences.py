@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import BadParameterError, WrongFamilyError
 from .operators import (
@@ -25,7 +26,16 @@ from .operators import (
     realize_delta_series,
     xhat_psi,
 )
-from .poly import ONE, Polynomial, SequenceTable, _canonical, _convolve, _diagonal, coordinates_in_table
+from .poly import (
+    ONE,
+    Polynomial,
+    SequenceTable,
+    _canonical,
+    _convolve,
+    _diagonal,
+    coordinates_in_table,
+    fr,
+)
 from .psi import AdmissibleSequence
 from .series import DeltaSeries
 
@@ -142,10 +152,7 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
     qprime_op = realize_delta_series(qprime, bound)
     qprime_inv_op = realize_delta_series(qprime.multiplicative_inverse(), bound)
 
-    # s^{-k} series, k = 0..bound+1
-    s_inv_powers = [DeltaSeries.from_list(seq, [1], bound)]
-    for _ in range(bound + 1):
-        s_inv_powers.append(s_inv_powers[-1].multiply(s_inv))
+    s_inv_powers = s_inv.powers(bound + 1)  # s^{-k}, k = 0..bound+1
 
     prefactor, corrected, raising, iterative = [ONE], [ONE], [ONE], [ONE]
     for n in range(1, bound + 1):
@@ -268,14 +275,16 @@ def verify_inverse_reconstruction(sheffer: ShefferSequence) -> CheckReport:
     return CheckReport(True, "constant-term reconstruction matches S^{-1}")
 
 
-def _addition_cells_agree(t: list, u: list, n: int) -> bool:
-    """Whether the degree-n addition rule holds as an identity in x and y.
+def _addition_cells(t: list, u: list, n: int) -> list:
+    """The degree-n addition rule as an identity in x and y, left side less
+    right side.
 
     t[m] and u[m] are table and partner entry m divided by m_psi! and read
     in the divided powers e_j = x^j / j_psi!. Row i, column k holds the
     coefficient of e_i(x) e_k(y): t[n][i+k] on the left and
     sum_m t[m][i] u[n-m][k] on the right, each side integers over one
-    denominator, compared cross-multiplied.
+    denominator, cross-multiplied, so the rule holds at degree n exactly
+    when every entry is 0.
     """
     terms = [(t[m], u[n - m]) for m in range(n + 1)]
     den = math.lcm(*[a.den * b.den for a, b in terms])
@@ -289,12 +298,35 @@ def _addition_cells_agree(t: list, u: list, n: int) -> bool:
                 for k, y in enumerate(b.nums):
                     if y:
                         row[k] += wx * y
-    lhs = [v * den for v in t[n].nums]
-    return all(row == lhs[i:] for i, row in enumerate(rhs))
+    lhs = [v * den for v in t[n].nums] + [0] * (n + 1 - len(t[n].nums))
+    return [[a - b for a, b in zip(lhs[i:], row)] for i, row in enumerate(rhs)]
+
+
+def _addition_cells_agree(t: list, u: list, n: int) -> bool:
+    """Whether every cell of `_addition_cells` holds."""
+    return not any(map(any, _addition_cells(t, u, n)))
+
+
+def _separating_sample(cells: list, n: int, seq: AdmissibleSequence, ys: list):
+    """The first y of `ys` at which the sides of the degree-n rule differ, or
+    None: with `cells` from `_addition_cells`, the coefficient of e_i(x) is
+    sum_k cells[i][k] y^k / k_psi!. For y = p/q it is read as the integer
+    sum_k cells[i][k] w_k p^k q^(n-k), w_k = 1 / k_psi! over one lcm."""
+    inverse = seq._inverse_factorials[: n + 1]
+    den = math.lcm(*[w.denominator for w in inverse])
+    weights = [w.numerator * (den // w.denominator) for w in inverse]
+    rows = [[c * w for c, w in zip(row, weights)] for row in cells if any(row)]
+    for y in ys:
+        v = fr(y)
+        p, q = v.numerator, v.denominator
+        powers = [p**k * q ** (n - k) for k in range(n + 1)]
+        if any(sum(map(mul, row, powers)) for row in rows):
+            return y
+    return None
 
 
 def _addition_chain_agrees(t: list, u: list, n: int) -> bool:
-    """Whether cells (0, 0) and (i, 1), i < n, of `_addition_cells_agree` hold.
+    """Whether cells (0, 0) and (i, 1), i < n, of `_addition_cells` hold.
 
     With A_j(z) = sum_m t[m][j] z^m and B_k(z) likewise for u, cell (i, k)
     is [z^n] A_(i+k) = [z^n] A_i B_k. If every lower degree holds, all
@@ -316,31 +348,28 @@ def _addition_chain_agrees(t: list, u: list, n: int) -> bool:
     return rhs == [v * den for v in t[n].nums]
 
 
-def _addition_rule(
-    table: SequenceTable,
-    partner: SequenceTable,
-    seq: AdmissibleSequence,
-    y_values,
-    failure: str,
-    success: str,
-) -> CheckReport:
-    """E^y t_n = sum_k binom_psi(n,k) t_k(x) u_(n-k)(y) for every n.
+def addition_rule_failure(table: SequenceTable, partner: SequenceTable,
+                          seq: AdmissibleSequence, y_values=None):
+    """The first (n, y) at which the sampled rule
+    E^y t_n = sum_k binom_psi(n,k) t_k(x) u_(n-k)(y) fails, or None.
 
-    The verdict is the exact bivariate identity: both sides have degree at
-    most n in y, so equal coefficients make every sample agree. It is read on
-    divided powers: the coefficient of x^i y^k, times the nonzero
-    i_psi! k_psi! / n_psi!, is the coefficient of e_i(x) e_k(y) with
+    `partner` is `table` for a basic table, the basic table for a Sheffer
+    one; `y_values` defaults to `default_shift_samples(bound + 2)`. Each
+    degree is decided as the exact bivariate identity: both sides have
+    degree at most n in y, so equal coefficients make every sample agree.
+    It is read on divided powers: the coefficient of x^i y^k, times the
+    nonzero i_psi! k_psi! / n_psi!, is the coefficient of e_i(x) e_k(y) with
     e_j = x^j / j_psi!, so cell (i, k) holds exactly when the convolution of
-    `_addition_cells_agree` does, and no binom_psi is formed. A table built
-    from its rows (the basic and Sheffer tables of a series) gives its kept
-    rows when `seq` is the very family object that built them; any other
-    table or family has each entry converted once, when the degree loop
-    first reaches it. While every lower degree holds, a degree is decided
-    by its chain cells, O(n^2) products in place of O(n^3). Only a degree
-    whose coefficients differ is evaluated at the sampled shifts, to report
-    the first (n, y) witness; if no sample separates the sides (fewer than
-    n + 1 samples), the check moves on as the sampled rule would, and later
-    degrees check all their cells.
+    `_addition_cells` does, and no binom_psi is formed. A table built from
+    its rows (the basic and Sheffer tables of a series) gives its kept rows
+    when `seq` is the very family object that built them; any other table or
+    family has each entry converted once, when the degree loop first reaches
+    it. While every lower degree holds, a degree is decided by its chain
+    cells, O(n^2) products in place of O(n^3). At a degree whose cells
+    differ, the first sample at which their difference is nonzero
+    (`_separating_sample`) is the witness; if no sample separates the sides
+    (fewer than n + 1 distinct samples can all be roots), the check moves on
+    as the sampled rule would, and later degrees check all their cells.
     """
     ys = default_shift_samples(table.bound + 2) if y_values is None else list(y_values)
 
@@ -363,18 +392,34 @@ def _addition_rule(
         ) or not chained and _addition_cells_agree(t, u, n):
             continue
         chained = False
-        for y in ys:
-            lhs = generalized_shift(seq, table[n], y)
-            rhs = Polynomial()
-            for k in range(n + 1):
-                rhs = rhs + table[k].scale(seq.binomial(n, k) * partner[n - k](y))
-            if lhs != rhs:
-                return CheckReport(
-                    False,
-                    failure,
-                    {"n": n, "y": str(y), "lhs": lhs.to_text(), "rhs": rhs.to_text()},
-                )
-    return CheckReport(True, success)
+        y = _separating_sample(_addition_cells(t, u, n), n, seq, ys)
+        if y is not None:
+            return n, y
+    return None
+
+
+def _addition_rule(
+    table: SequenceTable,
+    partner: SequenceTable,
+    seq: AdmissibleSequence,
+    y_values,
+    failure: str,
+    success: str,
+) -> CheckReport:
+    """The report of `addition_rule_failure`: a failure's witness, both sides
+    at its (n, y), is formed once, through `generalized_shift` and the
+    binom_psi sum over the published entries, independently of the cells."""
+    found = addition_rule_failure(table, partner, seq, y_values)
+    if found is None:
+        return CheckReport(True, success)
+    n, y = found
+    lhs = generalized_shift(seq, table[n], y)
+    rhs = Polynomial()
+    for k in range(n + 1):
+        rhs = rhs + table[k].scale(seq.binomial(n, k) * partner[n - k](y))
+    return CheckReport(
+        False, failure, {"n": n, "y": str(y), "lhs": lhs.to_text(), "rhs": rhs.to_text()}
+    )
 
 
 def verify_binomial_type(
@@ -413,9 +458,7 @@ def generating_function_check(sheffer: ShefferSequence, z_order: int) -> CheckRe
     # prefactor series A(z) = 1 / s(q^{-1}(z))
     prefactor = sheffer.s_series.compose(g).multiplicative_inverse()
     # graded exponential factor: B_j(x) = sum_m x^m [g^m]_j / m_psi!
-    g_powers = [DeltaSeries.from_list(seq, [1], g.order)]
-    for _ in range(z_order):
-        g_powers.append(g_powers[-1].multiply(g))
+    g_powers = g.powers(z_order)
     for j in range(z_order + 1):
         rhs = Polynomial()
         for i in range(j + 1):

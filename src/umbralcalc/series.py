@@ -91,6 +91,13 @@ class DeltaSeries:
             known = top + 1
         return self._wrap(inverse)
 
+    def powers(self, count: int) -> list:
+        """[1, self, ..., self^count], each truncated at the order."""
+        out = [_new(self.base, ONE.truncate(self.order), self.order)]
+        for _ in range(count):
+            out.append(out[-1].multiply(self))
+        return out
+
     def compose(self, inner: "DeltaSeries") -> "DeltaSeries":
         """self(inner(t)); needs inner to have a zero constant term, so the
         truncation is well defined."""

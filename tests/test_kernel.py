@@ -68,13 +68,21 @@ that built them: `old_row_basic_sequence_from_series`,
 routes that converted every entry instead, and the rows must be the
 entries converted. The constructor takes a list of plain ints as it is:
 it must give what the Fraction route gave, or the same error.
+
+Last, the addition rule decides its verdict on the cells and forms the
+witness once, and an expansion over a series lowering q(Q) is recomposed
+from the expansion over Q: the reports must be those of
+`old_divided_addition_rule` and `old_converting_addition_rule`, and the
+coefficients and reassembly those of `old_matrix_route_expand`, the raiser
+ladder route every series lowering took before.
 """
 
 import dataclasses
 import math
 import random
+from contextlib import ExitStack
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import mul
 from unittest import mock
 
@@ -1320,6 +1328,27 @@ def old_apply_delta_series(s, p):
     return _diagonal(out, [1 / factorial(i) if v else 0 for i, v in enumerate(out.nums)])
 
 
+def separation_probes():
+    """Lists of the degrees at which `addition_rule_failure` seeks a
+    separating sample and of the degrees `generalized_shift` is applied
+    to, and the patch that records both."""
+    examined, shifted = [], []
+    separate, shift = sequences._separating_sample, operators.generalized_shift
+
+    def seek(cells, n, seq, ys):
+        examined.append(n)
+        return separate(cells, n, seq, ys)
+
+    def shifting(seq, p, y):
+        shifted.append(p.degree)
+        return shift(seq, p, y)
+
+    probes = ExitStack()
+    probes.enter_context(mock.patch.object(sequences, "_separating_sample", seek))
+    probes.enter_context(mock.patch.object(sequences, "generalized_shift", shifting))
+    return examined, shifted, probes
+
+
 def divided_entries(table, seq):
     """Entry m over m_psi! in the divided powers, from its Fractions."""
     return [
@@ -1352,16 +1381,12 @@ def test_addition_check_matches_fraction_kernel(case, short, ys):
             assert _addition_cells_agree(t_div, u_div, n) == old_addition_coefficients_agree(
                 t, partner, family, n
             )
-        # whole reports, or the same error and message on the short family,
-        # with the sampled shifts evaluated at the same degrees
-        sampled = []
-
-        def shift(on, p, y):
-            sampled.append(p.degree)
-            return generalized_shift(on, p, y)
-
+        # whole reports, or the same error and message on the short family;
+        # a separating sample is sought at every degree whose coefficients
+        # differ, and a failure's witness is formed once
+        examined, shifted, probes = separation_probes()
         if t is partner:
-            with mock.patch.object(sequences, "generalized_shift", shift):
+            with probes:
                 got = result_or_error(verify_binomial_type, t, family, ys)
             want = result_or_error(
                 old_addition_rule, t, t, family, ys,
@@ -1372,7 +1397,7 @@ def test_addition_check_matches_fraction_kernel(case, short, ys):
                 sheffer, seq=family, table=t,
                 basic=dataclasses.replace(sheffer.basic, seq=family, table=partner),
             )
-            with mock.patch.object(sequences, "generalized_shift", shift):
+            with probes:
                 got = result_or_error(verify_sheffer_binomial, mixed, ys)
             want = result_or_error(
                 old_addition_rule, t, partner, family, ys,
@@ -1383,11 +1408,10 @@ def test_addition_check_matches_fraction_kernel(case, short, ys):
             last = family.bound
         else:
             last = t.bound if got[1].passed else got[1].witness["n"]
-        # an empty sample list evaluates no shift at any degree
-        assert sorted(set(sampled)) == [
-            n for n in range(last + 1)
-            if ys != [] and not old_integer_coefficients_agree(t, partner, family, n)
+        assert examined == [
+            n for n in range(last + 1) if not old_integer_coefficients_agree(t, partner, family, n)
         ]
+        assert shifted == ([] if got[0] == "raises" or got[1].passed else [last])
 
 
 @st.composite
@@ -1988,26 +2012,31 @@ def chain_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=chain_cases())
 def test_addition_chain_matches_every_cell(case):
-    """Whole reports, or the error and message, of the rule as it was, with
-    the shifts sampled at the same degrees: so every degree gets the verdict
-    of all its cells, also after a degree that failed unseparated."""
+    """Whole reports, or the error and message, of the rule as it was; the
+    degrees it sampled the shifts at are the ones at which a separating
+    sample is sought: so every degree gets the verdict of all its cells,
+    also after a degree that failed unseparated. The witness is formed once."""
     family, pairs, ys = case
     for table, partner in pairs:
-        runs = []
-        for rule in (sequences._addition_rule, old_divided_addition_rule):
-            sampled = []
+        partner = table if partner is None else partner
+        examined, shifted, probes = separation_probes()
+        with probes:
+            got = result_or_error(sequences._addition_rule, table, partner, family, ys,
+                                  "fails", "holds")
+        sampled = []
 
-            def shift(on, p, y):
-                sampled.append(p.degree)
-                return operators.generalized_shift(on, p, y)
+        def shift(on, p, y):
+            sampled.append(p.degree)
+            return operators.generalized_shift(on, p, y)
 
-            with mock.patch.object(sequences, "generalized_shift", shift), \
-                    mock.patch.dict(globals(), generalized_shift=shift):
-                report = result_or_error(
-                    rule, table, table if partner is None else partner, family, ys, "fails", "holds"
-                )
-            runs.append((report, sampled))
-        assert runs[0] == runs[1]
+        with mock.patch.dict(globals(), generalized_shift=shift):
+            want = result_or_error(old_divided_addition_rule, table, partner, family, ys,
+                                   "fails", "holds")
+        assert got == want
+        # with no samples the old rule sampled no degree
+        assert [n for n, _ in groupby(sampled)] == (examined if ys != [] else [])
+        failed = got[0] == "value" and not got[1].passed
+        assert shifted == ([got[1].witness["n"]] if failed else [])
 
 
 def test_an_unseparated_failure_hands_later_degrees_to_every_cell():
@@ -2016,16 +2045,17 @@ def test_an_unseparated_failure_hands_later_degrees_to_every_cell():
     # (i, k) with k >= 2 differ, which the chain cells alone would miss
     entries = [Polynomial.monomial(n) for n in range(8)]
     entries[3] = entries[3] + Polynomial.monomial(2)
-    sampled = []
-
-    def shift(on, p, y):
-        sampled.append(p.degree)
-        return operators.generalized_shift(on, p, y)
-
-    with mock.patch.object(sequences, "generalized_shift", shift):
-        table, seq = SequenceTable(tuple(entries)), AdmissibleSequence.classical(7)
+    table, seq = SequenceTable(tuple(entries)), AdmissibleSequence.classical(7)
+    examined, shifted, probes = separation_probes()
+    with probes:
         report = verify_binomial_type(table, seq, [0])
-    assert report.passed and sampled == [3, 4, 5, 6, 7]
+    assert report.passed and examined == [3, 4, 5, 6, 7] and shifted == []
+    # y = 1 separates degree 3, whose witness is then formed once
+    examined, shifted, probes = separation_probes()
+    with probes:
+        report = verify_binomial_type(table, seq, [0, 1])
+    assert not report.passed and report.witness["n"] == 3 and report.witness["y"] == "1"
+    assert examined == [3] and shifted == [3]
 
 
 # -- basic and Sheffer tables keep their divided-power rows --------------------------
@@ -2255,3 +2285,198 @@ def test_polynomial_constructor_matches_the_fraction_route(coeffs):
         assert got[0] == "value"
         same(got[1], want[1])
         assert (got[1].nums, got[1].den) == (want[1].nums, want[1].den)
+
+
+# -- the verdict before its witness, and expansion over a series by recomposition ----
+#
+# `old_matrix_route_expand` is the raiser-ladder route of `expand_in_dual_pair`,
+# which every series lowering took before the recomposition, verbatim except
+# for its name and the checks it shares with the library.
+
+
+@st.composite
+def verdict_cases(draw):
+    """A custom or q-deformed family on a bound up to 13, sometimes shorter
+    than the tables; the basic and a Sheffer table of a delta series with
+    any nonzero c1 (tables that keep their rows), the same entries without
+    rows, and perturbed copies (one or two entries moved, the lead
+    included); and shift samples: the defaults, none, y = 0, duplicates or
+    1 to N + 2 values."""
+    degree = draw(st.integers(1, 12))
+    seq = draw_family(draw, degree + 1)
+    tail = draw(st.lists(mixed_rationals, max_size=degree - 1))
+    series = DeltaSeries.from_list(seq, [0, draw(nonzero_rationals)] + tail, degree)
+    prefactor = [draw(nonzero_rationals)] + draw(st.lists(mixed_rationals, max_size=3))
+    sheffer = sheffer_sequence(series, DeltaSeries.from_list(seq, prefactor, degree), degree)
+
+    def perturbed(table):
+        entries = list(table.entries)
+        for _ in range(draw(st.integers(1, 2))):
+            n = draw(st.integers(0, degree))
+            moved = entries[n] + Polynomial.monomial(draw(st.integers(0, n)),
+                                                     draw(nonzero_rationals))
+            if moved.degree == n:
+                entries[n] = moved
+        return SequenceTable(tuple(entries))
+
+    basic, shef = sheffer.basic.table, sheffer.table
+    plain = SequenceTable(basic.entries)
+    pairs = [(basic, basic), (plain, plain), (perturbed(basic), None),
+             (shef, basic), (SequenceTable(shef.entries), plain),
+             (perturbed(shef), basic), (shef, perturbed(basic))]
+    samples = st.integers(-3, 3) | nonzero_rationals
+    ys = draw(st.sampled_from([None, [], [0], [0, 0], [1, 1, -1]])
+              | st.lists(samples, min_size=1, max_size=degree + 2))
+    short = min(draw(st.integers(0, 3)), degree)
+    family = AdmissibleSequence.custom(seq.values[1:], degree + 1 - short) if short else seq
+    if short == 0 and draw(st.booleans()):
+        family = dataclasses.replace(seq)  # equal, but not the object that built the rows
+    return sheffer, family, pairs, ys
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=verdict_cases())
+def test_addition_verdict_and_witness_match_the_sampled_rules(case):
+    """Whole reports, or the same error and message, of the rule that
+    sampled every differing degree and of the one that converted every
+    entry; the verdict alone passes exactly when the report does."""
+    sheffer, family, pairs, ys = case
+    for table, partner in pairs:
+        partner = table if partner is None else partner
+        if partner is table:
+            got = result_or_error(verify_binomial_type, table, family, ys)
+            texts = "addition rule fails", "addition rule holds at all sampled shifts"
+        else:
+            mixed = dataclasses.replace(
+                sheffer, seq=family, table=table,
+                basic=dataclasses.replace(sheffer.basic, seq=family, table=partner),
+            )
+            got = result_or_error(verify_sheffer_binomial, mixed, ys)
+            texts = "mixed addition rule fails", "mixed addition rule holds at all sampled shifts"
+        for old in (old_divided_addition_rule, old_converting_addition_rule):
+            assert got == result_or_error(old, table, partner, family, ys, *texts)
+        verdict = result_or_error(sequences.addition_rule_failure, table, partner, family, ys)
+        if got[0] == "raises":
+            assert verdict == got
+        elif got[1].passed:
+            assert verdict == ("value", None)
+        else:
+            n, y = verdict[1]
+            assert (n, str(y)) == (got[1].witness["n"], got[1].witness["y"])
+
+
+def old_matrix_route_expand(t, q_op, raiser):
+    require_lowers_by_one(q_op)
+    bound = t.bound
+    if q_op.bound != bound or raiser.bound != bound:
+        raise BadParameterError("operator bounds differ")
+    r_powers, ladder = operators._raiser_ladder(raiser)
+    q_powers = q_op.powers(bound)
+
+    # r_columns[m][i] is column m of raiser^i
+    r_columns = list(zip(*(r.columns for r in r_powers)))
+    # acc[k] is column k of the running reassembly. Q^j x^k is zero for
+    # k < j, so step j adds q_j(raiser) Q^j x^k to the columns k >= j only.
+    acc = [ZERO] * (bound + 1)
+    coefficients = []
+    for j in range(bound + 1):
+        u = coordinates_in_table(ladder, t.column(j) - acc[j])
+        pivot = q_powers[j].column(j).constant_term
+        q_j = Polynomial(u).scale(1 / pivot)
+        coefficients.append(q_j)
+        if q_j.is_zero():
+            continue
+        # column m of q_j(raiser); Q^j x^k has degree k - j <= bound - j
+        step = [_combine(q_j, r_columns[m]) for m in range(bound - j + 1)]
+        for k in range(j, bound + 1):
+            acc[k] = _combine(q_powers[j].columns[k], step, acc[k])
+    return ExpansionResult(tuple(coefficients), OperatorMatrix(tuple(acc)))
+
+
+@st.composite
+def series_lowering_cases(draw):
+    """N from 0 to 12; a delta series with any nonzero c1 over a custom or
+    q-deformed family, of an order below, at or above N; the graded raiser
+    of the series' family or of another one, or multiplication by x, one in
+    four with a weight set to 0; and an operator to expand, sparse or
+    dense."""
+    bound = draw(st.integers(0, 12))
+    family = draw_family(draw, bound + 1)
+    order = max(1, bound + draw(st.integers(-2, 2)))
+    tail = draw(st.lists(mixed_rationals, min_size=order - 1, max_size=order - 1))
+    series = DeltaSeries.from_list(family, [0, draw(nonzero_rationals)] + tail, order)
+    kind = draw(st.sampled_from(["own", "other", "multiplication"]))
+    if kind == "multiplication":
+        raiser = multiplication_x(bound)
+    else:
+        raiser = xhat_psi(family if kind == "own" else draw_family(draw, bound + 1), bound)
+    if bound and draw(st.integers(0, 3)) == 0:  # raiser^i 1 = 0 for some i
+        zeroed, weights = draw(st.integers(0, bound - 1)), raiser.weights
+        raiser = weighted_shift(1, bound, lambda j: 0 if j == zeroed else weights[j])
+    entries = draw(st.sampled_from([sparse_rationals, mixed_rationals]))
+    t = OperatorMatrix(
+        tuple(Polynomial(draw(st.lists(entries, max_size=bound + 1))) for _ in range(bound + 1))
+    )
+    return t, series, raiser
+
+
+def recomposition_outcome(t, series, raiser):
+    """The expansion over realize_delta_series(series), which must not
+    reach the raiser ladder from N = 1 on, and the matrix route's."""
+    q_op = realize_delta_series(series, t.bound)
+    ladder = mock.patch.object(operators, "_raiser_ladder", side_effect=AssertionError("ladder"))
+    with ladder if t.bound else ExitStack():
+        got = result_or_error(expand_in_dual_pair, t, q_op, raiser)
+    return got, result_or_error(old_matrix_route_expand, t, q_op, raiser)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=series_lowering_cases())
+def test_expansion_over_a_series_matches_the_matrix_route(case):
+    t, series, raiser = case
+    bound = t.bound
+    q_op = realize_delta_series(series, bound)
+    # a series operator keeps its series, read at the bound, and is equal to,
+    # and hashes as, the matrix of its columns
+    if series.polynomial.degree > 1:
+        assert isinstance(q_op, operators.SeriesOperator)
+        assert q_op.series.order == bound
+        assert q_op.series.polynomial == series.polynomial.truncate(bound)
+        assert q_op.series.base is series.base
+    plain = OperatorMatrix(q_op.columns)
+    assert q_op == plain and hash(q_op) == hash(plain)
+    got, want = recomposition_outcome(t, series, raiser)
+    if want[0] == "raises":
+        assert got == want
+        return
+    got, want = got[1], want[1]
+    for p, q in zip(got.coefficients + got.reassembled.columns,
+                    want.coefficients + want.reassembled.columns, strict=True):
+        same(p, q)
+    assert got.reassembled.columns == t.columns
+
+
+def test_recomposition_mutations_fail_the_differential_check():
+    """g = q^<-1> replaced by q, and the top power of g dropped: each gives
+    other coefficients than the matrix route, and a reassembly that misses T."""
+    bound = 6
+    rnd = random.Random(7)
+    family = AdmissibleSequence.custom([Fraction(rnd.randint(1, 5), rnd.randint(1, 3))
+                                        for _ in range(bound + 1)], bound + 1)
+    series = DeltaSeries.from_list(family, [0, Fraction(2, 3), 1, Fraction(-1, 2), 2], bound)
+    t = OperatorMatrix(tuple(
+        Polynomial([Fraction(rnd.randint(-3, 3), rnd.randint(1, 4)) for _ in range(bound + 1)])
+        for _ in range(bound + 1)
+    ))
+    (_, got), (_, want) = recomposition_outcome(t, series, xhat_psi(family, bound))
+    assert got == want and got.reassembled.columns == t.columns
+    powers = DeltaSeries.powers
+    mutations = [
+        mock.patch.object(DeltaSeries, "compositional_inverse", lambda self: self),
+        mock.patch.object(DeltaSeries, "powers", lambda self, count: powers(self, count)[:-1]),
+    ]
+    for mutation in mutations:
+        with mutation:
+            (_, got), (_, want) = recomposition_outcome(t, series, xhat_psi(family, bound))
+        assert got.coefficients != want.coefficients
+        assert got.reassembled.columns != t.columns

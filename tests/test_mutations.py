@@ -1,11 +1,13 @@
 """Mutation census of the identity harness.
 
 Each catalogue entry breaks one kernel function, one at a time, with
-`unittest.mock.patch` in every module that imported it (no file is edited).
+`unittest.mock.patch` in every module that imported it, or on its class
+(no file is edited).
 Under every mutation `run_all` must return, not raise, and fail the run;
 every asserted identity of the unmutated run must be failed by some
 mutation, or be listed in `UNFLIPPED` with the reason none of these faults
-reaches it.
+reaches it. Under each mutation the verdict that `perturbation-rejection`
+reads must also be what `verify_binomial_type` reports.
 """
 
 import json
@@ -17,10 +19,16 @@ from unittest import mock
 import pytest
 
 import conftest
-from umbralcalc import cli, operators, poly, sequences, spectral
+from umbralcalc import cli, harness, operators, poly, sequences, spectral
 from umbralcalc.harness import exit_status, run_all
-from umbralcalc.operators import OperatorMatrix, weighted_shift
+from umbralcalc.operators import OperatorMatrix, umbral_operator, weighted_shift
 from umbralcalc.poly import Polynomial, SequenceTable
+from umbralcalc.sequences import (
+    addition_rule_failure,
+    basic_sequence_from_series,
+    verify_binomial_type,
+)
+from umbralcalc.series import DeltaSeries
 
 DEGREE = 8
 
@@ -109,8 +117,29 @@ def squared_dilation(dilation):
     return lambda q, bound: dilation(q * q, bound)
 
 
-# label: (module, kernel name, wrapper of the original, modules patched or
-# None for every umbralcalc module that imported the name)
+def unscaled_certificate(_reparameterization_certificate):
+    """`harness._reparameterization_certificate` verbatim, with the n_psi
+    scale of the induced lowering operator dropped."""
+
+    def wrong(seq, q_series, table, bound: int) -> bool:
+        lowered = [Polynomial()] + [table[n - 1] for n in range(1, bound + 1)]
+        result = harness._round_trip(umbral_operator(table, lowered), seq.values[1 : bound + 1])
+        if result is None:
+            return False
+        got = result.series.coeffs
+        want = q_series.coeffs
+        return got[:bound] == want[:bound] and got[bound] != want[bound]
+
+    return wrong
+
+
+def identity_inverse(compositional_inverse):
+    """q in place of g = q^<-1>: the compositional inverse returns its input."""
+    return lambda self: self
+
+
+# label: (module or class, kernel name, wrapper of the original, modules or
+# classes patched, or None for every umbralcalc module that imported the name)
 MUTATIONS = {
     "doubled-inverse-factorial": (sequences, "_table_of_rows", doubled_second_coefficient, None),
     "wrong-coordinate": (poly, "coordinates_in_table", wrong_coordinate, None),
@@ -120,6 +149,9 @@ MUTATIONS = {
     "squared-dilation": (spectral, "dilation", squared_dilation, (spectral,)),
     "mixed-row-terms": (sequences, "_convolve", mixed_row_terms, (sequences,)),
     "doubled-lowering-weight": (operators, "psi_derivative", doubled_lowering_weight, None),
+    "unscaled-certificate": (harness, "_reparameterization_certificate", unscaled_certificate,
+                             (harness,)),
+    "identity-inverse": (DeltaSeries, "compositional_inverse", identity_inverse, (DeltaSeries,)),
 }
 
 _FAMILY_ONLY = "reads only the family's factorials and exponential, which no entry mutates"
@@ -204,3 +236,29 @@ def test_verify_exits_1_under_a_wrong_coordinate(capsys):
     reports = json.loads(capsys.readouterr().out)["reports"]
     faults = {r["suite"] for r in reports if r["identity_id"] == "kernel-fault"}
     assert faults == {"factorization", "mutator"}
+
+
+@pytest.mark.parametrize("label", sorted(MUTATIONS))
+def test_perturbation_verdicts_are_the_reports_under_every_mutation(label):
+    """`perturbation-rejection` reads only the verdict of the addition rule;
+    on the 45 single-coefficient perturbations of each family it must be
+    what `verify_binomial_type` reports, whatever kernel is broken."""
+    shifts = sequences.default_shift_samples(10)
+    with mutated(label):
+        for seq in conftest.family_roster(DEGREE + 1):
+            series = DeltaSeries.from_list(seq, [0, 1, 1], DEGREE)
+            small = basic_sequence_from_series(series, DEGREE).table
+            count = 0
+            for n in range(DEGREE + 1):
+                for j in range(n + 1):
+                    coeffs = list(small[n].coeffs)
+                    coeffs[j] += 1
+                    if j == n and coeffs[j] == 0:
+                        coeffs[j] += 1
+                    entries = list(small)
+                    entries[n] = Polynomial(coeffs)
+                    table = SequenceTable(tuple(entries))
+                    verdict = addition_rule_failure(table, table, seq, shifts) is None
+                    assert verdict == verify_binomial_type(table, seq, shifts).passed
+                    count += 1
+            assert count == 45
