@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     BadParameterError,
@@ -31,9 +31,9 @@ from .poly import (
     _canonical,
     _combine,
     _convolve,
-    _diagonal,
-    _new,
+    _over_one_lcm,
     _raised_sum,
+    _running_products,
     _shift_down,
     coordinates_in_table,
     fr,
@@ -274,16 +274,18 @@ def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
     """sum_k c_k Q^k p with Q the family lowering operator, no matrix built.
 
     Q^k x^j = (j)_k,psi x^(j-k) = (j_psi! / (j-k)_psi!) x^(j-k), so on the
-    coordinates a_j of p in the divided powers x^j / j_psi! the series acts
-    as one integer convolution out_i = sum_k c_k a_(i+k) over den(c) den(a):
-    one product per pair of nonzero entries.
+    coordinates a_j = p_j j_psi! of p in the divided powers x^j / j_psi! the
+    series acts as one integer convolution out_i = sum_k c_k a_(i+k): one
+    product per pair of nonzero entries. The coordinates and the way back,
+    out_i / i_psi!, read the family's integer factorial tables, so the whole
+    action is one pass on integers ending in one canonical form.
     """
     seq = s.base
     if p.degree > seq.bound:  # the first nonzero coefficient past the family raises
         seq.factorial(next(j for j in range(seq.bound + 1, len(p.nums)) if p.nums[j]))
-    scaled = _diagonal(p, seq._factorials)
-    out = _canonical(_convolve(s.polynomial.nums, scaled.nums), scaled.den * s.polynomial.den)
-    return _diagonal(out, seq._inverse_factorials)
+    f, g, c = seq._factorial_table, seq._inverse_factorial_table, s.polynomial
+    out = _convolve(c.nums, [a * w for a, w in zip(p.nums, f.nums)])
+    return _canonical([v * w for v, w in zip(out, g.nums)], p.den * f.den * c.den * g.den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,24 +450,6 @@ def _raiser_ladder(raiser: OperatorMatrix):
                 f"raiser power {i} applied to 1 has degree {entry.degree}, not {i}"
             )
     return powers, SequenceTable(tuple(ladder))
-
-
-def _running_products(*factors, inverse: bool = False) -> list:
-    """(n, d), d > 0, for 1 and each running product of the lists `factors`
-    taken entry by entry, or its reciprocal, kept reduced on integers."""
-    n, d, pairs = 1, 1, [(1, 1)]
-    for values in zip(*factors):
-        for v in values:  # two small gcds keep n / d reduced, as in Fraction
-            g, h = gcd(n, v.denominator), gcd(v.numerator, d)
-            n, d = (n // g) * (v.numerator // h), (d // h) * (v.denominator // g)
-        pairs.append(((d, n) if n > 0 else (-d, -n)) if inverse else (n, d))
-    return pairs
-
-
-def _over_one_lcm(pairs: list) -> Polynomial:
-    """Nonzero reduced fractions n / d as integers over the lcm of the d."""
-    den = lcm(*[d for _, d in pairs])
-    return _new(tuple([n * (den // d) for n, d in pairs]), den)
 
 
 def _expand_over_shifts(t: OperatorMatrix, u: list, r: list, series=None) -> ExpansionResult:

@@ -8,7 +8,10 @@ used throughout the package), and equal polynomials have equal `(nums, den)`.
 Arithmetic runs on the integers and divides out one gcd per result, not one
 per coefficient operation; `coeffs`, the coefficients as canonical Fractions,
 is built on first use. Loops skip zero numerators: the package's operators
-are mostly weighted shifts, so most entries they touch are zero.
+are mostly weighted shifts, so most entries they touch are zero. A family's
+n_psi! and 1 / n_psi! are two such integer tables over one lcm each, kept on
+the `psi.AdmissibleSequence`; every conversion between monomials and the
+divided powers e_j = x^j / j_psi! is one integer pass over them.
 
 The package builds tuples from lists, `tuple([...])`, never from generators:
 CPython sizes a tuple built from a generator at 10 and then resizes it, so
@@ -143,16 +146,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            a, b = self.nums, other.nums
-            if not a or not b:
-                return ZERO
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        if y:
-                            out[j] += x * y
-            return _canonical(out, self.den * other.den)
+            return _product(self, other, len(self.nums) + len(other.nums))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -184,7 +178,7 @@ class Polynomial:
     def dilate(self, q) -> "Polynomial":
         """Return p(q*x)."""
         q = fr(q)
-        return _diagonal(self, [q**j for j in range(len(self.nums))])
+        return _diagonal(self, Polynomial([q**j for j in range(len(self.nums))]))
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         acc = ZERO
@@ -266,6 +260,20 @@ ONE = Polynomial([1])
 X = Polynomial([0, 1])
 
 
+def _product(a: Polynomial, b: Polynomial, bound: int) -> Polynomial:
+    """a * b cut at degree `bound`; no term above it is formed."""
+    a, b, den = a.nums[: bound + 1], b.nums[: bound + 1], a.den * b.den
+    if not a or not b:
+        return ZERO
+    out = [0] * min(len(a) + len(b) - 1, bound + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: bound + 1 - i], i):
+                if y:
+                    out[j] += x * y
+    return _canonical(out, den)
+
+
 def _combine(weights: Polynomial, polys, start: Polynomial = ZERO) -> Polynomial:
     """start + sum_i weights[i] * polys[i]: each polynomial with a nonzero
     weight is brought to the lcm of their denominators and its numerators
@@ -306,13 +314,29 @@ def _raised_sum(weights: Polynomial, polys, bound: int, start=(), start_den: int
     return [v * k + a * m for v, a in zip(out, start)], den
 
 
-def _diagonal(p: Polynomial, weights) -> Polynomial:
-    """sum_i weights[i] p_i x^i; `weights[i]` is a Fraction or an int and is
-    read only where p_i is nonzero."""
-    pairs = list(zip(p.nums, weights))
-    den = lcm(*[w.denominator for a, w in pairs if a])
-    out = [a * w.numerator * (den // w.denominator) if a else 0 for a, w in pairs]
-    return _canonical(out, p.den * den)
+def _diagonal(p: Polynomial, weights: Polynomial, c: int = 1, den: int = 1) -> Polynomial:
+    """sum_i (c / den) w_i p_i x^i, w_i the coefficients of `weights`: one
+    pass on the integers, one canonical form."""
+    return _canonical([c * w * a for a, w in zip(p.nums, weights.nums)],
+                      p.den * weights.den * den)
+
+
+def _running_products(*factors, inverse: bool = False) -> list:
+    """(n, d), d > 0, for 1 and each running product of the lists `factors`
+    taken entry by entry, or its reciprocal, kept reduced on integers."""
+    n, d, pairs = 1, 1, [(1, 1)]
+    for values in zip(*factors):
+        for v in values:  # two small gcds keep n / d reduced, as in Fraction
+            g, h = gcd(n, v.denominator), gcd(v.numerator, d)
+            n, d = (n // g) * (v.numerator // h), (d // h) * (v.denominator // g)
+        pairs.append(((d, n) if n > 0 else (-d, -n)) if inverse else (n, d))
+    return pairs
+
+
+def _over_one_lcm(pairs: list) -> Polynomial:
+    """Nonzero reduced fractions n / d as integers over the lcm of the d."""
+    den = lcm(*[d for _, d in pairs])
+    return _new(tuple([n * (den // d) for n, d in pairs]), den)
 
 
 def _convolve(c: tuple, a: tuple) -> list:

@@ -22,7 +22,7 @@ from .errors import (
     IndexOrderError,
     UndefinedIndexError,
 )
-from .poly import Polynomial, fr
+from .poly import Polynomial, _over_one_lcm, _running_products, fr
 
 CLASSICAL = "classical"
 Q_DEFORMED = "q_deformed"
@@ -35,7 +35,9 @@ CUSTOM = "custom"
 
 @dataclass(frozen=True)
 class AdmissibleSequence:
-    """A validated family of generalized integers n_psi, n = 0..bound."""
+    """A validated family of generalized integers n_psi, n = 0..bound. Its
+    factorials and their reciprocals are also kept as integers over one lcm
+    each, which every monomial <-> e_j = x^j / j_psi! conversion reads."""
 
     family: str
     label: str
@@ -144,16 +146,18 @@ class AdmissibleSequence:
 
     @cached_property
     def _factorials(self) -> tuple:
-        """Prefix products t[n] = n_psi!, n = 0..bound (built on first use)."""
-        t = [Fraction(1)]
-        for v in self.values[1:]:
-            t.append(t[-1] * v)
-        return tuple(t)
+        """n_psi!, n = 0..bound, as Fractions (built on first use)."""
+        return tuple([Fraction(n, d) for n, d in _running_products(self.values[1:])])
 
     @cached_property
-    def _inverse_factorials(self) -> tuple:
-        """t[n] = 1 / n_psi!, n = 0..bound (built on first use)."""
-        return tuple([1 / f for f in self._factorials])
+    def _factorial_table(self) -> Polynomial:
+        """n_psi! = F[n] / F_den, n = 0..bound, as `nums` over `den`."""
+        return _over_one_lcm(_running_products(self.values[1:]))
+
+    @cached_property
+    def _inverse_factorial_table(self) -> Polynomial:
+        """1 / n_psi! = G[n] / G_den, n = 0..bound, likewise."""
+        return _over_one_lcm(_running_products(self.values[1:], inverse=True))
 
     @cached_property
     def _binomials(self) -> dict:

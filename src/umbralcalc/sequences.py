@@ -121,9 +121,9 @@ def basic_sequence_from_series(q_series: DeltaSeries, bound: int) -> BasicSequen
 
 def _table_of_rows(seq: AdmissibleSequence, rows: list) -> SequenceTable:
     """The table with entries p_n[j] = n_psi! T_n[j] / j_psi!, T_n = rows[n],
-    keeping the rows and the family that read them."""
-    entries = [_diagonal(t, seq._inverse_factorials).scale(f)
-               for t, f in zip(rows, seq._factorials)]
+    on the family's integer tables, keeping the rows and the family."""
+    f, g = seq._factorial_table, seq._inverse_factorial_table
+    entries = [_diagonal(t, g, c, f.den) for t, c in zip(rows, f.nums)]
     table = SequenceTable(tuple(entries))
     object.__setattr__(table, "divided", (seq, tuple(rows)))
     return table
@@ -311,10 +311,8 @@ def _separating_sample(cells: list, n: int, seq: AdmissibleSequence, ys: list):
     """The first y of `ys` at which the sides of the degree-n rule differ, or
     None: with `cells` from `_addition_cells`, the coefficient of e_i(x) is
     sum_k cells[i][k] y^k / k_psi!. For y = p/q it is read as the integer
-    sum_k cells[i][k] w_k p^k q^(n-k), w_k = 1 / k_psi! over one lcm."""
-    inverse = seq._inverse_factorials[: n + 1]
-    den = math.lcm(*[w.denominator for w in inverse])
-    weights = [w.numerator * (den // w.denominator) for w in inverse]
+    sum_k cells[i][k] G_k p^k q^(n-k), 1 / k_psi! = G_k / G_den."""
+    weights = seq._inverse_factorial_table.nums
     rows = [[c * w for c, w in zip(row, weights)] for row in cells if any(row)]
     for y in ys:
         v = fr(y)
@@ -377,7 +375,8 @@ def addition_rule_failure(table: SequenceTable, partner: SequenceTable,
         """n -> entry n over n_psi! in the e_j of `seq`."""
         if tab.divided is not None and tab.divided[0] is seq:
             return tab.divided[1].__getitem__
-        return lambda n: _diagonal(tab[n], seq._factorials).scale(seq._inverse_factorials[n])
+        f, g = seq._factorial_table, seq._inverse_factorial_table
+        return lambda n: _diagonal(tab[n], f, g.nums[n], g.den)
 
     row_t = rows(table)
     row_u = row_t if partner is table else rows(partner)

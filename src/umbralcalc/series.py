@@ -3,10 +3,10 @@
 A DeltaSeries is one `Polynomial` in t, truncated at an explicit `order`,
 together with the generalized-integer family whose lowering operator the
 series is read in. Every operation is written once on the integer kernel of
-`poly`: the product is a polynomial product truncated at the order, the
-multiplicative inverse is Newton's iteration b <- b (2 - a b), which doubles
-the number of correct terms per step (Brent and Kung, J. ACM 1978),
-composition is Horner's rule, the compositional inverse is Lagrange's
+`poly`: the product is a polynomial product cut at the order as it is
+formed (as in every step below), the multiplicative inverse is Newton's
+iteration b <- b (2 - a b), which doubles the number of correct terms per
+step (Brent and Kung, J. ACM 1978), composition is Horner's rule, the compositional inverse is Lagrange's
 g_k = [t^(k-1)] (t / a(t))^k / k, and the formal derivative is the
 polynomial one. `coeffs` is the zero-padded view c_0..c_order. Realization
 as an operator lives in `operators`.
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotDeltaError, NotInvertibleError
-from .poly import ONE, ZERO, Polynomial, _shift_down
+from .poly import ONE, ZERO, Polynomial, _product, _shift_down
 from .psi import AdmissibleSequence
 
 _TWO = Polynomial([2])
@@ -78,7 +78,7 @@ class DeltaSeries:
         return _new(self.base, p.truncate(self.order), self.order)
 
     def multiply(self, other: "DeltaSeries") -> "DeltaSeries":
-        return self._wrap(self.polynomial * other.polynomial)
+        return self._wrap(_product(self.polynomial, other.polynomial, self.order))
 
     def multiplicative_inverse(self) -> "DeltaSeries":
         self.require_invertible()
@@ -86,8 +86,7 @@ class DeltaSeries:
         inverse, known = Polynomial([1 / a.constant_term]), 1  # terms below t^known
         while known <= self.order:
             top = min(2 * known, self.order + 1) - 1
-            product = (a.truncate(top) * inverse).truncate(top)
-            inverse = (inverse * (_TWO - product)).truncate(top)
+            inverse = _product(inverse, _TWO - _product(a, inverse, top), top)
             known = top + 1
         return self._wrap(inverse)
 
@@ -107,7 +106,7 @@ class DeltaSeries:
         out = self.polynomial
         acc = ZERO
         for v in reversed(out.nums):
-            acc = (acc * g).truncate(self.order) + Polynomial([v])
+            acc = _product(acc, g, self.order) + Polynomial([v])
         return self._wrap(acc.scale(Fraction(1, out.den)))
 
     def compositional_inverse(self) -> "DeltaSeries":
@@ -117,7 +116,7 @@ class DeltaSeries:
         h = self.shift_down().multiplicative_inverse().polynomial  # t / a(t)
         g, power = [Fraction(0)], ONE
         for k in range(1, self.order + 1):
-            power = (power * h).truncate(top)
+            power = _product(power, h, top)
             g.append(power.coefficient(k - 1) / k)
         return self._wrap(Polynomial(g))
 

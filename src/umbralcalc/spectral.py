@@ -98,7 +98,7 @@ def xhat_psi_inverse(seq: AdmissibleSequence, p: Polynomial) -> Polynomial:
     if p.constant_term != 0:
         raise ConstantTermError("inverse raising needs a zero constant term")
     weights = [0] + [seq.n_psi(j) / j for j in range(1, len(p.nums))]
-    return _shift_down(_diagonal(p, weights), 1)
+    return _shift_down(_diagonal(p, Polynomial(weights)), 1)
 
 
 # -- spectral operator ---------------------------------------------------------
@@ -145,7 +145,7 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
     # coefficient of s, but it acts only on polynomials of degree below that
     log_prime = sheffer.s_series.formal_derivative().multiply(s_inv)
     # the constant term of log_prime(Q) p is sum_j c_j p_j j_psi!
-    weights = _diagonal(log_prime.polynomial, seq._factorials)
+    weights = _diagonal(log_prime.polynomial, seq._factorial_table)
     u_values = []
     term_polys_a, term_polys_b = [Polynomial()], [Polynomial()]
     for k in range(1, bound + 1):

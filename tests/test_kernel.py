@@ -75,6 +75,13 @@ from the expansion over Q: the reports must be those of
 `old_divided_addition_rule` and `old_converting_addition_rule`, and the
 coefficients and reassembly those of `old_matrix_route_expand`, the raiser
 ladder route every series lowering took before.
+
+Then every conversion between monomials and divided powers reads the
+family's factorials as integers over one lcm, and a series product is cut at
+the order as it is formed: each rewritten site must give what the Fraction
+route or the whole product it replaced gives, kept as the `old_*` functions
+of the last section, on custom families of random signed rationals and
+q-deformed ones with q in +-{2, 1/2, 3/2, 2/3}, up to N = 24.
 """
 
 import dataclasses
@@ -135,7 +142,9 @@ from umbralcalc.poly import (
     SequenceTable,
     _canonical,
     _combine,
+    _convolve,
     _diagonal,
+    _product,
     _shift_down,
     coordinates_in_table,
     fr,
@@ -196,6 +205,22 @@ def old_mul(self, other):
         for j, b in enumerate(other.coeffs):
             out[i + j] += a * b
     return Polynomial(out)
+
+
+def old_diagonal(p: Polynomial, weights) -> Polynomial:
+    """`poly._diagonal` before it read integer tables, verbatim except for
+    its name: sum_i weights[i] p_i x^i; `weights[i]` is a Fraction or an int
+    and is read only where p_i is nonzero."""
+    pairs = list(zip(p.nums, weights))
+    den = math.lcm(*[w.denominator for a, w in pairs if a])
+    out = [a * w.numerator * (den // w.denominator) if a else 0 for a, w in pairs]
+    return _canonical(out, p.den * den)
+
+
+def inverse_factorials(seq) -> tuple:
+    """The Fraction table `seq._inverse_factorials` that the integer tables
+    replaced: t[n] = 1 / n_psi!, n = 0..bound."""
+    return tuple([1 / f for f in seq._factorials])
 
 
 def old_apply(self, p):
@@ -1320,12 +1345,12 @@ def old_addition_rule(table, partner, seq, y_values, failure, success):
 
 def old_apply_delta_series(s, p):
     factorial = s.base.factorial
-    scaled = _diagonal(p, [factorial(j) if a else 0 for j, a in enumerate(p.nums)])
+    scaled = old_diagonal(p, [factorial(j) if a else 0 for j, a in enumerate(p.nums)])
     # sum_k c_k Q^k on the coordinates: coordinate j moves to j - k
     series = s.polynomial.truncate(len(scaled.nums) - 1)
     shifts = [_shift_down(scaled, k) if c else ZERO for k, c in enumerate(series.nums)]
     out = _combine(series, shifts)
-    return _diagonal(out, [1 / factorial(i) if v else 0 for i, v in enumerate(out.nums)])
+    return old_diagonal(out, [1 / factorial(i) if v else 0 for i, v in enumerate(out.nums)])
 
 
 def separation_probes():
@@ -1674,7 +1699,7 @@ def old_expand_over_shifts(t: OperatorMatrix, u: list, r: list) -> ExpansionResu
     e_series = Polynomial([1 / (a * b) for a, b in zip(lead, scale)])  # the 1 / S_d
     coefficients = []
     for c in range(bound + 1):
-        t_hat = _diagonal(t.column(c), inverse_lead).scale(1 / scale[c])
+        t_hat = old_diagonal(t.column(c), inverse_lead).scale(1 / scale[c])
         lower = old_combine_raised(e_series, [ZERO] + coefficients[::-1], bound)
         coefficients.append(t_hat - lower)
     return ExpansionResult(tuple(coefficients), old_reassemble_over_shifts(coefficients, u, r))
@@ -1690,7 +1715,7 @@ def old_reassemble_over_shifts(coefficients: list, u: list, r: list) -> Operator
     u_prod = list(accumulate(u[1:], mul, initial=Fraction(1)))
     weights = Polynomial([1 / (a * b) for a, b in zip(u_prod, r_prod)])
     return OperatorMatrix(tuple(
-        _diagonal(old_combine_raised(weights, coefficients[c::-1], bound), r_prod).scale(u_prod[c])
+        old_diagonal(old_combine_raised(weights, coefficients[c::-1], bound), r_prod).scale(u_prod[c])
         for c in range(bound + 1)))
 
 
@@ -1918,7 +1943,7 @@ def old_divided_addition_rule(table, partner, seq, y_values, failure, success):
     ys = default_shift_samples(table.bound + 2) if y_values is None else y_values
 
     def divided(p: Polynomial, n: int) -> Polynomial:
-        return _diagonal(p, seq._factorials).scale(seq._inverse_factorials[n])
+        return old_diagonal(p, seq._factorials).scale(inverse_factorials(seq)[n])
 
     t, u = [], []
     for n in range(table.bound + 1):
@@ -2086,7 +2111,7 @@ def old_row_basic_sequence_from_series(q_series: DeltaSeries, bound: int):
                         out[j] += c * v
         w = seq.n_psi(n)
         p = _canonical([w.numerator * a for a in out], sigma.den * p.den * w.denominator)
-        entries.append(_diagonal(p, seq._inverse_factorials))
+        entries.append(old_diagonal(p, inverse_factorials(seq)))
     return sequences.BasicSequence(seq, q_series, SequenceTable(tuple(entries)))
 
 
@@ -2108,7 +2133,7 @@ def old_converting_addition_rule(table, partner, seq, y_values, failure, success
     ys = default_shift_samples(table.bound + 2) if y_values is None else list(y_values)
 
     def divided(p: Polynomial, n: int) -> Polynomial:
-        return _diagonal(p, seq._factorials).scale(seq._inverse_factorials[n])
+        return old_diagonal(p, seq._factorials).scale(inverse_factorials(seq)[n])
 
     t, u = [], []
     chained = True  # every degree below n holds
@@ -2150,9 +2175,9 @@ def converted_entries():
     powers, and the patch that records them."""
     calls = []
 
-    def counted(p, weights):
+    def counted(p, *weights):
         calls.append(p)
-        return _diagonal(p, weights)
+        return _diagonal(p, *weights)
 
     return calls, mock.patch.object(sequences, "_diagonal", counted)
 
@@ -2480,3 +2505,378 @@ def test_recomposition_mutations_fail_the_differential_check():
             (_, got), (_, want) = recomposition_outcome(t, series, xhat_psi(family, bound))
         assert got.coefficients != want.coefficients
         assert got.reassembled.columns != t.columns
+
+
+# -- integer factorial tables, and series products cut at the order ----------------
+#
+# The `old_*` functions of this section are verbatim copies of the code that
+# the integer tables `_factorial_table` and `_inverse_factorial_table` and the
+# cut product `poly._product` replaced, except for their names, that methods
+# became functions, that they call each other, and that they read the
+# Fraction tables through `old_diagonal` and `inverse_factorials`.
+
+SIGNED_QS = tuple([s * q for q in (2, Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
+                   for s in (1, -1)])
+signed_rationals = st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(
+    lambda v: v != 0
+)
+
+
+def draw_signed_family(draw, bound):
+    """A custom family of random signed rationals, or a q-deformed one with
+    q in +-{2, 1/2, 3/2, 2/3}, on `bound`."""
+    if draw(st.booleans()):
+        values = draw(st.lists(signed_rationals, min_size=bound, max_size=bound))
+        return AdmissibleSequence.custom(values, bound)
+    return AdmissibleSequence.q_deformed(draw(st.sampled_from(SIGNED_QS)), bound)
+
+
+def draw_degree_and_family(draw, low=0):
+    """A degree up to 24 and a family exactly as long as it, or one longer."""
+    degree = draw(st.integers(low, 24))
+    return degree, draw_signed_family(draw, max(degree + draw(st.integers(0, 1)), 1))
+
+
+def old_table_apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
+    seq = s.base
+    if p.degree > seq.bound:  # the first nonzero coefficient past the family raises
+        seq.factorial(next(j for j in range(seq.bound + 1, len(p.nums)) if p.nums[j]))
+    scaled = old_diagonal(p, seq._factorials)
+    out = _canonical(_convolve(s.polynomial.nums, scaled.nums), scaled.den * s.polynomial.den)
+    return old_diagonal(out, inverse_factorials(seq))
+
+
+def old_table_of_rows(seq: AdmissibleSequence, rows: list) -> SequenceTable:
+    entries = [old_diagonal(t, inverse_factorials(seq)).scale(f)
+               for t, f in zip(rows, seq._factorials)]
+    table = SequenceTable(tuple(entries))
+    object.__setattr__(table, "divided", (seq, tuple(rows)))
+    return table
+
+
+def old_entry_row(p: Polynomial, n: int, seq: AdmissibleSequence) -> Polynomial:
+    return old_diagonal(p, seq._factorials).scale(inverse_factorials(seq)[n])
+
+
+def recorded_reads():
+    """A list of (entry, row) for every entry the addition rule converts to
+    the divided powers, and the patch that records them."""
+    reads = []
+
+    def recorded(p, *weights):
+        reads.append((p, _diagonal(p, *weights)))
+        return reads[-1][1]
+
+    return reads, mock.patch.object(sequences, "_diagonal", recorded)
+
+
+def old_separating_sample(cells: list, n: int, seq: AdmissibleSequence, ys: list):
+    inverse = inverse_factorials(seq)[: n + 1]
+    den = math.lcm(*[w.denominator for w in inverse])
+    weights = [w.numerator * (den // w.denominator) for w in inverse]
+    rows = [[c * w for c, w in zip(row, weights)] for row in cells if any(row)]
+    for y in ys:
+        v = fr(y)
+        p, q = v.numerator, v.denominator
+        powers = [p**k * q ** (n - k) for k in range(n + 1)]
+        if any(sum(map(mul, row, powers)) for row in rows):
+            return y
+    return None
+
+
+def old_table_addition_rule_failure(table, partner, seq, y_values=None):
+    ys = default_shift_samples(table.bound + 2) if y_values is None else list(y_values)
+
+    def rows(tab: SequenceTable):
+        """n -> entry n over n_psi! in the e_j of `seq`."""
+        if tab.divided is not None and tab.divided[0] is seq:
+            return tab.divided[1].__getitem__
+        return lambda n: old_diagonal(tab[n], seq._factorials).scale(inverse_factorials(seq)[n])
+
+    row_t = rows(table)
+    row_u = row_t if partner is table else rows(partner)
+    t, u = [], []
+    chained = True  # every degree below n holds
+    for n in range(table.bound + 1):
+        seq.n_psi(n)  # a family too short for the table raises here
+        t.append(row_t(n))
+        u.append(t[n] if partner is table else row_u(n))
+        if chained and sequences._addition_chain_agrees(t, u, n) and (
+            partner is table or sequences._addition_chain_agrees(u, u, n)
+        ) or not chained and _addition_cells_agree(t, u, n):
+            continue
+        chained = False
+        y = old_separating_sample(sequences._addition_cells(t, u, n), n, seq, ys)
+        if y is not None:
+            return n, y
+    return None
+
+
+def old_u_values(sheffer) -> tuple:
+    """The u_k of `spectral_operator`, as it computed them."""
+    seq = sheffer.seq
+    bound = sheffer.bound
+    basic = sheffer.basic
+    s_inv = sheffer.s_series.multiplicative_inverse()
+    log_prime = sheffer.s_series.formal_derivative().multiply(s_inv)
+    # the constant term of log_prime(Q) p is sum_j c_j p_j j_psi!
+    weights = old_diagonal(log_prime.polynomial, seq._factorials)
+    u_values = []
+    for k in range(1, bound + 1):
+        lowered = xhat_psi_inverse(seq, basic.table[k])
+        u_k = -Fraction(sum(map(mul, weights.nums, lowered.nums)), weights.den * lowered.den)
+        u_values.append(u_k)
+    return tuple(u_values)
+
+
+def test_factorial_tables_are_the_fraction_tables():
+    for seq in (AdmissibleSequence.custom([Fraction(-3, 2), 4, Fraction(5, 6), -1], 4),
+                AdmissibleSequence.q_deformed(Fraction(-2, 3), 24),
+                AdmissibleSequence.classical(12)):
+        f, g = seq._factorial_table, seq._inverse_factorial_table
+        canonical(f)
+        canonical(g)
+        assert f.coeffs == seq._factorials == tuple([1 / v for v in inverse_factorials(seq)])
+        assert g.coeffs == inverse_factorials(seq)
+
+
+@st.composite
+def table_action_cases(draw):
+    """A family on a bound up to 24, a series of an order from 0 to past
+    the bound, and a polynomial of degree up to the bound."""
+    _, seq = draw_degree_and_family(draw)
+    order = draw(st.integers(0, seq.bound + 2))
+    entries = draw(st.sampled_from([sparse_rationals, mixed_rationals]))
+    series = DeltaSeries.from_list(seq, draw(st.lists(entries, max_size=order + 1)), order)
+    p = Polynomial(draw(st.lists(entries, max_size=seq.bound + 1)))
+    return series, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=table_action_cases())
+def test_series_action_on_the_integer_tables_matches_the_fraction_route(case):
+    series, p = case
+    got = apply_delta_series(series, p)
+    same(got, old_table_apply_delta_series(series, p))
+
+
+def test_series_action_raises_for_a_term_past_the_family():
+    """The guard, not `zip`, meets a nonzero term past the family: a
+    truncated zip would drop it silently."""
+    for seq in (AdmissibleSequence.custom([2, Fraction(-1, 3), 5], 3),
+                AdmissibleSequence.q_deformed(Fraction(3, 2), 3)):
+        s = DeltaSeries.from_list(seq, [1, Fraction(1, 2), -1], 6)
+        for p in (Polynomial([0, 0, 0, 0, 1]), Polynomial([1, 2, 3, 0, 0, Fraction(1, 7)])):
+            got = result_or_error(apply_delta_series, s, p)
+            assert got[:2] == ("raises", UndefinedIndexError)
+            assert got == result_or_error(old_table_apply_delta_series, s, p)
+            assert got[2].endswith(f"factorial index {p.degree} outside 0..3")
+
+
+@st.composite
+def table_row_cases(draw):
+    """A family and rows T_n of degree exactly n, n = 0..degree (degree up
+    to 24, the family exactly as long or one longer)."""
+    degree, seq = draw_degree_and_family(draw)
+    size = (degree + 1) * (degree + 2) // 2
+    nums = iter(draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size)))
+    rows = []
+    for n in range(degree + 1):
+        den = draw(st.integers(1, 6))
+        row = [Fraction(next(nums), den) for _ in range(n + 1)]
+        rows.append(Polynomial(row[:-1] + [row[-1] or Fraction(1, den)]))
+    return seq, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=table_row_cases())
+def test_table_of_rows_on_the_integer_tables_matches_the_fraction_route(case):
+    seq, rows = case
+    got, want = sequences._table_of_rows(seq, rows), old_table_of_rows(seq, rows)
+    for p, q in zip(got, want, strict=True):
+        same(p, q)
+    assert got.divided[0] is seq and got.divided[1] == tuple(rows)
+    # read back through the rule's conversion, each entry is its row again
+    reads, patch = recorded_reads()
+    plain = SequenceTable(got.entries)
+    with patch:
+        sequences.addition_rule_failure(plain, plain, seq)
+    assert reads
+    for p, row in reads:
+        same(row, old_entry_row(p, p.degree, seq))
+        assert row == rows[p.degree]
+
+
+@st.composite
+def table_rule_cases(draw):
+    """The basic and a Sheffer table of a delta series, degree up to 24,
+    without their rows or with one entry perturbed; the family that built
+    them, one built separately, or another; and shift samples."""
+    degree, seq = draw_degree_and_family(draw, low=1)
+    q_series = DeltaSeries.from_list(
+        seq, [0, draw(signed_rationals)] + draw(st.lists(mixed_rationals, max_size=3)), degree)
+    s_series = DeltaSeries.from_list(seq, [draw(signed_rationals), draw(mixed_rationals)], degree)
+    sheffer = sheffer_sequence(q_series, s_series, degree)
+    tables = [sheffer.basic.table, sheffer.table]
+    if draw(st.booleans()):
+        n = draw(st.integers(0, degree))
+        j = draw(st.integers(0, n))
+        entries = list(tables[0])
+        entries[n] = entries[n] + Polynomial.monomial(j, draw(signed_rationals))
+        if entries[n].degree != n:
+            entries[n] = entries[n] + Polynomial.monomial(n)
+        tables[0] = SequenceTable(tuple(entries))
+    family = draw(st.sampled_from([seq, dataclasses.replace(seq),
+                                   draw_signed_family(draw, seq.bound)]))
+    ys = draw(st.none() | st.lists(st.integers(-3, 3) | signed_rationals, max_size=4))
+    return tables, family, ys
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=table_rule_cases())
+def test_entry_read_on_the_integer_tables_matches_the_fraction_route(case):
+    (basic, sheffer), family, ys = case
+    for table, partner in ((basic, basic), (sheffer, basic), (SequenceTable(basic.entries),) * 2):
+        reads, patch = recorded_reads()
+        with patch:
+            got = result_or_error(sequences.addition_rule_failure, table, partner, family, ys)
+        assert got == result_or_error(old_table_addition_rule_failure, table, partner, family, ys)
+        for p, row in reads:  # entry n has degree n
+            same(row, old_entry_row(p, p.degree, family))
+
+
+@st.composite
+def separating_cases(draw):
+    """Cells of a degree-n rule (n up to 24) over a family: random sparse
+    rows, and rows whose e_i(x) coefficient vanishes at chosen samples; and
+    samples that start with those roots."""
+    n, seq = draw_degree_and_family(draw)
+    roots = draw(st.lists(st.integers(-3, 3), max_size=min(n, 3), unique=True))
+    # r(y) = prod (y - root): coefficient k of row i is r_k k_psi! times a common scale
+    r = ONE
+    for root in roots:
+        r = r * Polynomial([-root, 1])
+    scale = math.lcm(*[seq.factorial(k).denominator for k in range(n + 1)])
+    cells = []
+    for i in range(n + 1):
+        kind = draw(st.sampled_from(["zero", "random", "rooted"]))
+        row = [0] * (n + 1 - i)
+        if kind == "random":
+            row = draw(st.lists(st.integers(-2, 2), min_size=n + 1 - i, max_size=n + 1 - i))
+        elif kind == "rooted" and r.degree <= n - i:
+            row[: r.degree + 1] = [int(c * seq.factorial(k) * scale) for k, c in enumerate(r.coeffs)]
+        cells.append(row)
+    ys = roots + draw(st.lists(st.integers(-4, 4) | signed_rationals, max_size=3))
+    return cells, n, seq, ys
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=separating_cases())
+def test_separating_sample_on_the_integer_table_matches_the_fraction_route(case):
+    cells, n, seq, ys = case
+    assert sequences._separating_sample(cells, n, seq, ys) == old_separating_sample(
+        cells, n, seq, ys)
+
+
+@st.composite
+def spectral_weight_cases(draw):
+    """A Sheffer table of degree up to 24 (the family exactly as long or one
+    longer) of a delta series and a prefactor with random signed terms."""
+    degree, seq = draw_degree_and_family(draw, low=1)
+    q_series = DeltaSeries.from_list(
+        seq, [0, draw(signed_rationals)] + draw(st.lists(mixed_rationals, max_size=2)), degree)
+    prefactor = [draw(signed_rationals)] + draw(st.lists(mixed_rationals, max_size=3))
+    return sheffer_sequence(q_series, DeltaSeries.from_list(seq, prefactor, degree), degree)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sheffer=spectral_weight_cases())
+def test_spectral_weights_on_the_integer_table_match_the_fraction_route(sheffer):
+    assert spectral_operator(sheffer).u_values == old_u_values(sheffer)
+
+
+def old_cut_multiply(self, other):
+    return self._wrap(self.polynomial * other.polynomial)
+
+
+def old_cut_multiplicative_inverse(self):
+    self.require_invertible()
+    a = self.polynomial
+    inverse, known = Polynomial([1 / a.constant_term]), 1  # terms below t^known
+    while known <= self.order:
+        top = min(2 * known, self.order + 1) - 1
+        product = (a.truncate(top) * inverse).truncate(top)
+        inverse = (inverse * (Polynomial([2]) - product)).truncate(top)
+        known = top + 1
+    return self._wrap(inverse)
+
+
+def old_cut_compose(self, inner):
+    g = inner.polynomial.truncate(self.order)
+    if g.constant_term != 0:
+        raise NotDeltaError("inner series must have zero constant term")
+    out = self.polynomial
+    acc = ZERO
+    for v in reversed(out.nums):
+        acc = (acc * g).truncate(self.order) + Polynomial([v])
+    return self._wrap(acc.scale(Fraction(1, out.den)))
+
+
+def old_cut_compositional_inverse(self):
+    self.require_delta()
+    top = self.order - 1
+    h = old_cut_multiplicative_inverse(self.shift_down()).polynomial  # t / a(t)
+    g, power = [Fraction(0)], ONE
+    for k in range(1, self.order + 1):
+        power = (power * h).truncate(top)
+        g.append(power.coefficient(k - 1) / k)
+    return self._wrap(Polynomial(g))
+
+
+def old_cut_powers(self, count):
+    out = [self._wrap(ONE)]
+    for _ in range(count):
+        out.append(old_cut_multiply(out[-1], self))
+    return out
+
+
+@st.composite
+def cut_product_cases(draw):
+    """Two series of orders up to 24 over one family, dense or sparse, with
+    any constant term, the second sometimes of another order; a power count;
+    and a bound from -1 to past both degrees for the bare product."""
+    order = draw(st.integers(0, 24))
+    seq = AdmissibleSequence.classical(max(order, 1))
+    entries = draw(st.sampled_from([sparse_rationals, mixed_rationals]))
+
+    def series(o):
+        return DeltaSeries.from_list(seq, draw(st.lists(entries, max_size=o + 3)), o)
+
+    a = series(order)
+    b = series(draw(st.sampled_from([order, draw(st.integers(0, 24))])))
+    return a, b, draw(st.integers(0, 4)), draw(st.integers(-1, 2 * order + 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cut_product_cases())
+def test_series_products_cut_at_the_order_match_the_whole_products(case):
+    a, b, count, bound = case
+    same(_product(a.polynomial, b.polynomial, bound), (a.polynomial * b.polynomial).truncate(bound))
+    for new, old, args in (
+        (DeltaSeries.multiply, old_cut_multiply, (a, b)),
+        (DeltaSeries.multiply, old_cut_multiply, (b, a)),
+        (DeltaSeries.multiplicative_inverse, old_cut_multiplicative_inverse, (a,)),
+        (DeltaSeries.compose, old_cut_compose, (a, b)),
+        (DeltaSeries.compose, old_cut_compose, (b, a)),
+        (DeltaSeries.compositional_inverse, old_cut_compositional_inverse, (a,)),
+        (DeltaSeries.powers, old_cut_powers, (a, count)),
+    ):
+        got, want = result_or_error(new, *args), result_or_error(old, *args)
+        if want[0] == "raises":
+            assert got == want
+            continue
+        assert got[0] == "value"
+        got, want = got[1], want[1]
+        for s, t in zip(*([got, want] if isinstance(got, list) else [[got], [want]]), strict=True):
+            same(s.polynomial, t.polynomial)
+            assert (s.base, s.order) == (t.base, t.order)

@@ -13,7 +13,7 @@ reads must also be what `verify_binomial_type` reports.
 import json
 import sys
 from contextlib import ExitStack
-from functools import cache
+from functools import cache, cached_property
 from unittest import mock
 
 import pytest
@@ -22,7 +22,8 @@ import conftest
 from umbralcalc import cli, harness, operators, poly, sequences, spectral
 from umbralcalc.harness import exit_status, run_all
 from umbralcalc.operators import OperatorMatrix, umbral_operator, weighted_shift
-from umbralcalc.poly import Polynomial, SequenceTable
+from umbralcalc.poly import Polynomial, SequenceTable, _new
+from umbralcalc.psi import AdmissibleSequence
 from umbralcalc.sequences import (
     addition_rule_failure,
     basic_sequence_from_series,
@@ -133,6 +134,20 @@ def unscaled_certificate(_reparameterization_certificate):
     return wrong
 
 
+def doubled_inverse_table_entry(inverse_factorial_table):
+    """G[2] doubled in the family's table 1 / n_psi! = G[n] / G_den, so that
+    every monomial <-> e_j conversion reads 2 / 2_psi!; cached per family,
+    as the original, for the families built under the patch."""
+
+    def wrong(seq):
+        g = inverse_factorial_table.func(seq)
+        return _new(g.nums[:2] + (2 * g.nums[2],) + g.nums[3:], g.den)
+
+    table = cached_property(wrong)
+    table.__set_name__(AdmissibleSequence, "_inverse_factorial_table")
+    return table
+
+
 def identity_inverse(compositional_inverse):
     """q in place of g = q^<-1>: the compositional inverse returns its input."""
     return lambda self: self
@@ -152,6 +167,8 @@ MUTATIONS = {
     "unscaled-certificate": (harness, "_reparameterization_certificate", unscaled_certificate,
                              (harness,)),
     "identity-inverse": (DeltaSeries, "compositional_inverse", identity_inverse, (DeltaSeries,)),
+    "doubled-inverse-table-entry": (AdmissibleSequence, "_inverse_factorial_table",
+                                    doubled_inverse_table_entry, (AdmissibleSequence,)),
 }
 
 _FAMILY_ONLY = "reads only the family's factorials and exponential, which no entry mutates"
@@ -236,6 +253,19 @@ def test_verify_exits_1_under_a_wrong_coordinate(capsys):
     reports = json.loads(capsys.readouterr().out)["reports"]
     faults = {r["suite"] for r in reports if r["identity_id"] == "kernel-fault"}
     assert faults == {"factorization", "mutator"}
+
+
+def test_verify_exits_1_under_a_doubled_inverse_table_entry(capsys):
+    """The CLI builds its families inside the patch, so every conversion
+    reads the wrong table: asserted records fail, and `spectral`, whose
+    dual raiser meets a table that is not basic, records a kernel fault."""
+    with mutated("doubled-inverse-table-entry"):
+        status = cli.main(["verify", "--degree", str(DEGREE), "--format", "json"])
+    assert status == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    failed = [r for r in reports if r["asserted"] and r["status"] == "fails"]
+    assert {r["suite"] for r in failed if r["identity_id"] == "kernel-fault"} == {"spectral"}
+    assert {"routes", "sheffer", "transport"} <= {r["suite"] for r in failed}
 
 
 @pytest.mark.parametrize("label", sorted(MUTATIONS))
