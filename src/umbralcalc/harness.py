@@ -26,11 +26,9 @@ from .operators import (
     detect_psi_form,
     dilation,
     divided_difference,
-    divided_difference_apply,
     expand_in_dual_pair,
     identity_operator,
     indicator,
-    jackson_derivative,
     jackson_operator,
     multiplication_operator,
     multiplication_x,
@@ -346,8 +344,7 @@ def suite_leibnitz(families, degree, rng, out):
 
     # family-free product rule of the divided difference
     def dd_product_rule(f, g):
-        rhs = divided_difference_apply(f) * g + divided_difference_apply(g).scale(f.constant_term)
-        return divided_difference_apply(f * g) == rhs
+        return d0.apply(f * g) == d0.apply(f) * g + d0.apply(g).scale(f.constant_term)
 
     half = degree // 2
     failures = _pair_failures(rng, 5, half, degree - half, dd_product_rule)
@@ -372,10 +369,10 @@ def suite_leibnitz(families, degree, rng, out):
 
         if seq.family == Q_DEFORMED:
             q = q_parameter(seq)
+            jq = jackson_operator(q, degree)
 
             def q_product_rule(f, g):
-                rhs = jackson_derivative(f, q) * g + f.dilate(q) * jackson_derivative(g, q)
-                return jackson_derivative(f * g, q) == rhs
+                return jq.apply(f * g) == jq.apply(f) * g + f.dilate(q) * jq.apply(g)
 
             failures = _pair_failures(rng, 5, half, degree - half, q_product_rule)
             out.first_failure("q-product-rule", seq.label, failures)
@@ -383,7 +380,7 @@ def suite_leibnitz(families, degree, rng, out):
             # the q lowering is a dilation polynomial times the divided difference
             shape = Polynomial([1 / (1 - q), -1 / (1 - q)])
             diag = operator_polynomial(shape, dilation(q, degree).scale(q))
-            ok = diag.compose(d0).columns == jackson_operator(q, degree).columns
+            ok = diag.compose(d0).columns == jq.columns
             out.exact("q-scale-factor", seq.label, ok)
 
     # same factorization for a weight family read off a series shape
@@ -736,7 +733,7 @@ def suite_qplane(families, degree, rng, out):
         if seq.family != Q_DEFORMED:
             continue
         q = q_parameter(seq)
-        out.exact("exchange-rule", seq.label, qplane_commutation(q, degree)["passed"])
+        out.exact("exchange-rule", seq.label, qplane_commutation(q, degree))
         # the substitution holds for every entry once it holds on the monomials;
         # each record composes it with the sum form of its table
         substitution = qplane_substitution_report(seq, degree, ys)

@@ -34,7 +34,6 @@ from .poly import (
     _over_one_lcm,
     _raised_sum,
     _running_products,
-    _shift_down,
     coordinates_in_table,
     fr,
 )
@@ -224,28 +223,17 @@ def dilation(q, bound: int) -> OperatorMatrix:
     return from_action(lambda p: p.dilate(q), bound)
 
 
-def jackson_derivative(p: Polynomial, q) -> Polynomial:
-    """(p(x) - p(qx)) / ((1-q) x), exact on polynomials."""
-    q = fr(q)
-    if q == 1:
-        raise BadParameterError("jackson derivative undefined at q = 1")
-    return _shift_down(p - p.dilate(q), 1).scale(1 / (1 - q))
-
-
 def jackson_operator(q, bound: int) -> WeightedShift:
-    """x^j -> [j]_q x^(j-1), [j]_q = (1 - q^j) / (1 - q)."""
+    """Jackson derivative (p(x) - p(qx)) / ((1-q) x): x^j -> [j]_q x^(j-1),
+    [j]_q = (1 - q^j) / (1 - q)."""
     q = fr(q)
     if q == 1:
         raise BadParameterError("jackson derivative undefined at q = 1")
     return weighted_shift(-1, bound, lambda j: (1 - q**j) / (1 - q))
 
 
-def divided_difference_apply(p: Polynomial) -> Polynomial:
-    """(p(x) - p(0)) / x."""
-    return _shift_down(p, 1)
-
-
 def divided_difference(bound: int) -> WeightedShift:
+    """(p(x) - p(0)) / x: x^j -> x^(j-1)."""
     return weighted_shift(-1, bound, lambda j: 1)
 
 

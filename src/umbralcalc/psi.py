@@ -171,16 +171,6 @@ class AdmissibleSequence:
             )
         return self._factorials[n]
 
-    def falling_factorial(self, n: int, k: int) -> Fraction:
-        """Product n_psi (n-1)_psi ... (n-k+1)_psi."""
-        if k < 0 or k > n:
-            raise IndexOrderError(f"falling factorial needs 0 <= k <= n, got ({n}, {k})")
-        if k == 0:  # the empty product needs no index in range
-            return Fraction(1)
-        self.n_psi(n)  # raises for a top factor beyond the bound
-        t = self._factorials
-        return t[n] / t[n - k]
-
     def binomial(self, n: int, k: int) -> Fraction:
         if k < 0 or k > n:
             raise IndexOrderError(f"binomial needs 0 <= k <= n, got ({n}, {k})")

@@ -108,7 +108,8 @@ def basic_sequence_from_series(q_series: DeltaSeries, bound: int) -> BasicSequen
     if bound < 0:
         raise BadParameterError("degree bound must be nonnegative")
     seq = q_series.base
-    seq.factorial(min(bound, seq.bound + 1))  # a family too short for the bound raises
+    if bound > seq.bound:  # a family too short for the bound raises
+        seq.factorial(seq.bound + 1)
     rows = [ONE]
     if bound:
         sigma = DeltaSeries.from_list(seq, q_series.coeffs[1:], bound - 1)

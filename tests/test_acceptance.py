@@ -434,7 +434,7 @@ def test_criterion_12_deformed_bracket_calculus(families, degree):
 
         if seq.family == Q_DEFORMED:
             q = dict(seq.params)["q"]
-            ok = ok and qplane_commutation(q, degree)["passed"]
+            ok = ok and qplane_commutation(q, degree)
             ok = ok and qplane_substitution_report(seq, degree, ys)["passed"]
             ok = ok and verify_binomial_type(basic.table, seq, ys).passed
             sheffer = sheffer_sequence(

@@ -527,7 +527,7 @@ def old_realize_delta_series(s, bound):
         for k in range(min(s.order, j) + 1):
             c = s.coefficient(k)
             if c != 0:
-                coeffs[j - k] += c * seq.falling_factorial(j, k)
+                coeffs[j - k] += c * seq.factorial(j) / seq.factorial(j - k)
         cols.append(Polynomial(coeffs))
     return OperatorMatrix(tuple(cols))
 

@@ -24,7 +24,6 @@ from umbralcalc.operators import (
     generalized_shift,
     identity_operator,
     indicator,
-    jackson_derivative,
     jackson_operator,
     multiplication_x,
     psi_derivative,
@@ -69,18 +68,22 @@ def test_xhat_examples():
     assert xhat_psi(CLASSICAL, N).grading == "raises_by_one"
 
 
+def jackson_quotient(p, q):
+    """(p(x) - p(qx)) / ((1 - q) x), from its definition."""
+    return Polynomial((p - p.dilate(q)).coeffs[1:]).scale(1 / (1 - Fraction(q)))
+
+
 def test_jackson_examples():
-    assert jackson_derivative(X**2, 2) == Polynomial.monomial(1, 3)
-    assert jackson_derivative(X**3, Fraction(1, 2)) == Polynomial.monomial(
+    assert jackson_operator(2, N).apply(X**2) == Polynomial.monomial(1, 3)
+    assert jackson_operator(Fraction(1, 2), N).apply(X**3) == Polynomial.monomial(
         2, Fraction(7, 4)
     )
-    with pytest.raises(BadParameterError):
-        jackson_derivative(X**2, 1)
-    # matrix agrees with the closed-form application on a sample
-    p = Polynomial([1, -2, 0, Fraction(5, 3)])
-    assert jackson_operator(Fraction(1, 2), N).apply(p) == jackson_derivative(
-        p, Fraction(1, 2)
-    )
+    with pytest.raises(BadParameterError, match="^jackson derivative undefined at q = 1$"):
+        jackson_operator(1, N)
+    # matrix agrees with the definition on samples
+    for q in (2, Fraction(1, 2), Fraction(-3, 2)):
+        for p in (X**2, X**3, Polynomial([1, -2, 0, Fraction(5, 3)])):
+            assert jackson_operator(q, N).apply(p) == jackson_quotient(p, q)
     # matrix equals the family lowering operator of the q-deformed family
     assert jackson_operator(2, N).columns == psi_derivative(Q2, N).columns
 

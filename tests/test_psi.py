@@ -41,13 +41,6 @@ def oracle_factorial(seq, n):
     return out
 
 
-def oracle_falling_factorial(seq, n, k):
-    out = Fraction(1)
-    for i in range(n, n - k, -1):
-        out *= seq.n_psi(i)
-    return out
-
-
 def oracle_binomial(seq, n, k):
     return oracle_factorial(seq, n) / (
         oracle_factorial(seq, k) * oracle_factorial(seq, n - k)
@@ -179,17 +172,15 @@ def test_index_guard_messages():
         (lambda: seq.factorial(9), UndefinedIndexError, "classical: factorial index 9 outside 0..6"),
         (lambda: seq.factorial(-1), UndefinedIndexError, "classical: factorial index -1 outside 0..6"),
         (lambda: seq.binomial(8, 2), UndefinedIndexError, "classical: index 8 outside validated range 0..6"),
-        (lambda: seq.falling_factorial(7, 7), UndefinedIndexError, "classical: index 7 outside validated range 0..6"),
         (lambda: seq.binomial(3, 4), IndexOrderError, "binomial needs 0 <= k <= n, got (3, 4)"),
         (lambda: seq.binomial(-1, 0), IndexOrderError, "binomial needs 0 <= k <= n, got (-1, 0)"),
-        (lambda: seq.falling_factorial(3, -1), IndexOrderError, "falling factorial needs 0 <= k <= n, got (3, -1)"),
     ]
     for call, error, message in cases:
         with pytest.raises(error) as info:
             call()
         assert str(info.value) == message
     # the empty product never needed an index in range
-    assert seq.binomial(8, 0) == 1 and seq.falling_factorial(8, 0) == 1
+    assert seq.binomial(8, 0) == 1
 
 
 def test_tables_keep_equality_and_hash():
@@ -276,7 +267,6 @@ def test_scalar_tables_match_product_loops(values, q):
         for n in range(bound + 1):
             assert seq.factorial(n) == oracle_factorial(seq, n)
             for k in range(n + 1):
-                assert seq.falling_factorial(n, k) == oracle_falling_factorial(seq, n, k)
                 assert seq.binomial(n, k) == oracle_binomial(seq, n, k)
 
 

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from umbralcalc import psi
 from umbralcalc.errors import (
     BadParameterError,
     DegreeOverflowError,
@@ -85,6 +86,26 @@ def test_graded_ladder_keeps_its_error_types():
         basic_sequence(q_op, AdmissibleSequence.classical(2), 4)
     with pytest.raises(DegreeOverflowError, match="truncation beyond operator bound"):
         eigen_series(q_op, 5)
+
+
+def test_series_table_builds_only_the_integer_factorial_tables(monkeypatch):
+    # the range guard reads no factorial table: a fresh family runs one
+    # running-products pass for n_psi! and one for 1 / n_psi!
+    calls = []
+    original = psi._running_products
+
+    def counted(*factors, **options):
+        calls.append(factors)
+        return original(*factors, **options)
+
+    monkeypatch.setattr(psi, "_running_products", counted)
+    seq = AdmissibleSequence.custom([1, 2, Fraction(1, 3), -1, 5, 2], 6)
+    basic_sequence_from_series(DeltaSeries.from_list(seq, [0, 1, 1], 6), 6)
+    assert len(calls) == 2
+    short = AdmissibleSequence.custom([1, 2, Fraction(1, 3)], 3)
+    with pytest.raises(UndefinedIndexError) as info:
+        basic_sequence_from_series(DeltaSeries.from_list(short, [0, 1, 1], 3), 4)
+    assert str(info.value) == "custom: factorial index 4 outside 0..3"
 
 
 def test_hermite_like_cross_check():
