@@ -67,11 +67,11 @@ from .sequences import (
     verify_sheffer_binomial,
     verify_sheffer_definition,
 )
-from .integration import IntegralOperator, verify_right_inverse
+from .integration import IntegralOperator, right_inverse_failures
 from .star import StarContext, poisson_psi_polynomials, star_power, star_product
 from .spectral import (
     inner_product,
-    orthogonality_report,
+    orthogonality_failures,
     qhat_operator,
     spectral_operator,
     verify_conjugation_transport,

@@ -24,7 +24,7 @@ from .harness import (
     render_text,
     run_suites,
 )
-from .integration import IntegralOperator, verify_right_inverse
+from .integration import IntegralOperator, right_inverse_failures
 from .operators import (
     OperatorMatrix,
     detect_psi_form,
@@ -47,7 +47,7 @@ from .sequences import (
     verify_binomial_type,
 )
 from .series import DeltaSeries
-from .spectral import orthogonality_report, spectral_operator
+from .spectral import orthogonality_failures, spectral_operator
 from .star import StarContext, poisson_psi_polynomials, poisson_raising_route, star_power, star_product
 
 DEFAULT_FAMILY_DESCRIPTORS = (
@@ -335,25 +335,26 @@ def cmd_integrate(args, config: dict) -> int:
         raise BadParameterError(f"unknown integral kind {kind!r}")
     p = _polynomial(config, "polynomial", "x")
     integral = op.integrate(p)
-    pairing = verify_right_inverse(op, op.partner)
+    witness = next(right_inverse_failures(op, op.partner), None)
+    window = degree - 1 if witness is None else None
     lines = [
         f"kind: {kind}",
         f"input: {p.to_text()}",
         f"integral: {integral.to_text()}",
-        "pairing: verified (window={})".format(pairing.get("window"))
-        if pairing["passed"]
-        else f"pairing: FAILED {pairing.get('witness')}",
+        f"pairing: verified (window={window})"
+        if witness is None
+        else f"pairing: FAILED {witness}",
     ]
     payload = {
         "kind": kind,
         "N": degree,
         "input": p.to_json_list(),
         "integral": integral.to_json_list(),
-        "pairing_verified": pairing["passed"],
-        "window": pairing.get("window"),
+        "pairing_verified": witness is None,
+        "window": window,
     }
     _emit(args, "\n".join(lines), payload)
-    return 0 if pairing["passed"] else 1
+    return 0 if witness is None else 1
 
 
 def cmd_star(args, config: dict) -> int:
@@ -406,33 +407,33 @@ def cmd_spectral(args, config: dict) -> int:
     q_series = DeltaSeries.from_list(seq, _rationals(config, "series", [0, 1]), degree)
     s_series = DeltaSeries.from_list(seq, _rationals(config, "prefactor", [1, 1]), degree)
     sheffer = sheffer_sequence(q_series, s_series, degree)
-    orth = orthogonality_report(sheffer, kmax=kmax)
+    orth_ok = next(orthogonality_failures(sheffer, kmax), None) is None
     result = spectral_operator(sheffer)
     eigen_ok = all(
         result.definitional.apply(sheffer.table[n]) == sheffer.table[n].scale(n)
         for n in range(degree + 1)
     )
-    formula_orders = [t["order"] for t in result.term_agreement if not t["reading_a"]]
+    divergence = result.printed_divergence
     lines = [
         f"family: {seq.label}",
-        "orthogonality: {} (kmax={})".format("ok" if orth["passed"] else "FAILED", kmax),
+        "orthogonality: {} (kmax={})".format("ok" if orth_ok else "FAILED", kmax),
         f"eigen-relation: {'ok' if eigen_ok else 'FAILED'}",
         f"conjugation-route: {'agrees' if result.composition_agrees else 'DISAGREES'}",
         "printed-formula: matches (finding)"
-        if not formula_orders
-        else f"printed-formula: diverges at order {formula_orders[0]} (finding)",
+        if divergence is None
+        else f"printed-formula: diverges at order {divergence} (finding)",
     ]
     payload = {
         "family": seq.descriptor(),
         "N": degree,
-        "orthogonality": orth["passed"],
+        "orthogonality": orth_ok,
         "eigen_relation": eigen_ok,
         "conjugation_route": result.composition_agrees,
-        "printed_formula_matches": not formula_orders,
-        "printed_formula_first_divergence": formula_orders[0] if formula_orders else None,
+        "printed_formula_matches": divergence is None,
+        "printed_formula_first_divergence": divergence,
     }
     _emit(args, "\n".join(lines), payload)
-    asserted = orth["passed"] and eigen_ok and result.composition_agrees
+    asserted = orth_ok and eigen_ok and result.composition_agrees
     return 0 if asserted else 1
 
 

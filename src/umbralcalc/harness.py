@@ -19,7 +19,7 @@ from itertools import accumulate, product
 from operator import mul
 
 from .errors import BadParameterError, UmbralError
-from .integration import IntegralOperator, verify_right_inverse
+from .integration import IntegralOperator, right_inverse_failures
 from .operators import (
     OperatorMatrix,
     commutator,
@@ -62,15 +62,16 @@ from .sequences import (
 from .series import DeltaSeries
 from .spectral import (
     appell_raising_telescope_report,
-    gram_positivity_report,
-    mutator_identity_report,
+    gram_failures,
+    mutator_failures,
     number_operator_steps_report,
-    orthogonality_report,
+    orthogonality_failures,
     q_parameter,
     qhat_operator,
     qplane_commutation,
-    qplane_substitution_report,
+    qplane_substitution_failures,
     sandwich_power_report,
+    shift_raiser,
     spectral_operator,
     transport_pincherle_report,
     verify_conjugation_transport,
@@ -140,8 +141,9 @@ class Records(list):
 
     `exact` and `windowed` are the only place a verdict becomes a status, a
     window and a witness: a record that holds carries no witness, and a
-    failed record always carries one. `first_failure` is `exact` fed by a
-    search for the first counterexample, `report` by a report dict.
+    failed record always carries one. Every counterexample search is a lazy
+    stream of witnesses, read by `first_failure`: `exact` on its first
+    witness, or `holds` when it yields none.
     """
 
     def __init__(self, suite: str, degree: int):
@@ -181,10 +183,6 @@ class Records(list):
         so a search stops, and samples no further, at its first failure."""
         witness = next(iter(failures), None)
         self.exact(ident, family, witness is None, witness, asserted, window, degree)
-
-    def report(self, ident, family, report, asserted=True, window=None):
-        """`exact` on a report dict's `passed` and `witness`."""
-        self.exact(ident, family, report["passed"], report.get("witness"), asserted, window)
 
 
 # -- seeded sampling helpers ---------------------------------------------------
@@ -597,10 +595,9 @@ def suite_orthogonality(families, degree, rng, out):
     for seq in families:
         [(_, q_series, s_series)] = _sheffer_pairs(seq, rng, degree, ("composite",))
         sheffer = sheffer_sequence(q_series, s_series, degree)
-        out.report("diagonal-pairing", seq.label, orthogonality_report(sheffer, kmax=degree))
+        out.first_failure("diagonal-pairing", seq.label, orthogonality_failures(sheffer, degree))
         if all(seq.n_psi(n) > 0 for n in range(1, degree + 1)):
-            gram = gram_positivity_report(sheffer, rng, samples=4)
-            out.exact("gram-positivity", seq.label, gram["passed"] is True, gram.get("witness"))
+            out.first_failure("gram-positivity", seq.label, gram_failures(sheffer, rng, 4))
 
 
 def suite_spectral(families, degree, rng, out):
@@ -616,12 +613,12 @@ def suite_spectral(families, degree, rng, out):
                         if result.definitional.apply(sheffer.table[n]) != sheffer.table[n].scale(n))
             out.first_failure(f"eigen-relation({label})", seq.label, failures)
             out.exact(f"conjugation-route({label})", seq.label, result.composition_agrees)
-            disagree = [k for k, t in enumerate(result.term_agreement) if not t["reading_a"]]
+            divergence = result.printed_divergence
             out.exact(
                 f"printed-coefficient-formula({label})",
                 seq.label,
-                not disagree,
-                {"first_disagreeing_order": disagree[0]} if disagree else None,
+                divergence is None,
+                {"first_disagreeing_order": divergence},
                 asserted=False,
             )
 
@@ -630,20 +627,21 @@ def suite_integration(families, degree, rng, out):
     """Monomial-diagonal right inverses pair with their lowerings."""
     for seq in families:
         op = IntegralOperator.psi_integral(seq, degree)
-        out.report("graded-right-inverse", seq.label,
-                   verify_right_inverse(op, psi_derivative(seq, degree)))
+        out.first_failure("graded-right-inverse", seq.label,
+                          right_inverse_failures(op, psi_derivative(seq, degree)))
         if seq.family == Q_DEFORMED:
             q = q_parameter(seq)
             q_int = IntegralOperator.q_integral(q, degree)
-            out.report("q-right-inverse", seq.label,
-                       verify_right_inverse(q_int, jackson_operator(q, degree)))
+            out.first_failure("q-right-inverse", seq.label,
+                              right_inverse_failures(q_int, jackson_operator(q, degree)))
             out.exact("q-matches-graded-integral", seq.label, q_int.weights == op.weights)
 
     shape_coeffs = [Fraction(2), Fraction(-2)]
     q_r = Fraction(1, 3)
     seq_r = AdmissibleSequence.r_series(shape_coeffs, q_r, degree + 1)
     r_int = IntegralOperator.r_integral(shape_coeffs, q_r, degree)
-    out.report("series-right-inverse", seq_r.label, verify_right_inverse(r_int, r_int.partner))
+    out.first_failure("series-right-inverse", seq_r.label,
+                      right_inverse_failures(r_int, r_int.partner))
     out.exact(
         "series-partner-is-lowering",
         seq_r.label,
@@ -736,15 +734,15 @@ def suite_qplane(families, degree, rng, out):
         out.exact("exchange-rule", seq.label, qplane_commutation(q, degree))
         # the substitution holds for every entry once it holds on the monomials;
         # each record composes it with the sum form of its table
-        substitution = qplane_substitution_report(seq, degree, ys)
+        substitution = next(qplane_substitution_failures(seq, degree, ys), None)
         [(_, q_series, s_series)] = _sheffer_pairs(seq, rng, degree, ("appell",))
         sheffer = sheffer_sequence(q_series, s_series, degree)
         for ident, sums in (
             ("shift-substitution-basic", verify_binomial_type(sheffer.basic.table, seq, ys)),
             ("shift-substitution-sheffer", verify_sheffer_binomial(sheffer, ys)),
         ):
-            ok = substitution["passed"] and sums.passed
-            out.exact(ident, seq.label, ok, substitution.get("witness") or sums.witness)
+            ok = substitution is None and sums.passed
+            out.exact(ident, seq.label, ok, substitution or sums.witness)
 
 
 def suite_mutator(families, degree, rng, out):
@@ -760,17 +758,18 @@ def suite_mutator(families, degree, rng, out):
             ),
         ]
         for label, basic in tables:
-            report = mutator_identity_report(basic)
-            out.report(f"bracket-identity({label})", seq.label, report, window=report["window"])
+            failures = mutator_failures(basic, shift_raiser(basic), qhat_operator(basic))
+            out.first_failure(f"bracket-identity({label})", seq.label, failures, window=degree - 1)
 
         basic = tables[0][1]
-        literal = mutator_identity_report(basic, literal_one=True)
-        out.report("literal-unit-weights", seq.label, literal, asserted=False)
-        dual = mutator_identity_report(basic, raiser_mode="dual")
-        out.report("dual-raiser-variant", seq.label, dual, asserted=False)
+        qhat = qhat_operator(basic)
+        literal = mutator_failures(basic, shift_raiser(basic), qhat_operator(basic, one=1))
+        out.first_failure("literal-unit-weights", seq.label, literal, asserted=False)
+        dual = mutator_failures(basic, basic.raiser, qhat)
+        out.first_failure("dual-raiser-variant", seq.label, dual, asserted=False)
         if seq.family == Q_DEFORMED:
             q = q_parameter(seq)
-            same = qhat_operator(basic).columns == dilation(q, degree).columns
+            same = qhat.columns == dilation(q, degree).columns
             out.exact("deformation-is-dilation", seq.label, same, asserted=False)
 
 
@@ -819,19 +818,16 @@ def suite_transport(families, degree, rng, out):
             degree,
             sheffer_s=DeltaSeries.from_list(seq, [1, 1], degree),
         )
-        ok = report["passed"] and report["conjugate_is_target_operator"]
         witness = {k: v for k, v in report.items() if k != "passed"}
-        out.exact("basis-conjugation", seq.label, ok, witness)
+        out.exact("basis-conjugation", seq.label, report["passed"], witness)
         for label, coeffs in (
             ("derivative", [0, 1]),
             ("composite", [0, 1, 1]),
             ("cubic", [0, 1, 0, Fraction(1, 3)]),
         ):
             l_series = DeltaSeries.from_list(seq, coeffs, degree)
-            report = transport_pincherle_report(l_series, degree)
-            out.windowed(
-                f"monomial-map-commutator({label})", seq.label, report["window"], degree - 1
-            )
+            window = transport_pincherle_report(l_series, degree)
+            out.windowed(f"monomial-map-commutator({label})", seq.label, window, degree - 1)
 
 
 SUITES = {

@@ -88,30 +88,33 @@ class IntegralOperator:
         return weighted_shift(1, self.bound, lambda j: 1 / self.weights[j])
 
 
-def verify_right_inverse(
-    op: IntegralOperator, differencer: OperatorMatrix
-) -> dict:
-    """Check differencer o integral = id below the bound and
-    integral o differencer = id - evaluation at 0; guards the pairing."""
+def right_inverse_failures(op: IntegralOperator, differencer: OperatorMatrix):
+    """Witnesses {"side", "degree"} of the pairing: on the right side,
+    monomials of degree below the bound on which differencer o integral is
+    not the identity; on the left, monomials whose difference image has
+    room below the bound and on which integral o differencer is not
+    id - evaluation at 0. A differencer that is not the partner of `op`
+    raises at the call."""
     if differencer.bound != op.bound:
         raise MismatchedPairError("bounds differ")
     if differencer.columns != op.partner.columns:
         raise MismatchedPairError(
             f"difference operator is not the partner of the {op.kind}"
         )
-    bound = op.bound
-    right_window = bound - 1
-    for j in range(right_window + 1):
-        xj = Polynomial.monomial(j)
-        if differencer.apply(op.integrate(xj)) != xj:
-            return {"passed": False, "witness": {"side": "right", "degree": j}}
-    for j in range(bound + 1):
-        xj = Polynomial.monomial(j)
-        image = differencer.apply(xj)
-        if image.degree > bound - 1:
-            continue
-        back = op.integrate(image)
-        expected = xj if j >= 1 else Polynomial()
-        if back != expected:
-            return {"passed": False, "witness": {"side": "left", "degree": j}}
-    return {"passed": True, "window": right_window}
+
+    def search():
+        bound = op.bound
+        for j in range(bound):
+            xj = Polynomial.monomial(j)
+            if differencer.apply(op.integrate(xj)) != xj:
+                yield {"side": "right", "degree": j}
+        for j in range(bound + 1):
+            xj = Polynomial.monomial(j)
+            image = differencer.apply(xj)
+            if image.degree > bound - 1:
+                continue
+            expected = xj if j >= 1 else Polynomial()
+            if op.integrate(image) != expected:
+                yield {"side": "left", "degree": j}
+
+    return search()

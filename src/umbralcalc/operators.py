@@ -371,7 +371,6 @@ class PsiFormResult:
     """
 
     candidate: tuple
-    scale: Fraction
     consistent: bool
     violation: tuple | None
     seq: AdmissibleSequence | None
@@ -387,12 +386,9 @@ def detect_psi_form(q_op: OperatorMatrix) -> PsiFormResult:
         for k in range(1, n + 1):
             b[(n, k)] = col.coefficient(n - k)
     candidate = tuple([b[(n, 1)] for n in range(1, bound + 1)])
-    scale = candidate[0]
     for n in range(1, bound + 1):
         if b[(n, 1)] == 0:
-            return PsiFormResult(
-                candidate, scale, False, (n, 1, None, Fraction(0)), None, None
-            )
+            return PsiFormResult(candidate, False, (n, 1, None, Fraction(0)), None, None)
     seq = AdmissibleSequence.custom(candidate, bound, label="detected")
     coeffs = [Fraction(0)] + [
         b[(k, k)] / seq.factorial(k) for k in range(1, bound + 1)
@@ -403,9 +399,9 @@ def detect_psi_form(q_op: OperatorMatrix) -> PsiFormResult:
             expected = seq.binomial(n, k) * b[(k, k)]
             if b[(n, k)] != expected:
                 return PsiFormResult(
-                    candidate, scale, False, (n, k, expected, b[(n, k)]), seq, series
+                    candidate, False, (n, k, expected, b[(n, k)]), seq, series
                 )
-    return PsiFormResult(candidate, scale, True, None, seq, series)
+    return PsiFormResult(candidate, True, None, seq, series)
 
 
 def realize_psi_form(result: PsiFormResult, bound: int) -> OperatorMatrix:

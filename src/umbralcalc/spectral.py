@@ -56,29 +56,29 @@ def inner_product(sheffer: ShefferSequence, f: Polynomial, g: Polynomial) -> Fra
     return sum((c * value for c, value in zip(coords, row) if c), Fraction(0))
 
 
-def orthogonality_report(sheffer: ShefferSequence, kmax: int | None = None) -> dict:
-    kmax = sheffer.bound if kmax is None else kmax
+def orthogonality_failures(sheffer: ShefferSequence, kmax: int):
+    """Witnesses {"k", "n", "got", "expected"}, k outer and n inner over
+    0..kmax, where <s_k, s_n> is not n_psi! on the diagonal and 0 off it.
+    A `kmax` outside 0..bound raises at the call."""
     if not 0 <= kmax <= sheffer.bound:
         raise BadParameterError(f"kmax must lie in 0..{sheffer.bound}, got {kmax}")
-    # entry k has coordinates e_k in its own table, so <s_k, s_n> = rows[n][k]
-    rows = [_pairing_row(sheffer, sheffer[n], kmax + 1) for n in range(kmax + 1)]
-    for k in range(kmax + 1):
-        for n in range(kmax + 1):
-            value = rows[n][k]
-            expected = sheffer.seq.factorial(n) if n == k else Fraction(0)
-            if value != expected:
-                return {
-                    "passed": False,
-                    "witness": {"k": k, "n": n, "got": str(value), "expected": str(expected)},
-                }
-    return {"passed": True, "kmax": kmax}
+
+    def search():
+        # entry k has coordinates e_k in its own table, so <s_k, s_n> = rows[n][k]
+        rows = [_pairing_row(sheffer, sheffer[n], kmax + 1) for n in range(kmax + 1)]
+        for k in range(kmax + 1):
+            for n in range(kmax + 1):
+                expected = sheffer.seq.factorial(n) if n == k else Fraction(0)
+                if rows[n][k] != expected:
+                    yield {"k": k, "n": n, "got": str(rows[n][k]), "expected": str(expected)}
+
+    return search()
 
 
-def gram_positivity_report(sheffer: ShefferSequence, rng, samples: int = 5) -> dict:
-    """For all-positive families the pairing is positive definite."""
-    seq = sheffer.seq
-    if any(seq.n_psi(n) <= 0 for n in range(1, sheffer.bound + 1)):
-        return {"passed": None, "skipped": "family has nonpositive weights"}
+def gram_failures(sheffer: ShefferSequence, rng, samples: int):
+    """Witnesses {"f", "value"} among `samples` random f with <f, f> <= 0,
+    which a family of positive weights never gives; each f is drawn only
+    once the previous one has held."""
     for _ in range(samples):
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(sheffer.bound + 1)]
         f = Polynomial(coeffs)
@@ -86,8 +86,7 @@ def gram_positivity_report(sheffer: ShefferSequence, rng, samples: int = 5) -> d
             f = ONE
         value = inner_product(sheffer, f, f)
         if value <= 0:
-            return {"passed": False, "witness": {"f": f.to_text(), "value": str(value)}}
-    return {"passed": True, "samples": samples}
+            yield {"f": f.to_text(), "value": str(value)}
 
 
 # -- inverse raising ----------------------------------------------------------
@@ -110,15 +109,15 @@ class SpectralResult:
 
     `definitional` has eigenvalue n on Sheffer entry n by construction, and
     `composition_agrees` says whether S^{-1} xhat_Q Q S matches it exactly.
-    `term_agreement` records, order by order, whether the printed coefficient
-    recipe, reading its ambiguous term nu_k(x) as x p_k'(0) / 1_psi, matches
-    the expansion of the definitional operator over Q in multiplication form.
+    `printed_divergence` is the first order at which the printed coefficient
+    recipe, reading its ambiguous term nu_k(x) as x p_k'(0) / 1_psi, differs
+    from the expansion of the definitional operator over Q in multiplication
+    form, or None when every order agrees.
     """
 
     definitional: OperatorMatrix
     composition_agrees: bool
-    u_values: tuple
-    term_agreement: tuple
+    printed_divergence: int | None
 
 
 def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
@@ -146,38 +145,30 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
     log_prime = sheffer.s_series.formal_derivative().multiply(s_inv)
     # the constant term of log_prime(Q) p is sum_j c_j p_j j_psi!
     weights = _diagonal(log_prime.polynomial, seq._factorial_table)
-    u_values = []
     term_polys = [Polynomial()]
     for k in range(1, bound + 1):
         lowered = xhat_psi_inverse(seq, basic.table[k])
         u_k = -Fraction(sum(map(mul, weights.nums, lowered.nums)), weights.den * lowered.den)
-        u_values.append(u_k)
         slope = basic.table[k].derivative().constant_term
         nu = Polynomial([0, slope / seq.n_psi(1)])  # x times slope over 1_psi
         term_polys.append((Polynomial([u_k]) + nu).scale(1 / seq.factorial(k - 1)))
 
     expansion = expand_in_dual_pair(definitional, q_op, multiplication_x(bound))
-    agreement = [
-        {"order": k, "reading_a": expansion.coefficient(k) == term_polys[k]}
-        for k in range(bound + 1)
-    ]
-
-    return SpectralResult(definitional, composition_agrees, tuple(u_values), tuple(agreement))
+    divergence = next(
+        (k for k, term in enumerate(term_polys) if expansion.coefficient(k) != term), None
+    )
+    return SpectralResult(definitional, composition_agrees, divergence)
 
 
 # -- deformed commutation suite -------------------------------------------------
 
 
-def qhat_eigenvalues(
-    seq: AdmissibleSequence, bound: int, literal_one: bool = False
-) -> list:
-    """Deformation weights ((n+1)_psi - 1_psi)/n_psi, with the degree-0
-    value borrowed from degree 1 (it never matters on the identity window).
-
-    `literal_one` subtracts the plain integer 1 instead of the family's
-    first weight; the two differ only when 1_psi != 1.
+def qhat_eigenvalues(seq: AdmissibleSequence, bound: int, one) -> list:
+    """Deformation weights ((n+1)_psi - one)/n_psi, with the degree-0 value
+    borrowed from degree 1 (it never matters on the identity window). The
+    graded weights subtract one = 1_psi; the literal reading subtracts the
+    integer 1, and the two differ only when 1_psi != 1.
     """
-    one = Fraction(1) if literal_one else seq.n_psi(1)
     values = [Fraction(0)] * (bound + 1)
     for n in range(1, bound + 1):
         values[n] = (seq.n_psi(n + 1) - one) / seq.n_psi(n)
@@ -185,9 +176,11 @@ def qhat_eigenvalues(
     return values
 
 
-def qhat_operator(basic: BasicSequence, literal_one: bool = False) -> OperatorMatrix:
-    """Diagonal deformation operator in the basic basis."""
-    values = qhat_eigenvalues(basic.seq, basic.bound, literal_one)
+def qhat_operator(basic: BasicSequence, one=None) -> OperatorMatrix:
+    """Diagonal deformation operator in the basic basis; `one` is the
+    subtracted unit of `qhat_eigenvalues`, 1_psi unless given."""
+    one = basic.seq.n_psi(1) if one is None else one
+    values = qhat_eigenvalues(basic.seq, basic.bound, one)
     return umbral_operator(basic.table, [p.scale(v) for p, v in zip(basic.table, values)])
 
 
@@ -198,45 +191,20 @@ def shift_raiser(basic: BasicSequence) -> OperatorMatrix:
     return umbral_operator(basic.table, images + [Polynomial()])
 
 
-def q_mutator(a: OperatorMatrix, b: OperatorMatrix, qhat: OperatorMatrix) -> OperatorMatrix:
-    """Deformed bracket a b - qhat b a."""
-    return a.compose(b).subtract(qhat.compose(b.compose(a)))
+def mutator_failures(basic: BasicSequence, raiser: OperatorMatrix, qhat: OperatorMatrix):
+    """Witnesses {"n", "got"} where the deformed bracket Q R - qhat R Q does
+    not fix basic entry n, for n below the truncation edge.
 
-
-def mutator_identity_report(
-    basic: BasicSequence, raiser_mode: str = "shift", literal_one: bool = False
-) -> dict:
-    """[Q, R]_qhat = id on the basic entries below the truncation edge.
-
-    The asserted combination is the unscaled shift raiser with family-graded
-    weights; the dual-scaled raiser and the literal integer-1 weights are
-    evaluated too so their failures can be recorded as findings.
+    It holds for the unscaled shift raiser with family-graded weights; the
+    dual-scaled raiser and the literal integer-1 weights are evaluated too,
+    so their failures can be recorded as findings.
     """
-    bound = basic.bound
-    qhat = qhat_operator(basic, literal_one)
-    if raiser_mode == "shift":
-        raiser = shift_raiser(basic)
-    elif raiser_mode == "dual":
-        raiser = basic.raiser
-    else:
-        raise BadParameterError(f"unknown raiser mode {raiser_mode!r}")
-    bracket = q_mutator(basic.q_op, raiser, qhat)
-    for n in range(bound):
+    q_op = basic.q_op
+    bracket = q_op.compose(raiser).subtract(qhat.compose(raiser.compose(q_op)))
+    for n in range(basic.bound):
         got = bracket.apply(basic.table[n])
         if got != basic.table[n]:
-            return {
-                "passed": False,
-                "witness": {"n": n, "got": got.to_text()},
-                "window": bound - 1,
-                "raiser_mode": raiser_mode,
-                "literal_one": literal_one,
-            }
-    return {
-        "passed": True,
-        "window": bound - 1,
-        "raiser_mode": raiser_mode,
-        "literal_one": literal_one,
-    }
+            yield {"n": n, "got": got.to_text()}
 
 
 # -- q-plane identification ------------------------------------------------------
@@ -257,33 +225,34 @@ def qplane_commutation(q, bound: int) -> bool:
     return b.compose(a).columns == a.compose(b).scale(q).columns
 
 
-def qplane_substitution_report(seq: AdmissibleSequence, bound: int, y_values) -> dict:
-    """Shift by y equals substitution of (x-multiplication + y dilation),
-    applied to 1: (x + y D_q)^n 1 = E^y x^n for n <= bound. Both sides are
-    linear in the polynomial shifted, so this holds for every polynomial of
-    degree <= bound exactly when it holds on the monomials (the q-binomial
-    theorem for q-commuting variables)."""
+def qplane_substitution_failures(seq: AdmissibleSequence, bound: int, y_values):
+    """Witnesses {"n", "y", "shifted", "substituted"}, y outer and n inner,
+    where the shift by y differs from the substitution of
+    (x-multiplication + y dilation) applied to 1: (x + y D_q)^n 1 = E^y x^n
+    for n <= bound. Both sides are linear in the polynomial shifted, so this
+    holds for every polynomial of degree <= bound exactly when it holds on
+    the monomials (the q-binomial theorem for q-commuting variables). A
+    family that is not q-deformed raises at the call."""
     if seq.family != Q_DEFORMED:
         raise WrongFamilyError("identification requires a q-deformed family")
     a = multiplication_x(bound)
     d = dilation(q_parameter(seq), bound)
-    y_values = list(y_values)  # an iterator is read once
-    for y in y_values:
-        ladder = a.add(d.scale(y)).orbit(ONE, bound)  # (x + y D_q)^n 1, n = 0..bound
-        shift = DeltaSeries.from_list(seq, seq.exp_polynomial(y, bound).coeffs, bound)
-        for n, substituted in enumerate(ladder):
-            shifted = apply_delta_series(shift, Polynomial.monomial(n))
-            if shifted != substituted:
-                return {
-                    "passed": False,
-                    "witness": {
+
+    def search():
+        for y in y_values:
+            ladder = a.add(d.scale(y)).orbit(ONE, bound)  # (x + y D_q)^n 1, n = 0..bound
+            shift = DeltaSeries.from_list(seq, seq.exp_polynomial(y, bound).coeffs, bound)
+            for n, substituted in enumerate(ladder):
+                shifted = apply_delta_series(shift, Polynomial.monomial(n))
+                if shifted != substituted:
+                    yield {
                         "n": n,
                         "y": str(y),
                         "shifted": shifted.to_text(),
                         "substituted": substituted.to_text(),
-                    },
-                }
-    return {"passed": True, "count": (bound + 1) * len(y_values)}
+                    }
+
+    return search()
 
 
 # -- factorization identities ------------------------------------------------------
@@ -367,7 +336,10 @@ def appell_raising_telescope_report(
     R a_n(Q) R^n / n_psi! + a_{n-1}(Q) R^n / (n-1)_psi! = a_n(Q) R^{n+1} / n_psi!,
     equivalent to the plain-derivative ladder a_n' = n_psi a_{n-1} on the
     Appell entries. Both hold when the family weights are the plain integers.
+    The step needs n >= 1.
     """
+    if n < 1:
+        raise BadParameterError(f"the telescope step needs n >= 1, got {n}")
     seq = basic.seq
     q_op = basic.q_op
     raiser = basic.raiser
@@ -383,27 +355,16 @@ def appell_raising_telescope_report(
         )
     lhs = raiser.compose(total)
     rhs = a_ops[n].compose(r_powers[n + 1]).scale(1 / seq.factorial(n))
-    window = lhs.agreement_window(rhs)
     required = bound - n - 1
-
-    if n >= 1:
-        step_lhs = raiser.compose(a_ops[n]).compose(r_powers[n]).scale(
-            1 / seq.factorial(n)
-        ).add(a_ops[n - 1].compose(r_powers[n]).scale(1 / seq.factorial(n - 1)))
-        step_window = step_lhs.agreement_window(rhs)
-        ladder_ok = appell_table[n].derivative() == appell_table[n - 1].scale(
-            seq.n_psi(n)
-        )
-    else:
-        step_window = window
-        ladder_ok = True
-
+    step_lhs = raiser.compose(a_ops[n]).compose(r_powers[n]).scale(
+        1 / seq.factorial(n)
+    ).add(a_ops[n - 1].compose(r_powers[n]).scale(1 / seq.factorial(n - 1)))
+    ladder_ok = appell_table[n].derivative() == appell_table[n - 1].scale(
+        seq.n_psi(n)
+    )
     return {
-        "as_printed_window": window,
-        "required_window": required,
-        "as_printed_holds": window >= required,
-        "step_window": step_window,
-        "step_holds": step_window >= required,
+        "as_printed_holds": lhs.agreement_window(rhs) >= required,
+        "step_holds": step_lhs.agreement_window(rhs) >= required,
         "derivative_ladder_holds": ladder_ok,
     }
 
@@ -480,14 +441,16 @@ def verify_conjugation_transport(
         "passed": commutes
         and product_preserved
         and lowers
+        and conjugate_matches_target
         and substitution_matches
         and sheffer_image_ok,
     }
 
 
-def transport_pincherle_report(l_series: DeltaSeries, bound: int) -> dict:
-    """The transport from the basic table of l(Q) back to monomials obeys
-    U' = [U, xhat] = xhat U (l'(Q) - id) below the raising edge."""
+def transport_pincherle_report(l_series: DeltaSeries, bound: int) -> int:
+    """The agreement window of U' = [U, xhat] = xhat U (l'(Q) - id), for the
+    transport U from the basic table of l(Q) back to monomials; the law
+    holds below the raising edge, at window bound - 1."""
     basic = basic_sequence_from_series(l_series, bound)
     monomials = SequenceTable(
         tuple([Polynomial.monomial(i) for i in range(bound + 1)])
@@ -497,5 +460,4 @@ def transport_pincherle_report(l_series: DeltaSeries, bound: int) -> dict:
     lhs = commutator(u, raiser)
     l_prime = l_series.formal_derivative()
     rhs = from_action(lambda p: raiser.apply(u.apply(apply_delta_series(l_prime, p) - p)), bound)
-    window = lhs.agreement_window(rhs)
-    return {"window": window, "passed": window >= bound - 1}
+    return lhs.agreement_window(rhs)

@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,6 +17,7 @@ from umbralcalc import (
     sheffer_sequence,
 )
 from umbralcalc import cli
+from umbralcalc.integration import IntegralOperator
 from umbralcalc.cli import COMMANDS, MAX_DEGREE, main
 
 
@@ -284,6 +286,64 @@ class TestStarAndSpectral:
         assert code == 2
         assert out == ""
         assert err.startswith("error: BadParameterError:") and "kmax" in err
+
+
+QD_COMPOSITE = {
+    "family": {"family": "q_deformed", "q": "-3/2"},
+    "series": [0, 1, "1/2"],
+    "prefactor": [1, 1, "1/3"],
+}
+R_SHAPE = {"kind": "r", "coefficients": [2, -2], "q": "1/3"}
+
+# payloads at N = 8, written out literally so that no change to the checks
+# behind the commands can move them
+PINNED_PAYLOADS = {
+    "spectral-default": (["spectral"], {}, {
+        "family": {"family": "classical"}, "N": 8, "orthogonality": True,
+        "eigen_relation": True, "conjugation_route": True,
+        "printed_formula_matches": True, "printed_formula_first_divergence": None,
+    }),
+    "spectral-q-deformed-composite": (["spectral"], QD_COMPOSITE, {
+        "family": {"family": "q_deformed", "q": "-3/2"}, "N": 8, "orthogonality": True,
+        "eigen_relation": True, "conjugation_route": True,
+        "printed_formula_matches": False, "printed_formula_first_divergence": 2,
+    }),
+    "integrate-psi": (["integrate"], {"kind": "psi"}, {
+        "kind": "psi", "N": 8, "input": ["0", "1"], "integral": ["0", "0", "1/2"],
+        "pairing_verified": True, "window": 7,
+    }),
+    "integrate-q": (["integrate"], {"kind": "q", "q": "1/2"}, {
+        "kind": "q", "N": 8, "input": ["0", "1"], "integral": ["0", "0", "2/3"],
+        "pairing_verified": True, "window": 7,
+    }),
+    "integrate-r": (["integrate"], R_SHAPE, {
+        "kind": "r", "N": 8, "input": ["0", "1"], "integral": ["0", "0", "9/16"],
+        "pairing_verified": True, "window": 7,
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_PAYLOADS))
+def test_pinned_payload(capsys, tmp_path, case):
+    command, config, expected = PINNED_PAYLOADS[case]
+    cfg = write_config(tmp_path, config)
+    code, out, _ = run(capsys, command + ["--degree", "8", "--format", "json", "--config", cfg])
+    assert code == 0
+    assert json.loads(out) == expected
+
+
+def test_integrate_reports_the_first_failing_pairing(capsys, tmp_path):
+    doubled = lambda self, p: self.shift.apply(p).scale(2)
+    cfg = write_config(tmp_path, {"kind": "q", "q": "1/2"})
+    with mock.patch.object(IntegralOperator, "integrate", doubled):
+        code, out, _ = run(capsys, ["integrate", "--degree", "8", "--config", cfg])
+        assert code == 1
+        assert out.splitlines()[-1] == "pairing: FAILED {'side': 'right', 'degree': 0}"
+        code, out, _ = run(capsys, ["integrate", "--degree", "8", "--config", cfg,
+                                    "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pairing_verified"] is False and payload["window"] is None
 
 
 class TestGuards:

@@ -1,6 +1,7 @@
 """Integral operators and their pairing contracts."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -9,7 +10,7 @@ from umbralcalc.errors import (
     DegreeOverflowError,
     MismatchedPairError,
 )
-from umbralcalc.integration import IntegralOperator, verify_right_inverse
+from umbralcalc.integration import IntegralOperator, right_inverse_failures
 from umbralcalc.operators import jackson_operator, psi_derivative
 from umbralcalc.poly import Polynomial, X
 from umbralcalc.psi import AdmissibleSequence
@@ -35,9 +36,7 @@ def test_psi_integral_inverts_family_operator(families):
     for seq in families:
         op = IntegralOperator.psi_integral(seq, N)
         d = psi_derivative(seq, N)
-        result = verify_right_inverse(op, d)
-        assert result["passed"], seq.label
-        assert result["window"] == N - 1
+        assert next(right_inverse_failures(op, d), None) is None, seq.label
 
 
 def test_q_integral_matches_family_integral():
@@ -54,16 +53,28 @@ def test_r_integral_pairing():
     coeffs = [Fraction(2), Fraction(-2)]  # shape 2 - 2t, zero at 1
     q = Fraction(1, 3)
     op = IntegralOperator.r_integral(coeffs, q, N)
-    result = verify_right_inverse(op, op.partner)
-    assert result["passed"]
+    assert next(right_inverse_failures(op, op.partner), None) is None
+
+
+def test_right_inverse_witnesses_right_side_first():
+    # a doubled integral fails every right-side degree, then every left-side
+    # degree but 0, whose image vanishes on both sides
+    op = IntegralOperator.q_integral(2, N)
+    doubled = lambda self, p: self.shift.apply(p).scale(2)
+    with mock.patch.object(IntegralOperator, "integrate", doubled):
+        witnesses = list(right_inverse_failures(op, op.partner))
+    assert witnesses == [{"side": "right", "degree": j} for j in range(N)] + [
+        {"side": "left", "degree": j} for j in range(1, N + 1)
+    ]
 
 
 def test_mismatched_pair_raises():
+    # at the call, before the search is read
     op = IntegralOperator.q_integral(2, N)
     with pytest.raises(MismatchedPairError):
-        verify_right_inverse(op, jackson_operator(3, N))
+        right_inverse_failures(op, jackson_operator(3, N))
     with pytest.raises(MismatchedPairError):
-        verify_right_inverse(op, psi_derivative(AdmissibleSequence.classical(N), N))
+        right_inverse_failures(op, psi_derivative(AdmissibleSequence.classical(N), N))
 
 
 def test_matrix_form_composes_to_identity_window():

@@ -183,7 +183,7 @@ def test_detect_dxd():
     result = detect_psi_form(build_dxd(N))
     assert result.consistent
     assert list(result.candidate) == [Fraction(n * n) for n in range(1, N + 1)]
-    assert result.scale == 1
+    assert result.candidate[0] == 1
     assert result.series.coeffs[1] == 1
     assert all(c == 0 for c in result.series.coeffs[2:])
     assert realize_psi_form(result, N).columns == build_dxd(N).columns
@@ -213,7 +213,7 @@ def test_detect_hyperbolic_generator():
     assert list(result.candidate) == [
         Fraction(2 * n * (2 * n - 1)) for n in range(1, N + 1)
     ]
-    assert result.scale == 2
+    assert result.candidate[0] == 2
 
 
 def test_detect_requires_lowering():
