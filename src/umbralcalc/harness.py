@@ -5,7 +5,9 @@ writes its IdentityReport records through a `Records` recorder. A record is
 either asserted (its failure fails the run) or informational (a printed form
 whose validity depends on the family; the record stores what actually holds,
 and never changes the exit status). Windowed identities pass when the two
-sides agree at least up to the stated truncation window.
+sides agree at least up to the stated truncation window. A kernel fault
+inside one family's checks becomes that family's failed `kernel-fault`
+record, and the suite goes on with the next family.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
@@ -184,6 +187,17 @@ class Records(list):
         witness = next(iter(failures), None)
         self.exact(ident, family, witness is None, witness, asserted, window, degree)
 
+    @contextmanager
+    def guard(self, family):
+        """Run one family's checks, or a suite's shared ones: a kernel fault
+        among them is one failed `kernel-fault` record for `family`, and the
+        suite goes on with the next family. Input is checked before any
+        suite runs, so a fault here is the package's, not the caller's."""
+        try:
+            yield
+        except UmbralError as exc:
+            self.exact("kernel-fault", family, False, {"error": f"{type(exc).__name__}: {exc}"})
+
 
 # -- seeded sampling helpers ---------------------------------------------------
 
@@ -228,7 +242,7 @@ def _pair_failures(rng, count, deg_f, deg_g, holds):
 def _random_triangular_operator(rng, bound: int) -> OperatorMatrix:
     cols = []
     for j in range(bound + 1):
-        cols.append(Polynomial([Fraction(rng.randint(-3, 3)) for _ in range(j + 1)]))
+        cols.append(Polynomial([rng.randint(-3, 3) for _ in range(j + 1)]))
     return OperatorMatrix(tuple(cols))
 
 
@@ -238,18 +252,19 @@ _SHEFFER_PAIRS = {  # label: (q, s) coefficients of the fixed Sheffer pairs
 }
 
 
-def _sheffer_pairs(seq, rng, degree, labels) -> list:
-    """(label, q, s) for each label: a fixed pair of `_SHEFFER_PAIRS`, or for
-    "random" a delta series q and then an invertible s drawn from `rng`."""
-    pairs = []
+def _sheffer_tables(seq, rng, degree, labels) -> list:
+    """(label, Sheffer sequence of (q, s)) for each label: a fixed pair of
+    `_SHEFFER_PAIRS`, or for "random" a delta series q and then an
+    invertible s drawn from `rng`."""
+    tables = []
     for label in labels:
         if label == "random":
             q = _random_delta_series(seq, rng, degree)
             s = _random_invertible_series(seq, rng, degree)
         else:
             q, s = (DeltaSeries.from_list(seq, c, degree) for c in _SHEFFER_PAIRS[label])
-        pairs.append((label, q, s))
-    return pairs
+        tables.append((label, sheffer_sequence(q, s, degree)))
+    return tables
 
 
 def _round_trip(op: OperatorMatrix, candidate: tuple):
@@ -313,26 +328,28 @@ def suite_ghw(families, degree, rng, out):
     """The lowering/raising pair has identity commutator below the edge."""
     ident = identity_operator(degree)
     for seq in families:
-        got = commutator(psi_derivative(seq, degree), xhat_psi(seq, degree))
-        out.windowed("commutator-identity", seq.label, got.agreement_window(ident), degree - 1)
+        with out.guard(seq.label):
+            got = commutator(psi_derivative(seq, degree), xhat_psi(seq, degree))
+            out.windowed("commutator-identity", seq.label, got.agreement_window(ident), degree - 1)
 
 
 def suite_weyl(families, degree, rng, out):
     """Reordering rules for powers of the lowering/raising pair."""
     for seq in families:
-        window = _normal_order(psi_derivative(seq, degree), xhat_psi(seq, degree))
-        for n, m in product(range(min(4, degree) + 1), repeat=2):
-            if n or m:
-                w = window(n, m, degree - max(n, m))
-                out.windowed(f"power-reorder(n={n},m={m})", seq.label, w, degree - max(n, m))
-        # two-parameter exponential exchange, checked order by order: the (i, j)
-        # coefficient of exp(t d) exp(a r) = exp(at) exp(a r) exp(t d) is the
-        # normal order of d^j r^i, both sides scaled by 1/(i! j!)
-        failures = ({"raise_power": i, "lower_power": j, "found_window": w,
-                     "required_window": degree - i}
-                    for i in range(degree + 1) for j in range(degree + 1 - i)
-                    if (i or j) and (w := window(j, i, degree - i)) < degree - i)
-        out.first_failure("exponential-exchange-orders", seq.label, failures)
+        with out.guard(seq.label):
+            window = _normal_order(psi_derivative(seq, degree), xhat_psi(seq, degree))
+            for n, m in product(range(min(4, degree) + 1), repeat=2):
+                if n or m:
+                    w = window(n, m, degree - max(n, m))
+                    out.windowed(f"power-reorder(n={n},m={m})", seq.label, w, degree - max(n, m))
+            # two-parameter exponential exchange, checked order by order: the (i, j)
+            # coefficient of exp(t d) exp(a r) = exp(at) exp(a r) exp(t d) is the
+            # normal order of d^j r^i, both sides scaled by 1/(i! j!)
+            failures = ({"raise_power": i, "lower_power": j, "found_window": w,
+                         "required_window": degree - i}
+                        for i in range(degree + 1) for j in range(degree + 1 - i)
+                        if (i or j) and (w := window(j, i, degree - i)) < degree - i)
+            out.first_failure("exponential-exchange-orders", seq.label, failures)
 
 
 def suite_leibnitz(families, degree, rng, out):
@@ -360,26 +377,27 @@ def suite_leibnitz(families, degree, rng, out):
     out.exact("divided-difference-derivative-series", SHARED, acc.columns == d0.columns)
 
     for seq in families:
-        # every lowering factors through the diagonal weight operator
-        d = psi_derivative(seq, degree)
-        ok = d.columns == nhat_diagonal(seq, degree).compose(d0).columns
-        out.exact("lowering-factors-through-weights", seq.label, ok)
+        with out.guard(seq.label):
+            # every lowering factors through the diagonal weight operator
+            d = psi_derivative(seq, degree)
+            ok = d.columns == nhat_diagonal(seq, degree).compose(d0).columns
+            out.exact("lowering-factors-through-weights", seq.label, ok)
 
-        if seq.family == Q_DEFORMED:
-            q = q_parameter(seq)
-            jq = jackson_operator(q, degree)
+            if seq.family == Q_DEFORMED:
+                q = q_parameter(seq)
+                jq = jackson_operator(q, degree)
 
-            def q_product_rule(f, g):
-                return jq.apply(f * g) == jq.apply(f) * g + f.dilate(q) * jq.apply(g)
+                def q_product_rule(f, g):
+                    return jq.apply(f * g) == jq.apply(f) * g + f.dilate(q) * jq.apply(g)
 
-            failures = _pair_failures(rng, 5, half, degree - half, q_product_rule)
-            out.first_failure("q-product-rule", seq.label, failures)
+                failures = _pair_failures(rng, 5, half, degree - half, q_product_rule)
+                out.first_failure("q-product-rule", seq.label, failures)
 
-            # the q lowering is a dilation polynomial times the divided difference
-            shape = Polynomial([1 / (1 - q), -1 / (1 - q)])
-            diag = operator_polynomial(shape, dilation(q, degree).scale(q))
-            ok = diag.compose(d0).columns == jq.columns
-            out.exact("q-scale-factor", seq.label, ok)
+                # the q lowering is a dilation polynomial times the divided difference
+                shape = Polynomial([1 / (1 - q), -1 / (1 - q)])
+                diag = operator_polynomial(shape, dilation(q, degree).scale(q))
+                ok = diag.compose(d0).columns == jq.columns
+                out.exact("q-scale-factor", seq.label, ok)
 
     # same factorization for a weight family read off a series shape
     shape_coeffs = [Fraction(2), Fraction(-2)]
@@ -396,73 +414,75 @@ def suite_binomial(families, degree, rng, out):
     perturb_degree = min(degree, 8)
     perturb_shifts = default_shift_samples(10)
     for seq in families:
-        composite = DeltaSeries.from_list(seq, [0, 1, 1], degree)
-        tables = [
-            ("composite", basic_sequence_from_series(composite, degree).table),
-            (
-                "random",
-                basic_sequence_from_series(
-                    _random_delta_series(seq, rng, degree), degree
-                ).table,
-            ),
-        ]
-        for label, table in tables:
-            check = verify_binomial_type(table, seq)
-            out.exact(f"addition-rule({label})", seq.label, check.passed, check.witness)
+        with out.guard(seq.label):
+            composite = DeltaSeries.from_list(seq, [0, 1, 1], degree)
+            tables = [
+                ("composite", basic_sequence_from_series(composite, degree).table),
+                (
+                    "random",
+                    basic_sequence_from_series(
+                        _random_delta_series(seq, rng, degree), degree
+                    ).table,
+                ),
+            ]
+            for label, table in tables:
+                check = verify_binomial_type(table, seq)
+                out.exact(f"addition-rule({label})", seq.label, check.passed, check.witness)
 
-        # Every single-coefficient perturbation must be rejected, except the
-        # top entry's linear coefficient: that one lands on the basic table
-        # of a series whose top coefficient absorbed the shift, so a correct
-        # checker accepts it. For that cell we demand the positive
-        # certificate instead of a rejection.
-        small_series = DeltaSeries.from_list(seq, [0, 1, 1], perturb_degree)
-        small = basic_sequence_from_series(small_series, perturb_degree).table
+            # Every single-coefficient perturbation must be rejected, except the
+            # top entry's linear coefficient: that one lands on the basic table
+            # of a series whose top coefficient absorbed the shift, so a correct
+            # checker accepts it. For that cell we demand the positive
+            # certificate instead of a rejection.
+            small_series = DeltaSeries.from_list(seq, [0, 1, 1], perturb_degree)
+            small = basic_sequence_from_series(small_series, perturb_degree).table
 
-        def perturbation_failures():
-            for n in range(perturb_degree + 1):
-                for j in range(n + 1):
-                    coeffs = list(small[n].coeffs)
-                    coeffs[j] += 1
-                    if j == n and coeffs[j] == 0:
+            def perturbation_failures():
+                for n in range(perturb_degree + 1):
+                    for j in range(n + 1):
+                        coeffs = list(small[n].coeffs)
                         coeffs[j] += 1
-                    entries = list(small)
-                    entries[n] = Polynomial(coeffs)
-                    ptable = SequenceTable(tuple(entries))
-                    # only the verdict is read, so no witness is formed
-                    passed = addition_rule_failure(ptable, ptable, seq, perturb_shifts) is None
-                    if n == perturb_degree and j == 1:
-                        ok = passed and _reparameterization_certificate(
-                            seq, small_series, ptable, perturb_degree
-                        )
-                        if not ok:
-                            yield {"entry": n, "coefficient": j, "expected": "reparameterization"}
-                    elif passed:
-                        yield {"entry": n, "coefficient": j, "expected": "rejection"}
+                        if j == n and coeffs[j] == 0:
+                            coeffs[j] += 1
+                        entries = list(small)
+                        entries[n] = Polynomial(coeffs)
+                        ptable = SequenceTable(tuple(entries))
+                        # only the verdict is read, so no witness is formed
+                        passed = addition_rule_failure(ptable, ptable, seq, perturb_shifts) is None
+                        if n == perturb_degree and j == 1:
+                            ok = passed and _reparameterization_certificate(
+                                seq, small_series, ptable, perturb_degree
+                            )
+                            if not ok:
+                                yield {"entry": n, "coefficient": j,
+                                       "expected": "reparameterization"}
+                        elif passed:
+                            yield {"entry": n, "coefficient": j, "expected": "rejection"}
 
-        out.first_failure(
-            "perturbation-rejection", seq.label, perturbation_failures(), degree=perturb_degree
-        )
+            out.first_failure(
+                "perturbation-rejection", seq.label, perturbation_failures(), degree=perturb_degree
+            )
 
-        # bigraded addition law of the exponential coefficients
-        failures = ({"a": a, "b": b, "lhs": lhs, "rhs": rhs}
-                    for a in range(degree + 1) for b in range(degree + 1 - a)
-                    if (lhs := seq.binomial(a + b, b) / seq.factorial(a + b))
-                    != (rhs := 1 / (seq.factorial(a) * seq.factorial(b))))
-        out.first_failure("exponential-addition-bigraded", seq.label, failures)
+            # bigraded addition law of the exponential coefficients
+            failures = ({"a": a, "b": b, "lhs": lhs, "rhs": rhs}
+                        for a in range(degree + 1) for b in range(degree + 1 - a)
+                        if (lhs := seq.binomial(a + b, b) / seq.factorial(a + b))
+                        != (rhs := 1 / (seq.factorial(a) * seq.factorial(b))))
+            out.first_failure("exponential-addition-bigraded", seq.label, failures)
 
-        # index-congruence sectors partition the truncated exponential
-        for m in (2, 3):
-            total = Polynomial()
-            for j in range(m):
-                total = total + seq.hyperbolic_component(j, m, 1, degree)
-            ok = total == seq.exp_polynomial(1, degree)
-            out.exact(f"exponential-sector-partition(m={m})", seq.label, ok)
+            # index-congruence sectors partition the truncated exponential
+            for m in (2, 3):
+                total = Polynomial()
+                for j in range(m):
+                    total = total + seq.hyperbolic_component(j, m, 1, degree)
+                ok = total == seq.exp_polynomial(1, degree)
+                out.exact(f"exponential-sector-partition(m={m})", seq.label, ok)
 
-        # informational: alternating binomial sums need not vanish at even
-        # order for every family, although the printed claim says they do
-        failures = ({"order": m, "value": v} for m in range(2, degree + 1, 2)
-                    if (v := sum(((-1) ** k) * seq.binomial(m, k) for k in range(m + 1))) != 0)
-        out.first_failure("alternating-even-sums-vanish", seq.label, failures, asserted=False)
+            # informational: alternating binomial sums need not vanish at even
+            # order for every family, although the printed claim says they do
+            failures = ({"order": m, "value": v} for m in range(2, degree + 1, 2)
+                        if (v := sum(((-1) ** k) * seq.binomial(m, k) for k in range(m + 1))) != 0)
+            out.first_failure("alternating-even-sums-vanish", seq.label, failures, asserted=False)
 
     # binomial integrality of the growth family
     fib = AdmissibleSequence.fibonacci(16)
@@ -474,33 +494,35 @@ def suite_binomial(families, degree, rng, out):
 def suite_routes(families, degree, rng, out):
     """Closed-form constructions agree with the solved basic table."""
     for seq in families:
-        labeled = [
-            ("derivative", DeltaSeries.from_list(seq, [0, 1], degree)),
-            ("composite", DeltaSeries.from_list(seq, [0, 1, 1], degree)),
-            ("random-1", _random_delta_series(seq, rng, degree)),
-            ("random-2", _random_delta_series(seq, rng, degree)),
-        ]
-        for label, q_series in labeled:
-            direct = basic_sequence_from_series(q_series, degree).table
-            for route_name, table in closed_form_routes(q_series, degree).items():
-                out.exact(f"{route_name}({label})", seq.label, table.entries == direct.entries)
+        with out.guard(seq.label):
+            labeled = [
+                ("derivative", DeltaSeries.from_list(seq, [0, 1], degree)),
+                ("composite", DeltaSeries.from_list(seq, [0, 1, 1], degree)),
+                ("random-1", _random_delta_series(seq, rng, degree)),
+                ("random-2", _random_delta_series(seq, rng, degree)),
+            ]
+            for label, q_series in labeled:
+                direct = basic_sequence_from_series(q_series, degree).table
+                for route_name, table in closed_form_routes(q_series, degree).items():
+                    out.exact(f"{route_name}({label})", seq.label, table.entries == direct.entries)
 
 
 def suite_detect(families, degree, rng, out):
     """Lowering operators are read back as graded series, exactly."""
     for seq in families:
-        for label, unit in (("unit-slope", True), ("scaled", False)):
-            series = _random_delta_series(seq, rng, degree, unit_slope=unit)
-            op = realize_delta_series(series, degree)
-            result = detect_psi_form(op)
-            ok = result.consistent and realize_psi_form(result, degree).columns == op.columns
-            if unit:
-                ok = (
-                    ok
-                    and result.candidate == seq.values[1 : degree + 1]
-                    and result.series.coeffs == series.coeffs[: degree + 1]
-                )
-            out.exact(f"round-trip({label})", seq.label, ok, {"violation": result.violation})
+        with out.guard(seq.label):
+            for label, unit in (("unit-slope", True), ("scaled", False)):
+                series = _random_delta_series(seq, rng, degree, unit_slope=unit)
+                op = realize_delta_series(series, degree)
+                result = detect_psi_form(op)
+                ok = result.consistent and realize_psi_form(result, degree).columns == op.columns
+                if unit:
+                    ok = (
+                        ok
+                        and result.candidate == seq.values[1 : degree + 1]
+                        and result.series.coeffs == series.coeffs[: degree + 1]
+                    )
+                out.exact(f"round-trip({label})", seq.label, ok, {"violation": result.violation})
 
     classical = AdmissibleSequence.classical(degree + 1)
     d = psi_derivative(classical, degree)
@@ -540,64 +562,68 @@ def suite_sheffer(families, degree, rng, out):
     constant-coefficient expansion conventions."""
     z_order = min(8, degree)
     for seq in families:
-        for label, q_series, s_series in _sheffer_pairs(seq, rng, degree, ("composite", "random")):
-            sheffer = sheffer_sequence(q_series, s_series, degree)
-            for check_name, check in (
-                ("definition", verify_sheffer_definition(sheffer)),
-                ("inverse-reconstruction", verify_inverse_reconstruction(sheffer)),
-                ("mixed-addition", verify_sheffer_binomial(sheffer)),
-                ("generating-function", generating_function_check(sheffer, z_order)),
-            ):
-                out.exact(f"{check_name}({label})", seq.label, check.passed, check.witness)
-            constants = verify_expansion_constants(sheffer, [1, 1, Fraction(1, 2), Fraction(1, 3)])
-            out.exact(
-                f"expansion-constants-graded({label})",
-                seq.label,
-                constants["psi_binomial_holds"],
-                {"witness": constants["psi_witness"]},
-            )
-            out.exact(
-                f"expansion-constants-plain({label})",
-                seq.label,
-                constants["plain_binomial_holds"],
-                asserted=False,
-            )
+        with out.guard(seq.label):
+            for label, sheffer in _sheffer_tables(seq, rng, degree, ("composite", "random")):
+                for check_name, check in (
+                    ("definition", verify_sheffer_definition(sheffer)),
+                    ("inverse-reconstruction", verify_inverse_reconstruction(sheffer)),
+                    ("mixed-addition", verify_sheffer_binomial(sheffer)),
+                    ("generating-function", generating_function_check(sheffer, z_order)),
+                ):
+                    out.exact(f"{check_name}({label})", seq.label, check.passed, check.witness)
+                a_coeffs = [1, 1, Fraction(1, 2), Fraction(1, 3)]
+                constants = verify_expansion_constants(sheffer, a_coeffs)
+                out.exact(
+                    f"expansion-constants-graded({label})",
+                    seq.label,
+                    constants["psi_binomial_holds"],
+                    {"witness": constants["psi_witness"]},
+                )
+                out.exact(
+                    f"expansion-constants-plain({label})",
+                    seq.label,
+                    constants["plain_binomial_holds"],
+                    asserted=False,
+                )
 
 
 def suite_expansion(families, degree, rng, out):
     """Every operator expands uniquely over powers of a lowering operator
     with coefficients in either raiser, and reassembles exactly."""
     for seq in families:
-        d = psi_derivative(seq, degree)
-        raisers = (
-            ("graded-raiser", xhat_psi(seq, degree)),
-            ("multiplication", multiplication_x(degree)),
-        )
-        for mode, raiser in raisers:
-            samples = (_random_triangular_operator(rng, degree) for _ in range(5))
-            failures = ({"instance": i} for i, t in enumerate(samples)
-                        if expand_in_dual_pair(t, d, raiser).reassembled.columns != t.columns)
-            out.first_failure(f"reassembly({mode})", seq.label, failures)
+        with out.guard(seq.label):
+            d = psi_derivative(seq, degree)
+            raisers = (
+                ("graded-raiser", xhat_psi(seq, degree)),
+                ("multiplication", multiplication_x(degree)),
+            )
+            for mode, raiser in raisers:
+                samples = (_random_triangular_operator(rng, degree) for _ in range(5))
+                failures = ({"instance": i} for i, t in enumerate(samples)
+                            if expand_in_dual_pair(t, d, raiser).reassembled.columns != t.columns)
+                out.first_failure(f"reassembly({mode})", seq.label, failures)
 
-        samples = [
-            ("series", realize_delta_series(DeltaSeries.from_list(seq, [0, 1, 1], degree), degree)),
-            ("mixed", xhat_psi(seq, degree).compose(d)),
-        ]
-        truncation = min(8, degree)
-        for label, t in samples:
-            result = indicator(t, d, truncation)
-            out.exact(f"indicator-conjugation({label})", seq.label, result.routes_agree)
+            samples = [
+                ("series",
+                 realize_delta_series(DeltaSeries.from_list(seq, [0, 1, 1], degree), degree)),
+                ("mixed", xhat_psi(seq, degree).compose(d)),
+            ]
+            truncation = min(8, degree)
+            for label, t in samples:
+                result = indicator(t, d, truncation)
+                out.exact(f"indicator-conjugation({label})", seq.label, result.routes_agree)
 
 
 def suite_orthogonality(families, degree, rng, out):
     """The pairing attached to (Q, S) is diagonal with graded factorial
     weights; positive families give positive squared norms."""
     for seq in families:
-        [(_, q_series, s_series)] = _sheffer_pairs(seq, rng, degree, ("composite",))
-        sheffer = sheffer_sequence(q_series, s_series, degree)
-        out.first_failure("diagonal-pairing", seq.label, orthogonality_failures(sheffer, degree))
-        if all(seq.n_psi(n) > 0 for n in range(1, degree + 1)):
-            out.first_failure("gram-positivity", seq.label, gram_failures(sheffer, rng, 4))
+        with out.guard(seq.label):
+            [(_, sheffer)] = _sheffer_tables(seq, rng, degree, ("composite",))
+            out.first_failure("diagonal-pairing", seq.label,
+                              orthogonality_failures(sheffer, degree))
+            if all(seq.n_psi(n) > 0 for n in range(1, degree + 1)):
+                out.first_failure("gram-positivity", seq.label, gram_failures(sheffer, rng, 4))
 
 
 def suite_spectral(families, degree, rng, out):
@@ -606,35 +632,36 @@ def suite_spectral(families, degree, rng, out):
     eigen_max = min(10, degree)
     labels = ("appell", "composite", "random")
     for seq in families:
-        for label, q_series, s_series in _sheffer_pairs(seq, rng, degree, labels):
-            sheffer = sheffer_sequence(q_series, s_series, degree)
-            result = spectral_operator(sheffer)
-            failures = ({"n": n} for n in range(eigen_max + 1)
-                        if result.definitional.apply(sheffer.table[n]) != sheffer.table[n].scale(n))
-            out.first_failure(f"eigen-relation({label})", seq.label, failures)
-            out.exact(f"conjugation-route({label})", seq.label, result.composition_agrees)
-            divergence = result.printed_divergence
-            out.exact(
-                f"printed-coefficient-formula({label})",
-                seq.label,
-                divergence is None,
-                {"first_disagreeing_order": divergence},
-                asserted=False,
-            )
+        with out.guard(seq.label):
+            for label, sheffer in _sheffer_tables(seq, rng, degree, labels):
+                result = spectral_operator(sheffer)
+                failures = ({"n": n} for n in range(eigen_max + 1)
+                            if result.definitional.apply(sheffer[n]) != sheffer[n].scale(n))
+                out.first_failure(f"eigen-relation({label})", seq.label, failures)
+                out.exact(f"conjugation-route({label})", seq.label, result.composition_agrees)
+                divergence = result.printed_divergence
+                out.exact(
+                    f"printed-coefficient-formula({label})",
+                    seq.label,
+                    divergence is None,
+                    {"first_disagreeing_order": divergence},
+                    asserted=False,
+                )
 
 
 def suite_integration(families, degree, rng, out):
     """Monomial-diagonal right inverses pair with their lowerings."""
     for seq in families:
-        op = IntegralOperator.psi_integral(seq, degree)
-        out.first_failure("graded-right-inverse", seq.label,
-                          right_inverse_failures(op, psi_derivative(seq, degree)))
-        if seq.family == Q_DEFORMED:
-            q = q_parameter(seq)
-            q_int = IntegralOperator.q_integral(q, degree)
-            out.first_failure("q-right-inverse", seq.label,
-                              right_inverse_failures(q_int, jackson_operator(q, degree)))
-            out.exact("q-matches-graded-integral", seq.label, q_int.weights == op.weights)
+        with out.guard(seq.label):
+            op = IntegralOperator.psi_integral(seq, degree)
+            out.first_failure("graded-right-inverse", seq.label,
+                              right_inverse_failures(op, psi_derivative(seq, degree)))
+            if seq.family == Q_DEFORMED:
+                q = q_parameter(seq)
+                q_int = IntegralOperator.q_integral(q, degree)
+                out.first_failure("q-right-inverse", seq.label,
+                                  right_inverse_failures(q_int, jackson_operator(q, degree)))
+                out.exact("q-matches-graded-integral", seq.label, q_int.weights == op.weights)
 
     shape_coeffs = [Fraction(2), Fraction(-2)]
     q_r = Fraction(1, 3)
@@ -655,71 +682,75 @@ def suite_star(families, degree, rng, out):
     pow_max = min(3, degree // 2)
     m_max = min(4, degree - 2)
     for seq in families:
-        ctx = StarContext.create(seq, degree)
-        d = ctx.lowering
-        raiser = ctx.raiser
+        with out.guard(seq.label):
+            ctx = StarContext.create(seq, degree)
+            d = ctx.lowering
+            raiser = ctx.raiser
 
-        failures = ({"n": n, "k": k} for n in range(pow_max + 1) for k in range(pow_max + 1)
-                    if star_product(ctx, star_power(ctx, n), star_power(ctx, k))
-                    != star_power(ctx, n + k).scale(Fraction(math.factorial(n)) / seq.factorial(n)))
-        out.first_failure("power-products", seq.label, failures)
+            failures = ({"n": n, "k": k} for n in range(pow_max + 1) for k in range(pow_max + 1)
+                        if star_product(ctx, star_power(ctx, n), star_power(ctx, k))
+                        != star_power(ctx, n + k).scale(
+                            Fraction(math.factorial(n)) / seq.factorial(n)))
+            out.first_failure("power-products", seq.label, failures)
 
-        failures = ({"n": n} for n in range(1, degree + 1)
-                    if d.apply(star_power(ctx, n)) != star_power(ctx, n - 1).scale(n)
-                    or raiser.apply(star_power(ctx, n - 1)) != star_power(ctx, n))
-        out.first_failure("lowering-steps-powers", seq.label, failures)
+            failures = ({"n": n} for n in range(1, degree + 1)
+                        if d.apply(star_power(ctx, n)) != star_power(ctx, n - 1).scale(n)
+                        or raiser.apply(star_power(ctx, n - 1)) != star_power(ctx, n))
+            out.first_failure("lowering-steps-powers", seq.label, failures)
 
-        def product_rule(f, g):
-            lhs = d.apply(star_product_truncated(ctx, f, g))
-            rhs = star_product_truncated(ctx, f.derivative(), g) + star_product_truncated(
-                ctx, f, d.apply(g)
-            )
-            return lhs.truncate(degree - 1) == rhs.truncate(degree - 1)
+            def product_rule(f, g):
+                lhs = d.apply(star_product_truncated(ctx, f, g))
+                rhs = star_product_truncated(ctx, f.derivative(), g) + star_product_truncated(
+                    ctx, f, d.apply(g)
+                )
+                return lhs.truncate(degree - 1) == rhs.truncate(degree - 1)
 
-        failures = _pair_failures(rng, 3, min(3, degree - 1), min(4, degree), product_rule)
-        out.first_failure("product-rule", seq.label, failures, window=degree - 1)
+            failures = _pair_failures(rng, 3, min(3, degree - 1), min(4, degree), product_rule)
+            out.first_failure("product-rule", seq.label, failures, window=degree - 1)
 
-        def splits(alpha, beta):
-            plain = Polynomial([alpha**k / math.factorial(k) for k in range(degree + 1)])
-            got = star_product_truncated(ctx, plain, seq.exp_polynomial(beta, degree))
-            return got == seq.exp_polynomial(alpha + beta, degree)
+            def splits(alpha, beta):
+                plain = Polynomial([alpha**k / math.factorial(k) for k in range(degree + 1)])
+                got = star_product_truncated(ctx, plain, seq.exp_polynomial(beta, degree))
+                return got == seq.exp_polynomial(alpha + beta, degree)
 
-        pairs = ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(-1)),
-                 (Fraction(2), Fraction(1, 2)))
-        failures = ({"alpha": a, "beta": b} for a, b in pairs if not splits(a, b))
-        out.first_failure("exponential-splitting", seq.label, failures)
+            pairs = ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(-1)),
+                     (Fraction(2), Fraction(1, 2)))
+            failures = ({"alpha": a, "beta": b} for a, b in pairs if not splits(a, b))
+            out.first_failure("exponential-splitting", seq.label, failures)
 
-        def substitution_is_star(f, g):
-            g_tilde = operator_polynomial_applied(g, raiser, ONE)
-            return operator_polynomial_applied(f, raiser, g_tilde) == star_product(ctx, f, g_tilde)
+            def substitution_is_star(f, g):
+                g_tilde = operator_polynomial_applied(g, raiser, ONE)
+                substituted = operator_polynomial_applied(f, raiser, g_tilde)
+                return substituted == star_product(ctx, f, g_tilde)
 
-        failures = _pair_failures(rng, 3, pow_max, pow_max, substitution_is_star)
-        out.first_failure("operator-product-vs-star", seq.label, failures)
+            failures = _pair_failures(rng, 3, pow_max, pow_max, substitution_is_star)
+            out.first_failure("operator-product-vs-star", seq.label, failures)
 
-        # commutation with a raiser power lowers it by one step, the normal order of d r^n
-        window = _normal_order(d, raiser)
-        for n in range(1, min(4, degree) + 1):
-            out.windowed(f"raiser-power-lowering(n={n})", seq.label, window(1, n, degree - n),
-                         degree - n)
+            # commutation with a raiser power lowers it by one step, the normal order of d r^n
+            window = _normal_order(d, raiser)
+            for n in range(1, min(4, degree) + 1):
+                out.windowed(f"raiser-power-lowering(n={n})", seq.label, window(1, n, degree - n),
+                             degree - n)
 
-        # informational: replacing the substituted entry by the literal
-        # polynomial only survives for unit-ratio weight families
-        f = Polynomial([1] * (min(3, degree) + 1))
-        f_tilde = operator_polynomial_applied(f, raiser, ONE)
-        literal_ok = d.apply(f_tilde) == d.apply(f)
-        out.exact("literal-substitution-lowering", seq.label, literal_ok, asserted=False)
+            # informational: replacing the substituted entry by the literal
+            # polynomial only survives for unit-ratio weight families
+            f = Polynomial([1] * (min(3, degree) + 1))
+            f_tilde = operator_polynomial_applied(f, raiser, ONE)
+            literal_ok = d.apply(f_tilde) == d.apply(f)
+            out.exact("literal-substitution-lowering", seq.label, literal_ok, asserted=False)
 
-        for lam in (Fraction(1), Fraction(1, 2)):
-            ps = poisson_psi_polynomials(ctx, lam, m_max)
-            alt = poisson_raising_route(ctx, lam, m_max)
-            ok = all(p == a for p, a in zip(ps, alt))
-            out.exact(f"weighted-family-routes(lam={lam})", seq.label, ok)
-            # d p_m + lam p_m = lam p_(m-1) up to degree N - m - 1, with p_(-1) = 0
-            failures = ({"m": m} for m in range(m_max + 1)
-                        if (d.apply(ps[m]) + ps[m].scale(lam)).truncate(degree - m - 1)
-                        != (ps[m - 1].scale(lam) if m else Polynomial()).truncate(degree - m - 1))
-            ident = f"weighted-family-system(lam={lam})"
-            out.first_failure(ident, seq.label, failures, window=degree - m_max - 1)
+            for lam in (Fraction(1), Fraction(1, 2)):
+                ps = poisson_psi_polynomials(ctx, lam, m_max)
+                alt = poisson_raising_route(ctx, lam, m_max)
+                ok = all(p == a for p, a in zip(ps, alt))
+                out.exact(f"weighted-family-routes(lam={lam})", seq.label, ok)
+                # d p_m + lam p_m = lam p_(m-1) up to degree N - m - 1, with p_(-1) = 0
+                failures = ({"m": m} for m in range(m_max + 1)
+                            if (d.apply(ps[m]) + ps[m].scale(lam)).truncate(degree - m - 1)
+                            != (ps[m - 1].scale(lam) if m else Polynomial()).truncate(
+                                degree - m - 1))
+                ident = f"weighted-family-system(lam={lam})"
+                out.first_failure(ident, seq.label, failures, window=degree - m_max - 1)
 
 
 def suite_qplane(families, degree, rng, out):
@@ -730,104 +761,110 @@ def suite_qplane(families, degree, rng, out):
     for seq in families:
         if seq.family != Q_DEFORMED:
             continue
-        q = q_parameter(seq)
-        out.exact("exchange-rule", seq.label, qplane_commutation(q, degree))
-        # the substitution holds for every entry once it holds on the monomials;
-        # each record composes it with the sum form of its table
-        substitution = next(qplane_substitution_failures(seq, degree, ys), None)
-        [(_, q_series, s_series)] = _sheffer_pairs(seq, rng, degree, ("appell",))
-        sheffer = sheffer_sequence(q_series, s_series, degree)
-        for ident, sums in (
-            ("shift-substitution-basic", verify_binomial_type(sheffer.basic.table, seq, ys)),
-            ("shift-substitution-sheffer", verify_sheffer_binomial(sheffer, ys)),
-        ):
-            ok = substitution is None and sums.passed
-            out.exact(ident, seq.label, ok, substitution or sums.witness)
+        with out.guard(seq.label):
+            q = q_parameter(seq)
+            out.exact("exchange-rule", seq.label, qplane_commutation(q, degree))
+            # the substitution holds for every entry once it holds on the monomials;
+            # each record composes it with the sum form of its table
+            substitution = next(qplane_substitution_failures(seq, degree, ys), None)
+            [(_, sheffer)] = _sheffer_tables(seq, rng, degree, ("appell",))
+            for ident, sums in (
+                ("shift-substitution-basic", verify_binomial_type(sheffer.basic.table, seq, ys)),
+                ("shift-substitution-sheffer", verify_sheffer_binomial(sheffer, ys)),
+            ):
+                ok = substitution is None and sums.passed
+                out.exact(ident, seq.label, ok, substitution or sums.witness)
 
 
 def suite_mutator(families, degree, rng, out):
     """Deformed bracket of a lowering operator with its shift raiser."""
     for seq in families:
-        tables = [
-            ("monomial", basic_sequence(psi_derivative(seq, degree), seq, degree)),
-            (
-                "composite",
-                basic_sequence_from_series(
-                    DeltaSeries.from_list(seq, [0, 1, 1], degree), degree
+        with out.guard(seq.label):
+            tables = [
+                ("monomial", basic_sequence(psi_derivative(seq, degree), seq, degree)),
+                (
+                    "composite",
+                    basic_sequence_from_series(
+                        DeltaSeries.from_list(seq, [0, 1, 1], degree), degree
+                    ),
                 ),
-            ),
-        ]
-        for label, basic in tables:
-            failures = mutator_failures(basic, shift_raiser(basic), qhat_operator(basic))
-            out.first_failure(f"bracket-identity({label})", seq.label, failures, window=degree - 1)
+            ]
+            for label, basic in tables:
+                failures = mutator_failures(basic, shift_raiser(basic), qhat_operator(basic))
+                out.first_failure(f"bracket-identity({label})", seq.label, failures,
+                                  window=degree - 1)
 
-        basic = tables[0][1]
-        qhat = qhat_operator(basic)
-        literal = mutator_failures(basic, shift_raiser(basic), qhat_operator(basic, one=1))
-        out.first_failure("literal-unit-weights", seq.label, literal, asserted=False)
-        dual = mutator_failures(basic, basic.raiser, qhat)
-        out.first_failure("dual-raiser-variant", seq.label, dual, asserted=False)
-        if seq.family == Q_DEFORMED:
-            q = q_parameter(seq)
-            same = qhat.columns == dilation(q, degree).columns
-            out.exact("deformation-is-dilation", seq.label, same, asserted=False)
+            basic = tables[0][1]
+            qhat = qhat_operator(basic)
+            literal = mutator_failures(basic, shift_raiser(basic), qhat_operator(basic, one=1))
+            out.first_failure("literal-unit-weights", seq.label, literal, asserted=False)
+            dual = mutator_failures(basic, basic.raiser, qhat)
+            out.first_failure("dual-raiser-variant", seq.label, dual, asserted=False)
+            if seq.family == Q_DEFORMED:
+                q = q_parameter(seq)
+                same = qhat.columns == dilation(q, degree).columns
+                out.exact("deformation-is-dilation", seq.label, same, asserted=False)
 
 
 def suite_factorization(families, degree, rng, out):
     """Power factorizations of sandwiched lowering/raising words."""
     fs = [Polynomial([1, 1]), Polynomial([0, 0, 1]), Polynomial([2, 0, Fraction(1, 2)])]
+    ns = (1, 2, 3)
     for seq in families:
-        basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
-        ns = (1, 2, 3)
-        for n, sandwich in zip(ns, sandwich_power_report(basic, ns)):
-            out.exact(f"sandwich-powers(n={n})", seq.label, sandwich["passed"], sandwich)
-            reports = number_operator_steps_report(basic, n, fs)
-            for i, report in enumerate(reports):
-                out.windowed(
-                    f"number-steps(n={n},f={i})",
-                    seq.label,
-                    report["plain_window"],
-                    report["required_window"],
-                    {"report": report},
-                )
-            graded_all = all(report["graded_matches"] for report in reports)
-            out.exact(f"number-steps-graded(n={n})", seq.label, graded_all, asserted=False)
+        with out.guard(seq.label):
+            basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
+            sandwiches = sandwich_power_report(basic, ns)
+            steps = number_operator_steps_report(basic, ns, fs)
+            for n, sandwich, reports in zip(ns, sandwiches, steps):
+                out.exact(f"sandwich-powers(n={n})", seq.label, sandwich["passed"], sandwich)
+                for i, report in enumerate(reports):
+                    out.windowed(
+                        f"number-steps(n={n},f={i})",
+                        seq.label,
+                        report["plain_window"],
+                        report["required_window"],
+                        {"report": report},
+                    )
+                graded_all = all(report["graded_matches"] for report in reports)
+                out.exact(f"number-steps-graded(n={n})", seq.label, graded_all, asserted=False)
 
-        appell = appell_sequence(DeltaSeries.from_list(seq, [1, 1, Fraction(1, 2)], degree), degree)
-        report = appell_raising_telescope_report(basic, appell.table, 2)
-        out.exact(
-            "appell-telescope-printed",
-            seq.label,
-            report["as_printed_holds"],
-            {
-                "step_holds": report["step_holds"],
-                "derivative_ladder_holds": report["derivative_ladder_holds"],
-            },
-            asserted=False,
-        )
+            appell_series = DeltaSeries.from_list(seq, [1, 1, Fraction(1, 2)], degree)
+            appell = appell_sequence(appell_series, degree)
+            report = appell_raising_telescope_report(basic, appell.table, 2)
+            out.exact(
+                "appell-telescope-printed",
+                seq.label,
+                report["as_printed_holds"],
+                {
+                    "step_holds": report["step_holds"],
+                    "derivative_ladder_holds": report["derivative_ladder_holds"],
+                },
+                asserted=False,
+            )
 
 
 def suite_transport(families, degree, rng, out):
     """Conjugation between basic bases and the commutator law of the
     transport to monomials."""
     for seq in families:
-        report = verify_conjugation_transport(
-            DeltaSeries.from_list(seq, [0, 1, 1], degree),
-            DeltaSeries.from_list(seq, [0, 1, 0, Fraction(-1, 3)], degree),
-            [1, 1, Fraction(1, 2)],
-            degree,
-            sheffer_s=DeltaSeries.from_list(seq, [1, 1], degree),
-        )
-        witness = {k: v for k, v in report.items() if k != "passed"}
-        out.exact("basis-conjugation", seq.label, report["passed"], witness)
-        for label, coeffs in (
-            ("derivative", [0, 1]),
-            ("composite", [0, 1, 1]),
-            ("cubic", [0, 1, 0, Fraction(1, 3)]),
-        ):
-            l_series = DeltaSeries.from_list(seq, coeffs, degree)
-            window = transport_pincherle_report(l_series, degree)
-            out.windowed(f"monomial-map-commutator({label})", seq.label, window, degree - 1)
+        with out.guard(seq.label):
+            report = verify_conjugation_transport(
+                DeltaSeries.from_list(seq, [0, 1, 1], degree),
+                DeltaSeries.from_list(seq, [0, 1, 0, Fraction(-1, 3)], degree),
+                [1, 1, Fraction(1, 2)],
+                degree,
+                sheffer_s=DeltaSeries.from_list(seq, [1, 1], degree),
+            )
+            witness = {k: v for k, v in report.items() if k != "passed"}
+            out.exact("basis-conjugation", seq.label, report["passed"], witness)
+            for label, coeffs in (
+                ("derivative", [0, 1]),
+                ("composite", [0, 1, 1]),
+                ("cubic", [0, 1, 0, Fraction(1, 3)]),
+            ):
+                l_series = DeltaSeries.from_list(seq, coeffs, degree)
+                window = transport_pincherle_report(l_series, degree)
+                out.windowed(f"monomial-map-commutator({label})", seq.label, window, degree - 1)
 
 
 SUITES = {
@@ -870,10 +907,8 @@ def run_suites(names, families, degree: int, seed: int = DEFAULT_SEED) -> list:
         if name not in names:
             continue
         out = Records(name, degree)
-        try:
+        with out.guard(SHARED):
             SUITES[name](families, degree, random.Random(f"{seed}:{name}"), out)
-        except UmbralError as exc:  # a kernel fault fails the run; the input was checked above
-            out.exact("kernel-fault", SHARED, False, {"error": f"{type(exc).__name__}: {exc}"})
         reports.extend(out)
     return sorted(reports, key=lambda r: (r.suite, r.family, r.identity_id))
 

@@ -314,16 +314,15 @@ def operator_polynomial_applied(p: Polynomial, m: OperatorMatrix, start: Polynom
 
 
 def umbral_operator(source: SequenceTable, images) -> OperatorMatrix:
-    """The linear map sending source entry n to images[n].
+    """The linear map sending source entry n to images[n]: column j
+    combines the images by the coordinates of x^j in the source table.
 
     `images` holds bound + 1 polynomials, such as the entries of another
     table; a truncated top image is the zero polynomial.
     """
     if len(images) != len(source):
         raise WrongFamilyError(f"{len(images)} images for a table of {len(source)} entries")
-    return from_action(
-        lambda p: _combine(Polynomial(coordinates_in_table(source, p)), images), source.bound
-    )
+    return OperatorMatrix(tuple([_combine(c, images) for c in source.inverse]))
 
 
 # -- dual raising operator --------------------------------------------------
@@ -549,7 +548,8 @@ def eigen_series(q_op: OperatorMatrix, truncation: int) -> list:
     require_lowers_by_one(q_op)
     if truncation > q_op.bound:
         raise DegreeOverflowError("eigenseries truncation beyond operator bound")
-    lowered = SequenceTable(q_op.columns[1:])  # column n has degree n - 1
+    # column n has degree n - 1; phi_n reads the columns up to n
+    lowered = SequenceTable(q_op.columns[1 : truncation + 1])
     phis = [ONE]
     for _ in range(truncation):
         phis.append(Polynomial([0] + coordinates_in_table(lowered, phis[-1])))

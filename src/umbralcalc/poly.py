@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import BadParameterError, BasisMismatchError, DegreeOverflowError
@@ -426,6 +427,24 @@ class SequenceTable:
     def __iter__(self):
         return iter(self.entries)
 
+    @cached_property
+    def inverse(self) -> tuple:
+        """The coordinates c_j of x^j in this table, j = 0..bound, each a
+        polynomial in the entry index; every change of basis reads them.
+
+        Built once, by forward substitution on the integers: entry j, with
+        numerators a_i over d and lead a_j, gives a_j c_j = d e_j - sum_(i<j)
+        a_i c_i, one combination and one canonical form per column.
+        """
+        out = []
+        for j, entry in enumerate(self.entries):
+            a = entry.nums
+            sign = 1 if a[j] > 0 else -1  # dividing by |a_j| keeps the den positive
+            rest = _combine(Polynomial([-sign * v for v in a[:j]]), out)
+            nums = list(rest.nums) + [0] * (j - len(rest.nums)) + [sign * entry.den * rest.den]
+            out.append(_canonical(nums, rest.den * abs(a[j])))
+        return tuple(out)
+
     def to_json(self) -> list:
         return [p.to_json_list() for p in self.entries]
 
@@ -435,36 +454,11 @@ class SequenceTable:
 
 
 def coordinates_in_table(table: SequenceTable, p: Polynomial) -> list:
-    """Coordinates of p in the degree-graded basis given by `table`.
-
-    Solved top degree down, exact because entry n has degree exactly n. The
-    residue stays integers over one denominator, fraction-free (Bareiss):
-    removing entry n with leading numerator `lead` is r <- r*lead - c*entry,
-    after which the content is divided out. Only degrees below n are kept.
-    """
+    """Coordinates of p in the degree-graded basis given by `table`, as
+    bound + 1 Fractions: one combination of the table's `inverse`."""
     if p.degree > table.bound:
         raise DegreeOverflowError(
             f"degree {p.degree} exceeds table bound {table.bound}"
         )
-    coords = [_ZERO] * (table.bound + 1)
-    residue, den = list(p.nums), p.den
-    for n in range(p.degree, -1, -1):
-        c = residue.pop()
-        if not c:
-            continue
-        entry = table[n]
-        lead = entry.nums[n]
-        if lead < 0:  # keeps den positive; r*lead - c*entry only changes sign
-            lead, c = -lead, -c
-        coords[n] = Fraction(c * entry.den, den * lead)
-        if lead != 1:
-            residue = [r * lead for r in residue]
-        for i, e in enumerate(entry.nums[:n]):
-            if e:
-                residue[i] -= c * e
-        den *= lead
-        g = gcd(den, *residue)
-        if g != 1:
-            den //= g
-            residue = [r // g for r in residue]
-    return coords
+    coords = _combine(p, table.inverse).coeffs
+    return list(coords) + [_ZERO] * (table.bound + 1 - len(coords))

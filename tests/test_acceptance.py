@@ -448,8 +448,8 @@ def test_criterion_12_deformed_bracket_calculus(families, degree):
             ok = ok and verify_sheffer_binomial(sheffer, ys).passed
 
         ok = ok and all(report["passed"] for report in sandwich_power_report(basic, (1, 2, 3)))
-        for n in (1, 2, 3):
-            for report in number_operator_steps_report(basic, n, fs):
+        for reports in number_operator_steps_report(basic, (1, 2, 3), fs):
+            for report in reports:
                 ok = ok and report["plain_window"] >= report["required_window"]
 
         # findings: the printed telescoped raising step and the even-order

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from umbralcalc import (
     AdmissibleSequence,
     BadParameterError,
+    BasisMismatchError,
     IdentityReport,
     Polynomial,
     SUITES,
@@ -25,7 +26,7 @@ from umbralcalc import (
     run_suites,
     summarize,
 )
-from umbralcalc import sequences
+from umbralcalc import harness, sequences
 from umbralcalc.harness import (
     FAILS,
     HOLDS,
@@ -498,14 +499,39 @@ def doubled_second_coefficients(seq, rows, table_of_rows=sequences._table_of_row
 
 def test_wrong_basic_tables_fail_the_spectral_suite_instead_of_raising():
     """A basic table that misses its lowering recurrence has no dual raiser;
-    the suite stops at the fault and records it as one failed asserted
-    `kernel-fault` record (exit status 1, not the 2 of bad input)."""
+    each family stops at the fault and records it as one failed asserted
+    `kernel-fault` record (exit status 1, not the 2 of bad input), and the
+    suite goes on with the next family."""
+    roster = conftest.family_roster(9)
     with mock.patch.object(sequences, "_table_of_rows", doubled_second_coefficients):
-        reports = run_suites(["spectral"], conftest.family_roster(9), 8)
+        reports = run_suites(["spectral"], roster, 8)
     assert exit_status(reports) == 1
     failed = [r for r in reports if r.failed and r.asserted]
-    assert [(r.identity_id, r.family) for r in failed] == [("kernel-fault", SHARED)]
-    assert failed[0].witness["error"].startswith("BasisMismatchError: lowering recurrence fails")
+    assert sorted((r.identity_id, r.family) for r in failed) == sorted(
+        ("kernel-fault", seq.label) for seq in roster
+    )
+    for r in failed:
+        assert r.witness["error"].startswith("BasisMismatchError: lowering recurrence fails")
+
+
+def test_a_kernel_fault_in_one_family_keeps_the_verdicts_of_the_others():
+    """The records of the families that do not fault are those of the
+    unmutated run; the faulting family has one `kernel-fault` record."""
+    roster = conftest.family_roster(9)
+    clean = run_suites(["factorization", "mutator"], roster, 8)
+    original = sequences.basic_sequence
+
+    def wrong(q_op, seq, bound):
+        if seq is roster[1]:
+            raise BasisMismatchError("injected fault")
+        return original(q_op, seq, bound)
+
+    with mock.patch.object(harness, "basic_sequence", wrong):
+        reports = run_suites(["factorization", "mutator"], roster, 8)
+    label = roster[1].label
+    assert [r for r in reports if r.family != label] == [r for r in clean if r.family != label]
+    faulted = [(r.suite, r.identity_id, r.failed) for r in reports if r.family == label]
+    assert faulted == [("factorization", "kernel-fault", True), ("mutator", "kernel-fault", True)]
 
 
 # -- reparameterization certificate ----------------------------------------------

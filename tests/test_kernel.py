@@ -82,6 +82,12 @@ the order as it is formed: each rewritten site must give what the Fraction
 route or the whole product it replaced gives, kept as the `old_*` functions
 of the last section, on custom families of random signed rationals and
 q-deformed ones with q in +-{2, 1/2, 3/2, 2/3}, up to N = 24.
+
+Then every change of basis reads one inverse per table, the coordinates of
+the monomials built by forward substitution: coordinates, umbral operators
+and eigenseries, and their errors, must be those of the `old_bareiss_*`
+functions, one fraction-free solve per polynomial, on random triangular
+tables and on the roster's basic and Sheffer tables up to N = 24.
 """
 
 import dataclasses
@@ -95,6 +101,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+import conftest
 from umbralcalc import cli, harness, operators, sequences
 from umbralcalc.errors import (
     BadParameterError,
@@ -116,6 +123,7 @@ from umbralcalc.operators import (
     dilation,
     divided_difference,
     dual_operator,
+    eigen_series,
     expand_in_dual_pair,
     forward_difference,
     from_action,
@@ -2894,3 +2902,129 @@ def test_series_products_cut_at_the_order_match_the_whole_products(case):
         for s, t in zip(*([got, want] if isinstance(got, list) else [[got], [want]]), strict=True):
             same(s.polynomial, t.polynomial)
             assert (s.base, s.order) == (t.base, t.order)
+
+
+# -- one inverse per table ------------------------------------------------------
+#
+# `old_bareiss_coordinates` is `coordinates_in_table` as it was, one
+# fraction-free (Bareiss) solve per polynomial, and `old_bareiss_umbral_operator`
+# and `old_bareiss_eigen_series` are `umbral_operator` (one such solve per
+# monomial column) and `eigen_series` over it, verbatim except for their names.
+
+
+def old_bareiss_coordinates(table: SequenceTable, p: Polynomial) -> list:
+    if p.degree > table.bound:
+        raise DegreeOverflowError(
+            f"degree {p.degree} exceeds table bound {table.bound}"
+        )
+    coords = [Fraction(0)] * (table.bound + 1)
+    residue, den = list(p.nums), p.den
+    for n in range(p.degree, -1, -1):
+        c = residue.pop()
+        if not c:
+            continue
+        entry = table[n]
+        lead = entry.nums[n]
+        if lead < 0:  # keeps den positive; r*lead - c*entry only changes sign
+            lead, c = -lead, -c
+        coords[n] = Fraction(c * entry.den, den * lead)
+        if lead != 1:
+            residue = [r * lead for r in residue]
+        for i, e in enumerate(entry.nums[:n]):
+            if e:
+                residue[i] -= c * e
+        den *= lead
+        g = math.gcd(den, *residue)
+        if g != 1:
+            den //= g
+            residue = [r // g for r in residue]
+    return coords
+
+
+def old_bareiss_umbral_operator(source: SequenceTable, images) -> OperatorMatrix:
+    if len(images) != len(source):
+        raise WrongFamilyError(f"{len(images)} images for a table of {len(source)} entries")
+    return from_action(
+        lambda p: _combine(Polynomial(old_bareiss_coordinates(source, p)), images), source.bound
+    )
+
+
+def old_bareiss_eigen_series(q_op: OperatorMatrix, truncation: int) -> list:
+    require_lowers_by_one(q_op)
+    if truncation > q_op.bound:
+        raise DegreeOverflowError("eigenseries truncation beyond operator bound")
+    lowered = SequenceTable(q_op.columns[1:])  # column n has degree n - 1
+    phis = [ONE]
+    for _ in range(truncation):
+        phis.append(Polynomial([0] + old_bareiss_coordinates(lowered, phis[-1])))
+    return phis
+
+
+@st.composite
+def random_triangular_tables(draw):
+    """A triangular table of degree up to 12: entries of non-integer
+    rationals, sparse or dense, some leads negative, and some sub-leading
+    terms zero."""
+    degree = draw(st.integers(0, 12))
+    entries = []
+    for n in range(degree + 1):
+        cs = draw(st.lists(mixed_rationals, min_size=n, max_size=n))
+        if n and draw(st.booleans()):
+            cs[n - 1] = Fraction(0)
+        entries.append(Polynomial(cs + [draw(nonzero_rationals)]))
+    return SequenceTable(tuple(entries))
+
+
+@st.composite
+def roster_tables(draw):
+    """The basic or Sheffer table of a fixed or random series pair over a
+    roster family, at N up to 24."""
+    degree = draw(st.sampled_from([2, 5, 12, 24]))
+    seq = draw(st.sampled_from(conftest.family_roster(degree + 1)))
+    tail = draw(st.lists(mixed_rationals, max_size=3))
+    q_series = DeltaSeries.from_list(seq, [0, draw(nonzero_rationals)] + tail, degree)
+    s_coeffs = [draw(nonzero_rationals)] + draw(st.lists(mixed_rationals, max_size=3))
+    if draw(st.booleans()):
+        return basic_sequence_from_series(q_series, degree).table
+    return sheffer_sequence(q_series, DeltaSeries.from_list(seq, s_coeffs, degree), degree).table
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=st.one_of(random_triangular_tables(), roster_tables()), data=st.data())
+def test_table_inverse_matches_the_bareiss_solves(table, data):
+    """Coordinates, umbral operators and eigenseries read from the table's
+    inverse are those of one Bareiss solve per polynomial, and so are the
+    errors; the inverse is built once per table."""
+    bound = table.bound
+    polys = data.draw(st.lists(
+        st.lists(mixed_rationals, max_size=bound + 2).map(Polynomial), min_size=1, max_size=4
+    ))
+    for p in polys + [Polynomial.monomial(j) for j in range(bound + 1)] + list(table):
+        got = result_or_error(coordinates_in_table, table, p)
+        assert got == result_or_error(old_bareiss_coordinates, table, p)
+        if got[0] == "value":
+            assert all(type(c) is Fraction for c in got[1]) and len(got[1]) == bound + 1
+    for j, c in enumerate(table.inverse):
+        same(c, Polynomial(old_bareiss_coordinates(table, Polynomial.monomial(j))))
+    assert table.inverse is table.inverse
+
+    images = data.draw(st.lists(sparse_polynomials(bound), min_size=bound, max_size=bound + 2))
+    for targets in (images, list(table)[::-1][:bound] + [ZERO]):
+        got = result_or_error(umbral_operator, table, targets)
+        want = result_or_error(old_bareiss_umbral_operator, table, targets)
+        if want[0] == "raises":
+            assert got == want
+        else:
+            same_columns(got[1], want[1])
+
+    # a lowering operator whose column n is entry n - 1 of the table
+    q_op = OperatorMatrix(tuple([ZERO] + list(table)[:bound]))
+    for truncation in (0, bound // 2, bound, bound + 1):
+        got = result_or_error(eigen_series, q_op, truncation)
+        want = result_or_error(old_bareiss_eigen_series, q_op, truncation)
+        if want[0] == "raises":
+            assert got == want
+        else:
+            assert len(got[1]) == len(want[1])
+            for new, old in zip(got[1], want[1]):
+                same(new, old)

@@ -19,7 +19,7 @@ from unittest import mock
 import pytest
 
 import conftest
-from umbralcalc import cli, harness, operators, poly, sequences, spectral
+from umbralcalc import cli, harness, operators, sequences, spectral
 from umbralcalc.harness import exit_status, run_all
 from umbralcalc.operators import OperatorMatrix, umbral_operator, weighted_shift
 from umbralcalc.poly import Polynomial, SequenceTable, _new
@@ -47,16 +47,18 @@ def doubled_second_coefficient(table_of_rows):
     return wrong
 
 
-def wrong_coordinate(coordinates_in_table):
-    """Coordinate 1 one too large for every polynomial of degree 2 or more."""
+def wrong_coordinate(inverse):
+    """Coordinate 1 of x^j one too large for every j >= 2 in each table's
+    inverse, which every change of basis reads; cached per table, as the
+    original, for the tables built under the patch."""
 
-    def wrong(table, p):
-        coords = coordinates_in_table(table, p)
-        if p.degree >= 2:
-            coords[1] += 1
-        return coords
+    def wrong(table):
+        coords = inverse.func(table)
+        return coords[:2] + tuple([c + Polynomial.monomial(1) for c in coords[2:]])
 
-    return wrong
+    prop = cached_property(wrong)
+    prop.__set_name__(SequenceTable, "inverse")
+    return prop
 
 
 def scaled_column(dual_operator):
@@ -168,7 +170,7 @@ def identity_inverse(compositional_inverse):
 # classes patched, or None for every umbralcalc module that imported the name)
 MUTATIONS = {
     "doubled-inverse-factorial": (sequences, "_table_of_rows", doubled_second_coefficient, None),
-    "wrong-coordinate": (poly, "coordinates_in_table", wrong_coordinate, None),
+    "wrong-coordinate": (SequenceTable, "inverse", wrong_coordinate, (SequenceTable,)),
     "scaled-dual-column": (operators, "dual_operator", scaled_column, None),
     "zeroed-xhat-weight": (operators, "xhat_psi", zeroed_weight, None),
     "wrong-delta-series-top": (operators, "apply_delta_series", wrong_top_term, None),
@@ -186,7 +188,8 @@ MUTATIONS = {
 }
 
 _FAMILY_ONLY = "reads only the family's factorials and exponential, which no entry mutates"
-_ANY_PAIR = "the mutated lowering/raiser pairs satisfy it too; under wrong-coordinate the suite faults first"
+_ANY_PAIR = ("the mutated lowering/raiser pairs satisfy it too; under wrong-coordinate "
+             "every family's basic table faults first")
 _OWN_OPERATORS = "reads only integral weights and partners built from them, which no entry mutates"
 
 # suite/identity: why no catalogue mutation fails it
@@ -254,6 +257,18 @@ def test_every_asserted_identity_is_failed_by_some_mutation():
     assert sorted(identities - flipped - set(UNFLIPPED)) == []
     assert sorted(set(UNFLIPPED) & flipped) == []
     assert set(UNFLIPPED) <= identities
+
+
+def test_a_wrong_inverse_reaches_every_basis_change():
+    """Umbral operators, coordinates and the transport to monomials all read
+    a table's inverse, so a wrong one fails the eigen relations of the
+    definitional spectral operator, the expansion constants and the
+    transport law."""
+    failed = asserted_failures(census("wrong-coordinate"))
+    assert {f"spectral/eigen-relation({label})"
+            for label in ("appell", "composite", "random")} <= failed
+    assert "sheffer/expansion-constants-graded(composite)" in failed
+    assert "transport/monomial-map-commutator(derivative)" in failed
 
 
 def test_verify_exits_1_under_a_wrong_coordinate(capsys):

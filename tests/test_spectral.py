@@ -365,22 +365,29 @@ def test_sandwich_powers(families, degree):
 
 def test_number_operator_steps_plain_vs_graded():
     fs = [ONE, Polynomial([0, 1]), Polynomial([1, 0, Fraction(1, 2)])]
+    ns = (1, 2, 3)
     for seq in (CLASSICAL, Q2, FIB):
         basic = basic_sequence(psi_derivative(seq, N), seq, N)
-        for n in (1, 2, 3):
-            reports = number_operator_steps_report(basic, n, iter(fs))
+        per_n = number_operator_steps_report(basic, iter(ns), iter(fs))
+        assert len(per_n) == len(ns)
+        for n, reports in zip(ns, per_n):
             assert len(reports) == len(fs)
             for f, report in zip(fs, reports):
                 assert report["passed"], (seq.label, n, f.to_text())
                 assert report == old_number_operator_steps_report(basic, seq, n, f)
+    # any order; a negative power is refused
+    assert number_operator_steps_report(basic, (3, 1), fs) == [per_n[2], per_n[0]]
+    assert number_operator_steps_report(basic, [], fs) == []
+    with pytest.raises(BadParameterError):
+        number_operator_steps_report(basic, (2, -1), fs)
     # graded steps only collapse to the plain ones classically; for the
     # q-family the first divergent step weight is 2_psi, so probe n = 3
     basic_c = basic_sequence(psi_derivative(CLASSICAL, N), CLASSICAL, N)
-    assert number_operator_steps_report(basic_c, 3, [X])[0]["graded_matches"]
+    assert number_operator_steps_report(basic_c, [3], [X])[0][0]["graded_matches"]
     basic_q = basic_sequence(psi_derivative(Q2, N), Q2, N)
-    assert not number_operator_steps_report(basic_q, 3, [X])[0]["graded_matches"]
+    assert not number_operator_steps_report(basic_q, [3], [X])[0][0]["graded_matches"]
     basic_h = basic_sequence(psi_derivative(HYP, N), HYP, N)
-    assert not number_operator_steps_report(basic_h, 2, [X])[0]["graded_matches"]
+    assert not number_operator_steps_report(basic_h, [2], [X])[0][0]["graded_matches"]
 
 
 def test_appell_weighted_display_classical_vs_deformed():
@@ -943,6 +950,11 @@ def old_reports(old, items, *args):
     return [old(*args, item) for item in items]
 
 
+def old_steps_reports(ns, fs, basic, seq):
+    """The old number-step reports, one list of one per f for each n."""
+    return [[old_number_operator_steps_report(basic, seq, n, f) for f in fs] for n in ns]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     case=kernel_cases(),
@@ -969,9 +981,9 @@ def test_resigned_checks_match_old_ones_given_the_tables_own_family(case, n, ns,
             ),
             (
                 number_operator_steps_report,
-                (basic, n, iter(fs)),
-                old_reports,
-                (old_number_operator_steps_report, fs, basic, seq, n),
+                (basic, iter(ns), iter(fs)),
+                old_steps_reports,
+                (ns, fs, basic, seq),
             ),
         ]
         if n >= 1:  # the telescope step is refused at n = 0
