@@ -1,13 +1,15 @@
 """Cross-family identity harness: one uniform record per verified identity.
 
-Each suite checks a group of operator identities over a family roster and
-writes its IdentityReport records through a `Records` recorder. A record is
-either asserted (its failure fails the run) or informational (a printed form
-whose validity depends on the family; the record stores what actually holds,
-and never changes the exit status). Windowed identities pass when the two
-sides agree at least up to the stated truncation window. A kernel fault
-inside one family's checks becomes that family's failed `kernel-fault`
-record, and the suite goes on with the next family.
+Each suite checks a group of operator identities on one family and writes
+its IdentityReport records through a `Records` recorder; `run_suites` runs
+it once per roster family, after the suite's family-free checks, if it has
+any. A record is either asserted (its failure fails the run) or
+informational (a printed form whose validity depends on the family; the
+record stores what actually holds, and never changes the exit status).
+Windowed identities pass when the two sides agree at least up to the stated
+truncation window. A kernel fault inside one family's checks, or inside the
+family-free ones, becomes one failed `kernel-fault` record for that family
+(or `shared`), and the suite goes on with the next family.
 """
 
 from __future__ import annotations
@@ -189,10 +191,11 @@ class Records(list):
 
     @contextmanager
     def guard(self, family):
-        """Run one family's checks, or a suite's shared ones: a kernel fault
-        among them is one failed `kernel-fault` record for `family`, and the
-        suite goes on with the next family. Input is checked before any
-        suite runs, so a fault here is the package's, not the caller's."""
+        """Run one family's checks, or a suite's family-free ones with
+        `family` SHARED: a kernel fault among them ends them and is one
+        failed `kernel-fault` record for `family`; `run_suites` goes on with
+        the next family. Input is checked before any suite runs, so a fault
+        here is the package's, not the caller's."""
         try:
             yield
         except UmbralError as exc:
@@ -215,16 +218,12 @@ def _random_polynomial(rng, max_degree: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _random_delta_series(seq, rng, order: int, unit_slope=False) -> DeltaSeries:
-    coeffs = [Fraction(0), Fraction(1) if unit_slope else _nonzero(rng)]
-    for _ in range(2, order + 1):
-        coeffs.append(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
-    return DeltaSeries.from_list(seq, coeffs, order)
-
-
-def _random_invertible_series(seq, rng, order: int) -> DeltaSeries:
-    coeffs = [_nonzero(rng)]
-    for _ in range(1, order + 1):
+def _random_series(seq, rng, order: int, lead: list) -> DeltaSeries:
+    """The leading coefficients `lead`, then random ones up to `order`: a
+    delta series for lead [0, 1] or [0, _nonzero(rng)], an invertible one
+    for [_nonzero(rng)]."""
+    coeffs = list(lead)
+    for _ in range(len(lead), order + 1):
         coeffs.append(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
     return DeltaSeries.from_list(seq, coeffs, order)
 
@@ -246,6 +245,8 @@ def _random_triangular_operator(rng, bound: int) -> OperatorMatrix:
     return OperatorMatrix(tuple(cols))
 
 
+_R_SHAPE, _R_Q = (2, -2), Fraction(1, 3)  # the series-shape family r_series(q=1/3)
+
 _SHEFFER_PAIRS = {  # label: (q, s) coefficients of the fixed Sheffer pairs
     "appell": ([0, 1], [1, 1]),
     "composite": ([0, 1, 1], [1, 1, Fraction(1, 2)]),
@@ -259,8 +260,8 @@ def _sheffer_tables(seq, rng, degree, labels) -> list:
     tables = []
     for label in labels:
         if label == "random":
-            q = _random_delta_series(seq, rng, degree)
-            s = _random_invertible_series(seq, rng, degree)
+            q = _random_series(seq, rng, degree, [0, _nonzero(rng)])
+            s = _random_series(seq, rng, degree, [_nonzero(rng)])
         else:
             q, s = (DeltaSeries.from_list(seq, c, degree) for c in _SHEFFER_PAIRS[label])
         tables.append((label, sheffer_sequence(q, s, degree)))
@@ -324,40 +325,35 @@ def _normal_order(d: OperatorMatrix, r: OperatorMatrix):
 # -- suites --------------------------------------------------------------------
 
 
-def suite_ghw(families, degree, rng, out):
+def suite_ghw(seq, degree, rng, out):
     """The lowering/raising pair has identity commutator below the edge."""
-    ident = identity_operator(degree)
-    for seq in families:
-        with out.guard(seq.label):
-            got = commutator(psi_derivative(seq, degree), xhat_psi(seq, degree))
-            out.windowed("commutator-identity", seq.label, got.agreement_window(ident), degree - 1)
+    got = commutator(psi_derivative(seq, degree), xhat_psi(seq, degree))
+    window = got.agreement_window(identity_operator(degree))
+    out.windowed("commutator-identity", seq.label, window, degree - 1)
 
 
-def suite_weyl(families, degree, rng, out):
+def suite_weyl(seq, degree, rng, out):
     """Reordering rules for powers of the lowering/raising pair."""
-    for seq in families:
-        with out.guard(seq.label):
-            window = _normal_order(psi_derivative(seq, degree), xhat_psi(seq, degree))
-            for n, m in product(range(min(4, degree) + 1), repeat=2):
-                if n or m:
-                    w = window(n, m, degree - max(n, m))
-                    out.windowed(f"power-reorder(n={n},m={m})", seq.label, w, degree - max(n, m))
-            # two-parameter exponential exchange, checked order by order: the (i, j)
-            # coefficient of exp(t d) exp(a r) = exp(at) exp(a r) exp(t d) is the
-            # normal order of d^j r^i, both sides scaled by 1/(i! j!)
-            failures = ({"raise_power": i, "lower_power": j, "found_window": w,
-                         "required_window": degree - i}
-                        for i in range(degree + 1) for j in range(degree + 1 - i)
-                        if (i or j) and (w := window(j, i, degree - i)) < degree - i)
-            out.first_failure("exponential-exchange-orders", seq.label, failures)
+    window = _normal_order(psi_derivative(seq, degree), xhat_psi(seq, degree))
+    for n, m in product(range(min(4, degree) + 1), repeat=2):
+        if n or m:
+            w = window(n, m, degree - max(n, m))
+            out.windowed(f"power-reorder(n={n},m={m})", seq.label, w, degree - max(n, m))
+    # two-parameter exponential exchange, checked order by order: the (i, j)
+    # coefficient of exp(t d) exp(a r) = exp(at) exp(a r) exp(t d) is the
+    # normal order of d^j r^i, both sides scaled by 1/(i! j!)
+    failures = ({"raise_power": i, "lower_power": j, "found_window": w,
+                 "required_window": degree - i}
+                for i in range(degree + 1) for j in range(degree + 1 - i)
+                if (i or j) and (w := window(j, i, degree - i)) < degree - i)
+    out.first_failure("exponential-exchange-orders", seq.label, failures)
 
 
-def suite_leibnitz(families, degree, rng, out):
-    """Product rules and the scale-factor factorizations of the lowerings."""
-    classical = AdmissibleSequence.classical(degree + 1)
+def shared_leibnitz(degree, rng, out):
+    """Product rule and derivative series of the divided difference, and the
+    scale-factor factorization of the series-shape family."""
     d0 = divided_difference(degree)
 
-    # family-free product rule of the divided difference
     def dd_product_rule(f, g):
         return d0.apply(f * g) == d0.apply(f) * g + d0.apply(g).scale(f.constant_term)
 
@@ -365,8 +361,8 @@ def suite_leibnitz(families, degree, rng, out):
     failures = _pair_failures(rng, 5, half, degree - half, dd_product_rule)
     out.first_failure("divided-difference-product-rule", SHARED, failures)
 
-    # family-free alternating series for the divided difference
-    d_powers = psi_derivative(classical, degree).powers(degree)
+    # alternating series for the divided difference
+    d_powers = psi_derivative(AdmissibleSequence.classical(degree + 1), degree).powers(degree)
     acc = zero_operator(degree)
     for n in range(1, degree + 1):
         front = multiplication_operator(
@@ -376,156 +372,128 @@ def suite_leibnitz(families, degree, rng, out):
         acc = acc.add(front.compose(d_powers[n]))
     out.exact("divided-difference-derivative-series", SHARED, acc.columns == d0.columns)
 
-    for seq in families:
-        with out.guard(seq.label):
-            # every lowering factors through the diagonal weight operator
-            d = psi_derivative(seq, degree)
-            ok = d.columns == nhat_diagonal(seq, degree).compose(d0).columns
-            out.exact("lowering-factors-through-weights", seq.label, ok)
-
-            if seq.family == Q_DEFORMED:
-                q = q_parameter(seq)
-                jq = jackson_operator(q, degree)
-
-                def q_product_rule(f, g):
-                    return jq.apply(f * g) == jq.apply(f) * g + f.dilate(q) * jq.apply(g)
-
-                failures = _pair_failures(rng, 5, half, degree - half, q_product_rule)
-                out.first_failure("q-product-rule", seq.label, failures)
-
-                # the q lowering is a dilation polynomial times the divided difference
-                shape = Polynomial([1 / (1 - q), -1 / (1 - q)])
-                diag = operator_polynomial(shape, dilation(q, degree).scale(q))
-                ok = diag.compose(d0).columns == jq.columns
-                out.exact("q-scale-factor", seq.label, ok)
-
-    # same factorization for a weight family read off a series shape
-    shape_coeffs = [Fraction(2), Fraction(-2)]
-    q_r = Fraction(1, 3)
-    seq_r = AdmissibleSequence.r_series(shape_coeffs, q_r, degree + 1)
-    diag = operator_polynomial(Polynomial(shape_coeffs), dilation(q_r, degree).scale(q_r))
+    # the factorization of the q lowering, for a weight family read off a series shape
+    seq_r = AdmissibleSequence.r_series(_R_SHAPE, _R_Q, degree + 1)
+    diag = operator_polynomial(Polynomial(_R_SHAPE), dilation(_R_Q, degree).scale(_R_Q))
     ok = diag.compose(d0).columns == psi_derivative(seq_r, degree).columns
     out.exact("series-scale-factor", seq_r.label, ok)
 
 
-def suite_binomial(families, degree, rng, out):
-    """Addition rule of basic tables, its rejection of perturbed tables, and
-    the scalar addition laws of the graded exponential."""
-    perturb_degree = min(degree, 8)
-    perturb_shifts = default_shift_samples(10)
-    for seq in families:
-        with out.guard(seq.label):
-            composite = DeltaSeries.from_list(seq, [0, 1, 1], degree)
-            tables = [
-                ("composite", basic_sequence_from_series(composite, degree).table),
-                (
-                    "random",
-                    basic_sequence_from_series(
-                        _random_delta_series(seq, rng, degree), degree
-                    ).table,
-                ),
-            ]
-            for label, table in tables:
-                check = verify_binomial_type(table, seq)
-                out.exact(f"addition-rule({label})", seq.label, check.passed, check.witness)
+def suite_leibnitz(seq, degree, rng, out):
+    """Product rules and the scale-factor factorizations of the lowerings."""
+    # every lowering factors through the diagonal weight operator
+    d0 = divided_difference(degree)
+    ok = psi_derivative(seq, degree).columns == nhat_diagonal(seq, degree).compose(d0).columns
+    out.exact("lowering-factors-through-weights", seq.label, ok)
+    if seq.family != Q_DEFORMED:
+        return
+    q = q_parameter(seq)
+    jq = jackson_operator(q, degree)
 
-            # Every single-coefficient perturbation must be rejected, except the
-            # top entry's linear coefficient: that one lands on the basic table
-            # of a series whose top coefficient absorbed the shift, so a correct
-            # checker accepts it. For that cell we demand the positive
-            # certificate instead of a rejection.
-            small_series = DeltaSeries.from_list(seq, [0, 1, 1], perturb_degree)
-            small = basic_sequence_from_series(small_series, perturb_degree).table
+    def q_product_rule(f, g):
+        return jq.apply(f * g) == jq.apply(f) * g + f.dilate(q) * jq.apply(g)
 
-            def perturbation_failures():
-                for n in range(perturb_degree + 1):
-                    for j in range(n + 1):
-                        coeffs = list(small[n].coeffs)
-                        coeffs[j] += 1
-                        if j == n and coeffs[j] == 0:
-                            coeffs[j] += 1
-                        entries = list(small)
-                        entries[n] = Polynomial(coeffs)
-                        ptable = SequenceTable(tuple(entries))
-                        # only the verdict is read, so no witness is formed
-                        passed = addition_rule_failure(ptable, ptable, seq, perturb_shifts) is None
-                        if n == perturb_degree and j == 1:
-                            ok = passed and _reparameterization_certificate(
-                                seq, small_series, ptable, perturb_degree
-                            )
-                            if not ok:
-                                yield {"entry": n, "coefficient": j,
-                                       "expected": "reparameterization"}
-                        elif passed:
-                            yield {"entry": n, "coefficient": j, "expected": "rejection"}
+    half = degree // 2
+    failures = _pair_failures(rng, 5, half, degree - half, q_product_rule)
+    out.first_failure("q-product-rule", seq.label, failures)
 
-            out.first_failure(
-                "perturbation-rejection", seq.label, perturbation_failures(), degree=perturb_degree
-            )
+    # the q lowering is a dilation polynomial times the divided difference
+    shape = Polynomial([1 / (1 - q), -1 / (1 - q)])
+    diag = operator_polynomial(shape, dilation(q, degree).scale(q))
+    out.exact("q-scale-factor", seq.label, diag.compose(d0).columns == jq.columns)
 
-            # bigraded addition law of the exponential coefficients
-            failures = ({"a": a, "b": b, "lhs": lhs, "rhs": rhs}
-                        for a in range(degree + 1) for b in range(degree + 1 - a)
-                        if (lhs := seq.binomial(a + b, b) / seq.factorial(a + b))
-                        != (rhs := 1 / (seq.factorial(a) * seq.factorial(b))))
-            out.first_failure("exponential-addition-bigraded", seq.label, failures)
 
-            # index-congruence sectors partition the truncated exponential
-            for m in (2, 3):
-                total = Polynomial()
-                for j in range(m):
-                    total = total + seq.hyperbolic_component(j, m, 1, degree)
-                ok = total == seq.exp_polynomial(1, degree)
-                out.exact(f"exponential-sector-partition(m={m})", seq.label, ok)
-
-            # informational: alternating binomial sums need not vanish at even
-            # order for every family, although the printed claim says they do
-            failures = ({"order": m, "value": v} for m in range(2, degree + 1, 2)
-                        if (v := sum(((-1) ** k) * seq.binomial(m, k) for k in range(m + 1))) != 0)
-            out.first_failure("alternating-even-sums-vanish", seq.label, failures, asserted=False)
-
-    # binomial integrality of the growth family
+def shared_binomial(degree, rng, out):
+    """Binomial integrality of the growth family."""
     fib = AdmissibleSequence.fibonacci(16)
     failures = ({"n": n, "k": k, "value": value} for n in range(17) for k in range(n + 1)
                 if (value := fib.binomial(n, k)).denominator != 1)
     out.first_failure("growth-family-integrality", fib.label, failures, degree=16)
 
 
-def suite_routes(families, degree, rng, out):
-    """Closed-form constructions agree with the solved basic table."""
-    for seq in families:
-        with out.guard(seq.label):
-            labeled = [
-                ("derivative", DeltaSeries.from_list(seq, [0, 1], degree)),
-                ("composite", DeltaSeries.from_list(seq, [0, 1, 1], degree)),
-                ("random-1", _random_delta_series(seq, rng, degree)),
-                ("random-2", _random_delta_series(seq, rng, degree)),
-            ]
-            for label, q_series in labeled:
-                direct = basic_sequence_from_series(q_series, degree).table
-                for route_name, table in closed_form_routes(q_series, degree).items():
-                    out.exact(f"{route_name}({label})", seq.label, table.entries == direct.entries)
+def suite_binomial(seq, degree, rng, out):
+    """Addition rule of basic tables, its rejection of perturbed tables, and
+    the scalar addition laws of the graded exponential."""
+    composite = DeltaSeries.from_list(seq, [0, 1, 1], degree)
+    random_series = _random_series(seq, rng, degree, [0, _nonzero(rng)])
+    for label, series in (("composite", composite), ("random", random_series)):
+        check = verify_binomial_type(basic_sequence_from_series(series, degree).table, seq)
+        out.exact(f"addition-rule({label})", seq.label, check.passed, check.witness)
 
+    # Every single-coefficient perturbation must be rejected, except the
+    # top entry's linear coefficient: that one lands on the basic table
+    # of a series whose top coefficient absorbed the shift, so a correct
+    # checker accepts it. For that cell we demand the positive
+    # certificate instead of a rejection.
+    perturb_degree = min(degree, 8)
+    perturb_shifts = default_shift_samples(10)
+    small_series = DeltaSeries.from_list(seq, [0, 1, 1], perturb_degree)
+    small = basic_sequence_from_series(small_series, perturb_degree).table
 
-def suite_detect(families, degree, rng, out):
-    """Lowering operators are read back as graded series, exactly."""
-    for seq in families:
-        with out.guard(seq.label):
-            for label, unit in (("unit-slope", True), ("scaled", False)):
-                series = _random_delta_series(seq, rng, degree, unit_slope=unit)
-                op = realize_delta_series(series, degree)
-                result = detect_psi_form(op)
-                ok = result.consistent and realize_psi_form(result, degree).columns == op.columns
-                if unit:
-                    ok = (
-                        ok
-                        and result.candidate == seq.values[1 : degree + 1]
-                        and result.series.coeffs == series.coeffs[: degree + 1]
+    def perturbation_failures():
+        for n in range(perturb_degree + 1):
+            for j in range(n + 1):
+                coeffs = list(small[n].coeffs)
+                coeffs[j] += 1
+                if j == n and coeffs[j] == 0:
+                    coeffs[j] += 1
+                entries = list(small)
+                entries[n] = Polynomial(coeffs)
+                ptable = SequenceTable(tuple(entries))
+                # only the verdict is read, so no witness is formed
+                passed = addition_rule_failure(ptable, ptable, seq, perturb_shifts) is None
+                if n == perturb_degree and j == 1:
+                    ok = passed and _reparameterization_certificate(
+                        seq, small_series, ptable, perturb_degree
                     )
-                out.exact(f"round-trip({label})", seq.label, ok, {"violation": result.violation})
+                    if not ok:
+                        yield {"entry": n, "coefficient": j, "expected": "reparameterization"}
+                elif passed:
+                    yield {"entry": n, "coefficient": j, "expected": "rejection"}
 
-    classical = AdmissibleSequence.classical(degree + 1)
-    d = psi_derivative(classical, degree)
+    out.first_failure(
+        "perturbation-rejection", seq.label, perturbation_failures(), degree=perturb_degree
+    )
+
+    # bigraded addition law of the exponential coefficients
+    failures = ({"a": a, "b": b, "lhs": lhs, "rhs": rhs}
+                for a in range(degree + 1) for b in range(degree + 1 - a)
+                if (lhs := seq.binomial(a + b, b) / seq.factorial(a + b))
+                != (rhs := 1 / (seq.factorial(a) * seq.factorial(b))))
+    out.first_failure("exponential-addition-bigraded", seq.label, failures)
+
+    # index-congruence sectors partition the truncated exponential
+    for m in (2, 3):
+        total = Polynomial()
+        for j in range(m):
+            total = total + seq.hyperbolic_component(j, m, 1, degree)
+        ok = total == seq.exp_polynomial(1, degree)
+        out.exact(f"exponential-sector-partition(m={m})", seq.label, ok)
+
+    # informational: alternating binomial sums need not vanish at even
+    # order for every family, although the printed claim says they do
+    failures = ({"order": m, "value": v} for m in range(2, degree + 1, 2)
+                if (v := sum(((-1) ** k) * seq.binomial(m, k) for k in range(m + 1))) != 0)
+    out.first_failure("alternating-even-sums-vanish", seq.label, failures, asserted=False)
+
+
+def suite_routes(seq, degree, rng, out):
+    """Closed-form constructions agree with the solved basic table."""
+    labeled = [
+        ("derivative", DeltaSeries.from_list(seq, [0, 1], degree)),
+        ("composite", DeltaSeries.from_list(seq, [0, 1, 1], degree)),
+        ("random-1", _random_series(seq, rng, degree, [0, _nonzero(rng)])),
+        ("random-2", _random_series(seq, rng, degree, [0, _nonzero(rng)])),
+    ]
+    for label, q_series in labeled:
+        direct = basic_sequence_from_series(q_series, degree).table
+        for route_name, table in closed_form_routes(q_series, degree).items():
+            out.exact(f"{route_name}({label})", seq.label, table.entries == direct.entries)
+
+
+def shared_detect(degree, rng, out):
+    """Sandwiched classical operators read back with their own weights."""
+    d = psi_derivative(AdmissibleSequence.classical(degree + 1), degree)
     sandwich = d.compose(multiplication_x(degree)).compose(d)
 
     squares = tuple([Fraction(n * n) for n in range(1, degree + 1)])
@@ -556,117 +524,103 @@ def suite_detect(families, degree, rng, out):
     out.exact("doubled-index-operator", SHARED, _round_trip(doubled, weights) is not None)
 
 
-def suite_sheffer(families, degree, rng, out):
+def suite_detect(seq, degree, rng, out):
+    """Lowering operators are read back as graded series, exactly."""
+    for label, unit in (("unit-slope", True), ("scaled", False)):
+        series = _random_series(seq, rng, degree, [0, 1] if unit else [0, _nonzero(rng)])
+        op = realize_delta_series(series, degree)
+        result = detect_psi_form(op)
+        ok = result.consistent and realize_psi_form(result, degree).columns == op.columns
+        if unit:
+            ok = (
+                ok
+                and result.candidate == seq.values[1 : degree + 1]
+                and result.series.coeffs == series.coeffs[: degree + 1]
+            )
+        out.exact(f"round-trip({label})", seq.label, ok, {"violation": result.violation})
+
+
+def suite_sheffer(seq, degree, rng, out):
     """Lowered-by-one tables with invertible prefactors: definition,
     reconstruction, mixed addition rule, generating function, and the
     constant-coefficient expansion conventions."""
     z_order = min(8, degree)
-    for seq in families:
-        with out.guard(seq.label):
-            for label, sheffer in _sheffer_tables(seq, rng, degree, ("composite", "random")):
-                for check_name, check in (
-                    ("definition", verify_sheffer_definition(sheffer)),
-                    ("inverse-reconstruction", verify_inverse_reconstruction(sheffer)),
-                    ("mixed-addition", verify_sheffer_binomial(sheffer)),
-                    ("generating-function", generating_function_check(sheffer, z_order)),
-                ):
-                    out.exact(f"{check_name}({label})", seq.label, check.passed, check.witness)
-                a_coeffs = [1, 1, Fraction(1, 2), Fraction(1, 3)]
-                constants = verify_expansion_constants(sheffer, a_coeffs)
-                out.exact(
-                    f"expansion-constants-graded({label})",
-                    seq.label,
-                    constants["psi_binomial_holds"],
-                    {"witness": constants["psi_witness"]},
-                )
-                out.exact(
-                    f"expansion-constants-plain({label})",
-                    seq.label,
-                    constants["plain_binomial_holds"],
-                    asserted=False,
-                )
+    for label, sheffer in _sheffer_tables(seq, rng, degree, ("composite", "random")):
+        for check_name, check in (
+            ("definition", verify_sheffer_definition(sheffer)),
+            ("inverse-reconstruction", verify_inverse_reconstruction(sheffer)),
+            ("mixed-addition", verify_sheffer_binomial(sheffer)),
+            ("generating-function", generating_function_check(sheffer, z_order)),
+        ):
+            out.exact(f"{check_name}({label})", seq.label, check.passed, check.witness)
+        constants = verify_expansion_constants(sheffer, [1, 1, Fraction(1, 2), Fraction(1, 3)])
+        out.exact(
+            f"expansion-constants-graded({label})",
+            seq.label,
+            constants["psi_binomial_holds"],
+            {"witness": constants["psi_witness"]},
+        )
+        out.exact(
+            f"expansion-constants-plain({label})",
+            seq.label,
+            constants["plain_binomial_holds"],
+            asserted=False,
+        )
 
 
-def suite_expansion(families, degree, rng, out):
+def suite_expansion(seq, degree, rng, out):
     """Every operator expands uniquely over powers of a lowering operator
     with coefficients in either raiser, and reassembles exactly."""
-    for seq in families:
-        with out.guard(seq.label):
-            d = psi_derivative(seq, degree)
-            raisers = (
-                ("graded-raiser", xhat_psi(seq, degree)),
-                ("multiplication", multiplication_x(degree)),
-            )
-            for mode, raiser in raisers:
-                samples = (_random_triangular_operator(rng, degree) for _ in range(5))
-                failures = ({"instance": i} for i, t in enumerate(samples)
-                            if expand_in_dual_pair(t, d, raiser).reassembled.columns != t.columns)
-                out.first_failure(f"reassembly({mode})", seq.label, failures)
+    d = psi_derivative(seq, degree)
+    for mode, raiser in (("graded-raiser", xhat_psi(seq, degree)),
+                         ("multiplication", multiplication_x(degree))):
+        samples = (_random_triangular_operator(rng, degree) for _ in range(5))
+        failures = ({"instance": i} for i, t in enumerate(samples)
+                    if expand_in_dual_pair(t, d, raiser).reassembled.columns != t.columns)
+        out.first_failure(f"reassembly({mode})", seq.label, failures)
 
-            samples = [
-                ("series",
-                 realize_delta_series(DeltaSeries.from_list(seq, [0, 1, 1], degree), degree)),
-                ("mixed", xhat_psi(seq, degree).compose(d)),
-            ]
-            truncation = min(8, degree)
-            for label, t in samples:
-                result = indicator(t, d, truncation)
-                out.exact(f"indicator-conjugation({label})", seq.label, result.routes_agree)
+    samples = [
+        ("series", realize_delta_series(DeltaSeries.from_list(seq, [0, 1, 1], degree), degree)),
+        ("mixed", xhat_psi(seq, degree).compose(d)),
+    ]
+    for label, t in samples:
+        result = indicator(t, d, min(8, degree))
+        out.exact(f"indicator-conjugation({label})", seq.label, result.routes_agree)
 
 
-def suite_orthogonality(families, degree, rng, out):
+def suite_orthogonality(seq, degree, rng, out):
     """The pairing attached to (Q, S) is diagonal with graded factorial
     weights; positive families give positive squared norms."""
-    for seq in families:
-        with out.guard(seq.label):
-            [(_, sheffer)] = _sheffer_tables(seq, rng, degree, ("composite",))
-            out.first_failure("diagonal-pairing", seq.label,
-                              orthogonality_failures(sheffer, degree))
-            if all(seq.n_psi(n) > 0 for n in range(1, degree + 1)):
-                out.first_failure("gram-positivity", seq.label, gram_failures(sheffer, rng, 4))
+    [(_, sheffer)] = _sheffer_tables(seq, rng, degree, ("composite",))
+    out.first_failure("diagonal-pairing", seq.label, orthogonality_failures(sheffer, degree))
+    if all(seq.n_psi(n) > 0 for n in range(1, degree + 1)):
+        out.first_failure("gram-positivity", seq.label, gram_failures(sheffer, rng, 4))
 
 
-def suite_spectral(families, degree, rng, out):
+def suite_spectral(seq, degree, rng, out):
     """Index operators diagonal on a Sheffer table: the definitional and
     conjugation routes agree; the printed coefficient formula is recorded."""
     eigen_max = min(10, degree)
-    labels = ("appell", "composite", "random")
-    for seq in families:
-        with out.guard(seq.label):
-            for label, sheffer in _sheffer_tables(seq, rng, degree, labels):
-                result = spectral_operator(sheffer)
-                failures = ({"n": n} for n in range(eigen_max + 1)
-                            if result.definitional.apply(sheffer[n]) != sheffer[n].scale(n))
-                out.first_failure(f"eigen-relation({label})", seq.label, failures)
-                out.exact(f"conjugation-route({label})", seq.label, result.composition_agrees)
-                divergence = result.printed_divergence
-                out.exact(
-                    f"printed-coefficient-formula({label})",
-                    seq.label,
-                    divergence is None,
-                    {"first_disagreeing_order": divergence},
-                    asserted=False,
-                )
+    for label, sheffer in _sheffer_tables(seq, rng, degree, ("appell", "composite", "random")):
+        result = spectral_operator(sheffer)
+        failures = ({"n": n} for n in range(eigen_max + 1)
+                    if result.definitional.apply(sheffer[n]) != sheffer[n].scale(n))
+        out.first_failure(f"eigen-relation({label})", seq.label, failures)
+        out.exact(f"conjugation-route({label})", seq.label, result.composition_agrees)
+        divergence = result.printed_divergence
+        out.exact(
+            f"printed-coefficient-formula({label})",
+            seq.label,
+            divergence is None,
+            {"first_disagreeing_order": divergence},
+            asserted=False,
+        )
 
 
-def suite_integration(families, degree, rng, out):
-    """Monomial-diagonal right inverses pair with their lowerings."""
-    for seq in families:
-        with out.guard(seq.label):
-            op = IntegralOperator.psi_integral(seq, degree)
-            out.first_failure("graded-right-inverse", seq.label,
-                              right_inverse_failures(op, psi_derivative(seq, degree)))
-            if seq.family == Q_DEFORMED:
-                q = q_parameter(seq)
-                q_int = IntegralOperator.q_integral(q, degree)
-                out.first_failure("q-right-inverse", seq.label,
-                                  right_inverse_failures(q_int, jackson_operator(q, degree)))
-                out.exact("q-matches-graded-integral", seq.label, q_int.weights == op.weights)
-
-    shape_coeffs = [Fraction(2), Fraction(-2)]
-    q_r = Fraction(1, 3)
-    seq_r = AdmissibleSequence.r_series(shape_coeffs, q_r, degree + 1)
-    r_int = IntegralOperator.r_integral(shape_coeffs, q_r, degree)
+def shared_integration(degree, rng, out):
+    """The right inverse of the series-shape family and its partner."""
+    seq_r = AdmissibleSequence.r_series(_R_SHAPE, _R_Q, degree + 1)
+    r_int = IntegralOperator.r_integral(_R_SHAPE, _R_Q, degree)
     out.first_failure("series-right-inverse", seq_r.label,
                       right_inverse_failures(r_int, r_int.partner))
     out.exact(
@@ -676,195 +630,185 @@ def suite_integration(families, degree, rng, out):
     )
 
 
-def suite_star(families, degree, rng, out):
+def suite_integration(seq, degree, rng, out):
+    """Monomial-diagonal right inverses pair with their lowerings."""
+    op = IntegralOperator.psi_integral(seq, degree)
+    out.first_failure("graded-right-inverse", seq.label,
+                      right_inverse_failures(op, psi_derivative(seq, degree)))
+    if seq.family == Q_DEFORMED:
+        q = q_parameter(seq)
+        q_int = IntegralOperator.q_integral(q, degree)
+        out.first_failure("q-right-inverse", seq.label,
+                          right_inverse_failures(q_int, jackson_operator(q, degree)))
+        out.exact("q-matches-graded-integral", seq.label, q_int.weights == op.weights)
+
+
+def suite_star(seq, degree, rng, out):
     """Substitution products of the raising operator and the weighted
     exponential family they generate."""
     pow_max = min(3, degree // 2)
     m_max = min(4, degree - 2)
-    for seq in families:
-        with out.guard(seq.label):
-            ctx = StarContext.create(seq, degree)
-            d = ctx.lowering
-            raiser = ctx.raiser
+    ctx = StarContext.create(seq, degree)
+    d = ctx.lowering
+    raiser = ctx.raiser
 
-            failures = ({"n": n, "k": k} for n in range(pow_max + 1) for k in range(pow_max + 1)
-                        if star_product(ctx, star_power(ctx, n), star_power(ctx, k))
-                        != star_power(ctx, n + k).scale(
-                            Fraction(math.factorial(n)) / seq.factorial(n)))
-            out.first_failure("power-products", seq.label, failures)
+    failures = ({"n": n, "k": k} for n in range(pow_max + 1) for k in range(pow_max + 1)
+                if star_product(ctx, star_power(ctx, n), star_power(ctx, k))
+                != star_power(ctx, n + k).scale(Fraction(math.factorial(n)) / seq.factorial(n)))
+    out.first_failure("power-products", seq.label, failures)
 
-            failures = ({"n": n} for n in range(1, degree + 1)
-                        if d.apply(star_power(ctx, n)) != star_power(ctx, n - 1).scale(n)
-                        or raiser.apply(star_power(ctx, n - 1)) != star_power(ctx, n))
-            out.first_failure("lowering-steps-powers", seq.label, failures)
+    failures = ({"n": n} for n in range(1, degree + 1)
+                if d.apply(star_power(ctx, n)) != star_power(ctx, n - 1).scale(n)
+                or raiser.apply(star_power(ctx, n - 1)) != star_power(ctx, n))
+    out.first_failure("lowering-steps-powers", seq.label, failures)
 
-            def product_rule(f, g):
-                lhs = d.apply(star_product_truncated(ctx, f, g))
-                rhs = star_product_truncated(ctx, f.derivative(), g) + star_product_truncated(
-                    ctx, f, d.apply(g)
-                )
-                return lhs.truncate(degree - 1) == rhs.truncate(degree - 1)
+    def product_rule(f, g):
+        lhs = d.apply(star_product_truncated(ctx, f, g))
+        rhs = star_product_truncated(ctx, f.derivative(), g) + star_product_truncated(
+            ctx, f, d.apply(g)
+        )
+        return lhs.truncate(degree - 1) == rhs.truncate(degree - 1)
 
-            failures = _pair_failures(rng, 3, min(3, degree - 1), min(4, degree), product_rule)
-            out.first_failure("product-rule", seq.label, failures, window=degree - 1)
+    failures = _pair_failures(rng, 3, min(3, degree - 1), min(4, degree), product_rule)
+    out.first_failure("product-rule", seq.label, failures, window=degree - 1)
 
-            def splits(alpha, beta):
-                plain = Polynomial([alpha**k / math.factorial(k) for k in range(degree + 1)])
-                got = star_product_truncated(ctx, plain, seq.exp_polynomial(beta, degree))
-                return got == seq.exp_polynomial(alpha + beta, degree)
+    def splits(alpha, beta):
+        plain = Polynomial([alpha**k / math.factorial(k) for k in range(degree + 1)])
+        got = star_product_truncated(ctx, plain, seq.exp_polynomial(beta, degree))
+        return got == seq.exp_polynomial(alpha + beta, degree)
 
-            pairs = ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(-1)),
-                     (Fraction(2), Fraction(1, 2)))
-            failures = ({"alpha": a, "beta": b} for a, b in pairs if not splits(a, b))
-            out.first_failure("exponential-splitting", seq.label, failures)
+    pairs = ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(-1)),
+             (Fraction(2), Fraction(1, 2)))
+    failures = ({"alpha": a, "beta": b} for a, b in pairs if not splits(a, b))
+    out.first_failure("exponential-splitting", seq.label, failures)
 
-            def substitution_is_star(f, g):
-                g_tilde = operator_polynomial_applied(g, raiser, ONE)
-                substituted = operator_polynomial_applied(f, raiser, g_tilde)
-                return substituted == star_product(ctx, f, g_tilde)
+    def substitution_is_star(f, g):
+        g_tilde = operator_polynomial_applied(g, raiser, ONE)
+        substituted = operator_polynomial_applied(f, raiser, g_tilde)
+        return substituted == star_product(ctx, f, g_tilde)
 
-            failures = _pair_failures(rng, 3, pow_max, pow_max, substitution_is_star)
-            out.first_failure("operator-product-vs-star", seq.label, failures)
+    failures = _pair_failures(rng, 3, pow_max, pow_max, substitution_is_star)
+    out.first_failure("operator-product-vs-star", seq.label, failures)
 
-            # commutation with a raiser power lowers it by one step, the normal order of d r^n
-            window = _normal_order(d, raiser)
-            for n in range(1, min(4, degree) + 1):
-                out.windowed(f"raiser-power-lowering(n={n})", seq.label, window(1, n, degree - n),
-                             degree - n)
+    # commutation with a raiser power lowers it by one step, the normal order of d r^n
+    window = _normal_order(d, raiser)
+    for n in range(1, min(4, degree) + 1):
+        out.windowed(f"raiser-power-lowering(n={n})", seq.label, window(1, n, degree - n),
+                     degree - n)
 
-            # informational: replacing the substituted entry by the literal
-            # polynomial only survives for unit-ratio weight families
-            f = Polynomial([1] * (min(3, degree) + 1))
-            f_tilde = operator_polynomial_applied(f, raiser, ONE)
-            literal_ok = d.apply(f_tilde) == d.apply(f)
-            out.exact("literal-substitution-lowering", seq.label, literal_ok, asserted=False)
+    # informational: replacing the substituted entry by the literal
+    # polynomial only survives for unit-ratio weight families
+    f = Polynomial([1] * (min(3, degree) + 1))
+    f_tilde = operator_polynomial_applied(f, raiser, ONE)
+    literal_ok = d.apply(f_tilde) == d.apply(f)
+    out.exact("literal-substitution-lowering", seq.label, literal_ok, asserted=False)
 
-            for lam in (Fraction(1), Fraction(1, 2)):
-                ps = poisson_psi_polynomials(ctx, lam, m_max)
-                alt = poisson_raising_route(ctx, lam, m_max)
-                ok = all(p == a for p, a in zip(ps, alt))
-                out.exact(f"weighted-family-routes(lam={lam})", seq.label, ok)
-                # d p_m + lam p_m = lam p_(m-1) up to degree N - m - 1, with p_(-1) = 0
-                failures = ({"m": m} for m in range(m_max + 1)
-                            if (d.apply(ps[m]) + ps[m].scale(lam)).truncate(degree - m - 1)
-                            != (ps[m - 1].scale(lam) if m else Polynomial()).truncate(
-                                degree - m - 1))
-                ident = f"weighted-family-system(lam={lam})"
-                out.first_failure(ident, seq.label, failures, window=degree - m_max - 1)
+    for lam in (Fraction(1), Fraction(1, 2)):
+        ps = poisson_psi_polynomials(ctx, lam, m_max)
+        alt = poisson_raising_route(ctx, lam, m_max)
+        ok = all(p == a for p, a in zip(ps, alt))
+        out.exact(f"weighted-family-routes(lam={lam})", seq.label, ok)
+        # d p_m + lam p_m = lam p_(m-1) up to degree N - m - 1, with p_(-1) = 0
+        failures = ({"m": m} for m in range(m_max + 1)
+                    if (d.apply(ps[m]) + ps[m].scale(lam)).truncate(degree - m - 1)
+                    != (ps[m - 1].scale(lam) if m else Polynomial()).truncate(degree - m - 1))
+        ident = f"weighted-family-system(lam={lam})"
+        out.first_failure(ident, seq.label, failures, window=degree - m_max - 1)
 
 
-def suite_qplane(families, degree, rng, out):
+def suite_qplane(seq, degree, rng, out):
     """Exchange rule of multiplication and dilation, and the substitution
     form of the shift for deformation families."""
+    if seq.family != Q_DEFORMED:
+        return
     ys = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
           Fraction(-2), Fraction(3), Fraction(1, 3), Fraction(-1, 2), Fraction(5)]
-    for seq in families:
-        if seq.family != Q_DEFORMED:
-            continue
-        with out.guard(seq.label):
-            q = q_parameter(seq)
-            out.exact("exchange-rule", seq.label, qplane_commutation(q, degree))
-            # the substitution holds for every entry once it holds on the monomials;
-            # each record composes it with the sum form of its table
-            substitution = next(qplane_substitution_failures(seq, degree, ys), None)
-            [(_, sheffer)] = _sheffer_tables(seq, rng, degree, ("appell",))
-            for ident, sums in (
-                ("shift-substitution-basic", verify_binomial_type(sheffer.basic.table, seq, ys)),
-                ("shift-substitution-sheffer", verify_sheffer_binomial(sheffer, ys)),
-            ):
-                ok = substitution is None and sums.passed
-                out.exact(ident, seq.label, ok, substitution or sums.witness)
+    q = q_parameter(seq)
+    out.exact("exchange-rule", seq.label, qplane_commutation(q, degree))
+    # the substitution holds for every entry once it holds on the monomials;
+    # each record composes it with the sum form of its table
+    substitution = next(qplane_substitution_failures(seq, degree, ys), None)
+    [(_, sheffer)] = _sheffer_tables(seq, rng, degree, ("appell",))
+    for ident, sums in (
+        ("shift-substitution-basic", verify_binomial_type(sheffer.basic.table, seq, ys)),
+        ("shift-substitution-sheffer", verify_sheffer_binomial(sheffer, ys)),
+    ):
+        ok = substitution is None and sums.passed
+        out.exact(ident, seq.label, ok, substitution or sums.witness)
 
 
-def suite_mutator(families, degree, rng, out):
+def suite_mutator(seq, degree, rng, out):
     """Deformed bracket of a lowering operator with its shift raiser."""
-    for seq in families:
-        with out.guard(seq.label):
-            tables = [
-                ("monomial", basic_sequence(psi_derivative(seq, degree), seq, degree)),
-                (
-                    "composite",
-                    basic_sequence_from_series(
-                        DeltaSeries.from_list(seq, [0, 1, 1], degree), degree
-                    ),
-                ),
-            ]
-            for label, basic in tables:
-                failures = mutator_failures(basic, shift_raiser(basic), qhat_operator(basic))
-                out.first_failure(f"bracket-identity({label})", seq.label, failures,
-                                  window=degree - 1)
+    monomial = basic_sequence(psi_derivative(seq, degree), seq, degree)
+    composite = basic_sequence_from_series(DeltaSeries.from_list(seq, [0, 1, 1], degree), degree)
+    raiser, qhat = shift_raiser(monomial), qhat_operator(monomial)
+    failures = mutator_failures(monomial, raiser, qhat)
+    out.first_failure("bracket-identity(monomial)", seq.label, failures, window=degree - 1)
+    failures = mutator_failures(composite, shift_raiser(composite), qhat_operator(composite))
+    out.first_failure("bracket-identity(composite)", seq.label, failures, window=degree - 1)
 
-            basic = tables[0][1]
-            qhat = qhat_operator(basic)
-            literal = mutator_failures(basic, shift_raiser(basic), qhat_operator(basic, one=1))
-            out.first_failure("literal-unit-weights", seq.label, literal, asserted=False)
-            dual = mutator_failures(basic, basic.raiser, qhat)
-            out.first_failure("dual-raiser-variant", seq.label, dual, asserted=False)
-            if seq.family == Q_DEFORMED:
-                q = q_parameter(seq)
-                same = qhat.columns == dilation(q, degree).columns
-                out.exact("deformation-is-dilation", seq.label, same, asserted=False)
+    literal = mutator_failures(monomial, raiser, qhat_operator(monomial, one=1))
+    out.first_failure("literal-unit-weights", seq.label, literal, asserted=False)
+    dual = mutator_failures(monomial, monomial.raiser, qhat)
+    out.first_failure("dual-raiser-variant", seq.label, dual, asserted=False)
+    if seq.family == Q_DEFORMED:
+        same = qhat.columns == dilation(q_parameter(seq), degree).columns
+        out.exact("deformation-is-dilation", seq.label, same, asserted=False)
 
 
-def suite_factorization(families, degree, rng, out):
+def suite_factorization(seq, degree, rng, out):
     """Power factorizations of sandwiched lowering/raising words."""
     fs = [Polynomial([1, 1]), Polynomial([0, 0, 1]), Polynomial([2, 0, Fraction(1, 2)])]
     ns = (1, 2, 3)
-    for seq in families:
-        with out.guard(seq.label):
-            basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
-            sandwiches = sandwich_power_report(basic, ns)
-            steps = number_operator_steps_report(basic, ns, fs)
-            for n, sandwich, reports in zip(ns, sandwiches, steps):
-                out.exact(f"sandwich-powers(n={n})", seq.label, sandwich["passed"], sandwich)
-                for i, report in enumerate(reports):
-                    out.windowed(
-                        f"number-steps(n={n},f={i})",
-                        seq.label,
-                        report["plain_window"],
-                        report["required_window"],
-                        {"report": report},
-                    )
-                graded_all = all(report["graded_matches"] for report in reports)
-                out.exact(f"number-steps-graded(n={n})", seq.label, graded_all, asserted=False)
-
-            appell_series = DeltaSeries.from_list(seq, [1, 1, Fraction(1, 2)], degree)
-            appell = appell_sequence(appell_series, degree)
-            report = appell_raising_telescope_report(basic, appell.table, 2)
-            out.exact(
-                "appell-telescope-printed",
+    basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
+    sandwiches = sandwich_power_report(basic, ns)
+    steps = number_operator_steps_report(basic, ns, fs)
+    for n, sandwich, reports in zip(ns, sandwiches, steps):
+        out.exact(f"sandwich-powers(n={n})", seq.label, sandwich["passed"], sandwich)
+        for i, report in enumerate(reports):
+            out.windowed(
+                f"number-steps(n={n},f={i})",
                 seq.label,
-                report["as_printed_holds"],
-                {
-                    "step_holds": report["step_holds"],
-                    "derivative_ladder_holds": report["derivative_ladder_holds"],
-                },
-                asserted=False,
+                report["plain_window"],
+                report["required_window"],
+                {"report": report},
             )
+        graded_all = all(report["graded_matches"] for report in reports)
+        out.exact(f"number-steps-graded(n={n})", seq.label, graded_all, asserted=False)
+
+    appell = appell_sequence(DeltaSeries.from_list(seq, [1, 1, Fraction(1, 2)], degree), degree)
+    report = appell_raising_telescope_report(basic, appell.table, 2)
+    out.exact(
+        "appell-telescope-printed",
+        seq.label,
+        report["as_printed_holds"],
+        {
+            "step_holds": report["step_holds"],
+            "derivative_ladder_holds": report["derivative_ladder_holds"],
+        },
+        asserted=False,
+    )
 
 
-def suite_transport(families, degree, rng, out):
+def suite_transport(seq, degree, rng, out):
     """Conjugation between basic bases and the commutator law of the
     transport to monomials."""
-    for seq in families:
-        with out.guard(seq.label):
-            report = verify_conjugation_transport(
-                DeltaSeries.from_list(seq, [0, 1, 1], degree),
-                DeltaSeries.from_list(seq, [0, 1, 0, Fraction(-1, 3)], degree),
-                [1, 1, Fraction(1, 2)],
-                degree,
-                sheffer_s=DeltaSeries.from_list(seq, [1, 1], degree),
-            )
-            witness = {k: v for k, v in report.items() if k != "passed"}
-            out.exact("basis-conjugation", seq.label, report["passed"], witness)
-            for label, coeffs in (
-                ("derivative", [0, 1]),
-                ("composite", [0, 1, 1]),
-                ("cubic", [0, 1, 0, Fraction(1, 3)]),
-            ):
-                l_series = DeltaSeries.from_list(seq, coeffs, degree)
-                window = transport_pincherle_report(l_series, degree)
-                out.windowed(f"monomial-map-commutator({label})", seq.label, window, degree - 1)
+    report = verify_conjugation_transport(
+        DeltaSeries.from_list(seq, [0, 1, 1], degree),
+        DeltaSeries.from_list(seq, [0, 1, 0, Fraction(-1, 3)], degree),
+        [1, 1, Fraction(1, 2)],
+        degree,
+        sheffer_s=DeltaSeries.from_list(seq, [1, 1], degree),
+    )
+    witness = {k: v for k, v in report.items() if k != "passed"}
+    out.exact("basis-conjugation", seq.label, report["passed"], witness)
+    for label, coeffs in (
+        ("derivative", [0, 1]),
+        ("composite", [0, 1, 1]),
+        ("cubic", [0, 1, 0, Fraction(1, 3)]),
+    ):
+        window = transport_pincherle_report(DeltaSeries.from_list(seq, coeffs, degree), degree)
+        out.windowed(f"monomial-map-commutator({label})", seq.label, window, degree - 1)
 
 
 SUITES = {
@@ -886,12 +830,21 @@ SUITES = {
     "transport": suite_transport,
 }
 
+FAMILY_FREE = {  # suite name: its checks that involve no roster family
+    "leibnitz": shared_leibnitz,
+    "binomial": shared_binomial,
+    "detect": shared_detect,
+    "integration": shared_integration,
+}
+
 DEFAULT_SEED = 20240811
 
 
 def run_suites(names, families, degree: int, seed: int = DEFAULT_SEED) -> list:
     """Run the named suites over the roster; records come back sorted by
-    (suite, family, identity)."""
+    (suite, family, identity). Each suite draws from one rng stream: its
+    family-free checks first, then each family in roster order, each under
+    its own `Records.guard`."""
     if degree < 2:
         raise BadParameterError("degree bound must be at least 2")
     unknown = [n for n in names if n not in SUITES]
@@ -907,8 +860,13 @@ def run_suites(names, families, degree: int, seed: int = DEFAULT_SEED) -> list:
         if name not in names:
             continue
         out = Records(name, degree)
-        with out.guard(SHARED):
-            SUITES[name](families, degree, random.Random(f"{seed}:{name}"), out)
+        rng = random.Random(f"{seed}:{name}")
+        if name in FAMILY_FREE:
+            with out.guard(SHARED):
+                FAMILY_FREE[name](degree, rng, out)
+        for seq in families:
+            with out.guard(seq.label):
+                SUITES[name](seq, degree, rng, out)
         reports.extend(out)
     return sorted(reports, key=lambda r: (r.suite, r.family, r.identity_id))
 

@@ -490,25 +490,18 @@ def verify_expansion_constants(sheffer: ShefferSequence, a_coeffs) -> dict:
         image = a_of_q.apply(sheffer.table[n])
         rows.append(coordinates_in_table(sheffer.table, image))
 
-    def convention_holds(binom):
-        constants = [rows[j][0] for j in range(bound + 1)]
+    def convention_witness(binom):
         for n in range(bound + 1):
             for j in range(n + 1):
-                expected = binom(n, j) * constants[j]
-                if rows[n][n - j] != expected:
-                    return False, constants, (n, j)
-        return True, constants, None
+                if rows[n][n - j] != binom(n, j) * rows[j][0]:
+                    return (n, j)
+        return None
 
-    psi_ok, psi_constants, psi_witness = convention_holds(seq.binomial)
-    plain_ok, plain_constants, plain_witness = convention_holds(
-        lambda n, j: Fraction(math.comb(n, j))
-    )
+    psi_witness = convention_witness(seq.binomial)
     return {
-        "psi_binomial_holds": psi_ok,
-        "psi_constants": psi_constants if psi_ok else None,
+        "psi_binomial_holds": psi_witness is None,
+        "psi_constants": [rows[j][0] for j in range(bound + 1)] if psi_witness is None else None,
         "psi_witness": psi_witness,
-        "plain_binomial_holds": plain_ok,
-        "plain_constants": plain_constants if plain_ok else None,
-        "plain_witness": plain_witness,
+        "plain_binomial_holds": convention_witness(math.comb) is None,
     }
 

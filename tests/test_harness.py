@@ -534,6 +534,26 @@ def test_a_kernel_fault_in_one_family_keeps_the_verdicts_of_the_others():
     assert faulted == [("factorization", "kernel-fault", True), ("mutator", "kernel-fault", True)]
 
 
+def test_a_kernel_fault_in_family_free_checks_keeps_every_family_verdict():
+    """`leibnitz` builds multiplication operators only for its family-free
+    divided-difference series: a fault there is one `shared` kernel fault,
+    and every family's records are those of the unmutated run."""
+    roster = conftest.family_roster(9)
+    clean = run_suites(["leibnitz"], roster, 8)
+
+    def wrong(p, bound):
+        raise BasisMismatchError("injected fault")
+
+    with mock.patch.object(harness, "multiplication_operator", wrong):
+        reports = run_suites(["leibnitz"], roster, 8)
+    faults = [r for r in reports if r.identity_id == "kernel-fault"]
+    assert [(r.family, r.failed, r.asserted) for r in faults] == [(SHARED, True, True)]
+    assert faults[0].witness == {"error": "BasisMismatchError: injected fault"}
+    for seq in roster:
+        got = [r for r in reports if r.family == seq.label]
+        assert got and got == [r for r in clean if r.family == seq.label]
+
+
 # -- reparameterization certificate ----------------------------------------------
 
 

@@ -1622,9 +1622,15 @@ def old_raiser_power_lowering(seq, degree, d, raiser, out):
         out.windowed(f"raiser-power-lowering(n={n})", seq.label, w, degree - n)
 
 
+def old_suite_weyl_of_one(seq, degree, rng, out):
+    """`old_suite_weyl` on the one-family roster [seq], with the signature of
+    a `harness.SUITES` entry."""
+    old_suite_weyl([seq], degree, rng, out)
+
+
 def weyl_records(suite, seq, degree):
     out = harness.Records("weyl", degree)
-    suite([seq], degree, None, out)
+    suite(seq, degree, None, out)
     return list(out)
 
 
@@ -1654,7 +1660,7 @@ def test_normal_order_windows_match_matrix_products(case):
     for r in (raiser, mutated):
         with mock.patch.object(harness, "xhat_psi", lambda seq, bound: r):
             assert weyl_records(harness.suite_weyl, seq, degree) == weyl_records(
-                old_suite_weyl, seq, degree
+                old_suite_weyl_of_one, seq, degree
             )
         # the star loop's windows, from the same helper
         d = psi_derivative(seq, degree)
@@ -1668,7 +1674,7 @@ def test_normal_order_windows_match_matrix_products(case):
         assert got == want
     # and the star suite's own records (a mutated raiser breaks its star powers)
     out = harness.Records("star", degree)
-    harness.suite_star([seq], degree, random.Random(0), out)
+    harness.suite_star(seq, degree, random.Random(0), out)
     got = [x for x in out if x.identity_id.startswith("raiser-power-lowering")]
     want = harness.Records("star", degree)
     old_raiser_power_lowering(seq, degree, psi_derivative(seq, degree), raiser, want)
