@@ -41,6 +41,7 @@ from .operators import (
     identity_operator,
     indicator,
     jackson_operator,
+    lowering_failures,
     multiplication_operator,
     multiplication_x,
     nhat_diagonal,
@@ -60,21 +61,20 @@ from .sequences import (
     basic_sequence,
     basic_sequence_from_series,
     closed_form_routes,
-    generating_function_check,
+    generating_function_failures,
+    inverse_reconstruction_failures,
     sheffer_sequence,
     verify_binomial_type,
-    verify_inverse_reconstruction,
     verify_sheffer_binomial,
-    verify_sheffer_definition,
 )
 from .integration import IntegralOperator, right_inverse_failures
 from .star import StarContext, poisson_psi_polynomials, star_power, star_product
 from .spectral import (
+    conjugation_transport_failures,
     inner_product,
     orthogonality_failures,
     qhat_operator,
     spectral_operator,
-    verify_conjugation_transport,
 )
 from .harness import (
     IdentityReport,

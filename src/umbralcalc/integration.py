@@ -19,27 +19,18 @@ from .operators import OperatorMatrix, jackson_operator, psi_derivative, weighte
 from .poly import Polynomial, fr
 from .psi import AdmissibleSequence
 
-PSI_INTEGRAL = "psi_integral"
-Q_INTEGRAL = "q_integral"
-R_INTEGRAL = "r_integral"
-
-
 @dataclass(frozen=True)
 class IntegralOperator:
     """Monomial-diagonal right inverse: x^n -> x^{n+1} / w(n+1)."""
 
-    kind: str
     bound: int
     weights: tuple  # w(n) for n = 1..bound, the divisor attached to x^n
     partner: OperatorMatrix  # the difference operator it inverts
-    label: str
 
     @staticmethod
     def psi_integral(seq: AdmissibleSequence, bound: int) -> "IntegralOperator":
         weights = tuple([seq.n_psi(n) for n in range(1, bound + 1)])
-        return IntegralOperator(
-            PSI_INTEGRAL, bound, weights, psi_derivative(seq, bound), seq.label
-        )
+        return IntegralOperator(bound, weights, psi_derivative(seq, bound))
 
     @staticmethod
     def q_integral(q, bound: int) -> "IntegralOperator":
@@ -52,9 +43,7 @@ class IntegralOperator:
             if denom == 0:
                 raise DegenerateFamilyError(f"q^{n} = 1 degenerates the q integral")
             weights.append(denom / (1 - q))
-        return IntegralOperator(
-            Q_INTEGRAL, bound, tuple(weights), jackson_operator(q, bound), f"q={q}"
-        )
+        return IntegralOperator(bound, tuple(weights), jackson_operator(q, bound))
 
     @staticmethod
     def r_integral(coefficients, q, bound: int) -> "IntegralOperator":
@@ -71,9 +60,7 @@ class IntegralOperator:
             weights.append(w)
         # the matching difference operator scales x^n -> w(n) x^{n-1}
         partner = weighted_shift(-1, bound, lambda n: weights[n - 1])
-        return IntegralOperator(
-            R_INTEGRAL, bound, tuple(weights), partner, f"r_series(q={q})"
-        )
+        return IntegralOperator(bound, tuple(weights), partner)
 
     def integrate(self, p: Polynomial) -> Polynomial:
         if p.degree > self.bound - 1:
@@ -98,9 +85,7 @@ def right_inverse_failures(op: IntegralOperator, differencer: OperatorMatrix):
     if differencer.bound != op.bound:
         raise MismatchedPairError("bounds differ")
     if differencer.columns != op.partner.columns:
-        raise MismatchedPairError(
-            f"difference operator is not the partner of the {op.kind}"
-        )
+        raise MismatchedPairError("difference operator is not the partner of the integral")
 
     def search():
         bound = op.bound

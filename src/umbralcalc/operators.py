@@ -328,15 +328,22 @@ def umbral_operator(source: SequenceTable, images) -> OperatorMatrix:
 # -- dual raising operator --------------------------------------------------
 
 
+def lowering_failures(q_op: OperatorMatrix, entries, seq: AdmissibleSequence):
+    """Witnesses {"n", "got", "expected"} where Q entries[n] is not
+    n_psi entries[n-1], reading Q entries[0] = 0 at n = 0: the defining
+    relation of a basic or Sheffer table (Roman, 1984, ch. 2)."""
+    for n, entry in enumerate(entries):
+        got = q_op.apply(entry)
+        expected = entries[n - 1].scale(seq.n_psi(n)) if n else ZERO
+        if got != expected:
+            yield {"n": n, "got": got.to_text(), "expected": expected.to_text()}
+
+
 def verify_basic_for(q_op: OperatorMatrix, table: SequenceTable, seq: AdmissibleSequence) -> None:
     if table.bound != q_op.bound:
         raise BasisMismatchError("table bound differs from operator bound")
-    if not q_op.apply(table[0]).is_zero():
-        raise BasisMismatchError("entry 0 is not annihilated")
-    for n in range(1, table.bound + 1):
-        expected = table[n - 1].scale(seq.n_psi(n))
-        if q_op.apply(table[n]) != expected:
-            raise BasisMismatchError(f"lowering recurrence fails at entry {n}")
+    for witness in lowering_failures(q_op, table, seq):
+        raise BasisMismatchError(f"lowering recurrence fails at entry {witness['n']}")
 
 
 def dual_operator(
@@ -364,7 +371,7 @@ class PsiFormResult:
     """Outcome of reading a lowering operator as a graded series.
 
     `candidate` holds the diagonal-read generalized integers b_{n,1}; when all
-    are nonzero, `seq`/`coefficients` give the reconstruction data. `consistent`
+    are nonzero, `series` gives the reconstruction data. `consistent`
     states whether every cross coefficient matches the graded-series pattern;
     `violation` holds the first (n, k, expected, found) mismatch otherwise.
     """
@@ -372,7 +379,6 @@ class PsiFormResult:
     candidate: tuple
     consistent: bool
     violation: tuple | None
-    seq: AdmissibleSequence | None
     series: DeltaSeries | None
 
 
@@ -387,7 +393,7 @@ def detect_psi_form(q_op: OperatorMatrix) -> PsiFormResult:
     candidate = tuple([b[(n, 1)] for n in range(1, bound + 1)])
     for n in range(1, bound + 1):
         if b[(n, 1)] == 0:
-            return PsiFormResult(candidate, False, (n, 1, None, Fraction(0)), None, None)
+            return PsiFormResult(candidate, False, (n, 1, None, Fraction(0)), None)
     seq = AdmissibleSequence.custom(candidate, bound, label="detected")
     coeffs = [Fraction(0)] + [
         b[(k, k)] / seq.factorial(k) for k in range(1, bound + 1)
@@ -397,10 +403,8 @@ def detect_psi_form(q_op: OperatorMatrix) -> PsiFormResult:
         for k in range(1, n + 1):
             expected = seq.binomial(n, k) * b[(k, k)]
             if b[(n, k)] != expected:
-                return PsiFormResult(
-                    candidate, False, (n, k, expected, b[(n, k)]), seq, series
-                )
-    return PsiFormResult(candidate, True, None, seq, series)
+                return PsiFormResult(candidate, False, (n, k, expected, b[(n, k)]), series)
+    return PsiFormResult(candidate, True, None, series)
 
 
 def realize_psi_form(result: PsiFormResult, bound: int) -> OperatorMatrix:
@@ -560,13 +564,12 @@ def eigen_series(q_op: OperatorMatrix, truncation: int) -> list:
 class IndicatorResult:
     """Lambda-expansion of an operator over a lowering operator.
 
-    `coefficients[n]` multiplies lambda^n; `conjugated[n]` is the same
-    coefficient obtained through the eigenfunction conjugation route, and
-    `routes_agree` states whether the two match on all computed orders.
+    `coefficients[n]` multiplies lambda^n; `routes_agree` states whether the
+    eigenfunction conjugation route gives the same coefficient on all
+    computed orders.
     """
 
     coefficients: tuple
-    conjugated: tuple
     routes_agree: bool
 
 
@@ -588,5 +591,4 @@ def indicator(t: OperatorMatrix, q_op: OperatorMatrix, truncation: int) -> Indic
         for i in range(j + 1):
             acc = acc + inv[i] * t_phis[j - i]
         conjugated.append(acc)
-    agree = list(direct) == conjugated
-    return IndicatorResult(direct, tuple(conjugated), agree)
+    return IndicatorResult(direct, list(direct) == conjugated)

@@ -4,7 +4,9 @@ A basic sequence {p_n} of a lowering operator Q satisfies p_0 = 1,
 p_n(0) = 0 and Q p_n = n_psi p_{n-1}. A Sheffer companion relative to an
 invertible series S is s_n = S^{-1} p_n. The solve is the ground truth here
 (triangular for a matrix, the divided-power recurrence for a series in Q);
-the closed-form routes are checked against it, never trusted.
+the closed-form routes are checked against it, never trusted. The checks of
+a Sheffer table are lazy streams of witnesses, empty when the check holds;
+the lowering relation itself is `operators.lowering_failures`.
 """
 
 from __future__ import annotations
@@ -230,25 +232,6 @@ def default_shift_samples(count: int) -> list:
     return out[:count]
 
 
-def verify_sheffer_definition(sheffer: ShefferSequence) -> CheckReport:
-    """Degree grading, nonzero constant start, and the lowering recurrence."""
-    table = sheffer.table
-    q_op = sheffer.q_op
-    seq = sheffer.seq
-    if table[0].degree != 0:
-        return CheckReport(False, "start entry not a constant", {"n": 0})
-    for n in range(1, table.bound + 1):
-        got = q_op.apply(table[n])
-        expected = table[n - 1].scale(seq.n_psi(n))
-        if got != expected:
-            return CheckReport(
-                False,
-                "lowering recurrence fails",
-                {"n": n, "got": got.to_text(), "expected": expected.to_text()},
-            )
-    return CheckReport(True, "graded lowering recurrence holds")
-
-
 def reconstruct_inverse_series(sheffer: ShefferSequence) -> DeltaSeries:
     """Rebuild S^{-1} from constant terms: sum_k (s_k(0)/k_psi!) q(t)^k."""
     seq = sheffer.seq
@@ -260,20 +243,17 @@ def reconstruct_inverse_series(sheffer: ShefferSequence) -> DeltaSeries:
     return DeltaSeries.from_list(seq, outer, order).compose(sheffer.q_series)
 
 
-def verify_inverse_reconstruction(sheffer: ShefferSequence) -> CheckReport:
+def inverse_reconstruction_failures(sheffer: ShefferSequence):
+    """Witness {"rebuilt", "actual"}, both series to their common order,
+    when the reconstruction from the constant terms is not S^{-1}."""
     rebuilt = reconstruct_inverse_series(sheffer)
     actual = sheffer.s_series.multiplicative_inverse()
     order = min(rebuilt.order, actual.order)
     if rebuilt.coeffs[: order + 1] != actual.coeffs[: order + 1]:
-        return CheckReport(
-            False,
-            "series reconstruction mismatch",
-            {
-                "rebuilt": [str(c) for c in rebuilt.coeffs[: order + 1]],
-                "actual": [str(c) for c in actual.coeffs[: order + 1]],
-            },
-        )
-    return CheckReport(True, "constant-term reconstruction matches S^{-1}")
+        yield {
+            "rebuilt": [str(c) for c in rebuilt.coeffs[: order + 1]],
+            "actual": [str(c) for c in actual.coeffs[: order + 1]],
+        }
 
 
 def _addition_cells(t: list, u: list, n: int) -> list:
@@ -448,33 +428,34 @@ def verify_sheffer_binomial(sheffer: ShefferSequence, y_values=None) -> CheckRep
     )
 
 
-def generating_function_check(sheffer: ShefferSequence, z_order: int) -> CheckReport:
-    """Compare s_j(x)/j_psi! with the product of the reciprocal prefactor and
-    the graded exponential, both composed with the inverse of q(t)."""
+def generating_function_failures(sheffer: ShefferSequence, z_order: int):
+    """Witnesses {"order", "lhs", "rhs"}, j = 0..z_order, where s_j(x)/j_psi!
+    differs from the order-j part of the reciprocal prefactor times the graded
+    exponential, both composed with the inverse of q(t). A `z_order` beyond
+    the table bound raises at the call."""
     seq = sheffer.seq
     if z_order > sheffer.bound:
         raise BadParameterError("z order beyond the table bound")
-    g = sheffer.q_series.compositional_inverse()  # q^{-1}(z)
-    # prefactor series A(z) = 1 / s(q^{-1}(z))
-    prefactor = sheffer.s_series.compose(g).multiplicative_inverse()
-    # graded exponential factor: B_j(x) = sum_m x^m [g^m]_j / m_psi!
-    g_powers = g.powers(z_order)
-    for j in range(z_order + 1):
-        rhs = Polynomial()
-        for i in range(j + 1):
-            # prefactor_i times the degree part of order j - i
-            part = Polynomial(
-                [g_powers[m].coefficient(j - i) / seq.factorial(m) for m in range(j - i + 1)]
-            )
-            rhs = rhs + part.scale(prefactor.coefficient(i))
-        lhs = sheffer.table[j].scale(1 / seq.factorial(j))
-        if lhs != rhs:
-            return CheckReport(
-                False,
-                "generating function mismatch",
-                {"order": j, "lhs": lhs.to_text(), "rhs": rhs.to_text()},
-            )
-    return CheckReport(True, f"generating function matches to order {z_order}")
+
+    def search():
+        g = sheffer.q_series.compositional_inverse()  # q^{-1}(z)
+        # prefactor series A(z) = 1 / s(q^{-1}(z))
+        prefactor = sheffer.s_series.compose(g).multiplicative_inverse()
+        # graded exponential factor: B_j(x) = sum_m x^m [g^m]_j / m_psi!
+        g_powers = g.powers(z_order)
+        for j in range(z_order + 1):
+            rhs = Polynomial()
+            for i in range(j + 1):
+                # prefactor_i times the degree part of order j - i
+                part = Polynomial(
+                    [g_powers[m].coefficient(j - i) / seq.factorial(m) for m in range(j - i + 1)]
+                )
+                rhs = rhs + part.scale(prefactor.coefficient(i))
+            lhs = sheffer.table[j].scale(1 / seq.factorial(j))
+            if lhs != rhs:
+                yield {"order": j, "lhs": lhs.to_text(), "rhs": rhs.to_text()}
+
+    return search()
 
 
 def verify_expansion_constants(sheffer: ShefferSequence, a_coeffs) -> dict:

@@ -4,7 +4,9 @@ deformed commutation suite.
 The definitional spectral operator is the unique matrix with eigenvalue n on
 the n-th Sheffer entry, built by conjugating diag(0..N) through the Sheffer
 basis. Printed closed forms are assembled separately and compared; their
-agreement is reported, never assumed.
+agreement is reported, never assumed. A check that searches for a
+counterexample, the transport between basic bases among them, is a lazy
+stream of witnesses; a guard on its arguments raises at the call.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .operators import (
     dilation,
     expand_in_dual_pair,
     from_action,
+    lowering_failures,
     multiplication_x,
     operator_polynomial,
     umbral_operator,
@@ -379,19 +382,21 @@ def appell_raising_telescope_report(
 # -- umbral transport checks -----------------------------------------------------
 
 
-def verify_conjugation_transport(
+def conjugation_transport_failures(
     source_series: DeltaSeries,
     target_series: DeltaSeries,
     s_coeffs,
     bound: int,
     sheffer_s: DeltaSeries,
-) -> dict:
-    """Transport between two basic bases inside one shift-invariant algebra;
-    `sheffer_image_is_sheffer` says whether the transport carries the Sheffer
-    table of (source_series, sheffer_s) to a Sheffer table of the target.
+):
+    """Transport between two basic bases inside one shift-invariant algebra:
+    the witness, when any of its six flags is false, is the dict of them;
+    `sheffer_image_is_sheffer` says whether the transport carries the
+    Sheffer table of (source_series, sheffer_s) to a Sheffer table of the
+    target.
 
-    Every series must be over the family of `source_series`; raises
-    WrongFamilyError otherwise."""
+    Every series must be over the family of `source_series`; a series over
+    another family raises WrongFamilyError at the call."""
     seq = source_series.base
     for name, series in (("target_series", target_series), ("sheffer_s", sheffer_s)):
         if series.base != seq:
@@ -399,59 +404,40 @@ def verify_conjugation_transport(
                 f"{name} is over another family ({series.base.label}) than "
                 f"source_series ({seq.label})"
             )
-    source = basic_sequence_from_series(source_series, bound)
-    target = basic_sequence_from_series(target_series, bound)
-    t = umbral_operator(source.table, target.table)
-    t_inv = umbral_operator(target.table, source.table)
-    q1 = source.q_op
-    q2 = target.q_op
 
-    def conjugate(m):
-        return t.compose(m).compose(t_inv)
+    def search():
+        source = basic_sequence_from_series(source_series, bound)
+        target = basic_sequence_from_series(target_series, bound)
+        t = umbral_operator(source.table, target.table)
+        t_inv = umbral_operator(target.table, source.table)
+        q1 = source.q_op
+        q2 = target.q_op
 
-    s_poly = Polynomial(list(s_coeffs))
-    s_matrix = operator_polynomial(s_poly, q1)
-    conj_s = conjugate(s_matrix)
+        def conjugate(m):
+            return t.compose(m).compose(t_inv)
 
-    commutes = commutator(conj_s, q2).columns == zero_operator(bound).columns
+        s_poly = Polynomial(list(s_coeffs))
+        conj_s = conjugate(operator_polynomial(s_poly, q1))
+        # product preservation on a sampled pair of series in Q1
+        sample_a = operator_polynomial(Polynomial([1, 2, 1]), q1)
+        sample_b = operator_polynomial(Polynomial([Fraction(1, 2), 0, 1]), q1)
+        conj_q1 = conjugate(q1)
+        flags = {
+            "commutes_with_target": commutator(conj_s, q2).columns
+            == zero_operator(bound).columns,
+            "products_preserved": conjugate(sample_a.compose(sample_b)).columns
+            == conjugate(sample_a).compose(conjugate(sample_b)).columns,
+            "conjugate_lowers_by_one": conj_q1.grading == "lowers_by_one",
+            "conjugate_is_target_operator": conj_q1.columns == q2.columns,
+            "series_substitution_matches": operator_polynomial(s_poly, conj_q1).columns
+            == conj_s.columns,
+        }
+        images = [t.apply(p) for p in sheffer_sequence(source_series, sheffer_s, bound).table]
+        flags["sheffer_image_is_sheffer"] = next(lowering_failures(q2, images, seq), None) is None
+        if not all(flags.values()):
+            yield flags
 
-    # product preservation on a sampled pair of series in Q1
-    sample_a = operator_polynomial(Polynomial([1, 2, 1]), q1)
-    sample_b = operator_polynomial(Polynomial([Fraction(1, 2), 0, 1]), q1)
-    product_preserved = (
-        conjugate(sample_a.compose(sample_b)).columns
-        == conjugate(sample_a).compose(conjugate(sample_b)).columns
-    )
-
-    conj_q1 = conjugate(q1)
-    lowers = conj_q1.grading == "lowers_by_one"
-    conjugate_matches_target = conj_q1.columns == q2.columns
-
-    p_matrix = conj_q1
-    s_of_p = operator_polynomial(s_poly, p_matrix)
-    substitution_matches = s_of_p.columns == conj_s.columns
-
-    sheffer = sheffer_sequence(source_series, sheffer_s, bound)
-    images = [t.apply(p) for p in sheffer.table]
-    sheffer_image_ok = all(
-        q2.apply(images[n]) == images[n - 1].scale(seq.n_psi(n))
-        for n in range(1, bound + 1)
-    ) and images[0].degree == 0
-
-    return {
-        "commutes_with_target": commutes,
-        "products_preserved": product_preserved,
-        "conjugate_lowers_by_one": lowers,
-        "conjugate_is_target_operator": conjugate_matches_target,
-        "series_substitution_matches": substitution_matches,
-        "sheffer_image_is_sheffer": sheffer_image_ok,
-        "passed": commutes
-        and product_preserved
-        and lowers
-        and conjugate_matches_target
-        and substitution_matches
-        and sheffer_image_ok,
-    }
+    return search()
 
 
 def transport_pincherle_report(l_series: DeltaSeries, bound: int) -> int:

@@ -88,6 +88,16 @@ the monomials built by forward substitution: coordinates, umbral operators
 and eigenseries, and their errors, must be those of the `old_bareiss_*`
 functions, one fraction-free solve per polynomial, on random triangular
 tables and on the roster's basic and Sheffer tables up to N = 24.
+
+Last, the lowering relation Q p_n = n_psi p_(n-1) is checked by one search,
+`lowering_failures`, and the Sheffer and transport checks are witness
+searches: on the roster's basic and Sheffer tables up to N = 12, and on
+copies with one or two entries moved, each search must yield no witness
+exactly when the report of `old_verify_sheffer_definition`,
+`old_verify_inverse_reconstruction`, `old_generating_function_check` or
+`old_verify_conjugation_transport` passed, and otherwise first the old
+witness; `verify_basic_for` must raise what `old_verify_basic_for` raised,
+at the same entry.
 """
 
 import dataclasses
@@ -99,12 +109,14 @@ from itertools import accumulate, groupby
 from operator import mul
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from umbralcalc import cli, harness, operators, sequences
+from umbralcalc import cli, harness, operators, sequences, spectral
 from umbralcalc.errors import (
     BadParameterError,
+    BasisMismatchError,
     DegreeOverflowError,
     NotDeltaError,
     NotInvertibleError,
@@ -130,6 +142,7 @@ from umbralcalc.operators import (
     generalized_shift,
     identity_operator,
     jackson_operator,
+    lowering_failures,
     multiplication_operator,
     multiplication_x,
     nhat_diagonal,
@@ -138,6 +151,7 @@ from umbralcalc.operators import (
     realize_delta_series,
     require_lowers_by_one,
     umbral_operator,
+    verify_basic_for,
     weighted_shift,
     xhat_psi,
     zero_operator,
@@ -166,12 +180,16 @@ from umbralcalc.sequences import (
     basic_sequence_from_series,
     closed_form_routes,
     default_shift_samples,
+    generating_function_failures,
+    inverse_reconstruction_failures,
+    reconstruct_inverse_series,
     sheffer_sequence,
     verify_binomial_type,
     verify_sheffer_binomial,
 )
 from umbralcalc.series import DeltaSeries
 from umbralcalc.spectral import (
+    conjugation_transport_failures,
     inner_product,
     orthogonality_failures,
     spectral_operator,
@@ -1007,7 +1025,7 @@ def test_operators_from_their_action_match_old_column_loops(case):
     integrals = [lambda: IntegralOperator.psi_integral(seq, bound)]
     integrals.append(lambda: IntegralOperator.q_integral(q, bound))
     integrals.append(lambda: IntegralOperator.r_integral(p.coeffs or [1], y, bound))
-    for build in integrals:
+    for i, build in enumerate(integrals):
         try:
             op = build()
         except UmbralError:
@@ -1015,7 +1033,7 @@ def test_operators_from_their_action_match_old_column_loops(case):
         same_columns(op.shift, old_integral_as_matrix(op))
         same_shift(op.shift)
         same_shift(op.partner)
-        if op.kind == "r_integral":
+        if i == 2:  # the r-integral
             same_columns(op.partner, old_r_integral_partner(op.weights, bound))
 
 
@@ -3034,3 +3052,251 @@ def test_table_inverse_matches_the_bareiss_solves(table, data):
             assert len(got[1]) == len(want[1])
             for new, old in zip(got[1], want[1]):
                 same(new, old)
+
+
+# -- one search for the lowering relation, and the Sheffer checks as searches ------
+#
+# The `old_*` functions below are the checks the searches replaced, verbatim
+# except for their names.
+
+
+def old_verify_basic_for(q_op: OperatorMatrix, table: SequenceTable, seq: AdmissibleSequence) -> None:
+    if table.bound != q_op.bound:
+        raise BasisMismatchError("table bound differs from operator bound")
+    if not q_op.apply(table[0]).is_zero():
+        raise BasisMismatchError("entry 0 is not annihilated")
+    for n in range(1, table.bound + 1):
+        expected = table[n - 1].scale(seq.n_psi(n))
+        if q_op.apply(table[n]) != expected:
+            raise BasisMismatchError(f"lowering recurrence fails at entry {n}")
+
+
+def old_verify_sheffer_definition(sheffer) -> CheckReport:
+    """Degree grading, nonzero constant start, and the lowering recurrence."""
+    table = sheffer.table
+    q_op = sheffer.q_op
+    seq = sheffer.seq
+    if table[0].degree != 0:
+        return CheckReport(False, "start entry not a constant", {"n": 0})
+    for n in range(1, table.bound + 1):
+        got = q_op.apply(table[n])
+        expected = table[n - 1].scale(seq.n_psi(n))
+        if got != expected:
+            return CheckReport(
+                False,
+                "lowering recurrence fails",
+                {"n": n, "got": got.to_text(), "expected": expected.to_text()},
+            )
+    return CheckReport(True, "graded lowering recurrence holds")
+
+
+def old_verify_inverse_reconstruction(sheffer) -> CheckReport:
+    rebuilt = reconstruct_inverse_series(sheffer)
+    actual = sheffer.s_series.multiplicative_inverse()
+    order = min(rebuilt.order, actual.order)
+    if rebuilt.coeffs[: order + 1] != actual.coeffs[: order + 1]:
+        return CheckReport(
+            False,
+            "series reconstruction mismatch",
+            {
+                "rebuilt": [str(c) for c in rebuilt.coeffs[: order + 1]],
+                "actual": [str(c) for c in actual.coeffs[: order + 1]],
+            },
+        )
+    return CheckReport(True, "constant-term reconstruction matches S^{-1}")
+
+
+def old_generating_function_check(sheffer, z_order: int) -> CheckReport:
+    """Compare s_j(x)/j_psi! with the product of the reciprocal prefactor and
+    the graded exponential, both composed with the inverse of q(t)."""
+    seq = sheffer.seq
+    if z_order > sheffer.bound:
+        raise BadParameterError("z order beyond the table bound")
+    g = sheffer.q_series.compositional_inverse()  # q^{-1}(z)
+    # prefactor series A(z) = 1 / s(q^{-1}(z))
+    prefactor = sheffer.s_series.compose(g).multiplicative_inverse()
+    # graded exponential factor: B_j(x) = sum_m x^m [g^m]_j / m_psi!
+    g_powers = g.powers(z_order)
+    for j in range(z_order + 1):
+        rhs = Polynomial()
+        for i in range(j + 1):
+            # prefactor_i times the degree part of order j - i
+            part = Polynomial(
+                [g_powers[m].coefficient(j - i) / seq.factorial(m) for m in range(j - i + 1)]
+            )
+            rhs = rhs + part.scale(prefactor.coefficient(i))
+        lhs = sheffer.table[j].scale(1 / seq.factorial(j))
+        if lhs != rhs:
+            return CheckReport(
+                False,
+                "generating function mismatch",
+                {"order": j, "lhs": lhs.to_text(), "rhs": rhs.to_text()},
+            )
+    return CheckReport(True, f"generating function matches to order {z_order}")
+
+
+def old_verify_conjugation_transport(
+    source_series: DeltaSeries,
+    target_series: DeltaSeries,
+    s_coeffs,
+    bound: int,
+    sheffer_s: DeltaSeries,
+) -> dict:
+    """Transport between two basic bases inside one shift-invariant algebra;
+    `sheffer_image_is_sheffer` says whether the transport carries the Sheffer
+    table of (source_series, sheffer_s) to a Sheffer table of the target.
+
+    Every series must be over the family of `source_series`; raises
+    WrongFamilyError otherwise."""
+    seq = source_series.base
+    for name, series in (("target_series", target_series), ("sheffer_s", sheffer_s)):
+        if series.base != seq:
+            raise WrongFamilyError(
+                f"{name} is over another family ({series.base.label}) than "
+                f"source_series ({seq.label})"
+            )
+    source = basic_sequence_from_series(source_series, bound)
+    target = basic_sequence_from_series(target_series, bound)
+    t = umbral_operator(source.table, target.table)
+    t_inv = umbral_operator(target.table, source.table)
+    q1 = source.q_op
+    q2 = target.q_op
+
+    def conjugate(m):
+        return t.compose(m).compose(t_inv)
+
+    s_poly = Polynomial(list(s_coeffs))
+    s_matrix = operator_polynomial(s_poly, q1)
+    conj_s = conjugate(s_matrix)
+
+    commutes = commutator(conj_s, q2).columns == zero_operator(bound).columns
+
+    # product preservation on a sampled pair of series in Q1
+    sample_a = operator_polynomial(Polynomial([1, 2, 1]), q1)
+    sample_b = operator_polynomial(Polynomial([Fraction(1, 2), 0, 1]), q1)
+    product_preserved = (
+        conjugate(sample_a.compose(sample_b)).columns
+        == conjugate(sample_a).compose(conjugate(sample_b)).columns
+    )
+
+    conj_q1 = conjugate(q1)
+    lowers = conj_q1.grading == "lowers_by_one"
+    conjugate_matches_target = conj_q1.columns == q2.columns
+
+    p_matrix = conj_q1
+    s_of_p = operator_polynomial(s_poly, p_matrix)
+    substitution_matches = s_of_p.columns == conj_s.columns
+
+    sheffer = sheffer_sequence(source_series, sheffer_s, bound)
+    images = [t.apply(p) for p in sheffer.table]
+    sheffer_image_ok = all(
+        q2.apply(images[n]) == images[n - 1].scale(seq.n_psi(n))
+        for n in range(1, bound + 1)
+    ) and images[0].degree == 0
+
+    return {
+        "commutes_with_target": commutes,
+        "products_preserved": product_preserved,
+        "conjugate_lowers_by_one": lowers,
+        "conjugate_is_target_operator": conjugate_matches_target,
+        "series_substitution_matches": substitution_matches,
+        "sheffer_image_is_sheffer": sheffer_image_ok,
+        "passed": commutes
+        and product_preserved
+        and lowers
+        and conjugate_matches_target
+        and substitution_matches
+        and sheffer_image_ok,
+    }
+
+
+def first_witness(search, *args):
+    """The first witness `search(*args)` yields, or None."""
+    return next(search(*args), None)
+
+
+def report_witness(check, *args):
+    """None when the report of `check(*args)` passed, else its witness."""
+    report = check(*args)
+    return None if report.passed else report.witness
+
+
+def transport_witness(old, *args):
+    """None when `old(*args)` passed, else its flags."""
+    report = old(*args)
+    return None if report["passed"] else {k: v for k, v in report.items() if k != "passed"}
+
+
+@st.composite
+def lowering_cases(draw):
+    """A roster family at N up to 12, sometimes shortened by up to three
+    indices; the Sheffer table of a random (Q, S) pair over it and its basic
+    table, perturbed copies of both (one or two entries moved, the lead
+    included, as in `verdict_cases`), a target series for the transport,
+    and a z order up to N + 1."""
+    degree = draw(st.sampled_from([1, 2, 5, 8, 12]))
+    seq = draw(st.sampled_from(conftest.family_roster(degree + 1)))
+    tail = draw(st.lists(mixed_rationals, max_size=3))
+    q_series = DeltaSeries.from_list(seq, [0, draw(nonzero_rationals)] + tail, degree)
+    s_coeffs = [draw(nonzero_rationals)] + draw(st.lists(mixed_rationals, max_size=3))
+    sheffer = sheffer_sequence(q_series, DeltaSeries.from_list(seq, s_coeffs, degree), degree)
+
+    def perturbed(table):
+        entries = list(table.entries)
+        for _ in range(draw(st.integers(1, 2))):
+            n = draw(st.integers(0, degree))
+            moved = entries[n] + Polynomial.monomial(draw(st.integers(0, n)),
+                                                     draw(nonzero_rationals))
+            if moved.degree == n:
+                entries[n] = moved
+        return SequenceTable(tuple(entries))
+
+    basic, shef = sheffer.basic.table, sheffer.table
+    tables = [shef, perturbed(shef), basic, perturbed(basic)]
+    short = min(draw(st.integers(0, 3)), degree) if draw(st.booleans()) else 0
+    family = AdmissibleSequence.custom(seq.values[1:], degree + 1 - short) if short else seq
+    tail = draw(st.lists(mixed_rationals, max_size=3))
+    target = DeltaSeries.from_list(seq, [0, draw(nonzero_rationals)] + tail, degree)
+    return sheffer, family, tables, target, draw(st.integers(0, degree + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=lowering_cases())
+def test_lowering_and_sheffer_searches_match_the_old_reports(case):
+    """Each search yields no witness exactly when the old report passed, and
+    otherwise first the old witness, or both raise the same error; the
+    z-order guard raises at the call. `verify_basic_for` raises what the old
+    check raised, with entry 0 named as every other entry."""
+    sheffer, family, tables, target, z_order = case
+    degree = sheffer.bound
+    q_ops = [sheffer.q_op, psi_derivative(sheffer.seq, degree), identity_operator(degree),
+             identity_operator(degree + 1)]
+    for table in tables:
+        for q_op in q_ops:
+            got = result_or_error(verify_basic_for, q_op, table, family)
+            want = result_or_error(old_verify_basic_for, q_op, table, family)
+            if want == ("raises", BasisMismatchError, "entry 0 is not annihilated"):
+                want = ("raises", BasisMismatchError, "lowering recurrence fails at entry 0")
+            assert got == want
+        mixed = dataclasses.replace(sheffer, seq=family, table=table)
+        got = result_or_error(first_witness, lowering_failures, mixed.q_op, table, family)
+        assert got == result_or_error(report_witness, old_verify_sheffer_definition, mixed)
+        got = result_or_error(first_witness, inverse_reconstruction_failures, mixed)
+        assert got == result_or_error(report_witness, old_verify_inverse_reconstruction, mixed)
+        got = result_or_error(first_witness, generating_function_failures, mixed, z_order)
+        want = result_or_error(report_witness, old_generating_function_check, mixed, z_order)
+        assert got == want
+    if z_order > degree:
+        with pytest.raises(BadParameterError, match="z order beyond the table bound"):
+            generating_function_failures(sheffer, z_order)
+
+    # the transport of the Sheffer table, and of each copy the source's
+    # Sheffer table is replaced by
+    args = (sheffer.q_series, target, [1, 1, Fraction(1, 2)], degree, sheffer.s_series)
+    for table in tables[:2]:
+        moved = dataclasses.replace(sheffer, table=table)
+        with mock.patch.object(spectral, "sheffer_sequence", lambda *_: moved), \
+                mock.patch.dict(globals(), {"sheffer_sequence": lambda *_: moved}):
+            got = result_or_error(first_witness, conjugation_transport_failures, *args)
+            want = result_or_error(transport_witness, old_verify_conjugation_transport, *args)
+        assert got == want

@@ -66,7 +66,7 @@ from umbralcalc.spectral import (
     shift_raiser,
     spectral_operator,
     umbral_operator,
-    verify_conjugation_transport,
+    conjugation_transport_failures,
     transport_pincherle_report,
     xhat_psi_inverse,
 )
@@ -409,16 +409,17 @@ def test_conjugation_transport(families, degree):
     for seq in families:
         src = DeltaSeries.from_list(seq, [0, 1, 1], degree)
         tgt = DeltaSeries.from_list(seq, [0, 1, 0, Fraction(-1, 3)], degree)
-        report = verify_conjugation_transport(
+        failures = conjugation_transport_failures(
             src,
             tgt,
             [1, 1, Fraction(1, 2)],
             degree,
             sheffer_s=DeltaSeries.from_list(seq, [1, 1], degree),
         )
-        assert report["passed"], (seq.label, report)
-        assert report["conjugate_is_target_operator"], seq.label
-        assert report["sheffer_image_is_sheffer"], seq.label
+        # a witness holds all six flags, among them conjugate_is_target_operator
+        # and sheffer_image_is_sheffer
+        witness = next(failures, None)
+        assert witness is None, (seq.label, witness)
 
 
 def test_conjugation_transport_rejects_a_series_from_another_family():
@@ -433,14 +434,14 @@ def test_conjugation_transport_rejects_a_series_from_another_family():
     s = DeltaSeries.from_list(q2, [1, 1], degree)
     foreign = r"is over another family \(classical\) than source_series \(q_deformed\(q=2\)\)"
     with pytest.raises(WrongFamilyError, match="target_series " + foreign):
-        verify_conjugation_transport(source, foreign_target, s_coeffs, degree, s)
+        conjugation_transport_failures(source, foreign_target, s_coeffs, degree, s)
     foreign_s = DeltaSeries.from_list(classical, [1, 1], degree)
     with pytest.raises(WrongFamilyError, match="sheffer_s " + foreign):
-        verify_conjugation_transport(source, target, s_coeffs, degree, sheffer_s=foreign_s)
+        conjugation_transport_failures(source, target, s_coeffs, degree, sheffer_s=foreign_s)
     # the same family rebuilt from its descriptor is the same family
     rebuilt = DeltaSeries.from_list(AdmissibleSequence.q_deformed(2, degree + 1), [1, 1], degree)
-    report = verify_conjugation_transport(source, target, s_coeffs, degree, sheffer_s=rebuilt)
-    assert report["passed"]
+    failures = conjugation_transport_failures(source, target, s_coeffs, degree, sheffer_s=rebuilt)
+    assert next(failures, None) is None
 
 
 def test_transport_pincherle_window(families, degree):
@@ -925,10 +926,18 @@ def old_appell_verdicts(basic, seq, appell_table, n):
 
 
 def old_transport_verdicts(seq, *args):
-    """`old_verify_conjugation_transport` with `conjugate_is_target_operator`
-    in its `passed`."""
+    """The witness of `old_verify_conjugation_transport`, with
+    `conjugate_is_target_operator` in its `passed`: None when it passed,
+    else its flags."""
     report = old_verify_conjugation_transport(seq, *args)
-    return dict(report, passed=report["passed"] and report["conjugate_is_target_operator"])
+    if report["passed"] and report["conjugate_is_target_operator"]:
+        return None
+    return {k: v for k, v in report.items() if k != "passed"}
+
+
+def transport_witness(*args):
+    """The first witness of `conjugation_transport_failures`, or None."""
+    return next(conjugation_transport_failures(*args), None)
 
 
 def old_pincherle_window(seq, l_series, bound):
@@ -1002,7 +1011,7 @@ def test_resigned_checks_match_old_ones_given_the_tables_own_family(case, n, ns,
     source = sheffer.q_series
     target = DeltaSeries.from_list(seq, [0, 1, 0, Fraction(-1, 3)], degree)
     args = (source, target, s_coeffs, degree, sheffer.s_series)
-    new = check_outcome(verify_conjugation_transport, *args)
+    new = check_outcome(transport_witness, *args)
     assert new == check_outcome(old_transport_verdicts, seq, *args)
     for l_series in (source, target):
         new = check_outcome(transport_pincherle_report, l_series, degree)
