@@ -6,7 +6,9 @@ invertible series S is s_n = S^{-1} p_n. The solve is the ground truth here
 (triangular for a matrix, the divided-power recurrence for a series in Q);
 the closed-form routes are checked against it, never trusted. The checks of
 a Sheffer table are lazy streams of witnesses, empty when the check holds;
-the lowering relation itself is `operators.lowering_failures`.
+the lowering relation itself is `operators.lowering_failures`. The
+expansion constants are returned as coordinates, and the harness reads the
+binomial conventions off them.
 """
 
 from __future__ import annotations
@@ -458,31 +460,10 @@ def generating_function_failures(sheffer: ShefferSequence, z_order: int):
     return search()
 
 
-def verify_expansion_constants(sheffer: ShefferSequence, a_coeffs) -> dict:
-    """Expand A = sum a_j Q^j against the Sheffer table under both binomial
-    conventions; returns which convention admits constants."""
-    seq = sheffer.seq
-    bound = sheffer.bound
-    q_op = sheffer.q_op
+def expansion_coordinates(sheffer: ShefferSequence, a_coeffs) -> list:
+    """Row n: the coordinates of A s_n in the Sheffer table, for
+    A = sum a_j Q^j; under the graded binomial convention, row n holds
+    binom_psi(n, j) times the constant a_j j_psi! at coordinate n - j."""
     # A = sum a_j Q^j as a matrix, then its action in Sheffer coordinates
-    a_of_q = operator_polynomial(Polynomial(list(a_coeffs)[: bound + 1]), q_op)
-    rows = []
-    for n in range(bound + 1):
-        image = a_of_q.apply(sheffer.table[n])
-        rows.append(coordinates_in_table(sheffer.table, image))
-
-    def convention_witness(binom):
-        for n in range(bound + 1):
-            for j in range(n + 1):
-                if rows[n][n - j] != binom(n, j) * rows[j][0]:
-                    return (n, j)
-        return None
-
-    psi_witness = convention_witness(seq.binomial)
-    return {
-        "psi_binomial_holds": psi_witness is None,
-        "psi_constants": [rows[j][0] for j in range(bound + 1)] if psi_witness is None else None,
-        "psi_witness": psi_witness,
-        "plain_binomial_holds": convention_witness(math.comb) is None,
-    }
-
+    a_of_q = operator_polynomial(Polynomial(list(a_coeffs)[: sheffer.bound + 1]), sheffer.q_op)
+    return [coordinates_in_table(sheffer.table, a_of_q.apply(s)) for s in sheffer.table]

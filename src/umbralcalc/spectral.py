@@ -6,13 +6,16 @@ the n-th Sheffer entry, built by conjugating diag(0..N) through the Sheffer
 basis. Printed closed forms are assembled separately and compared; their
 agreement is reported, never assumed. A check that searches for a
 counterexample, the transport between basic bases among them, is a lazy
-stream of witnesses; a guard on its arguments raises at the call.
+stream of witnesses; a guard on its arguments raises at the call. The
+factorization laws and the transport law return agreement windows, and
+the harness decides what holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 
 from .errors import BadParameterError, ConstantTermError, WrongFamilyError
@@ -261,122 +264,93 @@ def qplane_substitution_failures(seq: AdmissibleSequence, bound: int, y_values):
 # -- factorization identities ------------------------------------------------------
 
 
-def sandwich_power_report(basic: BasicSequence, ns) -> list:
-    """Sandwich powers, one report per n in `ns`: (Q R Q)^n = Q^n R^n Q^n
-    (full), and (R Q R)^n = R^n Q^n R^n below the raising window. The four
-    ladders are built once, up to the largest n."""
-    q_op = basic.q_op
-    raiser = basic.raiser
-    bound = basic.bound
+def _pair_ladders(basic: BasicSequence, ns) -> tuple:
+    """(ns as a list, its largest n, the ladders of Q and of R up to it); a
+    negative n is refused."""
     ns = list(ns)
     if min(ns, default=0) < 0:
         raise BadParameterError("negative operator power")
     top = max(ns, default=0)
-    q_pows = q_op.powers(top)
-    r_pows = raiser.powers(top)
+    return ns, top, basic.q_op.powers(top), basic.raiser.powers(top)
+
+
+def sandwich_power_windows(basic: BasicSequence, ns) -> list:
+    """Sandwich powers, one pair (first, second) per n in `ns`: the
+    agreement windows of (Q R Q)^n against Q^n R^n Q^n, which agree in
+    full, and of (R Q R)^n against R^n Q^n R^n, which agree below the
+    raising window bound - n. The four ladders are built once, up to the
+    largest n."""
+    q_op, raiser = basic.q_op, basic.raiser
+    ns, top, q_pows, r_pows = _pair_ladders(basic, ns)
     t1_pows = q_op.compose(raiser).compose(q_op).powers(top)
     t2_pows = raiser.compose(q_op).compose(raiser).powers(top)
-
-    reports = []
-    for n in ns:
-        q_n, r_n = q_pows[n], r_pows[n]
-        first_exact = t1_pows[n].columns == q_n.compose(r_n).compose(q_n).columns
-        window = t2_pows[n].agreement_window(r_n.compose(q_n).compose(r_n))
-        reports.append({
-            "first_identity_exact": first_exact,
-            "second_identity_window": window,
-            "required_window": bound - n,
-            "passed": first_exact and window >= bound - n,
-        })
-    return reports
+    return [
+        (
+            t1_pows[n].agreement_window(q_pows[n].compose(r_pows[n]).compose(q_pows[n])),
+            t2_pows[n].agreement_window(r_pows[n].compose(q_pows[n]).compose(r_pows[n])),
+        )
+        for n in ns
+    ]
 
 
-def number_operator_steps_report(basic: BasicSequence, ns, fs) -> list:
-    """R^n Q^n followed by f(R) equals the plain falling product of the
-    number operator followed by f(R); the graded-step variant is reported.
-    One list per n in `ns`, of one report per f in `fs`. The number
-    operator N, each f(R), and the ladders of R, Q and of the falling
-    products prod_(i<n) (N - i) and prod_(i<n) (N - i_psi) are built once,
-    up to the largest n."""
-    q_op = basic.q_op
-    raiser = basic.raiser
-    ns = list(ns)
-    if min(ns, default=0) < 0:
-        raise BadParameterError("negative operator power")
-    top = max(ns, default=0)
-    q_pows = q_op.powers(top)
-    r_pows = raiser.powers(top)
-    number = raiser.compose(q_op)
+def number_operator_step_windows(basic: BasicSequence, ns, fs) -> list:
+    """R^n Q^n followed by f(R) against the falling products of the number
+    operator N = R Q followed by f(R): one list per n in `ns`, of one pair
+    (plain, graded) per f in `fs`, the agreement windows against
+    prod_(i<n) (N - i) and prod_(i<n) (N - i_psi). The law holds plainly
+    below bound - deg f - n. N, each f(R), and the ladders of R, Q and of
+    both falling products are built once, up to the largest n."""
+    ns, top, q_pows, r_pows = _pair_ladders(basic, ns)
+    number = basic.raiser.compose(basic.q_op)
     ident = q_pows[0]  # Q^0
     plain, graded = [ident], [ident]
     for i in range(top):
         plain.append(plain[-1].compose(number.subtract(ident.scale(i))))
         graded.append(graded[-1].compose(number.subtract(ident.scale(basic.seq.n_psi(i)))))
-    f_of_rs = [(f, operator_polynomial(f, raiser)) for f in fs]
+    f_of_rs = [operator_polynomial(f, basic.raiser) for f in fs]
 
     out = []
     for n in ns:
         steps = r_pows[n].compose(q_pows[n])
-        reports = []
-        for f, f_of_r in f_of_rs:
+        windows = []
+        for f_of_r in f_of_rs:
             lhs = steps.compose(f_of_r)
-            required = basic.bound - max(f.degree, 0) - n
-            plain_window = lhs.agreement_window(plain[n].compose(f_of_r))
-            graded_window = lhs.agreement_window(graded[n].compose(f_of_r))
-            reports.append({
-                "plain_window": plain_window,
-                "graded_window": graded_window,
-                "required_window": required,
-                "passed": plain_window >= required,
-                "graded_matches": graded_window >= required,
-            })
-        out.append(reports)
+            windows.append((
+                lhs.agreement_window(plain[n].compose(f_of_r)),
+                lhs.agreement_window(graded[n].compose(f_of_r)),
+            ))
+        out.append(windows)
     return out
 
 
-def appell_raising_telescope_report(
+def appell_telescope_windows(
     basic: BasicSequence, appell_table: SequenceTable, n: int
-) -> dict:
-    """Appell-weighted raising display with a free index; both readings
-    evaluated, neither asserted.
+) -> tuple:
+    """Appell-weighted raising display with a free index: the agreement
+    windows (printed, step) of its two readings, neither asserted; both
+    hold below bound - n - 1 when the family weights are the plain integers.
 
     Reading 'as printed': R applied to sum_{m<=n} a_m(Q) R^m / m_psi!
     collapses to a_n(Q) R^{n+1} / n_psi! (the stray index resolved to n).
     Reading 'telescoping step': the single induction step
     R a_n(Q) R^n / n_psi! + a_{n-1}(Q) R^n / (n-1)_psi! = a_n(Q) R^{n+1} / n_psi!,
     equivalent to the plain-derivative ladder a_n' = n_psi a_{n-1} on the
-    Appell entries. Both hold when the family weights are the plain integers.
-    The step needs n >= 1.
+    Appell entries. The step needs n >= 1.
     """
     if n < 1:
         raise BadParameterError(f"the telescope step needs n >= 1, got {n}")
     seq = basic.seq
-    q_op = basic.q_op
     raiser = basic.raiser
-    bound = basic.bound
-
-    a_ops = [operator_polynomial(appell_table[m], q_op) for m in range(n + 1)]
+    a_ops = [operator_polynomial(appell_table[m], basic.q_op) for m in range(n + 1)]
     r_powers = raiser.powers(n + 1)
-
-    total = zero_operator(bound)
-    for m in range(n + 1):
-        total = total.add(
-            a_ops[m].compose(r_powers[m]).scale(1 / seq.factorial(m))
-        )
-    lhs = raiser.compose(total)
+    # the terms a_m(Q) R^m / m_psi!, m = 0..n
+    terms = [a_ops[m].compose(r_powers[m]).scale(1 / seq.factorial(m)) for m in range(n + 1)]
     rhs = a_ops[n].compose(r_powers[n + 1]).scale(1 / seq.factorial(n))
-    required = bound - n - 1
-    step_lhs = raiser.compose(a_ops[n]).compose(r_powers[n]).scale(
-        1 / seq.factorial(n)
-    ).add(a_ops[n - 1].compose(r_powers[n]).scale(1 / seq.factorial(n - 1)))
-    ladder_ok = appell_table[n].derivative() == appell_table[n - 1].scale(
-        seq.n_psi(n)
+    printed = raiser.compose(reduce(OperatorMatrix.add, terms))
+    step = raiser.compose(terms[n]).add(
+        a_ops[n - 1].compose(r_powers[n]).scale(1 / seq.factorial(n - 1))
     )
-    return {
-        "as_printed_holds": lhs.agreement_window(rhs) >= required,
-        "step_holds": step_lhs.agreement_window(rhs) >= required,
-        "derivative_ladder_holds": ladder_ok,
-    }
+    return printed.agreement_window(rhs), step.agreement_window(rhs)
 
 
 # -- umbral transport checks -----------------------------------------------------
@@ -440,7 +414,7 @@ def conjugation_transport_failures(
     return search()
 
 
-def transport_pincherle_report(l_series: DeltaSeries, bound: int) -> int:
+def transport_pincherle_window(l_series: DeltaSeries, bound: int) -> int:
     """The agreement window of U' = [U, xhat] = xhat U (l'(Q) - id), for the
     transport U from the basic table of l(Q) back to monomials; the law
     holds below the raising edge, at window bound - 1."""

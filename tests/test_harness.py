@@ -210,6 +210,21 @@ def test_six_family_roster_report_matches_golden_at_twelve():
     assert body == golden
 
 
+@pytest.mark.parametrize("degree", range(2, 7))
+def test_no_record_holds_at_a_negative_window(degree):
+    """A window below 0 leaves no column to compare, so a record that holds
+    there checks nothing. At degrees 2-4 the number steps whose window
+    degree - deg f - n is negative are not recorded, nor the graded
+    variant of an n none of whose steps is; from degree 5 on every step is."""
+    reports = run_all(conftest.family_roster(degree + 1), degree)
+    assert exit_status(reports) == 0
+    assert [r for r in reports if r.window is not None and r.window < 0 and not r.failed] == []
+    steps = [r for r in reports if r.identity_id.startswith("number-steps(")]
+    graded = [r for r in reports if r.identity_id.startswith("number-steps-graded(")]
+    per_family = {2: (1, 1), 3: (4, 2), 4: (7, 3), 5: (9, 3), 6: (9, 3)}[degree]
+    assert (len(steps), len(graded)) == tuple(6 * k for k in per_family)
+
+
 
 # -- record policy -------------------------------------------------------------
 #
@@ -259,8 +274,9 @@ def _mutator_failures(ok):
     return [] if ok else [{"n": 2, "got": "x"}]
 
 
-def _steps_report(ok):
-    return {"plain_window": 7 if ok else 5, "required_window": 6, "graded_matches": ok}
+def _steps_windows(ok):
+    """(plain window, required window) of one number step."""
+    return 7 if ok else 5, 6
 
 
 def _check(ok):
@@ -325,17 +341,18 @@ def ref_bracket_identity(ok):
 
 
 def ref_number_steps(ok):
-    seq, degree, n, i, report = SEQ, DEG, 2, 1, _steps_report(ok)
-    ok = report["plain_window"] >= report["required_window"]
+    seq, degree, n, i = SEQ, DEG, 2, 1
+    plain, required = _steps_windows(ok)
+    ok = plain >= required
     return IdentityReport(
         "factorization",
         f"number-steps(n={n},f={i})",
         seq.label,
         degree,
-        report["required_window"] if ok else report["plain_window"],
+        required if ok else plain,
         WINDOWED if ok else FAILS,
         True,
-        None if ok else {"report": report},
+        None if ok else {"found_window": plain, "required_window": required},
     )
 
 
@@ -382,8 +399,7 @@ def new_bracket_identity(ok):
 
 
 def new_number_steps(ok):
-    report = _steps_report(ok)
-    args = (report["plain_window"], report["required_window"], {"report": report})
+    args = _steps_windows(ok)
     return recorded("factorization", "windowed", "number-steps(n=2,f=1)", SEQ.label, *args)
 
 

@@ -193,7 +193,7 @@ from umbralcalc.spectral import (
     inner_product,
     orthogonality_failures,
     spectral_operator,
-    transport_pincherle_report,
+    transport_pincherle_window,
     xhat_psi_inverse,
 )
 
@@ -1071,7 +1071,7 @@ def test_series_chains_applied_match_old_dense_compositions(case):
     l_series = DeltaSeries.from_list(seq, q.coeffs, degree)
     u, raiser, rhs = old_transport_rhs(seq, l_series, degree)
     want = commutator(u, raiser).agreement_window(rhs)
-    assert transport_pincherle_report(l_series, degree) == want
+    assert transport_pincherle_window(l_series, degree) == want
 
 
 # -- integer numerators over one denominator -------------------------------------

@@ -22,7 +22,7 @@ import conftest
 from umbralcalc import cli, harness, operators, sequences, spectral
 from umbralcalc.harness import exit_status, run_all
 from umbralcalc.operators import OperatorMatrix, umbral_operator, weighted_shift
-from umbralcalc.poly import Polynomial, SequenceTable, _new
+from umbralcalc.poly import ONE, Polynomial, SequenceTable, _new
 from umbralcalc.psi import AdmissibleSequence
 from umbralcalc.sequences import (
     addition_rule_failure,
@@ -161,6 +161,18 @@ def doubled_inverse_table_entry(inverse_factorial_table):
     return table
 
 
+def raised_power_column(powers):
+    """1 added to column 0 of every power from the second on: in the ladder
+    [I, M, M^2, ...] each M^k with k >= 2 also sends x^0 to M^k x^0 + 1."""
+
+    def wrong(self, count):
+        ladder = powers(self, count)
+        return ladder[:2] + [OperatorMatrix((m.columns[0] + ONE,) + m.columns[1:])
+                             for m in ladder[2:]]
+
+    return wrong
+
+
 def identity_inverse(compositional_inverse):
     """q in place of g = q^<-1>: the compositional inverse returns its input."""
     return lambda self: self
@@ -182,14 +194,15 @@ MUTATIONS = {
                                           doubled_divided_difference_weight, None),
     "unscaled-certificate": (harness, "_reparameterization_certificate", unscaled_certificate,
                              (harness,)),
+    "raised-power-column": (OperatorMatrix, "powers", raised_power_column, (OperatorMatrix,)),
     "identity-inverse": (DeltaSeries, "compositional_inverse", identity_inverse, (DeltaSeries,)),
     "doubled-inverse-table-entry": (AdmissibleSequence, "_inverse_factorial_table",
                                     doubled_inverse_table_entry, (AdmissibleSequence,)),
 }
 
 _FAMILY_ONLY = "reads only the family's factorials and exponential, which no entry mutates"
-_ANY_PAIR = ("the mutated lowering/raiser pairs satisfy it too; under wrong-coordinate "
-             "every family's basic table faults first")
+_FIRST_POWER = ("at n = 1 both sides are the same product of the lowering/raiser pair, "
+                "so a fault in the pair or in its powers moves both alike")
 _OWN_OPERATORS = "reads only integral weights and partners built from them, which no entry mutates"
 
 # suite/identity: why no catalogue mutation fails it
@@ -201,12 +214,10 @@ UNFLIPPED = {
     "expansion/reassembly(graded-raiser)": "an expansion over any pair reassembles; "
     "only a fault in the expansion itself can fail it",
     "expansion/reassembly(multiplication)": "as reassembly(graded-raiser)",
-    "factorization/number-steps(n=1,f=0)": _ANY_PAIR,
-    "factorization/number-steps(n=1,f=1)": _ANY_PAIR,
-    "factorization/number-steps(n=1,f=2)": _ANY_PAIR,
-    "factorization/sandwich-powers(n=1)": _ANY_PAIR,
-    "factorization/sandwich-powers(n=2)": _ANY_PAIR,
-    "factorization/sandwich-powers(n=3)": _ANY_PAIR,
+    "factorization/number-steps(n=1,f=0)": _FIRST_POWER,
+    "factorization/number-steps(n=1,f=1)": _FIRST_POWER,
+    "factorization/number-steps(n=1,f=2)": _FIRST_POWER,
+    "factorization/sandwich-powers(n=1)": _FIRST_POWER,
     "integration/q-matches-graded-integral": _OWN_OPERATORS,
     "integration/series-right-inverse": _OWN_OPERATORS,
     "star/operator-product-vs-star": "both sides are built from the same raiser, "
@@ -269,6 +280,28 @@ def test_a_wrong_inverse_reaches_every_basis_change():
             for label in ("appell", "composite", "random")} <= failed
     assert "sheffer/expansion-constants-graded(composite)" in failed
     assert "transport/monomial-map-commutator(derivative)" in failed
+
+
+def test_a_raised_power_column_fails_the_sandwich_and_step_records():
+    """Every power from the second on gets 1 added to column 0, so at n >= 2
+    the powers of the sandwiched words and the products of powers disagree
+    from column 0 on; at n = 1 no power past the first is read."""
+    reports = census("raised-power-column")
+    failed = {r.identity_id: r.witness for r in reports if r.suite == "factorization"
+              and r.family == "classical" and r.asserted and r.failed}
+    assert failed == {
+        "sandwich-powers(n=2)": {"first_window": -1, "second_window": -1, "required_window": 6},
+        "sandwich-powers(n=3)": {"first_window": -1, "second_window": -1, "required_window": 5},
+        "number-steps(n=2,f=0)": {"found_window": -1, "required_window": 5},
+        "number-steps(n=2,f=1)": {"found_window": -1, "required_window": 4},
+        "number-steps(n=2,f=2)": {"found_window": -1, "required_window": 4},
+        "number-steps(n=3,f=0)": {"found_window": -1, "required_window": 4},
+        "number-steps(n=3,f=1)": {"found_window": 0, "required_window": 3},
+        "number-steps(n=3,f=2)": {"found_window": -1, "required_window": 3},
+    }
+    flipped = {r.identity_id for r in reports
+               if r.suite == "factorization" and r.asserted and r.failed}
+    assert not {ident for ident in flipped if "n=1" in ident}
 
 
 def test_verify_exits_1_under_a_wrong_coordinate(capsys):

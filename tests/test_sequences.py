@@ -22,10 +22,11 @@ from umbralcalc.operators import (
     generalized_shift,
     lowering_failures,
     multiplication_x,
+    operator_polynomial,
     psi_derivative,
     realize_delta_series,
 )
-from umbralcalc.poly import ONE, Polynomial, SequenceTable, X
+from umbralcalc.poly import ONE, Polynomial, SequenceTable, X, coordinates_in_table
 from umbralcalc.psi import AdmissibleSequence
 from umbralcalc.sequences import (
     appell_sequence,
@@ -34,14 +35,15 @@ from umbralcalc.sequences import (
     CheckReport,
     closed_form_routes,
     default_shift_samples,
+    expansion_coordinates,
     generating_function_failures,
     inverse_reconstruction_failures,
     reconstruct_inverse_series,
     sheffer_sequence,
     verify_binomial_type,
-    verify_expansion_constants,
     verify_sheffer_binomial,
 )
+from umbralcalc.harness import _convention_failures
 from umbralcalc.series import DeltaSeries
 from umbralcalc.spectral import orthogonality_failures
 
@@ -195,13 +197,14 @@ def test_expansion_constants_conventions():
     q = DeltaSeries.from_list(Q2, [0, 1, Fraction(1, 3)], N)
     s = DeltaSeries.from_list(Q2, [1, 1], N)
     sheffer = sheffer_sequence(q, s, N)
-    result = verify_expansion_constants(sheffer, [Fraction(1, 2), 2, 0, 1])
-    assert result["psi_binomial_holds"], result["psi_witness"]
-    assert not result["plain_binomial_holds"]
-    # derived constants are a_j j_psi!
     a = [Fraction(1, 2), 2, 0, 1]
-    for j, c in enumerate(result["psi_constants"][:4]):
-        assert c == a[j] * Q2.factorial(j)
+    rows = expansion_coordinates(sheffer, a)
+    witness = next(_convention_failures(rows, Q2.binomial), None)
+    assert witness is None, witness
+    assert next(_convention_failures(rows, math.comb), None) is not None
+    # derived constants are a_j j_psi!
+    for j in range(len(a)):
+        assert rows[j][0] == a[j] * Q2.factorial(j)
 
 
 def test_expansion_constants_classical_agreement():
@@ -209,8 +212,76 @@ def test_expansion_constants_classical_agreement():
     q = DeltaSeries.from_list(CLASSICAL, [0, 1], N)
     s = DeltaSeries.from_list(CLASSICAL, [1, 1], N)
     sheffer = sheffer_sequence(q, s, N)
-    result = verify_expansion_constants(sheffer, [1, 1, Fraction(1, 2)])
-    assert result["psi_binomial_holds"] and result["plain_binomial_holds"]
+    rows = expansion_coordinates(sheffer, [1, 1, Fraction(1, 2)])
+    assert next(_convention_failures(rows, CLASSICAL.binomial), None) is None
+    assert next(_convention_failures(rows, math.comb), None) is None
+
+
+def old_verify_expansion_constants(sheffer, a_coeffs) -> dict:
+    """Expand A = sum a_j Q^j against the Sheffer table under both binomial
+    conventions; returns which convention admits constants."""
+    seq = sheffer.seq
+    bound = sheffer.bound
+    q_op = sheffer.q_op
+    # A = sum a_j Q^j as a matrix, then its action in Sheffer coordinates
+    a_of_q = operator_polynomial(Polynomial(list(a_coeffs)[: bound + 1]), q_op)
+    rows = []
+    for n in range(bound + 1):
+        image = a_of_q.apply(sheffer.table[n])
+        rows.append(coordinates_in_table(sheffer.table, image))
+
+    def convention_witness(binom):
+        for n in range(bound + 1):
+            for j in range(n + 1):
+                if rows[n][n - j] != binom(n, j) * rows[j][0]:
+                    return (n, j)
+        return None
+
+    psi_witness = convention_witness(seq.binomial)
+    return {
+        "psi_binomial_holds": psi_witness is None,
+        "psi_constants": [rows[j][0] for j in range(bound + 1)] if psi_witness is None else None,
+        "psi_witness": psi_witness,
+        "plain_binomial_holds": convention_witness(math.comb) is None,
+    }
+
+
+def test_expansion_conventions_match_the_old_constants():
+    """The graded search yields no witness exactly when the old graded
+    convention held, and otherwise first the old witness; the plain verdict
+    and, where the graded convention holds, the constants are the old ones.
+    On roster Sheffer tables and on copies with one entry moved."""
+    from conftest import family_roster
+
+    rng = random.Random(30)
+    a_choices = ([1, 1, Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), 2, 0, 1], [0, 0, 3])
+    degree = 6
+    seen = set()
+    for seq in family_roster(degree + 1):
+        q = DeltaSeries.from_list(seq, [0, 1, 1, Fraction(-1, 2)], degree)
+        s = DeltaSeries.from_list(seq, [1, Fraction(1, 2), 2], degree)
+        sheffer = sheffer_sequence(q, s, degree)
+        copies = [sheffer]
+        for n in range(degree + 1):
+            entries = list(sheffer.table.entries)
+            entries[n] = entries[n] + Polynomial.monomial(rng.randint(0, n), rng.choice([1, -2]))
+            if entries[n].degree == n:
+                copies.append(replace(sheffer, table=SequenceTable(tuple(entries))))
+        for copy in copies:
+            for a in a_choices:
+                old = old_verify_expansion_constants(copy, a)
+                rows = expansion_coordinates(copy, a)
+                witness = next(_convention_failures(rows, seq.binomial), None)
+                if old["psi_binomial_holds"]:
+                    assert witness is None
+                    assert [row[0] for row in rows] == old["psi_constants"]
+                else:
+                    assert witness == dict(zip(("n", "j"), old["psi_witness"]))
+                plain = next(_convention_failures(rows, math.comb), None) is None
+                assert plain == old["plain_binomial_holds"]
+                seen.add((old["psi_binomial_holds"], old["plain_binomial_holds"]))
+    # both graded verdicts and both plain verdicts occur
+    assert {g for g, _ in seen} == {True, False} and {p for _, p in seen} == {True, False}
 
 
 def test_sheffer_orbit():

@@ -51,9 +51,9 @@ from umbralcalc.series import DeltaSeries
 from umbralcalc import spectral
 from umbralcalc.harness import run_suites
 from umbralcalc.spectral import (
-    appell_raising_telescope_report,
-    sandwich_power_report,
-    number_operator_steps_report,
+    appell_telescope_windows,
+    sandwich_power_windows,
+    number_operator_step_windows,
     gram_failures,
     inner_product,
     mutator_failures,
@@ -67,7 +67,7 @@ from umbralcalc.spectral import (
     spectral_operator,
     umbral_operator,
     conjugation_transport_failures,
-    transport_pincherle_report,
+    transport_pincherle_window,
     xhat_psi_inverse,
 )
 
@@ -350,17 +350,17 @@ def test_sandwich_powers(families, degree):
     ns = (1, 2, 3)
     for seq in families:
         basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
-        reports = sandwich_power_report(basic, ns)
-        assert len(reports) == len(ns)
-        for n, report in zip(ns, reports):
-            assert report["first_identity_exact"], (seq.label, n)
-            assert report["second_identity_window"] >= degree - n, (seq.label, n)
-            assert report == old_sandwich_power_report(basic, seq, n), (seq.label, n)
+        windows = sandwich_power_windows(basic, ns)
+        assert len(windows) == len(ns)
+        for n, (first, second) in zip(ns, windows):
+            assert first == degree, (seq.label, n)
+            assert second >= degree - n, (seq.label, n)
+        assert sandwich_reports(basic, ns) == old_reports(old_sandwich_power_report, ns, basic, seq)
     # any order, read once from an iterator; a negative power is refused
-    assert sandwich_power_report(basic, iter((3, 1))) == [reports[2], reports[0]]
-    assert sandwich_power_report(basic, []) == []
+    assert sandwich_power_windows(basic, iter((3, 1))) == [windows[2], windows[0]]
+    assert sandwich_power_windows(basic, []) == []
     with pytest.raises(BadParameterError):
-        sandwich_power_report(basic, (2, -1))
+        sandwich_power_windows(basic, (2, -1))
 
 
 def test_number_operator_steps_plain_vs_graded():
@@ -368,38 +368,40 @@ def test_number_operator_steps_plain_vs_graded():
     ns = (1, 2, 3)
     for seq in (CLASSICAL, Q2, FIB):
         basic = basic_sequence(psi_derivative(seq, N), seq, N)
-        per_n = number_operator_steps_report(basic, iter(ns), iter(fs))
+        per_n = number_operator_step_windows(basic, iter(ns), iter(fs))
         assert len(per_n) == len(ns)
-        for n, reports in zip(ns, per_n):
-            assert len(reports) == len(fs)
-            for f, report in zip(fs, reports):
-                assert report["passed"], (seq.label, n, f.to_text())
-                assert report == old_number_operator_steps_report(basic, seq, n, f)
+        for n, windows in zip(ns, per_n):
+            assert len(windows) == len(fs)
+            for f, (plain, _) in zip(fs, windows):
+                assert plain >= N - max(f.degree, 0) - n, (seq.label, n, f.to_text())
+        assert steps_reports(basic, ns, fs) == old_steps_reports(ns, fs, basic, seq)
     # any order; a negative power is refused
-    assert number_operator_steps_report(basic, (3, 1), fs) == [per_n[2], per_n[0]]
-    assert number_operator_steps_report(basic, [], fs) == []
+    assert number_operator_step_windows(basic, (3, 1), fs) == [per_n[2], per_n[0]]
+    assert number_operator_step_windows(basic, [], fs) == []
     with pytest.raises(BadParameterError):
-        number_operator_steps_report(basic, (2, -1), fs)
+        number_operator_step_windows(basic, (2, -1), fs)
     # graded steps only collapse to the plain ones classically; for the
     # q-family the first divergent step weight is 2_psi, so probe n = 3
+    required = {2: N - 1 - 2, 3: N - 1 - 3}
     basic_c = basic_sequence(psi_derivative(CLASSICAL, N), CLASSICAL, N)
-    assert number_operator_steps_report(basic_c, [3], [X])[0][0]["graded_matches"]
+    assert number_operator_step_windows(basic_c, [3], [X])[0][0][1] >= required[3]
     basic_q = basic_sequence(psi_derivative(Q2, N), Q2, N)
-    assert not number_operator_steps_report(basic_q, [3], [X])[0][0]["graded_matches"]
+    assert number_operator_step_windows(basic_q, [3], [X])[0][0][1] < required[3]
     basic_h = basic_sequence(psi_derivative(HYP, N), HYP, N)
-    assert not number_operator_steps_report(basic_h, [2], [X])[0][0]["graded_matches"]
+    assert number_operator_step_windows(basic_h, [2], [X])[0][0][1] < required[2]
 
 
 def test_appell_weighted_display_classical_vs_deformed():
     for seq, should_hold in ((CLASSICAL, True), (Q2, False), (FIB, False)):
         basic = basic_sequence(psi_derivative(seq, N), seq, N)
         appell = appell_sequence(DeltaSeries.from_list(seq, [1, 1], N), N)
-        report = appell_raising_telescope_report(basic, appell.table, 2)
+        report = appell_report(basic, appell.table, 2)
         assert report["as_printed_holds"] == should_hold, (seq.label, report)
         assert report["step_holds"] == should_hold, (seq.label, report)
         assert report["derivative_ladder_holds"] == should_hold, seq.label
+        assert report == old_appell_raising_telescope_report(basic, seq, appell.table, 2)
     with pytest.raises(BadParameterError, match="n >= 1"):
-        appell_raising_telescope_report(basic, appell.table, 0)
+        appell_telescope_windows(basic, appell.table, 0)
 
 
 # -- transport checks -------------------------------------------------------------
@@ -448,7 +450,7 @@ def test_transport_pincherle_window(families, degree):
     for seq in families:
         for coeffs in ([0, 1], [0, 1, 1], [0, 1, Fraction(-1, 2), Fraction(1, 6)]):
             l_series = DeltaSeries.from_list(seq, coeffs, degree)
-            window = transport_pincherle_report(l_series, degree)
+            window = transport_pincherle_window(l_series, degree)
             assert window >= degree - 1, (seq.label, coeffs, window)
 
 
@@ -919,10 +921,54 @@ def dual_bracket_witness(basic, one):
     return bracket_witness(basic, basic.raiser, one)
 
 
-def old_appell_verdicts(basic, seq, appell_table, n):
-    """The three verdicts `old_appell_raising_telescope_report` reports."""
-    report = old_appell_raising_telescope_report(basic, seq, appell_table, n)
-    return {k: report[k] for k in ("as_printed_holds", "step_holds", "derivative_ladder_holds")}
+def sandwich_reports(basic, ns):
+    """The old sandwich reports, read off `sandwich_power_windows` with the
+    verdict `suite_factorization` records."""
+    bound = basic.bound
+    return [
+        {
+            "first_identity_exact": first == bound,
+            "second_identity_window": second,
+            "required_window": bound - n,
+            "passed": first == bound and second >= bound - n,
+        }
+        for n, (first, second) in zip(ns, sandwich_power_windows(basic, iter(ns)))
+    ]
+
+
+def steps_reports(basic, ns, fs):
+    """The old number-step reports, read off `number_operator_step_windows`
+    with the required window `suite_factorization` records."""
+    out = []
+    for n, windows in zip(ns, number_operator_step_windows(basic, iter(ns), iter(fs))):
+        reports = []
+        for f, (plain, graded) in zip(fs, windows):
+            required = basic.bound - max(f.degree, 0) - n
+            reports.append({
+                "plain_window": plain,
+                "graded_window": graded,
+                "required_window": required,
+                "passed": plain >= required,
+                "graded_matches": graded >= required,
+            })
+        out.append(reports)
+    return out
+
+
+def appell_report(basic, appell_table, n):
+    """The old telescope report, read off `appell_telescope_windows` with
+    the derivative ladder `suite_factorization` checks."""
+    printed, step = appell_telescope_windows(basic, appell_table, n)
+    required = basic.bound - n - 1
+    ladder = appell_table[n].derivative() == appell_table[n - 1].scale(basic.seq.n_psi(n))
+    return {
+        "as_printed_window": printed,
+        "required_window": required,
+        "as_printed_holds": printed >= required,
+        "step_window": step,
+        "step_holds": step >= required,
+        "derivative_ladder_holds": ladder,
+    }
 
 
 def old_transport_verdicts(seq, *args):
@@ -982,22 +1028,12 @@ def test_resigned_checks_match_old_ones_given_the_tables_own_family(case, n, ns,
     for basic in (basic_sequence(psi_derivative(seq, degree), seq, degree), sheffer.basic):
         pairs = [
             (shift_raiser, (basic,), old_shift_raiser, (basic, seq)),
-            (
-                sandwich_power_report,
-                (basic, iter(ns)),
-                old_reports,
-                (old_sandwich_power_report, ns, basic, seq),
-            ),
-            (
-                number_operator_steps_report,
-                (basic, iter(ns), iter(fs)),
-                old_steps_reports,
-                (ns, fs, basic, seq),
-            ),
+            (sandwich_reports, (basic, ns), old_reports, (old_sandwich_power_report, ns, basic, seq)),
+            (steps_reports, (basic, ns, fs), old_steps_reports, (ns, fs, basic, seq)),
         ]
         if n >= 1:  # the telescope step is refused at n = 0
-            pairs.append((appell_raising_telescope_report, (basic, appell, n),
-                          old_appell_verdicts, (basic, seq, appell, n)))
+            pairs.append((appell_report, (basic, appell, n),
+                          old_appell_raising_telescope_report, (basic, seq, appell, n)))
         for literal_one, one in ((False, None), (True, 1)):
             old_args = (basic, seq, literal_one)
             pairs.append((qhat_operator, (basic, one), old_qhat_operator, old_args))
@@ -1014,7 +1050,7 @@ def test_resigned_checks_match_old_ones_given_the_tables_own_family(case, n, ns,
     new = check_outcome(transport_witness, *args)
     assert new == check_outcome(old_transport_verdicts, seq, *args)
     for l_series in (source, target):
-        new = check_outcome(transport_pincherle_report, l_series, degree)
+        new = check_outcome(transport_pincherle_window, l_series, degree)
         assert new == check_outcome(old_pincherle_window, seq, l_series, degree)
 
 
