@@ -98,7 +98,15 @@ def _get(obj: dict, key: str, kind, default, where: str = "config", parse=None):
         if isinstance(value, bool) or not isinstance(value, kinds):
             what = " or ".join(_KIND_NAMES[k] for k in kinds)
             raise BadParameterError(f"{where} key {key!r} must be {what}")
-    return value if parse is None or value is None else parse(value)
+    return value if parse is None or value is None else _parsed(value, parse, key, where)
+
+
+def _parsed(value, parse, key: str, where: str):
+    """parse(value), with a bad value's error naming its key."""
+    try:
+        return parse(value)
+    except BadParameterError as exc:
+        raise BadParameterError(f"{where} key {key!r}: {exc}") from None
 
 
 def _int(obj: dict, key: str, default, lo: int, hi: int, where: str = "config"):
@@ -142,7 +150,8 @@ def _builtin_operator(name: str, arg, seq: AdmissibleSequence, degree: int) -> O
     if name in ("jackson", "dilation"):
         if arg is None:
             raise BadParameterError(f"{name}(q) needs its argument q")
-        return jackson_operator(arg, degree) if name == "jackson" else dilation(arg, degree)
+        q = _parsed(arg, fr, name, "operator")
+        return jackson_operator(q, degree) if name == "jackson" else dilation(q, degree)
 
     builtins = {
         "psi_derivative": lambda: psi_derivative(seq, degree),
@@ -173,7 +182,8 @@ def resolve_operator(literal, seq: AdmissibleSequence, degree: int) -> OperatorM
     if isinstance(literal, dict):
         columns = _list_of(literal, "columns", [], str, "polynomial strings", "operator")
         if columns:
-            return OperatorMatrix(tuple([parse_polynomial(text) for text in columns]))
+            return OperatorMatrix(tuple([_parsed(t, parse_polynomial, "columns", "operator")
+                                         for t in columns]))
         coeffs = _rationals(literal, "series", None, "operator")
         if coeffs is not None:
             base = _family(literal, degree, "operator") if "family" in literal else seq
@@ -240,7 +250,7 @@ def cmd_verify(args, config: dict) -> int:
             raise BadParameterError("check_tables key 'entries' must list at least one entry")
         try:
             table = SequenceTable.from_json(entries)
-        except BasisMismatchError as exc:
+        except (BadParameterError, BasisMismatchError) as exc:
             raise BadParameterError(f"check_tables key 'entries': {exc}") from None
         seq = AdmissibleSequence.from_descriptor(descriptor, table.bound + 1)
         checked.append((label, table, seq))
@@ -278,7 +288,7 @@ def cmd_expand(args, config: dict) -> int:
     reassembles = result.reassembled.columns == target.columns
     lines = [f"family: {seq.label}", f"raiser: {mode}"]
     for n, poly in enumerate(result.coefficients):
-        if not poly.is_zero():
+        if poly:
             lines.append(f"q_{n} = {poly.to_text()}")
     lines.append(f"reassembles: {'yes' if reassembles else 'no'}")
     payload = {

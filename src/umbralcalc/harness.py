@@ -68,15 +68,14 @@ from .series import DeltaSeries
 from .spectral import (
     appell_telescope_windows,
     conjugation_transport_failures,
+    factorization_windows,
     gram_failures,
     mutator_failures,
-    number_operator_step_windows,
     orthogonality_failures,
     q_parameter,
     qhat_operator,
     qplane_commutation,
     qplane_substitution_failures,
-    sandwich_power_windows,
     shift_raiser,
     spectral_operator,
     transport_pincherle_window,
@@ -499,7 +498,7 @@ def shared_detect(degree, rng, out):
     squares = tuple([Fraction(n * n) for n in range(1, degree + 1)])
     out.exact("squared-weights-operator", SHARED, _round_trip(sandwich, squares) is not None)
 
-    split = sandwich.scale(Fraction(1, 2)).subtract(d.power(3).scale(Fraction(1, 3)))
+    split = sandwich.scale(Fraction(1, 2)).subtract(d.powers(3)[3].scale(Fraction(1, 3)))
     result = detect_psi_form(split)
     # the cubic term only shows up from degree 4 on; below that the
     # truncated operator genuinely carries graded weights
@@ -562,10 +561,10 @@ def suite_sheffer(seq, degree, rng, out):
 
 
 def _convention_failures(rows, binom):
-    """Witnesses {"n", "j"} where the expansion coordinates `rows` break the
-    convention `binom`: row n, coordinate n - j, is not binom(n, j) times
-    row j, coordinate 0."""
-    return ({"n": n, "j": j} for n, row in enumerate(rows) for j in range(n + 1)
+    """Witnesses {"n", "j"}, 0 < j < n, where row n, coordinate n - j, of the
+    expansion coordinates `rows` is not binom(n, j) times row j, coordinate 0;
+    j = n compares a coordinate with itself and j = 0 reads a_0 on both sides."""
+    return ({"n": n, "j": j} for n, row in enumerate(rows) for j in range(1, n)
             if row[n - j] != binom(n, j) * rows[j][0])
 
 
@@ -764,9 +763,7 @@ def suite_factorization(seq, degree, rng, out):
     fs = [Polynomial([1, 1]), Polynomial([0, 0, 1]), Polynomial([2, 0, Fraction(1, 2)])]
     ns = (1, 2, 3)
     basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
-    sandwiches = sandwich_power_windows(basic, ns)
-    steps = number_operator_step_windows(basic, ns, fs)
-    for n, (first, second), windows in zip(ns, sandwiches, steps):
+    for n, (first, second, windows) in zip(ns, factorization_windows(basic, ns, fs)):
         ok = first == degree and second >= degree - n
         witness = {"first_window": first, "second_window": second, "required_window": degree - n}
         out.exact(f"sandwich-powers(n={n})", seq.label, ok, witness)

@@ -5,7 +5,8 @@ image of x^j, itself a polynomial of degree at most the bound N. Operators
 that genuinely raise degree lose their top column to truncation; validity
 windows downstream account for that. A `WeightedShift` x^j -> w_j x^(j + s)
 keeps its step s and weights w_j as built, and a `SeriesOperator` its series
-in the family lowering operator; operators compare by columns.
+in the family lowering operator; operators compare by columns. Matrix powers
+are built only where they are compared; elsewhere an orbit is applied.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ class OperatorMatrix:
     def __hash__(self) -> int:
         return hash(self.columns)
 
-    def column(self, j: int) -> Polynomial:
-        return self.columns[j]
-
     def apply(self, p: Polynomial) -> Polynomial:
         if p.degree > self.bound:
             raise DegreeOverflowError(
@@ -117,9 +115,6 @@ class OperatorMatrix:
             out.append(self.compose(out[-1]))
         return out[: count + 1]
 
-    def power(self, n: int) -> "OperatorMatrix":
-        return self.powers(n)[-1]
-
     def orbit(self, v: Polynomial, count: int) -> list:
         """The vectors [v, M v, ..., M^count v], one apply each."""
         out = [v]
@@ -131,11 +126,11 @@ class OperatorMatrix:
     def grading(self) -> str:
         n = self.bound
         cols = self.columns
-        if cols[0].is_zero() and all(cols[j].degree == j - 1 for j in range(1, n + 1)):
+        if not cols[0] and all(cols[j].degree == j - 1 for j in range(1, n + 1)):
             return LOWERS_BY_ONE
         if all(cols[j].degree == j + 1 for j in range(n)):
             return RAISES_BY_ONE
-        if all(cols[j].is_zero() or cols[j].degree == j for j in range(n + 1)):
+        if all(not cols[j] or cols[j].degree == j for j in range(n + 1)):
             return PRESERVES
         return UNGRADED
 
@@ -339,13 +334,6 @@ def lowering_failures(q_op: OperatorMatrix, entries, seq: AdmissibleSequence):
             yield {"n": n, "got": got.to_text(), "expected": expected.to_text()}
 
 
-def verify_basic_for(q_op: OperatorMatrix, table: SequenceTable, seq: AdmissibleSequence) -> None:
-    if table.bound != q_op.bound:
-        raise BasisMismatchError("table bound differs from operator bound")
-    for witness in lowering_failures(q_op, table, seq):
-        raise BasisMismatchError(f"lowering recurrence fails at entry {witness['n']}")
-
-
 def dual_operator(
     q_op: OperatorMatrix, table: SequenceTable, seq: AdmissibleSequence
 ) -> OperatorMatrix:
@@ -355,7 +343,10 @@ def dual_operator(
     is lost to truncation. Raises BasisMismatchError if the table is not the
     basic sequence of the operator.
     """
-    verify_basic_for(q_op, table, seq)
+    if table.bound != q_op.bound:
+        raise BasisMismatchError("table bound differs from operator bound")
+    for witness in lowering_failures(q_op, table, seq):
+        raise BasisMismatchError(f"lowering recurrence fails at entry {witness['n']}")
     images = [
         table[i + 1].scale(Fraction(i + 1) / seq.n_psi(i + 1))
         for i in range(table.bound)
@@ -387,7 +378,7 @@ def detect_psi_form(q_op: OperatorMatrix) -> PsiFormResult:
     bound = q_op.bound
     b = {}
     for n in range(1, bound + 1):
-        col = q_op.column(n)
+        col = q_op.columns[n]
         for k in range(1, n + 1):
             b[(n, k)] = col.coefficient(n - k)
     candidate = tuple([b[(n, 1)] for n in range(1, bound + 1)])
@@ -422,21 +413,6 @@ class ExpansionResult:
 
     coefficients: tuple  # Polynomial q_n, n = 0..bound
     reassembled: OperatorMatrix
-
-    def coefficient(self, n: int) -> Polynomial:
-        return self.coefficients[n]
-
-
-def _raiser_ladder(raiser: OperatorMatrix):
-    """Powers of the raiser and the triangular basis raiser^i(1)."""
-    powers = raiser.powers(raiser.bound)
-    ladder = [p.apply(ONE) for p in powers]
-    for i, entry in enumerate(ladder):
-        if entry.degree != i:
-            raise SingularOperatorError(
-                f"raiser power {i} applied to 1 has degree {entry.degree}, not {i}"
-            )
-    return powers, SequenceTable(tuple(ladder))
 
 
 def _expand_over_shifts(t: OperatorMatrix, u: list, r: list, series=None) -> ExpansionResult:
@@ -501,11 +477,43 @@ def _reassemble_over_shifts(coefficients: list, u: list, r: list) -> OperatorMat
     return OperatorMatrix(tuple(columns))
 
 
+def _expand_over_ladder(
+    t: OperatorMatrix, q_op: OperatorMatrix, raiser: OperatorMatrix
+) -> ExpansionResult:
+    """Any raiser whose ladder raiser^i 1 has degree i: q_j is the ladder
+    coordinates of column j of T, less the reassembly so far, over Q^j x^j,
+    read from the orbits raised[m][i] = raiser^i x^m and lowered[k][j] = Q^j x^k."""
+    bound = t.bound
+    raised = [raiser.orbit(Polynomial.monomial(m), bound) for m in range(bound + 1)]
+    lowered = [q_op.orbit(Polynomial.monomial(k), k) for k in range(bound + 1)]
+    for i, entry in enumerate(raised[0]):
+        if entry.degree != i:
+            raise SingularOperatorError(
+                f"raiser power {i} applied to 1 has degree {entry.degree}, not {i}"
+            )
+    ladder = SequenceTable(tuple(raised[0]))
+    # acc[k] is column k of the running reassembly. Q^j x^k is zero for
+    # k < j, so step j adds q_j(raiser) Q^j x^k to the columns k >= j only.
+    acc = [ZERO] * (bound + 1)
+    coefficients = []
+    for j in range(bound + 1):
+        u = coordinates_in_table(ladder, t.columns[j] - acc[j])
+        q_j = Polynomial(u).scale(1 / lowered[j][j].constant_term)
+        coefficients.append(q_j)
+        if not q_j:
+            continue
+        # column m of q_j(raiser); Q^j x^k has degree k - j <= bound - j
+        step = [_combine(q_j, raised[m]) for m in range(bound - j + 1)]
+        for k in range(j, bound + 1):
+            acc[k] = _combine(lowered[k][j], step, acc[k])
+    return ExpansionResult(tuple(coefficients), OperatorMatrix(tuple(acc)))
+
+
 def expand_in_dual_pair(
     t: OperatorMatrix, q_op: OperatorMatrix, raiser: OperatorMatrix
 ) -> ExpansionResult:
     """With a weighted-shift raiser stepping up, a series division over a
-    weighted-shift Q, recomposed for a series in the family Q; else the
+    weighted-shift Q, recomposed for a series in the family Q; else over the
     raiser ladder."""
     require_lowers_by_one(q_op)
     bound = t.bound
@@ -517,27 +525,7 @@ def expand_in_dual_pair(
         if isinstance(q_op, SeriesOperator) and bound:  # q read at bound 0 is 0, no delta series
             q = q_op.series
             return _expand_over_shifts(t, psi_derivative(q.base, bound).weights, raiser.weights, q)
-    r_powers, ladder = _raiser_ladder(raiser)
-    q_powers = q_op.powers(bound)
-
-    # r_columns[m][i] is column m of raiser^i
-    r_columns = list(zip(*(r.columns for r in r_powers)))
-    # acc[k] is column k of the running reassembly. Q^j x^k is zero for
-    # k < j, so step j adds q_j(raiser) Q^j x^k to the columns k >= j only.
-    acc = [ZERO] * (bound + 1)
-    coefficients = []
-    for j in range(bound + 1):
-        u = coordinates_in_table(ladder, t.column(j) - acc[j])
-        pivot = q_powers[j].column(j).constant_term
-        q_j = Polynomial(u).scale(1 / pivot)
-        coefficients.append(q_j)
-        if q_j.is_zero():
-            continue
-        # column m of q_j(raiser); Q^j x^k has degree k - j <= bound - j
-        step = [_combine(q_j, r_columns[m]) for m in range(bound - j + 1)]
-        for k in range(j, bound + 1):
-            acc[k] = _combine(q_powers[j].columns[k], step, acc[k])
-    return ExpansionResult(tuple(coefficients), OperatorMatrix(tuple(acc)))
+    return _expand_over_ladder(t, q_op, raiser)
 
 
 # -- eigenseries and indicator ------------------------------------------------

@@ -108,9 +108,6 @@ class Polynomial:
     def constant_term(self) -> Fraction:
         return self.coefficient(0)
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def __bool__(self) -> bool:
         return bool(self.nums)
 
@@ -207,7 +204,7 @@ class Polynomial:
         return f"Polynomial({self.to_text()!r})"
 
     def to_text(self) -> str:
-        if self.is_zero():
+        if not self:
             return "0"
         terms = []
         for k, c in enumerate(self.coeffs):

@@ -227,7 +227,10 @@ class AdmissibleSequence:
                 raise BadParameterError(f"{family} family descriptor needs key {key!r}")
             if listed and not isinstance(data[key], list):
                 raise BadParameterError(f"{family} family descriptor key {key!r} must be a list")
-            return data[key]
+            try:
+                return [fr(v) for v in data[key]] if listed else fr(data[key])
+            except BadParameterError as exc:
+                raise BadParameterError(f"{family} family descriptor key {key!r}: {exc}") from None
 
         if family == CLASSICAL:
             return AdmissibleSequence.classical(bound)

@@ -26,7 +26,7 @@ from .operators import (
     dual_operator,
     eigen_series,
     generalized_shift,
-    operator_polynomial,
+    operator_polynomial_applied,
     realize_delta_series,
     xhat_psi,
 )
@@ -285,11 +285,6 @@ def _addition_cells(t: list, u: list, n: int) -> list:
     return [[a - b for a, b in zip(lhs[i:], row)] for i, row in enumerate(rhs)]
 
 
-def _addition_cells_agree(t: list, u: list, n: int) -> bool:
-    """Whether every cell of `_addition_cells` holds."""
-    return not any(map(any, _addition_cells(t, u, n)))
-
-
 def _separating_sample(cells: list, n: int, seq: AdmissibleSequence, ys: list):
     """The first y of `ys` at which the sides of the degree-n rule differ, or
     None: with `cells` from `_addition_cells`, the coefficient of e_i(x) is
@@ -371,7 +366,7 @@ def addition_rule_failure(table: SequenceTable, partner: SequenceTable,
         u.append(t[n] if partner is table else row_u(n))
         if chained and _addition_chain_agrees(t, u, n) and (
             partner is table or _addition_chain_agrees(u, u, n)
-        ) or not chained and _addition_cells_agree(t, u, n):
+        ) or not chained and not any(map(any, _addition_cells(t, u, n))):
             continue
         chained = False
         y = _separating_sample(_addition_cells(t, u, n), n, seq, ys)
@@ -464,6 +459,6 @@ def expansion_coordinates(sheffer: ShefferSequence, a_coeffs) -> list:
     """Row n: the coordinates of A s_n in the Sheffer table, for
     A = sum a_j Q^j; under the graded binomial convention, row n holds
     binom_psi(n, j) times the constant a_j j_psi! at coordinate n - j."""
-    # A = sum a_j Q^j as a matrix, then its action in Sheffer coordinates
-    a_of_q = operator_polynomial(Polynomial(list(a_coeffs)[: sheffer.bound + 1]), sheffer.q_op)
-    return [coordinates_in_table(sheffer.table, a_of_q.apply(s)) for s in sheffer.table]
+    a = Polynomial(list(a_coeffs)[: sheffer.bound + 1])
+    return [coordinates_in_table(sheffer.table, operator_polynomial_applied(a, sheffer.q_op, s))
+            for s in sheffer.table]

@@ -37,10 +37,6 @@ class DeltaSeries:
     polynomial: Polynomial  # no term above t^order
     order: int
 
-    def __init__(self, base: AdmissibleSequence, coeffs):
-        coeffs = list(coeffs)
-        _init(self, base, Polynomial(coeffs), len(coeffs) - 1)
-
     @staticmethod
     def from_list(base: AdmissibleSequence, coeffs, order: int | None = None) -> "DeltaSeries":
         order = base.bound if order is None else order
@@ -130,14 +126,10 @@ class DeltaSeries:
         return self._wrap(_shift_down(self.polynomial, 1))
 
 
-def _init(s: DeltaSeries, base: AdmissibleSequence, p: Polynomial, order: int) -> None:
-    object.__setattr__(s, "base", base)
-    object.__setattr__(s, "polynomial", p)
-    object.__setattr__(s, "order", order)
-
-
 def _new(base: AdmissibleSequence, p: Polynomial, order: int) -> DeltaSeries:
     """The series with this polynomial, which has no term above t^order."""
     s = object.__new__(DeltaSeries)
-    _init(s, base, p, order)
+    object.__setattr__(s, "base", base)
+    object.__setattr__(s, "polynomial", p)
+    object.__setattr__(s, "order", order)
     return s

@@ -7,8 +7,8 @@ basis. Printed closed forms are assembled separately and compared; their
 agreement is reported, never assumed. A check that searches for a
 counterexample, the transport between basic bases among them, is a lazy
 stream of witnesses; a guard on its arguments raises at the call. The
-factorization laws and the transport law return agreement windows, and
-the harness decides what holds.
+factorization laws, read off one set of power ladders, and the transport
+law return agreement windows, and the harness decides what holds.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def gram_failures(sheffer: ShefferSequence, rng, samples: int):
     for _ in range(samples):
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(sheffer.bound + 1)]
         f = Polynomial(coeffs)
-        if f.is_zero():
+        if not f:
             f = ONE
         value = inner_product(sheffer, f, f)
         if value <= 0:
@@ -161,7 +161,7 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
 
     expansion = expand_in_dual_pair(definitional, q_op, multiplication_x(bound))
     divergence = next(
-        (k for k, term in enumerate(term_polys) if expansion.coefficient(k) != term), None
+        (k for k, term in enumerate(term_polys) if expansion.coefficients[k] != term), None
     )
     return SpectralResult(definitional, composition_agrees, divergence)
 
@@ -264,62 +264,42 @@ def qplane_substitution_failures(seq: AdmissibleSequence, bound: int, y_values):
 # -- factorization identities ------------------------------------------------------
 
 
-def _pair_ladders(basic: BasicSequence, ns) -> tuple:
-    """(ns as a list, its largest n, the ladders of Q and of R up to it); a
-    negative n is refused."""
+def factorization_windows(basic: BasicSequence, ns, fs) -> list:
+    """One triple (first, second, steps) per n in `ns`: the agreement windows
+    of (Q R Q)^n against Q^n R^n Q^n (agreeing in full) and of (R Q R)^n
+    against R^n Q^n R^n (below bound - n), and per f in `fs` the windows
+    (plain, graded) of R^n Q^n f(R) against prod_(i<n) (N - i) f(R) and
+    prod_(i<n) (N - i_psi) f(R), N = R Q (plain below bound - deg f - n).
+    Each ladder is built once, up to the largest n; a negative n is refused."""
     ns = list(ns)
     if min(ns, default=0) < 0:
         raise BadParameterError("negative operator power")
     top = max(ns, default=0)
-    return ns, top, basic.q_op.powers(top), basic.raiser.powers(top)
-
-
-def sandwich_power_windows(basic: BasicSequence, ns) -> list:
-    """Sandwich powers, one pair (first, second) per n in `ns`: the
-    agreement windows of (Q R Q)^n against Q^n R^n Q^n, which agree in
-    full, and of (R Q R)^n against R^n Q^n R^n, which agree below the
-    raising window bound - n. The four ladders are built once, up to the
-    largest n."""
     q_op, raiser = basic.q_op, basic.raiser
-    ns, top, q_pows, r_pows = _pair_ladders(basic, ns)
-    t1_pows = q_op.compose(raiser).compose(q_op).powers(top)
-    t2_pows = raiser.compose(q_op).compose(raiser).powers(top)
-    return [
-        (
-            t1_pows[n].agreement_window(q_pows[n].compose(r_pows[n]).compose(q_pows[n])),
-            t2_pows[n].agreement_window(r_pows[n].compose(q_pows[n]).compose(r_pows[n])),
-        )
-        for n in ns
-    ]
-
-
-def number_operator_step_windows(basic: BasicSequence, ns, fs) -> list:
-    """R^n Q^n followed by f(R) against the falling products of the number
-    operator N = R Q followed by f(R): one list per n in `ns`, of one pair
-    (plain, graded) per f in `fs`, the agreement windows against
-    prod_(i<n) (N - i) and prod_(i<n) (N - i_psi). The law holds plainly
-    below bound - deg f - n. N, each f(R), and the ladders of R, Q and of
-    both falling products are built once, up to the largest n."""
-    ns, top, q_pows, r_pows = _pair_ladders(basic, ns)
-    number = basic.raiser.compose(basic.q_op)
+    number = raiser.compose(q_op)
+    q_pows, r_pows = q_op.powers(top), raiser.powers(top)
+    t1_pows = q_op.compose(number).powers(top)  # (Q R Q)^n
+    t2_pows = number.compose(raiser).powers(top)  # (R Q R)^n
     ident = q_pows[0]  # Q^0
     plain, graded = [ident], [ident]
     for i in range(top):
         plain.append(plain[-1].compose(number.subtract(ident.scale(i))))
         graded.append(graded[-1].compose(number.subtract(ident.scale(basic.seq.n_psi(i)))))
-    f_of_rs = [operator_polynomial(f, basic.raiser) for f in fs]
+    f_of_rs = [operator_polynomial(f, raiser) for f in fs]
 
     out = []
     for n in ns:
-        steps = r_pows[n].compose(q_pows[n])
-        windows = []
+        rq = r_pows[n].compose(q_pows[n])  # R^n Q^n
+        steps = []
         for f_of_r in f_of_rs:
-            lhs = steps.compose(f_of_r)
-            windows.append((
+            lhs = rq.compose(f_of_r)
+            steps.append((
                 lhs.agreement_window(plain[n].compose(f_of_r)),
                 lhs.agreement_window(graded[n].compose(f_of_r)),
             ))
-        out.append(windows)
+        first = t1_pows[n].agreement_window(q_pows[n].compose(rq))
+        second = t2_pows[n].agreement_window(rq.compose(r_pows[n]))
+        out.append((first, second, steps))
     return out
 
 

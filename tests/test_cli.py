@@ -387,9 +387,14 @@ class TestGuards:
     def test_bad_rationals_exit_two(self, capsys, tmp_path, config, named):
         cfg = write_config(tmp_path, config)
         code, out, err = run(capsys, ["expand", "--degree", "3", "--config", cfg])
+        # the key of the operator literal, or the builtin that takes the argument
+        literal = config["operator"]
+        key = next(iter(literal)) if isinstance(literal, dict) else literal.split("(")[0]
         assert code == 2
         assert out == ""
-        assert err == f"error: BadParameterError: not an exact rational: {named}\n"
+        assert err == (
+            f"error: BadParameterError: operator key {key!r}: not an exact rational: {named}\n"
+        )
 
     @pytest.mark.parametrize("bad", [1.5, "1/0", True])
     def test_bad_rational_in_checked_table_exits_two(self, capsys, tmp_path, bad):
@@ -399,7 +404,10 @@ class TestGuards:
         )
         code, _, err = run(capsys, ["verify", "--degree", "3", "--config", cfg])
         assert code == 2
-        assert err == f"error: BadParameterError: not an exact rational: {bad!r}\n"
+        assert err == (
+            "error: BadParameterError: check_tables key 'entries': "
+            f"not an exact rational: {bad!r}\n"
+        )
 
     def test_family_without_its_parameter_names_the_key(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"family": {"family": "q_deformed"}})
@@ -534,6 +542,56 @@ class TestConfigReaders:
                 "integrate", {"kind": "r", "q": 2}, "coefficients", id="integrate-r-no-coefficients"
             ),
             pytest.param("star", {"power": -1}, "power", id="star-power-negative"),
+            pytest.param("sequence", {"series": [0, "a"]}, "series", id="sequence-series-value"),
+            pytest.param(
+                "sequence", {"prefactor": [1, "1/0"]}, "prefactor", id="sequence-prefactor-value"
+            ),
+            pytest.param("integrate", {"kind": "q", "q": "abc"}, "q", id="integrate-q-value"),
+            pytest.param("star", {"left": "x^^2", "right": "1"}, "left", id="star-left-value"),
+            pytest.param("star", {"poisson": {"lam": "1/0"}}, "lam", id="poisson-lam-value"),
+            pytest.param(
+                "sequence",
+                {"family": {"family": "q_deformed", "q": "abc"}},
+                "q",
+                id="family-q-value",
+            ),
+            pytest.param(
+                "verify",
+                {"suites": [], "families": [{"family": "custom", "values": ["1", "b"]}]},
+                "values",
+                id="family-values-value",
+            ),
+            pytest.param(
+                "sequence",
+                {"family": {"family": "recurrence", "alphas": ["a"], "betas": [1]}},
+                "alphas",
+                id="family-alphas-value",
+            ),
+            pytest.param(
+                "verify",
+                {
+                    "suites": [],
+                    "families": [],
+                    "check_tables": [
+                        {"family": {"family": "classical"}, "entries": [["1"], [1, "x"]]}
+                    ],
+                },
+                "entries",
+                id="check_tables-entries-value",
+            ),
+            pytest.param("expand", {"operator": [0, "q"]}, "series", id="expand-series-value"),
+            pytest.param(
+                "expand", {"operator": "jackson(abc)"}, "jackson", id="expand-jackson-arg"
+            ),
+            pytest.param(
+                "expand", {"operator": "dilation(1/0)"}, "dilation", id="expand-dilation-arg"
+            ),
+            pytest.param(
+                "expand",
+                {"operator": {"columns": ["1", "x^^2"]}},
+                "columns",
+                id="expand-columns-value",
+            ),
         ],
     )
     def test_bad_value_exits_two_naming_the_key(self, capsys, tmp_path, command, config, key):

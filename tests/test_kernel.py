@@ -96,8 +96,14 @@ copies with one or two entries moved, each search must yield no witness
 exactly when the report of `old_verify_sheffer_definition`,
 `old_verify_inverse_reconstruction`, `old_generating_function_check` or
 `old_verify_conjugation_transport` passed, and otherwise first the old
-witness; `verify_basic_for` must raise what `old_verify_basic_for` raised,
+witness; `dual_operator` must raise what `old_verify_basic_for` raised,
 at the same entry.
+
+Last, the expansion over a raiser that is not a weighted shift stepping up,
+or a lowering that is neither a weighted shift nor a series operator, reads
+the orbits raiser^i x^m and Q^j x^k instead of whole power ladders:
+`_expand_over_ladder` must give the coefficients and reassembly of
+`old_matrix_route_expand`, or raise the same error and message.
 """
 
 import dataclasses
@@ -151,7 +157,6 @@ from umbralcalc.operators import (
     realize_delta_series,
     require_lowers_by_one,
     umbral_operator,
-    verify_basic_for,
     weighted_shift,
     xhat_psi,
     zero_operator,
@@ -175,7 +180,6 @@ from umbralcalc.poly import (
 from umbralcalc.psi import AdmissibleSequence
 from umbralcalc.sequences import (
     CheckReport,
-    _addition_cells_agree,
     basic_sequence,
     basic_sequence_from_series,
     closed_form_routes,
@@ -222,7 +226,7 @@ def old_scale(self, c):
 
 
 def old_mul(self, other):
-    if self.is_zero() or other.is_zero():
+    if not self or not other:
         return ZERO
     out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
     for i, a in enumerate(self.coeffs):
@@ -284,7 +288,7 @@ def old_expand(t, q_op, raiser):
     acc = zero_operator(bound)
     coefficients = []
     for j in range(bound + 1):
-        rho = old_sub(t.column(j), acc.column(j))
+        rho = old_sub(t.columns[j], acc.columns[j])
         # expand rho in the triangular ladder {raiser^i 1}
         u = [Fraction(0)] * (bound + 1)
         residue = rho
@@ -296,7 +300,7 @@ def old_expand(t, q_op, raiser):
         pivot = old_apply(q_powers[j], Polynomial.monomial(j)).constant_term
         q_j = Polynomial([ui / pivot for ui in u])
         coefficients.append(q_j)
-        if not q_j.is_zero():
+        if q_j:
             step = zero_operator(bound)
             for i, c in enumerate(q_j.coeffs):
                 if c != 0:
@@ -527,7 +531,8 @@ def test_series_operations_match_list_kernels(case):
         same_series(series.formal_derivative(), old_series_derivative(cs, order))
         same_series(series.compose(g), old_series_compose(cs, delta, order))
     # a factor of a lower order is read as zero above it
-    same_series(f.multiply(DeltaSeries(SERIES_BASE, delta)), old_series_mul(free, delta, order))
+    lower = DeltaSeries.from_list(SERIES_BASE, delta, len(delta) - 1)
+    same_series(f.multiply(lower), old_series_mul(free, delta, order))
     same_series(a.multiplicative_inverse(), old_series_inverse(unit, order))
     inverse = g.compositional_inverse()
     same_series(inverse, old_series_compositional_inverse(delta, order))
@@ -648,7 +653,7 @@ def old_printed_divergence(sheffer, u_values):
             1 / seq.factorial(k - 1))
         for k, u_k in enumerate(u_values, 1)
     ]
-    return next((k for k, t in enumerate(terms) if expansion.coefficient(k) != t), None)
+    return next((k for k, t in enumerate(terms) if expansion.coefficients[k] != t), None)
 
 
 def same_columns(got, want):
@@ -708,7 +713,7 @@ def test_sheffer_tables_and_pairings_match_old_realisation(case):
     sheffer = sheffer_sequence(q, s, degree)
     # the reference reads S at the degree, where the old realisation is exact
     s_inv = old_series_inverse(s.coeffs, degree)
-    s_inv_op = old_realize_delta_series(DeltaSeries(seq, s_inv), degree)
+    s_inv_op = old_realize_delta_series(DeltaSeries.from_list(seq, s_inv, len(s_inv) - 1), degree)
     # the orbit move S^-1 read in the table's family at the degree
     s_at_degree = DeltaSeries.from_list(sheffer.seq, s.coeffs, degree)
     moved = [apply_delta_series(s_at_degree.multiplicative_inverse(), p) for p in sheffer.table]
@@ -717,7 +722,9 @@ def test_sheffer_tables_and_pairings_match_old_realisation(case):
         same(moved[n], s_inv_op.apply(sheffer[n]))
 
     log_prime = old_series_derivative(old_series_log_reduced(s.coeffs, degree), degree)
-    log_prime_op = old_realize_delta_series(DeltaSeries(seq, log_prime), degree)
+    log_prime_op = old_realize_delta_series(
+        DeltaSeries.from_list(seq, log_prime, len(log_prime) - 1), degree
+    )
     u_values = [-log_prime_op.apply(xhat_psi_inverse(seq, sheffer.basic[k])).constant_term
                 for k in range(1, degree + 1)]
     want = old_printed_divergence(sheffer, u_values)
@@ -726,7 +733,7 @@ def test_sheffer_tables_and_pairings_match_old_realisation(case):
     # a pairing that fails: S perturbed at t^m after the table was built
     coeffs = list(s.coeffs)
     coeffs[m] += 1
-    broken = dataclasses.replace(sheffer, s_series=DeltaSeries(seq, coeffs))
+    broken = dataclasses.replace(sheffer, s_series=DeltaSeries.from_list(seq, coeffs, s.order))
     # and one whose lowering operator is swapped, so row k = 0 still holds
     # and the scan order decides the witness
     other_basic = sheffer_sequence(q.multiply(s), s, degree).basic
@@ -762,7 +769,9 @@ def test_series_action_is_conjugate_to_the_classical_one(case):
     same_columns(d_inv.compose(derivative).compose(d), psi_derivative(seq, degree))
     same_columns(d_inv.compose(x).compose(d), xhat_psi(seq, degree))
     for series in (q, s, s.multiplicative_inverse()):
-        on_classical = realize_delta_series(DeltaSeries(classical, series.coeffs), degree)
+        on_classical = realize_delta_series(
+            DeltaSeries.from_list(classical, series.coeffs, series.order), degree
+        )
         want = d_inv.compose(on_classical).compose(d)
         same_columns(realize_delta_series(series, degree), want)
 
@@ -982,7 +991,7 @@ def action_cases(draw):
     # entry n: column n of m below degree n, plus a nonzero x^n term
     leads = draw(st.lists(nonzero_rationals, min_size=bound + 1, max_size=bound + 1))
     entries = [
-        m.column(n).truncate(n - 1) + Polynomial.monomial(n, lead) for n, lead in enumerate(leads)
+        m.columns[n].truncate(n - 1) + Polynomial.monomial(n, lead) for n, lead in enumerate(leads)
     ]
     images = [draw(sparse_polynomials(bound)) for _ in range(bound + 1)]
     return (
@@ -1010,7 +1019,8 @@ def test_operators_from_their_action_match_old_column_loops(case):
         (operator_polynomial, old_operator_polynomial, (p, m)),
         (operator_polynomial, old_operator_polynomial, (f, old_psi_derivative(seq, seq.bound))),
         (umbral_operator, old_umbral_operator, (source, images)),
-        (realize_delta_series, old_realize_one_term, (DeltaSeries(seq, [0, y]), bound)),
+        (realize_delta_series, old_realize_one_term,
+         (DeltaSeries.from_list(seq, [0, y], 1), bound)),
     ]
     for new, old, args in pairs:
         same_outcome(outcome(new, *args), outcome(old, *args))
@@ -1020,7 +1030,7 @@ def test_operators_from_their_action_match_old_column_loops(case):
         if new in shifts and outcome(new, *args)[0] == "columns":
             same_shift(new(*args))
     if y and bound <= seq.bound:  # c Q within the family
-        same_shift(realize_delta_series(DeltaSeries(seq, [0, y]), bound))
+        same_shift(realize_delta_series(DeltaSeries.from_list(seq, [0, y], 1), bound))
 
     integrals = [lambda: IntegralOperator.psi_integral(seq, bound)]
     integrals.append(lambda: IntegralOperator.q_integral(q, bound))
@@ -1045,7 +1055,7 @@ def test_shift_builders_keep_their_errors():
     # a family one short of the bound: column bound of c Q is past its end
     seq = AdmissibleSequence.q_deformed(2, 4)
     for c in (1, Fraction(-2, 3)):
-        args = DeltaSeries(seq, [0, c]), 5
+        args = DeltaSeries.from_list(seq, [0, c], 1), 5
         got = outcome(realize_delta_series, *args)
         assert got[:2] == ("raises", UndefinedIndexError)
         assert got == outcome(old_realize_one_term, *args)
@@ -1060,7 +1070,7 @@ def test_series_chains_applied_match_old_dense_compositions(case):
     # S perturbed after the table was built, so the composition disagrees
     coeffs = list(s.coeffs)
     coeffs[m] += 1
-    broken = dataclasses.replace(sheffer, s_series=DeltaSeries(seq, coeffs))
+    broken = dataclasses.replace(sheffer, s_series=DeltaSeries.from_list(seq, coeffs, s.order))
     for pairing in (sheffer, broken):
         result = spectral_operator(pairing)
         want = old_spectral_composition(pairing).columns == result.definitional.columns
@@ -1144,11 +1154,11 @@ def old_accumulated_expand(t, q_op, raiser):
     coefficients = []
     for j in range(bound + 1):
         so_far = Polynomial(list(acc[j]))
-        u = old_coordinates_in_table(ladder, old_sub(t.column(j), so_far))
-        pivot = q_powers[j].column(j).constant_term
+        u = old_coordinates_in_table(ladder, old_sub(t.columns[j], so_far))
+        pivot = q_powers[j].columns[j].constant_term
         q_j = Polynomial([ui / pivot if ui else ui for ui in u])
         coefficients.append(q_j)
-        if q_j.is_zero():
+        if not q_j:
             continue
         # column m of q_j(raiser); Q^j x^k has degree k - j <= bound - j
         step = [old_combine(q_j.coeffs, r_columns[m]).coeffs for m in range(bound - j + 1)]
@@ -1411,6 +1421,12 @@ def separation_probes():
     probes.enter_context(mock.patch.object(sequences, "_separating_sample", seek))
     probes.enter_context(mock.patch.object(sequences, "generalized_shift", shifting))
     return examined, shifted, probes
+
+
+def _addition_cells_agree(t, u, n):
+    """Whether every cell of `_addition_cells` holds, as `addition_rule_failure`
+    reads it inline."""
+    return not any(map(any, sequences._addition_cells(t, u, n)))
 
 
 def divided_entries(table, seq):
@@ -1744,7 +1760,7 @@ def old_expand_over_shifts(t: OperatorMatrix, u: list, r: list) -> ExpansionResu
     e_series = Polynomial([1 / (a * b) for a, b in zip(lead, scale)])  # the 1 / S_d
     coefficients = []
     for c in range(bound + 1):
-        t_hat = old_diagonal(t.column(c), inverse_lead).scale(1 / scale[c])
+        t_hat = old_diagonal(t.columns[c], inverse_lead).scale(1 / scale[c])
         lower = old_combine_raised(e_series, [ZERO] + coefficients[::-1], bound)
         coefficients.append(t_hat - lower)
     return ExpansionResult(tuple(coefficients), old_reassemble_over_shifts(coefficients, u, r))
@@ -1777,7 +1793,7 @@ def old_shift_outcome(t, q_op, raiser):
 def old_expansion_outcome(t, q_op, raiser):
     """("expands", coefficients, reassembled columns) from `old_expand`, or
     ("raises", type, message) from the checks the library runs before it:
-    the grading of Q, the bounds and the raiser ladder, as `_raiser_ladder`
+    the grading of Q, the bounds and the raiser ladder, as `old_raiser_ladder`
     has it."""
     try:
         require_lowers_by_one(q_op)
@@ -1885,7 +1901,7 @@ def test_expansion_over_shifts_matches_the_matrix_route(case, family_case):
     # two weighted shifts never reach the raiser ladder, a near-shift (a
     # plain matrix) never the shift division
     shifts = isinstance(q_op, WeightedShift) and isinstance(raiser, WeightedShift)
-    route = "_raiser_ladder" if shifts else "_expand_over_shifts"
+    route = "_expand_over_ladder" if shifts else "_expand_over_shifts"
     with mock.patch.object(operators, route, side_effect=AssertionError(route)):
         new = expansion_outcome(t, q_op, raiser)
     old = old_expansion_outcome(t, q_op, raiser)
@@ -1903,14 +1919,14 @@ def test_expansion_over_shifts_matches_the_matrix_route(case, family_case):
     got = expand_in_dual_pair(t, q_op, raiser)
     t_hat = [
         Polynomial([a * seq.factorial(n) / math.factorial(n) / seq.factorial(c)
-                    for n, a in enumerate(t.column(c).coeffs)])
+                    for n, a in enumerate(t.columns[c].coeffs)])
         for c in range(bound + 1)
     ]
     for c in range(bound + 1):
         want = ZERO
         for d in range(c + 1):
             want += (X**d * t_hat[c - d]).scale(Fraction((-1) ** d, math.factorial(d)))
-        same(got.coefficient(c), want.truncate(bound))
+        same(got.coefficients[c], want.truncate(bound))
     assert got.reassembled.columns == t.columns
 
     # the reassembly reads the coefficients alone: one changed moves a column
@@ -1927,8 +1943,8 @@ def test_expansion_over_shifts_matches_the_matrix_route(case, family_case):
     for c in range(bound + 1):
         want = ZERO
         for d in range(c + 1):
-            want += (X**d * t.column(c - d)).scale(f.coefficient(d) / seq.factorial(c - d))
-        same(got.coefficient(c), want.truncate(bound))
+            want += (X**d * t.columns[c - d]).scale(f.coefficient(d) / seq.factorial(c - d))
+        same(got.coefficients[c], want.truncate(bound))
     assert got.reassembled.columns == t.columns
 
 
@@ -1949,11 +1965,14 @@ def test_shift_built_lowerings_expand_without_the_raiser_ladder():
         jackson_operator(-2, bound),
         cli.resolve_operator("hyperbolic_Q", seq, bound),
         cli.resolve_operator("DxD", seq, bound),
-        realize_delta_series(DeltaSeries(seq, [0, Fraction(-2, 3)]), bound),
+        realize_delta_series(DeltaSeries.from_list(seq, [0, Fraction(-2, 3)], 1), bound),
         cli.resolve_operator([0, 3], seq, bound),
     ]
     raisers = [xhat_psi(seq, bound), multiplication_x(bound)]
-    with mock.patch.object(operators, "_raiser_ladder", side_effect=AssertionError("ladder")):
+    ladder = mock.patch.object(
+        operators, "_expand_over_ladder", side_effect=AssertionError("ladder")
+    )
+    with ladder:
         for q_op in lowerings:
             for raiser in raisers:
                 assert expand_in_dual_pair(t, q_op, raiser).reassembled == t
@@ -2435,12 +2454,24 @@ def test_addition_verdict_and_witness_match_the_sampled_rules(case):
             assert (n, str(y)) == (got[1].witness["n"], got[1].witness["y"])
 
 
+def old_raiser_ladder(raiser: OperatorMatrix):
+    """Powers of the raiser and the triangular basis raiser^i(1)."""
+    powers = raiser.powers(raiser.bound)
+    ladder = [p.apply(ONE) for p in powers]
+    for i, entry in enumerate(ladder):
+        if entry.degree != i:
+            raise SingularOperatorError(
+                f"raiser power {i} applied to 1 has degree {entry.degree}, not {i}"
+            )
+    return powers, SequenceTable(tuple(ladder))
+
+
 def old_matrix_route_expand(t, q_op, raiser):
     require_lowers_by_one(q_op)
     bound = t.bound
     if q_op.bound != bound or raiser.bound != bound:
         raise BadParameterError("operator bounds differ")
-    r_powers, ladder = operators._raiser_ladder(raiser)
+    r_powers, ladder = old_raiser_ladder(raiser)
     q_powers = q_op.powers(bound)
 
     # r_columns[m][i] is column m of raiser^i
@@ -2450,11 +2481,11 @@ def old_matrix_route_expand(t, q_op, raiser):
     acc = [ZERO] * (bound + 1)
     coefficients = []
     for j in range(bound + 1):
-        u = coordinates_in_table(ladder, t.column(j) - acc[j])
-        pivot = q_powers[j].column(j).constant_term
+        u = coordinates_in_table(ladder, t.columns[j] - acc[j])
+        pivot = q_powers[j].columns[j].constant_term
         q_j = Polynomial(u).scale(1 / pivot)
         coefficients.append(q_j)
-        if q_j.is_zero():
+        if not q_j:
             continue
         # column m of q_j(raiser); Q^j x^k has degree k - j <= bound - j
         step = [_combine(q_j, r_columns[m]) for m in range(bound - j + 1)]
@@ -2494,7 +2525,9 @@ def recomposition_outcome(t, series, raiser):
     """The expansion over realize_delta_series(series), which must not
     reach the raiser ladder from N = 1 on, and the matrix route's."""
     q_op = realize_delta_series(series, t.bound)
-    ladder = mock.patch.object(operators, "_raiser_ladder", side_effect=AssertionError("ladder"))
+    ladder = mock.patch.object(
+        operators, "_expand_over_ladder", side_effect=AssertionError("ladder")
+    )
     with ladder if t.bound else ExitStack():
         got = result_or_error(expand_in_dual_pair, t, q_op, raiser)
     return got, result_or_error(old_matrix_route_expand, t, q_op, raiser)
@@ -2524,6 +2557,82 @@ def test_expansion_over_a_series_matches_the_matrix_route(case):
                     want.coefficients + want.reassembled.columns, strict=True):
         same(p, q)
     assert got.reassembled.columns == t.columns
+
+
+@st.composite
+def ladder_route_cases(draw):
+    """N from 0 to 10; a lowering by one: the forward difference, a random
+    lower-by-one matrix, or the same matrix read from its `columns` texts
+    through the CLI; a raiser: a random raise-by-one matrix with lower terms
+    (not a weighted shift), the graded raiser of a family as a weighted
+    shift or as a plain matrix, or multiplication by x, one in three with a
+    column below the top cut to a lower degree, so that its ladder is
+    singular; and an operator to expand, sparse or dense."""
+    bound = draw(st.integers(0, 10))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+
+    def rational(density=1.0):
+        if rnd.random() >= density:
+            return Fraction(0)
+        return Fraction(rnd.choice([-3, -2, -1, 1, 2, 3]), rnd.randint(1, 4))
+
+    def exact(degree, density=1.0):
+        """A polynomial of this degree, lower terms at the density."""
+        return Polynomial([rational(density) for _ in range(degree)] + [rational()])
+
+    lowered = [ZERO] + [exact(j - 1, 0.5) for j in range(1, bound + 1)]
+    kind = draw(st.sampled_from(["forward", "random", "columns"]))
+    if kind == "forward":
+        q_op = forward_difference(bound)
+    elif kind == "random":
+        q_op = OperatorMatrix(tuple(lowered))
+    else:
+        literal = {"columns": [p.to_text() for p in lowered]}
+        q_op = cli.resolve_operator(literal, AdmissibleSequence.classical(bound + 1), bound)
+    seq = draw_family(draw, bound + 1)
+    kind = draw(st.sampled_from(["dense", "graded", "plain-graded", "multiplication"]))
+    if kind == "dense":
+        top = Polynomial([rational(0.5) for _ in range(bound + 1)])
+        raiser = OperatorMatrix(tuple([exact(j + 1, 0.5) for j in range(bound)] + [top]))
+    elif kind == "multiplication":
+        raiser = multiplication_x(bound)
+    else:
+        raiser = xhat_psi(seq, bound)
+        if kind == "plain-graded":
+            raiser = OperatorMatrix(raiser.columns)
+    if bound and draw(st.integers(0, 2)) == 0:
+        cut = draw(st.integers(0, bound - 1))
+        columns = list(raiser.columns)
+        columns[cut] = columns[cut].truncate(draw(st.integers(-1, cut)))
+        raiser = OperatorMatrix(tuple(columns))
+    density = rnd.choice([0.25, 1.0])
+    t = OperatorMatrix(tuple(
+        Polynomial([rational(density) for _ in range(rnd.randint(0, bound + 1))])
+        for _ in range(bound + 1)
+    ))
+    return t, q_op, raiser
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ladder_route_cases())
+def test_expansion_over_the_ladder_matches_the_power_ladders(case):
+    """The orbits give the coefficients and reassembly of the two power
+    ladders they replaced, or the same error and message."""
+    t, q_op, raiser = case
+    got = result_or_error(operators._expand_over_ladder, t, q_op, raiser)
+    want = result_or_error(old_matrix_route_expand, t, q_op, raiser)
+    assert got[0] == want[0], (got, want)
+    if want[0] == "raises":
+        assert got == want
+        return
+    got, want = got[1], want[1]
+    for p, q in zip(got.coefficients + got.reassembled.columns,
+                    want.coefficients + want.reassembled.columns, strict=True):
+        same(p, q)
+    assert got.reassembled.columns == t.columns
+    # no lowering here is a weighted shift, so the dual pair takes this route
+    with mock.patch.object(operators, "_expand_over_shifts", side_effect=AssertionError):
+        assert expand_in_dual_pair(t, q_op, raiser) == got
 
 
 def test_recomposition_mutations_fail_the_differential_check():
@@ -3063,7 +3172,7 @@ def test_table_inverse_matches_the_bareiss_solves(table, data):
 def old_verify_basic_for(q_op: OperatorMatrix, table: SequenceTable, seq: AdmissibleSequence) -> None:
     if table.bound != q_op.bound:
         raise BasisMismatchError("table bound differs from operator bound")
-    if not q_op.apply(table[0]).is_zero():
+    if q_op.apply(table[0]):
         raise BasisMismatchError("entry 0 is not annihilated")
     for n in range(1, table.bound + 1):
         expected = table[n - 1].scale(seq.n_psi(n))
@@ -3265,19 +3374,23 @@ def lowering_cases(draw):
 def test_lowering_and_sheffer_searches_match_the_old_reports(case):
     """Each search yields no witness exactly when the old report passed, and
     otherwise first the old witness, or both raise the same error; the
-    z-order guard raises at the call. `verify_basic_for` raises what the old
-    check raised, with entry 0 named as every other entry."""
+    z-order guard raises at the call. `dual_operator` raises what the old
+    check raised, with entry 0 named as every other entry, and builds the
+    dual raiser where it passed."""
     sheffer, family, tables, target, z_order = case
     degree = sheffer.bound
     q_ops = [sheffer.q_op, psi_derivative(sheffer.seq, degree), identity_operator(degree),
              identity_operator(degree + 1)]
     for table in tables:
         for q_op in q_ops:
-            got = result_or_error(verify_basic_for, q_op, table, family)
+            got = result_or_error(dual_operator, q_op, table, family)
             want = result_or_error(old_verify_basic_for, q_op, table, family)
             if want == ("raises", BasisMismatchError, "entry 0 is not annihilated"):
                 want = ("raises", BasisMismatchError, "lowering recurrence fails at entry 0")
-            assert got == want
+            if want[0] == "raises":
+                assert got == want
+            else:
+                assert got[0] == "value" and isinstance(got[1], OperatorMatrix)
         mixed = dataclasses.replace(sheffer, seq=family, table=table)
         got = result_or_error(first_witness, lowering_failures, mixed.q_op, table, family)
         assert got == result_or_error(report_witness, old_verify_sheffer_definition, mixed)

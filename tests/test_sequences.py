@@ -284,6 +284,49 @@ def test_expansion_conventions_match_the_old_constants():
     assert {g for g, _ in seen} == {True, False} and {p for _, p in seen} == {True, False}
 
 
+def old_convention_failures(rows, binom):
+    """Witnesses {"n", "j"} where the expansion coordinates `rows` break the
+    convention `binom`: row n, coordinate n - j, is not binom(n, j) times
+    row j, coordinate 0."""
+    return ({"n": n, "j": j} for n, row in enumerate(rows) for j in range(n + 1)
+            if row[n - j] != binom(n, j) * rows[j][0])
+
+
+def test_convention_search_skips_only_comparisons_every_table_passes():
+    """The search over 0 < j < n yields every witness, in order, of the one
+    over 0 <= j <= n it replaced, on roster Sheffer tables and on copies with
+    one entry moved, under both conventions: j = n compares row n,
+    coordinate 0, with itself, and at j = 0 both sides are a_0. Rows that no
+    operator gives, coordinate 1 of row 1 off a_0, break only j = 0."""
+    from conftest import family_roster
+
+    rng = random.Random(31)
+    a_choices = ([1, 1, Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), 2, 0, 1], [0, 0, 3])
+    degree = 6
+    witnesses = 0
+    for seq in family_roster(degree + 1):
+        q = DeltaSeries.from_list(seq, [0, 1, 1, Fraction(-1, 2)], degree)
+        s = DeltaSeries.from_list(seq, [1, Fraction(1, 2), 2], degree)
+        sheffer = sheffer_sequence(q, s, degree)
+        tables = [sheffer.table]
+        for n in range(degree + 1):
+            entries = list(sheffer.table.entries)
+            entries[n] = entries[n] + Polynomial.monomial(rng.randint(0, n), rng.choice([1, -2]))
+            if entries[n].degree == n:
+                tables.append(SequenceTable(tuple(entries)))
+        for table in tables:
+            for a in a_choices:
+                rows = expansion_coordinates(replace(sheffer, table=table), a)
+                for binom in (seq.binomial, math.comb):
+                    want = list(old_convention_failures(rows, binom))
+                    assert list(_convention_failures(rows, binom)) == want
+                    witnesses += len(want)
+    assert witnesses
+    rows = [[Fraction(1)], [Fraction(0), Fraction(2)]]
+    assert list(old_convention_failures(rows, math.comb)) == [{"n": 1, "j": 0}]
+    assert list(_convention_failures(rows, math.comb)) == []
+
+
 def test_sheffer_orbit():
     # the Sheffer orbit: s_n for S1 S2 is S2^-1 applied to s_n for S1
     q = DeltaSeries.from_list(Q2, [0, 1, 1], N)

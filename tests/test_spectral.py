@@ -52,8 +52,7 @@ from umbralcalc import spectral
 from umbralcalc.harness import run_suites
 from umbralcalc.spectral import (
     appell_telescope_windows,
-    sandwich_power_windows,
-    number_operator_step_windows,
+    factorization_windows,
     gram_failures,
     inner_product,
     mutator_failures,
@@ -305,8 +304,8 @@ def test_shift_raiser_is_x_multiplication_for_q_monomials():
     basic = basic_sequence(psi_derivative(Q2, N), Q2, N)
     r = shift_raiser(basic)
     for j in range(N):
-        assert r.column(j) == Polynomial.monomial(j + 1)
-    assert r.column(N).is_zero()
+        assert r.columns[j] == Polynomial.monomial(j + 1)
+    assert not r.columns[N]
 
 
 # -- quantum plane ---------------------------------------------------------------
@@ -350,17 +349,18 @@ def test_sandwich_powers(families, degree):
     ns = (1, 2, 3)
     for seq in families:
         basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
-        windows = sandwich_power_windows(basic, ns)
+        windows = factorization_windows(basic, ns, [])
         assert len(windows) == len(ns)
-        for n, (first, second) in zip(ns, windows):
+        for n, (first, second, steps) in zip(ns, windows):
             assert first == degree, (seq.label, n)
             assert second >= degree - n, (seq.label, n)
+            assert steps == []
         assert sandwich_reports(basic, ns) == old_reports(old_sandwich_power_report, ns, basic, seq)
     # any order, read once from an iterator; a negative power is refused
-    assert sandwich_power_windows(basic, iter((3, 1))) == [windows[2], windows[0]]
-    assert sandwich_power_windows(basic, []) == []
+    assert factorization_windows(basic, iter((3, 1)), iter([])) == [windows[2], windows[0]]
+    assert factorization_windows(basic, [], []) == []
     with pytest.raises(BadParameterError):
-        sandwich_power_windows(basic, (2, -1))
+        factorization_windows(basic, (2, -1), [])
 
 
 def test_number_operator_steps_plain_vs_graded():
@@ -368,27 +368,51 @@ def test_number_operator_steps_plain_vs_graded():
     ns = (1, 2, 3)
     for seq in (CLASSICAL, Q2, FIB):
         basic = basic_sequence(psi_derivative(seq, N), seq, N)
-        per_n = number_operator_step_windows(basic, iter(ns), iter(fs))
+        per_n = factorization_windows(basic, iter(ns), iter(fs))
         assert len(per_n) == len(ns)
-        for n, windows in zip(ns, per_n):
+        for n, (_, _, windows) in zip(ns, per_n):
             assert len(windows) == len(fs)
             for f, (plain, _) in zip(fs, windows):
                 assert plain >= N - max(f.degree, 0) - n, (seq.label, n, f.to_text())
         assert steps_reports(basic, ns, fs) == old_steps_reports(ns, fs, basic, seq)
     # any order; a negative power is refused
-    assert number_operator_step_windows(basic, (3, 1), fs) == [per_n[2], per_n[0]]
-    assert number_operator_step_windows(basic, [], fs) == []
+    assert factorization_windows(basic, (3, 1), fs) == [per_n[2], per_n[0]]
+    assert factorization_windows(basic, [], fs) == []
     with pytest.raises(BadParameterError):
-        number_operator_step_windows(basic, (2, -1), fs)
+        factorization_windows(basic, (2, -1), fs)
     # graded steps only collapse to the plain ones classically; for the
     # q-family the first divergent step weight is 2_psi, so probe n = 3
     required = {2: N - 1 - 2, 3: N - 1 - 3}
     basic_c = basic_sequence(psi_derivative(CLASSICAL, N), CLASSICAL, N)
-    assert number_operator_step_windows(basic_c, [3], [X])[0][0][1] >= required[3]
+    assert factorization_windows(basic_c, [3], [X])[0][2][0][1] >= required[3]
     basic_q = basic_sequence(psi_derivative(Q2, N), Q2, N)
-    assert number_operator_step_windows(basic_q, [3], [X])[0][0][1] < required[3]
+    assert factorization_windows(basic_q, [3], [X])[0][2][0][1] < required[3]
     basic_h = basic_sequence(psi_derivative(HYP, N), HYP, N)
-    assert number_operator_step_windows(basic_h, [2], [X])[0][0][1] < required[2]
+    assert factorization_windows(basic_h, [2], [X])[0][2][0][1] < required[2]
+
+
+def test_factorization_windows_match_the_two_old_window_functions(families, degree):
+    """One triple per n, the two sandwich windows and the number steps, as
+    the two window functions it replaced gave them on the roster, for the
+    suite's ns and fs, in any order, and for no n or no f; both refuse a
+    negative n with the same error."""
+    fs = [Polynomial([1, 1]), Polynomial([0, 0, 1]), Polynomial([2, 0, Fraction(1, 2)])]
+    for seq in families:
+        basic = basic_sequence(psi_derivative(seq, degree), seq, degree)
+        for ns, f_list in (((1, 2, 3), fs), ((3, 1), fs[1:]), ((2,), []), ((), fs)):
+            want = [
+                (first, second, steps) for (first, second), steps in zip(
+                    old_sandwich_power_windows(basic, ns),
+                    old_number_operator_step_windows(basic, ns, f_list),
+                    strict=True,
+                )
+            ]
+            assert factorization_windows(basic, iter(ns), iter(f_list)) == want, seq.label
+        for old in (lambda: old_sandwich_power_windows(basic, (2, -1)),
+                    lambda: old_number_operator_step_windows(basic, (2, -1), fs),
+                    lambda: factorization_windows(basic, (2, -1), fs)):
+            with pytest.raises(BadParameterError, match="^negative operator power$"):
+                old()
 
 
 def test_appell_weighted_display_classical_vs_deformed():
@@ -469,7 +493,7 @@ def reference_basic_entries(q_op, seq, bound):
         coeffs = [Fraction(0)] * (n + 1)
         residue = target
         for i in range(n, 0, -1):
-            col = q_op.column(i)
+            col = q_op.columns[i]
             pivot = col.coefficient(i - 1)
             if pivot == 0:
                 raise SingularOperatorError(f"zero subdiagonal pivot at degree {i}")
@@ -477,7 +501,7 @@ def reference_basic_entries(q_op, seq, bound):
             if c != 0:
                 coeffs[i] = c / pivot
                 residue = residue - col.scale(coeffs[i])
-        if not residue.is_zero():
+        if residue:
             raise SingularOperatorError("graded solve left a residue")
         entries.append(Polynomial(coeffs))
     return entries
@@ -490,7 +514,7 @@ def reference_eigen_series(q_op, truncation):
         coeffs = [Fraction(0)] * (n + 1)
         residue = target
         for i in range(n, 0, -1):
-            pivot_poly = q_op.column(i)
+            pivot_poly = q_op.columns[i]
             pivot = pivot_poly.coefficient(i - 1)
             if pivot == 0:
                 raise SingularOperatorError(f"zero pivot at degree {i}")
@@ -498,7 +522,7 @@ def reference_eigen_series(q_op, truncation):
             coeffs[i] = c / pivot
             if c != 0:
                 residue = residue - pivot_poly.scale(coeffs[i])
-        if not residue.is_zero():
+        if residue:
             raise SingularOperatorError("ladder solve left a residue")
         phis.append(Polynomial(coeffs))
     return phis
@@ -518,7 +542,7 @@ def reference_expansion(t, q_op, raiser):
     acc = zero_operator(bound)
     coefficients = []
     for j in range(bound + 1):
-        rho = t.column(j) - acc.column(j)
+        rho = t.columns[j] - acc.columns[j]
         # expand rho in the triangular ladder {raiser^i 1}
         u = [Fraction(0)] * (bound + 1)
         residue = rho
@@ -530,7 +554,7 @@ def reference_expansion(t, q_op, raiser):
         pivot = q_powers[j].apply(Polynomial.monomial(j)).constant_term
         q_j = Polynomial([ui / pivot for ui in u])
         coefficients.append(q_j)
-        if not q_j.is_zero():
+        if q_j:
             step = zero_operator(bound)
             for i, c in enumerate(q_j.coeffs):
                 if c != 0:
@@ -672,7 +696,7 @@ def test_consolidated_kernels_match_replaced_loops(case, truncation, count):
         ladder = m.powers(count)
         assert len(ladder) == count + 1
         for i, power in enumerate(ladder):
-            assert power == m.power(i)
+            assert power == m.powers(i)[-1]
         with pytest.raises(BadParameterError):
             m.powers(-1)
 
@@ -747,16 +771,16 @@ def old_sandwich_power_report(basic, seq, n):
     raiser = dual_operator(q_op, basic.table, seq)
     bound = basic.bound
 
-    q_n = q_op.power(n)
-    r_n = raiser.power(n)
+    q_n = q_op.powers(n)[-1]
+    r_n = raiser.powers(n)[-1]
 
     t1 = q_op.compose(raiser).compose(q_op)
-    lhs1 = t1.power(n)
+    lhs1 = t1.powers(n)[-1]
     rhs1 = q_n.compose(r_n).compose(q_n)
     first_exact = lhs1.columns == rhs1.columns
 
     t2 = raiser.compose(q_op).compose(raiser)
-    lhs2 = t2.power(n)
+    lhs2 = t2.powers(n)[-1]
     rhs2 = r_n.compose(q_n).compose(r_n)
     window = lhs2.agreement_window(rhs2)
 
@@ -775,7 +799,7 @@ def old_number_operator_steps_report(basic, seq, n, f):
     number = raiser.compose(q_op)
 
     f_of_r = operator_polynomial(f, raiser)
-    lhs = raiser.power(n).compose(q_op.power(n)).compose(f_of_r)
+    lhs = raiser.powers(n)[-1].compose(q_op.powers(n)[-1]).compose(f_of_r)
 
     def falling(shifts):
         """prod_i (number - shift_i), as a polynomial in the number operator."""
@@ -797,6 +821,65 @@ def old_number_operator_steps_report(basic, seq, n, f):
         "passed": plain_window >= required,
         "graded_matches": graded_window >= required,
     }
+
+
+def old_pair_ladders(basic: BasicSequence, ns) -> tuple:
+    """(ns as a list, its largest n, the ladders of Q and of R up to it); a
+    negative n is refused."""
+    ns = list(ns)
+    if min(ns, default=0) < 0:
+        raise BadParameterError("negative operator power")
+    top = max(ns, default=0)
+    return ns, top, basic.q_op.powers(top), basic.raiser.powers(top)
+
+
+def old_sandwich_power_windows(basic: BasicSequence, ns) -> list:
+    """Sandwich powers, one pair (first, second) per n in `ns`: the
+    agreement windows of (Q R Q)^n against Q^n R^n Q^n, which agree in
+    full, and of (R Q R)^n against R^n Q^n R^n, which agree below the
+    raising window bound - n. The four ladders are built once, up to the
+    largest n."""
+    q_op, raiser = basic.q_op, basic.raiser
+    ns, top, q_pows, r_pows = old_pair_ladders(basic, ns)
+    t1_pows = q_op.compose(raiser).compose(q_op).powers(top)
+    t2_pows = raiser.compose(q_op).compose(raiser).powers(top)
+    return [
+        (
+            t1_pows[n].agreement_window(q_pows[n].compose(r_pows[n]).compose(q_pows[n])),
+            t2_pows[n].agreement_window(r_pows[n].compose(q_pows[n]).compose(r_pows[n])),
+        )
+        for n in ns
+    ]
+
+
+def old_number_operator_step_windows(basic: BasicSequence, ns, fs) -> list:
+    """R^n Q^n followed by f(R) against the falling products of the number
+    operator N = R Q followed by f(R): one list per n in `ns`, of one pair
+    (plain, graded) per f in `fs`, the agreement windows against
+    prod_(i<n) (N - i) and prod_(i<n) (N - i_psi). The law holds plainly
+    below bound - deg f - n. N, each f(R), and the ladders of R, Q and of
+    both falling products are built once, up to the largest n."""
+    ns, top, q_pows, r_pows = old_pair_ladders(basic, ns)
+    number = basic.raiser.compose(basic.q_op)
+    ident = q_pows[0]  # Q^0
+    plain, graded = [ident], [ident]
+    for i in range(top):
+        plain.append(plain[-1].compose(number.subtract(ident.scale(i))))
+        graded.append(graded[-1].compose(number.subtract(ident.scale(basic.seq.n_psi(i)))))
+    f_of_rs = [operator_polynomial(f, basic.raiser) for f in fs]
+
+    out = []
+    for n in ns:
+        steps = r_pows[n].compose(q_pows[n])
+        windows = []
+        for f_of_r in f_of_rs:
+            lhs = steps.compose(f_of_r)
+            windows.append((
+                lhs.agreement_window(plain[n].compose(f_of_r)),
+                lhs.agreement_window(graded[n].compose(f_of_r)),
+            ))
+        out.append(windows)
+    return out
 
 
 def old_appell_raising_telescope_report(basic, seq, appell_table, n):
@@ -922,7 +1005,7 @@ def dual_bracket_witness(basic, one):
 
 
 def sandwich_reports(basic, ns):
-    """The old sandwich reports, read off `sandwich_power_windows` with the
+    """The old sandwich reports, read off `factorization_windows` with the
     verdict `suite_factorization` records."""
     bound = basic.bound
     return [
@@ -932,15 +1015,15 @@ def sandwich_reports(basic, ns):
             "required_window": bound - n,
             "passed": first == bound and second >= bound - n,
         }
-        for n, (first, second) in zip(ns, sandwich_power_windows(basic, iter(ns)))
+        for n, (first, second, _) in zip(ns, factorization_windows(basic, iter(ns), []))
     ]
 
 
 def steps_reports(basic, ns, fs):
-    """The old number-step reports, read off `number_operator_step_windows`
-    with the required window `suite_factorization` records."""
+    """The old number-step reports, read off `factorization_windows` with
+    the required window `suite_factorization` records."""
     out = []
-    for n, windows in zip(ns, number_operator_step_windows(basic, iter(ns), iter(fs))):
+    for n, (_, _, windows) in zip(ns, factorization_windows(basic, iter(ns), iter(fs))):
         reports = []
         for f, (plain, graded) in zip(fs, windows):
             required = basic.bound - max(f.degree, 0) - n

@@ -60,7 +60,7 @@ def test_star_overflow_guard():
         star_product(ctx, X**6, X**5)
     # the truncated variant keeps the in-bound part
     got = star_product_truncated(ctx, X**6, X**5)
-    assert got.is_zero()  # the whole product lives above the bound
+    assert not got  # the whole product lives above the bound
 
 
 def test_lowering_acts_as_plain_derivative_on_star_powers(families):
