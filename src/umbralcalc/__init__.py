@@ -15,7 +15,6 @@ from .errors import (
     DegenerateFamilyError,
     DegreeOverflowError,
     IndexOrderError,
-    MismatchedPairError,
     NotDegreeLoweringError,
     NotDeltaError,
     NotInvertibleError,

@@ -129,7 +129,7 @@ def _polynomial(obj: dict, key: str, default, where: str = "config"):
 
 
 def _operator(obj: dict, key: str, default, seq: AdmissibleSequence, degree: int):
-    return resolve_operator(_get(obj, key, (str, list, dict), default), seq, degree)
+    return resolve_operator(_get(obj, key, (str, list, dict), default), seq, degree, key)
 
 
 def _list_of(obj: dict, key: str, default, kind: type, what: str, where: str = "config") -> list:
@@ -145,12 +145,13 @@ def _family(obj: dict, degree: int, where: str = "config") -> AdmissibleSequence
     return AdmissibleSequence.from_descriptor(descriptor, degree + 1)
 
 
-def _builtin_operator(name: str, arg, seq: AdmissibleSequence, degree: int) -> OperatorMatrix:
+def _builtin_operator(name: str, arg, seq: AdmissibleSequence, degree: int,
+                      where: str) -> OperatorMatrix:
     """Builtin `name`; `arg` is the text of its argument, or None."""
     if name in ("jackson", "dilation"):
         if arg is None:
             raise BadParameterError(f"{name}(q) needs its argument q")
-        q = _parsed(arg, fr, name, "operator")
+        q = _parsed(arg, fr, name, where)
         return jackson_operator(q, degree) if name == "jackson" else dilation(q, degree)
 
     builtins = {
@@ -168,25 +169,27 @@ def _builtin_operator(name: str, arg, seq: AdmissibleSequence, degree: int) -> O
     return builtins[name]()
 
 
-def resolve_operator(literal, seq: AdmissibleSequence, degree: int) -> OperatorMatrix:
+def resolve_operator(literal, seq: AdmissibleSequence, degree: int,
+                     where: str = "operator") -> OperatorMatrix:
     """Operator literal: builtin name string (optionally 'name(arg)'),
     a delta-series coefficient list over the config family, or a dict with
-    explicit polynomial 'columns' or a 'series' coefficient list."""
+    explicit polynomial 'columns' or a 'series' coefficient list. A bad
+    value's error names `where`, the config key the literal was read from."""
     if isinstance(literal, str):
         match = _BUILTIN_RE.match(literal.strip())
         if not match:
             raise BadParameterError(f"bad operator literal {literal!r}")
-        return _builtin_operator(match.group("name"), match.group("arg"), seq, degree)
+        return _builtin_operator(match.group("name"), match.group("arg"), seq, degree, where)
     if isinstance(literal, list):
         literal = {"series": literal}
     if isinstance(literal, dict):
-        columns = _list_of(literal, "columns", [], str, "polynomial strings", "operator")
+        columns = _list_of(literal, "columns", [], str, "polynomial strings", where)
         if columns:
-            return OperatorMatrix(tuple([_parsed(t, parse_polynomial, "columns", "operator")
+            return OperatorMatrix(tuple([_parsed(t, parse_polynomial, "columns", where)
                                          for t in columns]))
-        coeffs = _rationals(literal, "series", None, "operator")
+        coeffs = _rationals(literal, "series", None, where)
         if coeffs is not None:
-            base = _family(literal, degree, "operator") if "family" in literal else seq
+            base = _family(literal, degree, where) if "family" in literal else seq
             series = DeltaSeries.from_list(base, coeffs, degree)
             return realize_delta_series(series.require_delta(), degree)
     raise BadParameterError(f"bad operator literal {literal!r}")
@@ -345,7 +348,7 @@ def cmd_integrate(args, config: dict) -> int:
         raise BadParameterError(f"unknown integral kind {kind!r}")
     p = _polynomial(config, "polynomial", "x")
     integral = op.integrate(p)
-    witness = next(right_inverse_failures(op, op.partner), None)
+    witness = next(right_inverse_failures(op), None)
     window = degree - 1 if witness is None else None
     lines = [
         f"kind: {kind}",

@@ -54,10 +54,6 @@ class NotInvertibleError(UmbralError):
     """A series needed a nonzero constant term."""
 
 
-class MismatchedPairError(UmbralError):
-    """An integral operator was paired with the wrong difference operator."""
-
-
 class WrongFamilyError(UmbralError):
     """An operation is only defined for a specific coefficient family."""
 

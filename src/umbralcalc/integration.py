@@ -1,7 +1,7 @@
 """Right inverses of the lowering operators, exact per monomial.
 
-Each integral kind pairs with one difference operator; the pairing is part
-of the contract and verified, not assumed.
+Each integral kind holds the one difference operator it pairs with, its
+`partner`; the pairing is part of the contract and verified, not assumed.
 """
 
 from __future__ import annotations
@@ -9,12 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    BadParameterError,
-    DegenerateFamilyError,
-    DegreeOverflowError,
-    MismatchedPairError,
-)
+from .errors import BadParameterError, DegenerateFamilyError, DegreeOverflowError
 from .operators import OperatorMatrix, jackson_operator, psi_derivative, weighted_shift
 from .poly import Polynomial, fr
 from .psi import AdmissibleSequence
@@ -75,31 +70,22 @@ class IntegralOperator:
         return weighted_shift(1, self.bound, lambda j: 1 / self.weights[j])
 
 
-def right_inverse_failures(op: IntegralOperator, differencer: OperatorMatrix):
-    """Witnesses {"side", "degree"} of the pairing: on the right side,
-    monomials of degree below the bound on which differencer o integral is
-    not the identity; on the left, monomials whose difference image has
-    room below the bound and on which integral o differencer is not
-    id - evaluation at 0. A differencer that is not the partner of `op`
-    raises at the call."""
-    if differencer.bound != op.bound:
-        raise MismatchedPairError("bounds differ")
-    if differencer.columns != op.partner.columns:
-        raise MismatchedPairError("difference operator is not the partner of the integral")
-
-    def search():
-        bound = op.bound
-        for j in range(bound):
-            xj = Polynomial.monomial(j)
-            if differencer.apply(op.integrate(xj)) != xj:
-                yield {"side": "right", "degree": j}
-        for j in range(bound + 1):
-            xj = Polynomial.monomial(j)
-            image = differencer.apply(xj)
-            if image.degree > bound - 1:
-                continue
-            expected = xj if j >= 1 else Polynomial()
-            if op.integrate(image) != expected:
-                yield {"side": "left", "degree": j}
-
-    return search()
+def right_inverse_failures(op: IntegralOperator):
+    """Witnesses {"side", "degree"} of the pairing with `op.partner`: on the
+    right side, monomials of degree below the bound on which partner o
+    integral is not the identity; on the left, monomials whose difference
+    image has room below the bound and on which integral o partner is not
+    id - evaluation at 0."""
+    bound, partner = op.bound, op.partner
+    for j in range(bound):
+        xj = Polynomial.monomial(j)
+        if partner.apply(op.integrate(xj)) != xj:
+            yield {"side": "right", "degree": j}
+    for j in range(bound + 1):
+        xj = Polynomial.monomial(j)
+        image = partner.apply(xj)
+        if image.degree > bound - 1:
+            continue
+        expected = xj if j >= 1 else Polynomial()
+        if op.integrate(image) != expected:
+            yield {"side": "left", "degree": j}

@@ -143,9 +143,6 @@ class OperatorMatrix:
             d = j
         return d
 
-    def to_json(self) -> list:
-        return [col.to_json_list() for col in self.columns]
-
     @staticmethod
     def from_json(data) -> "OperatorMatrix":
         return OperatorMatrix(tuple([Polynomial(col) for col in data]))
@@ -548,22 +545,12 @@ def eigen_series(q_op: OperatorMatrix, truncation: int) -> list:
     return phis
 
 
-@dataclass(frozen=True)
-class IndicatorResult:
-    """Lambda-expansion of an operator over a lowering operator.
-
-    `coefficients[n]` multiplies lambda^n; `routes_agree` states whether the
-    eigenfunction conjugation route gives the same coefficient on all
-    computed orders.
-    """
-
-    coefficients: tuple
-    routes_agree: bool
-
-
-def indicator(t: OperatorMatrix, q_op: OperatorMatrix, truncation: int) -> IndicatorResult:
+def indicator(t: OperatorMatrix, q_op: OperatorMatrix, truncation: int) -> bool:
+    """Whether the lambda-expansion of T over Q, read from the expansion over
+    multiplication by x, agrees on orders 0..truncation with the route that
+    conjugates T by the eigenseries of Q."""
     expansion = expand_in_dual_pair(t, q_op, multiplication_x(t.bound))
-    direct = tuple(expansion.coefficients[: truncation + 1])
+    direct = list(expansion.coefficients[: truncation + 1])
 
     phis = eigen_series(q_op, truncation)
     t_phis = [t.apply(p) for p in phis]
@@ -579,4 +566,4 @@ def indicator(t: OperatorMatrix, q_op: OperatorMatrix, truncation: int) -> Indic
         for i in range(j + 1):
             acc = acc + inv[i] * t_phis[j - i]
         conjugated.append(acc)
-    return IndicatorResult(direct, list(direct) == conjugated)
+    return direct == conjugated

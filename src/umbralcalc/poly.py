@@ -150,14 +150,6 @@ class Polynomial:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise BadParameterError("negative polynomial power")
-        result = ONE
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __call__(self, value) -> Fraction:
         value = fr(value)
         if not self.nums:

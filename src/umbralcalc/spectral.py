@@ -206,10 +206,10 @@ def mutator_failures(basic: BasicSequence, raiser: OperatorMatrix, qhat: Operato
     so their failures can be recorded as findings.
     """
     q_op = basic.q_op
-    bracket = q_op.compose(raiser).subtract(qhat.compose(raiser.compose(q_op)))
     for n in range(basic.bound):
-        got = bracket.apply(basic.table[n])
-        if got != basic.table[n]:
+        p = basic.table[n]
+        got = q_op.apply(raiser.apply(p)) - qhat.apply(raiser.apply(q_op.apply(p)))
+        if got != p:
             yield {"n": n, "got": got.to_text()}
 
 

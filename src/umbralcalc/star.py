@@ -4,6 +4,9 @@ f *_psi g = f(xhat_psi) g. On the bounded space this is exact as long as the
 combined degree stays within the bound; the relaxed variant keeps every
 coefficient that never leaves the bound (raising-only paths cannot fold back
 down, so low coefficients of a truncated product are still exact).
+A `StarContext` holds the one operator every star function reads, the
+raiser; the weighted family p_m is built from the family's exponential and
+again from the raiser alone, and the two routes are compared.
 """
 
 from __future__ import annotations
@@ -13,25 +16,22 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DegreeOverflowError
-from .operators import OperatorMatrix, operator_polynomial_applied, psi_derivative, xhat_psi
+from .operators import OperatorMatrix, operator_polynomial_applied, xhat_psi
 from .poly import ONE, Polynomial
 from .psi import AdmissibleSequence
 
 
 @dataclass(frozen=True)
 class StarContext:
-    """Caches the raising/lowering pair for one family and bound."""
+    """Caches the raising operator for one family and bound."""
 
     seq: AdmissibleSequence
     bound: int
     raiser: OperatorMatrix
-    lowering: OperatorMatrix
 
     @staticmethod
     def create(seq: AdmissibleSequence, bound: int) -> "StarContext":
-        return StarContext(
-            seq, bound, xhat_psi(seq, bound), psi_derivative(seq, bound)
-        )
+        return StarContext(seq, bound, xhat_psi(seq, bound))
 
 
 def star_product(ctx: StarContext, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -76,18 +76,13 @@ def poisson_psi_polynomials(
 
 
 def poisson_raising_route(ctx: StarContext, lam, m_max: int) -> list:
-    """Same family built as ((lam R)^m / m!) exp(-lam R) 1 with R the raiser."""
+    """Same family built as ((lam R)^m / m!) exp(-lam R) 1 with R the raiser,
+    the exponential cut at R^(bound - m)."""
     lam = Fraction(lam)
     out = []
     for m in range(m_max + 1):
-        acc = Polynomial()
-        power = ONE  # R^k 1 / k!
-        for k in range(ctx.bound - m + 1):
-            acc = acc + power.scale((-lam) ** k)
-            if k < ctx.bound - m:
-                power = ctx.raiser.apply(power).scale(Fraction(1, k + 1))
-        vec = acc
-        for i in range(m):
-            vec = ctx.raiser.apply(vec)
-        out.append(vec.scale(lam**m / factorial(m)))
+        exp = Polynomial([(-lam) ** k / factorial(k) for k in range(ctx.bound - m + 1)])
+        vec = operator_polynomial_applied(exp, ctx.raiser, ONE)  # exp(-lam R) 1
+        power = Polynomial.monomial(m, lam**m / factorial(m))  # (lam R)^m / m!
+        out.append(operator_polynomial_applied(power, ctx.raiser, vec))
     return out

@@ -333,7 +333,7 @@ def test_criterion_08_expansion_reassembles(families, degree):
             realize_delta_series(DeltaSeries.from_list(seq, [0, 1, 1], degree), degree),
             xhat_psi(seq, degree).compose(d),
         ):
-            ok = ok and indicator(t, d, 8).routes_agree
+            ok = ok and indicator(t, d, 8)
     _conclude(8, ok)
 
 
@@ -392,18 +392,19 @@ def test_criterion_11_right_inverses(families, degree):
     ok = True
     for seq in families:
         op = IntegralOperator.psi_integral(seq, degree)
-        ok = ok and next(right_inverse_failures(op, psi_derivative(seq, degree)), None) is None
+        ok = ok and op.partner == psi_derivative(seq, degree)
+        ok = ok and next(right_inverse_failures(op), None) is None
         if seq.family == Q_DEFORMED:
             q = dict(seq.params)["q"]
             q_int = IntegralOperator.q_integral(q, degree)
-            jq = jackson_operator(q, degree)
-            ok = ok and next(right_inverse_failures(q_int, jq), None) is None
+            ok = ok and q_int.partner == jackson_operator(q, degree)
+            ok = ok and next(right_inverse_failures(q_int), None) is None
             ok = ok and q_int.weights == op.weights
 
     shape = [Fraction(2), Fraction(-2)]
     q_r = Fraction(1, 3)
     r_int = IntegralOperator.r_integral(shape, q_r, degree)
-    ok = ok and next(right_inverse_failures(r_int, r_int.partner), None) is None
+    ok = ok and next(right_inverse_failures(r_int), None) is None
     seq_r = AdmissibleSequence.r_series(shape, q_r, degree + 1)
     ok = ok and r_int.partner.columns == psi_derivative(seq_r, degree).columns
 
@@ -493,7 +494,7 @@ def test_criterion_14_substitution_product_calculus(families, degree):
     ok = True
     for seq in families:
         ctx = StarContext.create(seq, degree)
-        d = ctx.lowering
+        d = psi_derivative(seq, degree)
         raiser = ctx.raiser
 
         # a) the lowering steps down the substitution powers

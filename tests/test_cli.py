@@ -592,6 +592,25 @@ class TestConfigReaders:
                 "columns",
                 id="expand-columns-value",
             ),
+            # a bad literal under `lowering` is named by that key, not `operator`
+            pytest.param(
+                "expand",
+                {"operator": [0, 1], "lowering": [0, "q"]},
+                "series",
+                id="expand-lowering-series-value",
+            ),
+            pytest.param(
+                "expand",
+                {"operator": [0, 1], "lowering": "jackson(abc)"},
+                "jackson",
+                id="expand-lowering-jackson-arg",
+            ),
+            pytest.param(
+                "expand",
+                {"operator": [0, 1], "lowering": {"columns": ["x^^2"]}},
+                "columns",
+                id="expand-lowering-columns-value",
+            ),
         ],
     )
     def test_bad_value_exits_two_naming_the_key(self, capsys, tmp_path, command, config, key):
@@ -601,6 +620,8 @@ class TestConfigReaders:
         assert out == ""
         assert err.startswith("error: BadParameterError: ") and err.count("\n") == 1
         assert repr(key) in err
+        if "lowering" in config:
+            assert err.startswith(f"error: BadParameterError: lowering key {key!r}: ")
 
     @pytest.mark.parametrize(
         "body",

@@ -104,6 +104,14 @@ or a lowering that is neither a weighted shift nor a series operator, reads
 the orbits raiser^i x^m and Q^j x^k instead of whole power ladders:
 `_expand_over_ladder` must give the coefficients and reassembly of
 `old_matrix_route_expand`, or raise the same error and message.
+
+Then nothing is built that no caller reads: the deformed bracket is applied
+to each basic entry without its matrix, the raising route of the weighted
+family applies two polynomials in the raiser, and `indicator` returns its
+verdict alone. `old_mutator_failures`, `old_poisson_raising_route` and
+`old_indicator` are the routes they replaced, verbatim except for their
+names: the witnesses, the families and the verdicts must be theirs, on the
+roster up to N = 12.
 """
 
 import dataclasses
@@ -150,6 +158,7 @@ from umbralcalc.operators import (
     jackson_operator,
     lowering_failures,
     multiplication_operator,
+    indicator,
     multiplication_x,
     nhat_diagonal,
     operator_polynomial,
@@ -195,11 +204,15 @@ from umbralcalc.series import DeltaSeries
 from umbralcalc.spectral import (
     conjugation_transport_failures,
     inner_product,
+    mutator_failures,
     orthogonality_failures,
+    qhat_operator,
+    shift_raiser,
     spectral_operator,
     transport_pincherle_window,
     xhat_psi_inverse,
 )
+from umbralcalc.star import StarContext, poisson_raising_route
 
 
 def old_add(self, other):
@@ -836,7 +849,7 @@ def old_forward_difference(bound):
     shifted = Polynomial([1, 1])
     cols = []
     for j in range(bound + 1):
-        cols.append(shifted**j - Polynomial.monomial(j))
+        cols.append(Polynomial.monomial(j).compose(shifted) - Polynomial.monomial(j))
     return OperatorMatrix(tuple(cols))
 
 
@@ -1529,7 +1542,7 @@ def lower_factorial(n):
 
 def abel(a, n):
     """x (x - a n)^(n-1), the basic table of t e^(a t)."""
-    return ONE if n == 0 else X * Polynomial([-a * n, 1]) ** (n - 1)
+    return ONE if n == 0 else X * Polynomial.monomial(n - 1).compose(Polynomial([-a * n, 1]))
 
 
 def laguerre(n):
@@ -1925,7 +1938,8 @@ def test_expansion_over_shifts_matches_the_matrix_route(case, family_case):
     for c in range(bound + 1):
         want = ZERO
         for d in range(c + 1):
-            want += (X**d * t_hat[c - d]).scale(Fraction((-1) ** d, math.factorial(d)))
+            want += (Polynomial.monomial(d) * t_hat[c - d]).scale(
+                Fraction((-1) ** d, math.factorial(d)))
         same(got.coefficients[c], want.truncate(bound))
     assert got.reassembled.columns == t.columns
 
@@ -1943,7 +1957,8 @@ def test_expansion_over_shifts_matches_the_matrix_route(case, family_case):
     for c in range(bound + 1):
         want = ZERO
         for d in range(c + 1):
-            want += (X**d * t.columns[c - d]).scale(f.coefficient(d) / seq.factorial(c - d))
+            want += (Polynomial.monomial(d) * t.columns[c - d]).scale(
+                f.coefficient(d) / seq.factorial(c - d))
         same(got.coefficients[c], want.truncate(bound))
     assert got.reassembled.columns == t.columns
 
@@ -3413,3 +3428,118 @@ def test_lowering_and_sheffer_searches_match_the_old_reports(case):
             got = result_or_error(first_witness, conjugation_transport_failures, *args)
             want = result_or_error(transport_witness, old_verify_conjugation_transport, *args)
         assert got == want
+
+
+# -- nothing built that no caller reads ---------------------------------------
+
+
+def old_mutator_failures(basic, raiser, qhat):
+    q_op = basic.q_op
+    bracket = q_op.compose(raiser).subtract(qhat.compose(raiser.compose(q_op)))
+    for n in range(basic.bound):
+        got = bracket.apply(basic.table[n])
+        if got != basic.table[n]:
+            yield {"n": n, "got": got.to_text()}
+
+
+def old_poisson_raising_route(ctx, lam, m_max):
+    lam = Fraction(lam)
+    out = []
+    for m in range(m_max + 1):
+        acc = Polynomial()
+        power = ONE  # R^k 1 / k!
+        for k in range(ctx.bound - m + 1):
+            acc = acc + power.scale((-lam) ** k)
+            if k < ctx.bound - m:
+                power = ctx.raiser.apply(power).scale(Fraction(1, k + 1))
+        vec = acc
+        for i in range(m):
+            vec = ctx.raiser.apply(vec)
+        out.append(vec.scale(lam**m / math.factorial(m)))
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
+class OldIndicatorResult:
+    coefficients: tuple
+    routes_agree: bool
+
+
+def old_indicator(t, q_op, truncation):
+    expansion = expand_in_dual_pair(t, q_op, multiplication_x(t.bound))
+    direct = tuple(expansion.coefficients[: truncation + 1])
+
+    phis = eigen_series(q_op, truncation)
+    t_phis = [t.apply(p) for p in phis]
+    inv = [ONE]
+    for r in range(1, truncation + 1):
+        acc = Polynomial()
+        for i in range(1, r + 1):
+            acc = acc + phis[i] * inv[r - i]
+        inv.append(-acc)
+    conjugated = []
+    for j in range(truncation + 1):
+        acc = Polynomial()
+        for i in range(j + 1):
+            acc = acc + inv[i] * t_phis[j - i]
+        conjugated.append(acc)
+    return OldIndicatorResult(direct, list(direct) == conjugated)
+
+
+@pytest.mark.parametrize("degree", [2, 5, 12])
+def test_mutator_search_matches_the_bracket_matrix(degree):
+    """The same witnesses in the same order, for the monomial and composite
+    basic tables, the shift, dual and a random raiser, and the graded and
+    literal qhat; the dual raiser and literal qhat fail on most families."""
+    rng = random.Random(degree)
+    for seq in conftest.family_roster(degree + 1):
+        monomial = basic_sequence(psi_derivative(seq, degree), seq, degree)
+        series = DeltaSeries.from_list(seq, [0, 1, 1], degree)
+        for basic in (monomial, basic_sequence_from_series(series, degree)):
+            raisers = (shift_raiser(basic), basic.raiser,
+                       harness._random_triangular_operator(rng, degree))
+            for raiser in raisers:
+                for qhat in (qhat_operator(basic), qhat_operator(basic, one=1)):
+                    got = list(mutator_failures(basic, raiser, qhat))
+                    assert got == list(old_mutator_failures(basic, raiser, qhat)), seq.label
+
+
+@pytest.mark.parametrize("degree", [2, 7, 12])
+def test_poisson_raising_route_matches_the_raiser_power_loop(degree):
+    for seq in conftest.family_roster(degree + 1):
+        ctx = StarContext.create(seq, degree)
+        for lam in (0, Fraction(1, 2), Fraction(-2, 3), 1):
+            for m_max in (0, degree // 2, degree):
+                got = poisson_raising_route(ctx, lam, m_max)
+                assert got == old_poisson_raising_route(ctx, lam, m_max), (seq.label, lam)
+
+
+@pytest.mark.parametrize("degree", [2, 8, 12])
+def test_indicator_is_the_old_verdict(degree):
+    """On the harness samples and random triangular operators, over the
+    family lowering and the forward difference, and with a wrong eigenseries,
+    whose verdicts fail."""
+    rng = random.Random(degree)
+    real = eigen_series
+
+    def wrong_eigen_series(q_op, truncation):
+        phis = real(q_op, truncation)
+        return phis[:1] + [p.scale(2) for p in phis[1:]]
+
+    for seq in conftest.family_roster(degree + 1):
+        d = psi_derivative(seq, degree)
+        samples = [
+            realize_delta_series(DeltaSeries.from_list(seq, [0, 1, 1], degree), degree),
+            xhat_psi(seq, degree).compose(d),
+            harness._random_triangular_operator(rng, degree),
+            harness._random_triangular_operator(rng, degree),
+        ]
+        for q_op in (d, forward_difference(degree)):
+            for t in samples:
+                for truncation in (0, min(8, degree)):
+                    want = old_indicator(t, q_op, truncation).routes_agree
+                    assert indicator(t, q_op, truncation) is want
+                with mock.patch.object(operators, "eigen_series", wrong_eigen_series), \
+                        mock.patch.dict(globals(), {"eigen_series": wrong_eigen_series}):
+                    want = old_indicator(t, q_op, degree).routes_agree
+                    assert indicator(t, q_op, degree) is want

@@ -113,8 +113,8 @@ def test_inner_product_frozen_values():
     # trivial prefactor: entries are monomials, pairing weight is n_psi!
     trivial = identity_sheffer(Q2, [1])
     # (x^2, x^2) = 2_q! = 1 * 3 = 3 at q = 2
-    assert inner_product(trivial, X**2, X**2) == Fraction(3)
-    assert inner_product(trivial, X, X**2) == 0
+    assert inner_product(trivial, Polynomial.monomial(2), Polynomial.monomial(2)) == Fraction(3)
+    assert inner_product(trivial, X, Polynomial.monomial(2)) == 0
     # classical, S = 1 + Q: (s_1, x) = [Q S x](0) via hand solve = 1
     sheffer = identity_sheffer(CLASSICAL, [1, 1])
     s1 = sheffer.table[1]
