@@ -11,7 +11,6 @@ from .errors import (
     BadModulusError,
     BadParameterError,
     BasisMismatchError,
-    ConstantTermError,
     DegenerateFamilyError,
     DegreeOverflowError,
     IndexOrderError,
@@ -41,7 +40,6 @@ from .operators import (
     indicator,
     jackson_operator,
     lowering_failures,
-    multiplication_operator,
     multiplication_x,
     nhat_diagonal,
     operator_polynomial,

@@ -56,7 +56,3 @@ class NotInvertibleError(UmbralError):
 
 class WrongFamilyError(UmbralError):
     """An operation is only defined for a specific coefficient family."""
-
-
-class ConstantTermError(UmbralError):
-    """Inverse raising requested on input with nonzero constant term."""

@@ -32,11 +32,11 @@ from .operators import (
     dilation,
     divided_difference,
     expand_in_dual_pair,
+    from_action,
     identity_operator,
     indicator,
     jackson_operator,
     lowering_failures,
-    multiplication_operator,
     multiplication_x,
     nhat_diagonal,
     operator_polynomial,
@@ -46,7 +46,6 @@ from .operators import (
     realize_psi_form,
     umbral_operator,
     xhat_psi,
-    zero_operator,
 )
 from .poly import ONE, Polynomial, SequenceTable
 from .psi import AdmissibleSequence, Q_DEFORMED
@@ -56,7 +55,6 @@ from .sequences import (
     basic_sequence,
     basic_sequence_from_series,
     closed_form_routes,
-    default_shift_samples,
     expansion_coordinates,
     generating_function_failures,
     inverse_reconstruction_failures,
@@ -360,16 +358,14 @@ def shared_leibnitz(degree, rng, out):
     failures = _pair_failures(rng, 5, half, degree - half, dd_product_rule)
     out.first_failure("divided-difference-product-rule", SHARED, failures)
 
-    # alternating series for the divided difference
-    d_powers = psi_derivative(AdmissibleSequence.classical(degree + 1), degree).powers(degree)
-    acc = zero_operator(degree)
-    for n in range(1, degree + 1):
-        front = multiplication_operator(
-            Polynomial.monomial(n - 1, Fraction((-1) ** (n + 1), math.factorial(n))),
-            degree,
-        )
-        acc = acc.add(front.compose(d_powers[n]))
-    out.exact("divided-difference-derivative-series", SHARED, acc.columns == d0.columns)
+    # alternating series sum_n (-1)^(n+1) x^(n-1) D^n / n! for the divided
+    # difference, applied to each monomial
+    d = psi_derivative(AdmissibleSequence.classical(degree + 1), degree)
+    fronts = [Polynomial.monomial(n - 1, Fraction((-1) ** (n + 1), math.factorial(n)))
+              for n in range(1, degree + 1)]
+    series = from_action(lambda p: sum(map(mul, fronts, d.orbit(p, degree)[1:]), Polynomial()),
+                         degree)
+    out.exact("divided-difference-derivative-series", SHARED, series.columns == d0.columns)
 
     # the factorization of the q lowering, for a weight family read off a series shape
     seq_r = AdmissibleSequence.r_series(_R_SHAPE, _R_Q, degree + 1)
@@ -425,7 +421,6 @@ def suite_binomial(seq, degree, rng, out):
     # checker accepts it. For that cell we demand the positive
     # certificate instead of a rejection.
     perturb_degree = min(degree, 8)
-    perturb_shifts = default_shift_samples(10)
     small_series = DeltaSeries.from_list(seq, [0, 1, 1], perturb_degree)
     small = basic_sequence_from_series(small_series, perturb_degree).table
 
@@ -440,7 +435,7 @@ def suite_binomial(seq, degree, rng, out):
                 entries[n] = Polynomial(coeffs)
                 ptable = SequenceTable(tuple(entries))
                 # only the verdict is read, so no witness is formed
-                passed = addition_rule_failure(ptable, ptable, seq, perturb_shifts) is None
+                passed = addition_rule_failure(ptable, ptable, seq) is None
                 if n == perturb_degree and j == 1:
                     ok = passed and _reparameterization_certificate(
                         seq, small_series, ptable, perturb_degree
@@ -603,7 +598,7 @@ def suite_spectral(seq, degree, rng, out):
     for label, sheffer in _sheffer_tables(seq, rng, degree, ("appell", "composite", "random")):
         result = spectral_operator(sheffer)
         failures = ({"n": n} for n in range(eigen_max + 1)
-                    if result.definitional.apply(sheffer[n]) != sheffer[n].scale(n))
+                    if result.definitional.apply(sheffer.table[n]) != sheffer.table[n].scale(n))
         out.first_failure(f"eigen-relation({label})", seq.label, failures)
         out.exact(f"conjugation-route({label})", seq.label, result.composition_agrees)
         divergence = result.printed_divergence

@@ -72,9 +72,6 @@ class OperatorMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, OperatorMatrix) and self.columns == other.columns
 
-    def __hash__(self) -> int:
-        return hash(self.columns)
-
     def apply(self, p: Polynomial) -> Polynomial:
         if p.degree > self.bound:
             raise DegreeOverflowError(
@@ -285,11 +282,6 @@ def realize_delta_series(s: DeltaSeries, bound: int) -> OperatorMatrix:
         return weighted_shift(-1, bound, lambda j: s.coefficient(1) * s.base.n_psi(j))
     columns = from_action(lambda p: apply_delta_series(s, p), bound).columns
     return SeriesOperator(columns, DeltaSeries.from_list(s.base, s.coeffs, bound))
-
-
-def multiplication_operator(p: Polynomial, bound: int) -> OperatorMatrix:
-    """Multiplication by a fixed polynomial, overflow truncated away."""
-    return from_action(lambda v: (p * v).truncate(bound), bound)
 
 
 def operator_polynomial(p: Polynomial, m: OperatorMatrix) -> OperatorMatrix:

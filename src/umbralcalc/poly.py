@@ -7,7 +7,8 @@ numerator. So the zero polynomial is `((), 1)` with degree -1 (the sentinel
 used throughout the package), and equal polynomials have equal `(nums, den)`.
 Arithmetic runs on the integers and divides out one gcd per result, not one
 per coefficient operation; `coeffs`, the coefficients as canonical Fractions,
-is built on first use. Loops skip zero numerators: the package's operators
+is built on first use. `*` multiplies two polynomials, and `scale` is the
+one product with a scalar. Loops skip zero numerators: the package's operators
 are mostly weighted shifts, so most entries they touch are zero. A family's
 n_psi! and 1 / n_psi! are two such integer tables over one lcm each, kept on
 the `psi.AdmissibleSequence`; every conversion between monomials and the
@@ -145,10 +146,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             return _product(self, other, len(self.nums) + len(other.nums))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        return NotImplemented
 
     def __call__(self, value) -> Fraction:
         value = fr(value)

@@ -36,8 +36,9 @@ CUSTOM = "custom"
 @dataclass(frozen=True)
 class AdmissibleSequence:
     """A validated family of generalized integers n_psi, n = 0..bound. Its
-    factorials and their reciprocals are also kept as integers over one lcm
-    each, which every monomial <-> e_j = x^j / j_psi! conversion reads."""
+    factorials n_psi! and their reciprocals are kept as integers over one lcm
+    each, which every monomial <-> e_j = x^j / j_psi! conversion reads;
+    `factorial` and `binomial` read n_psi! from the same table."""
 
     family: str
     label: str
@@ -145,11 +146,6 @@ class AdmissibleSequence:
         return self.values[n]
 
     @cached_property
-    def _factorials(self) -> tuple:
-        """n_psi!, n = 0..bound, as Fractions (built on first use)."""
-        return tuple([Fraction(n, d) for n, d in _running_products(self.values[1:])])
-
-    @cached_property
     def _factorial_table(self) -> Polynomial:
         """n_psi! = F[n] / F_den, n = 0..bound, as `nums` over `den`."""
         return _over_one_lcm(_running_products(self.values[1:]))
@@ -169,7 +165,7 @@ class AdmissibleSequence:
             raise UndefinedIndexError(
                 f"{self.label}: factorial index {n} outside 0..{self.bound}"
             )
-        return self._factorials[n]
+        return self._factorial_table.coeffs[n]
 
     def binomial(self, n: int, k: int) -> Fraction:
         if k < 0 or k > n:
@@ -179,7 +175,7 @@ class AdmissibleSequence:
         self.n_psi(n)
         row = self._binomials.get(n)
         if row is None:
-            t = self._factorials
+            t = self._factorial_table.coeffs
             row = self._binomials[n] = tuple([t[n] / (t[j] * t[n - j]) for j in range(n + 1)])
         return row[k]
 

@@ -67,9 +67,6 @@ class BasicSequence:
         table is not basic for `q_op`."""
         return dual_operator(self.q_op, self.table, self.seq)
 
-    def __getitem__(self, n: int) -> Polynomial:
-        return self.table[n]
-
 
 @dataclass(frozen=True)
 class ShefferSequence:
@@ -86,9 +83,6 @@ class ShefferSequence:
     @property
     def q_op(self) -> OperatorMatrix:
         return self.basic.q_op
-
-    def __getitem__(self, n: int) -> Polynomial:
-        return self.table[n]
 
 
 def basic_sequence(q_op: OperatorMatrix, seq: AdmissibleSequence, bound: int) -> BasicSequence:

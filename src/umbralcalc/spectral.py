@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from .errors import BadParameterError, ConstantTermError, WrongFamilyError
+from .errors import BadParameterError, WrongFamilyError
 from .operators import (
     OperatorMatrix,
     apply_delta_series,
@@ -30,10 +30,11 @@ from .operators import (
     multiplication_x,
     operator_polynomial,
     umbral_operator,
+    weighted_shift,
     xhat_psi,
     zero_operator,
 )
-from .poly import ONE, Polynomial, SequenceTable, _diagonal, _shift_down, coordinates_in_table
+from .poly import ONE, Polynomial, SequenceTable, _diagonal, coordinates_in_table
 from .psi import AdmissibleSequence, Q_DEFORMED
 from .sequences import (
     BasicSequence,
@@ -71,7 +72,7 @@ def orthogonality_failures(sheffer: ShefferSequence, kmax: int):
 
     def search():
         # entry k has coordinates e_k in its own table, so <s_k, s_n> = rows[n][k]
-        rows = [_pairing_row(sheffer, sheffer[n], kmax + 1) for n in range(kmax + 1)]
+        rows = [_pairing_row(sheffer, sheffer.table[n], kmax + 1) for n in range(kmax + 1)]
         for k in range(kmax + 1):
             for n in range(kmax + 1):
                 expected = sheffer.seq.factorial(n) if n == k else Fraction(0)
@@ -93,17 +94,6 @@ def gram_failures(sheffer: ShefferSequence, rng, samples: int):
         value = inner_product(sheffer, f, f)
         if value <= 0:
             yield {"f": f.to_text(), "value": str(value)}
-
-
-# -- inverse raising ----------------------------------------------------------
-
-
-def xhat_psi_inverse(seq: AdmissibleSequence, p: Polynomial) -> Polynomial:
-    """Undo the dual raising; defined only on zero-constant-term input."""
-    if p.constant_term != 0:
-        raise ConstantTermError("inverse raising needs a zero constant term")
-    weights = [0] + [seq.n_psi(j) / j for j in range(1, len(p.nums))]
-    return _shift_down(_diagonal(p, Polynomial(weights)), 1)
 
 
 # -- spectral operator ---------------------------------------------------------
@@ -151,9 +141,12 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
     log_prime = sheffer.s_series.formal_derivative().multiply(s_inv)
     # the constant term of log_prime(Q) p is sum_j c_j p_j j_psi!
     weights = _diagonal(log_prime.polynomial, seq._factorial_table)
+    # undoes the dual raising x^(j-1) -> (j / j_psi) x^j on the entries k >= 1,
+    # which have no constant term
+    unraise = weighted_shift(-1, bound, lambda j: seq.n_psi(j) / j)
     term_polys = [Polynomial()]
     for k in range(1, bound + 1):
-        lowered = xhat_psi_inverse(seq, basic.table[k])
+        lowered = unraise.apply(basic.table[k])
         u_k = -Fraction(sum(map(mul, weights.nums, lowered.nums)), weights.den * lowered.den)
         slope = basic.table[k].derivative().constant_term
         nu = Polynomial([0, slope / seq.n_psi(1)])  # x times slope over 1_psi

@@ -24,7 +24,6 @@ from umbralcalc import (
     identity_operator,
     indicator,
     jackson_operator,
-    multiplication_operator,
     multiplication_x,
     operator_polynomial,
     orthogonality_failures,
@@ -46,6 +45,7 @@ from umbralcalc import (
     xhat_psi,
     zero_operator,
 )
+from umbralcalc.operators import weighted_shift
 from umbralcalc.poly import ONE
 from umbralcalc.psi import Q_DEFORMED
 from umbralcalc.sequences import default_shift_samples
@@ -416,10 +416,8 @@ def test_criterion_11_right_inverses(families, degree):
     d_power = identity_operator(degree)
     for n in range(1, degree + 1):
         d_power = d_cl.compose(d_power)
-        front = multiplication_operator(
-            Polynomial.monomial(n - 1, Fraction((-1) ** (n + 1), math.factorial(n))),
-            degree,
-        )
+        c = Fraction((-1) ** (n + 1), math.factorial(n))
+        front = weighted_shift(n - 1, degree, lambda j: c)  # c x^(n-1) times, truncated
         acc = acc.add(front.compose(d_power))
     ok = ok and acc.columns == divided_difference(degree).columns
     _conclude(11, ok)

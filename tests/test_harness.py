@@ -3,6 +3,7 @@ the exit-status policy, and a handful of frozen verdicts."""
 
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -38,9 +39,22 @@ from umbralcalc.harness import (
     _random_polynomial,
     _reparameterization_certificate,
 )
-from umbralcalc.operators import detect_psi_form, psi_derivative, realize_psi_form, umbral_operator
+from umbralcalc.operators import (
+    detect_psi_form,
+    divided_difference,
+    from_action,
+    psi_derivative,
+    realize_psi_form,
+    umbral_operator,
+    weighted_shift,
+    zero_operator,
+)
 from umbralcalc.poly import SequenceTable
-from umbralcalc.sequences import basic_sequence_from_series
+from umbralcalc.sequences import (
+    addition_rule_failure,
+    basic_sequence_from_series,
+    default_shift_samples,
+)
 from umbralcalc.series import DeltaSeries
 import conftest
 
@@ -551,16 +565,17 @@ def test_a_kernel_fault_in_one_family_keeps_the_verdicts_of_the_others():
 
 
 def test_a_kernel_fault_in_family_free_checks_keeps_every_family_verdict():
-    """`leibnitz` builds multiplication operators only for its family-free
-    divided-difference series: a fault there is one `shared` kernel fault,
-    and every family's records are those of the unmutated run."""
+    """`leibnitz` builds an operator from its action only for its
+    family-free divided-difference series: a fault there is one `shared`
+    kernel fault, and every family's records are those of the unmutated
+    run."""
     roster = conftest.family_roster(9)
     clean = run_suites(["leibnitz"], roster, 8)
 
-    def wrong(p, bound):
+    def wrong(action, bound):
         raise BasisMismatchError("injected fault")
 
-    with mock.patch.object(harness, "multiplication_operator", wrong):
+    with mock.patch.object(harness, "from_action", wrong):
         reports = run_suites(["leibnitz"], roster, 8)
     faults = [r for r in reports if r.identity_id == "kernel-fault"]
     assert [(r.family, r.failed, r.asserted) for r in faults] == [(SHARED, True, True)]
@@ -568,6 +583,56 @@ def test_a_kernel_fault_in_family_free_checks_keeps_every_family_verdict():
     for seq in roster:
         got = [r for r in reports if r.family == seq.label]
         assert got and got == [r for r in clean if r.family == seq.label]
+
+
+def old_alternating_series(d, degree):
+    """The divided-difference series as `shared_leibnitz` built it before it
+    was applied per monomial, verbatim except that D is an argument and
+    `multiplication_operator` is inlined: a ladder of powers of D and one
+    multiplication matrix per term, summed from the zero operator."""
+
+    def multiplication_operator(p, bound):
+        return from_action(lambda v: (p * v).truncate(bound), bound)
+
+    d_powers = d.powers(degree)
+    acc = zero_operator(degree)
+    for n in range(1, degree + 1):
+        front = multiplication_operator(
+            Polynomial.monomial(n - 1, Fraction((-1) ** (n + 1), math.factorial(n))),
+            degree,
+        )
+        acc = acc.add(front.compose(d_powers[n]))
+    return acc
+
+
+def derivative_series_holds(degree) -> bool:
+    reports = run_suites(["leibnitz"], [], degree)
+    [record] = [r for r in reports if r.identity_id == "divided-difference-derivative-series"]
+    return not record.failed
+
+
+@pytest.mark.parametrize("degree", range(2, 13))
+def test_derivative_series_verdict_is_the_old_ladder_sum(degree):
+    """With the weight of D doubled at any one column, the per-monomial
+    series and the old ladder of multiplication matrices give one verdict."""
+    d0 = divided_difference(degree)
+    for k in range(1, degree + 1):
+
+        def wrong(seq, bound, k=k):
+            w = psi_derivative(seq, bound).weights
+            return weighted_shift(-1, bound, lambda j: 2 * w[j] if j == k else w[j])
+
+        with mock.patch.object(harness, "psi_derivative", wrong):
+            got = derivative_series_holds(degree)
+        d = wrong(AdmissibleSequence.classical(degree + 1), degree)
+        assert got == (old_alternating_series(d, degree) == d0), k
+
+
+@pytest.mark.parametrize("degree", range(2, 25))
+def test_derivative_series_holds_as_the_old_ladder_sum(degree):
+    d = psi_derivative(AdmissibleSequence.classical(degree + 1), degree)
+    assert old_alternating_series(d, degree) == divided_difference(degree)
+    assert derivative_series_holds(degree)
 
 
 # -- reparameterization certificate ----------------------------------------------
@@ -605,6 +670,22 @@ def perturbed_tables(table):
             entries = list(table)
             entries[n] = Polynomial(coeffs)
             yield (n, j), SequenceTable(tuple(entries))
+
+
+@pytest.mark.parametrize("degree", range(2, 9))
+def test_perturbation_verdicts_on_the_default_samples_are_those_on_ten(degree):
+    """`perturbation-rejection` reads the addition rule on its default
+    samples; on every single-coefficient perturbation of the roster's
+    composite tables the verdict is the one on `default_shift_samples(10)`,
+    a longer list below degree 8."""
+    ten = default_shift_samples(10)
+    for seq in conftest.family_roster(degree + 1):
+        series = DeltaSeries.from_list(seq, [0, 1, 1], degree)
+        small = basic_sequence_from_series(series, degree).table
+        for cell, table in perturbed_tables(small):
+            default = addition_rule_failure(table, table, seq) is None
+            assert default == (addition_rule_failure(table, table, seq, ten) is None), (
+                seq.label, cell)
 
 
 nonzero_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(

@@ -157,7 +157,6 @@ from umbralcalc.operators import (
     identity_operator,
     jackson_operator,
     lowering_failures,
-    multiplication_operator,
     indicator,
     multiplication_x,
     nhat_diagonal,
@@ -181,6 +180,7 @@ from umbralcalc.poly import (
     _convolve,
     _diagonal,
     _product,
+    _running_products,
     _shift_down,
     coordinates_in_table,
     fr,
@@ -210,7 +210,6 @@ from umbralcalc.spectral import (
     shift_raiser,
     spectral_operator,
     transport_pincherle_window,
-    xhat_psi_inverse,
 )
 from umbralcalc.star import StarContext, poisson_raising_route
 
@@ -260,10 +259,25 @@ def old_diagonal(p: Polynomial, weights) -> Polynomial:
     return _canonical(out, p.den * den)
 
 
+def old_factorials(seq) -> tuple:
+    """The Fraction table `seq._factorials` that `factorial` and `binomial`
+    read before the integer table, verbatim except for its name: n_psi!,
+    n = 0..bound."""
+    return tuple([Fraction(n, d) for n, d in _running_products(seq.values[1:])])
+
+
 def inverse_factorials(seq) -> tuple:
     """The Fraction table `seq._inverse_factorials` that the integer tables
     replaced: t[n] = 1 / n_psi!, n = 0..bound."""
-    return tuple([1 / f for f in seq._factorials])
+    return tuple([1 / f for f in old_factorials(seq)])
+
+
+def old_xhat_psi_inverse(seq, p):
+    """`spectral.xhat_psi_inverse`, the inverse raising that the weighted
+    shift replaced, verbatim except that its guard asserts."""
+    assert p.constant_term == 0, "inverse raising needs a zero constant term"
+    weights = [0] + [seq.n_psi(j) / j for j in range(1, len(p.nums))]
+    return _shift_down(_diagonal(p, Polynomial(weights)), 1)
 
 
 def old_apply(self, p):
@@ -367,7 +381,6 @@ def test_polynomial_arithmetic_matches_old_kernel(p, q, low, c):
     same(p - q, old_sub(p, q))
     same(p.scale(c), old_scale(p, c))
     same(p * q, old_mul(p, q))
-    same(p * c, old_scale(p, c))
     # cancellations that must trim the top coefficient
     low = low.truncate(p.degree - 1)
     cancel = old_add(old_neg(p), low)
@@ -644,7 +657,7 @@ def old_orthogonality_report(sheffer, kmax=None):
     seq = sheffer.seq
     for k in range(kmax + 1):
         for n in range(kmax + 1):
-            value = old_inner_product(sheffer, sheffer[k], sheffer[n])
+            value = old_inner_product(sheffer, sheffer.table[k], sheffer.table[n])
             expected = seq.factorial(n) if n == k else Fraction(0)
             if value != expected:
                 return {
@@ -662,7 +675,7 @@ def old_printed_divergence(sheffer, u_values):
     definitional = spectral_operator(sheffer).definitional
     expansion = expand_in_dual_pair(definitional, sheffer.q_op, multiplication_x(bound))
     terms = [Polynomial()] + [
-        Polynomial([u_k, basic[k].derivative().constant_term / seq.n_psi(1)]).scale(
+        Polynomial([u_k, basic.table[k].derivative().constant_term / seq.n_psi(1)]).scale(
             1 / seq.factorial(k - 1))
         for k, u_k in enumerate(u_values, 1)
     ]
@@ -731,14 +744,14 @@ def test_sheffer_tables_and_pairings_match_old_realisation(case):
     s_at_degree = DeltaSeries.from_list(sheffer.seq, s.coeffs, degree)
     moved = [apply_delta_series(s_at_degree.multiplicative_inverse(), p) for p in sheffer.table]
     for n in range(degree + 1):
-        same(sheffer[n], s_inv_op.apply(sheffer.basic[n]))
-        same(moved[n], s_inv_op.apply(sheffer[n]))
+        same(sheffer.table[n], s_inv_op.apply(sheffer.basic.table[n]))
+        same(moved[n], s_inv_op.apply(sheffer.table[n]))
 
     log_prime = old_series_derivative(old_series_log_reduced(s.coeffs, degree), degree)
     log_prime_op = old_realize_delta_series(
         DeltaSeries.from_list(seq, log_prime, len(log_prime) - 1), degree
     )
-    u_values = [-log_prime_op.apply(xhat_psi_inverse(seq, sheffer.basic[k])).constant_term
+    u_values = [-log_prime_op.apply(old_xhat_psi_inverse(seq, sheffer.basic.table[k])).constant_term
                 for k in range(1, degree + 1)]
     want = old_printed_divergence(sheffer, u_values)
     assert spectral_operator(sheffer).printed_divergence == want
@@ -872,13 +885,6 @@ def old_generalized_shift_operator(seq, y, bound):
         for k in range(j + 1):
             coeffs[j - k] = seq.binomial(j, k) * y**k
         cols.append(Polynomial(coeffs))
-    return OperatorMatrix(tuple(cols))
-
-
-def old_multiplication_operator(p, bound):
-    cols = []
-    for j in range(bound + 1):
-        cols.append((p * Polynomial.monomial(j)).truncate(bound))
     return OperatorMatrix(tuple(cols))
 
 
@@ -1028,7 +1034,6 @@ def test_operators_from_their_action_match_old_column_loops(case):
         (divided_difference, old_divided_difference, (bound,)),
         (forward_difference, old_forward_difference, (bound,)),
         (identity_operator, old_identity_operator, (bound,)),
-        (multiplication_operator, old_multiplication_operator, (p, bound)),
         (operator_polynomial, old_operator_polynomial, (p, m)),
         (operator_polynomial, old_operator_polynomial, (f, old_psi_derivative(seq, seq.bound))),
         (umbral_operator, old_umbral_operator, (source, images)),
@@ -2022,7 +2027,7 @@ def old_divided_addition_rule(table, partner, seq, y_values, failure, success):
     ys = default_shift_samples(table.bound + 2) if y_values is None else y_values
 
     def divided(p: Polynomial, n: int) -> Polynomial:
-        return old_diagonal(p, seq._factorials).scale(inverse_factorials(seq)[n])
+        return old_diagonal(p, old_factorials(seq)).scale(inverse_factorials(seq)[n])
 
     t, u = [], []
     for n in range(table.bound + 1):
@@ -2212,7 +2217,7 @@ def old_converting_addition_rule(table, partner, seq, y_values, failure, success
     ys = default_shift_samples(table.bound + 2) if y_values is None else list(y_values)
 
     def divided(p: Polynomial, n: int) -> Polynomial:
-        return old_diagonal(p, seq._factorials).scale(inverse_factorials(seq)[n])
+        return old_diagonal(p, old_factorials(seq)).scale(inverse_factorials(seq)[n])
 
     t, u = [], []
     chained = True  # every degree below n holds
@@ -2710,21 +2715,21 @@ def old_table_apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
     seq = s.base
     if p.degree > seq.bound:  # the first nonzero coefficient past the family raises
         seq.factorial(next(j for j in range(seq.bound + 1, len(p.nums)) if p.nums[j]))
-    scaled = old_diagonal(p, seq._factorials)
+    scaled = old_diagonal(p, old_factorials(seq))
     out = _canonical(_convolve(s.polynomial.nums, scaled.nums), scaled.den * s.polynomial.den)
     return old_diagonal(out, inverse_factorials(seq))
 
 
 def old_table_of_rows(seq: AdmissibleSequence, rows: list) -> SequenceTable:
     entries = [old_diagonal(t, inverse_factorials(seq)).scale(f)
-               for t, f in zip(rows, seq._factorials)]
+               for t, f in zip(rows, old_factorials(seq))]
     table = SequenceTable(tuple(entries))
     object.__setattr__(table, "divided", (seq, tuple(rows)))
     return table
 
 
 def old_entry_row(p: Polynomial, n: int, seq: AdmissibleSequence) -> Polynomial:
-    return old_diagonal(p, seq._factorials).scale(inverse_factorials(seq)[n])
+    return old_diagonal(p, old_factorials(seq)).scale(inverse_factorials(seq)[n])
 
 
 def recorded_reads():
@@ -2760,7 +2765,7 @@ def old_table_addition_rule_failure(table, partner, seq, y_values=None):
         """n -> entry n over n_psi! in the e_j of `seq`."""
         if tab.divided is not None and tab.divided[0] is seq:
             return tab.divided[1].__getitem__
-        return lambda n: old_diagonal(tab[n], seq._factorials).scale(inverse_factorials(seq)[n])
+        return lambda n: old_diagonal(tab[n], old_factorials(seq)).scale(inverse_factorials(seq)[n])
 
     row_t = rows(table)
     row_u = row_t if partner is table else rows(partner)
@@ -2789,10 +2794,10 @@ def old_u_values(sheffer) -> tuple:
     s_inv = sheffer.s_series.multiplicative_inverse()
     log_prime = sheffer.s_series.formal_derivative().multiply(s_inv)
     # the constant term of log_prime(Q) p is sum_j c_j p_j j_psi!
-    weights = old_diagonal(log_prime.polynomial, seq._factorials)
+    weights = old_diagonal(log_prime.polynomial, old_factorials(seq))
     u_values = []
     for k in range(1, bound + 1):
-        lowered = xhat_psi_inverse(seq, basic.table[k])
+        lowered = old_xhat_psi_inverse(seq, basic.table[k])
         u_k = -Fraction(sum(map(mul, weights.nums, lowered.nums)), weights.den * lowered.den)
         u_values.append(u_k)
     return tuple(u_values)
@@ -2805,8 +2810,26 @@ def test_factorial_tables_are_the_fraction_tables():
         f, g = seq._factorial_table, seq._inverse_factorial_table
         canonical(f)
         canonical(g)
-        assert f.coeffs == seq._factorials == tuple([1 / v for v in inverse_factorials(seq)])
+        assert f.coeffs == old_factorials(seq) == tuple([1 / v for v in inverse_factorials(seq)])
         assert g.coeffs == inverse_factorials(seq)
+
+
+def test_factorial_and_binomial_are_the_old_fraction_values():
+    """`factorial` and `binomial` read n_psi! from the integer table and
+    give the Fractions of the table they replaced, up to bound 24."""
+    families = conftest.family_roster(24) + [
+        AdmissibleSequence.r_series([2, -2], Fraction(1, 3), 24),
+        AdmissibleSequence.recurrence([2, 1], [1, -1], 24),
+        AdmissibleSequence.custom([Fraction(-3, 2), 4, Fraction(5, 6), -1] * 6, 24),
+    ]
+    for seq in families:
+        t = old_factorials(seq)
+        for n in range(seq.bound + 1):
+            f = seq.factorial(n)
+            assert type(f) is Fraction and f == t[n], (seq.label, n)
+            for k in range(n + 1):
+                b = seq.binomial(n, k)
+                assert type(b) is Fraction and b == t[n] / (t[k] * t[n - k]), (seq.label, n, k)
 
 
 @st.composite

@@ -360,6 +360,16 @@ def test_a_raised_power_column_fails_the_sandwich_and_step_records():
     assert not {ident for ident in flipped if "n=1" in ident}
 
 
+def test_the_derivative_series_is_failed_by_both_doubled_lowerings():
+    """The family-free divided-difference series builds no power ladder, so
+    `raised-power-column` cannot reach it; a doubled weight in the classical
+    lowering it expands in, or in the divided difference it must equal,
+    fails it."""
+    for label in ("doubled-lowering-weight", "doubled-divided-difference-weight"):
+        failed = asserted_failures(census(label))
+        assert "leibnitz/divided-difference-derivative-series" in failed, label
+
+
 def test_verify_exits_1_under_a_wrong_coordinate(capsys):
     with mutated("wrong-coordinate"):
         status = cli.main(["verify", "--degree", str(DEGREE), "--format", "json"])

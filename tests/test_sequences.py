@@ -68,13 +68,13 @@ def exp_series(seq, order):
 def test_basic_of_forward_difference_is_falling_factorials():
     basic = basic_sequence(forward_difference(N), CLASSICAL, N)
     for n in range(N + 1):
-        assert basic[n] == falling_factorial_poly(n)
+        assert basic.table[n] == falling_factorial_poly(n)
 
 
 def test_basic_of_derivative_is_monomials():
     basic = basic_sequence(psi_derivative(Q2, N), Q2, N)
     for n in range(N + 1):
-        assert basic[n] == Polynomial.monomial(n)
+        assert basic.table[n] == Polynomial.monomial(n)
 
 
 def test_graded_ladder_keeps_its_error_types():
@@ -119,12 +119,12 @@ def test_hermite_like_cross_check():
     basic = basic_sequence_from_series(q, N)
     op = realize_delta_series(q, N)
     for n in range(1, N + 1):
-        assert op.apply(basic[n]) == basic[n - 1].scale(n)
-        assert basic[n].constant_term == 0
+        assert op.apply(basic.table[n]) == basic.table[n - 1].scale(n)
+        assert basic.table[n].constant_term == 0
     report = verify_binomial_type(basic.table, CLASSICAL)
     assert report.passed, report.witness
     # degree-2 entry solved by hand: (D - D^2)(x^2 + 2x) = 2x + 2 - 2 = 2 p_1
-    assert basic[2] == Polynomial([0, 2, 1])
+    assert basic.table[2] == Polynomial([0, 2, 1])
 
 
 def test_closed_form_routes_match_solve():
@@ -142,7 +142,7 @@ def test_classical_sheffer_shifted_monomials():
     q = DeltaSeries.from_list(CLASSICAL, [0, 1], N)
     sheffer = sheffer_sequence(q, exp_series(CLASSICAL, N), N)
     for n in range(N + 1):
-        assert sheffer[n] == Polynomial.monomial(n).compose(Polynomial([-1, 1]))
+        assert sheffer.table[n] == Polynomial.monomial(n).compose(Polynomial([-1, 1]))
     assert next(lowering_failures(sheffer.q_op, sheffer.table, CLASSICAL), None) is None
     assert verify_sheffer_binomial(sheffer).passed
     assert next(inverse_reconstruction_failures(sheffer), None) is None
@@ -354,7 +354,7 @@ def test_sheffer_reads_a_short_prefactor_at_the_bound():
     q = DeltaSeries.from_list(classical, [0, 1], 1)
     s = DeltaSeries.from_list(classical, [1, 1], 1)
     sheffer = sheffer_sequence(q, s, 4)
-    assert sheffer[2] == Polynomial([2, -2, 1])
+    assert sheffer.table[2] == Polynomial([2, -2, 1])
     assert next(orthogonality_failures(sheffer, 4), None) is None
     basic = sheffer_sequence(q, DeltaSeries.from_list(classical, [1], 0), 4)
     s_inv = DeltaSeries.from_list(classical, s.coeffs, 4).multiplicative_inverse()
@@ -366,7 +366,7 @@ def test_appell_sequence_lowers_with_derivative():
     appell = appell_sequence(s, N)
     op = psi_derivative(Q2, N)
     for n in range(1, N + 1):
-        assert op.apply(appell[n]) == appell[n - 1].scale(Q2.n_psi(n))
+        assert op.apply(appell.table[n]) == appell.table[n - 1].scale(Q2.n_psi(n))
 
 
 # -- addition rule: bivariate identity against the sampled loops ----------------

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from umbralcalc.errors import (
     BadParameterError,
     BasisMismatchError,
-    ConstantTermError,
     NotInvertibleError,
     SingularOperatorError,
     UmbralError,
@@ -67,7 +66,6 @@ from umbralcalc.spectral import (
     umbral_operator,
     conjugation_transport_failures,
     transport_pincherle_window,
-    xhat_psi_inverse,
 )
 
 N = 8
@@ -194,19 +192,6 @@ def test_gram_draws_nothing_after_its_first_witness():
     witness = next(gram_failures(sheffer, random.Random(1), 5))
     f = parse_polynomial(witness["f"])
     assert Fraction(witness["value"]) == inner_product(sheffer, f, f) <= 0
-
-
-# -- inverse raising ----------------------------------------------------------
-
-
-def test_xhat_inverse_round_trip():
-    for seq in (CLASSICAL, Q2, FIB, HYP):
-        raiser = xhat_psi(seq, N)
-        for n in range(N - 1):
-            p = Polynomial([0] * n + [Fraction(5, 3)])
-            assert xhat_psi_inverse(seq, raiser.apply(p)) == p
-    with pytest.raises(ConstantTermError):
-        xhat_psi_inverse(CLASSICAL, ONE)
 
 
 # -- spectral operator ---------------------------------------------------------
