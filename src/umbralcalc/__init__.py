@@ -45,7 +45,7 @@ from .operators import (
     operator_polynomial,
     psi_derivative,
     realize_delta_series,
-    realize_psi_form,
+    table_conjugate,
     umbral_operator,
     xhat_psi,
     zero_operator,

@@ -102,11 +102,11 @@ def _get(obj: dict, key: str, kind, default, where: str = "config", parse=None):
 
 
 def _parsed(value, parse, key: str, where: str):
-    """parse(value), with a bad value's error naming its key."""
+    """parse(value), a refused value's error keeping its type and naming its key."""
     try:
         return parse(value)
-    except BadParameterError as exc:
-        raise BadParameterError(f"{where} key {key!r}: {exc}") from None
+    except UmbralError as exc:
+        raise type(exc)(f"{where} key {key!r}: {exc}") from None
 
 
 def _int(obj: dict, key: str, default, lo: int, hi: int, where: str = "config"):
@@ -126,6 +126,11 @@ def _rationals(obj: dict, key: str, default, where: str = "config"):
 
 def _polynomial(obj: dict, key: str, default, where: str = "config"):
     return _get(obj, key, str, default, where, parse_polynomial)
+
+
+def _series(coeffs, seq, degree: int, key: str, require, where: str = "config") -> DeltaSeries:
+    """The series of `coeffs` at the degree; a refusal by `require` names `key`."""
+    return _parsed(DeltaSeries.from_list(seq, coeffs, degree), require, key, where)
 
 
 def _operator(obj: dict, key: str, default, seq: AdmissibleSequence, degree: int):
@@ -151,8 +156,8 @@ def _builtin_operator(name: str, arg, seq: AdmissibleSequence, degree: int,
     if name in ("jackson", "dilation"):
         if arg is None:
             raise BadParameterError(f"{name}(q) needs its argument q")
-        q = _parsed(arg, fr, name, where)
-        return jackson_operator(q, degree) if name == "jackson" else dilation(q, degree)
+        build = jackson_operator if name == "jackson" else dilation
+        return _parsed(arg, lambda text: build(fr(text), degree), name, where)
 
     builtins = {
         "psi_derivative": lambda: psi_derivative(seq, degree),
@@ -190,8 +195,8 @@ def resolve_operator(literal, seq: AdmissibleSequence, degree: int,
         coeffs = _rationals(literal, "series", None, where)
         if coeffs is not None:
             base = _family(literal, degree, where) if "family" in literal else seq
-            series = DeltaSeries.from_list(base, coeffs, degree)
-            return realize_delta_series(series.require_delta(), degree)
+            series = _series(coeffs, base, degree, "series", DeltaSeries.require_delta, where)
+            return realize_delta_series(series, degree)
     raise BadParameterError(f"bad operator literal {literal!r}")
 
 
@@ -214,12 +219,12 @@ def cmd_sequence(args, config: dict) -> int:
     seq = _family(config, degree)
     q_coeffs = _rationals(config, "series", [0, 1])
     s_coeffs = _rationals(config, "prefactor", None)
-    q_series = DeltaSeries.from_list(seq, q_coeffs, degree)
+    q_series = _series(q_coeffs, seq, degree, "series", DeltaSeries.require_delta)
     if s_coeffs is None:
         table = basic_sequence_from_series(q_series, degree).table
         kind = "basic"
     else:
-        s_series = DeltaSeries.from_list(seq, s_coeffs, degree)
+        s_series = _series(s_coeffs, seq, degree, "prefactor", DeltaSeries.require_invertible)
         table = sheffer_sequence(q_series, s_series, degree).table
         kind = "prefactored"
     lines = [f"family: {seq.label}", f"kind: {kind}", f"N: {degree}"]
@@ -340,7 +345,8 @@ def cmd_integrate(args, config: dict) -> int:
     if kind == "psi":
         op = IntegralOperator.psi_integral(seq, degree)
     elif kind == "q":
-        op = IntegralOperator.q_integral(_rational(config, "q", _REQUIRED), degree)
+        op = _get(config, "q", (int, str), _REQUIRED,
+                  parse=lambda q: IntegralOperator.q_integral(fr(q), degree))
     elif kind == "r":
         coeffs = _rationals(config, "coefficients", _REQUIRED)
         op = IntegralOperator.r_integral(coeffs, _rational(config, "q", _REQUIRED), degree)
@@ -417,8 +423,10 @@ def cmd_spectral(args, config: dict) -> int:
     degree = args.degree
     seq = _family(config, degree)
     kmax = _int(config, "kmax", degree, 0, degree)
-    q_series = DeltaSeries.from_list(seq, _rationals(config, "series", [0, 1]), degree)
-    s_series = DeltaSeries.from_list(seq, _rationals(config, "prefactor", [1, 1]), degree)
+    q_coeffs = _rationals(config, "series", [0, 1])
+    s_coeffs = _rationals(config, "prefactor", [1, 1])
+    q_series = _series(q_coeffs, seq, degree, "series", DeltaSeries.require_delta)
+    s_series = _series(s_coeffs, seq, degree, "prefactor", DeltaSeries.require_invertible)
     sheffer = sheffer_sequence(q_series, s_series, degree)
     orth_ok = next(orthogonality_failures(sheffer, kmax), None) is None
     result = spectral_operator(sheffer)

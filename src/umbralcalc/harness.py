@@ -43,8 +43,7 @@ from .operators import (
     operator_polynomial_applied,
     psi_derivative,
     realize_delta_series,
-    realize_psi_form,
-    umbral_operator,
+    table_conjugate,
     xhat_psi,
 )
 from .poly import ONE, Polynomial, SequenceTable
@@ -273,7 +272,7 @@ def _round_trip(op: OperatorMatrix, candidate: tuple):
     if (
         result.consistent
         and result.candidate == candidate
-        and realize_psi_form(result, op.bound).columns == op.columns
+        and realize_delta_series(result.series, op.bound).columns == op.columns
     ):
         return result
     return None
@@ -285,8 +284,8 @@ def _reparameterization_certificate(seq, q_series, table, bound: int) -> bool:
     the table, which sends entry n to n_psi times entry n - 1, must detect as
     a consistent graded series over the same family weights, realize back to
     itself, and match q_series below the top."""
-    lowered = [Polynomial()] + [table[n - 1].scale(seq.n_psi(n)) for n in range(1, bound + 1)]
-    result = _round_trip(umbral_operator(table, lowered), seq.values[1 : bound + 1])
+    induced = table_conjugate(table, psi_derivative(seq, bound))
+    result = _round_trip(induced, seq.values[1 : bound + 1])
     if result is None:
         return False
     got = result.series.coeffs
@@ -383,10 +382,10 @@ def suite_leibnitz(seq, degree, rng, out):
     if seq.family != Q_DEFORMED:
         return
     q = q_parameter(seq)
-    jq = jackson_operator(q, degree)
+    jq, dq = jackson_operator(q, degree), dilation(q, degree)
 
     def q_product_rule(f, g):
-        return jq.apply(f * g) == jq.apply(f) * g + f.dilate(q) * jq.apply(g)
+        return jq.apply(f * g) == jq.apply(f) * g + dq.apply(f) * jq.apply(g)
 
     half = degree // 2
     failures = _pair_failures(rng, 5, half, degree - half, q_product_rule)
@@ -394,7 +393,7 @@ def suite_leibnitz(seq, degree, rng, out):
 
     # the q lowering is a dilation polynomial times the divided difference
     shape = Polynomial([1 / (1 - q), -1 / (1 - q)])
-    diag = operator_polynomial(shape, dilation(q, degree).scale(q))
+    diag = operator_polynomial(shape, dq.scale(q))
     out.exact("q-scale-factor", seq.label, diag.compose(d0).columns == jq.columns)
 
 
@@ -524,7 +523,7 @@ def suite_detect(seq, degree, rng, out):
         series = _random_series(seq, rng, degree, [0, 1] if unit else [0, _nonzero(rng)])
         op = realize_delta_series(series, degree)
         result = detect_psi_form(op)
-        ok = result.consistent and realize_psi_form(result, degree).columns == op.columns
+        ok = result.consistent and realize_delta_series(result.series, degree).columns == op.columns
         if unit:
             ok = (
                 ok

@@ -2,6 +2,10 @@
 
 Each integral kind holds the one difference operator it pairs with, its
 `partner`; the pairing is part of the contract and verified, not assumed.
+The integral's weights are its own, not read off the partner: they are the
+independent route the pairing checks. Weights read off the partner would
+follow a doubled weight in the family lowering or the Jackson derivative,
+and `graded-right-inverse` and `q-right-inverse` could no longer fail.
 """
 
 from __future__ import annotations

@@ -169,8 +169,8 @@ def weighted_shift(step: int, bound: int, weight) -> WeightedShift:
     return WeightedShift(tuple(columns), step, weights)
 
 
-def identity_operator(bound: int) -> OperatorMatrix:
-    return from_action(lambda p: p, bound)
+def identity_operator(bound: int) -> WeightedShift:
+    return weighted_shift(0, bound, lambda j: 1)
 
 
 def zero_operator(bound: int) -> OperatorMatrix:
@@ -207,9 +207,10 @@ def multiplication_x(bound: int) -> OperatorMatrix:
     return weighted_shift(1, bound, lambda j: 1)
 
 
-def dilation(q, bound: int) -> OperatorMatrix:
-    """Scale substitution p(x) -> p(q x)."""
-    return from_action(lambda p: p.dilate(q), bound)
+def dilation(q, bound: int) -> WeightedShift:
+    """Scale substitution p(x) -> p(q x): x^j -> q^j x^j."""
+    q = fr(q)
+    return weighted_shift(0, bound, lambda j: q**j)
 
 
 def jackson_operator(q, bound: int) -> WeightedShift:
@@ -309,6 +310,12 @@ def umbral_operator(source: SequenceTable, images) -> OperatorMatrix:
     return OperatorMatrix(tuple([_combine(c, images) for c in source.inverse]))
 
 
+def table_conjugate(table: SequenceTable, op: OperatorMatrix) -> OperatorMatrix:
+    """Phi op Phi^-1, Phi: x^j -> table[j]: the operator that acts on the
+    table's entries as `op` acts on the monomials (Roman, 1984, ch. 2)."""
+    return umbral_operator(table, [_combine(col, table.entries) for col in op.columns])
+
+
 # -- dual raising operator --------------------------------------------------
 
 
@@ -326,21 +333,16 @@ def lowering_failures(q_op: OperatorMatrix, entries, seq: AdmissibleSequence):
 def dual_operator(
     q_op: OperatorMatrix, table: SequenceTable, seq: AdmissibleSequence
 ) -> OperatorMatrix:
-    """Raising companion of a lowering operator in its own basic basis.
-
-    Sends entry n to ((n+1)/(n+1)_psi) entry n+1; the image of the top entry
-    is lost to truncation. Raises BasisMismatchError if the table is not the
-    basic sequence of the operator.
+    """Raising companion of a lowering operator in its own basic basis: the
+    shift xhat_psi, x^n -> ((n+1)/(n+1)_psi) x^(n+1), conjugated to the table,
+    so the top entry goes to zero. Raises BasisMismatchError if the table is
+    not the basic sequence of the operator.
     """
     if table.bound != q_op.bound:
         raise BasisMismatchError("table bound differs from operator bound")
     for witness in lowering_failures(q_op, table, seq):
         raise BasisMismatchError(f"lowering recurrence fails at entry {witness['n']}")
-    images = [
-        table[i + 1].scale(Fraction(i + 1) / seq.n_psi(i + 1))
-        for i in range(table.bound)
-    ]
-    return umbral_operator(table, images + [Polynomial()])
+    return table_conjugate(table, xhat_psi(seq, table.bound))
 
 
 # -- psi-form detection ------------------------------------------------------
@@ -385,12 +387,6 @@ def detect_psi_form(q_op: OperatorMatrix) -> PsiFormResult:
             if b[(n, k)] != expected:
                 return PsiFormResult(candidate, False, (n, k, expected, b[(n, k)]), series)
     return PsiFormResult(candidate, True, None, series)
-
-
-def realize_psi_form(result: PsiFormResult, bound: int) -> OperatorMatrix:
-    if result.series is None:
-        raise BadParameterError("detection produced no reconstruction data")
-    return realize_delta_series(result.series, bound)
 
 
 # -- expansion in a dual pair -------------------------------------------------

@@ -163,11 +163,6 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return _canonical([i * v for i, v in enumerate(self.nums)][1:], self.den)
 
-    def dilate(self, q) -> "Polynomial":
-        """Return p(q*x)."""
-        q = fr(q)
-        return _diagonal(self, Polynomial([q**j for j in range(len(self.nums))]))
-
     def compose(self, inner: "Polynomial") -> "Polynomial":
         acc = ZERO
         for c in reversed(self.coeffs):

@@ -218,13 +218,13 @@ class AdmissibleSequence:
             raise BadParameterError(f"family descriptor must be an object, got {data!r}")
         family = data.get("family")
 
-        def need(key, listed=False):
+        def need(key, listed=False, build=lambda value: value):
             if key not in data:
                 raise BadParameterError(f"{family} family descriptor needs key {key!r}")
             if listed and not isinstance(data[key], list):
                 raise BadParameterError(f"{family} family descriptor key {key!r} must be a list")
             try:
-                return [fr(v) for v in data[key]] if listed else fr(data[key])
+                return build([fr(v) for v in data[key]] if listed else fr(data[key]))
             except BadParameterError as exc:
                 raise BadParameterError(f"{family} family descriptor key {key!r}: {exc}") from None
 
@@ -241,5 +241,5 @@ class AdmissibleSequence:
         if family == HYPERBOLIC:
             return AdmissibleSequence.hyperbolic(bound)
         if family == CUSTOM:
-            return AdmissibleSequence.custom(need("values", True), bound)
+            return need("values", True, lambda values: AdmissibleSequence.custom(values, bound))
         raise BadParameterError(f"unknown family {family!r}")

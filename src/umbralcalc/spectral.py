@@ -29,6 +29,7 @@ from .operators import (
     lowering_failures,
     multiplication_x,
     operator_polynomial,
+    table_conjugate,
     umbral_operator,
     weighted_shift,
     xhat_psi,
@@ -122,7 +123,7 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
     table = sheffer.table
     q_op = sheffer.q_op
 
-    definitional = umbral_operator(table, [p.scale(n) for n, p in enumerate(table)])
+    definitional = table_conjugate(table, weighted_shift(0, bound, lambda n: n))
 
     basic = sheffer.basic
     raiser = basic.raiser
@@ -162,32 +163,26 @@ def spectral_operator(sheffer: ShefferSequence) -> SpectralResult:
 # -- deformed commutation suite -------------------------------------------------
 
 
-def qhat_eigenvalues(seq: AdmissibleSequence, bound: int, one) -> list:
-    """Deformation weights ((n+1)_psi - one)/n_psi, with the degree-0 value
-    borrowed from degree 1 (it never matters on the identity window). The
-    graded weights subtract one = 1_psi; the literal reading subtracts the
-    integer 1, and the two differ only when 1_psi != 1.
-    """
-    values = [Fraction(0)] * (bound + 1)
-    for n in range(1, bound + 1):
-        values[n] = (seq.n_psi(n + 1) - one) / seq.n_psi(n)
-    values[0] = values[1]
-    return values
-
-
 def qhat_operator(basic: BasicSequence, one=None) -> OperatorMatrix:
-    """Diagonal deformation operator in the basic basis; `one` is the
-    subtracted unit of `qhat_eigenvalues`, 1_psi unless given."""
-    one = basic.seq.n_psi(1) if one is None else one
-    values = qhat_eigenvalues(basic.seq, basic.bound, one)
-    return umbral_operator(basic.table, [p.scale(v) for p, v in zip(basic.table, values)])
+    """The step-0 shift x^n -> ((n+1)_psi - one)/n_psi x^n conjugated to the
+    basic table, degree 0 borrowing the weight of degree 1 (it never matters
+    on the identity window). The graded weights subtract one = 1_psi, the
+    default; the literal reading subtracts the integer 1, and the two differ
+    only when 1_psi != 1."""
+    seq = basic.seq
+    one = seq.n_psi(1) if one is None else one
+
+    def weight(n):
+        return (seq.n_psi(max(n, 1) + 1) - one) / seq.n_psi(max(n, 1))
+
+    return table_conjugate(basic.table, weighted_shift(0, basic.bound, weight))
 
 
 def shift_raiser(basic: BasicSequence) -> OperatorMatrix:
-    """Unscaled basic shift p_n -> (1/1_psi) p_{n+1}, top entry truncated."""
+    """Unscaled basic shift p_n -> (1/1_psi) p_{n+1}, top entry truncated:
+    the shift x^n -> (1/1_psi) x^(n+1) conjugated to the table."""
     scale = 1 / basic.seq.n_psi(1)
-    images = [p.scale(scale) for p in basic.table.entries[1:]]
-    return umbral_operator(basic.table, images + [Polynomial()])
+    return table_conjugate(basic.table, weighted_shift(1, basic.bound, lambda j: scale))
 
 
 def mutator_failures(basic: BasicSequence, raiser: OperatorMatrix, qhat: OperatorMatrix):

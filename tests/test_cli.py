@@ -624,6 +624,53 @@ class TestConfigReaders:
             assert err.startswith(f"error: BadParameterError: lowering key {key!r}: ")
 
     @pytest.mark.parametrize(
+        "command, config, error, where, key",
+        [
+            pytest.param("sequence", {"series": [0, 0, 1]}, "NotDeltaError", "config", "series",
+                         id="sequence-not-delta"),
+            pytest.param("sequence", {"prefactor": [0, 1]}, "NotInvertibleError", "config",
+                         "prefactor", id="sequence-not-invertible"),
+            pytest.param("spectral", {"series": [0, 0, 1]}, "NotDeltaError", "config", "series",
+                         id="spectral-not-delta"),
+            pytest.param("spectral", {"prefactor": [0, 1]}, "NotInvertibleError", "config",
+                         "prefactor", id="spectral-not-invertible"),
+            pytest.param("expand", {"operator": [1, 1]}, "NotDeltaError", "operator", "series",
+                         id="expand-operator-not-delta"),
+            pytest.param("detect", {"operator": [1, 1]}, "NotDeltaError", "operator", "series",
+                         id="detect-operator-not-delta"),
+            pytest.param("expand", {"operator": [0, 1], "lowering": [0, 0, 1]}, "NotDeltaError",
+                         "lowering", "series", id="expand-lowering-not-delta"),
+            pytest.param("expand", {"operator": "jackson(1)"}, "BadParameterError", "operator",
+                         "jackson", id="expand-operator-jackson-pole"),
+            pytest.param("detect", {"operator": "jackson(1)"}, "BadParameterError", "operator",
+                         "jackson", id="detect-operator-jackson-pole"),
+            pytest.param("expand", {"operator": [0, 1], "lowering": "jackson(1)"},
+                         "BadParameterError", "lowering", "jackson",
+                         id="expand-lowering-jackson-pole"),
+            pytest.param("integrate", {"kind": "q", "q": 1}, "BadParameterError", "config", "q",
+                         id="integrate-q-pole"),
+            pytest.param("integrate", {"kind": "q", "q": -1}, "DegenerateFamilyError", "config",
+                         "q", id="integrate-q-degenerate"),
+            pytest.param("sequence", {"family": {"family": "custom", "values": [1, 2]}},
+                         "BadParameterError", "custom family descriptor", "values",
+                         id="family-custom-too-few-values"),
+            pytest.param("verify", {"suites": [], "families": [{"family": "custom", "values": [1]}]},
+                         "BadParameterError", "custom family descriptor", "values",
+                         id="families-custom-too-few-values"),
+        ],
+    )
+    def test_refused_value_exits_two_naming_the_key(
+        self, capsys, tmp_path, command, config, error, where, key
+    ):
+        """A well-formed value the mathematics refuses keeps its error type,
+        and its one error line names where it was read."""
+        cfg = write_config(tmp_path, config)
+        code, out, err = run(capsys, [command, "--degree", "3", "--config", cfg])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {error}: {where} key {key!r}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "body",
         [b"{", b"\xff\xfe{}", b"", b'{"power": ' + b"1" * 5000 + b"}", b"[" * 100_000],
         ids=["truncated", "not-utf8", "empty", "integer-past-digit-limit", "deep-nesting"],

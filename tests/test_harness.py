@@ -44,7 +44,7 @@ from umbralcalc.operators import (
     divided_difference,
     from_action,
     psi_derivative,
-    realize_psi_form,
+    realize_delta_series,
     umbral_operator,
     weighted_shift,
     zero_operator,
@@ -639,7 +639,8 @@ def test_derivative_series_holds_as_the_old_ladder_sum(degree):
 
 
 def old_reparameterization_certificate(seq, q_series, table, bound: int) -> bool:
-    """The certificate as it was, through two basis changes (verbatim)."""
+    """The certificate as it was, through two basis changes (verbatim, but
+    that the detected series is realized directly)."""
     monomials = SequenceTable(tuple([Polynomial.monomial(i) for i in range(bound + 1)]))
     induced = (
         umbral_operator(monomials, table)
@@ -651,7 +652,7 @@ def old_reparameterization_certificate(seq, q_series, table, bound: int) -> bool
         return False
     if result.candidate != seq.values[1 : bound + 1]:
         return False
-    if realize_psi_form(result, bound).columns != induced.columns:
+    if realize_delta_series(result.series, bound).columns != induced.columns:
         return False
     got = result.series.coeffs
     want = q_series.coeffs

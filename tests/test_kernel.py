@@ -112,6 +112,15 @@ verdict alone. `old_mutator_failures`, `old_poisson_raising_route` and
 `old_indicator` are the routes they replaced, verbatim except for their
 names: the witnesses, the families and the verdicts must be theirs, on the
 roster up to N = 12.
+
+Last, an operator given by weights on a table's entries is that weighted
+shift conjugated to the table, `table_conjugate`, and the dilation and the
+identity are diagonal shifts: the dual and shift raisers, qhat, the
+definitional spectral operator and the certificate's induced lowering must
+give the columns of the `old_*` image lists they replaced on the roster's
+basic and Sheffer tables up to N = 16, the dilation those of `old_dilate`,
+and every lowering Q must be the graded derivative conjugated to its basic
+table, Q = Phi d_psi Phi^-1.
 """
 
 import dataclasses
@@ -164,6 +173,7 @@ from umbralcalc.operators import (
     psi_derivative,
     realize_delta_series,
     require_lowers_by_one,
+    table_conjugate,
     umbral_operator,
     weighted_shift,
     xhat_psi,
@@ -1042,8 +1052,8 @@ def test_operators_from_their_action_match_old_column_loops(case):
     ]
     for new, old, args in pairs:
         same_outcome(outcome(new, *args), outcome(old, *args))
-    shifts = {psi_derivative, xhat_psi, nhat_diagonal, multiplication_x, jackson_operator,
-              divided_difference}
+    shifts = {psi_derivative, xhat_psi, nhat_diagonal, multiplication_x, dilation,
+              jackson_operator, divided_difference, identity_operator}
     for new, _, args in pairs:
         if new in shifts and outcome(new, *args)[0] == "columns":
             same_shift(new(*args))
@@ -3566,3 +3576,151 @@ def test_indicator_is_the_old_verdict(degree):
                         mock.patch.dict(globals(), {"eigen_series": wrong_eigen_series}):
                     want = old_indicator(t, q_op, degree).routes_agree
                     assert indicator(t, q_op, degree) is want
+
+
+# -- operators given by weights are weighted shifts ---------------------------------
+
+
+def old_dual_operator(q_op, table, seq):
+    """Raising companion of a lowering operator in its own basic basis.
+
+    Sends entry n to ((n+1)/(n+1)_psi) entry n+1; the image of the top entry
+    is lost to truncation. Raises BasisMismatchError if the table is not the
+    basic sequence of the operator.
+    """
+    if table.bound != q_op.bound:
+        raise BasisMismatchError("table bound differs from operator bound")
+    for witness in lowering_failures(q_op, table, seq):
+        raise BasisMismatchError(f"lowering recurrence fails at entry {witness['n']}")
+    images = [
+        table[i + 1].scale(Fraction(i + 1) / seq.n_psi(i + 1))
+        for i in range(table.bound)
+    ]
+    return umbral_operator(table, images + [Polynomial()])
+
+
+def old_shift_raiser(basic):
+    """Unscaled basic shift p_n -> (1/1_psi) p_{n+1}, top entry truncated."""
+    scale = 1 / basic.seq.n_psi(1)
+    images = [p.scale(scale) for p in basic.table.entries[1:]]
+    return umbral_operator(basic.table, images + [Polynomial()])
+
+
+def old_qhat_eigenvalues(seq, bound, one):
+    values = [Fraction(0)] * (bound + 1)
+    for n in range(1, bound + 1):
+        values[n] = (seq.n_psi(n + 1) - one) / seq.n_psi(n)
+    values[0] = values[1]
+    return values
+
+
+def old_qhat_operator(basic, one=None):
+    one = basic.seq.n_psi(1) if one is None else one
+    values = old_qhat_eigenvalues(basic.seq, basic.bound, one)
+    return umbral_operator(basic.table, [p.scale(v) for p, v in zip(basic.table, values)])
+
+
+def old_definitional(table):
+    """The definitional spectral operator: eigenvalue n on entry n."""
+    return umbral_operator(table, [p.scale(n) for n, p in enumerate(table)])
+
+
+def old_induced_lowering(seq, table, bound):
+    """The lowering operator the reparameterization certificate induces."""
+    lowered = [Polynomial()] + [table[n - 1].scale(seq.n_psi(n)) for n in range(1, bound + 1)]
+    return umbral_operator(table, lowered)
+
+
+def induced_lowering(seq, q_series, table, bound):
+    """The operator `harness._reparameterization_certificate` detects."""
+    seen = []
+    with mock.patch.object(harness, "_round_trip", lambda op, candidate: seen.append(op)):
+        harness._reparameterization_certificate(seq, q_series, table, bound)
+    [op] = seen
+    return op
+
+
+def old_dilate(p, q):
+    """Return p(q*x)."""
+    q = fr(q)
+    return _diagonal(p, Polynomial([q**j for j in range(len(p.nums))]))
+
+
+def weighted_tables(seq, degree):
+    """(label, Sheffer sequence): the monomial and the composite and random
+    series-built basic tables, as Sheffer tables with S = 1, and the
+    harness's appell, composite and random Sheffer tables."""
+    rng = random.Random(degree)
+    one = DeltaSeries.from_list(seq, [1], degree)
+    series = [DeltaSeries.from_list(seq, [0, 1], degree), DeltaSeries.from_list(seq, [0, 1, 1], degree),
+              harness._random_series(seq, rng, degree, [0, harness._nonzero(rng)])]
+    out = [(label, sheffer_sequence(q, one, degree))
+           for label, q in zip(("monomial", "composite", "random"), series)]
+    labels = ("appell", "composite", "random")
+    return out + [(f"sheffer-{label}", sheffer)
+                  for label, sheffer in harness._sheffer_tables(seq, rng, degree, labels)]
+
+
+@pytest.mark.parametrize("degree", range(2, 17))
+def test_table_operators_are_the_old_image_lists(degree):
+    """The dual raiser, the shift raiser, qhat (graded and literal), the
+    definitional spectral operator and the certificate's induced lowering,
+    each a weighted shift conjugated to a table, against the image lists
+    they replaced; a Sheffer table stands in for a basic one where only its
+    entries are read."""
+    for seq in conftest.family_roster(degree + 1):
+        for label, sheffer in weighted_tables(seq, degree):
+            table, q_op = sheffer.table, sheffer.q_op
+            as_basic = sequences.BasicSequence(seq, q_op, table)
+            pairs = [
+                (dual_operator(q_op, table, seq), old_dual_operator(q_op, table, seq)),
+                (shift_raiser(as_basic), old_shift_raiser(as_basic)),
+                (qhat_operator(as_basic), old_qhat_operator(as_basic)),
+                (qhat_operator(as_basic, one=1), old_qhat_operator(as_basic, one=1)),
+                (spectral_operator(sheffer).definitional, old_definitional(table)),
+                (induced_lowering(seq, None, table, degree),
+                 old_induced_lowering(seq, table, degree)),
+            ]
+            for i, (new, old) in enumerate(pairs):
+                assert new.bound == old.bound == degree, (seq.label, label, i)
+                for got, want in zip(new.columns, old.columns, strict=True):
+                    same(got, want)
+
+
+@pytest.mark.parametrize("q", [2, Fraction(1, 2), Fraction(-3, 2), 0, -1])
+def test_dilation_and_identity_are_the_old_actions(q):
+    for bound in range(17):
+        new = dilation(q, bound)
+        same_shift(new)
+        assert new.step == 0
+        for got, want in zip(new.columns, from_action(lambda p: old_dilate(p, q), bound).columns,
+                             strict=True):
+            same(got, want)
+        ident = identity_operator(bound)
+        same_shift(ident)
+        assert ident.columns == from_action(lambda p: p, bound).columns
+
+
+def random_lowering(rng, degree):
+    """Column j of degree exactly j - 1: lead in {1, 2, 3, -1}, lower
+    coefficients of denominator up to 3."""
+    columns = [ZERO]
+    for j in range(1, degree + 1):
+        lower = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(j - 1)]
+        columns.append(Polynomial(lower + [rng.choice([1, 2, 3, -1])]))
+    return OperatorMatrix(tuple(columns))
+
+
+@pytest.mark.parametrize("degree", [10, 24])
+def test_a_lowering_is_the_graded_derivative_conjugated_to_its_basic_table(degree):
+    """Q = Phi d_psi Phi^-1 with Phi: x^n -> p_n, the basic table of Q
+    (Markowsky, 1978; Roman, 1984, ch. 2), for the forward difference, a
+    random lowering and a series-built table's own Q."""
+    rng = random.Random(degree)
+    for seq in conftest.family_roster(degree + 1):
+        d = psi_derivative(seq, degree)
+        for q_op in (forward_difference(degree), random_lowering(rng, degree)):
+            assert table_conjugate(basic_sequence(q_op, seq, degree).table, d) == q_op, seq.label
+        series = harness._random_series(seq, rng, degree, [0, harness._nonzero(rng)])
+        basic = basic_sequence_from_series(series, degree)
+        assert table_conjugate(basic.table, d) == basic.q_op, seq.label

@@ -370,6 +370,23 @@ def test_the_derivative_series_is_failed_by_both_doubled_lowerings():
         assert "leibnitz/divided-difference-derivative-series" in failed, label
 
 
+def test_the_conjugation_route_is_failed_by_both_dual_raiser_faults():
+    """The dual raiser is x-hat conjugated to the basic table, so a zeroed
+    x-hat weight reaches it as a doubled dual column does, and both fail the
+    route S^-1 xhat_Q Q S against the definitional spectral operator."""
+    routes = {f"spectral/conjugation-route({label})" for label in ("appell", "composite", "random")}
+    for label in ("zeroed-xhat-weight", "scaled-dual-column"):
+        assert routes <= asserted_failures(census(label)), label
+
+
+def test_a_doubled_lowering_weight_fails_the_perturbation_rejection():
+    """The certificate's induced lowering is the family lowering conjugated
+    to the perturbed table, so with a doubled weight it no longer reads back
+    with the family's weights, and the one perturbation that must be
+    certified, the top entry's linear coefficient, is not."""
+    assert "binomial/perturbation-rejection" in asserted_failures(census("doubled-lowering-weight"))
+
+
 def test_verify_exits_1_under_a_wrong_coordinate(capsys):
     with mutated("wrong-coordinate"):
         status = cli.main(["verify", "--degree", str(DEGREE), "--format", "json"])

@@ -28,7 +28,6 @@ from umbralcalc.operators import (
     multiplication_x,
     psi_derivative,
     realize_delta_series,
-    realize_psi_form,
     xhat_psi,
 )
 from umbralcalc.poly import ONE, Polynomial, SequenceTable, X
@@ -70,7 +69,7 @@ def test_xhat_examples():
 
 def jackson_quotient(p, q):
     """(p(x) - p(qx)) / ((1 - q) x), from its definition."""
-    return Polynomial((p - p.dilate(q)).coeffs[1:]).scale(1 / (1 - Fraction(q)))
+    return Polynomial((p - dilation(q, N).apply(p)).coeffs[1:]).scale(1 / (1 - Fraction(q)))
 
 
 def test_jackson_examples():
@@ -187,7 +186,7 @@ def test_detect_dxd():
     assert result.candidate[0] == 1
     assert result.series.coeffs[1] == 1
     assert all(c == 0 for c in result.series.coeffs[2:])
-    assert realize_psi_form(result, N).columns == build_dxd(N).columns
+    assert realize_delta_series(result.series, N).columns == build_dxd(N).columns
 
 
 def test_detect_wider_operator():
@@ -230,7 +229,7 @@ def test_detect_round_trip_composite():
     assert result.consistent
     assert list(result.candidate) == [seq.n_psi(n) for n in range(1, N + 1)]
     assert list(result.series.coeffs) == list(s.coeffs[: N + 1])
-    assert realize_psi_form(result, N).columns == op.columns
+    assert realize_delta_series(result.series, N).columns == op.columns
 
 
 # -- dual operator -------------------------------------------------------------
@@ -319,6 +318,7 @@ def test_dilation_and_gradings():
     d = dilation(Fraction(1, 2), N)
     assert d.grading == "preserves"
     assert d.apply(Polynomial([1, 2, 4])) == Polynomial([1, 1, 1])
+    assert dilation(2, 3).apply(Polynomial([5, 0, 3, 1])) == Polynomial([5, 0, 12, 8])
     assert multiplication_x(N).grading == "raises_by_one"
     assert identity_operator(N).grading == "preserves"
 

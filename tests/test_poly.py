@@ -35,10 +35,9 @@ def test_evaluate_horner():
     assert p(Fraction(1, 2)) == 1 - Fraction(3, 2) + Fraction(1, 4)
 
 
-def test_derivative_and_dilate():
+def test_derivative():
     p = Polynomial([5, 0, 3, 1])
     assert p.derivative() == Polynomial([0, 6, 3])
-    assert p.dilate(2) == Polynomial([5, 0, 12, 8])
 
 
 def test_compose():

@@ -57,7 +57,6 @@ from umbralcalc.spectral import (
     mutator_failures,
     orthogonality_failures,
     q_parameter,
-    qhat_eigenvalues,
     qhat_operator,
     qplane_commutation,
     qplane_substitution_failures,
@@ -243,11 +242,26 @@ def test_spectral_nontrivial_lowering_operator():
 # -- deformed bracket -----------------------------------------------------------
 
 
+def old_qhat_eigenvalues(seq: AdmissibleSequence, bound: int, one) -> list:
+    """Deformation weights ((n+1)_psi - one)/n_psi, with the degree-0 value
+    borrowed from degree 1 (it never matters on the identity window). The
+    graded weights subtract one = 1_psi; the literal reading subtracts the
+    integer 1, and the two differ only when 1_psi != 1.
+    """
+    values = [Fraction(0)] * (bound + 1)
+    for n in range(1, bound + 1):
+        values[n] = (seq.n_psi(n + 1) - one) / seq.n_psi(n)
+    values[0] = values[1]
+    return values
+
+
 def test_qhat_eigenvalues_q_family_constant():
-    values = qhat_eigenvalues(Q2, N, Q2.n_psi(1))
+    values = old_qhat_eigenvalues(Q2, N, Q2.n_psi(1))
     assert all(v == 2 for v in values[1:])
-    literal = qhat_eigenvalues(HYP, N, 1)
-    graded = qhat_eigenvalues(HYP, N, HYP.n_psi(1))
+    # every weight is q = 2, so the operator is 2 I in any basis
+    assert qhat_operator(basic_sequence(psi_derivative(Q2, N), Q2, N)) == identity_operator(N).scale(2)
+    literal = old_qhat_eigenvalues(HYP, N, 1)
+    graded = old_qhat_eigenvalues(HYP, N, HYP.n_psi(1))
     assert literal[1] != graded[1]
     basic = basic_sequence(psi_derivative(HYP, N), HYP, N)
     assert qhat_operator(basic).columns == qhat_operator(basic, one=HYP.n_psi(1)).columns
@@ -588,7 +602,7 @@ def reference_dual_operator(q_op, table, seq):
 
 def reference_qhat_operator(basic, seq, one):
     bound = basic.bound
-    values = qhat_eigenvalues(seq, bound, one)
+    values = old_qhat_eigenvalues(seq, bound, one)
     cols = []
     for j in range(bound + 1):
         coords = coordinates_in_table(basic.table, Polynomial.monomial(j))
@@ -712,7 +726,7 @@ def test_powers_match_the_identity_first_ladder():
 
 def old_qhat_operator(basic, seq, literal_one=False):
     """Diagonal deformation operator in the basic basis."""
-    values = qhat_eigenvalues(seq, basic.bound, 1 if literal_one else seq.n_psi(1))
+    values = old_qhat_eigenvalues(seq, basic.bound, 1 if literal_one else seq.n_psi(1))
     return umbral_operator(basic.table, [p.scale(v) for p, v in zip(basic.table, values)])
 
 
