@@ -11,9 +11,11 @@ are built only where they are compared; elsewhere an orbit is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from typing import Callable
 
 from .errors import (
     BadParameterError,
@@ -245,7 +247,7 @@ def generalized_shift(seq: AdmissibleSequence, p: Polynomial, y) -> Polynomial:
     if p:
         seq.n_psi(p.degree)  # a family too short for p raises UndefinedIndexError
     exp_y = seq.exp_polynomial(y, p.degree)
-    return apply_delta_series(DeltaSeries.from_list(seq, exp_y.coeffs, p.degree), p)
+    return apply_delta_series(DeltaSeries.from_polynomial(seq, exp_y, p.degree), p)
 
 
 def apply_delta_series(s: DeltaSeries, p: Polynomial) -> Polynomial:
@@ -282,7 +284,7 @@ def realize_delta_series(s: DeltaSeries, bound: int) -> OperatorMatrix:
     if s.polynomial.degree == 1 and not s.coefficient(0) and bound <= s.base.bound:
         return weighted_shift(-1, bound, lambda j: s.coefficient(1) * s.base.n_psi(j))
     columns = from_action(lambda p: apply_delta_series(s, p), bound).columns
-    return SeriesOperator(columns, DeltaSeries.from_list(s.base, s.coeffs, bound))
+    return SeriesOperator(columns, s.at_order(bound))
 
 
 def operator_polynomial(p: Polynomial, m: OperatorMatrix) -> OperatorMatrix:
@@ -394,10 +396,22 @@ def detect_psi_form(q_op: OperatorMatrix) -> PsiFormResult:
 
 @dataclass(frozen=True)
 class ExpansionResult:
-    """T = sum_n q_n(raiser) Q^n, solved degree by degree."""
+    """T = sum_n q_n(raiser) Q^n, solved degree by degree; the sum itself,
+    `reassembled`, is built by `reassemble` on first read, since most callers
+    read the coefficients alone."""
 
     coefficients: tuple  # Polynomial q_n, n = 0..bound
-    reassembled: OperatorMatrix
+    reassemble: Callable[[], OperatorMatrix] = field(repr=False, compare=False)
+
+    @cached_property
+    def reassembled(self) -> OperatorMatrix:
+        return self.reassemble()
+
+    def __eq__(self, other):
+        """Equal coefficients and an equal reassembly."""
+        if not isinstance(other, ExpansionResult):
+            return NotImplemented
+        return self.coefficients == other.coefficients and self.reassembled == other.reassembled
 
 
 def _expand_over_shifts(t: OperatorMatrix, u: list, r: list, series=None) -> ExpansionResult:
@@ -425,11 +439,15 @@ def _expand_over_shifts(t: OperatorMatrix, u: list, r: list, series=None) -> Exp
         polys = [ZERO] + coefficients[::-1]  # q_(c-d) for d >= 1
         out, den = _raised_sum(minus_e, polys, bound, start, col.den * inverse_lead.den * b)
         coefficients.append(_canonical(out, den))
-    if series is None:
-        return ExpansionResult(tuple(coefficients), _reassemble_over_shifts(coefficients, u, r))
-    coefficients = _recompose(coefficients, series.compositional_inverse())
-    back = _recompose(coefficients, series)
-    return ExpansionResult(tuple(coefficients), _reassemble_over_shifts(back, u, r))
+    if series is not None:
+        coefficients = _recompose(coefficients, series.compositional_inverse())
+    published = tuple(coefficients)
+
+    def reassemble():
+        back = published if series is None else _recompose(published, series)
+        return _reassemble_over_shifts(back, u, r)
+
+    return ExpansionResult(published, reassemble)
 
 
 def _recompose(coefficients: list, s: DeltaSeries) -> list:
@@ -491,7 +509,7 @@ def _expand_over_ladder(
         step = [_combine(q_j, raised[m]) for m in range(bound - j + 1)]
         for k in range(j, bound + 1):
             acc[k] = _combine(lowered[k][j], step, acc[k])
-    return ExpansionResult(tuple(coefficients), OperatorMatrix(tuple(acc)))
+    return ExpansionResult(tuple(coefficients), lambda: OperatorMatrix(tuple(acc)))
 
 
 def expand_in_dual_pair(

@@ -20,6 +20,7 @@ from .errors import (
     BadParameterError,
     DegenerateFamilyError,
     IndexOrderError,
+    UmbralError,
     UndefinedIndexError,
 )
 from .poly import Polynomial, _over_one_lcm, _running_products, fr
@@ -218,24 +219,37 @@ class AdmissibleSequence:
             raise BadParameterError(f"family descriptor must be an object, got {data!r}")
         family = data.get("family")
 
-        def need(key, listed=False, build=lambda value: value):
-            if key not in data:
-                raise BadParameterError(f"{family} family descriptor needs key {key!r}")
-            if listed and not isinstance(data[key], list):
-                raise BadParameterError(f"{family} family descriptor key {key!r} must be a list")
+        def need(keys, listed=False, build=lambda value: value):
+            """build(*values) of the rationals, or (`listed`) lists of them, under
+            `keys`, one key or a tuple; a bad value names its key, and a value
+            that `build` refuses keeps its error type and names every key read."""
+            keys = keys if isinstance(keys, tuple) else (keys,)
+            values = []
+            for key in keys:
+                if key not in data:
+                    raise BadParameterError(f"{family} family descriptor needs key {key!r}")
+                if listed and not isinstance(data[key], list):
+                    raise BadParameterError(f"{family} family descriptor key {key!r} must be a list")
+                try:
+                    values.append([fr(v) for v in data[key]] if listed else fr(data[key]))
+                except BadParameterError as exc:
+                    raise BadParameterError(f"{family} family descriptor key {key!r}: {exc}") from None
             try:
-                return build([fr(v) for v in data[key]] if listed else fr(data[key]))
-            except BadParameterError as exc:
-                raise BadParameterError(f"{family} family descriptor key {key!r}: {exc}") from None
+                return build(*values)
+            except UmbralError as exc:
+                named = " and ".join([repr(key) for key in keys])
+                plural = "s" if len(keys) > 1 else ""
+                raise type(exc)(f"{family} family descriptor key{plural} {named}: {exc}") from None
 
         if family == CLASSICAL:
             return AdmissibleSequence.classical(bound)
         if family == Q_DEFORMED:
-            return AdmissibleSequence.q_deformed(need("q"), bound)
+            return need("q", build=lambda q: AdmissibleSequence.q_deformed(q, bound))
         if family == FIBONACCI:
             return AdmissibleSequence.fibonacci(bound)
         if family == RECURRENCE:
-            return AdmissibleSequence.recurrence(need("alphas", True), need("betas", True), bound)
+            return need(("alphas", "betas"), True,
+                        lambda alphas, betas: AdmissibleSequence.recurrence(alphas, betas, bound))
         if family == R_SERIES:
             return AdmissibleSequence.r_series(need("coefficients", True), need("q"), bound)
         if family == HYPERBOLIC:

@@ -110,8 +110,7 @@ def basic_sequence_from_series(q_series: DeltaSeries, bound: int) -> BasicSequen
         seq.factorial(seq.bound + 1)
     rows = [ONE]
     if bound:
-        sigma = DeltaSeries.from_list(seq, q_series.coeffs[1:], bound - 1)
-        sigma = sigma.multiplicative_inverse().polynomial
+        sigma = q_series.shift_down().at_order(bound - 1).multiplicative_inverse().polynomial
         for _ in range(bound):
             t = rows[-1]
             rows.append(_canonical([0] + _convolve(sigma.nums, t.nums), sigma.den * t.den))
@@ -141,7 +140,7 @@ def closed_form_routes(q_series: DeltaSeries, bound: int) -> dict:
     q_series.require_delta()
     seq = q_series.base
     # read q at the bound: inverses and powers need every order up to it
-    q_series = DeltaSeries.from_list(seq, q_series.coeffs, bound)
+    q_series = q_series.at_order(bound)
     s_inv = q_series.shift_down().multiplicative_inverse()
     qprime = q_series.formal_derivative()
 
@@ -193,8 +192,8 @@ def sheffer_sequence(
     if s_series.base != seq:
         raise WrongFamilyError(f"s_series is over {s_series.base.label}, q_series over {seq.label}")
     # read both at the bound: the inverse of a shorter S is truncated below it
-    q_series = DeltaSeries.from_list(seq, q_series.coeffs, bound)
-    s_series = DeltaSeries.from_list(s_series.base, s_series.coeffs, bound)
+    q_series = q_series.at_order(bound)
+    s_series = s_series.at_order(bound)
     basic = basic_sequence_from_series(q_series, bound)
     # the rows U_n = S^-1(Q) T_n: one convolution each, as on any e_j-coordinates
     c = s_series.multiplicative_inverse().polynomial

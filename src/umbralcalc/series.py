@@ -4,12 +4,15 @@ A DeltaSeries is one `Polynomial` in t, truncated at an explicit `order`,
 together with the generalized-integer family whose lowering operator the
 series is read in. Every operation is written once on the integer kernel of
 `poly`: the product is a polynomial product cut at the order as it is
-formed (as in every step below), the multiplicative inverse is Newton's
-iteration b <- b (2 - a b), which doubles the number of correct terms per
-step (Brent and Kung, J. ACM 1978), composition is Horner's rule, the compositional inverse is Lagrange's
-g_k = [t^(k-1)] (t / a(t))^k / k, and the formal derivative is the
-polynomial one. `coeffs` is the zero-padded view c_0..c_order. Realization
-as an operator lives in `operators`.
+formed (as in every step below), the multiplicative inverse is the
+fraction-free recurrence on the numerators (Knuth, TAOCP vol. 2, sec. 4.7),
+one integer pass ending in one canonical form, composition is Horner's
+rule, the compositional inverse is Lagrange's g_k = [t^(k-1)] (t / a(t))^k / k,
+and the formal derivative is the polynomial one. A series is read at
+another order, cut or zero-padded, on its polynomial (`at_order`), and
+built from a polynomial without a list of Fractions (`from_polynomial`).
+`coeffs` is the zero-padded view c_0..c_order. Realization as an operator
+lives in `operators`.
 """
 
 from __future__ import annotations
@@ -19,10 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotDeltaError, NotInvertibleError
-from .poly import ONE, ZERO, Polynomial, _product, _shift_down
+from .poly import ONE, ZERO, Polynomial, _canonical, _product, _shift_down
 from .psi import AdmissibleSequence
-
-_TWO = Polynomial([2])
 
 
 @dataclass(frozen=True, init=False)
@@ -41,6 +42,15 @@ class DeltaSeries:
     def from_list(base: AdmissibleSequence, coeffs, order: int | None = None) -> "DeltaSeries":
         order = base.bound if order is None else order
         return _new(base, Polynomial(coeffs[: order + 1]), order)
+
+    @staticmethod
+    def from_polynomial(base: AdmissibleSequence, p: Polynomial, order: int) -> "DeltaSeries":
+        """The series of p, cut at t^order."""
+        return _new(base, p.truncate(order), order)
+
+    def at_order(self, order: int) -> "DeltaSeries":
+        """This series read at another order: cut, or zero-padded."""
+        return DeltaSeries.from_polynomial(self.base, self.polynomial, order)
 
     @cached_property
     def coeffs(self) -> tuple:
@@ -70,21 +80,32 @@ class DeltaSeries:
             raise NotInvertibleError("series needs c0 != 0")
         return self
 
-    def _wrap(self, p: Polynomial) -> "DeltaSeries":
-        return _new(self.base, p.truncate(self.order), self.order)
-
     def multiply(self, other: "DeltaSeries") -> "DeltaSeries":
-        return self._wrap(_product(self.polynomial, other.polynomial, self.order))
+        return _new(self.base, _product(self.polynomial, other.polynomial, self.order), self.order)
 
     def multiplicative_inverse(self) -> "DeltaSeries":
+        """With a = sum_k alpha_k t^k / A on integers, beta_0 = 1 and beta_n =
+        -sum_(k=1..n) alpha_k alpha_0^(k-1) beta_(n-k) are integers, and
+        1 / a = A sum_n beta_n alpha_0^(order-n) t^n / alpha_0^(order+1)."""
         self.require_invertible()
-        a = self.polynomial
-        inverse, known = Polynomial([1 / a.constant_term]), 1  # terms below t^known
-        while known <= self.order:
-            top = min(2 * known, self.order + 1) - 1
-            inverse = _product(inverse, _TWO - _product(a, inverse, top), top)
-            known = top + 1
-        return self._wrap(inverse)
+        order, alphas = self.order, self.polynomial.nums
+        a0 = alphas[0]
+        powers = [1]  # alpha_0^k, k = 0..order
+        for _ in range(order):
+            powers.append(powers[-1] * a0)
+        weights = [(k, v * powers[k - 1]) for k, v in enumerate(alphas[1:], 1) if v]
+        betas = [1]
+        for n in range(1, order + 1):
+            acc = 0
+            for k, w in weights:
+                if k > n:
+                    break
+                acc -= w * betas[n - k]
+            betas.append(acc)
+        sign = 1 if a0 > 0 or order % 2 else -1  # keeps alpha_0^(order+1) positive
+        num = sign * self.polynomial.den
+        out = [num * b * w for b, w in zip(betas, reversed(powers))]
+        return _new(self.base, _canonical(out, sign * powers[-1] * a0), order)
 
     def powers(self, count: int) -> list:
         """[1, self, ..., self^count], each truncated at the order."""
@@ -103,7 +124,7 @@ class DeltaSeries:
         acc = ZERO
         for v in reversed(out.nums):
             acc = _product(acc, g, self.order) + Polynomial([v])
-        return self._wrap(acc.scale(Fraction(1, out.den)))
+        return _new(self.base, acc.scale(Fraction(1, out.den)), self.order)
 
     def compositional_inverse(self) -> "DeltaSeries":
         """g with self(g(t)) = t + O(t^(order+1)), by Lagrange inversion."""
@@ -114,16 +135,16 @@ class DeltaSeries:
         for k in range(1, self.order + 1):
             power = _product(power, h, top)
             g.append(power.coefficient(k - 1) / k)
-        return self._wrap(Polynomial(g))
+        return _new(self.base, Polynomial(g), self.order)
 
     def formal_derivative(self) -> "DeltaSeries":
-        return self._wrap(self.polynomial.derivative())
+        return _new(self.base, self.polynomial.derivative(), self.order)
 
     def shift_down(self) -> "DeltaSeries":
         """Divide a delta series by t (drop the c_0 = 0 term)."""
         if self.polynomial.constant_term != 0:
             raise NotDeltaError("shift_down needs a zero constant term")
-        return self._wrap(_shift_down(self.polynomial, 1))
+        return _new(self.base, _shift_down(self.polynomial, 1), self.order)
 
 
 def _new(base: AdmissibleSequence, p: Polynomial, order: int) -> DeltaSeries:

@@ -235,7 +235,7 @@ def qplane_substitution_failures(seq: AdmissibleSequence, bound: int, y_values):
     def search():
         for y in y_values:
             ladder = a.add(d.scale(y)).orbit(ONE, bound)  # (x + y D_q)^n 1, n = 0..bound
-            shift = DeltaSeries.from_list(seq, seq.exp_polynomial(y, bound).coeffs, bound)
+            shift = DeltaSeries.from_polynomial(seq, seq.exp_polynomial(y, bound), bound)
             for n, substituted in enumerate(ladder):
                 shifted = apply_delta_series(shift, Polynomial.monomial(n))
                 if shifted != substituted:

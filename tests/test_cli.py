@@ -657,6 +657,15 @@ class TestConfigReaders:
             pytest.param("verify", {"suites": [], "families": [{"family": "custom", "values": [1]}]},
                          "BadParameterError", "custom family descriptor", "values",
                          id="families-custom-too-few-values"),
+            pytest.param("sequence", {"family": {"family": "q_deformed", "q": 1}},
+                         "DegenerateFamilyError", "q_deformed family descriptor", "q",
+                         id="family-q-deformed-at-one"),
+            pytest.param("verify", {"suites": [], "families": [{"family": "q_deformed", "q": -1}]},
+                         "DegenerateFamilyError", "q_deformed family descriptor", "q",
+                         id="families-q-deformed-vanishing-integer"),
+            pytest.param("sequence", {"family": {"family": "custom", "values": [1, 0, 2, 3]}},
+                         "DegenerateFamilyError", "custom family descriptor", "values",
+                         id="family-custom-zero-value"),
         ],
     )
     def test_refused_value_exits_two_naming_the_key(
@@ -669,6 +678,20 @@ class TestConfigReaders:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {error}: {where} key {key!r}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "betas, refusal",
+        [([1, -1], "weighted roots must sum to one"), ([1, -2], "recurrence weights must sum to zero")],
+    )
+    def test_refused_recurrence_roots_name_both_keys(self, capsys, tmp_path, betas, refusal):
+        """The recurrence checks read alphas and betas together, and the
+        refusal names both keys."""
+        family = {"family": "recurrence", "alphas": [3, 1], "betas": betas}
+        cfg = write_config(tmp_path, {"family": family})
+        code, out, err = run(capsys, ["sequence", "--degree", "3", "--config", cfg])
+        assert (code, out) == (2, "")
+        assert err == ("error: BadParameterError: recurrence family descriptor keys "
+                       f"'alphas' and 'betas': {refusal}\n")
 
     @pytest.mark.parametrize(
         "body",

@@ -26,6 +26,7 @@ from umbralcalc.operators import (
     expand_in_dual_pair,
     from_action,
     identity_operator,
+    indicator,
     multiplication_x,
     operator_polynomial,
     operator_polynomial_applied,
@@ -47,7 +48,7 @@ from umbralcalc.sequences import (
     verify_sheffer_binomial,
 )
 from umbralcalc.series import DeltaSeries
-from umbralcalc import spectral
+from umbralcalc import operators, spectral
 from umbralcalc.harness import run_suites
 from umbralcalc.spectral import (
     appell_telescope_windows,
@@ -237,6 +238,33 @@ def test_spectral_nontrivial_lowering_operator():
     for n in range(N + 1):
         assert result.definitional.apply(sheffer.table[n]) == sheffer.table[n].scale(n)
     assert result.composition_agrees
+
+
+def test_coefficient_readers_build_no_reassembly():
+    """`spectral_operator` and `indicator` read only the coefficients of
+    their expansions, over a weighted-shift Q and over a series Q alike, so
+    neither the reassembly nor the series route's recomposition back through
+    the powers of q is built; a caller that reads `reassembled` builds it once."""
+    def watch(name):
+        return mock.patch.object(operators, name, wraps=getattr(operators, name))
+
+    pairs = [(seq, DeltaSeries.from_list(seq, q, N)) for seq in (CLASSICAL, Q2, FIB)
+             for q in ([0, 1], [0, 1, 1], [0, 2, 0, Fraction(-1, 3)])]
+    with watch("_reassemble_over_shifts") as reassembly, watch("_expand_over_shifts") as expansions, \
+            watch("_recompose") as recompositions:
+        for seq, q in pairs:
+            sheffer = sheffer_sequence(q, DeltaSeries.from_list(seq, [1, 1], N), N)
+            spectral_operator(sheffer)
+            indicator(multiplication_x(N).compose(sheffer.q_op), sheffer.q_op, 4)
+        series_routes = sum(1 for call in expansions.call_args_list if len(call.args) > 3)
+        assert expansions.call_count == 2 * len(pairs) and series_routes == 2 * 6
+        assert reassembly.call_count == 0
+        assert recompositions.call_count == series_routes  # the coefficients' alone
+        q_op = sheffer.q_op
+        result = expand_in_dual_pair(q_op, q_op, multiplication_x(N))
+        assert result.reassembled is result.reassembled
+        assert result.reassembled.columns == q_op.columns
+        assert reassembly.call_count == 1 and recompositions.call_count == series_routes + 2
 
 
 # -- deformed bracket -----------------------------------------------------------
