@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import BadParameterError, BasisMismatchError, UmbralError
+from .errors import BadParameterError, BasisMismatchError, UmbralError, naming
 from .harness import (
     DEFAULT_SEED,
     SUITES,
@@ -101,12 +101,13 @@ def _get(obj: dict, key: str, kind, default, where: str = "config", parse=None):
     return value if parse is None or value is None else _parsed(value, parse, key, where)
 
 
-def _parsed(value, parse, key: str, where: str):
-    """parse(value), a refused value's error keeping its type and naming its key."""
+def _parsed(value, parse, key, where: str):
+    """parse(value), a refused value's error keeping its type and naming its
+    key, or each key of a tuple."""
     try:
         return parse(value)
     except UmbralError as exc:
-        raise type(exc)(f"{where} key {key!r}: {exc}") from None
+        raise naming(exc, where, key) from None
 
 
 def _int(obj: dict, key: str, default, lo: int, hi: int, where: str = "config"):
@@ -348,8 +349,9 @@ def cmd_integrate(args, config: dict) -> int:
         op = _get(config, "q", (int, str), _REQUIRED,
                   parse=lambda q: IntegralOperator.q_integral(fr(q), degree))
     elif kind == "r":
-        coeffs = _rationals(config, "coefficients", _REQUIRED)
-        op = IntegralOperator.r_integral(coeffs, _rational(config, "q", _REQUIRED), degree)
+        values = (_rationals(config, "coefficients", _REQUIRED), _rational(config, "q", _REQUIRED))
+        op = _parsed(values, lambda cq: IntegralOperator.r_integral(*cq, degree),
+                     ("coefficients", "q"), "config")
     else:
         raise BadParameterError(f"unknown integral kind {kind!r}")
     p = _polynomial(config, "polynomial", "x")
@@ -401,7 +403,7 @@ def cmd_star(args, config: dict) -> int:
     block = _get(config, "poisson", dict, None)
     if block is not None:
         lam = _rational(block, "lam", 1, "poisson")
-        m_max = _int(block, "m_max", 4, 0, degree, "poisson")
+        m_max = _int(block, "m_max", min(4, degree), 0, degree, "poisson")
         family = poisson_psi_polynomials(ctx, lam, m_max)
         routes = poisson_raising_route(ctx, lam, m_max)
         agree = all(p == a for p, a in zip(family, routes))

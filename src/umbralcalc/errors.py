@@ -56,3 +56,10 @@ class NotInvertibleError(UmbralError):
 
 class WrongFamilyError(UmbralError):
     """An operation is only defined for a specific coefficient family."""
+
+
+def naming(exc: UmbralError, where: str, keys) -> UmbralError:
+    """`exc` retyped, its message naming `where` and the key, or keys, it refused."""
+    keys = keys if isinstance(keys, tuple) else (keys,)
+    named = " and ".join([repr(key) for key in keys])
+    return type(exc)(f"{where} key{'s' if len(keys) > 1 else ''} {named}: {exc}")

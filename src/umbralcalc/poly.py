@@ -12,7 +12,9 @@ one product with a scalar. Loops skip zero numerators: the package's operators
 are mostly weighted shifts, so most entries they touch are zero. A family's
 n_psi! and 1 / n_psi! are two such integer tables over one lcm each, kept on
 the `psi.AdmissibleSequence`; every conversion between monomials and the
-divided powers e_j = x^j / j_psi! is one integer pass over them.
+divided powers e_j = x^j / j_psi! is one integer pass over them. A table
+built from its divided-power rows (the basic and Sheffer tables of a series)
+holds those rows and forms its monomial entries on first read.
 
 The package builds tuples from lists, `tuple([...])`, never from generators:
 CPython sizes a tuple built from a generator at 10 and then resizes it, so
@@ -32,6 +34,8 @@ from math import gcd, lcm
 from .errors import BadParameterError, BasisMismatchError, DegreeOverflowError
 
 _ZERO = Fraction(0)
+# the strings most inputs are, read with int() alone; Fraction parses the rest
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def fr(value) -> Fraction:
@@ -46,7 +50,11 @@ def fr(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            plain = _PLAIN_RATIONAL.fullmatch(value)
+            if plain is None:
+                return Fraction(value.strip())
+            num, den = plain.groups()
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except (ValueError, ZeroDivisionError):
             pass
     raise BadParameterError(f"not an exact rational: {value!r}")
@@ -378,33 +386,40 @@ class SequenceTable:
     `divided` is None, or the pair (family, rows) when the table was built
     from its rows: row n is entry n over n_psi! read in the divided powers
     e_j = x^j / j_psi! of that family object. The basic and Sheffer tables of
-    a series carry it; the addition rule reads the rows when it is asked
-    about that same family object and converts the entries otherwise.
-    Equality, hashing and JSON see the entries alone, and a table made by
-    the constructor or `dataclasses.replace` carries no rows.
+    a series hold their rows and form their entries on first read, p_n[j] =
+    n_psi! T_n[j] / j_psi!, one integer pass per entry; the degrees are
+    checked on the rows when the table is built. The addition rule reads the
+    rows when it is asked about that same family object. Equality, hashing,
+    repr and JSON see the entries alone, and a table made by the constructor
+    or `dataclasses.replace` carries no rows.
     """
 
     entries: tuple
     divided: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        entries = tuple(self.entries)
+        object.__setattr__(self, "entries", tuple(self.entries))
+        _check_graded(self.entries)
+
+    def __getattr__(self, name):
+        # reached only for an attribute not set: a row table's entries
+        if name != "entries" or self.divided is None:
+            raise AttributeError(name)
+        family, rows = self.divided
+        f, g = family._factorial_table, family._inverse_factorial_table
+        entries = tuple([_diagonal(t, g, c, f.den) for t, c in zip(rows, f.nums)])
         object.__setattr__(self, "entries", entries)
-        for n, p in enumerate(entries):
-            if p.degree != n:
-                raise BasisMismatchError(
-                    f"table entry {n} has degree {p.degree}, expected {n}"
-                )
+        return entries
 
     @property
     def bound(self) -> int:
-        return len(self.entries) - 1
+        return len(self.entries if self.divided is None else self.divided[1]) - 1
 
     def __getitem__(self, n: int) -> Polynomial:
         return self.entries[n]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.bound + 1
 
     def __iter__(self):
         return iter(self.entries)
@@ -433,6 +448,12 @@ class SequenceTable:
     @staticmethod
     def from_json(data) -> "SequenceTable":
         return SequenceTable(tuple([Polynomial(row) for row in data]))
+
+
+def _check_graded(polys) -> None:
+    for n, p in enumerate(polys):
+        if p.degree != n:
+            raise BasisMismatchError(f"table entry {n} has degree {p.degree}, expected {n}")
 
 
 def coordinates_in_table(table: SequenceTable, p: Polynomial) -> list:

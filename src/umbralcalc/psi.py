@@ -22,6 +22,7 @@ from .errors import (
     IndexOrderError,
     UmbralError,
     UndefinedIndexError,
+    naming,
 )
 from .poly import Polynomial, _over_one_lcm, _running_products, fr
 
@@ -219,27 +220,25 @@ class AdmissibleSequence:
             raise BadParameterError(f"family descriptor must be an object, got {data!r}")
         family = data.get("family")
 
-        def need(keys, listed=False, build=lambda value: value):
-            """build(*values) of the rationals, or (`listed`) lists of them, under
-            `keys`, one key or a tuple; a bad value names its key, and a value
-            that `build` refuses keeps its error type and names every key read."""
+        def need(keys, listed=(), build=lambda value: value):
+            """build(*values) of the rationals under `keys`, one key or a tuple,
+            lists of them under the keys `listed`; a bad value names its key, and
+            a value that `build` refuses keeps its error type and names every key."""
             keys = keys if isinstance(keys, tuple) else (keys,)
             values = []
             for key in keys:
                 if key not in data:
                     raise BadParameterError(f"{family} family descriptor needs key {key!r}")
-                if listed and not isinstance(data[key], list):
+                if key in listed and not isinstance(data[key], list):
                     raise BadParameterError(f"{family} family descriptor key {key!r} must be a list")
                 try:
-                    values.append([fr(v) for v in data[key]] if listed else fr(data[key]))
+                    values.append([fr(v) for v in data[key]] if key in listed else fr(data[key]))
                 except BadParameterError as exc:
-                    raise BadParameterError(f"{family} family descriptor key {key!r}: {exc}") from None
+                    raise naming(exc, f"{family} family descriptor", key) from None
             try:
                 return build(*values)
             except UmbralError as exc:
-                named = " and ".join([repr(key) for key in keys])
-                plural = "s" if len(keys) > 1 else ""
-                raise type(exc)(f"{family} family descriptor key{plural} {named}: {exc}") from None
+                raise naming(exc, f"{family} family descriptor", keys) from None
 
         if family == CLASSICAL:
             return AdmissibleSequence.classical(bound)
@@ -248,12 +247,14 @@ class AdmissibleSequence:
         if family == FIBONACCI:
             return AdmissibleSequence.fibonacci(bound)
         if family == RECURRENCE:
-            return need(("alphas", "betas"), True,
+            return need(("alphas", "betas"), ("alphas", "betas"),
                         lambda alphas, betas: AdmissibleSequence.recurrence(alphas, betas, bound))
         if family == R_SERIES:
-            return AdmissibleSequence.r_series(need("coefficients", True), need("q"), bound)
+            return need(("coefficients", "q"), ("coefficients",),
+                        lambda coeffs, q: AdmissibleSequence.r_series(coeffs, q, bound))
         if family == HYPERBOLIC:
             return AdmissibleSequence.hyperbolic(bound)
         if family == CUSTOM:
-            return need("values", True, lambda values: AdmissibleSequence.custom(values, bound))
+            return need("values", ("values",),
+                        lambda values: AdmissibleSequence.custom(values, bound))
         raise BadParameterError(f"unknown family {family!r}")

@@ -35,6 +35,7 @@ from .poly import (
     Polynomial,
     SequenceTable,
     _canonical,
+    _check_graded,
     _convolve,
     _diagonal,
     coordinates_in_table,
@@ -118,12 +119,13 @@ def basic_sequence_from_series(q_series: DeltaSeries, bound: int) -> BasicSequen
 
 
 def _table_of_rows(seq: AdmissibleSequence, rows: list) -> SequenceTable:
-    """The table with entries p_n[j] = n_psi! T_n[j] / j_psi!, T_n = rows[n],
-    on the family's integer tables, keeping the rows and the family."""
-    f, g = seq._factorial_table, seq._inverse_factorial_table
-    entries = [_diagonal(t, g, c, f.den) for t, c in zip(rows, f.nums)]
-    table = SequenceTable(tuple(entries))
-    object.__setattr__(table, "divided", (seq, tuple(rows)))
+    """The table of the rows T_n = rows[n], which keeps them and the family
+    and forms its entries p_n[j] = n_psi! T_n[j] / j_psi! on first read; the
+    degrees are checked on the rows."""
+    rows = tuple(rows)
+    _check_graded(rows)
+    table = object.__new__(SequenceTable)
+    object.__setattr__(table, "divided", (seq, rows))
     return table
 
 
@@ -323,24 +325,25 @@ def addition_rule_failure(table: SequenceTable, partner: SequenceTable,
     E^y t_n = sum_k binom_psi(n,k) t_k(x) u_(n-k)(y) fails, or None.
 
     `partner` is `table` for a basic table, the basic table for a Sheffer
-    one; `y_values` defaults to `default_shift_samples(bound + 2)`. Each
-    degree is decided as the exact bivariate identity: both sides have
-    degree at most n in y, so equal coefficients make every sample agree.
-    It is read on divided powers: the coefficient of x^i y^k, times the
-    nonzero i_psi! k_psi! / n_psi!, is the coefficient of e_i(x) e_k(y) with
-    e_j = x^j / j_psi!, so cell (i, k) holds exactly when the convolution of
-    `_addition_cells` does, and no binom_psi is formed. A table built from
-    its rows (the basic and Sheffer tables of a series) gives its kept rows
-    when `seq` is the very family object that built them; any other table or
-    family has each entry converted once, when the degree loop first reaches
-    it. While every lower degree holds, a degree is decided by its chain
-    cells, O(n^2) products in place of O(n^3). At a degree whose cells
-    differ, the first sample at which their difference is nonzero
-    (`_separating_sample`) is the witness; if no sample separates the sides
-    (fewer than n + 1 distinct samples can all be roots), the check moves on
-    as the sampled rule would, and later degrees check all their cells.
+    one; `y_values` defaults to `default_shift_samples(bound + 2)`, formed
+    only when a degree's cells differ. Each degree is decided as the exact
+    bivariate identity: both sides have degree at most n in y, so equal
+    coefficients make every sample agree. It is read on divided powers: the
+    coefficient of x^i y^k, times the nonzero i_psi! k_psi! / n_psi!, is the
+    coefficient of e_i(x) e_k(y) with e_j = x^j / j_psi!, so cell (i, k)
+    holds exactly when the convolution of `_addition_cells` does, and no
+    binom_psi is formed. A table built from its rows (the basic and Sheffer
+    tables of a series) gives its kept rows when `seq` is the very family
+    object that built them; any other table or family has each entry
+    converted once, when the degree loop first reaches it. While every lower
+    degree holds, a degree is decided by its chain cells, O(n^2) products in
+    place of O(n^3). At a degree whose cells differ, the first sample at
+    which their difference is nonzero (`_separating_sample`) is the witness;
+    if no sample separates the sides (fewer than n + 1 distinct samples can
+    all be roots), the check moves on as the sampled rule would, and later
+    degrees check all their cells.
     """
-    ys = default_shift_samples(table.bound + 2) if y_values is None else list(y_values)
+    ys = None if y_values is None else list(y_values)
 
     def rows(tab: SequenceTable):
         """n -> entry n over n_psi! in the e_j of `seq`."""
@@ -362,6 +365,8 @@ def addition_rule_failure(table: SequenceTable, partner: SequenceTable,
         ) or not chained and not any(map(any, _addition_cells(t, u, n))):
             continue
         chained = False
+        if ys is None:
+            ys = default_shift_samples(table.bound + 2)
         y = _separating_sample(_addition_cells(t, u, n), n, seq, ys)
         if y is not None:
             return n, y

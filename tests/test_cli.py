@@ -252,6 +252,16 @@ class TestStarAndSpectral:
         assert code == 0
         assert "routes agree: yes" in out
 
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_poisson_default_stops_at_the_degree(self, capsys, tmp_path, degree):
+        """Below degree 4 the default m_max is the degree itself."""
+        cfg = write_config(tmp_path, {"poisson": {}})
+        code, out, _ = run(capsys, ["star", "--degree", str(degree), "--format", "json",
+                                    "--config", cfg])
+        assert code == 0
+        poisson = json.loads(out)["poisson"]
+        assert len(poisson["entries"]) == degree + 1 and poisson["routes_agree"] is True
+
     def test_spectral_summary(self, capsys, tmp_path):
         cfg = write_config(tmp_path, {"family": {"family": "q_deformed", "q": "2"}})
         code, out, _ = run(capsys, ["spectral", "--degree", "6", "--config", cfg])
@@ -692,6 +702,32 @@ class TestConfigReaders:
         assert (code, out) == (2, "")
         assert err == ("error: BadParameterError: recurrence family descriptor keys "
                        f"'alphas' and 'betas': {refusal}\n")
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            pytest.param("sequence",
+                         {"family": {"family": "r_series", "coefficients": [1, 1], "q": 2}},
+                         "BadParameterError: r_series family descriptor keys 'coefficients' "
+                         "and 'q': series map must send 1 to 0 (zero constant sum)",
+                         id="r-series-nonzero-constant-sum"),
+            pytest.param("sequence",
+                         {"family": {"family": "r_series", "coefficients": [1, -1], "q": 1}},
+                         "DegenerateFamilyError: r_series family descriptor keys 'coefficients' "
+                         "and 'q': r_series(q=1): generalized integer at n = 1 is zero",
+                         id="r-series-vanishing-integer"),
+            pytest.param("integrate", {"kind": "r", "coefficients": [1, -1], "q": 1},
+                         "DegenerateFamilyError: config keys 'coefficients' and 'q': "
+                         "series weight vanishes at index 1", id="integrate-r-vanishing-weight"),
+        ],
+    )
+    def test_refused_series_shapes_name_both_keys(self, capsys, tmp_path, command, config,
+                                                  message):
+        """An r-series shape is refused for its coefficients and q together,
+        and the refusal names both keys and keeps its error type."""
+        cfg = write_config(tmp_path, config)
+        code, out, err = run(capsys, [command, "--degree", "3", "--config", cfg])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "body",

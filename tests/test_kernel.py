@@ -121,6 +121,13 @@ give the columns of the `old_*` image lists they replaced on the roster's
 basic and Sheffer tables up to N = 16, the dilation those of `old_dilate`,
 and every lowering Q must be the graded derivative conjugated to its basic
 table, Q = Phi d_psi Phi^-1.
+
+Then a table built from its rows forms its entries on first read:
+`old_eager_table_of_rows` is the eager conversion it replaced, verbatim
+except for its name, and the entries read must be its entries; the
+accepted addition checks must form none, nor any factorial table. And `fr`
+reads plain integers and quotients with int(): `old_fr_text`, which parsed
+every string with Fraction, must give the same value or the same refusal.
 """
 
 import dataclasses
@@ -136,7 +143,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from umbralcalc import cli, harness, operators, sequences, spectral
+from umbralcalc import cli, harness, operators, psi, sequences, spectral
 from umbralcalc.errors import (
     BadParameterError,
     BasisMismatchError,
@@ -2792,6 +2799,14 @@ def old_table_of_rows(seq: AdmissibleSequence, rows: list) -> SequenceTable:
     return table
 
 
+def old_eager_table_of_rows(seq: AdmissibleSequence, rows: list) -> SequenceTable:
+    f, g = seq._factorial_table, seq._inverse_factorial_table
+    entries = [_diagonal(t, g, c, f.den) for t, c in zip(rows, f.nums)]
+    table = SequenceTable(tuple(entries))
+    object.__setattr__(table, "divided", (seq, tuple(rows)))
+    return table
+
+
 def old_entry_row(p: Polynomial, n: int, seq: AdmissibleSequence) -> Polynomial:
     return old_diagonal(p, old_factorials(seq)).scale(inverse_factorials(seq)[n])
 
@@ -3782,3 +3797,86 @@ def test_a_lowering_is_the_graded_derivative_conjugated_to_its_basic_table(degre
         series = harness._random_series(seq, rng, degree, [0, harness._nonzero(rng)])
         basic = basic_sequence_from_series(series, degree)
         assert table_conjugate(basic.table, d) == basic.q_op, seq.label
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=table_row_cases())
+def test_row_tables_form_the_eager_entries_on_first_read(case):
+    """A table built from its rows forms no entry until one is read, and
+    then the entries of the eager conversion; it equals, and hashes, reprs
+    and writes as, the table of those entries."""
+    seq, rows = case
+    got = sequences._table_of_rows(seq, rows)
+    assert (got.bound, len(got), got.divided) == (len(rows) - 1, len(rows), (seq, tuple(rows)))
+    assert "entries" not in vars(got)
+    want = old_eager_table_of_rows(seq, rows)
+    for p, q in zip(got.entries, want.entries, strict=True):
+        same(p, q)
+    assert vars(got)["entries"] is got.entries
+    # each on a fresh table, whose entries are not yet formed
+    plain, fresh = SequenceTable(want.entries), lambda: sequences._table_of_rows(seq, rows)
+    assert fresh() == plain and plain == fresh() and hash(fresh()) == hash(plain)
+    assert repr(fresh()) == repr(plain) and fresh().to_json() == plain.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=row_table_cases())
+def test_accepted_addition_checks_form_no_entries(case):
+    """The basic and Sheffer tables of a series pass both addition checks on
+    their rows: no entry is formed, no factorial table of the family, and
+    no default shift samples."""
+    seq, q_series, s_series, degree, _, _ = case
+    s_series = DeltaSeries.from_list(seq, s_series.coeffs, degree)
+    with mock.patch.object(psi, "_running_products", wraps=psi._running_products) as counted, \
+            mock.patch.object(sequences, "default_shift_samples",
+                              wraps=default_shift_samples) as sampled:
+        sheffer = sheffer_sequence(q_series, s_series, degree)
+        assert verify_binomial_type(sheffer.basic.table, seq).passed
+        assert verify_sheffer_binomial(sheffer).passed
+    assert counted.call_count == 0 and sampled.call_count == 0
+    assert "_factorial_table" not in vars(seq) and "_inverse_factorial_table" not in vars(seq)
+    for table in (sheffer.basic.table, sheffer.table):
+        assert "entries" not in vars(table) and table.bound == degree
+        # read, they are the entries of the eager conversion
+        assert table.entries == old_eager_table_of_rows(seq, table.divided[1]).entries
+
+
+def test_a_malformed_row_is_refused_when_the_table_is_built():
+    seq = AdmissibleSequence.q_deformed(Fraction(2), 4)
+    for rows, message in (([ONE, Polynomial([1])], "table entry 1 has degree 0, expected 1"),
+                          ([X], "table entry 0 has degree 1, expected 0"),
+                          ([ONE, X, ZERO], "table entry 2 has degree -1, expected 2")):
+        with pytest.raises(BasisMismatchError) as info:
+            sequences._table_of_rows(seq, rows)
+        assert str(info.value) == message
+    assert "_factorial_table" not in vars(seq)
+
+
+def old_fr_text(value: str) -> Fraction:
+    """`fr` on a string before plain integers and quotients were read with
+    int(): Fraction parsed every string."""
+    try:
+        return Fraction(value.strip())
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise BadParameterError(f"not an exact rational: {value!r}")
+
+
+# strings of the plain grammar -?[0-9]+(/[0-9]+)?, strings near it (signs,
+# spaces, underscores, exponents, non-ASCII digits), and any short text
+near_plain_text = st.lists(
+    st.sampled_from(list("0123456789-/+_ .e") + ["\t", "\n", "٣", "１", "²"]),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.from_regex(r"-?[0-9]+(/[0-9]+)?", fullmatch=True) | near_plain_text
+       | st.text(max_size=8) | st.sampled_from([
+           "-0", "007/010", "1/0", "0/0", "-0/7", "+3", " 2/3 ", "3/-2", "1_0", "1/2_0",
+           "٣/٤", "１２", "1e3", "1.5", "1/2/3", "-", "/", "", "1" * 5000,
+           "1/" + "2" * 5000, "9" * 4300]))
+def test_plain_rational_text_reads_as_fraction_did(text):
+    got, want = result_or_error(fr, text), result_or_error(old_fr_text, text)
+    assert got == want
+    assert got[0] == "raises" or type(got[1]) is Fraction

@@ -92,7 +92,8 @@ def test_graded_ladder_keeps_its_error_types():
 
 def test_series_table_builds_only_the_integer_factorial_tables(monkeypatch):
     # the range guard reads no factorial table: a fresh family runs one
-    # running-products pass for n_psi! and one for 1 / n_psi!
+    # running-products pass for n_psi! and one for 1 / n_psi!, when the
+    # table's entries are first read
     calls = []
     original = psi._running_products
 
@@ -102,7 +103,7 @@ def test_series_table_builds_only_the_integer_factorial_tables(monkeypatch):
 
     monkeypatch.setattr(psi, "_running_products", counted)
     seq = AdmissibleSequence.custom([1, 2, Fraction(1, 3), -1, 5, 2], 6)
-    basic_sequence_from_series(DeltaSeries.from_list(seq, [0, 1, 1], 6), 6)
+    basic_sequence_from_series(DeltaSeries.from_list(seq, [0, 1, 1], 6), 6).table.entries
     assert len(calls) == 2
     short = AdmissibleSequence.custom([1, 2, Fraction(1, 3)], 3)
     with pytest.raises(UndefinedIndexError) as info:
