@@ -4,9 +4,10 @@ An operator is stored as its matrix in the monomial basis: column j is the
 image of x^j, itself a polynomial of degree at most the bound N. Operators
 that genuinely raise degree lose their top column to truncation; validity
 windows downstream account for that. A `WeightedShift` x^j -> w_j x^(j + s)
-keeps its step s and weights w_j as built, and a `SeriesOperator` its series
-in the family lowering operator; operators compare by columns. Matrix powers
-are built only where they are compared; elsewhere an orbit is applied.
+holds its step s and weights w_j, which give its bound, grading and running
+products, and forms its columns on first read; a `SeriesOperator` keeps its
+series in the family lowering operator. Operators compare by columns. Matrix
+powers are built only where they are compared; elsewhere an orbit is applied.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from .poly import (
     _canonical,
     _combine,
     _convolve,
+    _diagonal,
     _over_one_lcm,
-    _raised_sum,
+    _reciprocals,
     _running_products,
     coordinates_in_table,
     fr,
@@ -123,15 +125,19 @@ class OperatorMatrix:
 
     @property
     def grading(self) -> str:
-        n = self.bound
-        cols = self.columns
-        if not cols[0] and all(cols[j].degree == j - 1 for j in range(1, n + 1)):
+        degrees = self._degrees
+        n = len(degrees) - 1
+        if degrees[0] < 0 and all(degrees[j] == j - 1 for j in range(1, n + 1)):
             return LOWERS_BY_ONE
-        if all(cols[j].degree == j + 1 for j in range(n)):
+        if all(degrees[j] == j + 1 for j in range(n)):
             return RAISES_BY_ONE
-        if all(not cols[j] or cols[j].degree == j for j in range(n + 1)):
+        if all(d < 0 or d == j for j, d in enumerate(degrees)):
             return PRESERVES
         return UNGRADED
+
+    @property
+    def _degrees(self) -> list:
+        return [col.degree for col in self.columns]
 
     def agreement_window(self, other: "OperatorMatrix") -> int:
         """Largest d with columns 0..d identical (-1 if none agree)."""
@@ -156,19 +162,46 @@ def from_action(action, bound: int) -> OperatorMatrix:
 @dataclass(frozen=True, eq=False)
 class WeightedShift(OperatorMatrix):
     """x^j -> weights[j] x^(j + step); weights[j] is 0 where the image would
-    leave degrees 0..bound."""
+    leave degrees 0..bound. It holds the step and the weights, which give
+    its bound and grading; its columns are formed on first read."""
 
+    columns: tuple = field(init=False)
     step: int
     weights: tuple
+
+    def __post_init__(self):
+        if not self.weights:
+            raise BadParameterError("operator needs at least one column")
+
+    def __getattr__(self, name):  # reached only for an attribute not set
+        if name != "columns":
+            raise AttributeError(name)
+        columns = tuple([Polynomial.monomial(j + self.step, w) if w else ZERO
+                         for j, w in enumerate(self.weights)])
+        object.__setattr__(self, "columns", columns)
+        return columns
+
+    @property
+    def bound(self) -> int:
+        return len(self.weights) - 1
+
+    @property
+    def _degrees(self) -> list:
+        return [j + self.step if w else -1 for j, w in enumerate(self.weights)]
+
+    @cached_property
+    def products(self) -> list:
+        """Reduced pairs (n, d), n = 0..bound, for a step of -1 or +1: the running
+        products U_n = w_1 ... w_n of a lowering shift, R_n = w_0 ... w_(n-1) of a raiser."""
+        return _running_products(self.weights[max(0, -self.step) :][: self.bound])
 
 
 def weighted_shift(step: int, bound: int, weight) -> WeightedShift:
     """x^j -> weight(j) x^(j + step). `weight` is asked only for the columns
     whose image stays within degrees 0..bound, so a family just long enough
     for those columns is never read past its end; the others are zero."""
-    weights = tuple([fr(weight(j)) if 0 <= j + step <= bound else _ZERO for j in range(bound + 1)])
-    columns = [Polynomial.monomial(j + step, w) if w else ZERO for j, w in enumerate(weights)]
-    return WeightedShift(tuple(columns), step, weights)
+    return WeightedShift(step, tuple(
+        [fr(weight(j)) if 0 <= j + step <= bound else _ZERO for j in range(bound + 1)]))
 
 
 def identity_operator(bound: int) -> WeightedShift:
@@ -414,12 +447,13 @@ class ExpansionResult:
         return self.coefficients == other.coefficients and self.reassembled == other.reassembled
 
 
-def _expand_over_shifts(t: OperatorMatrix, u: list, r: list, series=None) -> ExpansionResult:
+def _expand_over_shifts(t: OperatorMatrix, q: WeightedShift, r: WeightedShift, series=None) -> ExpansionResult:
     """Q x^j = u_j x^(j-1), raiser x^j = r_j x^(j+1): with U_n = u_1 ... u_n,
     R_n = r_0 ... r_(n-1), S_n = U_n R_n, D: x^n -> x^n / R_n makes the raiser
     multiplication by x, so T^_c = D(T x^c) / U_c = sum_d x^d q_(c-d) / S_d and
     q(y) = T^(y) / E(xy), E(z) = sum_d z^d / S_d: one division per column.
-    Column c, T^_c less the raised sum over d >= 1, is one pass on integers.
+    Column c, T^_c less x^d q_(c-d) / S_d for d >= 1, cut at the bound, is one
+    pass on integers over the lcm of the denominators it reads.
 
     Given a delta `series` q over the Q of these u_j, the expansion is over
     q(Q) instead. With g = q^<-1>, Q = g(q(Q)) (Rota, Kahaner and Odlyzko,
@@ -427,25 +461,33 @@ def _expand_over_shifts(t: OperatorMatrix, u: list, r: list, series=None) -> Exp
     c = `_recompose`(a, g); the reassembly maps c back through the powers of
     q, reading the published c alone."""
     bound = t.bound
-    rs, us = r[:bound], u[1 : bound + 1]
-    if 0 in rs:  # raiser^i 1 = 0, as the ladder would find
-        i = rs.index(0) + 1
+    if 0 in r.weights[:bound]:  # raiser^i 1 = 0, as the ladder would find
+        i = r.weights.index(0) + 1
         raise SingularOperatorError(f"raiser power {i} applied to 1 has degree -1, not {i}")
-    inverse_lead = _over_one_lcm(_running_products(rs, inverse=True))
-    minus_e = -_over_one_lcm(_running_products(rs, us, inverse=True))
-    coefficients = []
-    for col, (a, b) in zip(t.columns, _running_products(us, inverse=True)):
-        start = [v * w * a for v, w in zip(col.nums, inverse_lead.nums)]  # T^_c
-        polys = [ZERO] + coefficients[::-1]  # q_(c-d) for d >= 1
-        out, den = _raised_sum(minus_e, polys, bound, start, col.den * inverse_lead.den * b)
+    inverse_lead = _over_one_lcm(_reciprocals(r.products))
+    e = _diagonal(inverse_lead, _over_one_lcm(_reciprocals(q.products)))  # 1 / S_d
+    common, coefficients = 1, []  # common: the lcm of the dens of q_0 .. q_(c-1)
+    for col, (a, b) in zip(t.columns, _reciprocals(q.products)):
+        out = [0] * (bound + 1)
+        for d, p in enumerate(reversed(coefficients), 1):  # less x^d q_(c-d) / S_d
+            w = e.nums[d] * (common // p.den)
+            for i, v in enumerate(p.nums[: bound + 1 - d], d):
+                out[i] -= w * v
+        start_den = col.den * inverse_lead.den * b
+        den = lcm(common * e.den, start_den)
+        k, m = den // (common * e.den), a * (den // start_den)
+        out = [v * k for v in out]
+        for i, (v, w) in enumerate(zip(col.nums, inverse_lead.nums)):  # T^_c
+            out[i] += v * w * m
         coefficients.append(_canonical(out, den))
+        common = lcm(common, coefficients[-1].den)
     if series is not None:
         coefficients = _recompose(coefficients, series.compositional_inverse())
     published = tuple(coefficients)
 
     def reassemble():
         back = published if series is None else _recompose(published, series)
-        return _reassemble_over_shifts(back, u, r)
+        return _reassemble_over_shifts(back, q, r)
 
     return ExpansionResult(published, reassemble)
 
@@ -464,19 +506,25 @@ def _recompose(coefficients: list, s: DeltaSeries) -> list:
     return out
 
 
-def _reassemble_over_shifts(coefficients: list, u: list, r: list) -> OperatorMatrix:
-    """sum_n q_n(raiser) Q^n from the coefficients and weights alone, with no
-    residual or weight of the solve: Q^n x^c = (U_c / U_(c-n)) x^(c-n) and raiser^i x^m =
-    (R_(m+i) / R_m) x^(m+i), zero past the bound (r_N = 0), so column c is
-    U_c diag(R) sum_m x^m q_(c-m) / (U_m R_m) cut at the bound: one raised sum."""
+def _reassemble_over_shifts(coefficients: list, q: WeightedShift, r: WeightedShift) -> OperatorMatrix:
+    """sum_n q_n(raiser) Q^n from the coefficients and the running products
+    of the weights alone, with no residual or weight of the solve:
+    Q^n x^c = (U_c / U_(c-n)) x^(c-n) and raiser^i x^m = (R_(m+i) / R_m) x^(m+i),
+    zero past the bound (r_N = 0), so column c is U_c diag(R) sum_m x^m
+    q_(c-m) / S_m cut at the bound, summed over one lcm per column."""
     bound = len(coefficients) - 1
-    lead = _over_one_lcm(_running_products(r[:bound]))
-    weights = _over_one_lcm(_running_products(r, u[1:], inverse=True))
-    columns = []
-    for c, (a, b) in enumerate(_running_products(u[1:])):
-        out, den = _raised_sum(weights, coefficients[c::-1], bound)
+    lead = _over_one_lcm(r.products)
+    weights = _diagonal(*[_over_one_lcm(_reciprocals(s.products)) for s in (r, q)])  # 1 / S_m
+    common, columns = 1, []
+    for c, (a, b) in enumerate(q.products):
+        common = lcm(common, coefficients[c].den)  # of q_0 .. q_c
+        out = [0] * (bound + 1)
+        for m, p in enumerate(coefficients[c::-1]):
+            w = weights.nums[m] * (common // p.den)
+            for i, v in enumerate(p.nums[: bound + 1 - m], m):
+                out[i] += w * v
         out = [v * w * a for v, w in zip(out, lead.nums)]
-        columns.append(_canonical(out, den * lead.den * b))
+        columns.append(_canonical(out, common * weights.den * lead.den * b))
     return OperatorMatrix(tuple(columns))
 
 
@@ -524,10 +572,10 @@ def expand_in_dual_pair(
         raise BadParameterError("operator bounds differ")
     if isinstance(raiser, WeightedShift) and raiser.step == 1:
         if isinstance(q_op, WeightedShift):
-            return _expand_over_shifts(t, q_op.weights, raiser.weights)
+            return _expand_over_shifts(t, q_op, raiser)
         if isinstance(q_op, SeriesOperator) and bound:  # q read at bound 0 is 0, no delta series
             q = q_op.series
-            return _expand_over_shifts(t, psi_derivative(q.base, bound).weights, raiser.weights, q)
+            return _expand_over_shifts(t, psi_derivative(q.base, bound), raiser, q)
     return _expand_over_ladder(t, q_op, raiser)
 
 

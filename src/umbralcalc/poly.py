@@ -85,6 +85,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return _new, (self.nums, self.den)
+
     @property
     def coeffs(self) -> tuple:
         """The coefficients as canonical Fractions, low degree first."""
@@ -287,24 +290,6 @@ def _combine(weights: Polynomial, polys, start: Polynomial = ZERO) -> Polynomial
     return _canonical(out, den * weights.den)
 
 
-def _raised_sum(weights: Polynomial, polys, bound: int, start=(), start_den: int = 1):
-    """`out`, bound + 1 integers, and `den` > 0 with sum_i out[i] x^i / den =
-    start / start_den + sum_d weights[d] x^d polys[d] cut at degree `bound`,
-    summed over one lcm as in `_combine` and not yet in canonical form."""
-    terms = [(d, w, p) for d, (w, p) in enumerate(zip(weights.nums, polys))
-             if w and p.nums and d <= bound]
-    common = lcm(*[p.den for _, _, p in terms])
-    out = [0] * (bound + 1)
-    for d, w, p in terms:
-        w *= common // p.den
-        for i, a in enumerate(p.nums[: bound + 1 - d], d):
-            out[i] += w * a
-    den = lcm(common * weights.den, start_den)
-    k, m = den // (common * weights.den), den // start_den
-    start = list(start) + [0] * (bound + 1 - len(start))
-    return [v * k + a * m for v, a in zip(out, start)], den
-
-
 def _diagonal(p: Polynomial, weights: Polynomial, c: int = 1, den: int = 1) -> Polynomial:
     """sum_i (c / den) w_i p_i x^i, w_i the coefficients of `weights`: one
     pass on the integers, one canonical form."""
@@ -312,16 +297,20 @@ def _diagonal(p: Polynomial, weights: Polynomial, c: int = 1, den: int = 1) -> P
                       p.den * weights.den * den)
 
 
-def _running_products(*factors, inverse: bool = False) -> list:
-    """(n, d), d > 0, for 1 and each running product of the lists `factors`
-    taken entry by entry, or its reciprocal, kept reduced on integers."""
+def _running_products(values) -> list:
+    """(n, d), d > 0, for 1 and each running product of the Fractions
+    `values`, kept reduced on integers."""
     n, d, pairs = 1, 1, [(1, 1)]
-    for values in zip(*factors):
-        for v in values:  # two small gcds keep n / d reduced, as in Fraction
-            g, h = gcd(n, v.denominator), gcd(v.numerator, d)
-            n, d = (n // g) * (v.numerator // h), (d // h) * (v.denominator // g)
-        pairs.append(((d, n) if n > 0 else (-d, -n)) if inverse else (n, d))
+    for v in values:  # two small gcds keep n / d reduced, as in Fraction
+        g, h = gcd(n, v.denominator), gcd(v.numerator, d)
+        n, d = (n // g) * (v.numerator // h), (d // h) * (v.denominator // g)
+        pairs.append((n, d))
     return pairs
+
+
+def _reciprocals(pairs: list) -> list:
+    """d / n for each nonzero reduced n / d, as a reduced pair with d > 0."""
+    return [(d, n) if n > 0 else (-d, -n) for n, d in pairs]
 
 
 def _over_one_lcm(pairs: list) -> Polynomial:

@@ -24,7 +24,7 @@ from .errors import (
     UndefinedIndexError,
     naming,
 )
-from .poly import Polynomial, _over_one_lcm, _running_products, fr
+from .poly import Polynomial, _over_one_lcm, _reciprocals, _running_products, fr
 
 CLASSICAL = "classical"
 Q_DEFORMED = "q_deformed"
@@ -155,7 +155,7 @@ class AdmissibleSequence:
     @cached_property
     def _inverse_factorial_table(self) -> Polynomial:
         """1 / n_psi! = G[n] / G_den, n = 0..bound, likewise."""
-        return _over_one_lcm(_running_products(self.values[1:], inverse=True))
+        return _over_one_lcm(_reciprocals(_running_products(self.values[1:])))
 
     @cached_property
     def _binomials(self) -> dict:
@@ -257,4 +257,6 @@ class AdmissibleSequence:
         if family == CUSTOM:
             return need("values", ("values",),
                         lambda values: AdmissibleSequence.custom(values, bound))
-        raise BadParameterError(f"unknown family {family!r}")
+        known = ", ".join([CLASSICAL, Q_DEFORMED, FIBONACCI, RECURRENCE, R_SERIES, HYPERBOLIC, CUSTOM])
+        raise naming(BadParameterError(f"unknown family {family!r}; known: {known}"),
+                     "family descriptor", "family")

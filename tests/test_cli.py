@@ -676,6 +676,8 @@ class TestConfigReaders:
             pytest.param("sequence", {"family": {"family": "custom", "values": [1, 0, 2, 3]}},
                          "DegenerateFamilyError", "custom family descriptor", "values",
                          id="family-custom-zero-value"),
+            pytest.param("sequence", {"family": {}}, "BadParameterError", "family descriptor",
+                         "family", id="family-unknown"),
         ],
     )
     def test_refused_value_exits_two_naming_the_key(

@@ -2022,8 +2022,7 @@ def test_expansion_over_shifts_matches_the_matrix_route(case, family_case):
     # the reassembly reads the coefficients alone: one changed moves a column
     changed = list(got.coefficients)
     changed[-1] += ONE
-    weights = q_op.weights, raiser.weights
-    assert operators._reassemble_over_shifts(changed, *weights).columns != t.columns
+    assert operators._reassemble_over_shifts(changed, q_op, raiser).columns != t.columns
 
     # multiplication by x: R_n = 1 and S_d = d_psi!, so E = exp_psi and
     # q(y) = T^(y) F(xy) with F = 1 / exp_psi and T^_c = T x^c / c_psi!
@@ -2037,6 +2036,70 @@ def test_expansion_over_shifts_matches_the_matrix_route(case, family_case):
                 f.coefficient(d) / seq.factorial(c - d))
         same(got.coefficients[c], want.truncate(bound))
     assert got.reassembled.columns == t.columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(step=st.sampled_from([-1, 0, 1]), bound=st.integers(0, 24), data=st.data())
+def test_a_shift_reads_its_weights_as_its_columns(step, bound, data):
+    """A weighted shift forms its columns on first read; before that, its
+    bound and grading, read from the weights, are those of its columns,
+    interior zero weights included."""
+    w = data.draw(st.lists(st.sampled_from([0, 0, 1, -2, Fraction(1, 3)]),
+                           min_size=bound + 1, max_size=bound + 1))
+    shift = weighted_shift(step, bound, lambda j: w[j])
+    eager = OperatorMatrix(tuple(
+        Polynomial([0] * (j + step) + [w[j]]) if 0 <= j + step <= bound else ZERO
+        for j in range(bound + 1)))
+    assert (shift.bound, shift.grading) == (eager.bound, eager.grading)
+    assert "columns" not in vars(shift)
+    assert shift.columns == eager.columns and vars(shift)["columns"] is shift.columns
+    assert shift.grading == OperatorMatrix(shift.columns).grading
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_case=family_pair_cases())
+def test_an_expansion_over_two_shifts_forms_no_column(family_case):
+    """The solve and the reassembly read the weights of Q and the raiser,
+    never their columns, and give the division on Fractions."""
+    t, q_op, raiser = family_case
+    try:
+        got = expand_in_dual_pair(t, q_op, raiser)
+    except SingularOperatorError as exc:
+        assert old_shift_outcome(t, q_op, raiser) == ("raises", type(exc), str(exc))
+        got = None
+    assert "columns" not in vars(q_op) and "columns" not in vars(raiser)
+    if got is None:
+        return
+    want = old_expand_over_shifts(t, q_op.weights, raiser.weights)
+    for c, w in zip(got.coefficients, want.coefficients, strict=True):
+        same(c, w)
+    assert "columns" not in vars(q_op) and "columns" not in vars(raiser)
+    for c, w in zip(got.reassembled.columns, want.reassembled.columns, strict=True):
+        same(c, w)
+    assert "columns" not in vars(q_op) and "columns" not in vars(raiser)
+
+
+def test_each_shift_forms_its_running_products_once():
+    """The solve and the reassembly share each shift's running products: one
+    pass per shift, and none when the same shifts are expanded again."""
+    bound = 10
+    seq = AdmissibleSequence.q_deformed(Fraction(-3, 2), bound + 1)
+    rnd = random.Random(3)
+    t = OperatorMatrix(tuple(
+        Polynomial([Fraction(rnd.randint(-3, 3), rnd.randint(1, 4)) for _ in range(bound + 1)])
+        for _ in range(bound + 1)))
+    series = realize_delta_series(DeltaSeries.from_list(seq, [0, 1, Fraction(1, 2)], bound), bound)
+    for q_op, raiser in ((psi_derivative(seq, bound), xhat_psi(seq, bound)),
+                         (divided_difference(bound), multiplication_x(bound)),
+                         (series, xhat_psi(seq, bound))):
+        with mock.patch.object(operators, "_running_products",
+                               wraps=operators._running_products) as counted:
+            got = expand_in_dual_pair(t, q_op, raiser)
+            assert got.reassembled.columns == t.columns
+            if q_op is not series:
+                again = expand_in_dual_pair(t, q_op, raiser)
+                assert again.reassembled.columns == t.columns
+        assert counted.call_count == 2
 
 
 def test_shift_built_lowerings_expand_without_the_raiser_ladder():

@@ -1,11 +1,14 @@
 """Polynomial ring layer: exact arithmetic, parsing, tables."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from umbralcalc.errors import BadParameterError, BasisMismatchError
+from umbralcalc.operators import xhat_psi
 from umbralcalc.poly import (
     ONE,
     X,
@@ -15,6 +18,9 @@ from umbralcalc.poly import (
     coordinates_in_table,
     parse_polynomial,
 )
+from umbralcalc.psi import AdmissibleSequence
+from umbralcalc.sequences import basic_sequence_from_series
+from umbralcalc.series import DeltaSeries
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -128,3 +134,25 @@ def test_coordinates_in_table():
     for c, entry in zip(coords, table):
         rebuilt = rebuilt + entry.scale(c)
     assert rebuilt == p
+
+
+def test_copies_and_pickles_come_back_equal():
+    # a polynomial, a weighted shift before and after its columns are
+    # formed, and a table that holds its rows and forms its entries later
+    seq = AdmissibleSequence.q_deformed(Fraction(-3, 2), 6)
+    formed = xhat_psi(seq, 5)
+    formed.columns
+    objects = [
+        lambda: ZERO,
+        lambda: Polynomial([1, Fraction(-2, 3), 0, 5]),
+        lambda: xhat_psi(seq, 5),
+        lambda: formed,
+        lambda: basic_sequence_from_series(DeltaSeries.from_list(seq, [0, 1, 1], 5), 5).table,
+    ]
+    for build in objects:
+        for again in (copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+            obj = build()
+            back = again(obj)
+            if hasattr(obj, "__dict__"):  # a copy of a lazy object is as lazy
+                assert vars(back).keys() == vars(obj).keys()
+            assert type(back) is type(obj) and back == obj and obj == back
